@@ -13,7 +13,7 @@ from .contfrac import (
 )
 from .errors import (
     CoefficientPole,
-    ConvergenceFailure,
+    CollapseRegimeWarning,
     CouplingOutOfRange,
     DivisionBlowup,
     EmptyWindow,
@@ -21,6 +21,7 @@ from .errors import (
     NotDecoupled,
     PoleCollision,
     RabispecError,
+    SignLostWarning,
     TruncationCeiling,
     TruncationInsufficient,
     ZeroCoupling,
@@ -72,7 +73,7 @@ __all__ = [
     "Bracket",
     "CFValue",
     "CoefficientPole",
-    "ConvergenceFailure",
+    "CollapseRegimeWarning",
     "CouplingOutOfRange",
     "DivisionBlowup",
     "EmptyWindow",
@@ -85,6 +86,7 @@ __all__ = [
     "RabispecError",
     "Sector",
     "SeriesCoefficients",
+    "SignLostWarning",
     "SpectralSample",
     "SpectrumOptions",
     "SpectrumResult",

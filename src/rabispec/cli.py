@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from fractions import Fraction
 from .errors import RabispecError, TruncationCeiling
 from .models import ModelKind, ModelParams, Sector, pole_spacing
 from .oracle import oracle_spectrum
-from .series import minimal_series, norm_tail_ratio
+from .series import minimal_series, norm_tail_ratio, norm_term_ratio
 from .spectral import (
     SpectrumOptions,
     compute_spectrum,
@@ -341,21 +340,10 @@ def cmd_series(cfg: RunConfig, energy: float, order: int) -> int:
     meta["norm_tail_ratio"] = norm_tail_ratio(series) if order >= 100 else ""
     rows = []
     for n in range(order + 1):
-        term_ratio = _term_ratio(series, n) if n < order else ""
+        term_ratio = norm_term_ratio(series, n) if n < order else ""
         rows.append([n, series.minus[n], series.plus[n], term_ratio])
     _emit(cfg, meta, ["n", "k_minus", "k_plus", "norm_term_ratio"], rows)
     return 0
-
-
-def _term_ratio(series, n: int) -> float:
-    from .series import _log_weight_increment
-
-    r = series.ratios[n]
-    if r == 0.0:
-        return 0.0
-    return math.exp(
-        2.0 * math.log(abs(r)) + _log_weight_increment(series.model, series.sector, n)
-    )
 
 
 def _closed_form_hint(exc: Exception) -> str:

@@ -5,9 +5,13 @@ K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0 is
 
     R_n = -b(n+1) / (a(n+1) - b(n+2) / (a(n+2) - ...)).
 
-The primary evaluator is forward modified Lentz with a depth-doubling residual
-estimate; Miller-style backward recursion is the independent cross-check.
-Both accept any object exposing ``a(n)`` and ``b(n)`` (and optionally
+Two routes evaluate it.  ``batch_minimal_ratio`` runs Miller-style backward
+recursion over a whole array of lanes at once (one energy and start index per
+lane), doubling each lane's depth until it converges; the spectrum pipeline
+uses it for every evaluation.  Forward modified Lentz with the same
+depth-doubling rule (``eval_continued_fraction``) is the scalar reference, and
+``backward_recursion_ratio`` a scalar cross-check.  The scalar routes accept
+any object exposing ``a(n)`` and ``b(n)`` (and optionally
 ``tail_ratio_scale``), so surrogate coefficient sequences can be used in tests.
 """
 
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CoefficientPole, DivisionBlowup
 
@@ -24,6 +30,9 @@ _DENOM_FLOOR = 1e-300
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 2**20
 _FIRST_CHECKPOINT = 64
+# Rows of coefficients built at a time by the batched recursion; building the
+# whole depth x lanes table at once costs memory for no speed.
+BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -131,3 +140,97 @@ def minimal_ratio_sequence(coeffs, n_lo: int, n_hi: int, rel_tol: float = DEFAUL
         eval_continued_fraction(coeffs, start=n, rel_tol=rel_tol).value
         for n in range(n_lo, n_hi + 1)
     ]
+
+
+def batch_minimal_ratio(
+    block,
+    lanes: np.ndarray,
+    starts: np.ndarray,
+    scale: float,
+    rel_tol: float = DEFAULT_REL_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> np.ndarray:
+    """R_start for every lane by backward recursion with per-lane depth doubling.
+
+    ``block(lanes, n_lo, n_hi)`` returns the coefficients a(n) and b(n) for rows
+    n in [n_lo, n_hi] against the given lanes, as arrays that broadcast to
+    (rows, lanes).  A lane at depth d recurses r_{n-1} = -b(n) / (a(n) + r_n)
+    down from its tail N = start + d, seeded with ``scale`` / N.  The depths
+    are those of ``eval_continued_fraction``: 64, 128, ... and finally
+    ``max_depth``.  A lane has converged once R_start agrees between
+    successive depths to ``rel_tol`` relative to max(1, |R|), and only
+    unconverged lanes run the next depth.  Lanes that reach ``max_depth`` keep
+    their last value.
+    """
+    if rel_tol <= 0.0:
+        raise ValueError("rel_tol must be positive")
+    if max_depth < 8:
+        raise ValueError("max_depth must be >= 8")
+    lanes = np.asarray(lanes)
+    starts = np.asarray(starts, dtype=np.intp)
+    depths = []
+    depth = _FIRST_CHECKPOINT
+    while depth < max_depth:
+        depths.append(depth)
+        depth *= 2
+    depths.append(max_depth)
+    out = np.full(starts.shape, np.nan)
+    active = np.arange(starts.size)
+    prev = None
+    done = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while active.size and done < len(depths):
+            # the first two depths share one pass
+            run = depths[done:done + (1 if prev is not None else 2)]
+            k = starts[active]
+            values = _backward_pass(block, lanes[active], k, k + np.array(run)[:, None], scale)
+            done += len(run)
+            value = values[-1]
+            out[active] = value
+            if len(run) == 2:
+                prev = values[0]
+            if prev is not None:
+                settled = np.abs(value - prev) <= rel_tol * np.maximum(1.0, np.abs(value))
+                # a non-finite ratio (an exactly vanishing denominator) cannot settle
+                keep = ~(settled | ~np.isfinite(value))
+                active, value = active[keep], value[keep]
+            prev = value
+    return out
+
+
+def _backward_pass(block, lanes, starts, tails, scale: float) -> np.ndarray:
+    """Backward recursions of all lanes over one pass of coefficient blocks.
+
+    ``tails`` has one row per depth run in this pass; each (depth, lane)
+    recursion is seeded with scale / tail at its own tail.  Returns R_start
+    with the same shape as ``tails``.
+    """
+    r = np.zeros(tails.shape)
+    out = np.empty(tails.shape)
+    seeds = _lanes_by_value(tails.ravel())
+    picks = _lanes_by_value(starts)
+    hi = int(tails.max())
+    a = None
+    while hi > 0:
+        lo = max(1, hi - BLOCK_ROWS + 1)
+        del a  # let the previous block go before the next one is built
+        a, b = block(lanes, lo, hi)
+        neg_b = -b
+        for i in range(hi - lo, -1, -1):
+            n = lo + i
+            sel = seeds.get(n)
+            if sel is not None:
+                r.ravel()[sel] = scale / n
+            r = neg_b[i] / (a[i] + r)
+            sel = picks.get(n - 1)  # r is now R_{n-1}
+            if sel is not None:
+                out[:, sel] = r[:, sel]
+        hi = lo - 1
+    return out
+
+
+def _lanes_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
+    """{value: indices of the lanes holding it}."""
+    order = np.argsort(values, kind="stable")
+    keys, first = np.unique(values[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(order, first[1:])))

@@ -41,10 +41,6 @@ class TruncationCeiling(RabispecError):
     """Oracle truncation limit reached before eigenvalues stabilized."""
 
 
-class ConvergenceFailure(RabispecError):
-    """Eigensolver iteration cap reached."""
-
-
 class NotAnEigenvalueWarning(UserWarning):
     """Series requested at an energy that is not (close to) a spectral root."""
 

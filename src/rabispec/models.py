@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .errors import CouplingOutOfRange, NotDecoupled, PoleCollision, ZeroCoupling
 
 # Below eps_g the coefficient formulas divide by ~0; callers are routed to the
@@ -197,11 +199,15 @@ class ThreeTermCoeffs:
     ``a`` is A_n / C_n / X_n and ``b`` is B_n / D_n / Y_n of the respective
     model.  ``tail_ratio_scale`` is the minimal-ratio scale used to seed
     backward recursion (the ratio decays as scale / n).
+
+    The formulas are plain arithmetic, so ``energy`` may also be a numpy array
+    and ``n`` an array that broadcasts against it; ``coefficient_block`` builds
+    whole blocks of rows that way.
     """
 
     model: ModelParams
     sector: Sector
-    energy: float
+    energy: float | np.ndarray
     _bog: BogoliubovParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -212,7 +218,7 @@ class ThreeTermCoeffs:
     def tail_ratio_scale(self) -> float:
         return asymptotic_roots(self.model).t2
 
-    def pole_denominator(self, n: int) -> float:
+    def pole_denominator(self, n):
         """Denominator of the Delta^2 term of a(n); zero exactly at pole_energy(n)."""
         m, s, e = self.model, self.sector, self.energy
         w = m.omega
@@ -222,25 +228,26 @@ class ThreeTermCoeffs:
             return e + w - (2.0 * n + 2.0 * s.value) * w * self._bog.root_factor
         return e - n * w - m.drive + m.g * m.g / w
 
-    def a(self, n: int) -> float:
+    def a(self, n):
         m, s, e = self.model, self.sector, self.energy
         w, g, d = m.omega, m.g, m.delta
-        den = self.pole_denominator(n)
+        # the Delta^2 term, without keeping the denominator alive on array input
+        pole_term = d * d / self.pole_denominator(n)
         if m.kind is ModelKind.TWO_PHOTON:
             q = s.value
             omega_f = self._bog.root_factor
             num = -(2.0 * n + 2.0 * q) * w * (2.0 - omega_f * omega_f) + (
-                e + 0.5 * w - d * d / den
+                e + 0.5 * w - pole_term
             ) * omega_f
             return num / (8.0 * g * (n + 1.0) * (n + 2.0 * q))
         if m.kind is ModelKind.TWO_MODE:
             k = s.value
             lam = self._bog.root_factor
-            num = -(2.0 * n + 2.0 * k) * w * (2.0 - lam * lam) + (e + w - d * d / den) * lam
+            num = -(2.0 * n + 2.0 * k) * w * (2.0 - lam * lam) + (e + w - pole_term) * lam
             return num / (2.0 * g * (n + 1.0) * (n + 2.0 * k))
-        return (e - n * w + m.drive - 3.0 * g * g / w - d * d / den) / (2.0 * g * (n + 1.0))
+        return (e - n * w + m.drive - 3.0 * g * g / w - pole_term) / (2.0 * g * (n + 1.0))
 
-    def b(self, n: int) -> float:
+    def b(self, n):
         m, s = self.model, self.sector
         if m.kind is ModelKind.TWO_PHOTON:
             return 1.0 / (4.0 * (n + 1.0) * (n + 2.0 * s.value))
@@ -249,30 +256,47 @@ class ThreeTermCoeffs:
         return 1.0 / (n + 1.0)
 
 
+def coefficient_block(
+    model: ModelParams, sector: Sector, energies: np.ndarray, n_lo: int, n_hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """a(n, E) and b(n) for rows n in [n_lo, n_hi] and columns E in ``energies``.
+
+    ``a`` has shape (rows, energies); ``b`` does not depend on E and has shape
+    (rows, 1).  The caller keeps ``energies`` away from the pole set.
+    """
+    coeffs = ThreeTermCoeffs(model, sector, energies)
+    n = np.arange(n_lo, n_hi + 1, dtype=float)[:, None]
+    return coeffs.a(n), coeffs.b(n)
+
+
+def check_coupling(model: ModelParams) -> None:
+    """Raise ZeroCoupling at |g| <= eps_g, where the coefficient formulas divide by ~0."""
+    if abs(model.g) <= model.eps_g:
+        raise ZeroCoupling(
+            "recurrence coefficients are undefined at g = 0; use closed_form_spectrum_g0"
+        )
+
+
 def three_term_coeffs(model: ModelParams, sector: Sector, energy: float) -> ThreeTermCoeffs:
     """Recurrence coefficient generator at fixed ``energy``.
 
     Raises ZeroCoupling at |g| <= eps_g and PoleCollision when ``energy`` lies
     within eps_pole of a pole energy.
     """
-    if abs(model.g) <= model.eps_g:
-        raise ZeroCoupling(
-            "recurrence coefficients are undefined at g = 0; use closed_form_spectrum_g0"
-        )
+    check_coupling(model)
     if distance_to_pole_set(model, sector, energy) < model.eps_pole:
         raise PoleCollision(f"E = {energy} coincides with a pole energy")
     return ThreeTermCoeffs(model, sector, energy)
 
 
-def distance_to_pole_set(model: ModelParams, sector: Sector, energy: float) -> float:
-    """Distance from ``energy`` to the nearest pole of the coefficient sequence."""
+def distance_to_pole_set(model: ModelParams, sector: Sector, energy):
+    """Distance from ``energy`` (a float or an array) to the nearest pole of the coefficients."""
     sector.check_matches(model)
     first = pole_energy(model, sector, 0)
     spacing = pole_spacing(model, sector)
-    if energy <= first:
-        return first - energy
-    k = round((energy - first) / spacing)
-    return abs(energy - (first + k * spacing))
+    k = np.maximum(np.rint((energy - first) / spacing), 0.0)
+    dist = np.abs(energy - (first + k * spacing))
+    return dist if isinstance(dist, np.ndarray) else float(dist)
 
 
 def closed_form_spectrum_g0(model: ModelParams, sector: Sector, n_max: int) -> list[float]:

@@ -149,6 +149,16 @@ def norm_tail_ratio(series: SeriesCoefficients, tail_window: int = 5) -> float:
     return math.exp(acc / tail_window)
 
 
+def norm_term_ratio(series: SeriesCoefficients, n: int) -> float:
+    """Ratio of consecutive Bargmann-norm series terms, term(n+1) / term(n)."""
+    r = series.ratios[n]
+    if r == 0.0:
+        return 0.0
+    return math.exp(
+        2.0 * math.log(abs(r)) + _log_weight_increment(series.model, series.sector, n)
+    )
+
+
 def norm_term_log(series: SeriesCoefficients, n: int) -> float:
     """log of the n-th Bargmann-norm series term |K_n|^2 * weight(n)."""
     model, sector = series.model, series.sector

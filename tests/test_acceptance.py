@@ -313,3 +313,29 @@ def test_wavefunctions_solve_differential_system(model, sector, window):
     for e in energies:
         for z in (0.1, 0.5, 1.0):
             assert _ode_residual(model, sector, e, z) < 1e-8
+
+
+# Lentz gives F(0.29999999999999993) = 0.0 exactly at these parameters and the
+# batched evaluation gives F = 0.0 exactly at the grid point 0.30000000000000004;
+# the level is 0.3.  A sample where F is exactly zero is one root.
+_EXACT_ZERO_WINDOWS = [(0.29999999999999993, 1.0), (0.2, 0.29999999999999993), (0.05, 0.55)]
+
+
+@pytest.mark.parametrize("window", _EXACT_ZERO_WINDOWS, ids=["from-zero", "to-zero", "around"])
+@pytest.mark.parametrize("g", [0.3, -0.3])
+def test_exact_zero_sample_is_one_root(window, g):
+    model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, g)
+    sector = Sector.two_photon(0.75)
+    result = compute_spectrum(model, sector, window)
+    found = result.energies + [r.energy for r in result.flagged]
+    near = [e for e in found if abs(e - 0.3) <= MATCH_TOL]
+    if window[0] <= 0.3 <= window[1]:
+        assert len(near) == 1
+    else:
+        # 0.3 lies just above the window that ends at 0.29999999999999993; a
+        # root on that edge is the same level, but none is required there
+        assert len(near) <= 1
+    # widened by the match tolerance so that a root on a window edge has its level
+    oracle_vals, _ = oracle_spectrum(model, sector, (window[0] - MATCH_TOL, window[1] + MATCH_TOL))
+    for e in found:
+        assert min(abs(e - o) for o in oracle_vals) <= MATCH_TOL

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,14 @@ from rabispec import (
     ModelKind,
     ModelParams,
     Sector,
+    asymptotic_roots,
     backward_recursion_ratio,
     eval_continued_fraction,
     minimal_ratio_sequence,
     three_term_coeffs,
 )
-from rabispec.models import distance_to_pole_set
+from rabispec.contfrac import batch_minimal_ratio
+from rabispec.models import coefficient_block, distance_to_pole_set
 
 from conftest import ConstCoeffs
 
@@ -164,3 +167,40 @@ class TestErrorPaths:
             backward_recursion_ratio(c, start=100, tail_depth=100)
         with pytest.raises(ValueError):
             minimal_ratio_sequence(c, 5, 5)
+
+
+class TestBatchMinimalRatio:
+    def test_constant_coefficients(self):
+        # minimal ratio of K_{n+1} + 3 K_n + 2 K_{n-1} = 0 is -1 at every start
+        def block(lanes, n_lo, n_hi):
+            rows = n_hi - n_lo + 1
+            return np.full((rows, lanes.size), 3.0), np.full((rows, 1), 2.0)
+
+        starts = np.array([0, 3, 1, 0])
+        r = batch_minimal_ratio(block, np.zeros(starts.size), starts, scale=0.0)
+        assert r == pytest.approx([-1.0] * starts.size, abs=1e-12)
+
+    def test_matches_lentz_per_lane(self):
+        # every lane equals the scalar Lentz value at its own start index
+        model = ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4)
+        sector = Sector.two_mode(1.0)
+        energies = np.linspace(-0.9, 7.9, 23)
+        energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
+        starts = np.arange(energies.size) % 4
+
+        def block(lanes, n_lo, n_hi):
+            return coefficient_block(model, sector, lanes, n_lo, n_hi)
+
+        r = batch_minimal_ratio(block, energies, starts, asymptotic_roots(model).t2)
+        for e, k, got in zip(energies, starts, r):
+            ref = eval_continued_fraction(three_term_coeffs(model, sector, e), start=k).value
+            assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_argument_validation(self):
+        def block(lanes, n_lo, n_hi):
+            return np.ones((n_hi - n_lo + 1, lanes.size)), np.ones((n_hi - n_lo + 1, 1))
+
+        with pytest.raises(ValueError):
+            batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, rel_tol=0.0)
+        with pytest.raises(ValueError):
+            batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, max_depth=4)

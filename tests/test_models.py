@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from rabispec import (
     pole_energies,
     three_term_coeffs,
 )
-from rabispec.models import distance_to_pole_set, pole_spacing
+from rabispec.models import coefficient_block, distance_to_pole_set, pole_spacing
 
 
 def tp(omega=1.0, delta=0.0, g=0.2):
@@ -259,3 +260,27 @@ class TestClosedFormG0:
     def test_requires_decoupling(self):
         with pytest.raises(NotDecoupled):
             closed_form_spectrum_g0(tp(g=0.1), Sector.two_photon(0.25), 2)
+
+
+class TestCoefficientBlock:
+    @pytest.mark.parametrize("model,sector", [
+        (tp(delta=0.5, g=0.3), Sector.two_photon(0.75)),
+        (tm(delta=0.7, g=0.4), Sector.two_mode(1.5)),
+        (dr(delta=0.4, g=0.7, drive=0.3), Sector.driven()),
+    ], ids=["two-photon", "two-mode", "driven"])
+    def test_block_equals_scalar_coefficients(self, model, sector):
+        # one set of formulas: the array block repeats the scalar values bit for bit
+        energies = [-0.37, 0.5, 1.23, 4.9]
+        a, b = coefficient_block(model, sector, np.array(energies), 3, 40)
+        assert a.shape == (38, 4) and b.shape == (38, 1)
+        for col, e in enumerate(energies):
+            coeffs = three_term_coeffs(model, sector, e)
+            for row, n in enumerate(range(3, 41)):
+                assert a[row, col] == coeffs.a(n)
+                assert b[row, 0] == coeffs.b(n)
+
+    def test_array_distance_to_pole_set(self):
+        model, sector = tp(delta=0.5, g=0.3), Sector.two_photon(0.25)
+        energies = [-2.0, -0.5, 0.1, 0.77, 3.3]
+        batch = distance_to_pole_set(model, sector, np.array(energies))
+        assert batch.tolist() == [distance_to_pole_set(model, sector, e) for e in energies]

@@ -15,7 +15,7 @@ from rabispec import (
     norm_tail_ratio,
     three_term_coeffs,
 )
-from rabispec.series import norm_term_log
+from rabispec.series import norm_term_log, norm_term_ratio
 
 
 @pytest.fixture
@@ -132,3 +132,10 @@ class TestWavefunction:
         s = minimal_series(model, sector, eigs[0], order=4)
         with pytest.raises(TruncationInsufficient):
             eval_wavefunction(s, 5.0)
+
+
+def test_norm_term_ratio_matches_term_logs(ref_series):
+    # consecutive terms of the Bargmann-norm series, from the ratios and from the lgamma weights
+    for n in (0, 1, 50, 200, 399):
+        expected = math.exp(norm_term_log(ref_series, n + 1) - norm_term_log(ref_series, n))
+        assert norm_term_ratio(ref_series, n) == pytest.approx(expected, rel=1e-9)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 import scipy.optimize
 
@@ -20,6 +21,7 @@ from rabispec import (
     spectral_function,
     split_spectral_value,
 )
+from rabispec.errors import CollapseRegimeWarning, SignLostWarning
 from rabispec.models import distance_to_pole_set
 from rabispec.spectral import (
     RESIDUAL_CAP,
@@ -29,9 +31,11 @@ from rabispec.spectral import (
     default_window_min,
     eps_exceptional,
     poles_in_window,
+    split_values,
 )
 
 from conftest import ConstCoeffs
+from test_contfrac import _random_cases
 
 
 class TestSpectralFunction:
@@ -207,3 +211,61 @@ class TestDrivenHiddenPairs:
         result = compute_spectrum(model, sector, (0.5, 1.3))
         for e in result.energies:
             assert abs(e - 0.94) > 1e-5
+
+
+class TestBatchedEigencondition:
+    def test_agrees_with_lentz_on_random_points(self):
+        # one batch: 100 random points at split indices 0-4
+        cases = _random_cases(100)
+        for model, sector in {(m, s) for m, s, _ in cases}:
+            energies = [e for m, s, e in cases if (m, s) == (model, sector)]
+            lanes = np.repeat(energies, 5)
+            splits = np.tile(np.arange(5), len(energies))
+            got = split_values(model, sector, lanes, splits)
+            for e, k, w in zip(lanes, splits, got):
+                if k == 0:
+                    ref = spectral_function(model, sector, e).value
+                else:
+                    ref = split_spectral_value(model, sector, e, split=int(k))
+                assert abs(w - ref) <= 1e-9 * max(1.0, abs(ref)), (model, e, k)
+
+    def test_small_at_reference_eigenvalues(self, two_photon_ref):
+        model, sector, _, eigs = two_photon_ref
+        values = split_values(model, sector, eigs, 0)
+        assert values.shape == (len(eigs),)
+        assert np.all(np.abs(values) <= 1e-6)
+
+    def test_pole_lane_is_nan_and_isolated(self, two_photon_ref):
+        model, sector, _, _ = two_photon_ref
+        pole = pole_energies(model, sector, 2)[2]
+        energies = np.array([0.3, 1.1, pole + 1e-10, 2.6, 4.2])
+        splits = np.array([0, 1, 2, 2, 3])
+        batch = split_values(model, sector, energies, splits)
+        assert math.isnan(batch[2])
+        with pytest.raises(PoleCollision):
+            split_spectral_value(model, sector, pole + 1e-10, split=2)
+        keep = [0, 1, 3, 4]
+        alone = split_values(model, sector, energies[keep], splits[keep])
+        np.testing.assert_array_equal(batch[keep], alone)
+
+
+class TestRefineSignLost:
+    def test_bracket_on_a_pole_loses_the_sign(self, two_photon_ref):
+        # both ends and every trial point sit within eps_pole of E_1
+        model, sector, _, _ = two_photon_ref
+        p = pole_energies(model, sector, 1)[1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = refine_root(model, sector, Bracket(p - 4e-10, p + 4e-10, -1.0, 1.0),
+                              abs_tol=1e-12)
+        assert rec.sign_lost
+        assert [type(w.message) for w in caught] == [SignLostWarning]
+
+
+def test_warning_types_exported():
+    import rabispec
+
+    assert rabispec.SignLostWarning is SignLostWarning
+    assert rabispec.CollapseRegimeWarning is CollapseRegimeWarning
+    assert "ConvergenceFailure" not in rabispec.__all__
+    assert not hasattr(rabispec, "ConvergenceFailure")
