@@ -67,6 +67,13 @@ def _parse_half_integer(text: str) -> float:
     return float(text)
 
 
+_CONFIG_KEYS = (
+    "model", "omega", "delta", "g", "drive", "q", "kappa", "emin", "emax", "grid_step",
+    "cf_rel_tol", "root_abs_tol", "oracle_n", "match_tol", "format", "output",
+)
+_FORMATS = ("csv", "json")
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -77,7 +84,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
+            values[key] = val.strip()
     return values
 
 
@@ -97,7 +107,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--root-abs-tol", type=float, help="root bracket tolerance")
     p.add_argument("--oracle-n", type=int, help="starting Fock truncation for the oracle")
     p.add_argument("--match-tol", type=float, help="root/oracle matching tolerance")
-    p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
+    p.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
     p.add_argument("--output", help="output path (default: standard output)")
 
 
@@ -142,6 +152,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     e_min = pick(args.emin, "emin", float)
     if e_min is None:
         e_min = default_window_min(model, sector)
+    out_format = pick(args.format, "format", str, "csv")
+    if out_format not in _FORMATS:
+        raise ValueError(f"unknown output format {out_format!r}; choose csv or json")
     return RunConfig(
         model=model,
         sector=sector,
@@ -152,7 +165,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         root_abs_tol=pick(args.root_abs_tol, "root_abs_tol", float, 1e-10),
         oracle_n=pick(args.oracle_n, "oracle_n", int),
         match_tol=pick(args.match_tol, "match_tol", float, 1e-6),
-        out_format=pick(args.format, "format", str, "csv"),
+        out_format=out_format,
         output=pick(args.output, "output", str),
     )
 

@@ -9,8 +9,10 @@ Two routes evaluate it.  ``batch_minimal_ratio`` runs Miller-style backward
 recursion over a whole array of lanes at once (one energy and start index per
 lane), doubling each lane's depth until it converges; the spectrum pipeline
 uses it for every evaluation.  Forward modified Lentz with the same
-depth-doubling rule (``eval_continued_fraction``) is the scalar reference, and
-``backward_recursion_ratio`` a scalar cross-check.  The scalar routes accept
+depth-doubling rule (``eval_continued_fraction``) is the scalar reference.
+``backward_ratios`` is the one scalar backward recursion: every ratio of one
+pass, behind the cross-check ``backward_recursion_ratio`` and the series
+coefficients of ``series.minimal_series``.  The scalar routes accept
 any object exposing ``a(n)`` and ``b(n)`` (and optionally
 ``tail_ratio_scale``), so surrogate coefficient sequences can be used in tests.
 """
@@ -102,30 +104,43 @@ def eval_continued_fraction(
 
 
 def backward_recursion_ratio(coeffs, start: int = 0, tail_depth: int = 1024) -> float:
-    """Evaluate R_start by backward recursion from a zero-seeded tail.
+    """Evaluate R_start by one pass of ``backward_ratios`` down from ``tail_depth``.
 
-    Iterates r_{n-1} = -b(n) / (a(n) + r_n) downward from ``tail_depth``.  When
-    the coefficients advertise a minimal-ratio scale t2, the tail is seeded
-    with t2 / tail_depth instead of 0, which accelerates convergence near the
-    collapse regime.  Vanishing denominators are floored at 1e-300 with their
-    sign preserved.
+    Raises DivisionBlowup if the ratio it ends on is not finite.
     """
     if tail_depth < start + 8:
         raise ValueError("tail_depth must be >= start + 8")
+    r = backward_ratios(coeffs, start, tail_depth)[0]
+    if not math.isfinite(r):
+        raise DivisionBlowup("backward recursion produced a non-finite ratio")
+    return r
+
+
+def backward_ratios(coeffs, start: int, tail: int) -> list[float]:
+    """R_start, ..., R_{tail-1} from one backward recursion pass.
+
+    Iterates r_{n-1} = -b(n) / (a(n) + r_n) downward from n = ``tail``.  When
+    the coefficients advertise a minimal-ratio scale t2, the tail is seeded
+    with t2 / tail instead of 0, which accelerates convergence near the
+    collapse regime.  Vanishing denominators are floored at 1e-300 with their
+    sign preserved.  Raises CoefficientPole on a non-finite coefficient.
+    """
     scale = getattr(coeffs, "tail_ratio_scale", 0.0)
-    r = scale / tail_depth if scale else 0.0
-    for n in range(tail_depth, start, -1):
-        a_n = coeffs.a(n)
-        b_n = coeffs.b(n)
-        if not (math.isfinite(a_n) and math.isfinite(b_n)):
+    r = scale / tail if scale else 0.0
+    # local names: an order-2000 series runs this loop ~4,000 times
+    a, b, isfinite = coeffs.a, coeffs.b, math.isfinite
+    out = [0.0] * (tail - start)
+    for n in range(tail, start, -1):
+        a_n = a(n)
+        b_n = b(n)
+        if not (isfinite(a_n) and isfinite(b_n)):
             raise CoefficientPole(f"non-finite coefficient consumed at index {n}")
         den = a_n + r
         if abs(den) < _DENOM_FLOOR:
             den = math.copysign(_DENOM_FLOOR, den if den != 0.0 else 1.0)
         r = -b_n / den
-    if not math.isfinite(r):
-        raise DivisionBlowup("backward recursion produced a non-finite ratio")
-    return r
+        out[n - 1 - start] = r
+    return out
 
 
 def minimal_ratio_sequence(coeffs, n_lo: int, n_hi: int, rel_tol: float = DEFAULT_REL_TOL) -> list[float]:

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .contfrac import backward_ratios
 from .errors import NotAnEigenvalueWarning, PoleCollision, TruncationInsufficient
 from .models import ModelKind, ModelParams, Sector, three_term_coeffs
 from .spectral import RESIDUAL_CAP, spectral_function
@@ -46,22 +47,6 @@ class SeriesCoefficients:
         return self.ratios[n]
 
 
-def _backward_ratios(coeffs, order: int, tail_pad: int = 64) -> list[float]:
-    """Minimal ratios r_0..r_{order-1} from one backward recursion pass."""
-    tail = 2 * order + tail_pad
-    scale = getattr(coeffs, "tail_ratio_scale", 0.0)
-    r = scale / tail if scale else 0.0
-    out = [0.0] * order
-    for n in range(tail, 0, -1):
-        den = coeffs.a(n) + r
-        if abs(den) < 1e-300:
-            den = math.copysign(1e-300, den if den != 0.0 else 1.0)
-        r = -coeffs.b(n) / den
-        if n - 1 < order:
-            out[n - 1] = r
-    return out
-
-
 def minimal_series(
     model: ModelParams, sector: Sector, energy: float, order: int
 ) -> SeriesCoefficients:
@@ -82,7 +67,7 @@ def minimal_series(
             f"|F(E)| = {residual:.3g} exceeds the residual cap; E is not an eigenvalue",
             NotAnEigenvalueWarning,
         )
-    ratios = _backward_ratios(coeffs, order)
+    ratios = backward_ratios(coeffs, 0, 2 * order + 64)[:order]
     minus = [1.0]
     log_abs = [0.0]
     signs = [1]

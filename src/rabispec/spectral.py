@@ -6,14 +6,26 @@ The regular spectrum of each model is the zero set of
 
 where R_0 is the minimal-ratio continued fraction and a_0 the first recurrence
 coefficient.  F diverges at the pole energy E_0, and at E_n with n >= 1 its
-singularity is removable.  Roots are located by scanning a pole-aware grid for
-sign changes and refining each bracket by bisection with secant acceleration.
+singularity is removable.  The split eigenconditions
 
-The spectrum pipeline evaluates F and the split eigenconditions W_k over whole
-batches of energies at once (``split_values``, batched backward recursion) and
-refines all brackets in lockstep.  ``spectral_function`` and
-``split_spectral_value`` evaluate one energy by modified Lentz; they are the
-scalar reference the batched values are tested against.
+    W_k(E) = R_k(E) - K_{k+1}(E)/K_k(E),   W_0 = F,
+
+share F's zeros for every split index k, but not its poles: W_k has an explicit
+simple pole at E_k and hidden poles at the zeros of the continuant K_k and at
+the poles of R_k.  An eigenvalue that sits next to a hidden pole of one W_k is
+invisible to a sign scan of that function, yet a plain sign change of another.
+
+Roots are found by one scan.  Every interval of one point set (a uniform grid,
+guard points beside each pole and geometric ladders around each pole) that
+holds no analytic pole is tested at k = 0 and at k = base, base + 1, where
+E_base is the pole nearest the interval.  Each strict sign change is a bracket,
+refined by bisection with secant acceleration.
+
+The spectrum pipeline evaluates F and W_k over whole batches of energies at
+once (``split_values``, batched backward recursion) and refines all brackets in
+lockstep.  ``spectral_function`` and ``split_spectral_value`` evaluate one
+energy by modified Lentz; they are the scalar reference the batched values are
+tested against.
 """
 
 from __future__ import annotations
@@ -50,12 +62,8 @@ from .models import (
 # Pole-handling constants (in units of omega where dimensionful).
 EPS_POLE_GUARD_FACTOR = 1e-6   # grid points are kept this far away from poles
 EPS_EXC_FACTOR = 1e-5          # roots closer than this to a pole are exceptional candidates
-RESIDUAL_CAP = 1e-4            # refined roots above this |F| are rejected
-BLOWUP_THRESHOLD = 1e5         # sign changes with samples above this are pole artifacts
-REFINE_THRESHOLD = 1e-2        # same-sign intervals with |F| below this get subdivided
+RESIDUAL_CAP = 1e-4            # refined roots above this |W_k| are rejected
 COLLAPSE_ROOT_FACTOR = 0.05    # below this Omega/Lambda, grids are tightened
-_SUBDIVISIONS = 8
-_MAX_SUBDIVIDE_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,13 @@ class SpectrumOptions:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Regular roots, pole set and exceptional candidates found in a window."""
+    """Regular roots, pole set and exceptional candidates found in a window.
+
+    ``grid_points`` counts every scan point: the uniform grid, the guard points
+    beside the poles and the ladder points around them.  ``brackets_found``
+    counts the sign changes refined, and ``brackets_rejected`` those whose
+    refined root was not accepted.
+    """
 
     roots: list[RootRecord]
     poles: list[float]
@@ -273,34 +287,32 @@ def _forward_ratios(model, sector, energies: np.ndarray, splits: np.ndarray) -> 
 def _grid_points(
     model: ModelParams, sector: Sector, e_min: float, e_max: float, grid_step: float
 ) -> np.ndarray:
-    """Uniform grid plus pole-adjacent guard points, all off the pole set."""
+    """Uniform grid plus pole-adjacent guard points, unsorted."""
     guard = _guard(model)
-    pts: list[float] = []
     n_steps = int(math.ceil((e_max - e_min) / grid_step))
-    for i in range(n_steps + 1):
-        pts.append(min(e_min + i * grid_step, e_max))
-    for p in poles_in_window(model, sector, e_min - guard, e_max + guard):
-        if p - guard >= e_min:
-            pts.append(p - guard)
-        if p + guard <= e_max:
-            pts.append(p + guard)
-    grid = np.sort(np.array(pts))
-    kept = grid[distance_to_pole_set(model, sector, grid) >= guard * (1.0 - 1e-9)]
-    # drop duplicates from the merge
-    out: list[float] = []
-    for x in kept.tolist():
-        if not out or x - out[-1] > 1e-15 * max(1.0, abs(x)):
-            out.append(x)
-    return np.array(out)
+    uniform = np.minimum(e_min + np.arange(n_steps + 1) * grid_step, e_max)
+    poles = np.array(poles_in_window(model, sector, e_min - guard, e_max + guard))
+    return np.concatenate([
+        uniform, poles[poles - guard >= e_min] - guard, poles[poles + guard <= e_max] + guard
+    ])
 
 
-def _window_grid(model, sector, window: tuple[float, float], grid_step: float) -> np.ndarray:
+def _window_grid(
+    model, sector, window: tuple[float, float], grid_step: float, extra=()
+) -> np.ndarray:
+    """Sorted scan points: the grid of ``window`` and the ``extra`` points.
+
+    Points closer to the pole set than the guard distance are dropped, and
+    points that coincide to a relative 1e-15 are kept once.
+    """
     e_min, e_max = window
     if not e_min < e_max:
         raise ValueError("window must satisfy E_min < E_max")
     if grid_step <= 0.0:
         raise ValueError("grid_step must be positive")
-    pts = _grid_points(model, sector, e_min, e_max, grid_step)
+    pts = np.sort(np.concatenate([_grid_points(model, sector, e_min, e_max, grid_step), extra]))
+    pts = pts[distance_to_pole_set(model, sector, pts) >= _guard(model) * (1.0 - 1e-9)]
+    pts = pts[np.diff(pts, prepend=-np.inf) > 1e-15 * np.maximum(1.0, np.abs(pts))]
     if len(pts) < 2:
         raise EmptyWindow("no usable grid points in window")
     return pts
@@ -333,50 +345,10 @@ def _values_at(w_at, pts: np.ndarray, point: np.ndarray, split: np.ndarray) -> n
 
 
 def _sign_change(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Strict sign change.  A sample that is exactly zero is a root of its own,
-    recorded once, and takes part in the sign test of neither neighbour."""
-    return (f1 != 0.0) & (f2 != 0.0) & ((f1 < 0.0) != (f2 < 0.0))
-
-
-def _f_brackets(model, sector, xs: np.ndarray, fs: np.ndarray, f_at):
-    """Sign-change brackets of F between consecutive samples (xs, fs).
-
-    Sign changes straddling an analytic pole, and sign changes whose samples
-    exceed the blowup threshold (pole artifacts, not roots), are discarded.
-    Same-sign intervals where |F| dips below the refinement threshold are
-    subdivided, every interval of one level with one call ``f_at(energies)``.
-    Returns (brackets in energy order, energies of samples where F is 0).
-    """
-    guard = _guard(model)
-    brackets: list[Bracket] = []
-    zeros = xs[fs == 0.0].tolist()
-    x1, f1, x2, f2 = xs[:-1], fs[:-1], xs[1:], fs[1:]
-    for depth in range(_MAX_SUBDIVIDE_DEPTH + 1):
-        usable = np.isfinite(f1) & np.isfinite(f2) & ~_pole_strictly_inside(model, sector, x1, x2)
-        change = usable & _sign_change(f1, f2)
-        keep = change & (np.maximum(np.abs(f1), np.abs(f2)) <= BLOWUP_THRESHOLD)
-        brackets += [
-            Bracket(float(x1[j]), float(x2[j]), float(f1[j]), float(f2[j]))
-            for j in np.flatnonzero(keep)
-        ]
-        subdivide = (
-            usable
-            & ~change
-            & (np.minimum(np.abs(f1), np.abs(f2)) < REFINE_THRESHOLD)
-            & (x2 - x1 > 64.0 * guard)
-        )
-        if depth == _MAX_SUBDIVIDE_DEPTH or not subdivide.any():
-            break
-        lo = x1[subdivide][:, None]
-        pts = lo + (x2[subdivide][:, None] - lo) * np.arange(_SUBDIVISIONS + 1) / _SUBDIVISIONS
-        vals = np.empty_like(pts)
-        vals[:, 0], vals[:, -1] = f1[subdivide], f2[subdivide]
-        vals[:, 1:-1] = f_at(pts[:, 1:-1].ravel()).reshape(len(pts), _SUBDIVISIONS - 1)
-        zeros += pts[:, 1:-1][vals[:, 1:-1] == 0.0].tolist()
-        x1, f1 = pts[:, :-1].ravel(), vals[:, :-1].ravel()
-        x2, f2 = pts[:, 1:].ravel(), vals[:, 1:].ravel()
-    brackets.sort(key=lambda br: br.lo)
-    return brackets, zeros
+    """Strict sign change between samples.  A sample that is exactly zero is a
+    root of its own and takes part in the sign test of neither neighbour; a nan
+    sample takes part in none."""
+    return np.sign(f1) * np.sign(f2) < 0.0
 
 
 def scan_brackets(
@@ -387,20 +359,21 @@ def scan_brackets(
     cf_rel_tol: float = DEFAULT_REL_TOL,
     cf_max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> list[Bracket]:
-    """Locate sign-change brackets of F in ``window``.
+    """Sign-change brackets of F between consecutive grid points of ``window``.
 
-    Sign changes straddling an analytic pole, and sign changes whose samples
-    exceed the blowup threshold (pole artifacts, not roots), are discarded.
-    Same-sign intervals where |F| dips below the refinement threshold are
-    subdivided to catch near-degenerate pairs.  A sample where F is exactly
-    zero is a root, not a bracket end, and is not returned.
+    The grid is uniform with step ``grid_step`` plus a guard point on each side
+    of every pole.  Intervals that hold an analytic pole are skipped.  A sample
+    where F is exactly zero is a root, not a bracket end, and is not returned.
+    This is the k = 0 part of the scan in ``compute_spectrum``, without its
+    ladder points.
     """
     pts = _window_grid(model, sector, window, grid_step)
-
-    def f_at(e):
-        return split_values(model, sector, e, 0, cf_rel_tol, cf_max_depth)
-
-    return _f_brackets(model, sector, pts, f_at(pts), f_at)[0]
+    f = split_values(model, sector, pts, 0, cf_rel_tol, cf_max_depth)
+    change = _sign_change(f[:-1], f[1:]) & ~_pole_strictly_inside(model, sector, pts[:-1], pts[1:])
+    return [
+        Bracket(float(pts[j]), float(pts[j + 1]), float(f[j]), float(f[j + 1]))
+        for j in np.flatnonzero(change)
+    ]
 
 
 def refine_root(
@@ -490,14 +463,12 @@ _LADDER_RATIO = 1.6   # geometric growth of sample distances from a pole
 _LADDER_REACH = 0.45  # ladder extent per side, in units of the pole spacing
 
 
-def _ladders(model: ModelParams, sector: Sector, window: tuple[float, float]):
-    """Geometric ladders of samples on both sides of every pole near the window.
+def _ladders(model: ModelParams, sector: Sector, window: tuple[float, float]) -> np.ndarray:
+    """Geometric ladders of points on both sides of every pole near the window.
 
-    Eigenvalues that hug a pole energy sit inside zero/pole pairs of F too
-    tight for the uniform grid to see; on the split function with the matching
-    index they are ordinary sign changes.  Returns (energies, pole index of
-    each sample, ladder id of each sample), each ladder in order of distance
-    from its pole.
+    Eigenvalues that hug a pole energy E_n sit inside zero/pole pairs of F too
+    tight for the uniform grid to see; on W_n they are ordinary sign changes
+    between neighbouring ladder points.
     """
     e_min, e_max = window
     spacing = pole_spacing(model, sector)
@@ -508,22 +479,12 @@ def _ladders(model: ModelParams, sector: Sector, window: tuple[float, float]):
     dists = []
     d = _guard(model)
     while d < reach:
+        dists.append(-d)
         dists.append(d)
         d *= _LADDER_RATIO
-    xs, ns, ids = [], [], []
-    for n in range(n_lo, n_hi + 1):
-        p = first + n * spacing
-        for side in (-1.0, +1.0):
-            x = p + side * np.array(dists)
-            x = x[(e_min <= x) & (x <= e_max)]
-            if x.size < 2:
-                continue
-            xs.append(x)
-            ns.append(np.full(x.size, n))
-            ids.append(np.full(x.size, len(ids)))
-    if not xs:
-        return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return np.concatenate(xs), np.concatenate(ns), np.concatenate(ids)
+    poles = first + np.arange(n_lo, n_hi + 1) * spacing
+    x = (poles[:, None] + np.array(dists)).ravel()
+    return x[(e_min <= x) & (x <= e_max)]
 
 
 def default_grid_step(model: ModelParams) -> float:
@@ -550,27 +511,35 @@ def compute_spectrum(
     window: tuple[float, float],
     opts: SpectrumOptions | None = None,
 ) -> SpectrumResult:
-    """Full pipeline: pole set, bracket scan, refinement, exceptional flagging.
+    """Full pipeline: pole set, one bracket scan, refinement, exceptional flagging.
 
-    Three scan passes find brackets:
+    The scan points are the uniform grid, a guard point on each side of every
+    pole and geometric ladders around every pole.  Each interval between
+    neighbouring points that holds no analytic pole is tested for a sign
+    change of W_k at three split indices:
 
-    1. sign changes of F on the grid, subdividing where |F| dips low;
-    2. sign changes of the split function W_k on the same grid, at the two
-       indices k = base, base + 1 of the pole nearest each interval: F can hide
-       roots inside tight zero/pole pairs (its hidden poles are continuant
-       zeros), where the split function is smooth, and the hidden poles of the
-       two indices differ;
-    3. sign changes of W_n on geometric ladders around each pole E_n, for roots
-       hugging the pole set closer than the grid resolves.
+    - k = 0, that is F itself;
+    - k = base and k = base + 1, where E_base is the pole nearest the
+      interval.  W_base has its explicit pole exactly at E_base, so roots
+      hugging E_base, which F hides inside tight zero/pole pairs, are plain
+      sign changes between ladder points.
 
-    All brackets are refined together.  A pass-1 bracket is accepted on its
-    residual |F|; a split bracket is accepted on |W_k| (smooth at the root even
-    when F sits in a tight zero/pole pair there) and records |F| where that is
-    finite.  A sample where the function is exactly zero is a root without
-    refinement.  Roots within the exceptional tolerance of a pole energy are
-    reported in ``flagged`` (exceptional-spectrum candidates; the truncation
-    constraints are not checked).  Rejected brackets are pole artifacts and
-    are counted in ``brackets_rejected``.
+    The hidden poles of the three functions differ, so a root that one of
+    them steps over inside an interval is a sign change of another.  For
+    example, the driven model at delta = 0.7, g = 0.1, drive = 0 has a level
+    at E = 0.72308 whose grid interval also holds a hidden pole of W_1 and one
+    of W_2; only F changes sign there.  When base = 0, k = 0 is tested once.
+
+    All brackets are refined together, each on its own W_k.  A refined root
+    is accepted when |W_k| there is at most ``RESIDUAL_CAP`` and the sign
+    change survived refinement; the other brackets close on poles and are
+    counted in ``brackets_rejected``.  A sample where some W_k is exactly zero
+    is a root without refinement.  A root within the merge tolerance of one
+    already taken is a duplicate; exact zeros are taken first, then the roots
+    of k = 0, base and base + 1.  Each root records |F| as its residual where
+    that is finite, else |W_k|.  Roots within the exceptional tolerance of a
+    pole energy are reported in ``flagged`` (exceptional-spectrum candidates;
+    the truncation constraints are not checked).
     """
     if opts is None:
         opts = SpectrumOptions()
@@ -591,105 +560,52 @@ def compute_spectrum(
     def w_at(energies, splits):
         return split_values(model, sector, energies, splits, opts.cf_rel_tol, opts.cf_max_depth)
 
-    pts = _window_grid(model, sector, window, grid_step)
-    # pass 2 candidates: every grid interval free of poles, at the split
-    # indices base and base + 1 of the pole nearest its midpoint; their hidden
-    # poles (continuant zeros) differ, so a root invisible at one index is a
-    # plain sign change at the other
+    pts = _window_grid(model, sector, window, grid_step, _ladders(model, sector, window))
     left = np.flatnonzero(~_pole_strictly_inside(model, sector, pts[:-1], pts[1:]))
     base = _nearest_pole_index(model, sector, 0.5 * (pts[left] + pts[left + 1]))
-    left = np.repeat(left, 2)
-    split = np.stack([base, base + 1], axis=1).ravel()
+    # one lane per (interval, k), ordered k = 0, base, base + 1
+    left = np.concatenate([left, left[base > 0], left])
+    split = np.concatenate([np.zeros_like(base), base[base > 0], base + 1])
+    point = np.concatenate([left, left + 1])
+    w = _values_at(w_at, pts, point, np.concatenate([split, split]))
+    w1, w2 = np.split(w, 2)
+    zeros = np.unique(pts[point[w == 0.0]])
 
-    # one call for F at every grid point and W_k at both ends of every candidate
-    n_pts, n_cand = pts.size, split.size
-    f_grid, w1, w2 = np.split(
-        _values_at(w_at, pts, np.concatenate([np.arange(n_pts), left, left + 1]),
-                   np.concatenate([np.zeros(n_pts, np.intp), split, split])),
-        [n_pts, n_pts + n_cand],
-    )
-
-    # pass 1: sign changes of F
-    plain, zeros = _f_brackets(model, sector, pts, f_grid, lambda e: w_at(e, 0))
-
-    # pass 2: sign changes of W_k on the grid
-    usable = np.isfinite(w1) & np.isfinite(w2)
-    zeros += pts[left[usable & (w1 == 0.0)]].tolist() + pts[left[usable & (w2 == 0.0)] + 1].tolist()
-    on_grid = usable & _sign_change(w1, w2) & (np.maximum(np.abs(w1), np.abs(w2)) <= BLOWUP_THRESHOLD)
-
-    # pass 3: sign changes of W_n between neighbours on the ladders around E_n
-    lx, ln, lid = _ladders(model, sector, window)
-    lw = w_at(lx, ln)
-    zeros += lx[lw == 0.0].tolist()
-    j = np.flatnonzero(lid[:-1] == lid[1:])
-    j = j[np.isfinite(lw[j]) & np.isfinite(lw[j + 1]) & _sign_change(lw[j], lw[j + 1])]
-
-    # refine the brackets of all three passes together: pass 1 on F (k = 0),
-    # passes 2 and 3 on W_k
-    n_plain = len(plain)
-    x1 = np.concatenate([[br.lo for br in plain], pts[left[on_grid]], lx[j]])
-    x2 = np.concatenate([[br.hi for br in plain], pts[left[on_grid] + 1], lx[j + 1]])
-    f1 = np.concatenate([[br.f_lo for br in plain], w1[on_grid], lw[j]])
-    f2 = np.concatenate([[br.f_hi for br in plain], w2[on_grid], lw[j + 1]])
-    k = np.concatenate([np.zeros(n_plain, np.intp), split[on_grid], ln[j]])
-    swap = x2 < x1  # ladders below a pole run downwards
-    lo, hi = np.where(swap, x2, x1), np.where(swap, x1, x2)
-    f_lo, f_hi = np.where(swap, f2, f1), np.where(swap, f1, f2)
+    j = np.flatnonzero(_sign_change(w1, w2))
+    k = split[j]
     mid, width, iters, lost = _bisect(
-        lambda e, lanes: w_at(e, k[lanes]), lo, hi, f_lo, f_hi, opts.root_abs_tol
+        lambda e, lanes: w_at(e, k[lanes]),
+        pts[left[j]], pts[left[j] + 1], w1[j], w2[j], opts.root_abs_tol,
     )
 
-    # one call for |F| at every midpoint and exactly zero sample, and for
-    # |W_k| at the midpoints of the split brackets
-    zeros = sorted(set(zeros))
-    n_mid, n_zero = mid.size, len(zeros)
-    f_mid, f_zero, w_split = np.split(
-        np.abs(w_at(np.concatenate([mid, zeros, mid[n_plain:]]),
-                    np.concatenate([np.zeros(n_mid + n_zero, np.intp), k[n_plain:]]))),
-        [n_mid, n_mid + n_zero],
+    # one call for |W_k| at every refined root, and |F| there and at every
+    # exactly zero sample
+    at = np.concatenate([mid, zeros])
+    f_mid, f_zero, w_mid = np.split(
+        np.abs(_values_at(w_at, at, np.concatenate([np.arange(at.size), np.arange(mid.size)]),
+                          np.concatenate([np.zeros(at.size, np.intp), k]))),
+        [mid.size, at.size],
     )
-
-    eps_exc = eps_exceptional(model)
-    roots: list[RootRecord] = []
-    flagged: list[RootRecord] = []
-    rejected = 0
-    for e, resid in zip(zeros, f_zero.tolist()):
-        rec = RootRecord(e, resid if math.isfinite(resid) else 0.0, 0.0, 0)
-        (flagged if distance_to_pole_set(model, sector, e) < eps_exc else roots).append(rec)
-    for j in range(n_plain):
-        rec = RootRecord(
-            energy=float(mid[j]),
-            residual=float(f_mid[j]) if math.isfinite(f_mid[j]) else math.inf,
-            bracket_width=float(width[j]),
-            iterations=int(iters[j]),
-            sign_lost=bool(lost[j]),
-        )
-        if distance_to_pole_set(model, sector, rec.energy) < eps_exc:
-            flagged.append(rec)
-        elif rec.residual <= RESIDUAL_CAP and not rec.sign_lost:
-            roots.append(rec)
-        else:
-            rejected += 1
+    accept = ~lost & (w_mid <= RESIDUAL_CAP)
+    energy = np.concatenate([zeros, mid[accept]])
+    residual = np.concatenate([
+        np.where(np.isfinite(f_zero), f_zero, 0.0),
+        np.where(np.isfinite(f_mid), f_mid, w_mid)[accept],
+    ])
+    width = np.concatenate([np.zeros(zeros.size), width[accept]])
+    iters = np.concatenate([np.zeros(zeros.size, int), iters[accept]])
 
     merge_tol = max(50.0 * opts.root_abs_tol, 1e-12 * model.omega)
-    for j in range(n_plain, n_mid):
-        w_mid = w_split[j - n_plain]
-        # a split bracket is accepted on the split function itself
-        if lost[j] or not math.isfinite(w_mid) or w_mid > RESIDUAL_CAP:
-            rejected += 1
+    near_pole = distance_to_pole_set(model, sector, energy) < eps_exceptional(model)
+    roots: list[RootRecord] = []
+    flagged: list[RootRecord] = []
+    taken: list[float] = []
+    for i, e in enumerate(energy.tolist()):
+        if any(abs(e - t) < merge_tol for t in taken):
             continue
-        rec = RootRecord(
-            energy=float(mid[j]),
-            residual=float(f_mid[j]) if math.isfinite(f_mid[j]) else float(w_mid),
-            bracket_width=float(width[j]),
-            iterations=int(iters[j]),
-        )
-        if any(abs(rec.energy - r.energy) < merge_tol for r in roots + flagged):
-            continue
-        if distance_to_pole_set(model, sector, rec.energy) < eps_exc:
-            flagged.append(rec)
-        else:
-            roots.append(rec)
+        taken.append(e)
+        rec = RootRecord(e, float(residual[i]), float(width[i]), int(iters[i]))
+        (flagged if near_pole[i] else roots).append(rec)
 
     roots.sort(key=lambda r: r.energy)
     flagged.sort(key=lambda r: r.energy)
@@ -698,9 +614,9 @@ def compute_spectrum(
         poles=poles_in_window(model, sector, e_min, e_max),
         flagged=flagged,
         window=(e_min, e_max),
-        grid_points=n_pts,
+        grid_points=pts.size,
         brackets_found=mid.size,
-        brackets_rejected=rejected,
+        brackets_rejected=int(np.count_nonzero(~accept)),
         model=model,
         sector=sector,
     )

@@ -44,7 +44,7 @@ from rabispec import (
 )
 from rabispec.models import asymptotic_roots, bogoliubov_params, distance_to_pole_set
 from rabispec.oracle import eigen_in_range
-from rabispec.spectral import SpectrumOptions, eps_exceptional
+from rabispec.spectral import SpectrumOptions, default_grid_step, eps_exceptional
 
 from test_contfrac import _random_cases
 
@@ -95,6 +95,22 @@ def test_two_mode_cross_validation(delta, g, kappa):
 def test_driven_cross_validation(delta, g, drive):
     model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, delta, g, drive)
     assert_two_way_match(model, Sector.driven(), (-2.0, 6.0))
+
+
+def test_near_degenerate_pair_in_one_grid_interval():
+    # strong-coupling doublet just below E_0 = -g^2/omega = -1.96: both levels
+    # lie between the grid point -1.975 and the guard point of E_0, so the
+    # scan must resolve two roots inside one interval of the default grid
+    model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.2, 1.4, 0.0)
+    sector = Sector.driven()
+    window = (-2.5, 0.0)
+    oracle_vals, _ = oracle_spectrum(model, sector, window)
+    pair = [o for o in oracle_vals if -1.975 < o < pole_energies(model, sector, 0)[0]]
+    assert pair == pytest.approx([-1.970030465753357, -1.9620048682187303], abs=1e-9)
+    assert pair[1] - pair[0] < default_grid_step(model) / 3.0
+    energies = compute_spectrum(model, sector, window).energies
+    for o in pair:
+        assert min(abs(o - e) for e in energies) <= MATCH_TOL
 
 
 @pytest.mark.parametrize("kind", [ModelKind.TWO_PHOTON, ModelKind.TWO_MODE])

@@ -96,6 +96,19 @@ class TestConfigHandling:
         meta, _, _ = parse_csv(out)
         assert float(meta["g"]) == 0.2
 
+    @pytest.mark.parametrize("line, named", [
+        ("gridstep = 0.5", "gridstep"),  # a typo of grid_step
+        ("format = xml", "xml"),
+    ])
+    def test_bad_config_value_is_config_error(self, capsys, tmp_path, line, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "model = two-photon\ndelta = 0.5\ng = 0.2\nq = 1/4\nemax = 2.5\n" + line + "\n"
+        )
+        code, out, err = run_cli(capsys, ["spectrum", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR config ValueError: ") and named in err
+
     def test_kappa_accepts_fraction_and_decimal(self, capsys):
         base = ["oracle", "--model", "two-mode", "--delta", "0.3", "--g", "0.4",
                 "--emin", "-1", "--emax", "3"]

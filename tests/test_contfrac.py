@@ -19,7 +19,7 @@ from rabispec import (
     minimal_ratio_sequence,
     three_term_coeffs,
 )
-from rabispec.contfrac import batch_minimal_ratio
+from rabispec.contfrac import backward_ratios, batch_minimal_ratio
 from rabispec.models import coefficient_block, distance_to_pole_set
 
 from conftest import ConstCoeffs
@@ -112,6 +112,16 @@ class TestModelFractions:
             back = backward_recursion_ratio(coeffs, tail_depth=8192)
             assert cf.converged
             assert abs(cf.value - back) <= 1e-9 * max(1.0, abs(cf.value))
+
+    def test_one_backward_pass_holds_every_start(self, two_photon_ref):
+        # R_start of a pass down from the same tail is the same number
+        # whether the pass stops at start or runs on to 0
+        model, sector, _, _ = two_photon_ref
+        coeffs = three_term_coeffs(model, sector, 0.7)
+        ratios = backward_ratios(coeffs, 0, 512)
+        assert len(ratios) == 512
+        for start in (0, 1, 7, 100, 503):
+            assert ratios[start] == backward_recursion_ratio(coeffs, start, tail_depth=512)
 
     def test_depth_residual_monotone_statistically(self):
         # residual should not grow under depth doubling in >= 95% of cases
