@@ -12,8 +12,9 @@ uses it for every evaluation.  Forward modified Lentz with the same
 depth-doubling rule (``eval_continued_fraction``) is the scalar reference.
 ``backward_ratios`` is the one scalar backward recursion: every ratio of one
 pass, behind the cross-check ``backward_recursion_ratio`` and the series
-coefficients of ``series.minimal_series``.  The scalar routes accept
-any object exposing ``a(n)`` and ``b(n)`` (and optionally
+coefficients of ``series.minimal_series``.  ``forward_ratio`` is the scalar
+continuant ratio K_{k+1}/K_k of the split eigenconditions.  The scalar routes
+accept any object exposing ``a(n)`` and ``b(n)`` (and optionally
 ``tail_ratio_scale``), so surrogate coefficient sequences can be used in tests.
 """
 
@@ -141,6 +142,28 @@ def backward_ratios(coeffs, start: int, tail: int) -> list[float]:
         r = -b_n / den
         out[n - 1 - start] = r
     return out
+
+
+def forward_ratio(coeffs, k: int) -> float:
+    """K_{k+1}/K_k from forward recursion of the single-ended sequence, K_0 = 1.
+
+    Exact (no minimality subtlety) for the small k it is used at; normalized
+    each step so intermediate magnitudes stay bounded.
+    """
+    curr = -coeffs.a(0)  # K_1
+    prev = 1.0           # K_0
+    for m in range(1, k + 1):
+        nxt = -coeffs.a(m) * curr - coeffs.b(m) * prev
+        prev, curr = curr, nxt
+        scale = max(abs(prev), abs(curr))
+        if scale > 1e150:
+            prev /= scale
+            curr /= scale
+    if curr == 0.0 and prev == 0.0:
+        return math.nan
+    if prev == 0.0:
+        return math.inf if curr > 0 else -math.inf
+    return curr / prev
 
 
 def minimal_ratio_sequence(coeffs, n_lo: int, n_hi: int, rel_tol: float = DEFAULT_REL_TOL) -> list[float]:

@@ -2,6 +2,12 @@
 
 Everything here is a pure function of the physical parameters.  Energies are
 kept in the caller's units of ``omega``; no rescaling is performed.
+
+The two-photon and two-mode formulas come from one Bogoliubov transformation
+and differ only by the squeeze factor c (2 and 1; coupling bound c|g| < omega);
+the driven model, a displacement, has its own.  The poles of the coefficients
+form one lattice E_n = E_0 + n * spacing (``pole_lattice``) that every pole
+computation reads, so a(n) divides by the same float the scan keeps away from.
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ class ModelKind(Enum):
     TWO_PHOTON = "two-photon"
     TWO_MODE = "two-mode"
     DRIVEN_RABI = "driven"
+
+
+# Squeeze factor c of the two squeezed models; the driven model has none.
+# Every c-scaling in the formulas is by a power of two, so it is exact.
+SQUEEZE_FACTOR = {ModelKind.TWO_PHOTON: 2.0, ModelKind.TWO_MODE: 1.0}
 
 
 @dataclass(frozen=True)
@@ -61,13 +72,12 @@ class ModelParams:
             raise ValueError("drive must be finite")
         if self.kind is not ModelKind.DRIVEN_RABI and self.drive != 0.0:
             raise ValueError("drive is only meaningful for the driven model")
-        if self.kind is ModelKind.TWO_PHOTON and 2.0 * abs(self.g) >= self.omega:
+        c = SQUEEZE_FACTOR.get(self.kind)
+        if c is not None and c * abs(self.g) >= self.omega:
+            bound = "2|g|" if c == 2.0 else "|g|"
             raise CouplingOutOfRange(
-                f"two-photon model requires 2|g| < omega, got g={self.g}, omega={self.omega}"
-            )
-        if self.kind is ModelKind.TWO_MODE and abs(self.g) >= self.omega:
-            raise CouplingOutOfRange(
-                f"two-mode model requires |g| < omega, got g={self.g}, omega={self.omega}"
+                f"{self.kind.value} model requires {bound} < omega, "
+                f"got g={self.g}, omega={self.omega}"
             )
 
     @property
@@ -123,19 +133,17 @@ class BogoliubovParams:
 def bogoliubov_params(model: ModelParams) -> BogoliubovParams:
     """Parameters of the squeezing/displacement transformation for ``model``.
 
-    The two-photon squeeze solves omega*tau + g*(1 + tau^2) = 0 and the
-    two-mode squeeze solves 2*omega*sigma + g*(1 + sigma^2) = 0; in both cases
-    the root with modulus < 1 is returned, written in a cancellation-free form.
+    The squeeze solves (2/c)*omega*s + g*(1 + s^2) = 0 (two-photon tau with
+    c = 2, two-mode sigma with c = 1); the root with modulus < 1 is returned,
+    with root factor sqrt(1 - (c*g/omega)^2).
     """
     w, g = model.omega, model.g
-    if model.kind is ModelKind.TWO_PHOTON:
-        root = math.sqrt(1.0 - 4.0 * g * g / (w * w))
-        # tau = -(w/2g)(1 - Omega), rationalized to avoid cancellation at small g
-        return BogoliubovParams(squeeze=-2.0 * g / (w * (1.0 + root)), root_factor=root)
-    if model.kind is ModelKind.TWO_MODE:
-        root = math.sqrt(1.0 - g * g / (w * w))
-        return BogoliubovParams(squeeze=-g / (w * (1.0 + root)), root_factor=root)
-    return BogoliubovParams(squeeze=-g, root_factor=1.0)
+    c = SQUEEZE_FACTOR.get(model.kind)
+    if c is None:
+        return BogoliubovParams(squeeze=-g, root_factor=1.0)
+    root = math.sqrt(1.0 - c * c * g * g / (w * w))
+    # s = -(w/(c*g))(1 - root), rationalized to avoid cancellation at small g
+    return BogoliubovParams(squeeze=-c * g / (w * (1.0 + root)), root_factor=root)
 
 
 @dataclass(frozen=True)
@@ -158,24 +166,35 @@ def asymptotic_roots(model: ModelParams) -> AsymptoticRoots:
     w, g = model.omega, model.g
     if abs(g) <= model.eps_g:
         raise ZeroCoupling("asymptotic roots are undefined at g = 0")
-    if model.kind is ModelKind.TWO_PHOTON:
-        return AsymptoticRoots(t1=w / (4.0 * g), t2=g / w)
-    if model.kind is ModelKind.TWO_MODE:
-        return AsymptoticRoots(t1=w / g, t2=g / w)
-    return AsymptoticRoots(t1=w / (2.0 * g), t2=2.0 * g / w)
+    c = SQUEEZE_FACTOR.get(model.kind)
+    if c is None:
+        return AsymptoticRoots(t1=w / (2.0 * g), t2=2.0 * g / w)
+    return AsymptoticRoots(t1=w / (c * c * g), t2=g / w)
 
 
-def pole_energy(model: ModelParams, sector: Sector, n: int) -> float:
-    """n-th pole of the plus-component coefficient relation (exceptional candidate)."""
+def pole_lattice(model: ModelParams, sector: Sector) -> tuple[float, float]:
+    """(E_0, spacing) of the pole set E_n = E_0 + n * spacing, n = 0, 1, ...
+
+    Squeezed models: E_0 = -omega/c + 2 s omega root and spacing 2 omega root,
+    with s the sector label and root the Bogoliubov root factor.  Driven
+    model: E_0 = drive - g^2/omega and spacing omega.
+    """
     sector.check_matches(model)
     w = model.omega
-    if model.kind is ModelKind.TWO_PHOTON:
-        omega_f = bogoliubov_params(model).root_factor
-        return -0.5 * w + (2.0 * n + 2.0 * sector.value) * w * omega_f
-    if model.kind is ModelKind.TWO_MODE:
-        lam = bogoliubov_params(model).root_factor
-        return -w + (2.0 * n + 2.0 * sector.value) * w * lam
-    return n * w + model.drive - model.g * model.g / w
+    c = SQUEEZE_FACTOR.get(model.kind)
+    if c is None:
+        return model.drive - model.g * model.g / w, w
+    root = bogoliubov_params(model).root_factor
+    return -w / c + 2.0 * sector.value * w * root, 2.0 * w * root
+
+
+def pole_energy(model: ModelParams, sector: Sector, n):
+    """n-th pole of the plus-component coefficient relation (exceptional candidate).
+
+    ``n`` may be an array of indices.
+    """
+    first, spacing = pole_lattice(model, sector)
+    return first + n * spacing
 
 
 def pole_energies(model: ModelParams, sector: Sector, n_max: int) -> list[float]:
@@ -187,9 +206,7 @@ def pole_energies(model: ModelParams, sector: Sector, n_max: int) -> list[float]
 
 def pole_spacing(model: ModelParams, sector: Sector) -> float:
     """Common difference of the arithmetic pole sequence."""
-    if model.kind is ModelKind.DRIVEN_RABI:
-        return model.omega
-    return 2.0 * model.omega * bogoliubov_params(model).root_factor
+    return pole_lattice(model, sector)[1]
 
 
 @dataclass(frozen=True)
@@ -209,51 +226,41 @@ class ThreeTermCoeffs:
     sector: Sector
     energy: float | np.ndarray
     _bog: BogoliubovParams = field(init=False, repr=False, compare=False)
+    _c: float | None = field(init=False, repr=False, compare=False)
+    _poles: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.sector.check_matches(self.model)
         object.__setattr__(self, "_bog", bogoliubov_params(self.model))
+        object.__setattr__(self, "_c", SQUEEZE_FACTOR.get(self.model.kind))
+        object.__setattr__(self, "_poles", pole_lattice(self.model, self.sector))
 
     @property
     def tail_ratio_scale(self) -> float:
         return asymptotic_roots(self.model).t2
 
     def pole_denominator(self, n):
-        """Denominator of the Delta^2 term of a(n); zero exactly at pole_energy(n)."""
-        m, s, e = self.model, self.sector, self.energy
-        w = m.omega
-        if m.kind is ModelKind.TWO_PHOTON:
-            return e + 0.5 * w - (2.0 * n + 2.0 * s.value) * w * self._bog.root_factor
-        if m.kind is ModelKind.TWO_MODE:
-            return e + w - (2.0 * n + 2.0 * s.value) * w * self._bog.root_factor
-        return e - n * w - m.drive + m.g * m.g / w
+        """Denominator of the Delta^2 term of a(n): E - E_n, zero exactly at pole_energy(n)."""
+        first, spacing = self._poles
+        return self.energy - (first + n * spacing)
 
     def a(self, n):
-        m, s, e = self.model, self.sector, self.energy
+        m, s, e, c = self.model, self.sector, self.energy, self._c
         w, g, d = m.omega, m.g, m.delta
         # the Delta^2 term, without keeping the denominator alive on array input
         pole_term = d * d / self.pole_denominator(n)
-        if m.kind is ModelKind.TWO_PHOTON:
-            q = s.value
-            omega_f = self._bog.root_factor
-            num = -(2.0 * n + 2.0 * q) * w * (2.0 - omega_f * omega_f) + (
-                e + 0.5 * w - pole_term
-            ) * omega_f
-            return num / (8.0 * g * (n + 1.0) * (n + 2.0 * q))
-        if m.kind is ModelKind.TWO_MODE:
-            k = s.value
-            lam = self._bog.root_factor
-            num = -(2.0 * n + 2.0 * k) * w * (2.0 - lam * lam) + (e + w - pole_term) * lam
-            return num / (2.0 * g * (n + 1.0) * (n + 2.0 * k))
-        return (e - n * w + m.drive - 3.0 * g * g / w - pole_term) / (2.0 * g * (n + 1.0))
+        if c is None:
+            return (e - n * w + m.drive - 3.0 * g * g / w - pole_term) / (2.0 * g * (n + 1.0))
+        root = self._bog.root_factor
+        num = -(2.0 * n + 2.0 * s.value) * w * (2.0 - root * root) + (
+            e + w / c - pole_term
+        ) * root
+        return num / (2.0 * c * c * g * (n + 1.0) * (n + 2.0 * s.value))
 
     def b(self, n):
-        m, s = self.model, self.sector
-        if m.kind is ModelKind.TWO_PHOTON:
-            return 1.0 / (4.0 * (n + 1.0) * (n + 2.0 * s.value))
-        if m.kind is ModelKind.TWO_MODE:
-            return 1.0 / ((n + 1.0) * (n + 2.0 * s.value))
-        return 1.0 / (n + 1.0)
+        c = self._c
+        if c is None:
+            return 1.0 / (n + 1.0)
+        return 1.0 / (c * c * (n + 1.0) * (n + 2.0 * self.sector.value))
 
 
 def coefficient_block(
@@ -289,13 +296,16 @@ def three_term_coeffs(model: ModelParams, sector: Sector, energy: float) -> Thre
     return ThreeTermCoeffs(model, sector, energy)
 
 
+def nearest_pole_index(model: ModelParams, sector: Sector, energy):
+    """Index n of the pole E_n nearest ``energy`` (a float or an array)."""
+    first, spacing = pole_lattice(model, sector)
+    return np.maximum(np.rint((energy - first) / spacing), 0.0).astype(np.intp)
+
+
 def distance_to_pole_set(model: ModelParams, sector: Sector, energy):
     """Distance from ``energy`` (a float or an array) to the nearest pole of the coefficients."""
-    sector.check_matches(model)
-    first = pole_energy(model, sector, 0)
-    spacing = pole_spacing(model, sector)
-    k = np.maximum(np.rint((energy - first) / spacing), 0.0)
-    dist = np.abs(energy - (first + k * spacing))
+    n = nearest_pole_index(model, sector, energy)
+    dist = np.abs(energy - pole_energy(model, sector, n))
     return dist if isinstance(dist, np.ndarray) else float(dist)
 
 

@@ -13,10 +13,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .contfrac import backward_ratios
+from .contfrac import backward_ratios, forward_ratio
 from .errors import NotAnEigenvalueWarning, PoleCollision, TruncationInsufficient
-from .models import ModelKind, ModelParams, Sector, three_term_coeffs
-from .spectral import RESIDUAL_CAP, spectral_function
+from .models import ModelKind, ModelParams, Sector, nearest_pole_index, three_term_coeffs
+from .spectral import RESIDUAL_CAP
 
 
 @dataclass(frozen=True)
@@ -52,22 +52,28 @@ def minimal_series(
 ) -> SeriesCoefficients:
     """Build the minimal-solution series at an (approximate) spectral root.
 
-    If |F(E)| exceeds the residual cap the series is still returned, flagged,
-    with a NotAnEigenvalueWarning.  The plus component uses the pole relation
-    plus[n] = delta * minus[n] / pole_denominator(n) and raises PoleCollision
-    if E sits on a pole.
+    E is judged by the rule of the spectrum scan: its residual is the smallest
+    |W_k| = |R_k - K_{k+1}/K_k| over k = 0, base and base + 1, where E_base is
+    the pole nearest E, with R_k from the backward pass that builds the
+    series.  If it exceeds the residual cap the series is still returned,
+    flagged, with a NotAnEigenvalueWarning.  The plus component uses the pole
+    relation plus[n] = delta * minus[n] / pole_denominator(n) and raises
+    PoleCollision if E sits on a pole.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     coeffs = three_term_coeffs(model, sector, energy)
-    residual = abs(spectral_function(model, sector, energy).value)
+    base = int(nearest_pole_index(model, sector, energy))
+    ratios = backward_ratios(coeffs, 0, 2 * max(order, base + 2) + 64)
+    split_residuals = [abs(ratios[k] - forward_ratio(coeffs, k)) for k in (0, base, base + 1)]
+    residual = min((r for r in split_residuals if math.isfinite(r)), default=math.inf)
     flagged = residual > RESIDUAL_CAP
     if flagged:
         warnings.warn(
-            f"|F(E)| = {residual:.3g} exceeds the residual cap; E is not an eigenvalue",
+            f"min |W_k(E)| = {residual:.3g} exceeds the residual cap; E is not an eigenvalue",
             NotAnEigenvalueWarning,
         )
-    ratios = backward_ratios(coeffs, 0, 2 * order + 64)[:order]
+    ratios = ratios[:order]
     minus = [1.0]
     log_abs = [0.0]
     signs = [1]
@@ -101,16 +107,15 @@ def minimal_series(
     )
 
 
-def _log_weight_increment(model: ModelParams, sector: Sector, n: int) -> float:
-    """log of weight(n+1)/weight(n) for the Bargmann-norm series."""
+def _log_weight(model: ModelParams, sector: Sector, n: int) -> float:
+    """log weight(n) of the n-th Bargmann-norm series term |K_n|^2 * weight(n)."""
     if model.kind is ModelKind.TWO_PHOTON:
         # weight(n) = [2(n + q - 1/4)]!
-        x = 2.0 * (n + sector.value - 0.25)
-        return math.log(x + 1.0) + math.log(x + 2.0)
+        return math.lgamma(2.0 * (n + sector.value - 0.25) + 1.0)
     if model.kind is ModelKind.TWO_MODE:
         # weight(n) = n! (n + 2 kappa - 1)!
-        return math.log(n + 1.0) + math.log(n + 2.0 * sector.value)
-    return math.log(n + 1.0)  # weight(n) = n!
+        return math.lgamma(n + 1.0) + math.lgamma(n + 2.0 * sector.value)
+    return math.lgamma(n + 1.0)  # weight(n) = n!
 
 
 def norm_tail_ratio(series: SeriesCoefficients, tail_window: int = 5) -> float:
@@ -125,12 +130,13 @@ def norm_tail_ratio(series: SeriesCoefficients, tail_window: int = 5) -> float:
     model, sector = series.model, series.sector
     n_hi = series.order - 1
     n_lo = n_hi - tail_window + 1
-    acc = 0.0
+    # the weight increments of terms n_lo..n_hi telescope
+    acc = _log_weight(model, sector, n_hi + 1) - _log_weight(model, sector, n_lo)
     for n in range(n_lo, n_hi + 1):
         r = series.ratios[n]
         if r == 0.0:
             return 0.0
-        acc += 2.0 * math.log(abs(r)) + _log_weight_increment(model, sector, n)
+        acc += 2.0 * math.log(abs(r))
     return math.exp(acc / tail_window)
 
 
@@ -139,21 +145,15 @@ def norm_term_ratio(series: SeriesCoefficients, n: int) -> float:
     r = series.ratios[n]
     if r == 0.0:
         return 0.0
+    model, sector = series.model, series.sector
     return math.exp(
-        2.0 * math.log(abs(r)) + _log_weight_increment(series.model, series.sector, n)
+        2.0 * math.log(abs(r)) + _log_weight(model, sector, n + 1) - _log_weight(model, sector, n)
     )
 
 
 def norm_term_log(series: SeriesCoefficients, n: int) -> float:
     """log of the n-th Bargmann-norm series term |K_n|^2 * weight(n)."""
-    model, sector = series.model, series.sector
-    if model.kind is ModelKind.TWO_PHOTON:
-        lw = math.lgamma(2.0 * (n + sector.value - 0.25) + 1.0)
-    elif model.kind is ModelKind.TWO_MODE:
-        lw = math.lgamma(n + 1.0) + math.lgamma(n + 2.0 * sector.value)
-    else:
-        lw = math.lgamma(n + 1.0)
-    return 2.0 * series.log_abs_minus[n] + lw
+    return 2.0 * series.log_abs_minus[n] + _log_weight(series.model, series.sector, n)
 
 
 def eval_wavefunction(series: SeriesCoefficients, z: complex) -> tuple[complex, complex]:

@@ -43,10 +43,10 @@ from .contfrac import (
     DEFAULT_REL_TOL,
     batch_minimal_ratio,
     eval_continued_fraction,
+    forward_ratio,
 )
 from .errors import CollapseRegimeWarning, EmptyWindow, SignLostWarning
 from .models import (
-    ModelKind,
     ModelParams,
     Sector,
     asymptotic_roots,
@@ -54,8 +54,8 @@ from .models import (
     check_coupling,
     coefficient_block,
     distance_to_pole_set,
-    pole_energy,
-    pole_spacing,
+    nearest_pole_index,
+    pole_lattice,
     three_term_coeffs,
 )
 
@@ -140,8 +140,7 @@ def poles_in_window(
     model: ModelParams, sector: Sector, e_min: float, e_max: float
 ) -> list[float]:
     """Analytic pole energies lying in [e_min, e_max]."""
-    first = pole_energy(model, sector, 0)
-    spacing = pole_spacing(model, sector)
+    first, spacing = pole_lattice(model, sector)
     if e_max < first:
         return []
     n_hi = int(math.floor((e_max - first) / spacing)) + 1
@@ -178,28 +177,6 @@ def spectral_function(
     )
 
 
-def _forward_ratio(coeffs, k: int) -> float:
-    """K_{k+1}/K_k from forward recursion of the single-ended sequence, K_0 = 1.
-
-    Exact (no minimality subtlety) for the small k used here; normalized each
-    step so intermediate magnitudes stay bounded.
-    """
-    curr = -coeffs.a(0)  # K_1
-    prev = 1.0           # K_0
-    for m in range(1, k + 1):
-        nxt = -coeffs.a(m) * curr - coeffs.b(m) * prev
-        prev, curr = curr, nxt
-        scale = max(abs(prev), abs(curr))
-        if scale > 1e150:
-            prev /= scale
-            curr /= scale
-    if curr == 0.0 and prev == 0.0:
-        return math.nan
-    if prev == 0.0:
-        return math.inf if curr > 0 else -math.inf
-    return curr / prev
-
-
 def split_spectral_value(
     model: ModelParams,
     sector: Sector,
@@ -220,7 +197,7 @@ def split_spectral_value(
     """
     coeffs = three_term_coeffs(model, sector, energy)
     cf = eval_continued_fraction(coeffs, start=split, rel_tol=rel_tol, max_depth=max_depth)
-    return cf.value - _forward_ratio(coeffs, split)
+    return cf.value - forward_ratio(coeffs, split)
 
 
 def split_values(
@@ -262,7 +239,7 @@ def split_values(
 
 
 def _forward_ratios(model, sector, energies: np.ndarray, splits: np.ndarray) -> np.ndarray:
-    """``_forward_ratio`` for every lane: K_{k+1}/K_k with k = splits, K_0 = 1."""
+    """``forward_ratio`` for every lane: K_{k+1}/K_k with k = splits, K_0 = 1."""
     k_max = int(splits.max())
     prev = np.ones(energies.size)
     curr = prev
@@ -320,8 +297,7 @@ def _window_grid(
 
 def _pole_strictly_inside(model, sector, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per interval: does an analytic pole lie strictly between lo and hi?"""
-    first = pole_energy(model, sector, 0)
-    spacing = pole_spacing(model, sector)
+    first, spacing = pole_lattice(model, sector)
     n_lo = np.maximum(np.ceil((lo - first) / spacing - 1e-12), 0.0)
     n_hi = np.floor((hi - first) / spacing + 1e-12)
     inside = np.zeros(lo.shape, dtype=bool)
@@ -329,12 +305,6 @@ def _pole_strictly_inside(model, sector, lo: np.ndarray, hi: np.ndarray) -> np.n
         p = first + (n_lo + j) * spacing
         inside |= (n_lo + j <= n_hi) & (lo < p) & (p < hi)
     return inside
-
-
-def _nearest_pole_index(model: ModelParams, sector: Sector, energy: np.ndarray) -> np.ndarray:
-    first = pole_energy(model, sector, 0)
-    spacing = pole_spacing(model, sector)
-    return np.maximum(np.rint((energy - first) / spacing), 0.0).astype(np.intp)
 
 
 def _values_at(w_at, pts: np.ndarray, point: np.ndarray, split: np.ndarray) -> np.ndarray:
@@ -471,9 +441,8 @@ def _ladders(model: ModelParams, sector: Sector, window: tuple[float, float]) ->
     between neighbouring ladder points.
     """
     e_min, e_max = window
-    spacing = pole_spacing(model, sector)
+    first, spacing = pole_lattice(model, sector)
     reach = _LADDER_REACH * spacing
-    first = pole_energy(model, sector, 0)
     n_lo = max(0, int(math.ceil((e_min - reach - first) / spacing - 1e-12)))
     n_hi = int(math.floor((e_max + reach - first) / spacing + 1e-12))
     dists = []
@@ -488,10 +457,11 @@ def _ladders(model: ModelParams, sector: Sector, window: tuple[float, float]) ->
 
 
 def default_grid_step(model: ModelParams) -> float:
-    """Several samples per inter-pole interval, tightened near spectral collapse."""
+    """Several samples per inter-pole interval, tightened near spectral collapse.
+
+    The driven model's root factor is 1, so its step is omega/40.
+    """
     w = model.omega
-    if model.kind is ModelKind.DRIVEN_RABI:
-        return w / 40.0
     root = bogoliubov_params(model).root_factor
     step = min(2.0 * w * root, w) / 40.0
     if root < COLLAPSE_ROOT_FACTOR:
@@ -501,7 +471,7 @@ def default_grid_step(model: ModelParams) -> float:
 
 def default_window_min(model: ModelParams, sector: Sector) -> float:
     """Lower scan bound guaranteed to sit below the ground state."""
-    p0 = pole_energy(model, sector, 0)
+    p0 = pole_lattice(model, sector)[0]
     return min(p0, -model.omega) - model.delta - abs(model.drive) - 1.0
 
 
@@ -536,10 +506,11 @@ def compute_spectrum(
     counted in ``brackets_rejected``.  A sample where some W_k is exactly zero
     is a root without refinement.  A root within the merge tolerance of one
     already taken is a duplicate; exact zeros are taken first, then the roots
-    of k = 0, base and base + 1.  Each root records |F| as its residual where
-    that is finite, else |W_k|.  Roots within the exceptional tolerance of a
-    pole energy are reported in ``flagged`` (exceptional-spectrum candidates;
-    the truncation constraints are not checked).
+    of k = 0, base and base + 1.  Each root records as its residual |W_k| at
+    the refined root, on the W_k whose sign change found it (0 for an exact
+    zero).  Roots within the exceptional tolerance of a pole energy are
+    reported in ``flagged`` (exceptional-spectrum candidates; the truncation
+    constraints are not checked).
     """
     if opts is None:
         opts = SpectrumOptions()
@@ -548,21 +519,20 @@ def compute_spectrum(
         raise ValueError("window must satisfy E_min < E_max")
 
     grid_step = opts.grid_step if opts.grid_step is not None else default_grid_step(model)
-    if model.kind is not ModelKind.DRIVEN_RABI:
-        root = bogoliubov_params(model).root_factor
-        if root < COLLAPSE_ROOT_FACTOR:
-            warnings.warn(
-                f"root factor {root:.3g} < {COLLAPSE_ROOT_FACTOR}: near spectral "
-                "collapse, grid tightened; results may still miss levels",
-                CollapseRegimeWarning,
-            )
+    root = bogoliubov_params(model).root_factor
+    if root < COLLAPSE_ROOT_FACTOR:
+        warnings.warn(
+            f"root factor {root:.3g} < {COLLAPSE_ROOT_FACTOR}: near spectral "
+            "collapse, grid tightened; results may still miss levels",
+            CollapseRegimeWarning,
+        )
 
     def w_at(energies, splits):
         return split_values(model, sector, energies, splits, opts.cf_rel_tol, opts.cf_max_depth)
 
     pts = _window_grid(model, sector, window, grid_step, _ladders(model, sector, window))
     left = np.flatnonzero(~_pole_strictly_inside(model, sector, pts[:-1], pts[1:]))
-    base = _nearest_pole_index(model, sector, 0.5 * (pts[left] + pts[left + 1]))
+    base = nearest_pole_index(model, sector, 0.5 * (pts[left] + pts[left + 1]))
     # one lane per (interval, k), ordered k = 0, base, base + 1
     left = np.concatenate([left, left[base > 0], left])
     split = np.concatenate([np.zeros_like(base), base[base > 0], base + 1])
@@ -578,20 +548,10 @@ def compute_spectrum(
         pts[left[j]], pts[left[j] + 1], w1[j], w2[j], opts.root_abs_tol,
     )
 
-    # one call for |W_k| at every refined root, and |F| there and at every
-    # exactly zero sample
-    at = np.concatenate([mid, zeros])
-    f_mid, f_zero, w_mid = np.split(
-        np.abs(_values_at(w_at, at, np.concatenate([np.arange(at.size), np.arange(mid.size)]),
-                          np.concatenate([np.zeros(at.size, np.intp), k]))),
-        [mid.size, at.size],
-    )
+    w_mid = np.abs(w_at(mid, k))
     accept = ~lost & (w_mid <= RESIDUAL_CAP)
     energy = np.concatenate([zeros, mid[accept]])
-    residual = np.concatenate([
-        np.where(np.isfinite(f_zero), f_zero, 0.0),
-        np.where(np.isfinite(f_mid), f_mid, w_mid)[accept],
-    ])
+    residual = np.concatenate([np.zeros(zeros.size), w_mid[accept]])
     width = np.concatenate([np.zeros(zeros.size), width[accept]])
     iters = np.concatenate([np.zeros(zeros.size, int), iters[accept]])
 

@@ -210,6 +210,19 @@ class TestSeriesCommand:
         assert rows[0]["n"] == 0 and rows[0]["k_minus"] == 1.0
         assert math.isfinite(rows[0]["k_plus"])
 
+    def test_root_found_on_split_function_is_an_eigenvalue(self, capsys):
+        # an oracle level where |F| = 126 but W_5 and W_6 vanish: the series
+        # judges E by the scan's rule, the smallest |W_k| over k = 0, base, base + 1
+        code, out, _ = run_cli(
+            capsys,
+            ["series", "--model", "driven", "--delta", "0.7", "--g", "0.1", "--drive", "0.3",
+             "--emax", "6", "--energy", "5.1427033618120745", "--format", "json"],
+        )
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert meta["not_an_eigenvalue"] is False
+        assert meta["spectral_residual"] < 1e-4
+
     def test_decoupled_plus_column_zero(self, capsys):
         with pytest.warns(Warning):
             code, out, _ = run_cli(

@@ -14,6 +14,7 @@ from rabispec import (
     NotDecoupled,
     PoleCollision,
     Sector,
+    ThreeTermCoeffs,
     ZeroCoupling,
     asymptotic_roots,
     bogoliubov_params,
@@ -21,7 +22,7 @@ from rabispec import (
     pole_energies,
     three_term_coeffs,
 )
-from rabispec.models import coefficient_block, distance_to_pole_set, pole_spacing
+from rabispec.models import coefficient_block, distance_to_pole_set, pole_energy, pole_spacing
 
 
 def tp(omega=1.0, delta=0.0, g=0.2):
@@ -170,6 +171,33 @@ class TestThreeTermCoeffs:
         assert n * c2m.a(n) == pytest.approx(-(1.0 / 0.5) * (2 - lam * lam), rel=1e-4)
         assert cdr.a(n) == pytest.approx(-1.0 / (2 * 0.5), rel=1e-4)
 
+    @pytest.mark.parametrize("model,sector,expected", [
+        (tp(delta=0.5, g=0.3), Sector.two_photon(0.75), [
+            (-1.07809523809524, 0.16666666666666666),
+            (-0.30110675381263613, 0.05),
+            (-0.12283106953473212, 0.003676470588235294),
+            (-0.026893151037880487, 0.00014692918013517486),
+        ]),
+        (tm(delta=0.7, g=0.4), Sector.two_mode(1.5), [
+            (-0.5830408201585834, 0.3333333333333333),
+            (-0.6278273745580623, 0.125),
+            (-0.28226954098767154, 0.0125),
+            (-0.06710984398258509, 0.0005672149744753262),
+        ]),
+        (dr(delta=0.4, g=0.7, drive=0.3), Sector.driven(), [
+            (-0.4047619047619046, 1.0),
+            (0.9285714285714256, 0.5),
+            (-0.658349101229896, 0.125),
+            (-0.7037613526018164, 0.024390243902439025),
+        ]),
+    ], ids=["two-photon", "two-mode", "driven"])
+    def test_coefficient_values(self, model, sector, expected):
+        # a(n), b(n) at E = 0.77 and n = 0, 1, 7, 40, as each model's own formula gives them
+        c = three_term_coeffs(model, sector, 0.77)
+        for n, (a, b) in zip((0, 1, 7, 40), expected):
+            assert c.a(n) == pytest.approx(a, rel=1e-13)
+            assert c.b(n) == pytest.approx(b, rel=1e-13)
+
     def test_zero_coupling_refused(self):
         with pytest.raises(ZeroCoupling):
             three_term_coeffs(tp(g=0.0), Sector.two_photon(0.25), 0.1)
@@ -213,6 +241,20 @@ class TestPoleEnergies:
         assert spacing == pytest.approx(2.0 * om, rel=1e-14)
         for p, pn in zip(poles, poles[1:]):
             assert pn - p == pytest.approx(spacing, rel=1e-12)
+
+    @pytest.mark.parametrize("model,sector", [
+        (tp(delta=0.5, g=0.3), Sector.two_photon(0.25)),
+        (tp(delta=0.4, g=0.37), Sector.two_photon(0.75)),
+        (tm(delta=0.7, g=0.6), Sector.two_mode(0.5)),
+        (tm(delta=0.3, g=0.83), Sector.two_mode(1.5)),
+        (dr(delta=0.4, g=0.7, drive=0.3), Sector.driven()),
+    ], ids=["two-photon-q1/4", "two-photon-q3/4", "two-mode-k1/2", "two-mode-k3/2", "driven"])
+    def test_one_pole_lattice(self, model, sector):
+        # the pole a(n) divides by is the same float as the pole the scan avoids
+        for n in range(60):
+            e = pole_energy(model, sector, n)
+            assert distance_to_pole_set(model, sector, e) == 0.0
+            assert ThreeTermCoeffs(model, sector, e).pole_denominator(n) == 0.0
 
     def test_distance_to_pole_set(self):
         model, sector = tp(g=0.3), Sector.two_photon(0.25)

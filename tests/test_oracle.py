@@ -1,6 +1,8 @@
 """Truncated Fock-space diagonalization and its independence cross-checks."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +231,20 @@ class TestPhysics:
         h = build_hamiltonian(model, map_sector(Sector.two_photon(0.25)), 2 * n_used)
         again = eigen_in_range(h, -0.5, 8.0)
         assert vals == pytest.approx(again, abs=1e-9)
+
+
+def test_oracle_reads_no_solver_formula():
+    # the oracle is the independent ground truth: from rabispec it may import
+    # only the errors and the model's parameter types, never the formulas
+    import rabispec.oracle
+
+    tree = ast.parse(Path(rabispec.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rabispec")):
+            module = (node.module or "").removeprefix("rabispec").lstrip(".")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "rabispec" for a in node.names)
+    allowed = {("models", name) for name in ("ModelKind", "ModelParams", "Sector")}
+    assert all(module == "errors" or (module, name) in allowed for module, name in imported)

@@ -143,14 +143,17 @@ class TestComputeSpectrum:
             assert got == pytest.approx(ref, abs=1e-7)
 
     def test_result_invariants(self, two_photon_ref):
-        model, sector, window, _ = two_photon_ref
-        result = compute_spectrum(model, sector, window)
-        assert result.energies == sorted(result.energies)
-        eps = eps_exceptional(model)
-        for rec in result.roots:
-            assert rec.residual <= RESIDUAL_CAP
-            assert distance_to_pole_set(model, sector, rec.energy) >= eps
-        assert result.poles == poles_in_window(model, sector, *window)
+        # the driven window holds roots found on W_k where |F| is far above the cap
+        driven_model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.7, 0.1, 0.3)
+        driven = (driven_model, Sector.driven(), (-2.0, 6.0))
+        for model, sector, window in (two_photon_ref[:3], driven):
+            result = compute_spectrum(model, sector, window)
+            assert result.energies == sorted(result.energies)
+            eps = eps_exceptional(model)
+            for rec in result.roots:
+                assert rec.residual <= RESIDUAL_CAP
+                assert distance_to_pole_set(model, sector, rec.energy) >= eps
+            assert result.poles == poles_in_window(model, sector, *window)
 
     def test_window_below_ground_state(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
