@@ -6,8 +6,8 @@ Samples the continued-fraction function G(E) of the two-mode Rabi model
 across an inter-pole interval and prints a crude ASCII trace.  Eigenvalues
 are its sign changes; the analytic poles bound the intervals.  Near an
 eigenvalue that hugs a pole, the plain function can hide the zero inside a
-tight zero/pole pair; the split evaluation stays smooth there, which is why
-the solver scans both.
+tight zero/pole pair, which is why the solver does not look for sign changes
+at all: it counts the levels below each energy and bisects on that count.
 """
 
 import math

@@ -9,7 +9,6 @@ from .contfrac import (
     CFValue,
     backward_recursion_ratio,
     eval_continued_fraction,
-    minimal_ratio_sequence,
 )
 from .errors import (
     CoefficientPole,
@@ -54,13 +53,10 @@ from .series import (
     norm_tail_ratio,
 )
 from .spectral import (
-    Bracket,
     SpectralSample,
     SpectrumOptions,
     SpectrumResult,
     compute_spectrum,
-    refine_root,
-    scan_brackets,
     spectral_function,
     split_spectral_value,
 )
@@ -70,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticRoots",
     "BogoliubovParams",
-    "Bracket",
     "CFValue",
     "CoefficientPole",
     "CollapseRegimeWarning",
@@ -105,13 +100,10 @@ __all__ = [
     "eval_continued_fraction",
     "eval_wavefunction",
     "map_sector",
-    "minimal_ratio_sequence",
     "minimal_series",
     "norm_tail_ratio",
     "oracle_spectrum",
     "pole_energies",
-    "refine_root",
-    "scan_brackets",
     "spectral_function",
     "split_spectral_value",
     "three_term_coeffs",

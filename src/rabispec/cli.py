@@ -24,7 +24,6 @@ from .series import minimal_series, norm_tail_ratio, norm_term_ratio
 from .spectral import (
     SpectrumOptions,
     compute_spectrum,
-    default_grid_step,
     default_window_min,
     eps_exceptional,
     poles_in_window,
@@ -102,7 +101,8 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", help="two-mode sector, half-integer as p/2 or decimal")
     p.add_argument("--emin", type=float, help="lower window edge")
     p.add_argument("--emax", type=float, help="upper window edge")
-    p.add_argument("--grid-step", type=float, help="scan grid spacing")
+    p.add_argument("--grid-step", type=float,
+                   help="accepted for old command lines; has no effect (levels are counted)")
     p.add_argument("--cf-rel-tol", type=float, help="continued-fraction tolerance")
     p.add_argument("--root-abs-tol", type=float, help="root bracket tolerance")
     p.add_argument("--oracle-n", type=int, help="starting Fock truncation for the oracle")
@@ -208,8 +208,11 @@ def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> N
 
 
 def _spectrum_options(cfg: RunConfig) -> SpectrumOptions:
+    # grid_step has no effect since levels are counted; it is still checked
+    # so that command lines and config files keep their meaning
+    if cfg.grid_step is not None and not cfg.grid_step > 0.0:
+        raise ValueError("grid_step must be positive")
     return SpectrumOptions(
-        grid_step=cfg.grid_step,
         cf_rel_tol=cfg.cf_rel_tol,
         root_abs_tol=cfg.root_abs_tol,
     )
@@ -220,7 +223,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         cfg.model, cfg.sector, (cfg.e_min, cfg.e_max), _spectrum_options(cfg)
     )
     meta = _meta(cfg)
-    meta["grid_step"] = cfg.grid_step if cfg.grid_step is not None else default_grid_step(cfg.model)
+    meta["count_rows"] = result.count_rows
     meta["poles"] = ";".join(_fmt(p) for p in result.poles)
     rows = [
         [i, r.energy, r.residual, False]
@@ -275,7 +278,9 @@ def match_spectra(
     """Greedy nearest-neighbor matching of solver roots against oracle levels.
 
     Rows are (root, oracle, |diff|, status) with status one of matched,
-    cf_only, oracle_only, exceptional_candidate.
+    cf_only, oracle_only, exceptional_candidate.  A level within ``eps_exc``
+    of a pole is an exceptional candidate whether both routes found it (root
+    and oracle filled in) or only one.
     """
 
     def near_pole(e: float) -> bool:
@@ -295,7 +300,8 @@ def match_spectra(
                 best_j, best_d = j, d
         if best_j is not None and best_d is not None and best_d <= match_tol:
             used_oracle[best_j] = True
-            rows.append((r, oracle[best_j], best_d, "matched"))
+            status = "exceptional_candidate" if near_pole(r) else "matched"
+            rows.append((r, oracle[best_j], best_d, status))
         elif near_pole(r):
             rows.append((r, None, None, "exceptional_candidate"))
         else:

@@ -7,8 +7,8 @@ K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0 is
 
 Two routes evaluate it.  ``batch_minimal_ratio`` runs Miller-style backward
 recursion over a whole array of lanes at once (one energy and start index per
-lane), doubling each lane's depth until it converges; the spectrum pipeline
-uses it for every evaluation.  Forward modified Lentz with the same
+lane), doubling each lane's depth until it converges; ``spectral.split_values``
+uses it for every batched evaluation.  Forward modified Lentz with the same
 depth-doubling rule (``eval_continued_fraction``) is the scalar reference.
 ``backward_ratios`` is the one scalar backward recursion: every ratio of one
 pass, behind the cross-check ``backward_recursion_ratio`` and the series
@@ -16,6 +16,10 @@ coefficients of ``series.minimal_series``.  ``forward_ratio`` is the scalar
 continuant ratio K_{k+1}/K_k of the split eigenconditions.  The scalar routes
 accept any object exposing ``a(n)`` and ``b(n)`` (and optionally
 ``tail_ratio_scale``), so surrogate coefficient sequences can be used in tests.
+
+``batch_negative_pivots`` runs the forward continuant ratios as LDL^T pivots
+over the same batched coefficient blocks and counts the negative ones: the
+Sturm count behind ``spectral.level_count``.
 """
 
 from __future__ import annotations
@@ -166,18 +170,28 @@ def forward_ratio(coeffs, k: int) -> float:
     return curr / prev
 
 
-def minimal_ratio_sequence(coeffs, n_lo: int, n_hi: int, rel_tol: float = DEFAULT_REL_TOL) -> list[float]:
-    """Minimal-solution ratios r_n = K_{n+1}/K_n for n in [n_lo, n_hi].
+def batch_negative_pivots(block, lanes: np.ndarray, rows: int, sign: float) -> np.ndarray:
+    """Negative pivots among the first ``rows`` rows, for every lane.
 
-    Each ratio is an independent continued-fraction evaluation at that start
-    index; the sequence obeys n * r_n -> t2 (or the driven-model scale 2g/omega).
+    ``block`` is the callable of ``batch_minimal_ratio``.  The pivots are
+    sigma_0 = -sign * a(0) and sigma_n = -sign * a(n) - b(n) / sigma_{n-1}:
+    with b(n) > 0 they are the LDL^T pivots of the symmetric tridiagonal with
+    diagonal -sign * a(n) and off-diagonal sqrt(b(n)), so their negative
+    count is its number of negative eigenvalues (the Sturm count).  A pivot
+    that is exactly 0 is taken as a tiny negative number (Kahan's guard).
     """
-    if not (n_hi > n_lo >= 0):
-        raise ValueError("need n_hi > n_lo >= 0")
-    return [
-        eval_continued_fraction(coeffs, start=n, rel_tol=rel_tol).value
-        for n in range(n_lo, n_hi + 1)
-    ]
+    lanes = np.asarray(lanes)
+    count = np.zeros(lanes.shape, dtype=np.intp)
+    pivot = None
+    with np.errstate(divide="ignore", over="ignore"):
+        for lo in range(0, rows, BLOCK_ROWS):
+            a, b = block(lanes, lo, min(lo + BLOCK_ROWS, rows) - 1)
+            a = -sign * a
+            for i in range(a.shape[0]):
+                pivot = a[i] if pivot is None else a[i] - b[i] / pivot
+                pivot[pivot == 0.0] = -_TINY
+                count += pivot < 0.0
+    return count
 
 
 def batch_minimal_ratio(

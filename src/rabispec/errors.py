@@ -30,7 +30,11 @@ class DivisionBlowup(RabispecError):
 
 
 class EmptyWindow(RabispecError):
-    """Scan window contains no usable grid points."""
+    """Scan window contains no usable grid points.
+
+    No longer raised: levels are counted, and any window with E_min < E_max is
+    usable.  Kept so that existing imports and handlers still work.
+    """
 
 
 class TruncationInsufficient(RabispecError):
@@ -46,8 +50,13 @@ class NotAnEigenvalueWarning(UserWarning):
 
 
 class CollapseRegimeWarning(UserWarning):
-    """Parameters approach spectral collapse; grids are tightened automatically."""
+    """Parameters approach spectral collapse.
+
+    No longer issued: the level count checks every level's position under
+    truncation doubling, near collapse as elsewhere.  Kept so that existing
+    imports and warning filters still work.
+    """
 
 
 class SignLostWarning(UserWarning):
-    """Root refinement lost the bracketing sign change in floating point."""
+    """A level's position could not be confirmed before the count rows reached their cap."""

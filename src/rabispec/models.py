@@ -7,7 +7,7 @@ The two-photon and two-mode formulas come from one Bogoliubov transformation
 and differ only by the squeeze factor c (2 and 1; coupling bound c|g| < omega);
 the driven model, a displacement, has its own.  The poles of the coefficients
 form one lattice E_n = E_0 + n * spacing (``pole_lattice``) that every pole
-computation reads, so a(n) divides by the same float the scan keeps away from.
+computation reads, so a(n) divides by the same float the solver keeps away from.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def minimal_series(
 ) -> SeriesCoefficients:
     """Build the minimal-solution series at an (approximate) spectral root.
 
-    E is judged by the rule of the spectrum scan: its residual is the smallest
+    E is judged by the residual rule of ``compute_spectrum``: the smallest
     |W_k| = |R_k - K_{k+1}/K_k| over k = 0, base and base + 1, where E_base is
     the pole nearest E, with R_k from the backward pass that builds the
     series.  If it exceeds the residual cap the series is still returned,

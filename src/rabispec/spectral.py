@@ -1,4 +1,4 @@
-"""Transcendental eigenvalue functions and pole-aware root finding.
+"""Transcendental eigenvalue functions and level counting.
 
 The regular spectrum of each model is the zero set of
 
@@ -12,20 +12,21 @@ singularity is removable.  The split eigenconditions
 
 share F's zeros for every split index k, but not its poles: W_k has an explicit
 simple pole at E_k and hidden poles at the zeros of the continuant K_k and at
-the poles of R_k.  An eigenvalue that sits next to a hidden pole of one W_k is
-invisible to a sign scan of that function, yet a plain sign change of another.
+the poles of R_k.  An eigenvalue can sit inside a zero/pole pair of every W_k
+with small k, too narrow for any sign scan to see.
 
-Roots are found by one scan.  Every interval of one point set (a uniform grid,
-guard points beside each pole and geometric ladders around each pole) that
-holds no analytic pole is tested at k = 0 and at k = base, base + 1, where
-E_base is the pole nearest the interval.  Each strict sign change is a bracket,
-refined by bisection with secant acceleration.
+So levels are not searched for by sign changes.  ``level_count`` gives N(E),
+the number of levels below E, from the signs of the LDL^T pivots of the
+truncated recurrence plus the poles below E (the Sturm count with the
+Wittrick-Williams pole term).  ``compute_spectrum`` takes the levels of a
+window as j in [N(e_min), N(e_max)), bisects each on N(E), and checks each
+level's position under a doubling of the truncation.  The count is the
+certificate that no level is lost; |W_k| at each level is only reported.
 
-The spectrum pipeline evaluates F and W_k over whole batches of energies at
-once (``split_values``, batched backward recursion) and refines all brackets in
-lockstep.  ``spectral_function`` and ``split_spectral_value`` evaluate one
-energy by modified Lentz; they are the scalar reference the batched values are
-tested against.
+``split_values`` evaluates F and W_k over whole batches of energies at once
+(batched backward recursion).  ``spectral_function`` and
+``split_spectral_value`` evaluate one energy by modified Lentz; they are the
+scalar reference the batched values are tested against.
 """
 
 from __future__ import annotations
@@ -42,28 +43,30 @@ from .contfrac import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_REL_TOL,
     batch_minimal_ratio,
+    batch_negative_pivots,
     eval_continued_fraction,
     forward_ratio,
 )
-from .errors import CollapseRegimeWarning, EmptyWindow, SignLostWarning
+from .errors import SignLostWarning
 from .models import (
     ModelParams,
     Sector,
     asymptotic_roots,
-    bogoliubov_params,
     check_coupling,
     coefficient_block,
     distance_to_pole_set,
     nearest_pole_index,
+    pole_energy,
     pole_lattice,
     three_term_coeffs,
 )
 
 # Pole-handling constants (in units of omega where dimensionful).
-EPS_POLE_GUARD_FACTOR = 1e-6   # grid points are kept this far away from poles
-EPS_EXC_FACTOR = 1e-5          # roots closer than this to a pole are exceptional candidates
-RESIDUAL_CAP = 1e-4            # refined roots above this |W_k| are rejected
-COLLAPSE_ROOT_FACTOR = 0.05    # below this Omega/Lambda, grids are tightened
+EPS_POLE_GUARD_FACTOR = 1e-6   # samples this close to a pole are marked near_pole
+EPS_EXC_FACTOR = 1e-5          # levels closer than this to a pole are exceptional candidates
+RESIDUAL_CAP = 1e-4            # energies above this min |W_k| are not eigenvalues (series)
+# Recurrence rows of the first level count; doubled while levels move.
+_FIRST_COUNT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -77,17 +80,13 @@ class SpectralSample:
 
 
 @dataclass(frozen=True)
-class Bracket:
-    """Sign-change interval free of analytic poles."""
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-
-@dataclass(frozen=True)
 class RootRecord:
+    """One level: its energy, min |W_k| there, final bracket width and count steps.
+
+    ``sign_lost`` marks a level whose position was not confirmed under a
+    doubling of the count rows because the rows reached ``cf_max_depth``.
+    """
+
     energy: float
     residual: float
     bracket_width: float
@@ -97,20 +96,27 @@ class RootRecord:
 
 @dataclass(frozen=True)
 class SpectrumOptions:
-    grid_step: float | None = None
     cf_rel_tol: float = DEFAULT_REL_TOL
     cf_max_depth: int = DEFAULT_MAX_DEPTH
     root_abs_tol: float = 1e-10
+
+    def __post_init__(self):
+        if not self.root_abs_tol > 0.0:
+            raise ValueError(f"root_abs_tol must be positive, got {self.root_abs_tol}")
+        if not self.cf_rel_tol > 0.0:
+            raise ValueError(f"cf_rel_tol must be positive, got {self.cf_rel_tol}")
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     """Regular roots, pole set and exceptional candidates found in a window.
 
-    ``grid_points`` counts every scan point: the uniform grid, the guard points
-    beside the poles and the ladder points around them.  ``brackets_found``
-    counts the sign changes refined, and ``brackets_rejected`` those whose
-    refined root was not accepted.
+    ``brackets_found`` is N(e_max) - N(e_min), the number of levels the count
+    puts in the window; every one of them is returned, in ``roots`` or in
+    ``flagged``.  ``brackets_rejected`` counts the levels whose position was
+    not confirmed at the ``cf_max_depth`` row cap.  ``grid_points`` counts
+    the lanes of every ``level_count`` call, and ``count_rows`` is the
+    truncation N at which the levels were last bisected.
     """
 
     roots: list[RootRecord]
@@ -120,6 +126,7 @@ class SpectrumResult:
     grid_points: int
     brackets_found: int
     brackets_rejected: int
+    count_rows: int
     model: ModelParams
     sector: Sector
 
@@ -164,7 +171,7 @@ def spectral_function(
     removable, because the divergent a(n) only sends R_{n-1} to zero.
 
     Raises PoleCollision within eps_pole of the pole set; ``near_pole`` flags
-    samples within the wider grid-guard distance.
+    samples within the wider guard distance, 1e-6 omega.
     """
     coeffs = three_term_coeffs(model, sector, energy)  # raises ZeroCoupling/PoleCollision
     cf = eval_continued_fraction(coeffs, start=0, rel_tol=rel_tol, max_depth=max_depth)
@@ -191,9 +198,8 @@ def split_spectral_value(
     spectrum for every split, but the pole structure differs: near the k-th
     analytic pole energy the continued fraction starting at k consumes no
     divergent coefficient, while the forward ratio has an explicit simple pole
-    exactly there.  That turns eigenvalues hugging the k-th pole, which can
-    hide from a sign scan of F inside tight zero/pole pairs, into clean sign
-    changes on a ladder of samples around the known pole location.
+    exactly there.  So |W_k| can be small at an eigenvalue hugging the k-th
+    pole, where F sits inside a tight zero/pole pair.
     """
     coeffs = three_term_coeffs(model, sector, energy)
     cf = eval_continued_fraction(coeffs, start=split, rel_tol=rel_tol, max_depth=max_depth)
@@ -261,218 +267,67 @@ def _forward_ratios(model, sector, energies: np.ndarray, splits: np.ndarray) -> 
     return curr / prev
 
 
-def _grid_points(
-    model: ModelParams, sector: Sector, e_min: float, e_max: float, grid_step: float
-) -> np.ndarray:
-    """Uniform grid plus pole-adjacent guard points, unsorted."""
-    guard = _guard(model)
-    n_steps = int(math.ceil((e_max - e_min) / grid_step))
-    uniform = np.minimum(e_min + np.arange(n_steps + 1) * grid_step, e_max)
-    poles = np.array(poles_in_window(model, sector, e_min - guard, e_max + guard))
-    return np.concatenate([
-        uniform, poles[poles - guard >= e_min] - guard, poles[poles + guard <= e_max] + guard
-    ])
-
-
-def _window_grid(
-    model, sector, window: tuple[float, float], grid_step: float, extra=()
-) -> np.ndarray:
-    """Sorted scan points: the grid of ``window`` and the ``extra`` points.
-
-    Points closer to the pole set than the guard distance are dropped, and
-    points that coincide to a relative 1e-15 are kept once.
-    """
-    e_min, e_max = window
-    if not e_min < e_max:
-        raise ValueError("window must satisfy E_min < E_max")
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
-    pts = np.sort(np.concatenate([_grid_points(model, sector, e_min, e_max, grid_step), extra]))
-    pts = pts[distance_to_pole_set(model, sector, pts) >= _guard(model) * (1.0 - 1e-9)]
-    pts = pts[np.diff(pts, prepend=-np.inf) > 1e-15 * np.maximum(1.0, np.abs(pts))]
-    if len(pts) < 2:
-        raise EmptyWindow("no usable grid points in window")
-    return pts
-
-
-def _pole_strictly_inside(model, sector, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per interval: does an analytic pole lie strictly between lo and hi?"""
-    first, spacing = pole_lattice(model, sector)
-    n_lo = np.maximum(np.ceil((lo - first) / spacing - 1e-12), 0.0)
-    n_hi = np.floor((hi - first) / spacing + 1e-12)
-    inside = np.zeros(lo.shape, dtype=bool)
-    for j in range(int(np.max(n_hi - n_lo, initial=-1.0)) + 1):
-        p = first + (n_lo + j) * spacing
-        inside |= (n_lo + j <= n_hi) & (lo < p) & (p < hi)
-    return inside
-
-
-def _values_at(w_at, pts: np.ndarray, point: np.ndarray, split: np.ndarray) -> np.ndarray:
-    """W_split at pts[point] for each (point, split) pair, evaluating each distinct pair once."""
-    stride = int(split.max(initial=0)) + 1
-    keys, where = np.unique(point * stride + split, return_inverse=True)
-    return w_at(pts[keys // stride], keys % stride)[where]
-
-
-def _sign_change(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Strict sign change between samples.  A sample that is exactly zero is a
-    root of its own and takes part in the sign test of neither neighbour; a nan
-    sample takes part in none."""
-    return np.sign(f1) * np.sign(f2) < 0.0
-
-
-def scan_brackets(
-    model: ModelParams,
-    sector: Sector,
-    window: tuple[float, float],
-    grid_step: float,
-    cf_rel_tol: float = DEFAULT_REL_TOL,
-    cf_max_depth: int = DEFAULT_MAX_DEPTH,
-) -> list[Bracket]:
-    """Sign-change brackets of F between consecutive grid points of ``window``.
-
-    The grid is uniform with step ``grid_step`` plus a guard point on each side
-    of every pole.  Intervals that hold an analytic pole are skipped.  A sample
-    where F is exactly zero is a root, not a bracket end, and is not returned.
-    This is the k = 0 part of the scan in ``compute_spectrum``, without its
-    ladder points.
-    """
-    pts = _window_grid(model, sector, window, grid_step)
-    f = split_values(model, sector, pts, 0, cf_rel_tol, cf_max_depth)
-    change = _sign_change(f[:-1], f[1:]) & ~_pole_strictly_inside(model, sector, pts[:-1], pts[1:])
-    return [
-        Bracket(float(pts[j]), float(pts[j + 1]), float(f[j]), float(f[j + 1]))
-        for j in np.flatnonzero(change)
-    ]
-
-
-def refine_root(
-    model: ModelParams,
-    sector: Sector,
-    bracket: Bracket,
-    abs_tol: float = 1e-10,
-    cf_rel_tol: float = DEFAULT_REL_TOL,
-    cf_max_depth: int = DEFAULT_MAX_DEPTH,
-) -> RootRecord:
-    """Shrink a bracket to ``abs_tol`` by bisection with secant acceleration.
-
-    The sign change is preserved at every step.  If floating point loses it
-    (evaluation at the trial point is zero or non-finite) the best enclosure
-    is returned flagged via ``sign_lost``.
-    """
-    if abs_tol <= 0.0:
-        raise ValueError("abs_tol must be positive")
-
-    def f(e, lanes):
-        return split_values(model, sector, e, 0, cf_rel_tol, cf_max_depth)
-
-    mid, width, iterations, sign_lost = _bisect(
-        f, [bracket.lo], [bracket.hi], [bracket.f_lo], [bracket.f_hi], abs_tol
-    )
-    resid = abs(f(mid, None)[0])
-    return RootRecord(
-        energy=float(mid[0]),
-        residual=resid if math.isfinite(resid) else math.inf,
-        bracket_width=float(width[0]),
-        iterations=int(iterations[0]),
-        sign_lost=bool(sign_lost[0]),
-    )
-
-
-def _bisect(f, lo, hi, f_lo, f_hi, abs_tol):
-    """Sign-preserving bisection with interior secant steps, all brackets in lockstep.
-
-    ``f(x, lanes)`` evaluates the function of each bracket in ``lanes`` at the
-    matching entry of ``x`` and returns nan (never raises) on unusable points.
-    Returns arrays (midpoint, final width, iterations, sign_lost).
-    """
-    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
-    if np.any(~(lo < hi) | ((f_lo < 0.0) == (f_hi < 0.0))):
-        raise ValueError("invalid bracket")
-    iterations = np.zeros(lo.shape, dtype=int)
-    sign_lost = np.zeros(lo.shape, dtype=bool)
-    live = np.flatnonzero(hi - lo > abs_tol)
-    while live.size:
-        iterations[live] += 1
-        l, h, fl, fh = lo[live], hi[live], f_lo[live], f_hi[live]
-        mid = 0.5 * (l + h)
-        margin = 0.1 * (h - l)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            secant = (l * fh - h * fl) / (fh - fl)
-        x = np.where((fh != fl) & (l + margin < secant) & (secant < h - margin), secant, mid)
-        fx = f(x, live)
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            # retreat to plain bisection away from the bad point
-            x[bad] = np.where(x[bad] != mid[bad], mid[bad], l[bad] + 0.25 * (h[bad] - l[bad]))
-            fx[bad] = f(x[bad], live[bad])
-        failed = ~np.isfinite(fx)
-        for _ in range(np.count_nonzero(failed)):
-            warnings.warn(
-                "root refinement hit non-finite evaluations; returning enclosure",
-                SignLostWarning,
-            )
-        zero = fx == 0.0
-        lo[live[zero]] = hi[live[zero]] = x[zero]
-        f_lo[live[zero]] = f_hi[live[zero]] = 0.0
-        move = ~(failed | zero)
-        up = move & ((fx < 0.0) == (fl < 0.0))
-        down = move & ~up
-        lo[live[up]], f_lo[live[up]] = x[up], fx[up]
-        hi[live[down]], f_hi[live[down]] = x[down], fx[down]
-        capped = move & (iterations[live] > 200)
-        for _ in range(np.count_nonzero(capped)):
-            warnings.warn("root refinement iteration cap reached", SignLostWarning)
-        sign_lost[live[failed | capped]] = True
-        live = live[move & ~capped]
-        live = live[hi[live] - lo[live] > abs_tol]
-    return 0.5 * (lo + hi), hi - lo, iterations, sign_lost
-
-
-_LADDER_RATIO = 1.6   # geometric growth of sample distances from a pole
-_LADDER_REACH = 0.45  # ladder extent per side, in units of the pole spacing
-
-
-def _ladders(model: ModelParams, sector: Sector, window: tuple[float, float]) -> np.ndarray:
-    """Geometric ladders of points on both sides of every pole near the window.
-
-    Eigenvalues that hug a pole energy E_n sit inside zero/pole pairs of F too
-    tight for the uniform grid to see; on W_n they are ordinary sign changes
-    between neighbouring ladder points.
-    """
-    e_min, e_max = window
-    first, spacing = pole_lattice(model, sector)
-    reach = _LADDER_REACH * spacing
-    n_lo = max(0, int(math.ceil((e_min - reach - first) / spacing - 1e-12)))
-    n_hi = int(math.floor((e_max + reach - first) / spacing + 1e-12))
-    dists = []
-    d = _guard(model)
-    while d < reach:
-        dists.append(-d)
-        dists.append(d)
-        d *= _LADDER_RATIO
-    poles = first + np.arange(n_lo, n_hi + 1) * spacing
-    x = (poles[:, None] + np.array(dists)).ravel()
-    return x[(e_min <= x) & (x <= e_max)]
-
-
-def default_grid_step(model: ModelParams) -> float:
-    """Several samples per inter-pole interval, tightened near spectral collapse.
-
-    The driven model's root factor is 1, so its step is omega/40.
-    """
-    w = model.omega
-    root = bogoliubov_params(model).root_factor
-    step = min(2.0 * w * root, w) / 40.0
-    if root < COLLAPSE_ROOT_FACTOR:
-        step *= root / COLLAPSE_ROOT_FACTOR
-    return step
-
-
 def default_window_min(model: ModelParams, sector: Sector) -> float:
     """Lower scan bound guaranteed to sit below the ground state."""
     p0 = pole_lattice(model, sector)[0]
     return min(p0, -model.omega) - model.delta - abs(model.drive) - 1.0
+
+
+def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.ndarray:
+    """N(E): the number of levels below each energy, from the first ``rows`` rows.
+
+    N(E) = #{n < rows : sign(g) rho_n < 0} + #{n < rows : E_n < E}, with the
+    continuant ratios rho_0 = -a(0), rho_n = -a(n) - b(n)/rho_{n-1}.  Since
+    b(n) > 0 the rho_n are LDL^T pivots, and their negative count is the Sturm
+    count of the truncated recurrence (``contfrac.batch_negative_pivots``).
+    The rational term -delta^2/(E - E_n) of a(n) drops one negative pivot at
+    each pole; the second term puts it back (the Wittrick-Williams count), so
+    N(E) is nondecreasing and steps by one at each level.  The caller keeps
+    ``energies`` off the pole set.
+    """
+    check_coupling(model)
+    energies = np.asarray(energies, dtype=float)
+    first, spacing = pole_lattice(model, sector)
+    poles_below = np.clip(np.ceil((energies - first) / spacing), 0, rows).astype(np.intp)
+
+    def block(lanes, n_lo, n_hi):
+        return coefficient_block(model, sector, lanes, n_lo, n_hi)
+
+    return batch_negative_pivots(block, energies, rows, math.copysign(1.0, model.g)) + poles_below
+
+
+def _trial_points(model: ModelParams, sector: Sector, lo, hi, tol: float) -> np.ndarray:
+    """Bisection point of each bracket, nan where the bracket is settled.
+
+    A point within eps_pole of a pole E_n moves to E_n - eps_pole when that
+    lies above ``lo``, else to E_n + eps_pole.  A bracket is settled when it
+    is at most ``tol`` wide or its point does not land strictly inside it.
+    """
+    eps = model.eps_pole
+    x = 0.5 * (lo + hi)
+    pole = pole_energy(model, sector, nearest_pole_index(model, sector, x))
+    near = np.abs(x - pole) < eps
+    x = np.where(near, np.where(pole - eps > lo, pole - eps, pole + eps), x)
+    return np.where((hi - lo > tol) & (lo < x) & (x < hi), x, np.nan)
+
+
+def _bisect(model, sector, rows, levels, lo, hi, tol):
+    """Shrink every bracket to ``tol`` by bisection on N(E), all levels in lockstep.
+
+    Level j's bracket holds its step, N(lo) <= j < N(hi), throughout.  One
+    ``level_count`` call per step; returns (lo, hi, steps taken per level).
+    """
+    steps = np.zeros(levels.size, dtype=int)
+    while True:
+        x = _trial_points(model, sector, lo, hi, tol)
+        live = np.flatnonzero(~np.isnan(x))
+        if not live.size:
+            return lo, hi, steps
+        x = x[live]
+        above = level_count(model, sector, x, rows) > levels[live]
+        hi[live[above]] = x[above]
+        lo[live[~above]] = x[~above]
+        steps[live] += 1
 
 
 def compute_spectrum(
@@ -481,36 +336,34 @@ def compute_spectrum(
     window: tuple[float, float],
     opts: SpectrumOptions | None = None,
 ) -> SpectrumResult:
-    """Full pipeline: pole set, one bracket scan, refinement, exceptional flagging.
+    """Every level in the window, each found by bisection on the level count.
 
-    The scan points are the uniform grid, a guard point on each side of every
-    pole and geometric ladders around every pole.  Each interval between
-    neighbouring points that holds no analytic pole is tested for a sign
-    change of W_k at three split indices:
+    The levels in the window are j in [N(e_min), N(e_max)) (``level_count``;
+    an edge within eps_pole of a pole moves off it, keeping the pole's side).
+    Each level's bracket starts as the window and is bisected on N(E), all
+    levels in lockstep, until it is narrower than ``root_abs_tol``.  A trial
+    point within eps_pole of a pole E_n moves off it, so a level at E_n itself
+    (an exceptional level) ends in a bracket (E_n - eps_pole, E_n + eps_pole)
+    and is put at E_n.
 
-    - k = 0, that is F itself;
-    - k = base and k = base + 1, where E_base is the pole nearest the
-      interval.  W_base has its explicit pole exactly at E_base, so roots
-      hugging E_base, which F hides inside tight zero/pole pairs, are plain
-      sign changes between ladder points.
+    The count truncates the recurrence at N rows, and the truncated levels
+    move as N grows: agreeing counts at the window edges do not show that
+    the levels inside sit where they should.  So the position of every level
+    is checked.  Starting from N = 64, the levels are bisected at N, then
+    N(E) at 2N is taken at both ends of every final bracket and at the window
+    edges.  A level whose bracket still holds its step at 2N is confirmed;
+    the others are bisected again at 2N, from the tightest brackets those
+    counts give, and checked at 4N, and so on up to ``cf_max_depth`` rows.
+    A level bisected at that cap is returned unconfirmed: ``sign_lost`` is
+    set on it, it is counted in ``brackets_rejected``, and one
+    ``SignLostWarning`` is issued.
 
-    The hidden poles of the three functions differ, so a root that one of
-    them steps over inside an interval is a sign change of another.  For
-    example, the driven model at delta = 0.7, g = 0.1, drive = 0 has a level
-    at E = 0.72308 whose grid interval also holds a hidden pole of W_1 and one
-    of W_2; only F changes sign there.  When base = 0, k = 0 is tested once.
-
-    All brackets are refined together, each on its own W_k.  A refined root
-    is accepted when |W_k| there is at most ``RESIDUAL_CAP`` and the sign
-    change survived refinement; the other brackets close on poles and are
-    counted in ``brackets_rejected``.  A sample where some W_k is exactly zero
-    is a root without refinement.  A root within the merge tolerance of one
-    already taken is a duplicate; exact zeros are taken first, then the roots
-    of k = 0, base and base + 1.  Each root records as its residual |W_k| at
-    the refined root, on the W_k whose sign change found it (0 for an exact
-    zero).  Roots within the exceptional tolerance of a pole energy are
-    reported in ``flagged`` (exceptional-spectrum candidates; the truncation
-    constraints are not checked).
+    Levels within the exceptional tolerance of a pole energy are reported in
+    ``flagged`` (exceptional-spectrum candidates; the truncation constraints
+    are not checked), the others in ``roots``.  Each level's residual is the
+    smallest |W_k| over k = 0, base and base + 1 at its energy, with E_base
+    the pole nearest it, or inf where no W_k is defined (on a pole).  It is
+    reported, never used to reject a level: the count is the certificate.
     """
     if opts is None:
         opts = SpectrumOptions()
@@ -518,65 +371,77 @@ def compute_spectrum(
     if not e_min < e_max:
         raise ValueError("window must satisfy E_min < E_max")
 
-    grid_step = opts.grid_step if opts.grid_step is not None else default_grid_step(model)
-    root = bogoliubov_params(model).root_factor
-    if root < COLLAPSE_ROOT_FACTOR:
+    # an edge within eps_pole of a pole moves off it to the side that keeps
+    # the pole in the window if the pole lies in it, and out if not
+    eps = model.eps_pole
+    edges = np.array([e_min, e_max])
+    pole = pole_energy(model, sector, nearest_pole_index(model, sector, edges))
+    inside = (pole >= e_min) & (pole <= e_max)
+    off = np.where(inside, [-eps, eps], [eps, -eps])
+    edges = np.where(np.abs(edges - pole) < eps, pole + off, edges)
+
+    cap = opts.cf_max_depth
+    rows = min(_FIRST_COUNT_ROWS, cap)
+    points, settled_rows, lanes, steps = edges, 0, 0, {}
+    while True:
+        points = np.sort(points)  # the edges come first and last
+        counts = level_count(model, sector, points, rows)
+        lanes += points.size
+        levels = np.arange(counts[0], counts[-1])
+        # level j lies between the last point counted <= j and the next one
+        k = np.searchsorted(counts, levels, side="right")
+        lo, hi = points[k - 1], points[k]
+        todo = ~np.isnan(_trial_points(model, sector, lo, hi, opts.root_abs_tol))
+        if settled_rows and not todo.any():
+            break
+        lo[todo], hi[todo], taken = _bisect(
+            model, sector, rows, levels[todo], lo[todo], hi[todo], opts.root_abs_tol
+        )
+        lanes += int(taken.sum())
+        for j, n in zip(levels[todo].tolist(), taken.tolist()):
+            steps[j] = steps.get(j, 0) + n
+        settled_rows = rows
+        if rows == cap:
+            break
+        points = np.concatenate([edges, lo, hi])
+        rows = min(2 * rows, cap)
+    unconfirmed = todo  # empty unless the last bisection ran at the cap
+    if unconfirmed.any():
         warnings.warn(
-            f"root factor {root:.3g} < {COLLAPSE_ROOT_FACTOR}: near spectral "
-            "collapse, grid tightened; results may still miss levels",
-            CollapseRegimeWarning,
+            f"{int(unconfirmed.sum())} level(s) not confirmed at the {cap}-row cap",
+            SignLostWarning,
         )
 
-    def w_at(energies, splits):
-        return split_values(model, sector, energies, splits, opts.cf_rel_tol, opts.cf_max_depth)
-
-    pts = _window_grid(model, sector, window, grid_step, _ladders(model, sector, window))
-    left = np.flatnonzero(~_pole_strictly_inside(model, sector, pts[:-1], pts[1:]))
-    base = nearest_pole_index(model, sector, 0.5 * (pts[left] + pts[left + 1]))
-    # one lane per (interval, k), ordered k = 0, base, base + 1
-    left = np.concatenate([left, left[base > 0], left])
-    split = np.concatenate([np.zeros_like(base), base[base > 0], base + 1])
-    point = np.concatenate([left, left + 1])
-    w = _values_at(w_at, pts, point, np.concatenate([split, split]))
-    w1, w2 = np.split(w, 2)
-    zeros = np.unique(pts[point[w == 0.0]])
-
-    j = np.flatnonzero(_sign_change(w1, w2))
-    k = split[j]
-    mid, width, iters, lost = _bisect(
-        lambda e, lanes: w_at(e, k[lanes]),
-        pts[left[j]], pts[left[j] + 1], w1[j], w2[j], opts.root_abs_tol,
+    # a final bracket that holds a pole puts its level on the pole
+    mid = 0.5 * (lo + hi)
+    pole = pole_energy(model, sector, nearest_pole_index(model, sector, mid))
+    energy = np.where((lo < pole) & (pole < hi), pole, mid)
+    base = nearest_pole_index(model, sector, energy)
+    w = split_values(
+        model, sector, np.tile(energy, 3), np.concatenate([np.zeros_like(base), base, base + 1]),
+        opts.cf_rel_tol, cap,
     )
-
-    w_mid = np.abs(w_at(mid, k))
-    accept = ~lost & (w_mid <= RESIDUAL_CAP)
-    energy = np.concatenate([zeros, mid[accept]])
-    residual = np.concatenate([np.zeros(zeros.size), w_mid[accept]])
-    width = np.concatenate([np.zeros(zeros.size), width[accept]])
-    iters = np.concatenate([np.zeros(zeros.size, int), iters[accept]])
-
-    merge_tol = max(50.0 * opts.root_abs_tol, 1e-12 * model.omega)
+    residual = np.fmin.reduce(np.abs(w).reshape(3, -1), axis=0)
+    residual[np.isnan(residual)] = np.inf
     near_pole = distance_to_pole_set(model, sector, energy) < eps_exceptional(model)
+
     roots: list[RootRecord] = []
     flagged: list[RootRecord] = []
-    taken: list[float] = []
-    for i, e in enumerate(energy.tolist()):
-        if any(abs(e - t) < merge_tol for t in taken):
-            continue
-        taken.append(e)
-        rec = RootRecord(e, float(residual[i]), float(width[i]), int(iters[i]))
+    for i, j in enumerate(levels.tolist()):
+        rec = RootRecord(
+            float(energy[i]), float(residual[i]), float(hi[i] - lo[i]), steps.get(j, 0),
+            bool(unconfirmed[i]),
+        )
         (flagged if near_pole[i] else roots).append(rec)
-
-    roots.sort(key=lambda r: r.energy)
-    flagged.sort(key=lambda r: r.energy)
     return SpectrumResult(
         roots=roots,
         poles=poles_in_window(model, sector, e_min, e_max),
         flagged=flagged,
         window=(e_min, e_max),
-        grid_points=pts.size,
-        brackets_found=mid.size,
-        brackets_rejected=int(np.count_nonzero(~accept)),
+        grid_points=lanes,
+        brackets_found=levels.size,
+        brackets_rejected=int(unconfirmed.sum()),
+        count_rows=settled_rows,
         model=model,
         sector=sector,
     )

@@ -19,6 +19,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rabispec import (
     ModelKind,
@@ -31,20 +33,17 @@ from rabispec import (
     compute_spectrum,
     eval_continued_fraction,
     map_sector,
-    minimal_ratio_sequence,
     minimal_series,
     norm_tail_ratio,
     oracle_spectrum,
     pole_energies,
-    refine_root,
-    scan_brackets,
     spectral_function,
     split_spectral_value,
     three_term_coeffs,
 )
 from rabispec.models import asymptotic_roots, bogoliubov_params, distance_to_pole_set
 from rabispec.oracle import eigen_in_range
-from rabispec.spectral import SpectrumOptions, default_grid_step, eps_exceptional
+from rabispec.spectral import SpectrumOptions, default_window_min, eps_exceptional
 
 from test_contfrac import _random_cases
 
@@ -73,6 +72,16 @@ def assert_two_way_match(model, sector, window, tol=MATCH_TOL):
         )
 
 
+def assert_every_level_found(model, sector, window, tol=MATCH_TOL):
+    """The roots and the flagged levels together are the oracle's levels, one for one."""
+    result = compute_spectrum(model, sector, window)
+    found = sorted(result.energies + [r.energy for r in result.flagged])
+    oracle_vals, _ = oracle_spectrum(model, sector, window)
+    assert len(found) == len(oracle_vals), (found, oracle_vals)
+    for e, o in zip(found, oracle_vals):
+        assert abs(e - o) <= tol, (e, o)
+
+
 @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("g", [0.05, 0.2, 0.4])
 @pytest.mark.parametrize("q", [0.25, 0.75])
@@ -98,19 +107,74 @@ def test_driven_cross_validation(delta, g, drive):
 
 
 def test_near_degenerate_pair_in_one_grid_interval():
-    # strong-coupling doublet just below E_0 = -g^2/omega = -1.96: both levels
-    # lie between the grid point -1.975 and the guard point of E_0, so the
-    # scan must resolve two roots inside one interval of the default grid
+    # strong-coupling doublet just below E_0 = -g^2/omega = -1.96, less than a
+    # third of a sign-scan grid step apart: both levels must be resolved
     model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.2, 1.4, 0.0)
     sector = Sector.driven()
     window = (-2.5, 0.0)
     oracle_vals, _ = oracle_spectrum(model, sector, window)
     pair = [o for o in oracle_vals if -1.975 < o < pole_energies(model, sector, 0)[0]]
     assert pair == pytest.approx([-1.970030465753357, -1.9620048682187303], abs=1e-9)
-    assert pair[1] - pair[0] < default_grid_step(model) / 3.0
+    # 0.025 = omega/40, the default step of the sign-scan grid this solver used
+    assert pair[1] - pair[0] < 0.025 / 3.0
     energies = compute_spectrum(model, sector, window).energies
     for o in pair:
         assert min(abs(o - e) for e in energies) <= MATCH_TOL
+
+
+@pytest.mark.parametrize("g", [1.5, 2.0, 2.5])
+def test_dark_levels_found(g):
+    # driven windows with "dark" levels about 0.42 omega from a pole: each is
+    # a zero/pole pair narrower than 1e-6 on every W_k with small k, so a sign
+    # scan of W_0, W_base and W_base+1 loses 1, 2 and 4 of them
+    model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.6, g, 0.2)
+    sector = Sector.driven()
+    e_min = default_window_min(model, sector)
+    assert_every_level_found(model, sector, (e_min, e_min + 10.0))
+
+
+@pytest.mark.parametrize("model,sector", [
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.46), Sector.two_photon(0.25)),
+    (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.92), Sector.two_mode(1.5)),
+], ids=["two-photon", "two-mode"])
+def test_near_collapse_levels_found(model, sector):
+    # at 2g/omega = 0.92 and g/omega = 0.92 the levels of the recurrence
+    # truncated at 64 rows sit off the true ones although the edge counts agree
+    e_min = default_window_min(model, sector)
+    assert_every_level_found(model, sector, (e_min, e_min + 4.0))
+
+
+@st.composite
+def _drawn_windows(draw):
+    """(model, sector, width-6 window), |g| up to 0.92 of the coupling bound."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    delta = draw(st.floats(0.0, 1.0))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    drive = 0.0
+    if kind is ModelKind.TWO_PHOTON:
+        g = draw(st.floats(0.02, 0.46))
+        sector = Sector.two_photon(draw(st.sampled_from([0.25, 0.75])))
+    elif kind is ModelKind.TWO_MODE:
+        g = draw(st.floats(0.02, 0.92))
+        sector = Sector.two_mode(draw(st.sampled_from([0.5, 1.0, 1.5])))
+    else:
+        g = draw(st.floats(0.05, 2.5))
+        drive = draw(st.floats(-0.5, 0.5))
+        sector = Sector.driven()
+    model = ModelParams(kind, 1.0, delta, sign * g, drive)
+    e_min = default_window_min(model, sector) + draw(st.floats(0.0, 4.0))
+    return model, sector, (e_min, e_min + 6.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=_drawn_windows())
+def test_every_level_found_on_drawn_windows(case):
+    model, sector, (lo, hi) = case
+    # a level within rounding of an edge is in the window or not by chance
+    # (drawn edges can land on the pole lattice, where delta = 0 puts levels)
+    near_edges, _ = oracle_spectrum(model, sector, (lo - MATCH_TOL, hi + MATCH_TOL))
+    assume(all(min(abs(o - lo), abs(o - hi)) > 1e-9 for o in near_edges))
+    assert_every_level_found(model, sector, (lo, hi))
 
 
 @pytest.mark.parametrize("kind", [ModelKind.TWO_PHOTON, ModelKind.TWO_MODE])
@@ -129,7 +193,7 @@ def test_minimal_ratio_asymptotics(kind):
         if distance_to_pole_set(model, sector, energy) < 1e-3:
             energy += 2e-3
         coeffs = three_term_coeffs(model, sector, energy)
-        r = minimal_ratio_sequence(coeffs, 2000, 2001)[0]
+        r = backward_recursion_ratio(coeffs, start=2000, tail_depth=4096)
         assert 2000.0 * r == pytest.approx(g, rel=0.01)
 
 
@@ -223,9 +287,10 @@ def test_weak_coupling_continuity(kind, sector_value, window, g, tol):
 class TestSelfConsistency:
     def test_root_stable_under_depth_doubling(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
-        (br,) = scan_brackets(model, sector, (0.2, 0.6), 0.02)
         roots = [
-            refine_root(model, sector, br, abs_tol=1e-12, cf_max_depth=depth).energy
+            compute_spectrum(
+                model, sector, (0.2, 0.6), SpectrumOptions(root_abs_tol=1e-12, cf_max_depth=depth)
+            ).energies[0]
             for depth in (2**14, 2**15)
         ]
         assert abs(roots[0] - roots[1]) <= 1e-10
@@ -332,8 +397,8 @@ def test_wavefunctions_solve_differential_system(model, sector, window):
 
 
 # Lentz gives F(0.29999999999999993) = 0.0 exactly at these parameters and the
-# batched evaluation gives F = 0.0 exactly at the grid point 0.30000000000000004;
-# the level is 0.3.  A sample where F is exactly zero is one root.
+# batched evaluation gives F = 0.0 exactly at 0.30000000000000004; the level is
+# 0.3.  A window edge on it must not lose the level or report it twice.
 _EXACT_ZERO_WINDOWS = [(0.29999999999999993, 1.0), (0.2, 0.29999999999999993), (0.05, 0.55)]
 
 

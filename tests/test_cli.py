@@ -48,9 +48,14 @@ class TestSpectrumCommand:
         meta, header, rows = parse_csv(out)
         assert header == ["index", "energy", "residual", "flagged"]
         assert meta["model"] == "two-photon"
-        assert "poles" in meta and "grid_step" in meta
+        assert "poles" in meta and "count_rows" in meta
         energies = [float(r[1]) for r in rows if r[3] == "false"]
         assert energies == pytest.approx(TWO_PHOTON_REF_EIGS[:3], abs=1e-7)
+
+    def test_grid_step_accepted_without_effect(self, capsys):
+        _, plain, _ = run_cli(capsys, SPECTRUM_ARGS)
+        code, stepped, _ = run_cli(capsys, SPECTRUM_ARGS + ["--grid-step", "0.3"])
+        assert code == 0 and stepped == plain
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, SPECTRUM_ARGS)
@@ -99,6 +104,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("line, named", [
         ("gridstep = 0.5", "gridstep"),  # a typo of grid_step
         ("format = xml", "xml"),
+        ("root_abs_tol = 0", "root_abs_tol"),
+        ("grid_step = -1", "grid_step"),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path, line, named):
         cfg = tmp_path / "run.cfg"
@@ -278,6 +285,21 @@ class TestCompareCommand:
         assert len(exceptional) == 1
         assert float(exceptional[0][1]) == pytest.approx(0.94, abs=1e-6)
         assert all(r[3] in ("matched", "exceptional_candidate") for r in rows)
+
+
+    def test_every_level_of_readme_window_found(self, capsys):
+        # the level on the pole is found too: its row carries the root
+        code, out, _ = run_cli(
+            capsys,
+            ["compare", "--model", "driven", "--delta", "0.4", "--g", "0.6",
+             "--drive", "0.3", "--emin", "-1.5", "--emax", "8", "--match-tol", "1e-7"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) == 18 and all(r[0] and r[1] for r in rows)
+        assert [r[3] for r in rows].count("matched") == 17
+        (exceptional,) = [r for r in rows if r[3] == "exceptional_candidate"]
+        assert float(exceptional[0]) == pytest.approx(0.94, abs=1e-7)
 
 
 class TestMatching:

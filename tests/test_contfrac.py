@@ -16,10 +16,9 @@ from rabispec import (
     asymptotic_roots,
     backward_recursion_ratio,
     eval_continued_fraction,
-    minimal_ratio_sequence,
     three_term_coeffs,
 )
-from rabispec.contfrac import backward_ratios, batch_minimal_ratio
+from rabispec.contfrac import backward_ratios, batch_minimal_ratio, batch_negative_pivots
 from rabispec.models import coefficient_block, distance_to_pole_set
 
 from conftest import ConstCoeffs
@@ -51,7 +50,7 @@ class TestConstantCoefficients:
         )
 
     def test_ratio_sequence_constant(self):
-        ratios = minimal_ratio_sequence(ConstCoeffs(3.0, 2.0), 0, 5)
+        ratios = backward_ratios(ConstCoeffs(3.0, 2.0), 0, 200)[:6]
         assert ratios == pytest.approx([-1.0] * 6, abs=1e-11)
 
     @settings(max_examples=150, deadline=None)
@@ -143,13 +142,13 @@ class TestModelFractions:
     def test_minimal_ratio_asymptotics(self):
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.3, 0.2)
         coeffs = three_term_coeffs(model, Sector.two_photon(0.25), 0.1)
-        (r2000,) = minimal_ratio_sequence(coeffs, 2000, 2001)[:1]
+        r2000 = backward_recursion_ratio(coeffs, start=2000, tail_depth=4096)
         assert 2000.0 * r2000 == pytest.approx(0.2, rel=0.01)
 
     def test_minimal_ratio_asymptotics_two_mode(self):
         model = ModelParams(ModelKind.TWO_MODE, 1.0, 0.3, 0.5)
         coeffs = three_term_coeffs(model, Sector.two_mode(0.5), 0.1)
-        (r2000,) = minimal_ratio_sequence(coeffs, 2000, 2001)[:1]
+        r2000 = backward_recursion_ratio(coeffs, start=2000, tail_depth=4096)
         assert 2000.0 * r2000 == pytest.approx(0.5, rel=0.01)
 
 
@@ -175,8 +174,6 @@ class TestErrorPaths:
             eval_continued_fraction(c, max_depth=4)
         with pytest.raises(ValueError):
             backward_recursion_ratio(c, start=100, tail_depth=100)
-        with pytest.raises(ValueError):
-            minimal_ratio_sequence(c, 5, 5)
 
 
 class TestBatchMinimalRatio:
@@ -214,3 +211,39 @@ class TestBatchMinimalRatio:
             batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, rel_tol=0.0)
         with pytest.raises(ValueError):
             batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, max_depth=4)
+
+
+class TestNegativePivots:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        diag=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
+        sign=st.sampled_from([1.0, -1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sturm_count_equals_negative_eigenvalues(self, diag, sign, seed):
+        # the count is that of the symmetric tridiagonal with diagonal
+        # -sign * a(n) and off-diagonal sqrt(b(n)), b(n) > 0
+        rows = len(diag)
+        a = np.array(diag)
+        b = np.random.default_rng(seed).uniform(0.05, 2.0, rows)
+
+        def block(lanes, n_lo, n_hi):
+            return a[n_lo:n_hi + 1, None] + lanes, b[n_lo:n_hi + 1, None]
+
+        shifts = np.array([-1.0, 0.0, 0.5])
+        got = batch_negative_pivots(block, shifts, rows, sign)
+        for shift, count in zip(shifts, got):
+            off = np.diag(np.sqrt(b[1:]), 1)
+            t = np.diag(-sign * (a + shift)) + off + off.T
+            eigs = np.linalg.eigvalsh(t)
+            if np.min(np.abs(eigs)) > 1e-9:
+                assert count == np.count_nonzero(eigs < 0.0)
+
+    def test_zero_pivot_counts_as_negative(self):
+        # Kahan's guard: a pivot that is exactly 0 is taken as a tiny negative
+        # number, so a level exactly at E counts as below it
+        def block(lanes, n_lo, n_hi):
+            return np.zeros((n_hi - n_lo + 1, lanes.size)), np.ones((n_hi - n_lo + 1, 1))
+
+        assert batch_negative_pivots(block, np.zeros(1), 1, 1.0).tolist() == [1]
+        assert batch_negative_pivots(block, np.zeros(1), 1, -1.0).tolist() == [1]

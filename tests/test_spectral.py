@@ -1,23 +1,20 @@
 """Transcendental eigenvalue functions and pole-aware root finding."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from rabispec import (
-    EmptyWindow,
     ModelKind,
     ModelParams,
     PoleCollision,
     Sector,
     compute_spectrum,
     eval_continued_fraction,
+    oracle_spectrum,
     pole_energies,
-    refine_root,
-    scan_brackets,
     spectral_function,
     split_spectral_value,
 )
@@ -25,9 +22,7 @@ from rabispec.errors import CollapseRegimeWarning, SignLostWarning
 from rabispec.models import distance_to_pole_set
 from rabispec.spectral import (
     RESIDUAL_CAP,
-    Bracket,
     SpectrumOptions,
-    default_grid_step,
     default_window_min,
     eps_exceptional,
     poles_in_window,
@@ -95,27 +90,28 @@ class TestSplitFunction:
 class TestScanAndRefine:
     def test_single_eigenvalue_window(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
-        brackets = scan_brackets(model, sector, (0.2, 0.6), 0.02)
-        assert len(brackets) == 1
-        assert brackets[0].lo < eigs[0] < brackets[0].hi
+        result = compute_spectrum(model, sector, (0.2, 0.6))
+        assert len(result.roots) == 1 and result.brackets_found == 1
 
     def test_empty_below_ground_state(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
-        assert scan_brackets(model, sector, (-3.0, -2.0), 0.02) == []
+        result = compute_spectrum(model, sector, (-3.0, -2.0))
+        assert result.roots == [] and result.flagged == []
 
     def test_refine_hits_oracle_value(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
-        (br,) = scan_brackets(model, sector, (0.2, 0.6), 0.02)
-        rec = refine_root(model, sector, br, abs_tol=1e-10)
+        opts = SpectrumOptions(root_abs_tol=1e-10)
+        (rec,) = compute_spectrum(model, sector, (0.2, 0.6), opts).roots
         assert rec.energy == pytest.approx(eigs[0], abs=1e-7)
         assert rec.residual <= RESIDUAL_CAP
         assert not rec.sign_lost
 
     def test_abs_tol_self_consistency(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
-        (br,) = scan_brackets(model, sector, (0.2, 0.6), 0.02)
-        coarse = refine_root(model, sector, br, abs_tol=1e-6)
-        fine = refine_root(model, sector, br, abs_tol=1e-10)
+        (coarse,), (fine,) = (
+            compute_spectrum(model, sector, (0.2, 0.6), SpectrumOptions(root_abs_tol=tol)).roots
+            for tol in (1e-6, 1e-10)
+        )
         assert abs(coarse.energy - fine.energy) <= 1e-6
 
     def test_surrogate_root_closed_form(self):
@@ -127,11 +123,6 @@ class TestScanAndRefine:
 
         root = scipy.optimize.brentq(f, 2.0, 4.0, xtol=1e-14)
         assert root == pytest.approx(3.0, abs=1e-12)
-
-    def test_invalid_bracket_rejected(self, two_photon_ref):
-        model, sector, _, _ = two_photon_ref
-        with pytest.raises(ValueError):
-            refine_root(model, sector, Bracket(0.2, 0.6, 1.0, 2.0))
 
 
 class TestComputeSpectrum:
@@ -170,25 +161,37 @@ class TestComputeSpectrum:
         for a, b in zip(plus.energies, minus.energies):
             assert a == pytest.approx(b, abs=1e-9)
 
-    def test_halving_grid_step_keeps_roots(self, two_photon_ref):
-        model, sector, _, _ = two_photon_ref
-        win = (-0.5, 4.0)
-        step = default_grid_step(model)
-        coarse = compute_spectrum(model, sector, win, SpectrumOptions(grid_step=step))
-        fine = compute_spectrum(model, sector, win, SpectrumOptions(grid_step=step / 2.0))
-        for e in coarse.energies:
-            assert any(abs(e - f) < 1e-8 for f in fine.energies)
-
-    def test_empty_window_error(self, two_photon_ref):
+    def test_narrow_window_around_pole(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
         pole = pole_energies(model, sector, 1)[1]
-        with pytest.raises(EmptyWindow):
-            scan_brackets(model, sector, (pole - 5e-7, pole + 5e-7), 1e-7)
+        window = (pole - 5e-7, pole + 5e-7)
+        result = compute_spectrum(model, sector, window)
+        oracle_vals, _ = oracle_spectrum(model, sector, window)
+        found = result.energies + [r.energy for r in result.flagged]
+        assert found == pytest.approx(oracle_vals, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_window_centred_on_pole(self, two_photon_ref, n):
+        # the first bisection point is the pole itself and must move off it
+        model, sector, _, _ = two_photon_ref
+        pole = pole_energies(model, sector, n)[n]
+        window = (pole - 0.5, pole + 0.5)
+        assert 0.5 * (window[0] + window[1]) == pole
+        result = compute_spectrum(model, sector, window)
+        oracle_vals, _ = oracle_spectrum(model, sector, window)
+        found = sorted(result.energies + [r.energy for r in result.flagged])
+        assert found == pytest.approx(oracle_vals, abs=1e-7)
 
     def test_window_validation(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
         with pytest.raises(ValueError):
             compute_spectrum(model, sector, (2.0, 1.0))
+
+    @pytest.mark.parametrize("field", ["root_abs_tol", "cf_rel_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_tolerances_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SpectrumOptions(**{field: value})
 
     def test_default_window_min_below_ground(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
@@ -214,6 +217,21 @@ class TestDrivenHiddenPairs:
         result = compute_spectrum(model, sector, (0.5, 1.3))
         for e in result.energies:
             assert abs(e - 0.94) > 1e-5
+
+
+    @pytest.mark.parametrize("lo_side, hi_side, held", [
+        (None, -1.0, False), (None, 1.0, True), (-1.0, None, True), (1.0, None, False),
+    ])
+    def test_window_edge_next_to_level_on_pole(self, lo_side, hi_side, held):
+        # an edge within eps_pole of the pole holding the 0.94 level keeps the
+        # level in the window exactly when the pole lies in it
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.6, 0.3)
+        sector = Sector.driven()
+        pole = pole_energies(model, sector, 1)[1]
+        window = (0.5 if lo_side is None else pole + lo_side * 5e-10,
+                  1.3 if hi_side is None else pole + hi_side * 5e-10)
+        result = compute_spectrum(model, sector, window)
+        assert [r.energy for r in result.flagged] == ([pole] if held else [])
 
 
 class TestBatchedEigencondition:
@@ -250,19 +268,6 @@ class TestBatchedEigencondition:
         keep = [0, 1, 3, 4]
         alone = split_values(model, sector, energies[keep], splits[keep])
         np.testing.assert_array_equal(batch[keep], alone)
-
-
-class TestRefineSignLost:
-    def test_bracket_on_a_pole_loses_the_sign(self, two_photon_ref):
-        # both ends and every trial point sit within eps_pole of E_1
-        model, sector, _, _ = two_photon_ref
-        p = pole_energies(model, sector, 1)[1]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rec = refine_root(model, sector, Bracket(p - 4e-10, p + 4e-10, -1.0, 1.0),
-                              abs_tol=1e-12)
-        assert rec.sign_lost
-        assert [type(w.message) for w in caught] == [SignLostWarning]
 
 
 def test_warning_types_exported():
