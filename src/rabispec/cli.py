@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RabispecError, TruncationCeiling
+from .errors import RabispecError, TruncationCeiling, ZeroCoupling
 from .models import ModelKind, ModelParams, Sector, pole_spacing
 from .oracle import oracle_spectrum
 from .series import minimal_series, norm_tail_ratio, norm_term_ratio
@@ -51,7 +52,6 @@ class RunConfig:
     sector: Sector
     e_min: float
     e_max: float
-    grid_step: float | None
     cf_rel_tol: float
     root_abs_tol: float
     oracle_n: int | None
@@ -67,7 +67,7 @@ def _parse_half_integer(text: str) -> float:
 
 
 _CONFIG_KEYS = (
-    "model", "omega", "delta", "g", "drive", "q", "kappa", "emin", "emax", "grid_step",
+    "model", "omega", "delta", "g", "drive", "q", "kappa", "emin", "emax",
     "cf_rel_tol", "root_abs_tol", "oracle_n", "match_tol", "format", "output",
 )
 _FORMATS = ("csv", "json")
@@ -101,8 +101,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa", help="two-mode sector, half-integer as p/2 or decimal")
     p.add_argument("--emin", type=float, help="lower window edge")
     p.add_argument("--emax", type=float, help="upper window edge")
-    p.add_argument("--grid-step", type=float,
-                   help="accepted for old command lines; has no effect (levels are counted)")
     p.add_argument("--cf-rel-tol", type=float, help="continued-fraction tolerance")
     p.add_argument("--root-abs-tol", type=float, help="root bracket tolerance")
     p.add_argument("--oracle-n", type=int, help="starting Fock truncation for the oracle")
@@ -160,7 +158,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         sector=sector,
         e_min=e_min,
         e_max=e_max,
-        grid_step=pick(args.grid_step, "grid_step", float),
         cf_rel_tol=pick(args.cf_rel_tol, "cf_rel_tol", float, 1e-12),
         root_abs_tol=pick(args.root_abs_tol, "root_abs_tol", float, 1e-10),
         oracle_n=pick(args.oracle_n, "oracle_n", int),
@@ -191,10 +188,18 @@ def _meta(cfg: RunConfig) -> dict:
     return meta
 
 
+def _json_value(x):
+    # JSON (RFC 8259) has no Infinity or NaN; CSV keeps inf and nan
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> None:
     if cfg.out_format == "json":
-        payload = {"meta": meta, "rows": [dict(zip(columns, r)) for r in rows]}
-        text = json.dumps(payload, default=lambda o: o, indent=2, sort_keys=True) + "\n"
+        payload = {
+            "meta": {k: _json_value(v) for k, v in meta.items()},
+            "rows": [{c: _json_value(v) for c, v in zip(columns, r)} for r in rows],
+        }
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
         lines.append(",".join(columns))
@@ -208,14 +213,7 @@ def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> N
 
 
 def _spectrum_options(cfg: RunConfig) -> SpectrumOptions:
-    # grid_step has no effect since levels are counted; it is still checked
-    # so that command lines and config files keep their meaning
-    if cfg.grid_step is not None and not cfg.grid_step > 0.0:
-        raise ValueError("grid_step must be positive")
-    return SpectrumOptions(
-        cf_rel_tol=cfg.cf_rel_tol,
-        root_abs_tol=cfg.root_abs_tol,
-    )
+    return SpectrumOptions(cf_rel_tol=cfg.cf_rel_tol, root_abs_tol=cfg.root_abs_tol)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -225,13 +223,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     meta = _meta(cfg)
     meta["count_rows"] = result.count_rows
     meta["poles"] = ";".join(_fmt(p) for p in result.poles)
-    rows = [
-        [i, r.energy, r.residual, False]
-        for i, r in enumerate(result.roots)
-    ] + [
-        [len(result.roots) + i, r.energy, r.residual, True]
-        for i, r in enumerate(result.flagged)
-    ]
+    levels = [(r, False) for r in result.roots] + [(r, True) for r in result.flagged]
+    rows = [[i, r.energy, r.residual, flagged] for i, (r, flagged) in enumerate(levels)]
     _emit(cfg, meta, ["index", "energy", "residual", "flagged"], rows)
     return 0
 
@@ -335,15 +328,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     meta = _meta(cfg)
     meta["oracle_n_used"] = n_used
     meta["match_tol"] = cfg.match_tol
-    out_rows = [
-        [
-            "" if r is None else r,
-            "" if o is None else o,
-            "" if d is None else d,
-            status,
-        ]
-        for r, o, d, status in rows
-    ]
+    out_rows = [["" if v is None else v for v in row] for row in rows]
     _emit(cfg, meta, ["root", "oracle", "diff", "status"], out_rows)
     unmatched = [s for *_, s in rows if s in ("cf_only", "oracle_only")]
     return 2 if unmatched else 0
@@ -366,8 +351,6 @@ def cmd_series(cfg: RunConfig, energy: float, order: int) -> int:
 
 
 def _closed_form_hint(exc: Exception) -> str:
-    from .errors import ZeroCoupling
-
     if isinstance(exc, ZeroCoupling):
         return " (use the decoupled g=0 closed form instead)"
     return ""

@@ -5,21 +5,20 @@ K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0 is
 
     R_n = -b(n+1) / (a(n+1) - b(n+2) / (a(n+2) - ...)).
 
-Two routes evaluate it.  ``batch_minimal_ratio`` runs Miller-style backward
-recursion over a whole array of lanes at once (one energy and start index per
-lane), doubling each lane's depth until it converges; ``spectral.split_values``
-uses it for every batched evaluation.  Forward modified Lentz with the same
-depth-doubling rule (``eval_continued_fraction``) is the scalar reference.
-``backward_ratios`` is the one scalar backward recursion: every ratio of one
-pass, behind the cross-check ``backward_recursion_ratio`` and the series
-coefficients of ``series.minimal_series``.  ``forward_ratio`` is the scalar
-continuant ratio K_{k+1}/K_k of the split eigenconditions.  The scalar routes
-accept any object exposing ``a(n)`` and ``b(n)`` (and optionally
-``tail_ratio_scale``), so surrogate coefficient sequences can be used in tests.
+Every production path runs one of three loops over coefficient rows that the
+caller builds (``models.coefficient_block``):
 
-``batch_negative_pivots`` runs the forward continuant ratios as LDL^T pivots
-over the same batched coefficient blocks and counts the negative ones: the
-Sturm count behind ``spectral.level_count``.
+- ``batch_minimal_ratio``, backward recursion over a batch of energies with
+  per-lane depth doubling, gives R_k to ``spectral.split_values``;
+- ``batch_pivots``, the forward recursion as LDL^T pivots, gives K_{k+1}/K_k
+  to ``spectral.split_values`` and the Sturm count to ``spectral.level_count``;
+- ``backward_ratio_rows``, one scalar backward pass, gives every ratio of
+  ``series.minimal_series``.
+
+The scalar references ``eval_continued_fraction`` (modified Lentz),
+``backward_ratios`` and ``forward_ratio`` fetch a(n) and b(n) one n at a time
+from any object exposing them (and optionally ``tail_ratio_scale``), so tests
+can pass surrogate coefficient sequences.
 """
 
 from __future__ import annotations
@@ -122,29 +121,34 @@ def backward_recursion_ratio(coeffs, start: int = 0, tail_depth: int = 1024) -> 
 
 
 def backward_ratios(coeffs, start: int, tail: int) -> list[float]:
+    """R_start, ..., R_{tail-1} by ``backward_ratio_rows``, fetching a(n), b(n) one n at a time."""
+    n = range(start + 1, tail + 1)
+    scale = getattr(coeffs, "tail_ratio_scale", 0.0)
+    return backward_ratio_rows([coeffs.a(m) for m in n], [coeffs.b(m) for m in n], start, scale)
+
+
+def backward_ratio_rows(a: list[float], b: list[float], start: int, scale: float) -> list[float]:
     """R_start, ..., R_{tail-1} from one backward recursion pass.
 
-    Iterates r_{n-1} = -b(n) / (a(n) + r_n) downward from n = ``tail``.  When
-    the coefficients advertise a minimal-ratio scale t2, the tail is seeded
-    with t2 / tail instead of 0, which accelerates convergence near the
-    collapse regime.  Vanishing denominators are floored at 1e-300 with their
-    sign preserved.  Raises CoefficientPole on a non-finite coefficient.
+    a[i] and b[i] are the coefficients of row n = start + 1 + i, up to
+    n = tail.  Iterates r_{n-1} = -b(n) / (a(n) + r_n) downward from n = tail,
+    seeded with scale / tail (a minimal-ratio scale t2 speeds convergence
+    near the collapse regime; 0 seeds with 0).  Vanishing denominators are
+    floored at 1e-300 with their sign preserved.  Raises CoefficientPole on
+    a non-finite coefficient.
     """
-    scale = getattr(coeffs, "tail_ratio_scale", 0.0)
-    r = scale / tail if scale else 0.0
-    # local names: an order-2000 series runs this loop ~4,000 times
-    a, b, isfinite = coeffs.a, coeffs.b, math.isfinite
-    out = [0.0] * (tail - start)
-    for n in range(tail, start, -1):
-        a_n = a(n)
-        b_n = b(n)
+    r = scale / (start + len(a)) if scale else 0.0
+    isfinite = math.isfinite  # a local name: an order-2000 series runs this loop ~4,000 times
+    out = [0.0] * len(a)
+    for i in range(len(a) - 1, -1, -1):
+        a_n, b_n = a[i], b[i]
         if not (isfinite(a_n) and isfinite(b_n)):
-            raise CoefficientPole(f"non-finite coefficient consumed at index {n}")
+            raise CoefficientPole(f"non-finite coefficient consumed at index {start + 1 + i}")
         den = a_n + r
         if abs(den) < _DENOM_FLOOR:
             den = math.copysign(_DENOM_FLOOR, den if den != 0.0 else 1.0)
         r = -b_n / den
-        out[n - 1 - start] = r
+        out[i] = r
     return out
 
 
@@ -170,28 +174,47 @@ def forward_ratio(coeffs, k: int) -> float:
     return curr / prev
 
 
-def batch_negative_pivots(block, lanes: np.ndarray, rows: int, sign: float) -> np.ndarray:
-    """Negative pivots among the first ``rows`` rows, for every lane.
+def batch_pivots(block, lanes: np.ndarray, rows: int, sign: float):
+    """Yield (n, sigma_n) for n < ``rows``, every lane at once; the caller ignores overflow.
 
     ``block`` is the callable of ``batch_minimal_ratio``.  The pivots are
     sigma_0 = -sign * a(0) and sigma_n = -sign * a(n) - b(n) / sigma_{n-1}:
-    with b(n) > 0 they are the LDL^T pivots of the symmetric tridiagonal with
-    diagonal -sign * a(n) and off-diagonal sqrt(b(n)), so their negative
-    count is its number of negative eigenvalues (the Sturm count).  A pivot
-    that is exactly 0 is taken as a tiny negative number (Kahan's guard).
+    with sign = +1 the continuant ratios K_{n+1}/K_n (K_0 = 1), and with
+    b(n) > 0 the LDL^T pivots of the symmetric tridiagonal with diagonal
+    -sign * a(n) and off-diagonal sqrt(b(n)).  A pivot that is exactly 0 is
+    taken as a tiny negative number (Kahan's guard).
     """
     lanes = np.asarray(lanes)
-    count = np.zeros(lanes.shape, dtype=np.intp)
     pivot = None
+    for lo in range(0, rows, BLOCK_ROWS):
+        a, b = block(lanes, lo, min(lo + BLOCK_ROWS, rows) - 1)
+        a = -sign * a
+        for i in range(a.shape[0]):
+            pivot = a[i] if pivot is None else a[i] - b[i] / pivot
+            pivot[pivot == 0.0] = -_TINY
+            yield lo + i, pivot
+
+
+def batch_negative_pivots(block, lanes: np.ndarray, rows: int, sign: float) -> np.ndarray:
+    """Negative pivots among the first ``rows`` rows per lane: the Sturm count."""
+    count = np.zeros(np.shape(lanes), dtype=np.intp)
     with np.errstate(divide="ignore", over="ignore"):
-        for lo in range(0, rows, BLOCK_ROWS):
-            a, b = block(lanes, lo, min(lo + BLOCK_ROWS, rows) - 1)
-            a = -sign * a
-            for i in range(a.shape[0]):
-                pivot = a[i] if pivot is None else a[i] - b[i] / pivot
-                pivot[pivot == 0.0] = -_TINY
-                count += pivot < 0.0
+        for _, pivot in batch_pivots(block, lanes, rows, sign):
+            count += pivot < 0.0
     return count
+
+
+def batch_continuant_ratio(block, lanes: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """K_{k+1}/K_k for every lane, k = ``splits``: the pivot sigma_k at sign = +1.
+
+    Where K_k = 0 exactly, Kahan's guard gives a huge finite ratio, not inf.
+    """
+    splits = np.asarray(splits)
+    out = np.empty(splits.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        for n, pivot in batch_pivots(block, lanes, int(splits.max()) + 1, 1.0):
+            np.copyto(out, pivot, where=splits == n)
+    return out
 
 
 def batch_minimal_ratio(

@@ -2,9 +2,13 @@
 
 Coefficients are built from continued-fraction ratios (cumulative products),
 never by forward recursion: forward recursion is contaminated exponentially by
-the dominant solution.  Because the minimal coefficients underflow doubles near
-n ~ 150, log-magnitudes and signs are stored alongside the raw values; ratio
-and norm diagnostics work entirely in log space.
+the dominant solution.  ``minimal_series`` takes its coefficient rows from one
+``models.coefficient_block`` call and runs the scalar backward loop
+``contfrac.backward_ratio_rows`` over them once; it judges the energy by
+``spectral.split_residual``, the residual ``compute_spectrum`` reports.
+Because the minimal coefficients underflow doubles near n ~ 150,
+log-magnitudes and signs are stored alongside the raw values; ratio and norm
+diagnostics work entirely in log space.
 """
 
 from __future__ import annotations
@@ -13,10 +17,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .contfrac import backward_ratios, forward_ratio
-from .errors import NotAnEigenvalueWarning, PoleCollision, TruncationInsufficient
-from .models import ModelKind, ModelParams, Sector, nearest_pole_index, three_term_coeffs
-from .spectral import RESIDUAL_CAP
+import numpy as np
+
+from .contfrac import backward_ratio_rows
+from .errors import NotAnEigenvalueWarning, TruncationInsufficient
+from .models import ModelKind, ModelParams, Sector, coefficient_block, three_term_coeffs
+from .spectral import RESIDUAL_CAP, split_residual
 
 
 @dataclass(frozen=True)
@@ -52,21 +58,20 @@ def minimal_series(
 ) -> SeriesCoefficients:
     """Build the minimal-solution series at an (approximate) spectral root.
 
-    E is judged by the residual rule of ``compute_spectrum``: the smallest
-    |W_k| = |R_k - K_{k+1}/K_k| over k = 0, base and base + 1, where E_base is
-    the pole nearest E, with R_k from the backward pass that builds the
-    series.  If it exceeds the residual cap the series is still returned,
-    flagged, with a NotAnEigenvalueWarning.  The plus component uses the pole
-    relation plus[n] = delta * minus[n] / pole_denominator(n) and raises
-    PoleCollision if E sits on a pole.
+    E is judged by ``spectral.split_residual``, the residual that
+    ``compute_spectrum`` reports for its levels.  If it exceeds the residual
+    cap the series is still returned, flagged, with a NotAnEigenvalueWarning.
+    The ratios come from one backward pass seeded at row 2 * order + 64.
+    The plus component uses the pole relation
+    plus[n] = delta * minus[n] / pole_denominator(n).  Raises PoleCollision
+    if E sits within eps_pole of a pole.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    coeffs = three_term_coeffs(model, sector, energy)
-    base = int(nearest_pole_index(model, sector, energy))
-    ratios = backward_ratios(coeffs, 0, 2 * max(order, base + 2) + 64)
-    split_residuals = [abs(ratios[k] - forward_ratio(coeffs, k)) for k in (0, base, base + 1)]
-    residual = min((r for r in split_residuals if math.isfinite(r)), default=math.inf)
+    coeffs = three_term_coeffs(model, sector, energy)  # raises ZeroCoupling/PoleCollision
+    a, b = coefficient_block(model, sector, np.array([energy]), 1, 2 * order + 64)
+    ratios = backward_ratio_rows(a[:, 0].tolist(), b[:, 0].tolist(), 0, coeffs.tail_ratio_scale)
+    residual = float(split_residual(model, sector, energy)[0])
     flagged = residual > RESIDUAL_CAP
     if flagged:
         warnings.warn(
@@ -85,13 +90,9 @@ def minimal_series(
         else:
             log_abs.append(log_abs[n] + math.log(abs(ratios[n])))
             signs.append(signs[n] * (1 if ratios[n] > 0.0 else -1))
-    plus = []
     d = model.delta
-    for n in range(order + 1):
-        den = coeffs.pole_denominator(n)
-        if abs(den) < model.eps_pole:
-            raise PoleCollision(f"plus-component pole hit at n = {n}")
-        plus.append(d * minus[n] / den)
+    dens = coeffs.pole_denominator(np.arange(order + 1)).tolist()
+    plus = [d * m / den for m, den in zip(minus, dens)]
     return SeriesCoefficients(
         minus=minus,
         plus=plus,

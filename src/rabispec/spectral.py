@@ -23,8 +23,12 @@ window as j in [N(e_min), N(e_max)), bisects each on N(E), and checks each
 level's position under a doubling of the truncation.  The count is the
 certificate that no level is lost; |W_k| at each level is only reported.
 
-``split_values`` evaluates F and W_k over whole batches of energies at once
-(batched backward recursion).  ``spectral_function`` and
+``split_values`` evaluates F and W_k over whole batches of energies at once:
+R_k from the batched backward recursion, K_{k+1}/K_k from the same forward
+pivot recursion that ``level_count`` counts (both in ``contfrac``).
+``split_residual`` is the one residual rule, min |W_k| over k = 0, base and
+base + 1; ``compute_spectrum`` reports it for every level and
+``series.minimal_series`` judges its energy by it.  ``spectral_function`` and
 ``split_spectral_value`` evaluate one energy by modified Lentz; they are the
 scalar reference the batched values are tested against.
 """
@@ -34,14 +38,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .contfrac import (
-    BLOCK_ROWS,
     CFValue,
     DEFAULT_MAX_DEPTH,
     DEFAULT_REL_TOL,
+    batch_continuant_ratio,
     batch_minimal_ratio,
     batch_negative_pivots,
     eval_continued_fraction,
@@ -64,7 +69,7 @@ from .models import (
 # Pole-handling constants (in units of omega where dimensionful).
 EPS_POLE_GUARD_FACTOR = 1e-6   # samples this close to a pole are marked near_pole
 EPS_EXC_FACTOR = 1e-5          # levels closer than this to a pole are exceptional candidates
-RESIDUAL_CAP = 1e-4            # energies above this min |W_k| are not eigenvalues (series)
+RESIDUAL_CAP = 1e-4            # energies above this split_residual are not eigenvalues (series)
 # Recurrence rows of the first level count; doubled while levels move.
 _FIRST_COUNT_ROWS = 64
 
@@ -135,10 +140,6 @@ class SpectrumResult:
         return [r.energy for r in self.roots]
 
 
-def _guard(model: ModelParams) -> float:
-    return EPS_POLE_GUARD_FACTOR * model.omega
-
-
 def eps_exceptional(model: ModelParams) -> float:
     return EPS_EXC_FACTOR * model.omega
 
@@ -180,7 +181,7 @@ def spectral_function(
         energy=energy,
         value=cf.value + coeffs.a(0),
         cf=cf,
-        near_pole=dist < _guard(model),
+        near_pole=dist < EPS_POLE_GUARD_FACTOR * model.omega,
     )
 
 
@@ -206,6 +207,11 @@ def split_spectral_value(
     return cf.value - forward_ratio(coeffs, split)
 
 
+def _coefficient_rows(model: ModelParams, sector: Sector):
+    """The ``block`` callable of the batched ``contfrac`` kernels for this model and sector."""
+    return partial(coefficient_block, model, sector)
+
+
 def split_values(
     model: ModelParams,
     sector: Sector,
@@ -219,9 +225,9 @@ def split_values(
     ``splits`` is each lane's split index k (a scalar applies to every lane);
     k = 0 gives F, since W_0 = R_0 + a(0).  R_k comes from batched backward
     recursion (``batch_minimal_ratio``) and K_{k+1}/K_k from the forward
-    continuant recursion run over all lanes.  Lanes within eps_pole of the
-    pole set, where ``split_spectral_value`` raises PoleCollision, and lanes
-    whose value is not finite are nan.
+    pivot recursion (``batch_continuant_ratio``).  Lanes within eps_pole of
+    the pole set, where ``split_spectral_value`` raises PoleCollision, and
+    lanes whose value is not finite are nan.
     """
     check_coupling(model)
     sector.check_matches(model)
@@ -232,39 +238,35 @@ def split_values(
     if not usable.any():
         return out
     e, k = energies[usable], splits[usable]
-
-    def block(lanes, n_lo, n_hi):
-        return coefficient_block(model, sector, lanes, n_lo, n_hi)
-
+    block = _coefficient_rows(model, sector)
     tail = batch_minimal_ratio(block, e, k, asymptotic_roots(model).t2, rel_tol, max_depth)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = tail - _forward_ratios(model, sector, e, k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = tail - batch_continuant_ratio(block, e, k)
     w[~np.isfinite(w)] = np.nan
     out[usable] = w
     return out
 
 
-def _forward_ratios(model, sector, energies: np.ndarray, splits: np.ndarray) -> np.ndarray:
-    """``forward_ratio`` for every lane: K_{k+1}/K_k with k = splits, K_0 = 1."""
-    k_max = int(splits.max())
-    prev = np.ones(energies.size)
-    curr = prev
-    for n_lo in range(0, k_max + 1, BLOCK_ROWS):
-        a, b = coefficient_block(model, sector, energies, n_lo, min(n_lo + BLOCK_ROWS - 1, k_max))
-        for i in range(a.shape[0]):
-            m = n_lo + i
-            if m == 0:
-                curr = -a[0]  # K_1
-                continue
-            nxt = -a[i] * curr - b[i] * prev
-            live = splits >= m
-            prev, curr = np.where(live, curr, prev), np.where(live, nxt, curr)
-            scale = np.maximum(np.abs(prev), np.abs(curr))
-            big = scale > 1e150
-            if big.any():
-                prev = np.where(big, prev / scale, prev)
-                curr = np.where(big, curr / scale, curr)
-    return curr / prev
+def split_residual(
+    model: ModelParams,
+    sector: Sector,
+    energies,
+    rel_tol: float = DEFAULT_REL_TOL,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> np.ndarray:
+    """min |W_k| over k = 0, base and base + 1 at each energy, E_base the pole nearest it.
+
+    inf where no W_k is finite (on a pole).
+    """
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    base = nearest_pole_index(model, sector, energies)
+    w = split_values(
+        model, sector, np.tile(energies, 3), np.concatenate([np.zeros_like(base), base, base + 1]),
+        rel_tol, max_depth,
+    )
+    residual = np.fmin.reduce(np.abs(w).reshape(3, -1), axis=0)
+    residual[np.isnan(residual)] = np.inf
+    return residual
 
 
 def default_window_min(model: ModelParams, sector: Sector) -> float:
@@ -289,10 +291,7 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
     energies = np.asarray(energies, dtype=float)
     first, spacing = pole_lattice(model, sector)
     poles_below = np.clip(np.ceil((energies - first) / spacing), 0, rows).astype(np.intp)
-
-    def block(lanes, n_lo, n_hi):
-        return coefficient_block(model, sector, lanes, n_lo, n_hi)
-
+    block = _coefficient_rows(model, sector)
     return batch_negative_pivots(block, energies, rows, math.copysign(1.0, model.g)) + poles_below
 
 
@@ -360,10 +359,9 @@ def compute_spectrum(
 
     Levels within the exceptional tolerance of a pole energy are reported in
     ``flagged`` (exceptional-spectrum candidates; the truncation constraints
-    are not checked), the others in ``roots``.  Each level's residual is the
-    smallest |W_k| over k = 0, base and base + 1 at its energy, with E_base
-    the pole nearest it, or inf where no W_k is defined (on a pole).  It is
-    reported, never used to reject a level: the count is the certificate.
+    are not checked), the others in ``roots``.  Each level's residual is
+    ``split_residual`` at its energy (inf on a pole).  It is reported, never
+    used to reject a level: the count is the certificate.
     """
     if opts is None:
         opts = SpectrumOptions()
@@ -416,13 +414,7 @@ def compute_spectrum(
     mid = 0.5 * (lo + hi)
     pole = pole_energy(model, sector, nearest_pole_index(model, sector, mid))
     energy = np.where((lo < pole) & (pole < hi), pole, mid)
-    base = nearest_pole_index(model, sector, energy)
-    w = split_values(
-        model, sector, np.tile(energy, 3), np.concatenate([np.zeros_like(base), base, base + 1]),
-        opts.cf_rel_tol, cap,
-    )
-    residual = np.fmin.reduce(np.abs(w).reshape(3, -1), axis=0)
-    residual[np.isnan(residual)] = np.inf
+    residual = split_residual(model, sector, energy, opts.cf_rel_tol, cap)
     near_pole = distance_to_pole_set(model, sector, energy) < eps_exceptional(model)
 
     roots: list[RootRecord] = []

@@ -28,6 +28,15 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def load_json(text):
+    """json.loads that rejects Infinity and NaN, which RFC 8259 JSON does not have."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def parse_csv(text):
     meta = {}
     lines = [ln for ln in text.splitlines() if ln]
@@ -52,11 +61,6 @@ class TestSpectrumCommand:
         energies = [float(r[1]) for r in rows if r[3] == "false"]
         assert energies == pytest.approx(TWO_PHOTON_REF_EIGS[:3], abs=1e-7)
 
-    def test_grid_step_accepted_without_effect(self, capsys):
-        _, plain, _ = run_cli(capsys, SPECTRUM_ARGS)
-        code, stepped, _ = run_cli(capsys, SPECTRUM_ARGS + ["--grid-step", "0.3"])
-        assert code == 0 and stepped == plain
-
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, SPECTRUM_ARGS)
         _, out2, _ = run_cli(capsys, SPECTRUM_ARGS)
@@ -65,13 +69,26 @@ class TestSpectrumCommand:
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, SPECTRUM_ARGS + ["--format", "json"])
         assert code == 0
-        payload = json.loads(out)
+        payload = load_json(out)
         assert set(payload) == {"meta", "rows"}
         assert payload["meta"]["model"] == "two-photon"
         energies = [r["energy"] for r in payload["rows"] if not r["flagged"]]
         assert energies == pytest.approx(TWO_PHOTON_REF_EIGS[:3], abs=1e-7)
         # serialization is idempotent
-        assert json.loads(json.dumps(payload)) == payload
+        assert load_json(json.dumps(payload)) == payload
+
+    def test_level_on_pole_residual(self, capsys):
+        # no W_k is defined at a level exactly on a pole: JSON null, CSV inf
+        args = ["spectrum", "--model", "driven", "--delta", "0.4", "--g", "0.6",
+                "--drive", "0.3", "--emin", "0.5", "--emax", "1.3"]
+        code, out, _ = run_cli(capsys, args + ["--format", "json"])
+        assert code == 0
+        (row,) = load_json(out)["rows"]
+        assert row["flagged"] is True and row["residual"] is None
+        assert row["energy"] == pytest.approx(0.94, abs=1e-12)
+        _, out, _ = run_cli(capsys, args)
+        _, _, rows = parse_csv(out)
+        assert rows == [["0", "0.93999999999999995", "inf", "true"]]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "spectrum.csv"
@@ -102,10 +119,10 @@ class TestConfigHandling:
         assert float(meta["g"]) == 0.2
 
     @pytest.mark.parametrize("line, named", [
-        ("gridstep = 0.5", "gridstep"),  # a typo of grid_step
+        ("gridstep = 0.5", "gridstep"),
         ("format = xml", "xml"),
         ("root_abs_tol = 0", "root_abs_tol"),
-        ("grid_step = -1", "grid_step"),
+        ("grid_step = -1", "grid_step"),  # a retired key is an unknown key
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path, line, named):
         cfg = tmp_path / "run.cfg"
@@ -181,6 +198,18 @@ class TestCurveCommand:
         # guard-zone neighbors are flagged near_pole
         assert rows[0][3] == "true" and rows[2][3] == "true"
 
+    def test_pole_sample_is_json_null(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["curve", "--model", "driven", "--delta", "0.4", "--g", "0.6", "--drive", "0.3",
+             "--emin", "0.9", "--emax", "0.98", "--samples", "3", "--format", "json"],
+        )
+        assert code == 0
+        payload = load_json(out)
+        assert "PoleCollision" in payload["meta"]["errors"]
+        values = [r["value"] for r in payload["rows"]]
+        assert values[1] is None and all(math.isfinite(v) for v in values[::2])
+
 
 class TestOracleCommand:
     def test_decoupled_limit(self, capsys):
@@ -208,7 +237,7 @@ class TestSeriesCommand:
              "--format", "json"],
         )
         assert code == 0
-        payload = json.loads(out)
+        payload = load_json(out)
         meta, rows = payload["meta"], payload["rows"]
         assert meta["not_an_eigenvalue"] is False
         assert meta["spectral_residual"] < 1e-4
@@ -226,7 +255,7 @@ class TestSeriesCommand:
              "--emax", "6", "--energy", "5.1427033618120745", "--format", "json"],
         )
         assert code == 0
-        meta = json.loads(out)["meta"]
+        meta = load_json(out)["meta"]
         assert meta["not_an_eigenvalue"] is False
         assert meta["spectral_residual"] < 1e-4
 
@@ -239,7 +268,7 @@ class TestSeriesCommand:
                  "--format", "json"],
             )
         assert code == 0
-        payload = json.loads(out)
+        payload = load_json(out)
         assert payload["meta"]["not_an_eigenvalue"] is True
         assert all(r["k_plus"] == 0.0 for r in payload["rows"])
 

@@ -10,6 +10,7 @@ from rabispec import (
     NotAnEigenvalueWarning,
     Sector,
     TruncationInsufficient,
+    compute_spectrum,
     eval_wavefunction,
     minimal_series,
     norm_tail_ratio,
@@ -83,6 +84,21 @@ class TestMinimalSeries:
                 separated = True
                 break
         assert separated
+
+    @pytest.mark.parametrize("model, sector, window", [
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2), Sector.two_photon(0.25), (-0.5, 8.0)),
+        # holds the dark level at E = 5.1427, where |F| = 126 but W_5 and W_6 vanish
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.7, 0.1, 0.3), Sector.driven(), (-2.0, 6.0)),
+    ], ids=["two-photon", "driven"])
+    def test_residual_is_the_level_residual(self, model, sector, window):
+        # the series and compute_spectrum judge an energy by one rule
+        result = compute_spectrum(model, sector, window)
+        levels = result.roots + result.flagged
+        assert len(levels) >= 9
+        for level in levels:
+            s = minimal_series(model, sector, level.energy, order=50)
+            assert s.residual == level.residual, level.energy
+            assert not s.flagged
 
     def test_order_validation(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref

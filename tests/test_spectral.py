@@ -236,12 +236,14 @@ class TestDrivenHiddenPairs:
 
 class TestBatchedEigencondition:
     def test_agrees_with_lentz_on_random_points(self):
-        # one batch: 100 random points at split indices 0-4
+        # one batch: 100 random points at split indices 0-4, and 15-17 on
+        # both sides of the BLOCK_ROWS = 16 boundary of the forward recursion
         cases = _random_cases(100)
+        ks = [0, 1, 2, 3, 4, 15, 16, 17]
         for model, sector in {(m, s) for m, s, _ in cases}:
             energies = [e for m, s, e in cases if (m, s) == (model, sector)]
-            lanes = np.repeat(energies, 5)
-            splits = np.tile(np.arange(5), len(energies))
+            lanes = np.repeat(energies, len(ks))
+            splits = np.tile(ks, len(energies))
             got = split_values(model, sector, lanes, splits)
             for e, k, w in zip(lanes, splits, got):
                 if k == 0:
