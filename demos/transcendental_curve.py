@@ -17,7 +17,6 @@ from rabispec import (
     ModelParams,
     Sector,
     compute_spectrum,
-    spectral_function,
     split_spectral_value,
 )
 from rabispec.models import pole_energies
@@ -34,7 +33,7 @@ samples = 41
 width = 57
 for i in range(samples):
     e = lo + (hi - lo) * i / (samples - 1)
-    v = spectral_function(model, sector, e).value
+    v = split_spectral_value(model, sector, e, 0)
     # log-compressed bar so the pole approach does not dominate the picture
     mag = min(math.log10(1.0 + abs(v)) / 3.0, 1.0)
     pos = int(width / 2 + math.copysign(mag * width / 2, v))

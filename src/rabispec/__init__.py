@@ -53,11 +53,9 @@ from .series import (
     norm_tail_ratio,
 )
 from .spectral import (
-    SpectralSample,
     SpectrumOptions,
     SpectrumResult,
     compute_spectrum,
-    spectral_function,
     split_spectral_value,
 )
 
@@ -82,7 +80,6 @@ __all__ = [
     "Sector",
     "SeriesCoefficients",
     "SignLostWarning",
-    "SpectralSample",
     "SpectrumOptions",
     "SpectrumResult",
     "ThreeTermCoeffs",
@@ -104,7 +101,6 @@ __all__ = [
     "norm_tail_ratio",
     "oracle_spectrum",
     "pole_energies",
-    "spectral_function",
     "split_spectral_value",
     "three_term_coeffs",
 ]

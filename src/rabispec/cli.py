@@ -1,9 +1,9 @@
 """Command-line front end with machine-readable CSV/JSON output.
 
 Subcommands: ``spectrum`` (roots of the transcendental function), ``curve``
-(F/G/Q samples for external plotting), ``oracle`` (truncated-Fock
-eigenvalues), ``compare`` (matching report between the two routes) and
-``series`` (minimal-solution coefficients at one energy).
+(F/G/Q samples for external plotting, all from one ``split_values`` call),
+``oracle`` (truncated-Fock eigenvalues), ``compare`` (matching report between
+the two routes) and ``series`` (minimal-solution coefficients at one energy).
 
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
 (truncation ceiling, unmatched rows in compare).
@@ -18,8 +18,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import RabispecError, TruncationCeiling, ZeroCoupling
-from .models import ModelKind, ModelParams, Sector, pole_spacing
+from .models import ModelKind, ModelParams, Sector, distance_to_pole_set, pole_spacing
 from .oracle import oracle_spectrum
 from .series import minimal_series, norm_tail_ratio, norm_term_ratio
 from .spectral import (
@@ -28,7 +30,7 @@ from .spectral import (
     default_window_min,
     eps_exceptional,
     poles_in_window,
-    spectral_function,
+    split_values,
 )
 
 _MODEL_NAMES = {
@@ -36,6 +38,8 @@ _MODEL_NAMES = {
     "two-mode": ModelKind.TWO_MODE,
     "driven": ModelKind.DRIVEN_RABI,
 }
+# curve samples closer than this to a pole (in units of omega) are marked near_pole
+_NEAR_POLE_FACTOR = 1e-6
 
 
 def _fmt(x) -> str:
@@ -58,12 +62,6 @@ class RunConfig:
     match_tol: float
     out_format: str
     output: str | None
-
-
-def _parse_half_integer(text: str) -> float:
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
 
 
 _CONFIG_KEYS = (
@@ -140,7 +138,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         kappa = pick(args.kappa, "kappa", str)
         if kappa is None:
             raise ValueError("two-mode model requires --kappa")
-        sector = Sector.two_mode(_parse_half_integer(kappa))
+        sector = Sector.two_mode(float(Fraction(kappa)))
     else:
         sector = Sector.driven()
 
@@ -158,8 +156,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         sector=sector,
         e_min=e_min,
         e_max=e_max,
-        cf_rel_tol=pick(args.cf_rel_tol, "cf_rel_tol", float, 1e-12),
-        root_abs_tol=pick(args.root_abs_tol, "root_abs_tol", float, 1e-10),
+        cf_rel_tol=pick(args.cf_rel_tol, "cf_rel_tol", float, SpectrumOptions.cf_rel_tol),
+        root_abs_tol=pick(args.root_abs_tol, "root_abs_tol", float, SpectrumOptions.root_abs_tol),
         oracle_n=pick(args.oracle_n, "oracle_n", int),
         match_tol=pick(args.match_tol, "match_tol", float, 1e-6),
         out_format=out_format,
@@ -234,18 +232,19 @@ def cmd_curve(cfg: RunConfig, samples: int) -> int:
         raise ValueError("--samples must be >= 2")
     meta = _meta(cfg)
     meta["samples"] = samples
-    rows = []
+    m, s = cfg.model, cfg.sector
     step = (cfg.e_max - cfg.e_min) / (samples - 1)
-    for i in range(samples):
-        e = cfg.e_min + i * step
-        try:
-            s = spectral_function(cfg.model, cfg.sector, e, cfg.cf_rel_tol)
-            rows.append([e, s.value, s.cf.converged, s.near_pole])
-        except RabispecError as exc:
-            rows.append([e, float("nan"), False, True])
-            meta.setdefault("errors", []).append(f"{_fmt(e)}:{type(exc).__name__}")
-    if "errors" in meta:
-        meta["errors"] = ";".join(meta["errors"])
+    energies = cfg.e_min + np.arange(samples) * step
+    values = split_values(m, s, energies, 0, cfg.cf_rel_tol)  # nan on a pole or unconverged
+    dist = distance_to_pole_set(m, s, energies)
+    collisions = energies[dist < m.eps_pole].tolist()
+    if collisions:
+        meta["errors"] = ";".join(f"{_fmt(e)}:PoleCollision" for e in collisions)
+    near_pole = (dist < _NEAR_POLE_FACTOR * m.omega).tolist()
+    rows = [
+        [e, v, math.isfinite(v), near]
+        for e, v, near in zip(energies.tolist(), values.tolist(), near_pole)
+    ]
     _emit(cfg, meta, ["energy", "value", "converged", "near_pole"], rows)
     return 0
 

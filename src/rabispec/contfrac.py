@@ -15,10 +15,11 @@ caller builds (``models.coefficient_block``):
 - ``backward_ratio_rows``, one scalar backward pass, gives every ratio of
   ``series.minimal_series``.
 
-The scalar references ``eval_continued_fraction`` (modified Lentz),
-``backward_ratios`` and ``forward_ratio`` fetch a(n) and b(n) one n at a time
-from any object exposing them (and optionally ``tail_ratio_scale``), so tests
-can pass surrogate coefficient sequences.
+The scalar references ``eval_continued_fraction`` (modified Lentz, behind
+``spectral.split_spectral_value`` only), ``backward_ratios`` and
+``forward_ratio`` fetch a(n) and b(n) one n at a time from any object exposing
+them (and optionally ``tail_ratio_scale``), so tests can pass surrogate
+coefficient sequences.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ def batch_minimal_ratio(
     are those of ``eval_continued_fraction``: 64, 128, ... and finally
     ``max_depth``.  A lane has converged once R_start agrees between
     successive depths to ``rel_tol`` relative to max(1, |R|), and only
-    unconverged lanes run the next depth.  Lanes that reach ``max_depth`` keep
-    their last value.
+    unconverged lanes run the next depth.  A lane that has not converged by
+    ``max_depth`` is nan, as Lentz reports it unconverged.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -270,6 +271,7 @@ def batch_minimal_ratio(
                 keep = ~(settled | ~np.isfinite(value))
                 active, value = active[keep], value[keep]
             prev = value
+    out[active] = np.nan
     return out
 
 

@@ -79,26 +79,19 @@ def minimal_series(
             NotAnEigenvalueWarning,
         )
     ratios = ratios[:order]
-    minus = [1.0]
-    log_abs = [0.0]
-    signs = [1]
-    for n in range(order):
-        minus.append(ratios[n] * minus[n])
-        if ratios[n] == 0.0:
-            log_abs.append(-math.inf)
-            signs.append(0)
-        else:
-            log_abs.append(log_abs[n] + math.log(abs(ratios[n])))
-            signs.append(signs[n] * (1 if ratios[n] > 0.0 else -1))
-    d = model.delta
-    dens = coeffs.pole_denominator(np.arange(order + 1)).tolist()
-    plus = [d * m / den for m, den in zip(minus, dens)]
+    r = np.array(ratios)
+    # minus[n] = r[0] * ... * r[n-1]; after a zero ratio every sign is 0 and every log -inf
+    minus = np.concatenate([[1.0], np.cumprod(r)])
+    with np.errstate(divide="ignore"):
+        log_abs = np.concatenate([[0.0], np.cumsum(np.log(np.abs(r)))])
+    signs = np.concatenate([[1], np.cumprod(np.sign(r).astype(int))])
+    plus = model.delta * minus / coeffs.pole_denominator(np.arange(order + 1))
     return SeriesCoefficients(
-        minus=minus,
-        plus=plus,
+        minus=minus.tolist(),
+        plus=plus.tolist(),
         ratios=ratios,
-        log_abs_minus=log_abs,
-        sign_minus=signs,
+        log_abs_minus=log_abs.tolist(),
+        sign_minus=signs.tolist(),
         model=model,
         sector=sector,
         energy=energy,

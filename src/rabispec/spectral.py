@@ -28,9 +28,9 @@ R_k from the batched backward recursion, K_{k+1}/K_k from the same forward
 pivot recursion that ``level_count`` counts (both in ``contfrac``).
 ``split_residual`` is the one residual rule, min |W_k| over k = 0, base and
 base + 1; ``compute_spectrum`` reports it for every level and
-``series.minimal_series`` judges its energy by it.  ``spectral_function`` and
-``split_spectral_value`` evaluate one energy by modified Lentz; they are the
-scalar reference the batched values are tested against.
+``series.minimal_series`` judges its energy by it.  ``split_spectral_value``
+evaluates W_k at one energy by modified Lentz; it is the scalar reference the
+batched values are tested against, and no production path calls it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from functools import partial
 import numpy as np
 
 from .contfrac import (
-    CFValue,
     DEFAULT_MAX_DEPTH,
     DEFAULT_REL_TOL,
     batch_continuant_ratio,
@@ -67,21 +66,10 @@ from .models import (
 )
 
 # Pole-handling constants (in units of omega where dimensionful).
-EPS_POLE_GUARD_FACTOR = 1e-6   # samples this close to a pole are marked near_pole
 EPS_EXC_FACTOR = 1e-5          # levels closer than this to a pole are exceptional candidates
 RESIDUAL_CAP = 1e-4            # energies above this split_residual are not eigenvalues (series)
 # Recurrence rows of the first level count; doubled while levels move.
 _FIRST_COUNT_ROWS = 64
-
-
-@dataclass(frozen=True)
-class SpectralSample:
-    """One evaluation of the transcendental function."""
-
-    energy: float
-    value: float
-    cf: CFValue
-    near_pole: bool
 
 
 @dataclass(frozen=True)
@@ -159,32 +147,6 @@ def poles_in_window(
     ]
 
 
-def spectral_function(
-    model: ModelParams,
-    sector: Sector,
-    energy: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> SpectralSample:
-    """Evaluate F(E) = R_0(E) + a_0(E) (G and Q for the other models).
-
-    F diverges at the pole energy E_0; at E_n with n >= 1 its singularity is
-    removable, because the divergent a(n) only sends R_{n-1} to zero.
-
-    Raises PoleCollision within eps_pole of the pole set; ``near_pole`` flags
-    samples within the wider guard distance, 1e-6 omega.
-    """
-    coeffs = three_term_coeffs(model, sector, energy)  # raises ZeroCoupling/PoleCollision
-    cf = eval_continued_fraction(coeffs, start=0, rel_tol=rel_tol, max_depth=max_depth)
-    dist = distance_to_pole_set(model, sector, energy)
-    return SpectralSample(
-        energy=energy,
-        value=cf.value + coeffs.a(0),
-        cf=cf,
-        near_pole=dist < EPS_POLE_GUARD_FACTOR * model.omega,
-    )
-
-
 def split_spectral_value(
     model: ModelParams,
     sector: Sector,
@@ -226,8 +188,9 @@ def split_values(
     k = 0 gives F, since W_0 = R_0 + a(0).  R_k comes from batched backward
     recursion (``batch_minimal_ratio``) and K_{k+1}/K_k from the forward
     pivot recursion (``batch_continuant_ratio``).  Lanes within eps_pole of
-    the pole set, where ``split_spectral_value`` raises PoleCollision, and
-    lanes whose value is not finite are nan.
+    the pole set, where ``split_spectral_value`` raises PoleCollision, lanes
+    whose R_k did not converge by ``max_depth`` and lanes whose value is not
+    finite are nan.
     """
     check_coupling(model)
     sector.check_matches(model)

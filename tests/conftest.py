@@ -5,6 +5,9 @@ diagonalization oracle (truncation-stable to 1e-9) and are pinned here so the
 unit tests do not re-run the oracle.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from rabispec import ModelKind, ModelParams, Sector
@@ -49,3 +52,20 @@ def two_photon_ref():
     )
     sector = Sector.two_photon(TWO_PHOTON_REF_POINT["q"])
     return model, sector, TWO_PHOTON_REF_POINT["window"], TWO_PHOTON_REF_EIGS
+
+
+def rabispec_imports(module):
+    """(submodule, name) for every ``from rabispec.<submodule> import name`` in a module.
+
+    Relative imports count as rabispec imports; a plain ``import rabispec``
+    fails the calling test, since the names it reaches would not show.
+    """
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rabispec")):
+            source = (node.module or "").removeprefix("rabispec").lstrip(".")
+            imported |= {(source, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "rabispec" for a in node.names)
+    return imported

@@ -5,7 +5,14 @@ import math
 
 import pytest
 
-from rabispec import ModelKind, ModelParams, Sector, closed_form_spectrum_g0, pole_energies
+from rabispec import (
+    ModelKind,
+    ModelParams,
+    Sector,
+    closed_form_spectrum_g0,
+    pole_energies,
+    split_spectral_value,
+)
 from rabispec.cli import main, match_spectra
 
 from conftest import TWO_PHOTON_REF_EIGS
@@ -209,6 +216,44 @@ class TestCurveCommand:
         assert "PoleCollision" in payload["meta"]["errors"]
         values = [r["value"] for r in payload["rows"]]
         assert values[1] is None and all(math.isfinite(v) for v in values[::2])
+
+    def test_near_pole_flag(self, capsys):
+        # a sample is near_pole within 1e-6 omega of a pole, not 1e-5 away
+        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
+        pole = pole_energies(model, Sector.two_photon(0.25), 1)[1]
+        code, out, _ = run_cli(
+            capsys,
+            ["curve", "--model", "two-photon", "--delta", "0.5", "--g", "0.2",
+             "--q", "1/4", "--emin", repr(pole + 5e-7), "--emax", repr(pole + 1e-5),
+             "--samples", "2"],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert [r[2:] for r in rows] == [["true", "true"], ["true", "false"]]
+
+    def test_values_match_scalar_reference(self, capsys):
+        model = ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4)
+        sector = Sector.two_mode(1.0)
+        code, out, _ = run_cli(
+            capsys,
+            ["curve", "--model", "two-mode", "--delta", "0.7", "--g", "0.4", "--kappa", "1",
+             "--emin", "-1", "--emax", "4", "--samples", "50", "--format", "json"],
+        )
+        assert code == 0
+        rows = load_json(out)["rows"]
+        assert len(rows) == 50 and all(r["converged"] for r in rows)
+        for r in rows:
+            ref = split_spectral_value(model, sector, r["energy"], 0)
+            assert abs(r["value"] - ref) <= 1e-9 * max(1.0, abs(ref)), r["energy"]
+
+    def test_zero_coupling_hints_closed_form(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["curve", "--model", "two-mode", "--delta", "0.7", "--g", "0", "--kappa", "1",
+             "--emin", "-1", "--emax", "4", "--samples", "5"],
+        )
+        assert code == 1 and out == ""
+        assert "ZeroCoupling" in err and "closed form" in err
 
 
 class TestOracleCommand:

@@ -24,6 +24,16 @@ from rabispec.models import coefficient_block, distance_to_pole_set
 from conftest import ConstCoeffs
 
 
+def const_block(a, b):
+    """``block`` callable of the batched kernels for constant coefficients a, b."""
+
+    def block(lanes, n_lo, n_hi):
+        rows = n_hi - n_lo + 1
+        return np.full((rows, lanes.size), a), np.full((rows, 1), b)
+
+    return block
+
+
 def minimal_root(a, b):
     """Smaller-modulus root of t^2 + a t + b = 0, computed without cancellation."""
     disc = math.sqrt(a * a - 4.0 * b)
@@ -179,13 +189,17 @@ class TestErrorPaths:
 class TestBatchMinimalRatio:
     def test_constant_coefficients(self):
         # minimal ratio of K_{n+1} + 3 K_n + 2 K_{n-1} = 0 is -1 at every start
-        def block(lanes, n_lo, n_hi):
-            rows = n_hi - n_lo + 1
-            return np.full((rows, lanes.size), 3.0), np.full((rows, 1), 2.0)
-
         starts = np.array([0, 3, 1, 0])
-        r = batch_minimal_ratio(block, np.zeros(starts.size), starts, scale=0.0)
+        r = batch_minimal_ratio(const_block(3.0, 2.0), np.zeros(starts.size), starts, scale=0.0)
         assert r == pytest.approx([-1.0] * starts.size, abs=1e-12)
+
+    def test_unsettled_lane_is_nan(self):
+        # t^2 + 2t + 1 = 0 has the double root -1: no solution is minimal, the
+        # ratio creeps towards -1 like -d/(d + 1) and never settles
+        assert not eval_continued_fraction(ConstCoeffs(2.0, 1.0), max_depth=4096).converged
+        r = batch_minimal_ratio(const_block(2.0, 1.0), np.zeros(1), np.zeros(1), 0.0,
+                                max_depth=4096)
+        assert np.isnan(r[0])
 
     def test_matches_lentz_per_lane(self):
         # every lane equals the scalar Lentz value at its own start index
@@ -204,9 +218,7 @@ class TestBatchMinimalRatio:
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
     def test_argument_validation(self):
-        def block(lanes, n_lo, n_hi):
-            return np.ones((n_hi - n_lo + 1, lanes.size)), np.ones((n_hi - n_lo + 1, 1))
-
+        block = const_block(1.0, 1.0)
         with pytest.raises(ValueError):
             batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, rel_tol=0.0)
         with pytest.raises(ValueError):

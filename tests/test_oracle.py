@@ -1,8 +1,6 @@
 """Truncated Fock-space diagonalization and its independence cross-checks."""
 
-import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +17,8 @@ from rabispec import (
     oracle_spectrum,
 )
 from rabispec.oracle import TruncatedHamiltonian, eigen_in_range
+
+from conftest import rabispec_imports
 
 
 def inertia_below(a, x):
@@ -238,13 +238,6 @@ def test_oracle_reads_no_solver_formula():
     # only the errors and the model's parameter types, never the formulas
     import rabispec.oracle
 
-    tree = ast.parse(Path(rabispec.oracle.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rabispec")):
-            module = (node.module or "").removeprefix("rabispec").lstrip(".")
-            imported |= {(module, alias.name) for alias in node.names}
-        elif isinstance(node, ast.Import):
-            assert not any(a.name.split(".")[0] == "rabispec" for a in node.names)
+    imported = rabispec_imports(rabispec.oracle)
     allowed = {("models", name) for name in ("ModelKind", "ModelParams", "Sector")}
     assert all(module == "errors" or (module, name) in allowed for module, name in imported)

@@ -48,6 +48,20 @@ class TestMinimalSeries:
             expected = s.model.delta * s.minus[n] / coeffs.pole_denominator(n)
             assert s.plus[n] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
+    def test_coefficients_are_the_ratio_products(self, ref_series):
+        # minus[n+1] = ratio(n) * minus[n] in the same order, so exactly; the
+        # logs may differ from math.log by an ulp per term
+        s = ref_series
+        minus, log_abs, sign = 1.0, 0.0, 1
+        for n in range(s.order + 1):
+            assert s.minus[n] == minus and s.sign_minus[n] == sign
+            assert s.log_abs_minus[n] == pytest.approx(log_abs, rel=1e-12, abs=1e-12)
+            if n < s.order:
+                r = s.ratio(n)
+                minus *= r
+                log_abs += math.log(abs(r))
+                sign *= 1 if r > 0.0 else -1
+
     def test_ratio_asymptotics(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
         s = minimal_series(model, sector, eigs[0], order=2000)

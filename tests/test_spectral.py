@@ -15,7 +15,6 @@ from rabispec import (
     eval_continued_fraction,
     oracle_spectrum,
     pole_energies,
-    spectral_function,
     split_spectral_value,
 )
 from rabispec.errors import CollapseRegimeWarning, SignLostWarning
@@ -29,7 +28,7 @@ from rabispec.spectral import (
     split_values,
 )
 
-from conftest import ConstCoeffs
+from conftest import ConstCoeffs, rabispec_imports
 from test_contfrac import _random_cases
 
 
@@ -37,19 +36,13 @@ class TestSpectralFunction:
     def test_small_at_reference_eigenvalues(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
         for e in eigs[:5]:
-            assert abs(spectral_function(model, sector, e).value) <= 1e-6
-
-    def test_near_pole_flag(self, two_photon_ref):
-        model, sector, _, _ = two_photon_ref
-        pole = pole_energies(model, sector, 1)[1]
-        assert spectral_function(model, sector, pole + 5e-7).near_pole
-        assert not spectral_function(model, sector, pole + 1e-5).near_pole
+            assert abs(split_spectral_value(model, sector, e, 0)) <= 1e-6
 
     def test_pole_collision(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
         pole = pole_energies(model, sector, 0)[0]
         with pytest.raises(PoleCollision):
-            spectral_function(model, sector, pole + 1e-12)
+            split_spectral_value(model, sector, pole + 1e-12, 0)
 
     def test_constant_coefficient_surrogate(self):
         # R = -1 from the fraction, plus a(0) = 3
@@ -59,13 +52,6 @@ class TestSpectralFunction:
 
 
 class TestSplitFunction:
-    def test_split_zero_equals_plain(self, two_photon_ref):
-        model, sector, _, _ = two_photon_ref
-        for e in (-0.3, 0.7, 2.4):
-            f = spectral_function(model, sector, e).value
-            w = split_spectral_value(model, sector, e, split=0)
-            assert w == pytest.approx(f, rel=1e-9, abs=1e-12)
-
     def test_same_roots_at_higher_split(self, two_photon_ref):
         # bracket the third eigenvalue on the split function directly
         model, sector, _, eigs = two_photon_ref
@@ -84,7 +70,7 @@ class TestSplitFunction:
         for n in range(1, 4):
             pole = pole_energies(model, sector, n)[n]
             assert abs(split_spectral_value(model, sector, pole + 1e-8, split=n)) > 1e6
-            assert abs(spectral_function(model, sector, pole + 1e-8).value) < 1e3
+            assert abs(split_spectral_value(model, sector, pole + 1e-8, 0)) < 1e3
 
 
 class TestScanAndRefine:
@@ -246,10 +232,7 @@ class TestBatchedEigencondition:
             splits = np.tile(ks, len(energies))
             got = split_values(model, sector, lanes, splits)
             for e, k, w in zip(lanes, splits, got):
-                if k == 0:
-                    ref = spectral_function(model, sector, e).value
-                else:
-                    ref = split_spectral_value(model, sector, e, split=int(k))
+                ref = split_spectral_value(model, sector, e, split=int(k))
                 assert abs(w - ref) <= 1e-9 * max(1.0, abs(ref)), (model, e, k)
 
     def test_small_at_reference_eigenvalues(self, two_photon_ref):
@@ -279,3 +262,17 @@ def test_warning_types_exported():
     assert rabispec.CollapseRegimeWarning is CollapseRegimeWarning
     assert "ConvergenceFailure" not in rabispec.__all__
     assert not hasattr(rabispec, "ConvergenceFailure")
+
+
+def test_production_paths_reach_no_scalar_evaluator():
+    # F has one production evaluator, split_values: the CLI imports no
+    # contfrac kernel and no scalar reference, the series only the scalar
+    # backward loop
+    import rabispec.cli
+    import rabispec.series
+
+    cli = rabispec_imports(rabispec.cli)
+    assert not any(module == "contfrac" for module, _ in cli)
+    assert not {name for _, name in cli} & {"split_spectral_value", "spectral_function"}
+    series = rabispec_imports(rabispec.series)
+    assert {name for module, name in series if module == "contfrac"} == {"backward_ratio_rows"}
