@@ -5,13 +5,15 @@ K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0 is
 
     R_n = -b(n+1) / (a(n+1) - b(n+2) / (a(n+2) - ...)).
 
-Every production path runs one of three loops over coefficient rows that the
-caller builds (``models.coefficient_block``):
+Every production path runs one of three loops over coefficient rows built by
+``models.coefficient_block``:
 
 - ``batch_minimal_ratio``, backward recursion over a batch of energies with
-  per-lane depth doubling, gives R_k to ``spectral.split_values``;
-- ``batch_pivots``, the forward recursion as LDL^T pivots, gives K_{k+1}/K_k
-  to ``spectral.split_values`` and the Sturm count to ``spectral.level_count``;
+  per-lane depth doubling, gives R_k to ``spectral.split_values``; it builds
+  its rows ``BLOCK_ROWS`` at a time through a ``block`` callable;
+- ``batch_pivots``, the forward recursion as LDL^T pivots over one table of
+  rows from n = 0, gives K_{k+1}/K_k to ``spectral.split_values`` and the
+  Sturm count to ``spectral.level_count``;
 - ``backward_ratio_rows``, one scalar backward pass, gives every ratio of
   ``series.minimal_series``.
 
@@ -37,8 +39,10 @@ _DENOM_FLOOR = 1e-300
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 2**20
 _FIRST_CHECKPOINT = 64
-# Rows of coefficients built at a time by the batched recursion; building the
-# whole depth x lanes table at once costs memory for no speed.
+# Rows of coefficients built at a time by the batched backward recursion.  Its
+# depth doubles per lane up to max_depth (2^20 by default), so a whole depth x
+# lanes table could take gigabytes; the forward recursion, bounded by the count
+# rows, builds its table in one piece.
 BLOCK_ROWS = 16
 
 
@@ -69,7 +73,7 @@ def eval_continued_fraction(
     ``rel_tol`` relative to max(1, |value|).  Non-convergence is reported via
     the flag, not raised.
     """
-    if rel_tol <= 0.0:
+    if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
     if max_depth < 8:
         raise ValueError("max_depth must be >= 8")
@@ -175,47 +179,26 @@ def forward_ratio(coeffs, k: int) -> float:
     return curr / prev
 
 
-def batch_pivots(block, lanes: np.ndarray, rows: int, sign: float):
-    """Yield (n, sigma_n) for n < ``rows``, every lane at once; the caller ignores overflow.
+def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
+    """Every pivot sigma_n of the coefficient rows n = 0, 1, ..., one column per lane.
 
-    ``block`` is the callable of ``batch_minimal_ratio``.  The pivots are
-    sigma_0 = -sign * a(0) and sigma_n = -sign * a(n) - b(n) / sigma_{n-1}:
-    with sign = +1 the continuant ratios K_{n+1}/K_n (K_0 = 1), and with
-    b(n) > 0 the LDL^T pivots of the symmetric tridiagonal with diagonal
-    -sign * a(n) and off-diagonal sqrt(b(n)).  A pivot that is exactly 0 is
-    taken as a tiny negative number (Kahan's guard).
+    ``a`` (rows, lanes) and ``b`` (rows, 1) are rows from n = 0 on, as
+    ``models.coefficient_block`` returns them; overflow is ignored.  The
+    pivots are sigma_0 = -sign * a(0) and sigma_n = -sign * a(n) - b(n) /
+    sigma_{n-1}: with sign = +1 the continuant ratios K_{n+1}/K_n (K_0 = 1),
+    and with b(n) > 0 the LDL^T pivots of the symmetric tridiagonal with
+    diagonal -sign * a(n) and off-diagonal sqrt(b(n)), whose negative count
+    is the Sturm count.  A pivot that is exactly 0 is taken as a tiny
+    negative number (Kahan's guard); so where K_k = 0 exactly, K_{k+1}/K_k
+    is a huge finite number, not inf.
     """
-    lanes = np.asarray(lanes)
-    pivot = None
-    for lo in range(0, rows, BLOCK_ROWS):
-        a, b = block(lanes, lo, min(lo + BLOCK_ROWS, rows) - 1)
-        a = -sign * a
-        for i in range(a.shape[0]):
-            pivot = a[i] if pivot is None else a[i] - b[i] / pivot
+    pivots = -sign * a
+    with np.errstate(divide="ignore", over="ignore"):
+        for n, pivot in enumerate(pivots):
+            if n:
+                pivot -= b[n] / pivots[n - 1]
             pivot[pivot == 0.0] = -_TINY
-            yield lo + i, pivot
-
-
-def batch_negative_pivots(block, lanes: np.ndarray, rows: int, sign: float) -> np.ndarray:
-    """Negative pivots among the first ``rows`` rows per lane: the Sturm count."""
-    count = np.zeros(np.shape(lanes), dtype=np.intp)
-    with np.errstate(divide="ignore", over="ignore"):
-        for _, pivot in batch_pivots(block, lanes, rows, sign):
-            count += pivot < 0.0
-    return count
-
-
-def batch_continuant_ratio(block, lanes: np.ndarray, splits: np.ndarray) -> np.ndarray:
-    """K_{k+1}/K_k for every lane, k = ``splits``: the pivot sigma_k at sign = +1.
-
-    Where K_k = 0 exactly, Kahan's guard gives a huge finite ratio, not inf.
-    """
-    splits = np.asarray(splits)
-    out = np.empty(splits.shape)
-    with np.errstate(divide="ignore", over="ignore"):
-        for n, pivot in batch_pivots(block, lanes, int(splits.max()) + 1, 1.0):
-            np.copyto(out, pivot, where=splits == n)
-    return out
+    return pivots
 
 
 def batch_minimal_ratio(
@@ -238,7 +221,7 @@ def batch_minimal_ratio(
     unconverged lanes run the next depth.  A lane that has not converged by
     ``max_depth`` is nan, as Lentz reports it unconverged.
     """
-    if rel_tol <= 0.0:
+    if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
     if max_depth < 8:
         raise ValueError("max_depth must be >= 8")

@@ -45,9 +45,8 @@ import numpy as np
 from .contfrac import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_REL_TOL,
-    batch_continuant_ratio,
     batch_minimal_ratio,
-    batch_negative_pivots,
+    batch_pivots,
     eval_continued_fraction,
     forward_ratio,
 )
@@ -98,6 +97,8 @@ class SpectrumOptions:
             raise ValueError(f"root_abs_tol must be positive, got {self.root_abs_tol}")
         if not self.cf_rel_tol > 0.0:
             raise ValueError(f"cf_rel_tol must be positive, got {self.cf_rel_tol}")
+        if not self.cf_max_depth >= 8:
+            raise ValueError(f"cf_max_depth must be >= 8, got {self.cf_max_depth}")
 
 
 @dataclass(frozen=True)
@@ -169,11 +170,6 @@ def split_spectral_value(
     return cf.value - forward_ratio(coeffs, split)
 
 
-def _coefficient_rows(model: ModelParams, sector: Sector):
-    """The ``block`` callable of the batched ``contfrac`` kernels for this model and sector."""
-    return partial(coefficient_block, model, sector)
-
-
 def split_values(
     model: ModelParams,
     sector: Sector,
@@ -186,11 +182,11 @@ def split_values(
 
     ``splits`` is each lane's split index k (a scalar applies to every lane);
     k = 0 gives F, since W_0 = R_0 + a(0).  R_k comes from batched backward
-    recursion (``batch_minimal_ratio``) and K_{k+1}/K_k from the forward
-    pivot recursion (``batch_continuant_ratio``).  Lanes within eps_pole of
-    the pole set, where ``split_spectral_value`` raises PoleCollision, lanes
-    whose R_k did not converge by ``max_depth`` and lanes whose value is not
-    finite are nan.
+    recursion (``batch_minimal_ratio``) and K_{k+1}/K_k as the pivot sigma_k
+    of the forward recursion (``batch_pivots``).  Lanes within eps_pole of the
+    pole set, where ``split_spectral_value`` raises PoleCollision, lanes whose
+    R_k did not converge by ``max_depth`` and lanes whose value is not finite
+    are nan.
     """
     check_coupling(model)
     sector.check_matches(model)
@@ -201,10 +197,11 @@ def split_values(
     if not usable.any():
         return out
     e, k = energies[usable], splits[usable]
-    block = _coefficient_rows(model, sector)
+    block = partial(coefficient_block, model, sector)
     tail = batch_minimal_ratio(block, e, k, asymptotic_roots(model).t2, rel_tol, max_depth)
+    pivots = batch_pivots(*coefficient_block(model, sector, e, 0, int(k.max())), 1.0)
     with np.errstate(invalid="ignore", over="ignore"):
-        w = tail - batch_continuant_ratio(block, e, k)
+        w = tail - pivots[k, np.arange(k.size)]
     w[~np.isfinite(w)] = np.nan
     out[usable] = w
     return out
@@ -244,7 +241,7 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
     N(E) = #{n < rows : sign(g) rho_n < 0} + #{n < rows : E_n < E}, with the
     continuant ratios rho_0 = -a(0), rho_n = -a(n) - b(n)/rho_{n-1}.  Since
     b(n) > 0 the rho_n are LDL^T pivots, and their negative count is the Sturm
-    count of the truncated recurrence (``contfrac.batch_negative_pivots``).
+    count of the truncated recurrence (``contfrac.batch_pivots``).
     The rational term -delta^2/(E - E_n) of a(n) drops one negative pivot at
     each pole; the second term puts it back (the Wittrick-Williams count), so
     N(E) is nondecreasing and steps by one at each level.  The caller keeps
@@ -254,8 +251,9 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
     energies = np.asarray(energies, dtype=float)
     first, spacing = pole_lattice(model, sector)
     poles_below = np.clip(np.ceil((energies - first) / spacing), 0, rows).astype(np.intp)
-    block = _coefficient_rows(model, sector)
-    return batch_negative_pivots(block, energies, rows, math.copysign(1.0, model.g)) + poles_below
+    pivots = batch_pivots(*coefficient_block(model, sector, energies, 0, rows - 1),
+                          math.copysign(1.0, model.g))
+    return np.count_nonzero(pivots < 0.0, axis=0) + poles_below
 
 
 def _trial_points(model: ModelParams, sector: Sector, lo, hi, tol: float) -> np.ndarray:

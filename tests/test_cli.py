@@ -255,6 +255,15 @@ class TestCurveCommand:
         assert code == 1 and out == ""
         assert "ZeroCoupling" in err and "closed form" in err
 
+    def test_nan_tolerance_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["curve", "--model", "two-mode", "--delta", "0.7", "--g", "0.4", "--kappa", "1",
+             "--emin", "-1", "--emax", "4", "--samples", "5", "--cf-rel-tol", "nan"],
+        )
+        assert code == 1 and out == ""
+        assert "rel_tol must be positive" in err
+
 
 class TestOracleCommand:
     def test_decoupled_limit(self, capsys):

@@ -18,7 +18,7 @@ from rabispec import (
     eval_continued_fraction,
     three_term_coeffs,
 )
-from rabispec.contfrac import backward_ratios, batch_minimal_ratio, batch_negative_pivots
+from rabispec.contfrac import backward_ratios, batch_minimal_ratio, batch_pivots, forward_ratio
 from rabispec.models import coefficient_block, distance_to_pole_set
 
 from conftest import ConstCoeffs
@@ -178,8 +178,9 @@ class TestErrorPaths:
 
     def test_argument_validation(self):
         c = ConstCoeffs(3.0, 2.0)
-        with pytest.raises(ValueError):
-            eval_continued_fraction(c, rel_tol=0.0)
+        for rel_tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                eval_continued_fraction(c, rel_tol=rel_tol)
         with pytest.raises(ValueError):
             eval_continued_fraction(c, max_depth=4)
         with pytest.raises(ValueError):
@@ -219,10 +220,16 @@ class TestBatchMinimalRatio:
 
     def test_argument_validation(self):
         block = const_block(1.0, 1.0)
-        with pytest.raises(ValueError):
-            batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, rel_tol=0.0)
+        for rel_tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, rel_tol=rel_tol)
         with pytest.raises(ValueError):
             batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, max_depth=4)
+
+
+def negative_pivots(a, b, sign):
+    """The Sturm count of each lane: its negative pivots."""
+    return np.count_nonzero(batch_pivots(a, b, sign) < 0.0, axis=0)
 
 
 class TestNegativePivots:
@@ -238,12 +245,8 @@ class TestNegativePivots:
         rows = len(diag)
         a = np.array(diag)
         b = np.random.default_rng(seed).uniform(0.05, 2.0, rows)
-
-        def block(lanes, n_lo, n_hi):
-            return a[n_lo:n_hi + 1, None] + lanes, b[n_lo:n_hi + 1, None]
-
         shifts = np.array([-1.0, 0.0, 0.5])
-        got = batch_negative_pivots(block, shifts, rows, sign)
+        got = negative_pivots(a[:, None] + shifts, b[:, None], sign)
         for shift, count in zip(shifts, got):
             off = np.diag(np.sqrt(b[1:]), 1)
             t = np.diag(-sign * (a + shift)) + off + off.T
@@ -254,8 +257,24 @@ class TestNegativePivots:
     def test_zero_pivot_counts_as_negative(self):
         # Kahan's guard: a pivot that is exactly 0 is taken as a tiny negative
         # number, so a level exactly at E counts as below it
-        def block(lanes, n_lo, n_hi):
-            return np.zeros((n_hi - n_lo + 1, lanes.size)), np.ones((n_hi - n_lo + 1, 1))
+        a, b = np.zeros((1, 1)), np.ones((1, 1))
+        assert negative_pivots(a, b, 1.0).tolist() == [1]
+        assert negative_pivots(a, b, -1.0).tolist() == [1]
 
-        assert batch_negative_pivots(block, np.zeros(1), 1, 1.0).tolist() == [1]
-        assert batch_negative_pivots(block, np.zeros(1), 1, -1.0).tolist() == [1]
+    @pytest.mark.parametrize("model, sector", [
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.3), Sector.two_photon(0.75)),
+        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.6), Sector.two_mode(0.5)),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.8, 0.3), Sector.driven()),
+    ])
+    def test_continuant_ratios_match_forward_recursion(self, model, sector):
+        # at sign = +1 the pivot sigma_k of model rows is K_{k+1}/K_k, which
+        # the scalar reference forward_ratio takes from the continuants
+        energies = np.linspace(-1.9, 7.9, 17)
+        energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
+        a, b = coefficient_block(model, sector, energies, 0, 40)
+        pivots = batch_pivots(a, b, 1.0)
+        for lane, e in enumerate(energies):
+            coeffs = three_term_coeffs(model, sector, e)
+            for k in range(41):
+                ref = forward_ratio(coeffs, k)
+                assert abs(pivots[k, lane] - ref) <= 1e-12 * max(1.0, abs(ref)), (e, k)

@@ -173,11 +173,22 @@ class TestComputeSpectrum:
         with pytest.raises(ValueError):
             compute_spectrum(model, sector, (2.0, 1.0))
 
-    @pytest.mark.parametrize("field", ["root_abs_tol", "cf_rel_tol"])
+    @pytest.mark.parametrize("field", ["root_abs_tol", "cf_rel_tol", "cf_max_depth"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_tolerances_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
             SpectrumOptions(**{field: value})
+
+    def test_row_cap_leaves_levels_unconfirmed(self, two_photon_ref):
+        # at a 64-row cap the first count is the last: every level is bisected
+        # at the cap, none is checked under a doubling, and one warning says so
+        model, sector, window, eigs = two_photon_ref
+        with pytest.warns(SignLostWarning) as record:
+            result = compute_spectrum(model, sector, window, SpectrumOptions(cf_max_depth=64))
+        assert len(record) == 1
+        assert len(result.roots) == len(eigs) == 9
+        assert all(rec.sign_lost for rec in result.roots)
+        assert result.brackets_rejected == 9 and result.count_rows == 64
 
     def test_default_window_min_below_ground(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
@@ -222,8 +233,8 @@ class TestDrivenHiddenPairs:
 
 class TestBatchedEigencondition:
     def test_agrees_with_lentz_on_random_points(self):
-        # one batch: 100 random points at split indices 0-4, and 15-17 on
-        # both sides of the BLOCK_ROWS = 16 boundary of the forward recursion
+        # one batch: 100 random points at split indices 0-4 and 15-17, so the
+        # lanes of one batch read their ratios from different pivot rows
         cases = _random_cases(100)
         ks = [0, 1, 2, 3, 4, 15, 16, 17]
         for model, sector in {(m, s) for m, s, _ in cases}:
