@@ -7,7 +7,8 @@ across an inter-pole interval and prints a crude ASCII trace.  Eigenvalues
 are its sign changes; the analytic poles bound the intervals.  Near an
 eigenvalue that hugs a pole, the plain function can hide the zero inside a
 tight zero/pole pair, which is why the solver does not look for sign changes
-at all: it counts the levels below each energy and bisects on that count.
+at all: it counts the levels below each energy and narrows each level on
+that count.
 """
 
 import math

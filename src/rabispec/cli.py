@@ -220,6 +220,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     )
     meta = _meta(cfg)
     meta["count_rows"] = result.count_rows
+    meta["count_calls"] = result.count_calls
     meta["poles"] = ";".join(_fmt(p) for p in result.poles)
     levels = [(r, False) for r in result.roots] + [(r, True) for r in result.flagged]
     rows = [[i, r.energy, r.residual, flagged] for i, (r, flagged) in enumerate(levels)]

@@ -11,9 +11,9 @@ Every production path runs one of three loops over coefficient rows built by
 - ``batch_minimal_ratio``, backward recursion over a batch of energies with
   per-lane depth doubling, gives R_k to ``spectral.split_values``; it builds
   its rows ``BLOCK_ROWS`` at a time through a ``block`` callable;
-- ``batch_pivots``, the forward recursion as LDL^T pivots over one table of
-  rows from n = 0, gives K_{k+1}/K_k to ``spectral.split_values`` and the
-  Sturm count to ``spectral.level_count``;
+- ``batch_pivots``, the forward recursion as LDL^T pivots over a table of
+  rows from n = 0 (or one chunk of it), gives K_{k+1}/K_k to
+  ``spectral.split_values`` and the Sturm count to ``spectral.level_count``;
 - ``backward_ratio_rows``, one scalar backward pass, gives every ratio of
   ``series.minimal_series``.
 
@@ -41,8 +41,7 @@ DEFAULT_MAX_DEPTH = 2**20
 _FIRST_CHECKPOINT = 64
 # Rows of coefficients built at a time by the batched backward recursion.  Its
 # depth doubles per lane up to max_depth (2^20 by default), so a whole depth x
-# lanes table could take gigabytes; the forward recursion, bounded by the count
-# rows, builds its table in one piece.
+# lanes table could take gigabytes.
 BLOCK_ROWS = 16
 
 
@@ -179,25 +178,29 @@ def forward_ratio(coeffs, k: int) -> float:
     return curr / prev
 
 
-def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
-    """Every pivot sigma_n of the coefficient rows n = 0, 1, ..., one column per lane.
+def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.ndarray:
+    """Every pivot sigma_n of the coefficient rows, one column per lane.
 
-    ``a`` (rows, lanes) and ``b`` (rows, 1) are rows from n = 0 on, as
+    ``a`` (rows, lanes) and ``b`` (rows, 1) are consecutive rows, as
     ``models.coefficient_block`` returns them; overflow is ignored.  The
-    pivots are sigma_0 = -sign * a(0) and sigma_n = -sign * a(n) - b(n) /
-    sigma_{n-1}: with sign = +1 the continuant ratios K_{n+1}/K_n (K_0 = 1),
-    and with b(n) > 0 the LDL^T pivots of the symmetric tridiagonal with
-    diagonal -sign * a(n) and off-diagonal sqrt(b(n)), whose negative count
-    is the Sturm count.  A pivot that is exactly 0 is taken as a tiny
-    negative number (Kahan's guard); so where K_k = 0 exactly, K_{k+1}/K_k
-    is a huge finite number, not inf.
+    pivots are sigma_n = -sign * a(n) - b(n) / sigma_{n-1}, where the table's
+    first row takes ``prev`` as sigma_{n-1} and, without it, is row 0:
+    sigma_0 = -sign * a(0).  So a table pivoted in row chunks, each passed
+    the last pivot row of the one before, gives the pivots of the whole
+    table.  With sign = +1 the pivots are the continuant ratios K_{n+1}/K_n
+    (K_0 = 1), and with b(n) > 0 the LDL^T pivots of the symmetric
+    tridiagonal with diagonal -sign * a(n) and off-diagonal sqrt(b(n)),
+    whose negative count is the Sturm count.  A pivot that is exactly 0 is
+    taken as a tiny negative number (Kahan's guard); so where K_k = 0
+    exactly, K_{k+1}/K_k is a huge finite number, not inf.
     """
     pivots = -sign * a
     with np.errstate(divide="ignore", over="ignore"):
         for n, pivot in enumerate(pivots):
-            if n:
-                pivot -= b[n] / pivots[n - 1]
+            if prev is not None:
+                pivot -= b[n] / prev
             pivot[pivot == 0.0] = -_TINY
+            prev = pivot
     return pivots
 
 

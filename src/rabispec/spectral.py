@@ -19,8 +19,9 @@ So levels are not searched for by sign changes.  ``level_count`` gives N(E),
 the number of levels below E, from the signs of the LDL^T pivots of the
 truncated recurrence plus the poles below E (the Sturm count with the
 Wittrick-Williams pole term).  ``compute_spectrum`` takes the levels of a
-window as j in [N(e_min), N(e_max)), bisects each on N(E), and checks each
-level's position under a doubling of the truncation.  The count is the
+window as j in [N(e_min), N(e_max)), narrows each by multisection on N(E)
+(many points per bracket in one count call), and checks each level's
+position under a doubling of the truncation.  The count is the
 certificate that no level is lost; |W_k| at each level is only reported.
 
 ``split_values`` evaluates F and W_k over whole batches of energies at once:
@@ -69,11 +70,15 @@ EPS_EXC_FACTOR = 1e-5          # levels closer than this to a pole are exception
 RESIDUAL_CAP = 1e-4            # energies above this split_residual are not eigenvalues (series)
 # Recurrence rows of the first level count; doubled while levels move.
 _FIRST_COUNT_ROWS = 64
+# Each multisection step cuts every unsettled bracket into this many sections.
+_SECTIONS = 16
+# Rows pivoted at a time by level_count, so its memory does not grow with the rows.
+_COUNT_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One level: its energy, min |W_k| there, final bracket width and count steps.
+    """One level: its energy, min |W_k| there, final bracket width and multisection steps.
 
     ``sign_lost`` marks a level whose position was not confirmed under a
     doubling of the count rows because the rows reached ``cf_max_depth``.
@@ -108,9 +113,10 @@ class SpectrumResult:
     ``brackets_found`` is N(e_max) - N(e_min), the number of levels the count
     puts in the window; every one of them is returned, in ``roots`` or in
     ``flagged``.  ``brackets_rejected`` counts the levels whose position was
-    not confirmed at the ``cf_max_depth`` row cap.  ``grid_points`` counts
-    the lanes of every ``level_count`` call, and ``count_rows`` is the
-    truncation N at which the levels were last bisected.
+    not confirmed at the ``cf_max_depth`` row cap.  ``count_calls`` is the
+    number of ``level_count`` calls and ``grid_points`` the lanes passed to
+    them, and ``count_rows`` is the truncation N at which the levels were
+    last narrowed.
     """
 
     roots: list[RootRecord]
@@ -118,6 +124,7 @@ class SpectrumResult:
     flagged: list[RootRecord]
     window: tuple[float, float]
     grid_points: int
+    count_calls: int
     brackets_found: int
     brackets_rejected: int
     count_rows: int
@@ -241,7 +248,8 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
     N(E) = #{n < rows : sign(g) rho_n < 0} + #{n < rows : E_n < E}, with the
     continuant ratios rho_0 = -a(0), rho_n = -a(n) - b(n)/rho_{n-1}.  Since
     b(n) > 0 the rho_n are LDL^T pivots, and their negative count is the Sturm
-    count of the truncated recurrence (``contfrac.batch_pivots``).
+    count of the truncated recurrence (``contfrac.batch_pivots``, over
+    ``_COUNT_CHUNK_ROWS`` rows at a time).
     The rational term -delta^2/(E - E_n) of a(n) drops one negative pivot at
     each pole; the second term puts it back (the Wittrick-Williams count), so
     N(E) is nondecreasing and steps by one at each level.  The caller keeps
@@ -250,44 +258,32 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
     check_coupling(model)
     energies = np.asarray(energies, dtype=float)
     first, spacing = pole_lattice(model, sector)
-    poles_below = np.clip(np.ceil((energies - first) / spacing), 0, rows).astype(np.intp)
-    pivots = batch_pivots(*coefficient_block(model, sector, energies, 0, rows - 1),
-                          math.copysign(1.0, model.g))
-    return np.count_nonzero(pivots < 0.0, axis=0) + poles_below
+    count = np.clip(np.ceil((energies - first) / spacing), 0, rows).astype(np.intp)
+    sign, last = math.copysign(1.0, model.g), None
+    for n_lo in range(0, rows, _COUNT_CHUNK_ROWS):
+        n_hi = min(n_lo + _COUNT_CHUNK_ROWS, rows) - 1
+        pivots = batch_pivots(*coefficient_block(model, sector, energies, n_lo, n_hi), sign, last)
+        count += np.count_nonzero(pivots < 0.0, axis=0)
+        last = pivots[-1]
+    return count
 
 
-def _trial_points(model: ModelParams, sector: Sector, lo, hi, tol: float) -> np.ndarray:
-    """Bisection point of each bracket, nan where the bracket is settled.
+def _section_points(model: ModelParams, sector: Sector, lo, hi, tol: float) -> np.ndarray:
+    """The multisection points of each bracket, one row per bracket, nan where settled.
 
-    A point within eps_pole of a pole E_n moves to E_n - eps_pole when that
-    lies above ``lo``, else to E_n + eps_pole.  A bracket is settled when it
-    is at most ``tol`` wide or its point does not land strictly inside it.
+    The points are lo + i (hi - lo) / _SECTIONS for 0 < i < _SECTIONS.  A
+    point within eps_pole of a pole E_n moves to E_n - eps_pole when that
+    lies above ``lo``, else to E_n + eps_pole.  Points that do not land
+    strictly inside their bracket are nan, and so is every point of a bracket
+    at most ``tol`` wide; a bracket with no point left is settled.
     """
     eps = model.eps_pole
-    x = 0.5 * (lo + hi)
+    lo, hi = lo[:, None], hi[:, None]
+    x = lo + np.arange(1, _SECTIONS) * ((hi - lo) / _SECTIONS)
     pole = pole_energy(model, sector, nearest_pole_index(model, sector, x))
     near = np.abs(x - pole) < eps
     x = np.where(near, np.where(pole - eps > lo, pole - eps, pole + eps), x)
     return np.where((hi - lo > tol) & (lo < x) & (x < hi), x, np.nan)
-
-
-def _bisect(model, sector, rows, levels, lo, hi, tol):
-    """Shrink every bracket to ``tol`` by bisection on N(E), all levels in lockstep.
-
-    Level j's bracket holds its step, N(lo) <= j < N(hi), throughout.  One
-    ``level_count`` call per step; returns (lo, hi, steps taken per level).
-    """
-    steps = np.zeros(levels.size, dtype=int)
-    while True:
-        x = _trial_points(model, sector, lo, hi, tol)
-        live = np.flatnonzero(~np.isnan(x))
-        if not live.size:
-            return lo, hi, steps
-        x = x[live]
-        above = level_count(model, sector, x, rows) > levels[live]
-        hi[live[above]] = x[above]
-        lo[live[~above]] = x[~above]
-        steps[live] += 1
 
 
 def compute_spectrum(
@@ -296,25 +292,28 @@ def compute_spectrum(
     window: tuple[float, float],
     opts: SpectrumOptions | None = None,
 ) -> SpectrumResult:
-    """Every level in the window, each found by bisection on the level count.
+    """Every level in the window, each found by multisection on the level count.
 
     The levels in the window are j in [N(e_min), N(e_max)) (``level_count``;
     an edge within eps_pole of a pole moves off it, keeping the pole's side).
-    Each level's bracket starts as the window and is bisected on N(E), all
-    levels in lockstep, until it is narrower than ``root_abs_tol``.  A trial
-    point within eps_pole of a pole E_n moves off it, so a level at E_n itself
-    (an exceptional level) ends in a bracket (E_n - eps_pole, E_n + eps_pole)
-    and is put at E_n.
+    Each level's bracket starts as the window.  Every multisection step cuts
+    each bracket wider than ``root_abs_tol`` into ``_SECTIONS`` sections,
+    counts N(E) at all their points (shared points once) and at the ends of
+    every bracket in one ``level_count`` call, and reads each level's bracket
+    off those counts: level j lies between the last point counted <= j and
+    the next one.  A point within eps_pole of a pole E_n moves off it, so a
+    level at E_n itself (an exceptional level) ends in a bracket
+    (E_n - eps_pole, E_n + eps_pole) and is put at E_n.
 
     The count truncates the recurrence at N rows, and the truncated levels
     move as N grows: agreeing counts at the window edges do not show that
     the levels inside sit where they should.  So the position of every level
-    is checked.  Starting from N = 64, the levels are bisected at N, then
+    is checked.  Starting from N = 64, the levels are narrowed at N, then
     N(E) at 2N is taken at both ends of every final bracket and at the window
     edges.  A level whose bracket still holds its step at 2N is confirmed;
-    the others are bisected again at 2N, from the tightest brackets those
+    the others are narrowed again at 2N, from the tightest brackets those
     counts give, and checked at 4N, and so on up to ``cf_max_depth`` rows.
-    A level bisected at that cap is returned unconfirmed: ``sign_lost`` is
+    A level narrowed at that cap is returned unconfirmed: ``sign_lost`` is
     set on it, it is counted in ``brackets_rejected``, and one
     ``SignLostWarning`` is issued.
 
@@ -341,30 +340,31 @@ def compute_spectrum(
 
     cap = opts.cf_max_depth
     rows = min(_FIRST_COUNT_ROWS, cap)
-    points, settled_rows, lanes, steps = edges, 0, 0, {}
+    points, settled_rows, calls, lanes, steps, todo = edges, 0, 0, 0, {}, None
     while True:
-        points = np.sort(points)  # the edges come first and last
+        points = np.unique(points)  # sorted: the edges come first and last
         counts = level_count(model, sector, points, rows)
-        lanes += points.size
+        calls, lanes = calls + 1, lanes + points.size
         levels = np.arange(counts[0], counts[-1])
         # level j lies between the last point counted <= j and the next one
         k = np.searchsorted(counts, levels, side="right")
         lo, hi = points[k - 1], points[k]
-        todo = ~np.isnan(_trial_points(model, sector, lo, hi, opts.root_abs_tol))
+        x = _section_points(model, sector, lo, hi, opts.root_abs_tol)
+        live = ~np.isnan(x).all(axis=1)
+        # todo: the levels narrowed at these rows
+        todo = live if todo is None else todo | live
+        if live.any():
+            for j in levels[live].tolist():
+                steps[j] = steps.get(j, 0) + 1
+            points = np.concatenate([edges, lo, hi, x[~np.isnan(x)]])
+            continue
         if settled_rows and not todo.any():
             break
-        lo[todo], hi[todo], taken = _bisect(
-            model, sector, rows, levels[todo], lo[todo], hi[todo], opts.root_abs_tol
-        )
-        lanes += int(taken.sum())
-        for j, n in zip(levels[todo].tolist(), taken.tolist()):
-            steps[j] = steps.get(j, 0) + n
         settled_rows = rows
         if rows == cap:
             break
-        points = np.concatenate([edges, lo, hi])
-        rows = min(2 * rows, cap)
-    unconfirmed = todo  # empty unless the last bisection ran at the cap
+        points, rows, todo = np.concatenate([edges, lo, hi]), min(2 * rows, cap), None
+    unconfirmed = todo  # empty unless levels were narrowed at the cap
     if unconfirmed.any():
         warnings.warn(
             f"{int(unconfirmed.sum())} level(s) not confirmed at the {cap}-row cap",
@@ -392,6 +392,7 @@ def compute_spectrum(
         flagged=flagged,
         window=(e_min, e_max),
         grid_points=lanes,
+        count_calls=calls,
         brackets_found=levels.size,
         brackets_rejected=int(unconfirmed.sum()),
         count_rows=settled_rows,

@@ -65,6 +65,7 @@ class TestSpectrumCommand:
         assert header == ["index", "energy", "residual", "flagged"]
         assert meta["model"] == "two-photon"
         assert "poles" in meta and "count_rows" in meta
+        assert int(meta["count_calls"]) > 0
         energies = [float(r[1]) for r in rows if r[3] == "false"]
         assert energies == pytest.approx(TWO_PHOTON_REF_EIGS[:3], abs=1e-7)
 
@@ -79,6 +80,7 @@ class TestSpectrumCommand:
         payload = load_json(out)
         assert set(payload) == {"meta", "rows"}
         assert payload["meta"]["model"] == "two-photon"
+        assert payload["meta"]["count_calls"] > 0
         energies = [r["energy"] for r in payload["rows"] if not r["flagged"]]
         assert energies == pytest.approx(TWO_PHOTON_REF_EIGS[:3], abs=1e-7)
         # serialization is idempotent

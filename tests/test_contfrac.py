@@ -261,6 +261,23 @@ class TestNegativePivots:
         assert negative_pivots(a, b, 1.0).tolist() == [1]
         assert negative_pivots(a, b, -1.0).tolist() == [1]
 
+    def test_chunked_table_equals_one_table(self):
+        # a table pivoted in two chunks, the second passed the last pivot row
+        # of the first, gives the pivots of the whole table bit for bit; lane 0
+        # has an exact zero pivot (Kahan's guard) in row 1, the last row of the
+        # first chunk
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-2.0, 2.0, (6, 3))
+        b = rng.uniform(0.5, 1.5, (6, 1))
+        a[0, 0], a[1, 0], b[1, 0] = -1.0, -1.0, 1.0
+        whole = batch_pivots(a, b, 1.0)
+        assert -1e-20 < whole[1, 0] < 0.0
+        head = batch_pivots(a[:2], b[:2], 1.0)
+        tail = batch_pivots(a[2:], b[2:], 1.0, head[-1])
+        np.testing.assert_array_equal(np.vstack([head, tail]), whole)
+        chunked = np.count_nonzero(head < 0.0, axis=0) + np.count_nonzero(tail < 0.0, axis=0)
+        np.testing.assert_array_equal(chunked, negative_pivots(a, b, 1.0))
+
     @pytest.mark.parametrize("model, sector", [
         (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.3), Sector.two_photon(0.75)),
         (ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.6), Sector.two_mode(0.5)),

@@ -17,6 +17,7 @@ from rabispec import (
     pole_energies,
     split_spectral_value,
 )
+from rabispec import spectral
 from rabispec.errors import CollapseRegimeWarning, SignLostWarning
 from rabispec.models import distance_to_pole_set
 from rabispec.spectral import (
@@ -24,6 +25,7 @@ from rabispec.spectral import (
     SpectrumOptions,
     default_window_min,
     eps_exceptional,
+    level_count,
     poles_in_window,
     split_values,
 )
@@ -158,7 +160,8 @@ class TestComputeSpectrum:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_window_centred_on_pole(self, two_photon_ref, n):
-        # the first bisection point is the pole itself and must move off it
+        # the middle section point of the first step is the pole itself and
+        # must move off it
         model, sector, _, _ = two_photon_ref
         pole = pole_energies(model, sector, n)[n]
         window = (pole - 0.5, pole + 0.5)
@@ -167,6 +170,51 @@ class TestComputeSpectrum:
         oracle_vals, _ = oracle_spectrum(model, sector, window)
         found = sorted(result.energies + [r.energy for r in result.flagged])
         assert found == pytest.approx(oracle_vals, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pole_on_lowest_section_point(self, two_photon_ref, n):
+        # the lowest section point of the first step, not the middle one,
+        # lands on the pole and must move off it
+        model, sector, _, _ = two_photon_ref
+        pole = pole_energies(model, sector, n)[n]
+        window = (pole - 0.1, pole + 1.5)
+        assert abs(window[0] + (window[1] - window[0]) / 16 - pole) < model.eps_pole
+        result = compute_spectrum(model, sector, window)
+        oracle_vals, _ = oracle_spectrum(model, sector, window)
+        found = sorted(result.energies + [r.energy for r in result.flagged])
+        assert found == pytest.approx(oracle_vals, abs=1e-7)
+
+    def test_few_count_calls(self, two_photon_ref):
+        # a multisection step settles four bits of every level: 12 count calls
+        # on this window, where bisection took 39
+        model, sector, window, _ = two_photon_ref
+        opts = SpectrumOptions()
+        result = compute_spectrum(model, sector, window, opts)
+        assert result.count_calls <= 15
+        assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots + result.flagged)
+
+    def test_counters_tally_level_count(self, two_photon_ref, monkeypatch):
+        model, sector, window, _ = two_photon_ref
+        tally = {"calls": 0, "lanes": 0}
+
+        def counted(model, sector, energies, rows):
+            tally["calls"] += 1
+            tally["lanes"] += len(energies)
+            return level_count(model, sector, energies, rows)
+
+        monkeypatch.setattr(spectral, "level_count", counted)
+        result = compute_spectrum(model, sector, window)
+        assert (result.count_calls, result.grid_points) == (tally["calls"], tally["lanes"])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 32])
+    def test_chunked_count_equals_one_table(self, two_photon_ref, monkeypatch, chunk):
+        # 100 rows in chunks, the last one partial, against one 100-row table
+        model, sector, window, _ = two_photon_ref
+        energies = np.linspace(*window, 201)
+        energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
+        one_table = level_count(model, sector, energies, 100)
+        monkeypatch.setattr(spectral, "_COUNT_CHUNK_ROWS", chunk)
+        np.testing.assert_array_equal(level_count(model, sector, energies, 100), one_table)
 
     def test_window_validation(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
@@ -180,7 +228,7 @@ class TestComputeSpectrum:
             SpectrumOptions(**{field: value})
 
     def test_row_cap_leaves_levels_unconfirmed(self, two_photon_ref):
-        # at a 64-row cap the first count is the last: every level is bisected
+        # at a 64-row cap the first count is the last: every level is narrowed
         # at the cap, none is checked under a doubling, and one warning says so
         model, sector, window, eigs = two_photon_ref
         with pytest.warns(SignLostWarning) as record:
@@ -229,6 +277,20 @@ class TestDrivenHiddenPairs:
                   1.3 if hi_side is None else pole + hi_side * 5e-10)
         result = compute_spectrum(model, sector, window)
         assert [r.energy for r in result.flagged] == ([pole] if held else [])
+
+    def test_level_on_pole_at_lowest_section_point(self):
+        # the 0.94 level sits on pole n = 1, and the lowest section point of
+        # the first step lands there: the level is still flagged at the pole
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.6, 0.3)
+        sector = Sector.driven()
+        pole = pole_energies(model, sector, 1)[1]
+        window = (pole - 0.05, pole + 0.75)
+        assert abs(window[0] + (window[1] - window[0]) / 16 - pole) < model.eps_pole
+        result = compute_spectrum(model, sector, window)
+        assert [r.energy for r in result.flagged] == [pole]
+        oracle_vals, _ = oracle_spectrum(model, sector, window)
+        found = sorted(result.energies + [r.energy for r in result.flagged])
+        assert found == pytest.approx(oracle_vals, abs=1e-7)
 
 
 class TestBatchedEigencondition:
