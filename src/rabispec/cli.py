@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .contfrac import DEFAULT_REL_TOL
 from .errors import RabispecError, TruncationCeiling, ZeroCoupling
 from .models import ModelKind, ModelParams, Sector, distance_to_pole_set, pole_spacing
 from .oracle import oracle_spectrum
@@ -148,6 +149,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     e_min = pick(args.emin, "emin", float)
     if e_min is None:
         e_min = default_window_min(model, sector)
+    cf_rel_tol = pick(args.cf_rel_tol, "cf_rel_tol", float, DEFAULT_REL_TOL)
+    if not cf_rel_tol > 0.0:
+        raise ValueError(f"cf_rel_tol must be positive, got {cf_rel_tol}")
     out_format = pick(args.format, "format", str, "csv")
     if out_format not in _FORMATS:
         raise ValueError(f"unknown output format {out_format!r}; choose csv or json")
@@ -156,7 +160,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         sector=sector,
         e_min=e_min,
         e_max=e_max,
-        cf_rel_tol=pick(args.cf_rel_tol, "cf_rel_tol", float, SpectrumOptions.cf_rel_tol),
+        cf_rel_tol=cf_rel_tol,
         root_abs_tol=pick(args.root_abs_tol, "root_abs_tol", float, SpectrumOptions.root_abs_tol),
         oracle_n=pick(args.oracle_n, "oracle_n", int),
         match_tol=pick(args.match_tol, "match_tol", float, 1e-6),
@@ -211,7 +215,7 @@ def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> N
 
 
 def _spectrum_options(cfg: RunConfig) -> SpectrumOptions:
-    return SpectrumOptions(cf_rel_tol=cfg.cf_rel_tol, root_abs_tol=cfg.root_abs_tol)
+    return SpectrumOptions(root_abs_tol=cfg.root_abs_tol)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:

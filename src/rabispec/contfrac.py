@@ -15,7 +15,7 @@ Every production path runs one of three loops over coefficient rows built by
   rows from n = 0 (or one chunk of it), gives K_{k+1}/K_k to
   ``spectral.split_values`` and the Sturm count to ``spectral.level_count``;
 - ``backward_ratio_rows``, one scalar backward pass, gives every ratio of
-  ``series.minimal_series``.
+  ``series.minimal_series``, and of each level for ``twisted_residual``.
 
 The scalar references ``eval_continued_fraction`` (modified Lentz, behind
 ``spectral.split_spectral_value`` only), ``backward_ratios`` and
@@ -202,6 +202,25 @@ def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.nda
             pivot[pivot == 0.0] = -_TINY
             prev = pivot
     return pivots
+
+
+def twisted_residual(a: np.ndarray, b: np.ndarray, ratios: np.ndarray, sign: float) -> np.ndarray:
+    """|gamma| / ||z|| per lane: the twisted-factorisation residual at the matching index k*.
+
+    ``a``, ``b`` are coefficient rows from n = 0 as for ``batch_pivots``, and the
+    backward ratios R_0..R_{rows-2} (``ratios``, (rows - 1, lanes)) give a vector z,
+    z_{n+1}/z_n = -sign R_n / sqrt(b(n+1)), the eigenvector at a level of the
+    tridiagonal T that ``batch_pivots`` factors.  k* is where |z| peaks in the
+    first half of the rows, off the truncated tail; with the pivots below it the
+    twisted vector solves T z = gamma e_k*, gamma = sigma_k* - sign R_k*.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        steps = np.log(np.abs(ratios)) - 0.5 * np.log(b[1:])
+        log_z = np.cumsum(np.vstack([np.zeros_like(steps[:1]), steps]), axis=0)
+        k, lanes = np.argmax(log_z[: a.shape[0] // 2], axis=0), np.arange(a.shape[1])
+        gamma = batch_pivots(a[: k.max() + 1], b, sign)[k, lanes] - sign * ratios[k, lanes]
+        norm = np.sqrt(np.sum(np.exp(2.0 * (log_z - log_z[k, lanes])), axis=0))
+    return np.abs(gamma) / norm
 
 
 def batch_minimal_ratio(

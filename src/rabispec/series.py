@@ -4,8 +4,8 @@ Coefficients are built from continued-fraction ratios (cumulative products),
 never by forward recursion: forward recursion is contaminated exponentially by
 the dominant solution.  ``minimal_series`` takes its coefficient rows from one
 ``models.coefficient_block`` call and runs the scalar backward loop
-``contfrac.backward_ratio_rows`` over them once; it judges the energy by
-``spectral.split_residual``, the residual ``compute_spectrum`` reports.
+``contfrac.backward_ratio_rows`` over them once; ``contfrac.twisted_residual``
+over those rows and ratios, the rule ``compute_spectrum`` reports, judges E.
 Because the minimal coefficients underflow doubles near n ~ 150,
 log-magnitudes and signs are stored alongside the raw values; ratio and norm
 diagnostics work entirely in log space.
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import backward_ratio_rows
+from .contfrac import backward_ratio_rows, twisted_residual
 from .errors import NotAnEigenvalueWarning, TruncationInsufficient
 from .models import ModelKind, ModelParams, Sector, coefficient_block, three_term_coeffs
-from .spectral import RESIDUAL_CAP, split_residual
+from .spectral import RESIDUAL_CAP
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class SeriesCoefficients:
     companion component obtained through the pole relation.  ``ratios[n]`` is
     minus[n+1]/minus[n] as produced by the backward pass, exact at all n, and
     ``log_abs_minus``/``sign_minus`` carry the coefficients in log space.
+    ``residual`` is the twisted residual at ``energy``, ``flagged`` if above the cap.
     """
 
     minus: list[float]
@@ -58,10 +59,10 @@ def minimal_series(
 ) -> SeriesCoefficients:
     """Build the minimal-solution series at an (approximate) spectral root.
 
-    E is judged by ``spectral.split_residual``, the residual that
-    ``compute_spectrum`` reports for its levels.  If it exceeds the residual
-    cap the series is still returned, flagged, with a NotAnEigenvalueWarning.
-    The ratios come from one backward pass seeded at row 2 * order + 64.
+    The ratios come from one backward pass seeded at row 2 * order + 64, and
+    E is judged by the twisted residual over those rows and ratios, the rule
+    ``compute_spectrum`` reports.  If it exceeds the residual cap the series
+    is still returned, flagged, with a NotAnEigenvalueWarning.
     The plus component uses the pole relation
     plus[n] = delta * minus[n] / pole_denominator(n).  Raises PoleCollision
     if E sits within eps_pole of a pole.
@@ -69,13 +70,13 @@ def minimal_series(
     if order < 2:
         raise ValueError("order must be >= 2")
     coeffs = three_term_coeffs(model, sector, energy)  # raises ZeroCoupling/PoleCollision
-    a, b = coefficient_block(model, sector, np.array([energy]), 1, 2 * order + 64)
-    ratios = backward_ratio_rows(a[:, 0].tolist(), b[:, 0].tolist(), 0, coeffs.tail_ratio_scale)
-    residual = float(split_residual(model, sector, energy)[0])
+    a, b = coefficient_block(model, sector, np.array([energy]), 0, 2 * order + 64)
+    ratios = backward_ratio_rows(a[1:, 0].tolist(), b[1:, 0].tolist(), 0, coeffs.tail_ratio_scale)
+    residual = float(twisted_residual(a, b, np.c_[ratios], math.copysign(1.0, model.g))[0])
     flagged = residual > RESIDUAL_CAP
     if flagged:
         warnings.warn(
-            f"min |W_k(E)| = {residual:.3g} exceeds the residual cap; E is not an eigenvalue",
+            f"twisted residual {residual:.3g} exceeds the residual cap; E is not an eigenvalue",
             NotAnEigenvalueWarning,
         )
     ratios = ratios[:order]

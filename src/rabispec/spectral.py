@@ -22,16 +22,13 @@ Wittrick-Williams pole term).  ``compute_spectrum`` takes the levels of a
 window as j in [N(e_min), N(e_max)), narrows each by multisection on N(E)
 (many points per bracket in one count call), and checks each level's
 position under a doubling of the truncation.  The count is the
-certificate that no level is lost; |W_k| at each level is only reported.
+certificate that no level is lost.  Each level's residual (only reported,
+``contfrac.twisted_residual``) is the twist element sigma_k* - sign(g) R_k* =
+-sign(g) W_k* of the count's pivots and the backward ratios at the matching
+index k*, over the eigenvector's norm (Parlett and Dhillon; Cooley).
 
-``split_values`` evaluates F and W_k over whole batches of energies at once:
-R_k from the batched backward recursion, K_{k+1}/K_k from the same forward
-pivot recursion that ``level_count`` counts (both in ``contfrac``).
-``split_residual`` is the one residual rule, min |W_k| over k = 0, base and
-base + 1; ``compute_spectrum`` reports it for every level and
-``series.minimal_series`` judges its energy by it.  ``split_spectral_value``
-evaluates W_k at one energy by modified Lentz; it is the scalar reference the
-batched values are tested against, and no production path calls it.
+``split_values`` evaluates F and W_k over a batch of energies for ``rabispec
+curve``; ``split_spectral_value`` (Lentz) is its scalar test reference.
 """
 
 from __future__ import annotations
@@ -46,10 +43,12 @@ import numpy as np
 from .contfrac import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_REL_TOL,
+    backward_ratio_rows,
     batch_minimal_ratio,
     batch_pivots,
     eval_continued_fraction,
     forward_ratio,
+    twisted_residual,
 )
 from .errors import SignLostWarning
 from .models import (
@@ -67,18 +66,19 @@ from .models import (
 
 # Pole-handling constants (in units of omega where dimensionful).
 EPS_EXC_FACTOR = 1e-5          # levels closer than this to a pole are exceptional candidates
-RESIDUAL_CAP = 1e-4            # energies above this split_residual are not eigenvalues (series)
+RESIDUAL_CAP = 1e-4            # energies above this twisted residual are not eigenvalues (series)
 # Recurrence rows of the first level count; doubled while levels move.
 _FIRST_COUNT_ROWS = 64
 # Each multisection step cuts every unsettled bracket into this many sections.
 _SECTIONS = 16
 # Rows pivoted at a time by level_count, so its memory does not grow with the rows.
 _COUNT_CHUNK_ROWS = 1024
+_RESIDUAL_CELLS = 2**16        # rows x lanes of one residual table, for the same reason
 
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One level: its energy, min |W_k| there, final bracket width and multisection steps.
+    """One level: its energy, twisted residual, final bracket width and multisection steps.
 
     ``sign_lost`` marks a level whose position was not confirmed under a
     doubling of the count rows because the rows reached ``cf_max_depth``.
@@ -93,15 +93,12 @@ class RootRecord:
 
 @dataclass(frozen=True)
 class SpectrumOptions:
-    cf_rel_tol: float = DEFAULT_REL_TOL
     cf_max_depth: int = DEFAULT_MAX_DEPTH
     root_abs_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.root_abs_tol > 0.0:
             raise ValueError(f"root_abs_tol must be positive, got {self.root_abs_tol}")
-        if not self.cf_rel_tol > 0.0:
-            raise ValueError(f"cf_rel_tol must be positive, got {self.cf_rel_tol}")
         if not self.cf_max_depth >= 8:
             raise ValueError(f"cf_max_depth must be >= 8, got {self.cf_max_depth}")
 
@@ -116,7 +113,7 @@ class SpectrumResult:
     not confirmed at the ``cf_max_depth`` row cap.  ``count_calls`` is the
     number of ``level_count`` calls and ``grid_points`` the lanes passed to
     them, and ``count_rows`` is the truncation N at which the levels were
-    last narrowed.
+    last narrowed.  A level's ``residual`` is its twisted residual.
     """
 
     roots: list[RootRecord]
@@ -163,14 +160,11 @@ def split_spectral_value(
     rel_tol: float = DEFAULT_REL_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> float:
-    """Eigenvalue mismatch at split index k: CF tail ratio minus forward ratio.
+    """W_k(E) at split index k: CF tail ratio minus forward ratio; F(E) at k = 0.
 
-    For split = 0 this is exactly F(E).  Its zero set is the same regular
-    spectrum for every split, but the pole structure differs: near the k-th
-    analytic pole energy the continued fraction starting at k consumes no
-    divergent coefficient, while the forward ratio has an explicit simple pole
-    exactly there.  So |W_k| can be small at an eigenvalue hugging the k-th
-    pole, where F sits inside a tight zero/pole pair.
+    The zero set is the same for every k, the poles are not: the forward
+    ratio has a simple pole at the k-th pole energy, and R_k consumes no
+    divergent coefficient near it.
     """
     coeffs = three_term_coeffs(model, sector, energy)
     cf = eval_continued_fraction(coeffs, start=split, rel_tol=rel_tol, max_depth=max_depth)
@@ -212,28 +206,6 @@ def split_values(
     w[~np.isfinite(w)] = np.nan
     out[usable] = w
     return out
-
-
-def split_residual(
-    model: ModelParams,
-    sector: Sector,
-    energies,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> np.ndarray:
-    """min |W_k| over k = 0, base and base + 1 at each energy, E_base the pole nearest it.
-
-    inf where no W_k is finite (on a pole).
-    """
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    base = nearest_pole_index(model, sector, energies)
-    w = split_values(
-        model, sector, np.tile(energies, 3), np.concatenate([np.zeros_like(base), base, base + 1]),
-        rel_tol, max_depth,
-    )
-    residual = np.fmin.reduce(np.abs(w).reshape(3, -1), axis=0)
-    residual[np.isnan(residual)] = np.inf
-    return residual
 
 
 def default_window_min(model: ModelParams, sector: Sector) -> float:
@@ -297,13 +269,11 @@ def compute_spectrum(
     The levels in the window are j in [N(e_min), N(e_max)) (``level_count``;
     an edge within eps_pole of a pole moves off it, keeping the pole's side).
     Each level's bracket starts as the window.  Every multisection step cuts
-    each bracket wider than ``root_abs_tol`` into ``_SECTIONS`` sections,
-    counts N(E) at all their points (shared points once) and at the ends of
-    every bracket in one ``level_count`` call, and reads each level's bracket
-    off those counts: level j lies between the last point counted <= j and
-    the next one.  A point within eps_pole of a pole E_n moves off it, so a
-    level at E_n itself (an exceptional level) ends in a bracket
-    (E_n - eps_pole, E_n + eps_pole) and is put at E_n.
+    each bracket wider than ``root_abs_tol`` into ``_SECTIONS`` sections and
+    counts N(E) at all their points and bracket ends in one ``level_count``
+    call; level j lies between the last point counted <= j and the next one.
+    Points avoid the poles by eps_pole, so a level at a pole E_n (an
+    exceptional level) ends in (E_n - eps_pole, E_n + eps_pole), put at E_n.
 
     The count truncates the recurrence at N rows, and the truncated levels
     move as N grows: agreeing counts at the window edges do not show that
@@ -319,9 +289,9 @@ def compute_spectrum(
 
     Levels within the exceptional tolerance of a pole energy are reported in
     ``flagged`` (exceptional-spectrum candidates; the truncation constraints
-    are not checked), the others in ``roots``.  Each level's residual is
-    ``split_residual`` at its energy (inf on a pole).  It is reported, never
-    used to reject a level: the count is the certificate.
+    are not checked), the others in ``roots``.  Each level's residual,
+    ``contfrac.twisted_residual`` from one backward pass over the rows that
+    confirmed it (inf on a pole), is reported, never used to reject a level.
     """
     if opts is None:
         opts = SpectrumOptions()
@@ -375,8 +345,14 @@ def compute_spectrum(
     mid = 0.5 * (lo + hi)
     pole = pole_energy(model, sector, nearest_pole_index(model, sector, mid))
     energy = np.where((lo < pole) & (pole < hi), pole, mid)
-    residual = split_residual(model, sector, energy, opts.cf_rel_tol, cap)
-    near_pole = distance_to_pole_set(model, sector, energy) < eps_exceptional(model)
+    residual, dist = np.full(energy.shape, np.inf), distance_to_pole_set(model, sector, energy)
+    usable, step = np.flatnonzero(dist >= eps), max(1, _RESIDUAL_CELLS // rows)
+    for table in (usable[i:i + step] for i in range(0, usable.size, step)):
+        a, b = coefficient_block(model, sector, energy[table], 0, rows - 1)  # confirming rows
+        t2, b_rows = asymptotic_roots(model).t2, b[1:, 0].tolist()
+        ratios = [backward_ratio_rows(col, b_rows, 0, t2) for col in a[1:].T.tolist()]
+        residual[table] = twisted_residual(a, b, np.array(ratios).T, math.copysign(1.0, model.g))
+    near_pole = dist < eps_exceptional(model)
 
     roots: list[RootRecord] = []
     flagged: list[RootRecord] = []

@@ -17,6 +17,7 @@ a(0) - b(1)/(a(1) - ... - b(n-1)/a(n-1)).
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from rabispec import (
     ModelKind,
     ModelParams,
+    NotAnEigenvalueWarning,
     Sector,
     ThreeTermCoeffs,
     backward_recursion_ratio,
@@ -42,7 +44,7 @@ from rabispec import (
 )
 from rabispec.models import asymptotic_roots, bogoliubov_params, distance_to_pole_set
 from rabispec.oracle import eigen_in_range
-from rabispec.spectral import SpectrumOptions, default_window_min, eps_exceptional
+from rabispec.spectral import RESIDUAL_CAP, SpectrumOptions, default_window_min, eps_exceptional
 
 from test_contfrac import _random_cases
 
@@ -79,6 +81,7 @@ def assert_every_level_found(model, sector, window, tol=MATCH_TOL):
     assert len(found) == len(oracle_vals), (found, oracle_vals)
     for e, o in zip(found, oracle_vals):
         assert abs(e - o) <= tol, (e, o)
+    return result
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0])
@@ -125,11 +128,19 @@ def test_near_degenerate_pair_in_one_grid_interval():
 def test_dark_levels_found(g):
     # driven windows with "dark" levels about 0.42 omega from a pole: each is
     # a zero/pole pair narrower than 1e-6 on every W_k with small k, so a sign
-    # scan of W_0, W_base and W_base+1 loses 1, 2 and 4 of them
+    # scan of W_0, W_base and W_base+1 loses 1, 2 and 4 of them.  Each
+    # regular level also reads as one: the smallest |W_k| over k = 0, E_base's
+    # index and the next read 2.0e-3 at the g = 2.5 level E = -6.46477,
+    # where W_25 is 7.4e-13
     model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.6, g, 0.2)
     sector = Sector.driven()
     e_min = default_window_min(model, sector)
-    assert_every_level_found(model, sector, (e_min, e_min + 10.0))
+    result = assert_every_level_found(model, sector, (e_min, e_min + 10.0))
+    for root in result.roots:
+        assert root.residual <= RESIDUAL_CAP, root.energy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NotAnEigenvalueWarning)
+            assert not minimal_series(model, sector, root.energy, order=200).flagged, root.energy
 
 
 @pytest.mark.parametrize("model,sector", [

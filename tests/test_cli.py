@@ -87,7 +87,7 @@ class TestSpectrumCommand:
         assert load_json(json.dumps(payload)) == payload
 
     def test_level_on_pole_residual(self, capsys):
-        # no W_k is defined at a level exactly on a pole: JSON null, CSV inf
+        # no residual is defined at a level exactly on a pole: JSON null, CSV inf
         args = ["spectrum", "--model", "driven", "--delta", "0.4", "--g", "0.6",
                 "--drive", "0.3", "--emin", "0.5", "--emax", "1.3"]
         code, out, _ = run_cli(capsys, args + ["--format", "json"])
@@ -258,13 +258,16 @@ class TestCurveCommand:
         assert "ZeroCoupling" in err and "closed form" in err
 
     def test_nan_tolerance_rejected(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            ["curve", "--model", "two-mode", "--delta", "0.7", "--g", "0.4", "--kappa", "1",
-             "--emin", "-1", "--emax", "4", "--samples", "5", "--cf-rel-tol", "nan"],
-        )
-        assert code == 1 and out == ""
-        assert "rel_tol must be positive" in err
+        # the CLI checks --cf-rel-tol itself: a NaN or non-positive value is a config error
+        for command in (["curve", "--samples", "5"], ["spectrum"], ["compare"]):
+            for value in ("nan", "0", "-1"):
+                code, out, err = run_cli(
+                    capsys,
+                    command + ["--model", "two-mode", "--delta", "0.7", "--g", "0.4", "--kappa",
+                               "1", "--emin", "-1", "--emax", "4", "--cf-rel-tol", value],
+                )
+                assert code == 1 and out == "", (command, value)
+                assert "rel_tol must be positive" in err, (command, value)
 
 
 class TestOracleCommand:
@@ -304,7 +307,7 @@ class TestSeriesCommand:
 
     def test_root_found_on_split_function_is_an_eigenvalue(self, capsys):
         # an oracle level where |F| = 126 but W_5 and W_6 vanish: the series
-        # judges E by the scan's rule, the smallest |W_k| over k = 0, base, base + 1
+        # judges E by the twisted residual at the matching index, not by |F|
         code, out, _ = run_cli(
             capsys,
             ["series", "--model", "driven", "--delta", "0.7", "--g", "0.1", "--drive", "0.3",

@@ -18,7 +18,14 @@ from rabispec import (
     eval_continued_fraction,
     three_term_coeffs,
 )
-from rabispec.contfrac import backward_ratios, batch_minimal_ratio, batch_pivots, forward_ratio
+from rabispec.contfrac import (
+    backward_ratio_rows,
+    backward_ratios,
+    batch_minimal_ratio,
+    batch_pivots,
+    forward_ratio,
+    twisted_residual,
+)
 from rabispec.models import coefficient_block, distance_to_pole_set
 
 from conftest import ConstCoeffs
@@ -295,3 +302,54 @@ class TestNegativePivots:
             for k in range(41):
                 ref = forward_ratio(coeffs, k)
                 assert abs(pivots[k, lane] - ref) <= 1e-12 * max(1.0, abs(ref)), (e, k)
+
+
+def tridiagonal(seed):
+    """Diagonal ~ n and off-diagonal sqrt(b(n)) of a 40-row tridiagonal, and the dense matrix.
+
+    Its lowest eigenvectors live at small n, as the minimal solutions do.
+    """
+    rng = np.random.default_rng(seed)
+    d = np.arange(40) + rng.uniform(-1.0, 1.0, 40)
+    b = rng.uniform(0.2, 2.0, (40, 1))
+    b[0] = 0.0
+    return d, b, np.diag(d) + np.diag(np.sqrt(b[1:, 0]), 1) + np.diag(np.sqrt(b[1:, 0]), -1)
+
+
+def shifted_residuals(d, b, shifts, sign):
+    """twisted_residual of the tridiagonal minus each shift, and the backward ratios.
+
+    The backward pass seeded with 0 is exact for the 40-row matrix.
+    """
+    a = -sign * (d[:, None] - shifts)  # diagonal -sign * a(n) = d_n - shift
+    ratios = np.array([backward_ratio_rows(c, b[1:, 0].tolist(), 0, 0.0) for c in a[1:].T.tolist()])
+    return twisted_residual(a, b, ratios.T, sign), ratios.T
+
+
+class TestTwistedResidual:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_at_eigenvalues_of_the_tridiagonal(self, seed):
+        # lanes at the ten lowest eigenvalues and at the midpoints between them;
+        # both signs describe the same tridiagonal
+        d, b, dense = tridiagonal(seed)
+        levels = np.linalg.eigvalsh(dense)[:10]
+        shifts = np.concatenate([levels, 0.5 * (levels[1:] + levels[:-1])])
+        residuals = [shifted_residuals(d, b, shifts, sign)[0] for sign in (1.0, -1.0)]
+        np.testing.assert_array_equal(residuals[0], residuals[1])
+        assert residuals[0][:10].max() <= 1e-12
+        # off a level the residual is at least about the distance to the nearest one
+        dist = np.abs(shifts[10:, None] - levels).min(axis=1)
+        assert np.all(residuals[0][10:] >= 0.5 * dist)
+
+    def test_twist_element_is_the_inverse_diagonal(self):
+        # gamma_k = 1 / (T^{-1})_{kk} for the twisted factorisation at every k,
+        # a route to the twist element independent of the pivots; k* is where
+        # |z| peaks in the first 20 rows
+        d, b, dense = tridiagonal(7)
+        shifts = np.linspace(0.3, 35.3, 8)
+        got, ratios = shifted_residuals(d, b, shifts, 1.0)
+        for lane, shift in enumerate(shifts):
+            z = np.concatenate([[1.0], np.cumprod(-ratios[:, lane] / np.sqrt(b[1:, 0]))])
+            k = np.argmax(np.abs(z[:20]))
+            gamma = 1.0 / np.linalg.inv(dense - shift * np.eye(40))[k, k]
+            assert got[lane] == pytest.approx(abs(gamma) / np.linalg.norm(z / z[k]), rel=1e-8)

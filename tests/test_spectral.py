@@ -1,6 +1,8 @@
 """Transcendental eigenvalue functions and pole-aware root finding."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -206,6 +208,13 @@ class TestComputeSpectrum:
         result = compute_spectrum(model, sector, window)
         assert (result.count_calls, result.grid_points) == (tally["calls"], tally["lanes"])
 
+    def test_residual_tables_equal_one_table(self, two_photon_ref, monkeypatch):
+        # residuals read one level per table equal those read in one table
+        model, sector, window, _ = two_photon_ref
+        one_table = [r.residual for r in compute_spectrum(model, sector, window).roots]
+        monkeypatch.setattr(spectral, "_RESIDUAL_CELLS", 1)
+        assert [r.residual for r in compute_spectrum(model, sector, window).roots] == one_table
+
     @pytest.mark.parametrize("chunk", [1, 7, 32])
     def test_chunked_count_equals_one_table(self, two_photon_ref, monkeypatch, chunk):
         # 100 rows in chunks, the last one partial, against one 100-row table
@@ -221,7 +230,7 @@ class TestComputeSpectrum:
         with pytest.raises(ValueError):
             compute_spectrum(model, sector, (2.0, 1.0))
 
-    @pytest.mark.parametrize("field", ["root_abs_tol", "cf_rel_tol", "cf_max_depth"])
+    @pytest.mark.parametrize("field", ["root_abs_tol", "cf_max_depth"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_tolerances_must_be_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -338,14 +347,27 @@ def test_warning_types_exported():
 
 
 def test_production_paths_reach_no_scalar_evaluator():
-    # F has one production evaluator, split_values: the CLI imports no
-    # contfrac kernel and no scalar reference, the series only the scalar
-    # backward loop
+    # F has one production evaluator, split_values, and only the CLI (for
+    # curve) imports it: the residual is read from the recursions its callers
+    # run anyway.  The CLI imports no contfrac kernel (only the default
+    # tolerance) and no scalar reference; the series imports the scalar
+    # backward loop and the residual rule
+    import rabispec
     import rabispec.cli
     import rabispec.series
 
     cli = rabispec_imports(rabispec.cli)
-    assert not any(module == "contfrac" for module, _ in cli)
+    assert {name for module, name in cli if module == "contfrac"} == {"DEFAULT_REL_TOL"}
     assert not {name for _, name in cli} & {"split_spectral_value", "spectral_function"}
     series = rabispec_imports(rabispec.series)
-    assert {name for module, name in series if module == "contfrac"} == {"backward_ratio_rows"}
+    assert {name for module, name in series if module == "contfrac"} == {
+        "backward_ratio_rows", "twisted_residual",
+    }
+    modules = [rabispec] + [
+        importlib.import_module(f"rabispec.{info.name}")
+        for info in pkgutil.iter_modules(rabispec.__path__)
+    ]
+    for module in modules:
+        if module is not rabispec.cli:
+            names = {name for _, name in rabispec_imports(module)}
+            assert "split_values" not in names, module.__name__
