@@ -5,17 +5,9 @@ transcendental function built from a minimal-solution continued fraction, and
 cross-validated against an independent truncated Fock-space diagonalization.
 """
 
-from .contfrac import (
-    CFValue,
-    backward_recursion_ratio,
-    eval_continued_fraction,
-)
 from .errors import (
     CoefficientPole,
-    CollapseRegimeWarning,
     CouplingOutOfRange,
-    DivisionBlowup,
-    EmptyWindow,
     NotAnEigenvalueWarning,
     NotDecoupled,
     PoleCollision,
@@ -56,7 +48,6 @@ from .spectral import (
     SpectrumOptions,
     SpectrumResult,
     compute_spectrum,
-    split_spectral_value,
 )
 
 __version__ = "0.1.0"
@@ -64,12 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticRoots",
     "BogoliubovParams",
-    "CFValue",
     "CoefficientPole",
-    "CollapseRegimeWarning",
     "CouplingOutOfRange",
-    "DivisionBlowup",
-    "EmptyWindow",
     "ModelKind",
     "ModelParams",
     "NotAnEigenvalueWarning",
@@ -88,19 +75,16 @@ __all__ = [
     "TruncationInsufficient",
     "ZeroCoupling",
     "asymptotic_roots",
-    "backward_recursion_ratio",
     "bogoliubov_params",
     "build_hamiltonian",
     "closed_form_spectrum_g0",
     "compute_spectrum",
     "eigen_lowest",
-    "eval_continued_fraction",
     "eval_wavefunction",
     "map_sector",
     "minimal_series",
     "norm_tail_ratio",
     "oracle_spectrum",
     "pole_energies",
-    "split_spectral_value",
     "three_term_coeffs",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end with machine-readable CSV/JSON output.
 
 Subcommands: ``spectrum`` (roots of the transcendental function), ``curve``
-(F/G/Q samples for external plotting, all from one ``split_values`` call),
+(samples of F for external plotting, all from one ``f_values`` call),
 ``oracle`` (truncated-Fock eigenvalues), ``compare`` (matching report between
 the two routes) and ``series`` (minimal-solution coefficients at one energy).
 
@@ -30,8 +30,8 @@ from .spectral import (
     compute_spectrum,
     default_window_min,
     eps_exceptional,
+    f_values,
     poles_in_window,
-    split_values,
 )
 
 _MODEL_NAMES = {
@@ -149,9 +149,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     e_min = pick(args.emin, "emin", float)
     if e_min is None:
         e_min = default_window_min(model, sector)
+    # an energy given as inf or nan would reach the recurrence coefficients
+    for name, value in (("emin", e_min), ("emax", e_max), ("energy", getattr(args, "energy", 0.0))):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     cf_rel_tol = pick(args.cf_rel_tol, "cf_rel_tol", float, DEFAULT_REL_TOL)
-    if not cf_rel_tol > 0.0:
-        raise ValueError(f"cf_rel_tol must be positive, got {cf_rel_tol}")
+    match_tol = pick(args.match_tol, "match_tol", float, 1e-6)
+    for name, value in (("cf_rel_tol", cf_rel_tol), ("match_tol", match_tol)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
     out_format = pick(args.format, "format", str, "csv")
     if out_format not in _FORMATS:
         raise ValueError(f"unknown output format {out_format!r}; choose csv or json")
@@ -163,7 +169,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         cf_rel_tol=cf_rel_tol,
         root_abs_tol=pick(args.root_abs_tol, "root_abs_tol", float, SpectrumOptions.root_abs_tol),
         oracle_n=pick(args.oracle_n, "oracle_n", int),
-        match_tol=pick(args.match_tol, "match_tol", float, 1e-6),
+        match_tol=match_tol,
         out_format=out_format,
         output=pick(args.output, "output", str),
     )
@@ -240,7 +246,7 @@ def cmd_curve(cfg: RunConfig, samples: int) -> int:
     m, s = cfg.model, cfg.sector
     step = (cfg.e_max - cfg.e_min) / (samples - 1)
     energies = cfg.e_min + np.arange(samples) * step
-    values = split_values(m, s, energies, 0, cfg.cf_rel_tol)  # nan on a pole or unconverged
+    values = f_values(m, s, energies, cfg.cf_rel_tol)  # nan on a pole or unconverged
     dist = distance_to_pole_set(m, s, energies)
     collisions = energies[dist < m.eps_pole].tolist()
     if collisions:

@@ -5,33 +5,29 @@ K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0 is
 
     R_n = -b(n+1) / (a(n+1) - b(n+2) / (a(n+2) - ...)).
 
-Every production path runs one of three loops over coefficient rows built by
+Every production path runs one of two loops over coefficient rows built by
 ``models.coefficient_block``:
 
-- ``batch_minimal_ratio``, backward recursion over a batch of energies with
-  per-lane depth doubling, gives R_k to ``spectral.split_values``; it builds
-  its rows ``BLOCK_ROWS`` at a time through a ``block`` callable;
-- ``batch_pivots``, the forward recursion as LDL^T pivots over a table of
-  rows from n = 0 (or one chunk of it), gives K_{k+1}/K_k to
-  ``spectral.split_values`` and the Sturm count to ``spectral.level_count``;
+- ``batch_pivots``, the LDL^T pivot recursion over a table of rows, one lane
+  per energy.  Run forward from n = 0 it gives the Sturm count of
+  ``spectral.level_count`` and the pivots of ``twisted_residual``; run on
+  the reversed rows it is the backward recursion of ``batch_minimal_ratio``
+  (R_0 with per-lane depth doubling, for ``spectral.f_values``), the
+  bottom-up half of a twisted factorisation;
 - ``backward_ratio_rows``, one scalar backward pass, gives every ratio of
   ``series.minimal_series``, and of each level for ``twisted_residual``.
 
-The scalar references ``eval_continued_fraction`` (modified Lentz, behind
-``spectral.split_spectral_value`` only), ``backward_ratios`` and
-``forward_ratio`` fetch a(n) and b(n) one n at a time from any object exposing
-them (and optionally ``tail_ratio_scale``), so tests can pass surrogate
-coefficient sequences.
+Batched tables are built ``CHUNK_CELLS`` rows x lanes at a time, so their
+memory grows neither with the lanes nor with the depth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoefficientPole, DivisionBlowup
+from .errors import CoefficientPole
 
 _TINY = 1e-30
 _DENOM_FLOOR = 1e-300
@@ -39,96 +35,10 @@ _DENOM_FLOOR = 1e-300
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 2**20
 _FIRST_CHECKPOINT = 64
-# Rows of coefficients built at a time by the batched backward recursion.  Its
-# depth doubles per lane up to max_depth (2^20 by default), so a whole depth x
-# lanes table could take gigabytes.
-BLOCK_ROWS = 16
-
-
-@dataclass(frozen=True)
-class CFValue:
-    """Converged continued-fraction value with convergence metadata.
-
-    ``residual`` is the absolute change of the value on the last depth
-    doubling; ``converged`` means it met the requested relative tolerance.
-    """
-
-    value: float
-    depth: int
-    converged: bool
-    residual: float
-
-
-def eval_continued_fraction(
-    coeffs,
-    start: int = 0,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> CFValue:
-    """Evaluate R_start by modified Lentz with depth doubling.
-
-    The fraction is evaluated at depths 64, 128, 256, ... up to ``max_depth``;
-    convergence is declared once successive checkpoint values agree to
-    ``rel_tol`` relative to max(1, |value|).  Non-convergence is reported via
-    the flag, not raised.
-    """
-    if not rel_tol > 0.0:
-        raise ValueError("rel_tol must be positive")
-    if max_depth < 8:
-        raise ValueError("max_depth must be >= 8")
-
-    f = _TINY
-    c = f
-    d = 0.0
-    prev: float | None = None
-    checkpoint = _FIRST_CHECKPOINT
-    converged = False
-    residual = math.inf
-    depth = 0
-    while depth < max_depth:
-        depth += 1
-        n = start + depth
-        a_n = coeffs.a(n)
-        b_n = -coeffs.b(n)
-        if not (math.isfinite(a_n) and math.isfinite(b_n)):
-            raise CoefficientPole(f"non-finite coefficient consumed at index {n}")
-        d = a_n + b_n * d
-        if d == 0.0:
-            d = _TINY
-        c = a_n + b_n / c
-        if c == 0.0:
-            c = _TINY
-        d = 1.0 / d
-        f *= c * d
-        if depth == checkpoint:
-            if prev is not None:
-                residual = abs(f - prev)
-                if residual <= rel_tol * max(1.0, abs(f)):
-                    converged = True
-                    break
-            prev = f
-            checkpoint *= 2
-    return CFValue(value=f, depth=depth, converged=converged, residual=residual)
-
-
-def backward_recursion_ratio(coeffs, start: int = 0, tail_depth: int = 1024) -> float:
-    """Evaluate R_start by one pass of ``backward_ratios`` down from ``tail_depth``.
-
-    Raises DivisionBlowup if the ratio it ends on is not finite.
-    """
-    if tail_depth < start + 8:
-        raise ValueError("tail_depth must be >= start + 8")
-    r = backward_ratios(coeffs, start, tail_depth)[0]
-    if not math.isfinite(r):
-        raise DivisionBlowup("backward recursion produced a non-finite ratio")
-    return r
-
-
-def backward_ratios(coeffs, start: int, tail: int) -> list[float]:
-    """R_start, ..., R_{tail-1} by ``backward_ratio_rows``, fetching a(n), b(n) one n at a time."""
-    n = range(start + 1, tail + 1)
-    scale = getattr(coeffs, "tail_ratio_scale", 0.0)
-    return backward_ratio_rows([coeffs.a(m) for m in n], [coeffs.b(m) for m in n], start, scale)
+# Rows x lanes of one batched coefficient table.  The backward recursion's
+# depth doubles per lane up to max_depth (2^20 by default), so a whole
+# depth x lanes table could take gigabytes.
+CHUNK_CELLS = 2**16
 
 
 def backward_ratio_rows(a: list[float], b: list[float], start: int, scale: float) -> list[float]:
@@ -156,28 +66,6 @@ def backward_ratio_rows(a: list[float], b: list[float], start: int, scale: float
     return out
 
 
-def forward_ratio(coeffs, k: int) -> float:
-    """K_{k+1}/K_k from forward recursion of the single-ended sequence, K_0 = 1.
-
-    Exact (no minimality subtlety) for the small k it is used at; normalized
-    each step so intermediate magnitudes stay bounded.
-    """
-    curr = -coeffs.a(0)  # K_1
-    prev = 1.0           # K_0
-    for m in range(1, k + 1):
-        nxt = -coeffs.a(m) * curr - coeffs.b(m) * prev
-        prev, curr = curr, nxt
-        scale = max(abs(prev), abs(curr))
-        if scale > 1e150:
-            prev /= scale
-            curr /= scale
-    if curr == 0.0 and prev == 0.0:
-        return math.nan
-    if prev == 0.0:
-        return math.inf if curr > 0 else -math.inf
-    return curr / prev
-
-
 def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.ndarray:
     """Every pivot sigma_n of the coefficient rows, one column per lane.
 
@@ -196,9 +84,10 @@ def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.nda
     """
     pivots = -sign * a
     with np.errstate(divide="ignore", over="ignore"):
-        for n, pivot in enumerate(pivots):
+        # b(n) as Python floats: b_n / prev costs less per row than with a (1,) array
+        for pivot, b_n in zip(pivots, b[:, 0].tolist()):
             if prev is not None:
-                pivot -= b[n] / prev
+                pivot -= b_n / prev
             pivot[pivot == 0.0] = -_TINY
             prev = pivot
     return pivots
@@ -226,53 +115,47 @@ def twisted_residual(a: np.ndarray, b: np.ndarray, ratios: np.ndarray, sign: flo
 def batch_minimal_ratio(
     block,
     lanes: np.ndarray,
-    starts: np.ndarray,
     scale: float,
     rel_tol: float = DEFAULT_REL_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> np.ndarray:
-    """R_start for every lane by backward recursion with per-lane depth doubling.
+    """R_0 for every lane by backward recursion with per-lane depth doubling.
 
-    ``block(lanes, n_lo, n_hi)`` returns the coefficients a(n) and b(n) for rows
-    n in [n_lo, n_hi] against the given lanes, as arrays that broadcast to
-    (rows, lanes).  A lane at depth d recurses r_{n-1} = -b(n) / (a(n) + r_n)
-    down from its tail N = start + d, seeded with ``scale`` / N.  The depths
-    are those of ``eval_continued_fraction``: 64, 128, ... and finally
-    ``max_depth``.  A lane has converged once R_start agrees between
-    successive depths to ``rel_tol`` relative to max(1, |R|), and only
-    unconverged lanes run the next depth.  A lane that has not converged by
-    ``max_depth`` is nan, as Lentz reports it unconverged.
+    ``block(lanes, n_lo, n_hi)`` returns the coefficients a(n), (rows, lanes),
+    and b(n), (rows, 1), for rows n in [n_lo, n_hi] against the given lanes,
+    as ``models.coefficient_block`` does.  A lane at depth N recurses tau_{n-1} = a(n-1) - b(n) / tau_n
+    down from tau_N = a(N) + ``scale`` / N, where tau_n = a(n) + R_n: the
+    pivots of ``batch_pivots`` with sign -1 over the reversed rows.  Then
+    R_0 = -b(1) / tau_1.  The depths are 64, 128, ... and finally
+    ``max_depth``.  A lane has converged once R_0 agrees between successive
+    depths to ``rel_tol`` relative to max(1, |R_0|), and only unconverged
+    lanes run the next depth.  A lane that has not converged by
+    ``max_depth`` is nan.  A tau_n that is exactly 0 is taken as a tiny
+    negative number, as every pivot of ``batch_pivots`` is.
     """
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
     if max_depth < 8:
         raise ValueError("max_depth must be >= 8")
     lanes = np.asarray(lanes)
-    starts = np.asarray(starts, dtype=np.intp)
     depths = []
     depth = _FIRST_CHECKPOINT
     while depth < max_depth:
         depths.append(depth)
         depth *= 2
     depths.append(max_depth)
-    out = np.full(starts.shape, np.nan)
-    active = np.arange(starts.size)
+    out = np.full(lanes.shape, np.nan)
+    active = np.arange(lanes.size)
     prev = None
-    done = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while active.size and done < len(depths):
-            # the first two depths share one pass
-            run = depths[done:done + (1 if prev is not None else 2)]
-            k = starts[active]
-            values = _backward_pass(block, lanes[active], k, k + np.array(run)[:, None], scale)
-            done += len(run)
-            value = values[-1]
+        for depth in depths:
+            if not active.size:
+                break
+            value = _minimal_ratio(block, lanes[active], depth, scale)
             out[active] = value
-            if len(run) == 2:
-                prev = values[0]
             if prev is not None:
                 settled = np.abs(value - prev) <= rel_tol * np.maximum(1.0, np.abs(value))
-                # a non-finite ratio (an exactly vanishing denominator) cannot settle
+                # a non-finite ratio cannot settle
                 keep = ~(settled | ~np.isfinite(value))
                 active, value = active[keep], value[keep]
             prev = value
@@ -280,39 +163,22 @@ def batch_minimal_ratio(
     return out
 
 
-def _backward_pass(block, lanes, starts, tails, scale: float) -> np.ndarray:
-    """Backward recursions of all lanes over one pass of coefficient blocks.
+def _minimal_ratio(block, lanes: np.ndarray, tail: int, scale: float) -> np.ndarray:
+    """R_0 of every lane from one backward pass down from row ``tail``.
 
-    ``tails`` has one row per depth run in this pass; each (depth, lane)
-    recursion is seeded with scale / tail at its own tail.  Returns R_start
-    with the same shape as ``tails``.
+    The rows n = tail, ..., 0 are pivoted in chunks of at most ``CHUNK_CELLS``
+    cells (at least two rows per block), each chunk passed the last pivot row
+    of the one above it.
     """
-    r = np.zeros(tails.shape)
-    out = np.empty(tails.shape)
-    seeds = _lanes_by_value(tails.ravel())
-    picks = _lanes_by_value(starts)
-    hi = int(tails.max())
-    a = None
-    while hi > 0:
-        lo = max(1, hi - BLOCK_ROWS + 1)
-        del a  # let the previous block go before the next one is built
-        a, b = block(lanes, lo, hi)
-        neg_b = -b
-        for i in range(hi - lo, -1, -1):
-            n = lo + i
-            sel = seeds.get(n)
-            if sel is not None:
-                r.ravel()[sel] = scale / n
-            r = neg_b[i] / (a[i] + r)
-            sel = picks.get(n - 1)  # r is now R_{n-1}
-            if sel is not None:
-                out[:, sel] = r[:, sel]
-        hi = lo - 1
-    return out
-
-
-def _lanes_by_value(values: np.ndarray) -> dict[int, np.ndarray]:
-    """{value: indices of the lanes holding it}."""
-    order = np.argsort(values, kind="stable")
-    keys, first = np.unique(values[order], return_index=True)
-    return dict(zip(keys.tolist(), np.split(order, first[1:])))
+    rows = max(2, CHUNK_CELLS // lanes.size)  # rows per block; a chunk pivots all but the top one
+    hi, last = tail, None
+    while hi >= 0:
+        lo = max(0, hi - rows + 2)
+        a, b = block(lanes, lo, hi + 1)
+        a, b = a[-2::-1], b[:0:-1]  # rows hi, ..., lo with b(n + 1) beside a(n)
+        if last is None:
+            a[0] += scale / tail
+        pivots = batch_pivots(a, b, -1.0, last)
+        tau_1 = pivots[-2] if len(pivots) > 1 else last  # a one-row chunk holds tau_0 alone
+        last, hi = pivots[-1], lo - 1
+    return -b[-1] / tau_1

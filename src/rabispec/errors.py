@@ -25,18 +25,6 @@ class CoefficientPole(RabispecError):
     """A non-finite recurrence coefficient was consumed during evaluation."""
 
 
-class DivisionBlowup(RabispecError):
-    """Backward recursion produced a non-finite ratio despite denominator flooring."""
-
-
-class EmptyWindow(RabispecError):
-    """Scan window contains no usable grid points.
-
-    No longer raised: levels are counted, and any window with E_min < E_max is
-    usable.  Kept so that existing imports and handlers still work.
-    """
-
-
 class TruncationInsufficient(RabispecError):
     """Series truncation too short for the requested evaluation point."""
 
@@ -47,15 +35,6 @@ class TruncationCeiling(RabispecError):
 
 class NotAnEigenvalueWarning(UserWarning):
     """Series requested at an energy that is not (close to) a spectral root."""
-
-
-class CollapseRegimeWarning(UserWarning):
-    """Parameters approach spectral collapse.
-
-    No longer issued: the level count checks every level's position under
-    truncation doubling, near collapse as elsewhere.  Kept so that existing
-    imports and warning filters still work.
-    """
 
 
 class SignLostWarning(UserWarning):

@@ -27,8 +27,7 @@ certificate that no level is lost.  Each level's residual (only reported,
 -sign(g) W_k* of the count's pivots and the backward ratios at the matching
 index k*, over the eigenvector's norm (Parlett and Dhillon; Cooley).
 
-``split_values`` evaluates F and W_k over a batch of energies for ``rabispec
-curve``; ``split_spectral_value`` (Lentz) is its scalar test reference.
+``f_values`` evaluates F over a batch of energies for ``rabispec curve``.
 """
 
 from __future__ import annotations
@@ -41,13 +40,12 @@ from functools import partial
 import numpy as np
 
 from .contfrac import (
+    CHUNK_CELLS,
     DEFAULT_MAX_DEPTH,
     DEFAULT_REL_TOL,
     backward_ratio_rows,
     batch_minimal_ratio,
     batch_pivots,
-    eval_continued_fraction,
-    forward_ratio,
     twisted_residual,
 )
 from .errors import SignLostWarning
@@ -61,7 +59,6 @@ from .models import (
     nearest_pole_index,
     pole_energy,
     pole_lattice,
-    three_term_coeffs,
 )
 
 # Pole-handling constants (in units of omega where dimensionful).
@@ -73,7 +70,6 @@ _FIRST_COUNT_ROWS = 64
 _SECTIONS = 16
 # Rows pivoted at a time by level_count, so its memory does not grow with the rows.
 _COUNT_CHUNK_ROWS = 1024
-_RESIDUAL_CELLS = 2**16        # rows x lanes of one residual table, for the same reason
 
 
 @dataclass(frozen=True)
@@ -152,59 +148,34 @@ def poles_in_window(
     ]
 
 
-def split_spectral_value(
-    model: ModelParams,
-    sector: Sector,
-    energy: float,
-    split: int,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> float:
-    """W_k(E) at split index k: CF tail ratio minus forward ratio; F(E) at k = 0.
-
-    The zero set is the same for every k, the poles are not: the forward
-    ratio has a simple pole at the k-th pole energy, and R_k consumes no
-    divergent coefficient near it.
-    """
-    coeffs = three_term_coeffs(model, sector, energy)
-    cf = eval_continued_fraction(coeffs, start=split, rel_tol=rel_tol, max_depth=max_depth)
-    return cf.value - forward_ratio(coeffs, split)
-
-
-def split_values(
+def f_values(
     model: ModelParams,
     sector: Sector,
     energies,
-    splits,
     rel_tol: float = DEFAULT_REL_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> np.ndarray:
-    """``split_spectral_value`` over an array of energies, one lane per energy.
+    """F(E) = R_0(E) + a(0) over an array of energies, one lane per energy.
 
-    ``splits`` is each lane's split index k (a scalar applies to every lane);
-    k = 0 gives F, since W_0 = R_0 + a(0).  R_k comes from batched backward
-    recursion (``batch_minimal_ratio``) and K_{k+1}/K_k as the pivot sigma_k
-    of the forward recursion (``batch_pivots``).  Lanes within eps_pole of the
-    pole set, where ``split_spectral_value`` raises PoleCollision, lanes whose
-    R_k did not converge by ``max_depth`` and lanes whose value is not finite
-    are nan.
+    R_0 comes from batched backward recursion (``batch_minimal_ratio``).
+    Lanes within eps_pole of the pole set, lanes whose R_0 did not converge
+    by ``max_depth`` and lanes whose value is not finite are nan.
     """
     check_coupling(model)
     sector.check_matches(model)
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    splits = np.broadcast_to(np.asarray(splits, dtype=np.intp), energies.shape)
     out = np.full(energies.shape, np.nan)
     usable = distance_to_pole_set(model, sector, energies) >= model.eps_pole
     if not usable.any():
         return out
-    e, k = energies[usable], splits[usable]
+    e = energies[usable]
     block = partial(coefficient_block, model, sector)
-    tail = batch_minimal_ratio(block, e, k, asymptotic_roots(model).t2, rel_tol, max_depth)
-    pivots = batch_pivots(*coefficient_block(model, sector, e, 0, int(k.max())), 1.0)
+    ratio = batch_minimal_ratio(block, e, asymptotic_roots(model).t2, rel_tol, max_depth)
+    a, _ = coefficient_block(model, sector, e, 0, 0)
     with np.errstate(invalid="ignore", over="ignore"):
-        w = tail - pivots[k, np.arange(k.size)]
-    w[~np.isfinite(w)] = np.nan
-    out[usable] = w
+        f = ratio + a[0]
+    f[~np.isfinite(f)] = np.nan
+    out[usable] = f
     return out
 
 
@@ -296,6 +267,8 @@ def compute_spectrum(
     if opts is None:
         opts = SpectrumOptions()
     e_min, e_max = window
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
+        raise ValueError(f"window edges must be finite, got {window}")
     if not e_min < e_max:
         raise ValueError("window must satisfy E_min < E_max")
 
@@ -346,7 +319,7 @@ def compute_spectrum(
     pole = pole_energy(model, sector, nearest_pole_index(model, sector, mid))
     energy = np.where((lo < pole) & (pole < hi), pole, mid)
     residual, dist = np.full(energy.shape, np.inf), distance_to_pole_set(model, sector, energy)
-    usable, step = np.flatnonzero(dist >= eps), max(1, _RESIDUAL_CELLS // rows)
+    usable, step = np.flatnonzero(dist >= eps), max(1, CHUNK_CELLS // rows)
     for table in (usable[i:i + step] for i in range(0, usable.size, step)):
         a, b = coefficient_block(model, sector, energy[table], 0, rows - 1)  # confirming rows
         t2, b_rows = asymptotic_roots(model).t2, b[1:, 0].tolist()

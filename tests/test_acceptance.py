@@ -7,8 +7,9 @@ decoupling limits, symmetry, self-consistency, differential-equation
 residuals) is checked directly.
 
 Pole structure (``test_divergence_at_pole_energies``): at the n-th pole
-energy E_n the split eigencondition W_n (``split_spectral_value`` at index n)
-has a simple pole, so it changes sign across E_n and grows as 1/(E - E_n).
+energy E_n the split eigencondition W_n (``reference.split_spectral_value`` at
+index n) has a simple pole, so it changes sign across E_n and grows as
+1/(E - E_n).
 F = W_0 diverges at E_0.  For n >= 1 F meets the divergent coefficient a(n)
 only inside the fraction, where it sends R_{n-1} to zero: F has a removable
 singularity at E_n, and its limit there is the terminating fraction
@@ -29,23 +30,21 @@ from rabispec import (
     NotAnEigenvalueWarning,
     Sector,
     ThreeTermCoeffs,
-    backward_recursion_ratio,
     build_hamiltonian,
     closed_form_spectrum_g0,
     compute_spectrum,
-    eval_continued_fraction,
     map_sector,
     minimal_series,
     norm_tail_ratio,
     oracle_spectrum,
     pole_energies,
-    split_spectral_value,
     three_term_coeffs,
 )
 from rabispec.models import asymptotic_roots, bogoliubov_params, distance_to_pole_set
 from rabispec.oracle import eigen_in_range
 from rabispec.spectral import RESIDUAL_CAP, SpectrumOptions, default_window_min, eps_exceptional
 
+from reference import backward_recursion_ratio, eval_continued_fraction, split_spectral_value
 from test_contfrac import _random_cases
 
 MATCH_TOL = 1e-7

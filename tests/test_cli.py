@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -11,11 +12,11 @@ from rabispec import (
     Sector,
     closed_form_spectrum_g0,
     pole_energies,
-    split_spectral_value,
 )
 from rabispec.cli import main, match_spectra
 
 from conftest import TWO_PHOTON_REF_EIGS
+from reference import split_spectral_value
 
 SPECTRUM_ARGS = [
     "spectrum",
@@ -132,6 +133,9 @@ class TestConfigHandling:
         ("format = xml", "xml"),
         ("root_abs_tol = 0", "root_abs_tol"),
         ("grid_step = -1", "grid_step"),  # a retired key is an unknown key
+        ("match_tol = nan", "match_tol"),
+        ("match_tol = 0", "match_tol"),
+        ("match_tol = -1", "match_tol"),
     ])
     def test_bad_config_value_is_config_error(self, capsys, tmp_path, line, named):
         cfg = tmp_path / "run.cfg"
@@ -141,6 +145,21 @@ class TestConfigHandling:
         code, out, err = run_cli(capsys, ["spectrum", "--config", str(cfg)])
         assert code == 1 and out == ""
         assert err.startswith("ERROR config ValueError: ") and named in err
+
+    @pytest.mark.parametrize("command", [
+        "spectrum --emax=inf", "spectrum --emin=-inf", "curve --emax=nan", "compare --emin=nan",
+        "series --energy=0.4 --emax=inf", "series --energy=nan",
+    ])
+    def test_non_finite_energy_is_config_error(self, capsys, command):
+        # "--emin -inf" would read as a flag; a later flag overrides the --emax before it
+        name, *flags = command.split()
+        argv = [name, "--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4",
+                "--emax", "8", *flags]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR config ValueError: ") and "must be finite" in err
 
     def test_kappa_accepts_fraction_and_decimal(self, capsys):
         base = ["oracle", "--model", "two-mode", "--delta", "0.3", "--g", "0.4",

@@ -1,7 +1,8 @@
-"""Continued-fraction evaluators: Lentz, backward recursion, ratio sequences."""
+"""Continued-fraction evaluators: batched kernels against the scalar references."""
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,21 +15,24 @@ from rabispec import (
     ModelParams,
     Sector,
     asymptotic_roots,
-    backward_recursion_ratio,
-    eval_continued_fraction,
     three_term_coeffs,
 )
+from rabispec import contfrac
 from rabispec.contfrac import (
     backward_ratio_rows,
-    backward_ratios,
     batch_minimal_ratio,
     batch_pivots,
-    forward_ratio,
     twisted_residual,
 )
 from rabispec.models import coefficient_block, distance_to_pole_set
 
 from conftest import ConstCoeffs
+from reference import (
+    backward_ratios,
+    backward_recursion_ratio,
+    eval_continued_fraction,
+    forward_ratio,
+)
 
 
 def const_block(a, b):
@@ -194,44 +198,67 @@ class TestErrorPaths:
             backward_recursion_ratio(c, start=100, tail_depth=100)
 
 
+def two_mode_lanes():
+    model = ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4)
+    sector = Sector.two_mode(1.0)
+    energies = np.linspace(-0.9, 7.9, 23)
+    return model, sector, energies[distance_to_pole_set(model, sector, energies) > 1e-3]
+
+
 class TestBatchMinimalRatio:
     def test_constant_coefficients(self):
-        # minimal ratio of K_{n+1} + 3 K_n + 2 K_{n-1} = 0 is -1 at every start
-        starts = np.array([0, 3, 1, 0])
-        r = batch_minimal_ratio(const_block(3.0, 2.0), np.zeros(starts.size), starts, scale=0.0)
-        assert r == pytest.approx([-1.0] * starts.size, abs=1e-12)
+        # minimal ratio of K_{n+1} + 3 K_n + 2 K_{n-1} = 0 is -1
+        r = batch_minimal_ratio(const_block(3.0, 2.0), np.zeros(4), scale=0.0)
+        assert r == pytest.approx([-1.0] * 4, abs=1e-12)
 
     def test_unsettled_lane_is_nan(self):
         # t^2 + 2t + 1 = 0 has the double root -1: no solution is minimal, the
         # ratio creeps towards -1 like -d/(d + 1) and never settles
         assert not eval_continued_fraction(ConstCoeffs(2.0, 1.0), max_depth=4096).converged
-        r = batch_minimal_ratio(const_block(2.0, 1.0), np.zeros(1), np.zeros(1), 0.0,
-                                max_depth=4096)
+        r = batch_minimal_ratio(const_block(2.0, 1.0), np.zeros(1), 0.0, max_depth=4096)
         assert np.isnan(r[0])
 
     def test_matches_lentz_per_lane(self):
-        # every lane equals the scalar Lentz value at its own start index
-        model = ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4)
-        sector = Sector.two_mode(1.0)
-        energies = np.linspace(-0.9, 7.9, 23)
-        energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
-        starts = np.arange(energies.size) % 4
+        # every lane equals the scalar Lentz value of R_0
+        model, sector, energies = two_mode_lanes()
+        block = partial(coefficient_block, model, sector)
+        r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2)
+        for e, got in zip(energies, r):
+            ref = eval_continued_fraction(three_term_coeffs(model, sector, e)).value
+            assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
-        def block(lanes, n_lo, n_hi):
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_chunked_pass_equals_one_table(self, monkeypatch, rows):
+        # the depths 64, 128, ... hold an odd number of rows n = 0..N: while every
+        # lane is active, blocks of 2, 3 or 5 rows (chunks of 1, 2 or 4 pivot rows)
+        # leave row 0 alone in the last chunk, and tau_1 comes from the chunk above
+        model, sector, energies = two_mode_lanes()
+        block, t2 = partial(coefficient_block, model, sector), asymptotic_roots(model).t2
+        one_table = batch_minimal_ratio(block, energies, t2)
+        monkeypatch.setattr(contfrac, "CHUNK_CELLS", rows * energies.size)
+        np.testing.assert_array_equal(batch_minimal_ratio(block, energies, t2), one_table)
+
+    @pytest.mark.parametrize("lanes", [1, 23, 500])
+    def test_blocks_stay_within_the_cell_budget(self, monkeypatch, lanes):
+        model, sector, _ = two_mode_lanes()
+        energies = np.linspace(-0.9, 0.3, lanes)
+        monkeypatch.setattr(contfrac, "CHUNK_CELLS", 4096)
+        cells = []
+
+        def recording(lanes, n_lo, n_hi):
+            cells.append(lanes.size * (n_hi - n_lo + 1))
             return coefficient_block(model, sector, lanes, n_lo, n_hi)
 
-        r = batch_minimal_ratio(block, energies, starts, asymptotic_roots(model).t2)
-        for e, k, got in zip(energies, starts, r):
-            ref = eval_continued_fraction(three_term_coeffs(model, sector, e), start=k).value
-            assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+        batch_minimal_ratio(recording, energies, asymptotic_roots(model).t2)
+        assert cells and max(cells) <= 4096
 
     def test_argument_validation(self):
         block = const_block(1.0, 1.0)
         for rel_tol in (0.0, math.nan):
             with pytest.raises(ValueError):
-                batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, rel_tol=rel_tol)
+                batch_minimal_ratio(block, np.zeros(1), 0.0, rel_tol=rel_tol)
         with pytest.raises(ValueError):
-            batch_minimal_ratio(block, np.zeros(1), np.zeros(1), 0.0, max_depth=4)
+            batch_minimal_ratio(block, np.zeros(1), 0.0, max_depth=4)
 
 
 def negative_pivots(a, b, sign):

@@ -1,8 +1,10 @@
 """Transcendental eigenvalue functions and pole-aware root finding."""
 
+import ast
 import importlib
 import math
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,25 +16,25 @@ from rabispec import (
     PoleCollision,
     Sector,
     compute_spectrum,
-    eval_continued_fraction,
     oracle_spectrum,
     pole_energies,
-    split_spectral_value,
 )
 from rabispec import spectral
-from rabispec.errors import CollapseRegimeWarning, SignLostWarning
+from rabispec.errors import SignLostWarning
 from rabispec.models import distance_to_pole_set
 from rabispec.spectral import (
     RESIDUAL_CAP,
     SpectrumOptions,
     default_window_min,
     eps_exceptional,
+    f_values,
     level_count,
     poles_in_window,
-    split_values,
 )
 
+import reference
 from conftest import ConstCoeffs, rabispec_imports
+from reference import eval_continued_fraction, split_spectral_value
 from test_contfrac import _random_cases
 
 
@@ -212,7 +214,7 @@ class TestComputeSpectrum:
         # residuals read one level per table equal those read in one table
         model, sector, window, _ = two_photon_ref
         one_table = [r.residual for r in compute_spectrum(model, sector, window).roots]
-        monkeypatch.setattr(spectral, "_RESIDUAL_CELLS", 1)
+        monkeypatch.setattr(spectral, "CHUNK_CELLS", 1)
         assert [r.residual for r in compute_spectrum(model, sector, window).roots] == one_table
 
     @pytest.mark.parametrize("chunk", [1, 7, 32])
@@ -227,8 +229,9 @@ class TestComputeSpectrum:
 
     def test_window_validation(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
-        with pytest.raises(ValueError):
-            compute_spectrum(model, sector, (2.0, 1.0))
+        for window in ((2.0, 1.0), (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                compute_spectrum(model, sector, window)
 
     @pytest.mark.parametrize("field", ["root_abs_tol", "cf_max_depth"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
@@ -304,22 +307,17 @@ class TestDrivenHiddenPairs:
 
 class TestBatchedEigencondition:
     def test_agrees_with_lentz_on_random_points(self):
-        # one batch: 100 random points at split indices 0-4 and 15-17, so the
-        # lanes of one batch read their ratios from different pivot rows
+        # one batch of F per model and sector over 100 random points
         cases = _random_cases(100)
-        ks = [0, 1, 2, 3, 4, 15, 16, 17]
         for model, sector in {(m, s) for m, s, _ in cases}:
             energies = [e for m, s, e in cases if (m, s) == (model, sector)]
-            lanes = np.repeat(energies, len(ks))
-            splits = np.tile(ks, len(energies))
-            got = split_values(model, sector, lanes, splits)
-            for e, k, w in zip(lanes, splits, got):
-                ref = split_spectral_value(model, sector, e, split=int(k))
-                assert abs(w - ref) <= 1e-9 * max(1.0, abs(ref)), (model, e, k)
+            for e, f in zip(energies, f_values(model, sector, energies)):
+                ref = split_spectral_value(model, sector, e, 0)
+                assert abs(f - ref) <= 1e-9 * max(1.0, abs(ref)), (model, e)
 
     def test_small_at_reference_eigenvalues(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
-        values = split_values(model, sector, eigs, 0)
+        values = f_values(model, sector, eigs)
         assert values.shape == (len(eigs),)
         assert np.all(np.abs(values) <= 1e-6)
 
@@ -327,38 +325,47 @@ class TestBatchedEigencondition:
         model, sector, _, _ = two_photon_ref
         pole = pole_energies(model, sector, 2)[2]
         energies = np.array([0.3, 1.1, pole + 1e-10, 2.6, 4.2])
-        splits = np.array([0, 1, 2, 2, 3])
-        batch = split_values(model, sector, energies, splits)
+        batch = f_values(model, sector, energies)
         assert math.isnan(batch[2])
         with pytest.raises(PoleCollision):
-            split_spectral_value(model, sector, pole + 1e-10, split=2)
+            split_spectral_value(model, sector, pole + 1e-10, 0)
         keep = [0, 1, 3, 4]
-        alone = split_values(model, sector, energies[keep], splits[keep])
-        np.testing.assert_array_equal(batch[keep], alone)
+        np.testing.assert_array_equal(batch[keep], f_values(model, sector, energies[keep]))
+
+
+# the scalar references, which live in tests/reference.py, and retired names:
+# error and warning types that no production path raised, and an old evaluator
+REFERENCE_NAMES = {
+    "CFValue", "eval_continued_fraction", "backward_recursion_ratio", "backward_ratios",
+    "forward_ratio", "split_spectral_value",
+}
+RETIRED_NAMES = {
+    "DivisionBlowup", "EmptyWindow", "CollapseRegimeWarning", "ConvergenceFailure",
+    "spectral_function",
+}
 
 
 def test_warning_types_exported():
     import rabispec
 
     assert rabispec.SignLostWarning is SignLostWarning
-    assert rabispec.CollapseRegimeWarning is CollapseRegimeWarning
-    assert "ConvergenceFailure" not in rabispec.__all__
-    assert not hasattr(rabispec, "ConvergenceFailure")
+    for name in RETIRED_NAMES | REFERENCE_NAMES:
+        assert name not in rabispec.__all__ and not hasattr(rabispec, name), name
+    assert all(hasattr(rabispec, name) for name in rabispec.__all__)
 
 
 def test_production_paths_reach_no_scalar_evaluator():
-    # F has one production evaluator, split_values, and only the CLI (for
+    # F has one production evaluator, f_values, and only the CLI (for
     # curve) imports it: the residual is read from the recursions its callers
     # run anyway.  The CLI imports no contfrac kernel (only the default
-    # tolerance) and no scalar reference; the series imports the scalar
-    # backward loop and the residual rule
+    # tolerance); the series imports the scalar backward loop and the
+    # residual rule.  No module defines or imports a scalar reference
     import rabispec
     import rabispec.cli
     import rabispec.series
 
     cli = rabispec_imports(rabispec.cli)
     assert {name for module, name in cli if module == "contfrac"} == {"DEFAULT_REL_TOL"}
-    assert not {name for _, name in cli} & {"split_spectral_value", "spectral_function"}
     series = rabispec_imports(rabispec.series)
     assert {name for module, name in series if module == "contfrac"} == {
         "backward_ratio_rows", "twisted_residual",
@@ -368,6 +375,12 @@ def test_production_paths_reach_no_scalar_evaluator():
         for info in pkgutil.iter_modules(rabispec.__path__)
     ]
     for module in modules:
+        names = {name for _, name in rabispec_imports(module)}
         if module is not rabispec.cli:
-            names = {name for _, name in rabispec_imports(module)}
-            assert "split_values" not in names, module.__name__
+            assert "f_values" not in names, module.__name__
+        defined = {
+            node.name for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not (names | defined) & (REFERENCE_NAMES | RETIRED_NAMES), module.__name__
+    assert {name for name in vars(reference) if not name.startswith("_")} >= REFERENCE_NAMES
