@@ -153,6 +153,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     for name, value in (("emin", e_min), ("emax", e_max), ("energy", getattr(args, "energy", 0.0))):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not e_min < e_max:
+        raise ValueError("window must satisfy E_min < E_max")
     cf_rel_tol = pick(args.cf_rel_tol, "cf_rel_tol", float, DEFAULT_REL_TOL)
     match_tol = pick(args.match_tol, "match_tol", float, 1e-6)
     for name, value in (("cf_rel_tol", cf_rel_tol), ("match_tol", match_tol)):
@@ -231,6 +233,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     meta = _meta(cfg)
     meta["count_rows"] = result.count_rows
     meta["count_calls"] = result.count_calls
+    meta["count_row_steps"] = result.count_row_steps
     meta["poles"] = ";".join(_fmt(p) for p in result.poles)
     levels = [(r, False) for r in result.roots] + [(r, True) for r in result.flagged]
     rows = [[i, r.energy, r.residual, flagged] for i, (r, flagged) in enumerate(levels)]
@@ -338,6 +341,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     meta = _meta(cfg)
     meta["oracle_n_used"] = n_used
     meta["match_tol"] = cfg.match_tol
+    meta["count_calls"] = result.count_calls
+    meta["count_row_steps"] = result.count_row_steps
     out_rows = [["" if v is None else v for v in row] for row in rows]
     _emit(cfg, meta, ["root", "oracle", "diff", "status"], out_rows)
     unmatched = [s for *_, s in rows if s in ("cf_only", "oracle_only")]

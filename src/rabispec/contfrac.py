@@ -81,15 +81,29 @@ def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.nda
     whose negative count is the Sturm count.  A pivot that is exactly 0 is
     taken as a tiny negative number (Kahan's guard); so where K_k = 0
     exactly, K_{k+1}/K_k is a huge finite number, not inf.
+
+    The guard runs once per table: the rows are pivoted unguarded, and a
+    table that holds a pivot of +-0 is pivoted again from ``prev`` with the
+    guard on every row.  Both passes do the same operations up to the first
+    exact zero, which the unguarded pass stores, so the result is bit for
+    bit that of the guarded pass.
     """
-    pivots = -sign * a
-    with np.errstate(divide="ignore", over="ignore"):
-        # b(n) as Python floats: b_n / prev costs less per row than with a (1,) array
-        for pivot, b_n in zip(pivots, b[:, 0].tolist()):
-            if prev is not None:
-                pivot -= b_n / prev
+    b_rows = b[:, 0].tolist()  # b_n / prev costs less per row with b(n) as a Python float
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pivots = _pivot_rows(-sign * a, b_rows, prev, guard=False)
+        if not pivots.all():  # a pivot of +-0 (nan is not 0)
+            pivots = _pivot_rows(-sign * a, b_rows, prev, guard=True)
+    return pivots
+
+
+def _pivot_rows(pivots: np.ndarray, b_rows: list[float], prev, guard: bool) -> np.ndarray:
+    """The recursion of ``batch_pivots`` in place over ``pivots`` = -sign * a, guarded or not."""
+    for pivot, b_n in zip(pivots, b_rows):
+        if prev is not None:
+            pivot -= b_n / prev
+        if guard:
             pivot[pivot == 0.0] = -_TINY
-            prev = pivot
+        prev = pivot
     return pivots
 
 

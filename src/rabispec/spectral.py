@@ -107,9 +107,10 @@ class SpectrumResult:
     puts in the window; every one of them is returned, in ``roots`` or in
     ``flagged``.  ``brackets_rejected`` counts the levels whose position was
     not confirmed at the ``cf_max_depth`` row cap.  ``count_calls`` is the
-    number of ``level_count`` calls and ``grid_points`` the lanes passed to
-    them, and ``count_rows`` is the truncation N at which the levels were
-    last narrowed.  A level's ``residual`` is its twisted residual.
+    number of ``level_count`` calls, ``grid_points`` the lanes passed to
+    them and ``count_row_steps`` the sum of their rows (the iterations of the
+    pivot loop), and ``count_rows`` is the truncation N at which the levels
+    were last narrowed.  A level's ``residual`` is its twisted residual.
     """
 
     roots: list[RootRecord]
@@ -118,6 +119,7 @@ class SpectrumResult:
     window: tuple[float, float]
     grid_points: int
     count_calls: int
+    count_row_steps: int
     brackets_found: int
     brackets_rejected: int
     count_rows: int
@@ -211,22 +213,60 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
     return count
 
 
-def _section_points(model: ModelParams, sector: Sector, lo, hi, tol: float) -> np.ndarray:
-    """The multisection points of each bracket, one row per bracket, nan where settled.
+def _points_inside(model: ModelParams, sector: Sector, lo, hi, tol: float, x) -> np.ndarray:
+    """The points ``x``, one row per bracket, moved off the poles; nan where settled.
 
-    The points are lo + i (hi - lo) / _SECTIONS for 0 < i < _SECTIONS.  A
-    point within eps_pole of a pole E_n moves to E_n - eps_pole when that
+    A point within eps_pole of a pole E_n moves to E_n - eps_pole when that
     lies above ``lo``, else to E_n + eps_pole.  Points that do not land
     strictly inside their bracket are nan, and so is every point of a bracket
-    at most ``tol`` wide; a bracket with no point left is settled.
+    at most ``tol`` wide.
     """
     eps = model.eps_pole
     lo, hi = lo[:, None], hi[:, None]
-    x = lo + np.arange(1, _SECTIONS) * ((hi - lo) / _SECTIONS)
     pole = pole_energy(model, sector, nearest_pole_index(model, sector, x))
     near = np.abs(x - pole) < eps
     x = np.where(near, np.where(pole - eps > lo, pole - eps, pole + eps), x)
     return np.where((hi - lo > tol) & (lo < x) & (x < hi), x, np.nan)
+
+
+def _section_points(model: ModelParams, sector: Sector, lo, hi, tol: float) -> np.ndarray:
+    """The multisection points of each bracket, one row per bracket, nan where settled.
+
+    The points are lo + i (hi - lo) / _SECTIONS for 0 < i < _SECTIONS, kept
+    off the poles and inside by ``_points_inside``; a bracket with no point
+    left is settled.
+    """
+    x = lo[:, None] + np.arange(1, _SECTIONS) * ((hi - lo)[:, None] / _SECTIONS)
+    return _points_inside(model, sector, lo, hi, tol, x)
+
+
+def _probe_points(
+    model: ModelParams, sector: Sector, levels, lo, hi, tol: float, x, last
+) -> np.ndarray:
+    """The first points after a doubling: each level's points cut out from its last bracket.
+
+    ``last`` holds the levels, lo and hi of the truncation before.  A level
+    moves little under a doubling, so the points of level j are
+    plo - tol * _SECTIONS^k and phi + tol * _SECTIONS^k (k >= 1) out from its
+    last bracket [plo, phi]; only one side lands inside its new bracket, and
+    they leave a bracket at most _SECTIONS times the shift.  A level with no
+    last bracket, or with no probe inside, keeps its multisection points ``x``.
+    """
+    last_levels, last_lo, last_hi = last
+    _, rows, old = np.intersect1d(levels, last_levels, return_indices=True)
+    if not rows.size:
+        return x
+    reach = max(np.max(hi[rows] - last_lo[old]), np.max(last_hi[old] - lo[rows]))
+    step = [tol * _SECTIONS]  # by products: _SECTIONS^k alone overflows for a subnormal tol
+    while step[-1] < reach:
+        step.append(step[-1] * _SECTIONS)
+    probes = np.full((levels.size, 2 * len(step)), np.nan)
+    probes[rows] = _points_inside(
+        model, sector, lo[rows], hi[rows], tol,
+        np.hstack([last_lo[old, None] - step, last_hi[old, None] + step]),
+    )
+    probed = ~np.isnan(probes).all(axis=1)
+    return np.hstack([np.where(probed[:, None], np.nan, x), probes])
 
 
 def compute_spectrum(
@@ -254,6 +294,12 @@ def compute_spectrum(
     edges.  A level whose bracket still holds its step at 2N is confirmed;
     the others are narrowed again at 2N, from the tightest brackets those
     counts give, and checked at 4N, and so on up to ``cf_max_depth`` rows.
+    A level moves little under a doubling, so the first step at 2N does not
+    cut its new bracket evenly: it counts at plo - tol * 16^k and
+    phi + tol * 16^k (k >= 1) out from the level's bracket [plo, phi] at N,
+    which leaves a bracket at most 16 times the shift
+    (``_probe_points``).  A level with no bracket at N, or with no such
+    point inside its new bracket, takes the even sections.
     A level narrowed at that cap is returned unconfirmed: ``sign_lost`` is
     set on it, it is counted in ``brackets_rejected``, and one
     ``SignLostWarning`` is issued.
@@ -281,18 +327,21 @@ def compute_spectrum(
     off = np.where(inside, [-eps, eps], [eps, -eps])
     edges = np.where(np.abs(edges - pole) < eps, pole + off, edges)
 
-    cap = opts.cf_max_depth
+    cap, tol = opts.cf_max_depth, opts.root_abs_tol
     rows = min(_FIRST_COUNT_ROWS, cap)
-    points, settled_rows, calls, lanes, steps, todo = edges, 0, 0, 0, {}, None
+    points, settled_rows, steps, todo, last = edges, 0, {}, None, None
+    calls = lanes = row_steps = 0
     while True:
         points = np.unique(points)  # sorted: the edges come first and last
         counts = level_count(model, sector, points, rows)
-        calls, lanes = calls + 1, lanes + points.size
+        calls, lanes, row_steps = calls + 1, lanes + points.size, row_steps + rows
         levels = np.arange(counts[0], counts[-1])
         # level j lies between the last point counted <= j and the next one
         k = np.searchsorted(counts, levels, side="right")
         lo, hi = points[k - 1], points[k]
-        x = _section_points(model, sector, lo, hi, opts.root_abs_tol)
+        x = _section_points(model, sector, lo, hi, tol)
+        if last is not None:  # the check after a doubling
+            x, last = _probe_points(model, sector, levels, lo, hi, tol, x, last), None
         live = ~np.isnan(x).all(axis=1)
         # todo: the levels narrowed at these rows
         todo = live if todo is None else todo | live
@@ -307,6 +356,7 @@ def compute_spectrum(
         if rows == cap:
             break
         points, rows, todo = np.concatenate([edges, lo, hi]), min(2 * rows, cap), None
+        last = levels, lo, hi
     unconfirmed = todo  # empty unless levels were narrowed at the cap
     if unconfirmed.any():
         warnings.warn(
@@ -342,6 +392,7 @@ def compute_spectrum(
         window=(e_min, e_max),
         grid_points=lanes,
         count_calls=calls,
+        count_row_steps=row_steps,
         brackets_found=levels.size,
         brackets_rejected=int(unconfirmed.sum()),
         count_rows=settled_rows,

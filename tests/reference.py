@@ -8,13 +8,16 @@ sequences:
 - ``backward_recursion_ratio`` and ``backward_ratios``: one backward pass of
   ``contfrac.backward_ratio_rows``;
 - ``forward_ratio``: K_{k+1}/K_k by forward recursion;
-- ``split_spectral_value``: the split eigencondition W_k(E), F(E) at k = 0.
+- ``split_spectral_value``: the split eigencondition W_k(E), F(E) at k = 0;
+- ``guarded_pivots``: ``contfrac.batch_pivots`` with Kahan's guard on every row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from rabispec.contfrac import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, backward_ratio_rows
 from rabispec.errors import CoefficientPole
@@ -153,3 +156,20 @@ def split_spectral_value(
     coeffs = three_term_coeffs(model, sector, energy)
     cf = eval_continued_fraction(coeffs, start=split, rel_tol=rel_tol, max_depth=max_depth)
     return cf.value - forward_ratio(coeffs, split)
+
+
+def guarded_pivots(a, b, sign: float, prev=None):
+    """The pivots of ``contfrac.batch_pivots`` from one loop that guards every row.
+
+    sigma_n = -sign * a(n) - b(n) / sigma_{n-1} (sigma_{n-1} = ``prev`` in
+    the first row, or sigma_0 = -sign * a(0) without it), and a pivot that is
+    exactly 0 is taken as -1e-30 before the next row reads it.
+    """
+    pivots = -sign * np.array(a, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for pivot, b_n in zip(pivots, b[:, 0]):
+            if prev is not None:
+                pivot -= b_n / prev
+            pivot[pivot == 0.0] = -_TINY
+            prev = pivot
+    return pivots

@@ -67,6 +67,7 @@ class TestSpectrumCommand:
         assert meta["model"] == "two-photon"
         assert "poles" in meta and "count_rows" in meta
         assert int(meta["count_calls"]) > 0
+        assert int(meta["count_row_steps"]) >= 64 * int(meta["count_calls"])
         energies = [float(r[1]) for r in rows if r[3] == "false"]
         assert energies == pytest.approx(TWO_PHOTON_REF_EIGS[:3], abs=1e-7)
 
@@ -82,6 +83,7 @@ class TestSpectrumCommand:
         assert set(payload) == {"meta", "rows"}
         assert payload["meta"]["model"] == "two-photon"
         assert payload["meta"]["count_calls"] > 0
+        assert payload["meta"]["count_row_steps"] >= 64 * payload["meta"]["count_calls"]
         energies = [r["energy"] for r in payload["rows"] if not r["flagged"]]
         assert energies == pytest.approx(TWO_PHOTON_REF_EIGS[:3], abs=1e-7)
         # serialization is idempotent
@@ -276,6 +278,18 @@ class TestCurveCommand:
         assert code == 1 and out == ""
         assert "ZeroCoupling" in err and "closed form" in err
 
+    @pytest.mark.parametrize("emin, emax", [("4", "-1"), ("1", "1")])
+    def test_empty_window_rejected(self, capsys, emin, emax):
+        # the config check rejects E_min >= E_max once, for curve as for the others
+        for command in (["curve", "--samples", "3"], ["spectrum"], ["compare"], ["oracle"]):
+            code, out, err = run_cli(
+                capsys,
+                command + ["--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4",
+                           "--emin", emin, "--emax", emax],
+            )
+            assert code == 1 and out == "", command
+            assert err == "ERROR config ValueError: window must satisfy E_min < E_max\n", command
+
     def test_nan_tolerance_rejected(self, capsys):
         # the CLI checks --cf-rel-tol itself: a NaN or non-positive value is a config error
         for command in (["curve", "--samples", "5"], ["spectrum"], ["compare"]):
@@ -359,7 +373,9 @@ class TestCompareCommand:
              "--q", "1/4", "--emin", "-0.5", "--emax", "2.5"],
         )
         assert code == 0
-        _, header, rows = parse_csv(out)
+        meta, header, rows = parse_csv(out)
+        assert int(meta["count_calls"]) > 0
+        assert int(meta["count_row_steps"]) >= 64 * int(meta["count_calls"])
         assert header == ["root", "oracle", "diff", "status"]
         assert [r[3] for r in rows] == ["matched"] * 3
         assert all(float(r[2]) < 1e-6 for r in rows)

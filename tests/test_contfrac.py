@@ -32,6 +32,7 @@ from reference import (
     backward_recursion_ratio,
     eval_continued_fraction,
     forward_ratio,
+    guarded_pivots,
 )
 
 
@@ -329,6 +330,70 @@ class TestNegativePivots:
             for k in range(41):
                 ref = forward_ratio(coeffs, k)
                 assert abs(pivots[k, lane] - ref) <= 1e-12 * max(1.0, abs(ref)), (e, k)
+
+
+def plant_zero(a, b, sign, row, lane, prev=None):
+    """Set a(row) of one lane so that its pivot is exactly 0.
+
+    -sign * a(row) = b(row) / sigma_{row-1}, which is exact since sign = +-1.
+    """
+    before = guarded_pivots(a, b, sign, prev)[row - 1] if row else prev
+    a[row, lane] = -sign * (b[row, 0] / before[lane])
+
+
+def random_table(seed, rows=40, lanes=5):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2.0, 2.0, (rows, lanes)), rng.uniform(0.5, 1.5, (rows, 1))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+class TestDeferredGuard:
+    """``batch_pivots`` guards zero pivots once per table, bit for bit the per-row guard."""
+
+    @staticmethod
+    def assert_same(got, want):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_no_zero(self, sign):
+        a, b = random_table(0)
+        self.assert_same(batch_pivots(a, b, sign), guarded_pivots(a, b, sign))
+
+    def test_zero_mid_table_in_one_lane(self, sign):
+        a, b = random_table(1)
+        plant_zero(a, b, sign, 17, 2)
+        want = guarded_pivots(a, b, sign)
+        assert want[17, 2] == -1e-30 and np.count_nonzero(want == -1e-30) == 1
+        self.assert_same(batch_pivots(a, b, sign), want)
+
+    def test_zero_in_first_row_of_chunk_passed_prev(self, sign):
+        a, b = random_table(2)
+        head = batch_pivots(a[:10], b[:10], sign)
+        a_tail, b_tail = a[10:].copy(), b[10:]
+        plant_zero(a_tail, b_tail, sign, 0, 3, prev=head[-1])
+        want = guarded_pivots(a_tail, b_tail, sign, head[-1])
+        assert want[0, 3] == -1e-30
+        self.assert_same(batch_pivots(a_tail, b_tail, sign, head[-1]), want)
+
+    def test_negative_zero(self, sign):
+        # -sign * a(n) = -0.0 and b(n) = 0 in a lane whose sigma_{n-1} > 0:
+        # the unguarded pivot is -0.0 - 0 / sigma_{n-1} = -0.0
+        a, b = random_table(3)
+        before = guarded_pivots(a, b, sign)[20]
+        lane = int(np.flatnonzero(before > 0.0)[0])
+        a[21, lane], b[21, 0] = sign * 0.0, 0.0
+        assert np.signbit(-sign * a[21, lane] - b[21, 0] / before[lane])
+        want = guarded_pivots(a, b, sign)
+        assert want[21, lane] == -1e-30
+        self.assert_same(batch_pivots(a, b, sign), want)
+
+    def test_zeros_in_two_lanes_at_different_rows(self, sign):
+        a, b = random_table(4)
+        plant_zero(a, b, sign, 8, 0)
+        plant_zero(a, b, sign, 25, 4)
+        want = guarded_pivots(a, b, sign)
+        assert want[8, 0] == want[25, 4] == -1e-30
+        self.assert_same(batch_pivots(a, b, sign), want)
 
 
 def tridiagonal(seed):

@@ -35,7 +35,7 @@ from rabispec.spectral import (
 import reference
 from conftest import ConstCoeffs, rabispec_imports
 from reference import eval_continued_fraction, split_spectral_value
-from test_contfrac import _random_cases
+from test_contfrac import _random_cases, plant_zero
 
 
 class TestSpectralFunction:
@@ -199,16 +199,74 @@ class TestComputeSpectrum:
 
     def test_counters_tally_level_count(self, two_photon_ref, monkeypatch):
         model, sector, window, _ = two_photon_ref
-        tally = {"calls": 0, "lanes": 0}
+        tally = {"calls": 0, "lanes": 0, "rows": 0}
 
         def counted(model, sector, energies, rows):
             tally["calls"] += 1
             tally["lanes"] += len(energies)
+            tally["rows"] += rows
             return level_count(model, sector, energies, rows)
 
         monkeypatch.setattr(spectral, "level_count", counted)
         result = compute_spectrum(model, sector, window)
-        assert (result.count_calls, result.grid_points) == (tally["calls"], tally["lanes"])
+        assert (result.count_calls, result.grid_points, result.count_row_steps) == (
+            tally["calls"], tally["lanes"], tally["rows"])
+
+    @pytest.mark.parametrize("model, sector", [
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.46), Sector.two_photon(0.25)),
+        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.92), Sector.two_mode(1.5)),
+    ], ids=["two-photon", "two-mode"])
+    def test_collapse_window_renarrows_from_last_bracket(self, model, sector):
+        # near collapse the levels move a little under each doubling; cutting
+        # out from their last bracket takes 28 count calls on each window,
+        # where narrowing from the neighbours' brackets took 40 and 31
+        lo = default_window_min(model, sector)
+        window, opts = (lo, lo + 4.0), SpectrumOptions()
+        result = compute_spectrum(model, sector, window, opts)
+        oracle_vals, _ = oracle_spectrum(model, sector, window)
+        found = sorted(result.energies + [r.energy for r in result.flagged])
+        assert found == pytest.approx(oracle_vals, abs=1e-7)
+        assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots + result.flagged)
+        assert result.count_calls <= 28
+
+    @pytest.mark.parametrize("levels", [
+        # level 0 moves between the old brackets of levels 1 and 2, where no
+        # probe out from its last bracket lands
+        {64: [1.0, 1.0 + 1e-6, 1.0 + 3e-6], 128: [1.0 + 2e-6, 1.0 + 3e-6]},
+        # level 1 enters the window at the doubling: it has no last bracket
+        {64: [1.0], 128: [1.0, 1.3]},
+    ], ids=["no-probe-inside", "no-last-bracket"])
+    def test_renarrowing_fallbacks(self, two_photon_ref, monkeypatch, levels):
+        # a stand-in count whose levels move at the first doubling; the one
+        # level that moved takes the even sections and narrows to root_abs_tol
+        model, sector, _, _ = two_photon_ref
+
+        def count(model, sector, energies, rows):
+            return np.searchsorted(levels[min(rows, 128)], energies)
+
+        monkeypatch.setattr(spectral, "level_count", count)
+        opts = SpectrumOptions()
+        result = compute_spectrum(model, sector, (0.5, 1.5), opts)
+        assert result.count_rows == 128 and not result.flagged
+        assert result.energies == pytest.approx(levels[128], abs=opts.root_abs_tol)
+        assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots)
+
+    def test_zero_pivot_across_count_chunks(self, two_photon_ref, monkeypatch):
+        # a 1,500-row count (two chunks) over a random table with exact zero
+        # pivots in the first row of the second chunk and further down equals
+        # the Sturm count of the per-row guarded pivots of the whole table
+        model, sector, _, _ = two_photon_ref
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(-2.0, 2.0, (1500, 4)), rng.uniform(0.5, 1.5, (1500, 1))
+        plant_zero(a, b, 1.0, spectral._COUNT_CHUNK_ROWS, 0)
+        plant_zero(a, b, 1.0, 1300, 2)
+        monkeypatch.setattr(
+            spectral, "coefficient_block",
+            lambda model, sector, energies, n_lo, n_hi: (a[n_lo:n_hi + 1], b[n_lo:n_hi + 1]),
+        )
+        energies = np.linspace(-3.0, -2.0, 4)  # below the first pole: no pole term
+        want = np.count_nonzero(reference.guarded_pivots(a, b, 1.0) < 0.0, axis=0)
+        np.testing.assert_array_equal(level_count(model, sector, energies, 1500), want)
 
     def test_residual_tables_equal_one_table(self, two_photon_ref, monkeypatch):
         # residuals read one level per table equal those read in one table
