@@ -4,7 +4,8 @@ Continued-fraction spectrum against truncated-Fock diagonalization
 
 Computes the regular spectrum of the 2-photon Rabi model in one parity
 sector by root finding on the transcendental function, then checks every
-level against a completely independent banded diagonalization.
+level against a completely independent Fock-space diagonalization, which
+solves the parity block as two tridiagonal (Jacobi) chains.
 """
 
 from rabispec import (

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -371,7 +372,9 @@ def _closed_form_hint(exc: Exception) -> str:
     return ""
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="rabispec",
         description="Continued-fraction spectra of the 2-photon, two-mode and driven Rabi models",
@@ -385,7 +388,11 @@ def main(argv: list[str] | None = None) -> int:
         if name == "series":
             p.add_argument("--energy", type=float, required=True)
             p.add_argument("--order", type=int, default=500)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _build_config(args)

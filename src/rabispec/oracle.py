@@ -2,9 +2,13 @@
 
 The Hamiltonians are assembled directly from their ladder-operator matrix
 elements in a sector-resolved basis, interleaving spin within the boson index
-so the matrices are banded with three superdiagonals.  Eigenvalues come from
-LAPACK's banded symmetric solver, which is entirely independent of the
-continued-fraction route.
+so the matrices are banded with three superdiagonals.  In the two-photon and
+two-mode blocks the Z2 parity splits that basis into two uncoupled Jacobi
+(symmetric tridiagonal) chains, (0,+)-(1,-)-(2,+)-... and (0,-)-(1,+)-... in
+the block's boson index, each solved by LAPACK's tridiagonal bisection; the
+driven block, which breaks the parity, goes to LAPACK's banded symmetric
+solver.  The split is read off the matrix's sparsity pattern, and neither
+route shares anything with the continued-fraction route.
 """
 
 from __future__ import annotations
@@ -20,6 +24,11 @@ from .models import ModelKind, ModelParams, Sector
 
 N_MAX_DEFAULT = 2**13
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
+# bisection tolerance of the chain solver: twice the safe minimum, the value
+# eig_banded passes to LAPACK, so both routes bisect to the same accuracy
+# (LAPACK's default, ulp times the matrix norm, leaves errors near 1e-12 at
+# truncation 4,096)
+_BISECT_TOL = 2.0 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -93,43 +102,37 @@ def build_hamiltonian(
     if model.kind is ModelKind.TWO_PHOTON:
         if osector.parity is None:
             raise ValueError("two-photon oracle needs a parity sector")
-        ns = list(range(osector.parity, truncation + 1, 2))
-        diag_e = [w * n for n in ns]
+        ns = np.arange(osector.parity, truncation + 1, 2)
+        diag_e = w * ns
         # <n+2, -s| g (b^dag)^2 |n, s> with n the photon number
-        hop = [g * math.sqrt((n + 1.0) * (n + 2.0)) for n in ns[:-1]]
+        hop = g * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 2.0))
         spin_flip_same_n = 0.0
     elif model.kind is ModelKind.TWO_MODE:
         if osector.mode_diff is None:
             raise ValueError("two-mode oracle needs a mode-difference sector")
         dd = osector.mode_diff
-        ns = list(range(truncation + 1))  # n = occupation of the lower mode
-        diag_e = [w * (2 * n + dd) for n in ns]
-        hop = [g * math.sqrt((n + 1.0) * (n + dd + 1.0)) for n in ns[:-1]]
+        ns = np.arange(truncation + 1)  # n = occupation of the lower mode
+        diag_e = w * (2 * ns + dd)
+        hop = g * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + dd + 1.0))
         spin_flip_same_n = 0.0
     else:
-        ns = list(range(truncation + 1))
-        diag_e = [w * n for n in ns]
-        hop = [g * math.sqrt(n + 1.0) for n in ns[:-1]]
+        ns = np.arange(truncation + 1)
+        diag_e = w * ns
+        hop = g * np.sqrt(ns[:-1] + 1.0)
         spin_flip_same_n = drive
 
-    labels: list[tuple[int, int]] = []
-    for n in ns:
-        labels += [(n, +1), (n, -1)]
+    labels = [(n, s) for n in ns.tolist() for s in (+1, -1)]
     dim = len(labels)
     u = _BANDWIDTH
     bands = np.zeros((u + 1, dim))
-    for m, e in enumerate(diag_e):
-        bands[u, 2 * m] = e + d
-        bands[u, 2 * m + 1] = e - d
+    bands[u, 0::2] = diag_e + d
+    bands[u, 1::2] = diag_e - d
     if spin_flip_same_n != 0.0:
-        for m in range(len(ns)):
-            j = 2 * m + 1
-            bands[u - 1, j] = spin_flip_same_n  # (m,+) <-> (m,-)
-    for m, t in enumerate(hop):
-        # (m, +) <-> (m+1, -): indices 2m and 2m+3
-        bands[u - 3, 2 * m + 3] = t
-        # (m, -) <-> (m+1, +): indices 2m+1 and 2m+2
-        bands[u - 1, 2 * m + 2] = t
+        bands[u - 1, 1::2] = spin_flip_same_n  # (m,+) <-> (m,-)
+    # (m, +) <-> (m+1, -): indices 2m and 2m+3
+    bands[u - 3, 3::2] = hop
+    # (m, -) <-> (m+1, +): indices 2m+1 and 2m+2
+    bands[u - 1, 2::2] = hop
     return TruncatedHamiltonian(
         dimension=dim,
         bands=bands,
@@ -140,21 +143,69 @@ def build_hamiltonian(
     )
 
 
+def _jacobi_chains(bands: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The block as two uncoupled Jacobi chains, or None if it does not split.
+
+    A parity-symmetric block has no entry on the second superdiagonal, no
+    (m,+)<->(m,-) drive term in the odd columns of the first and nothing in
+    the even columns of the third.  Its basis then splits into the indices
+    i = 0, 3 (mod 4) and i = 1, 2 (mod 4), each a symmetric tridiagonal,
+    returned as (diagonal, off-diagonal).
+    """
+    u = _BANDWIDTH
+    if bands.shape[0] != u + 1 or bands[1].any() or bands[2, 1::2].any() or bands[0, 0::2].any():
+        return None
+    idx = np.arange(bands.shape[1])
+    chains = []
+    for members in ((0, 3), (1, 2)):
+        c = idx[np.isin(idx % 4, members)]
+        if c.size:
+            chains.append((bands[u, c], bands[u - np.diff(c), c[1:]]))
+    return chains
+
+
 def eigen_lowest(h: TruncatedHamiltonian, k: int) -> list[float]:
-    """The k smallest eigenvalues, ascending."""
+    """The k smallest eigenvalues, ascending.
+
+    A parity-symmetric block is solved as its two Jacobi chains (the k lowest
+    of each, merged); any other block by LAPACK's banded symmetric solver.
+    """
     if not 1 <= k <= h.dimension:
         raise ValueError("need 1 <= k <= dimension")
-    vals = scipy.linalg.eig_banded(
-        h.bands, lower=False, eigvals_only=True, select="i", select_range=(0, k - 1)
-    )
+    chains = _jacobi_chains(h.bands)
+    if chains is None:
+        vals = scipy.linalg.eig_banded(
+            h.bands, lower=False, eigvals_only=True, select="i", select_range=(0, k - 1)
+        )
+    else:
+        vals = np.sort(np.concatenate([
+            scipy.linalg.eigvalsh_tridiagonal(
+                d, e, select="i", select_range=(0, min(k, d.size) - 1), tol=_BISECT_TOL
+            )
+            for d, e in chains
+        ]))[:k]
     return [float(v) for v in vals]
 
 
 def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]:
-    """All eigenvalues in [lo, hi], ascending."""
-    vals = scipy.linalg.eig_banded(
-        h.bands, lower=False, eigvals_only=True, select="v", select_range=(lo, hi)
-    )
+    """All eigenvalues in (lo, hi], ascending.
+
+    A parity-symmetric block is solved as its two Jacobi chains by bisection
+    (LAPACK dstebz), any other block by LAPACK's banded symmetric solver; both
+    take the half-open window (lo, hi] and bisect to the same tolerance.
+    """
+    chains = _jacobi_chains(h.bands)
+    if chains is None:
+        vals = scipy.linalg.eig_banded(
+            h.bands, lower=False, eigvals_only=True, select="v", select_range=(lo, hi)
+        )
+    else:
+        vals = np.sort(np.concatenate([
+            scipy.linalg.eigvalsh_tridiagonal(
+                d, e, select="v", select_range=(lo, hi), tol=_BISECT_TOL
+            )
+            for d, e in chains
+        ]))
     return [float(v) for v in vals]
 
 
@@ -181,9 +232,13 @@ def oracle_spectrum(
 
     Doubles the boson cutoff until every in-window eigenvalue moves by less
     than ``stab_tol_factor * omega`` between consecutive truncations; raises
-    TruncationCeiling if that never happens below ``n_max``.
+    TruncationCeiling if that never happens below ``n_max``.  Both window
+    edges must be finite, as for ``compute_spectrum``: an infinite upper edge
+    takes in new levels at every truncation.
     """
     e_min, e_max = window
+    if not (math.isfinite(e_min) and math.isfinite(e_max)):
+        raise ValueError(f"window edges must be finite, got {window}")
     if not e_min < e_max:
         raise ValueError("window must satisfy E_min < E_max")
     osector = map_sector(sector)

@@ -153,6 +153,19 @@ def test_near_collapse_levels_found(model, sector):
     assert_every_level_found(model, sector, (e_min, e_min + 4.0))
 
 
+@pytest.mark.parametrize("model,sector,levels", [
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.495), Sector.two_photon(0.25), 14),
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.498), Sector.two_photon(0.25), 23),
+    (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.99), Sector.two_mode(1.0), 16),
+], ids=["two-photon-0.99", "two-photon-0.996", "two-mode-0.99"])
+def test_deep_collapse_levels_found(model, sector, levels):
+    # 2g/omega = 0.99 and 0.996, g/omega = 0.99: the recurrence needs
+    # thousands of rows, and the truncated count holds too few levels on the way
+    e_min = default_window_min(model, sector)
+    result = assert_every_level_found(model, sector, (e_min, e_min + 4.0))
+    assert len(result.roots) + len(result.flagged) == levels
+
+
 @st.composite
 def _drawn_windows(draw):
     """(model, sector, width-6 window), |g| up to 0.92 of the coupling bound."""

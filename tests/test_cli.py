@@ -13,6 +13,7 @@ from rabispec import (
     closed_form_spectrum_g0,
     pole_energies,
 )
+from rabispec import cli
 from rabispec.cli import main, match_spectra
 
 from conftest import TWO_PHOTON_REF_EIGS
@@ -435,3 +436,30 @@ class TestMatching:
         assert by_status["matched"] == (1.0, 1.0000004)
         assert by_status["exceptional_candidate"] == (2.5, None)
         assert by_status["oracle_only"] == (None, 3.9)
+
+
+class TestParserReuse:
+    def test_interleaved_commands_match_their_first_call(self, capsys):
+        # one parser serves every call in a process: no state may carry over
+        # from one subcommand, or from a rejected call, to the next
+        base = ["--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4"]
+        calls = {
+            "series": ["series"] + base + ["--emax", "3", "--energy", "0.4165", "--order", "20"],
+            "spectrum": SPECTRUM_ARGS,
+            "bad": ["spectrum", "--model", "driven", "--g", "0.5"],
+            "oracle": ["oracle"] + base + ["--emax", "4", "--format", "json"],
+            "curve": ["curve"] + base + ["--emin", "0", "--emax", "2", "--samples", "5"],
+            "compare": ["compare"] + base + ["--emax", "3"],
+        }
+        first = {name: run_cli(capsys, argv) for name, argv in calls.items()}
+        assert first["bad"][0] == 1 and first["bad"][1] == ""
+        assert all(first[name][0] == 0 for name in calls if name != "bad")
+        order = ["series", "spectrum", "bad", "spectrum", "curve", "series",
+                 "oracle", "compare", "bad", "curve", "spectrum"]
+        for name in order:
+            assert run_cli(capsys, calls[name]) == first[name], name
+        with pytest.raises(SystemExit):
+            main(["spectrum", "--model", "bogus"])
+        capsys.readouterr()
+        assert run_cli(capsys, calls["series"]) == first["series"]
+        assert cli._parser() is cli._parser()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rabispec import (
     ModelKind,
@@ -16,7 +17,7 @@ from rabispec import (
     map_sector,
     oracle_spectrum,
 )
-from rabispec.oracle import TruncatedHamiltonian, eigen_in_range
+from rabispec.oracle import TruncatedHamiltonian, _jacobi_chains, eigen_in_range
 
 from conftest import rabispec_imports
 
@@ -121,15 +122,20 @@ class TestMatrixElements:
         assert np.array_equal(dense, dense.T)
 
 
+def _hand_built(bands):
+    """A Hamiltonian block around hand-assembled banded storage."""
+    model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.0, 0.1)
+    dim = bands.shape[1]
+    return TruncatedHamiltonian(dim, bands, [(n, 1) for n in range(dim)], 4,
+                                model, map_sector(Sector.driven()))
+
+
 class TestBandedSolver:
     def _wrap(self, diag):
         # hand-assembled banded storage exercising eigen_lowest directly
-        dim = len(diag)
-        bands = np.zeros((4, dim))
+        bands = np.zeros((4, len(diag)))
         bands[3, :] = diag
-        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.0, 0.1)
-        return TruncatedHamiltonian(dim, bands, [(n, 1) for n in range(dim)], 4,
-                                    model, map_sector(Sector.driven()))
+        return _hand_built(bands)
 
     def test_diagonal_matrix(self):
         h = self._wrap([3.0, 1.0, 2.0])
@@ -159,6 +165,144 @@ class TestBandedSolver:
         assert eigen_lowest(h, k) == pytest.approx(
             eigs_by_bisection(dense, k), abs=1e-9
         )
+
+
+def loop_bands(model, osector, truncation):
+    """``build_hamiltonian``'s bands assembled state by state: the loop reference."""
+    w, d, g = model.omega, model.delta, model.g
+    if model.kind is ModelKind.TWO_PHOTON:
+        ns = list(range(osector.parity, truncation + 1, 2))
+        diag_e = [w * n for n in ns]
+        hop = [g * math.sqrt((n + 1.0) * (n + 2.0)) for n in ns[:-1]]
+    elif model.kind is ModelKind.TWO_MODE:
+        dd = osector.mode_diff
+        ns = list(range(truncation + 1))
+        diag_e = [w * (2 * n + dd) for n in ns]
+        hop = [g * math.sqrt((n + 1.0) * (n + dd + 1.0)) for n in ns[:-1]]
+    else:
+        ns = list(range(truncation + 1))
+        diag_e = [w * n for n in ns]
+        hop = [g * math.sqrt(n + 1.0) for n in ns[:-1]]
+    labels = []
+    for n in ns:
+        labels += [(n, +1), (n, -1)]
+    bands = np.zeros((4, len(labels)))
+    for m, e in enumerate(diag_e):
+        bands[3, 2 * m] = e + d
+        bands[3, 2 * m + 1] = e - d
+        if model.kind is ModelKind.DRIVEN_RABI and model.drive != 0.0:
+            bands[2, 2 * m + 1] = model.drive
+    for m, t in enumerate(hop):
+        bands[0, 2 * m + 3] = t
+        bands[2, 2 * m + 2] = t
+    return bands, labels
+
+
+@pytest.mark.parametrize("truncation", [4, 5, 64, 4096])
+@pytest.mark.parametrize(
+    "model,sector",
+    [
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.37), Sector.two_photon(0.25)),
+        (ModelParams(ModelKind.TWO_PHOTON, 0.8, 0.3, -0.2), Sector.two_photon(0.75)),
+        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.9), Sector.two_mode(0.5)),
+        (ModelParams(ModelKind.TWO_MODE, 1.3, 0.0, -0.4), Sector.two_mode(2.5)),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 2.5, 0.3), Sector.driven()),
+        (ModelParams(ModelKind.DRIVEN_RABI, 0.9, 0.6, -1.1, 0.0), Sector.driven()),
+    ],
+)
+def test_bands_equal_loop_assembly(model, sector, truncation):
+    osec = map_sector(sector)
+    h = build_hamiltonian(model, osec, truncation)
+    bands, labels = loop_bands(model, osec, truncation)
+    assert h.bands.shape == bands.shape
+    assert h.bands.tobytes() == bands.tobytes()
+    assert h.labels == labels
+
+
+def _banded_in_range(h, lo, hi):
+    return scipy.linalg.eig_banded(h.bands, eigvals_only=True, select="v", select_range=(lo, hi))
+
+
+def _banded_lowest(h, k):
+    return scipy.linalg.eig_banded(h.bands, eigvals_only=True, select="i", select_range=(0, k - 1))
+
+
+def assert_close_multiset(vals, ref):
+    vals, ref = np.sort(vals), np.sort(ref)
+    assert vals.shape == ref.shape
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+class TestJacobiChains:
+    """Parity-symmetric blocks solved as two tridiagonal chains, against eig_banded."""
+
+    @pytest.mark.parametrize("truncation", [4, 5, 64, 1024])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "kind,g,sector",
+        [
+            (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25)),
+            (ModelKind.TWO_PHOTON, 0.45, Sector.two_photon(0.75)),
+            (ModelKind.TWO_MODE, 0.5, Sector.two_mode(0.5)),
+            (ModelKind.TWO_MODE, 0.8, Sector.two_mode(1.0)),
+            (ModelKind.TWO_MODE, 0.9, Sector.two_mode(1.5)),
+        ],
+    )
+    def test_matches_banded_solver(self, kind, g, sector, delta, sign, truncation):
+        model = ModelParams(kind, 1.0, delta, sign * g)
+        h = build_hamiltonian(model, map_sector(sector), truncation)
+        assert _jacobi_chains(h.bands) is not None
+        # at delta = 0 the two chains hold degenerate pairs
+        lo, hi = -3.1, 12.7
+        assert_close_multiset(eigen_in_range(h, lo, hi), _banded_in_range(h, lo, hi))
+        for k in sorted({1, min(9, h.dimension), min(40, h.dimension)}):
+            assert_close_multiset(eigen_lowest(h, k), _banded_lowest(h, k))
+
+    @pytest.mark.parametrize("drive", [0.3, -1.0])
+    def test_driven_block_matches_dense(self, drive):
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 1.2, drive)
+        h = build_hamiltonian(model, map_sector(Sector.driven()), 40)
+        assert _jacobi_chains(h.bands) is None
+        ref = np.linalg.eigvalsh(h.to_dense())
+        assert eigen_lowest(h, 12) == pytest.approx(ref[:12], abs=1e-10)
+        inside = ref[(ref > -2.0) & (ref <= 6.0)]
+        assert eigen_in_range(h, -2.0, 6.0) == pytest.approx(inside, abs=1e-10)
+
+    # one entry off both chains: second superdiagonal, odd column of the
+    # first, even column of the third
+    @pytest.mark.parametrize("row,col", [(1, 5), (2, 3), (0, 6)])
+    def test_off_chain_entry_matches_dense(self, row, col):
+        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.3)
+        h = build_hamiltonian(model, map_sector(Sector.two_photon(0.25)), 12)
+        bands = h.bands.copy()
+        bands[row, col] = 0.7
+        h = _hand_built(bands)
+        assert _jacobi_chains(h.bands) is None
+        ref = np.linalg.eigvalsh(h.to_dense())
+        assert eigen_lowest(h, h.dimension) == pytest.approx(ref, abs=1e-10)
+        inside = ref[(ref > 0.0) & (ref <= 5.0)]
+        assert eigen_in_range(h, 0.0, 5.0) == pytest.approx(inside, abs=1e-10)
+
+    @pytest.mark.parametrize("bands", [
+        [[0.0], [0.0], [0.0], [2.5]],
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 1.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [3.0, 1.0, 2.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.4, 0.5], [3.0, 1.0, 2.0]],
+    ], ids=["dim1", "dim2", "dim3-chain", "dim3-banded"])
+    def test_small_hand_built(self, bands):
+        h = _hand_built(np.array(bands))
+        ref = np.linalg.eigvalsh(h.to_dense())
+        for k in range(1, h.dimension + 1):
+            assert eigen_lowest(h, k) == pytest.approx(ref[:k], abs=1e-14)
+        assert eigen_in_range(h, -10.0, 10.0) == pytest.approx(ref, abs=1e-14)
+        assert eigen_in_range(h, 10.0, 20.0) == []
+
+    def test_window_is_half_open(self):
+        # an eigenvalue exactly at lo is left out, one exactly at hi kept
+        h = _hand_built(np.array([[0.0] * 4, [0.0] * 4, [0.0] * 4, [3.0, 1.0, 2.0, 4.0]]))
+        assert eigen_in_range(h, 1.0, 3.0) == [2.0, 3.0]
+        assert list(_banded_in_range(h, 1.0, 3.0)) == [2.0, 3.0]
 
 
 class TestPhysics:
@@ -218,6 +362,12 @@ class TestPhysics:
         v2 = eigen_lowest(build_hamiltonian(model, osec, 128), 20)
         for a, b in zip(v2, v1):
             assert a <= b + 1e-12
+
+    @pytest.mark.parametrize("window", [(-1.0, math.inf), (-math.inf, 3.0), (math.nan, 3.0)])
+    def test_non_finite_window_rejected(self, window):
+        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
+        with pytest.raises(ValueError, match="window edges must be finite"):
+            oracle_spectrum(model, Sector.two_photon(0.25), window)
 
     def test_truncation_ceiling(self):
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45)
