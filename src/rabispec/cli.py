@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +36,6 @@ from .spectral import (
     poles_in_window,
 )
 
-_MODEL_NAMES = {
-    "two-photon": ModelKind.TWO_PHOTON,
-    "two-mode": ModelKind.TWO_MODE,
-    "driven": ModelKind.DRIVEN_RABI,
-}
 # curve samples closer than this to a pole (in units of omega) are marked near_pole
 _NEAR_POLE_FACTOR = 1e-6
 
@@ -54,23 +50,47 @@ def _fmt(x) -> str:
 
 @dataclass
 class RunConfig:
+    """A checked run: model, sector and window, and each shared option's value by name."""
+
     model: ModelParams
     sector: Sector
-    e_min: float
-    e_max: float
-    cf_rel_tol: float
-    root_abs_tol: float
-    oracle_n: int | None
-    match_tol: float
-    out_format: str
-    output: str | None
+    window: tuple[float, float]
+    opts: dict
 
 
-_CONFIG_KEYS = (
-    "model", "omega", "delta", "g", "drive", "q", "kappa", "emin", "emax",
-    "cf_rel_tol", "root_abs_tol", "oracle_n", "match_tol", "format", "output",
-)
-_FORMATS = ("csv", "json")
+class _Option(NamedTuple):
+    type: type
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# Every option the subcommands share, declared once: the flag is --name with
+# "-" for "_", the config-file key is the name, a file value is cast by the
+# type, and the default applies when neither flag nor file gives a value.
+_OPTIONS = {
+    "model": _Option(str, None, "model kind", tuple(sorted(k.value for k in ModelKind))),
+    "omega": _Option(float, 1.0, "boson frequency (default 1)"),
+    "delta": _Option(float, 0.0, "level splitting (default 0)"),
+    "g": _Option(float, None, "coupling strength"),
+    "drive": _Option(float, 0.0, "drive amplitude (driven model only)"),
+    "q": _Option(str, None, "two-photon sector, 1/4 or 3/4"),
+    "kappa": _Option(str, None, "two-mode sector, half-integer as p/2 or decimal"),
+    "emin": _Option(float, None, "lower window edge"),
+    "emax": _Option(float, None, "upper window edge"),
+    "cf_rel_tol": _Option(float, DEFAULT_REL_TOL, "continued-fraction tolerance"),
+    "root_abs_tol": _Option(float, SpectrumOptions.root_abs_tol, "root bracket tolerance"),
+    "oracle_n": _Option(int, None, "starting Fock truncation for the oracle"),
+    "match_tol": _Option(float, 1e-6, "root/oracle matching tolerance"),
+    "format": _Option(str, "csv", "output format (default csv)", ("csv", "json")),
+    "output": _Option(str, None, "output path (default: standard output)"),
+}
+# The sector option of each squeezed model, the Sector it builds and what a
+# missing value asks for; the driven model has one trivial sector.
+_SECTOR_OPTIONS = {
+    ModelKind.TWO_PHOTON: ("q", Sector.two_photon, "--q 1/4 or 3/4"),
+    ModelKind.TWO_MODE: ("kappa", Sector.two_mode, "--kappa"),
+}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -84,70 +104,38 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"malformed config line: {line!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_KEYS)}")
+            if key not in _OPTIONS:
+                raise ValueError(f"unknown config key {key!r}; known: {', '.join(_OPTIONS)}")
             values[key] = val.strip()
     return values
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; explicit flags override it")
-    p.add_argument("--model", choices=sorted(_MODEL_NAMES), help="model kind")
-    p.add_argument("--omega", type=float, help="boson frequency (default 1)")
-    p.add_argument("--delta", type=float, help="level splitting (default 0)")
-    p.add_argument("--g", type=float, help="coupling strength")
-    p.add_argument("--drive", type=float, help="drive amplitude (driven model only)")
-    p.add_argument("--q", help="two-photon sector, 1/4 or 3/4")
-    p.add_argument("--kappa", help="two-mode sector, half-integer as p/2 or decimal")
-    p.add_argument("--emin", type=float, help="lower window edge")
-    p.add_argument("--emax", type=float, help="upper window edge")
-    p.add_argument("--cf-rel-tol", type=float, help="continued-fraction tolerance")
-    p.add_argument("--root-abs-tol", type=float, help="root bracket tolerance")
-    p.add_argument("--oracle-n", type=int, help="starting Fock truncation for the oracle")
-    p.add_argument("--match-tol", type=float, help="root/oracle matching tolerance")
-    p.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
-    p.add_argument("--output", help="output path (default: standard output)")
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
     file_vals = _read_config_file(args.config) if args.config else {}
+    opts = {}
+    for name, opt in _OPTIONS.items():
+        opts[name] = getattr(args, name)
+        if opts[name] is None:
+            opts[name] = opt.type(file_vals[name]) if name in file_vals else opt.default
 
-    def pick(flag, key, cast, default=None):
-        if flag is not None:
-            return flag
-        if key in file_vals:
-            return cast(file_vals[key])
-        return default
-
-    model_name = pick(args.model, "model", str)
-    if model_name not in _MODEL_NAMES:
-        raise ValueError(f"unknown or missing model: {model_name!r}")
-    kind = _MODEL_NAMES[model_name]
-    omega = pick(args.omega, "omega", float, 1.0)
-    delta = pick(args.delta, "delta", float, 0.0)
-    g = pick(args.g, "g", float)
-    if g is None:
+    if opts["model"] not in _OPTIONS["model"].choices:
+        raise ValueError(f"unknown or missing model: {opts['model']!r}")
+    kind = ModelKind(opts["model"])
+    if opts["g"] is None:
         raise ValueError("coupling --g is required")
-    drive = pick(args.drive, "drive", float, 0.0)
-    model = ModelParams(kind, omega, delta, g, drive if kind is ModelKind.DRIVEN_RABI else 0.0)
-
-    if kind is ModelKind.TWO_PHOTON:
-        q = pick(args.q, "q", str)
-        if q is None:
-            raise ValueError("two-photon model requires --q 1/4 or 3/4")
-        sector = Sector.two_photon(float(Fraction(q)))
-    elif kind is ModelKind.TWO_MODE:
-        kappa = pick(args.kappa, "kappa", str)
-        if kappa is None:
-            raise ValueError("two-mode model requires --kappa")
-        sector = Sector.two_mode(float(Fraction(kappa)))
+    drive = opts["drive"] if kind is ModelKind.DRIVEN_RABI else 0.0
+    model = ModelParams(kind, opts["omega"], opts["delta"], opts["g"], drive)
+    if kind in _SECTOR_OPTIONS:
+        name, make_sector, wanted = _SECTOR_OPTIONS[kind]
+        if opts[name] is None:
+            raise ValueError(f"{kind.value} model requires {wanted}")
+        sector = make_sector(float(Fraction(opts[name])))
     else:
         sector = Sector.driven()
 
-    e_max = pick(args.emax, "emax", float)
+    e_min, e_max = opts["emin"], opts["emax"]
     if e_max is None:
         raise ValueError("--emax is required")
-    e_min = pick(args.emin, "emin", float)
     if e_min is None:
         e_min = default_window_min(model, sector)
     # an energy given as inf or nan would reach the recurrence coefficients
@@ -156,26 +144,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{name} must be finite, got {value}")
     if not e_min < e_max:
         raise ValueError("window must satisfy E_min < E_max")
-    cf_rel_tol = pick(args.cf_rel_tol, "cf_rel_tol", float, DEFAULT_REL_TOL)
-    match_tol = pick(args.match_tol, "match_tol", float, 1e-6)
-    for name, value in (("cf_rel_tol", cf_rel_tol), ("match_tol", match_tol)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    out_format = pick(args.format, "format", str, "csv")
-    if out_format not in _FORMATS:
-        raise ValueError(f"unknown output format {out_format!r}; choose csv or json")
-    return RunConfig(
-        model=model,
-        sector=sector,
-        e_min=e_min,
-        e_max=e_max,
-        cf_rel_tol=cf_rel_tol,
-        root_abs_tol=pick(args.root_abs_tol, "root_abs_tol", float, SpectrumOptions.root_abs_tol),
-        oracle_n=pick(args.oracle_n, "oracle_n", int),
-        match_tol=match_tol,
-        out_format=out_format,
-        output=pick(args.output, "output", str),
-    )
+    for name in ("cf_rel_tol", "root_abs_tol", "match_tol"):
+        if not opts[name] > 0.0:
+            raise ValueError(f"{name} must be positive, got {opts[name]}")
+    if opts["format"] not in _OPTIONS["format"].choices:
+        raise ValueError(f"unknown output format {opts['format']!r}; choose csv or json")
+    return RunConfig(model, sector, (e_min, e_max), opts)
 
 
 def _meta(cfg: RunConfig) -> dict:
@@ -185,17 +159,15 @@ def _meta(cfg: RunConfig) -> dict:
         "omega": m.omega,
         "delta": m.delta,
         "g": m.g,
-        "emin": cfg.e_min,
-        "emax": cfg.e_max,
-        "cf_rel_tol": cfg.cf_rel_tol,
-        "root_abs_tol": cfg.root_abs_tol,
+        "emin": cfg.window[0],
+        "emax": cfg.window[1],
+        "cf_rel_tol": cfg.opts["cf_rel_tol"],
+        "root_abs_tol": cfg.opts["root_abs_tol"],
     }
-    if m.kind is ModelKind.DRIVEN_RABI:
-        meta["drive"] = m.drive
-    elif m.kind is ModelKind.TWO_PHOTON:
-        meta["q"] = s.value
+    if m.kind in _SECTOR_OPTIONS:
+        meta[_SECTOR_OPTIONS[m.kind][0]] = s.value
     else:
-        meta["kappa"] = s.value
+        meta["drive"] = m.drive
     return meta
 
 
@@ -205,7 +177,7 @@ def _json_value(x):
 
 
 def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> None:
-    if cfg.out_format == "json":
+    if cfg.opts["format"] == "json":
         payload = {
             "meta": {k: _json_value(v) for k, v in meta.items()},
             "rows": [{c: _json_value(v) for c, v in zip(columns, r)} for r in rows],
@@ -216,20 +188,16 @@ def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> N
         lines.append(",".join(columns))
         lines += [",".join(_fmt(v) for v in r) for r in rows]
         text = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if cfg.opts["output"]:
+        with open(cfg.opts["output"], "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _spectrum_options(cfg: RunConfig) -> SpectrumOptions:
-    return SpectrumOptions(root_abs_tol=cfg.root_abs_tol)
-
-
 def cmd_spectrum(cfg: RunConfig) -> int:
     result = compute_spectrum(
-        cfg.model, cfg.sector, (cfg.e_min, cfg.e_max), _spectrum_options(cfg)
+        cfg.model, cfg.sector, cfg.window, SpectrumOptions(root_abs_tol=cfg.opts["root_abs_tol"])
     )
     meta = _meta(cfg)
     meta["count_rows"] = result.count_rows
@@ -248,9 +216,10 @@ def cmd_curve(cfg: RunConfig, samples: int) -> int:
     meta = _meta(cfg)
     meta["samples"] = samples
     m, s = cfg.model, cfg.sector
-    step = (cfg.e_max - cfg.e_min) / (samples - 1)
-    energies = cfg.e_min + np.arange(samples) * step
-    values = f_values(m, s, energies, cfg.cf_rel_tol)  # nan on a pole or unconverged
+    lo, hi = cfg.window
+    step = (hi - lo) / (samples - 1)
+    energies = lo + np.arange(samples) * step
+    values = f_values(m, s, energies, cfg.opts["cf_rel_tol"])  # nan on a pole or unconverged
     dist = distance_to_pole_set(m, s, energies)
     collisions = energies[dist < m.eps_pole].tolist()
     if collisions:
@@ -266,7 +235,7 @@ def cmd_curve(cfg: RunConfig, samples: int) -> int:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     vals, n_used = oracle_spectrum(
-        cfg.model, cfg.sector, (cfg.e_min, cfg.e_max), n_start=cfg.oracle_n
+        cfg.model, cfg.sector, cfg.window, n_start=cfg.opts["oracle_n"]
     )
     meta = _meta(cfg)
     meta["oracle_n_used"] = n_used
@@ -324,24 +293,24 @@ def match_spectra(
 
 def cmd_compare(cfg: RunConfig) -> int:
     result = compute_spectrum(
-        cfg.model, cfg.sector, (cfg.e_min, cfg.e_max), _spectrum_options(cfg)
+        cfg.model, cfg.sector, cfg.window, SpectrumOptions(root_abs_tol=cfg.opts["root_abs_tol"])
     )
     oracle_vals, n_used = oracle_spectrum(
-        cfg.model, cfg.sector, (cfg.e_min, cfg.e_max), n_start=cfg.oracle_n
+        cfg.model, cfg.sector, cfg.window, n_start=cfg.opts["oracle_n"]
     )
     poles = poles_in_window(
-        cfg.model, cfg.sector, cfg.e_min - pole_spacing(cfg.model, cfg.sector), cfg.e_max
+        cfg.model, cfg.sector, cfg.window[0] - pole_spacing(cfg.model, cfg.sector), cfg.window[1]
     )
     rows = match_spectra(
         result.energies + [r.energy for r in result.flagged],
         oracle_vals,
         poles,
-        cfg.match_tol,
+        cfg.opts["match_tol"],
         eps_exceptional(cfg.model),
     )
     meta = _meta(cfg)
     meta["oracle_n_used"] = n_used
-    meta["match_tol"] = cfg.match_tol
+    meta["match_tol"] = cfg.opts["match_tol"]
     meta["count_calls"] = result.count_calls
     meta["count_row_steps"] = result.count_row_steps
     out_rows = [["" if v is None else v for v in row] for row in rows]
@@ -366,10 +335,13 @@ def cmd_series(cfg: RunConfig, energy: float, order: int) -> int:
     return 0
 
 
-def _closed_form_hint(exc: Exception) -> str:
-    if isinstance(exc, ZeroCoupling):
-        return " (use the decoupled g=0 closed form instead)"
-    return ""
+_COMMANDS = {
+    "spectrum": lambda cfg, args: cmd_spectrum(cfg),
+    "curve": lambda cfg, args: cmd_curve(cfg, args.samples),
+    "oracle": lambda cfg, args: cmd_oracle(cfg),
+    "compare": lambda cfg, args: cmd_compare(cfg),
+    "series": lambda cfg, args: cmd_series(cfg, args.energy, args.order),
+}
 
 
 @functools.cache
@@ -380,9 +352,13 @@ def _parser() -> argparse.ArgumentParser:
         description="Continued-fraction spectra of the 2-photon, two-mode and driven Rabi models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "curve", "oracle", "compare", "series"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
-        _add_common_args(p)
+        p.add_argument("--config", help="key=value config file; explicit flags override it")
+        for key, opt in _OPTIONS.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=opt.type, choices=opt.choices, help=opt.help
+            )
         if name == "curve":
             p.add_argument("--samples", type=int, default=200)
         if name == "series":
@@ -393,31 +369,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-
     try:
-        cfg = _build_config(args)
-    except (RabispecError, ValueError, OSError) as exc:
-        print(f"ERROR config {type(exc).__name__}: {exc}{_closed_form_hint(exc)}", file=sys.stderr)
-        return 1
-
-    try:
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "curve":
-            return cmd_curve(cfg, args.samples)
-        if args.command == "oracle":
-            return cmd_oracle(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        return cmd_series(cfg, args.energy, args.order)
+        return _COMMANDS[args.command](_build_config(args), args)
     except TruncationCeiling as exc:
         print(f"ERROR numerical TruncationCeiling: {exc}", file=sys.stderr)
         return 2
-    except RabispecError as exc:
-        print(f"ERROR config {type(exc).__name__}: {exc}{_closed_form_hint(exc)}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"ERROR config ValueError: {exc}", file=sys.stderr)
+    except (RabispecError, ValueError, OSError) as exc:
+        zero_g = isinstance(exc, ZeroCoupling)
+        hint = " (use the decoupled g=0 closed form instead)" if zero_g else ""
+        print(f"ERROR config {type(exc).__name__}: {exc}{hint}", file=sys.stderr)
         return 1
 
 

@@ -23,6 +23,7 @@ from .errors import TruncationCeiling
 from .models import ModelKind, ModelParams, Sector
 
 N_MAX_DEFAULT = 2**13
+_STAB_TOL_FACTOR = 1e-9  # stable: each level moves by < this * omega per doubling
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
 # bisection tolerance of the chain solver: twice the safe minimum, the value
 # eig_banded passes to LAPACK, so both routes bisect to the same accuracy
@@ -209,11 +210,11 @@ def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]
     return [float(v) for v in vals]
 
 
-def _initial_truncation(model: ModelParams, e_max: float, n_start: int | None) -> int:
-    """Cutoff heuristic: bare level well above the window, then doubled to stability."""
+def _initial_truncation(model: ModelParams, e_max: float, n_start: int | None, n_max: int) -> int:
+    """Cutoff heuristic: bare level well above the window, doubled at most up to ``n_max``."""
     w = model.omega
     n = 16 if n_start is None else max(16, n_start)
-    while n < N_MAX_DEFAULT and w * n < 5.0 * (
+    while 2 * n <= n_max and w * n < 5.0 * (
         max(e_max, 0.0) + model.delta + abs(model.drive) + abs(model.g) * math.sqrt(n)
     ):
         n *= 2
@@ -225,16 +226,16 @@ def oracle_spectrum(
     sector: Sector,
     window: tuple[float, float],
     n_start: int | None = None,
-    stab_tol_factor: float = 1e-9,
     n_max: int = N_MAX_DEFAULT,
 ) -> tuple[list[float], int]:
     """Truncation-stable eigenvalues in ``window`` plus the cutoff used.
 
     Doubles the boson cutoff until every in-window eigenvalue moves by less
-    than ``stab_tol_factor * omega`` between consecutive truncations; raises
-    TruncationCeiling if that never happens below ``n_max``.  Both window
-    edges must be finite, as for ``compute_spectrum``: an infinite upper edge
-    takes in new levels at every truncation.
+    than ``_STAB_TOL_FACTOR * omega`` from one truncation to the next; raises
+    TruncationCeiling if that never happens up to ``n_max``, and ValueError if
+    ``n_start`` exceeds it.  Both window edges must be finite, as for
+    ``compute_spectrum``: an infinite upper edge takes in new levels at every
+    truncation.
     """
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
@@ -242,8 +243,10 @@ def oracle_spectrum(
     if not e_min < e_max:
         raise ValueError("window must satisfy E_min < E_max")
     osector = map_sector(sector)
-    tol = stab_tol_factor * model.omega
-    n = _initial_truncation(model, e_max, n_start)
+    tol = _STAB_TOL_FACTOR * model.omega
+    n = _initial_truncation(model, e_max, n_start, n_max)
+    if n > n_max:
+        raise ValueError(f"starting truncation {n} exceeds the ceiling n_max={n_max}")
     prev: list[float] | None = None
     while n <= n_max:
         h = build_hamiltonian(model, osector, n)

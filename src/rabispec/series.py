@@ -113,7 +113,11 @@ def _log_weight(model: ModelParams, sector: Sector, n: int) -> float:
     return math.lgamma(n + 1.0)  # weight(n) = n!
 
 
-def norm_tail_ratio(series: SeriesCoefficients, tail_window: int = 5) -> float:
+# norm_tail_ratio averages the log term ratio over this many tail terms
+_TAIL_WINDOW = 5
+
+
+def norm_tail_ratio(series: SeriesCoefficients) -> float:
     """Limiting consecutive-term ratio of the norm series, estimated at the tail.
 
     For a minimal solution this tends to 4*t2^2 (two-photon), t2^2 (two-mode)
@@ -124,7 +128,7 @@ def norm_tail_ratio(series: SeriesCoefficients, tail_window: int = 5) -> float:
         raise ValueError("series order must be >= 100 for a tail estimate")
     model, sector = series.model, series.sector
     n_hi = series.order - 1
-    n_lo = n_hi - tail_window + 1
+    n_lo = n_hi - _TAIL_WINDOW + 1
     # the weight increments of terms n_lo..n_hi telescope
     acc = _log_weight(model, sector, n_hi + 1) - _log_weight(model, sector, n_lo)
     for n in range(n_lo, n_hi + 1):
@@ -132,7 +136,7 @@ def norm_tail_ratio(series: SeriesCoefficients, tail_window: int = 5) -> float:
         if r == 0.0:
             return 0.0
         acc += 2.0 * math.log(abs(r))
-    return math.exp(acc / tail_window)
+    return math.exp(acc / _TAIL_WINDOW)
 
 
 def norm_term_ratio(series: SeriesCoefficients, n: int) -> float:

@@ -155,13 +155,12 @@ def f_values(
     sector: Sector,
     energies,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> np.ndarray:
     """F(E) = R_0(E) + a(0) over an array of energies, one lane per energy.
 
     R_0 comes from batched backward recursion (``batch_minimal_ratio``).
     Lanes within eps_pole of the pole set, lanes whose R_0 did not converge
-    by ``max_depth`` and lanes whose value is not finite are nan.
+    by ``DEFAULT_MAX_DEPTH`` and lanes whose value is not finite are nan.
     """
     check_coupling(model)
     sector.check_matches(model)
@@ -172,7 +171,7 @@ def f_values(
         return out
     e = energies[usable]
     block = partial(coefficient_block, model, sector)
-    ratio = batch_minimal_ratio(block, e, asymptotic_roots(model).t2, rel_tol, max_depth)
+    ratio = batch_minimal_ratio(block, e, asymptotic_roots(model).t2, rel_tol, DEFAULT_MAX_DEPTH)
     a, _ = coefficient_block(model, sector, e, 0, 0)
     with np.errstate(invalid="ignore", over="ignore"):
         f = ratio + a[0]

@@ -196,6 +196,82 @@ class TestConfigHandling:
         assert code == 1
         assert "closed form" in err
 
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        argv = ["oracle", "--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4",
+                "--emax", "2.5", "--output", str(path)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR config FileNotFoundError: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_oracle_n_above_ceiling_is_config_error(self, capsys, command):
+        # the oracle would diagonalize nothing, so no truncation ceiling is reported
+        argv = [command, "--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4",
+                "--emax", "2.5", "--oracle-n", "100000"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == ("ERROR config ValueError: starting truncation 100000 exceeds the "
+                       "ceiling n_max=8192\n")
+
+
+# Each shared option with a run that uses it: (subcommand, the other options,
+# the value under test).  Every option the CLI shares, and no other, is here.
+TWO_PHOTON_RUN = {"model": "two-photon", "delta": "0.5", "g": "0.2", "q": "1/4", "emax": "3"}
+OPTION_RUNS = {
+    "model": (["oracle"], {"g": "0.4", "kappa": "1", "emax": "3"}, "two-mode"),
+    "omega": (["oracle"], TWO_PHOTON_RUN, "1.5"),
+    "delta": (["oracle"], TWO_PHOTON_RUN, "0.3"),
+    "g": (["oracle"], TWO_PHOTON_RUN, "0.3"),
+    "drive": (["oracle"], {"model": "driven", "g": "0.5", "emax": "3"}, "0.3"),
+    "q": (["oracle"], TWO_PHOTON_RUN, "3/4"),
+    "kappa": (["oracle"], {"model": "two-mode", "g": "0.4", "emax": "3"}, "3/2"),
+    "emin": (["oracle"], TWO_PHOTON_RUN, "-1"),
+    "emax": (["oracle"], TWO_PHOTON_RUN, "4"),
+    "cf_rel_tol": (["curve", "--samples", "5"], TWO_PHOTON_RUN, "1e-10"),
+    "root_abs_tol": (["spectrum"], TWO_PHOTON_RUN, "1e-11"),
+    "oracle_n": (["oracle"], TWO_PHOTON_RUN, "64"),
+    "match_tol": (["compare"], TWO_PHOTON_RUN, "1e-5"),
+    "format": (["oracle"], TWO_PHOTON_RUN, "json"),
+    "output": (["oracle"], TWO_PHOTON_RUN, None),  # a path under tmp_path
+}
+
+
+def as_flags(options):
+    return [arg for key, value in options.items() for arg in ("--" + key.replace("_", "-"), value)]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("name", list(OPTION_RUNS))
+    def test_flag_and_config_key_agree(self, capsys, tmp_path, name):
+        command, run, value = OPTION_RUNS[name]
+        out_file = tmp_path / "out.txt"
+        value = str(out_file) if value is None else value
+        others = as_flags({k: v for k, v in run.items() if k != name})
+
+        def output(argv):
+            code, out, err = run_cli(capsys, command + others + argv)
+            written = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            return code, out, err, written
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        by_flag = output(as_flags({name: value}))
+        assert by_flag[0] == 0 and by_flag[2] == ""
+        assert output(["--config", str(cfg)]) == by_flag
+        # the value takes effect: leaving it out changes the result
+        assert output([]) != by_flag
+
+    def test_unknown_key_lists_the_table(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gridstep = 0.5\n")
+        code, out, err = run_cli(capsys, ["oracle", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        known = err.rstrip("\n").split("; known: ")[1].split(", ")
+        assert known == list(OPTION_RUNS) == list(cli._OPTIONS)
+
 
 class TestCurveCommand:
     def test_row_count_and_smoothness(self, capsys):
@@ -292,16 +368,21 @@ class TestCurveCommand:
             assert err == "ERROR config ValueError: window must satisfy E_min < E_max\n", command
 
     def test_nan_tolerance_rejected(self, capsys):
-        # the CLI checks --cf-rel-tol itself: a NaN or non-positive value is a config error
-        for command in (["curve", "--samples", "5"], ["spectrum"], ["compare"]):
-            for value in ("nan", "0", "-1"):
-                code, out, err = run_cli(
-                    capsys,
-                    command + ["--model", "two-mode", "--delta", "0.7", "--g", "0.4", "--kappa",
-                               "1", "--emin", "-1", "--emax", "4", "--cf-rel-tol", value],
-                )
-                assert code == 1 and out == "", (command, value)
-                assert "rel_tol must be positive" in err, (command, value)
+        # the CLI checks every tolerance itself, for every subcommand, used or
+        # not: a NaN or non-positive value is a config error
+        commands = (["curve", "--samples", "5"], ["spectrum"], ["compare"], ["oracle"],
+                    ["series", "--energy", "0.4", "--order", "20"])
+        for command in commands:
+            for option in ("cf_rel_tol", "root_abs_tol", "match_tol"):
+                for value in ("nan", "0", "-1"):
+                    code, out, err = run_cli(
+                        capsys,
+                        command + ["--model", "two-mode", "--delta", "0.7", "--g", "0.4",
+                                   "--kappa", "1", "--emin", "-1", "--emax", "4",
+                                   "--" + option.replace("_", "-"), value],
+                    )
+                    assert code == 1 and out == "", (command, option, value)
+                    assert err.startswith(f"ERROR config ValueError: {option} must be positive")
 
 
 class TestOracleCommand:

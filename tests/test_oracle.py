@@ -369,11 +369,28 @@ class TestPhysics:
         with pytest.raises(ValueError, match="window edges must be finite"):
             oracle_spectrum(model, Sector.two_photon(0.25), window)
 
-    def test_truncation_ceiling(self):
+    def test_truncation_ceiling(self, monkeypatch):
+        # the cutoff heuristic wants 64 states here; with n_max = 16 the oracle
+        # still diagonalizes at 16 before it reports the ceiling
+        built = []
+        monkeypatch.setattr("rabispec.oracle.build_hamiltonian",
+                            lambda *a: built.append(a[2]) or build_hamiltonian(*a))
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45)
         with pytest.raises(TruncationCeiling):
             oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0),
                             n_start=16, n_max=16)
+        assert built == [16]
+
+    def test_start_above_ceiling_rejected(self, monkeypatch):
+        # a start above n_max would diagonalize nothing: a usage error, not a
+        # truncation ceiling
+        built = []
+        monkeypatch.setattr("rabispec.oracle.build_hamiltonian",
+                            lambda *a: built.append(a[2]) or build_hamiltonian(*a))
+        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
+        with pytest.raises(ValueError, match="exceeds the ceiling"):
+            oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0), n_start=64, n_max=32)
+        assert built == []
 
     def test_truncation_stability_reported(self):
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
