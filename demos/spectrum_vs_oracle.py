@@ -14,7 +14,6 @@ from rabispec import (
     Sector,
     compute_spectrum,
     oracle_spectrum,
-    pole_energies,
 )
 
 model = ModelParams(ModelKind.TWO_PHOTON, omega=1.0, delta=0.5, g=0.2)

@@ -16,15 +16,15 @@ import math
 import numpy as np
 
 from rabispec import ModelKind, ModelParams, Sector, compute_spectrum
-from rabispec.models import pole_energies
+from rabispec.models import pole_energy
 from rabispec.spectral import f_values
 
 model = ModelParams(ModelKind.TWO_MODE, omega=1.0, delta=0.7, g=0.4)
 sector = Sector.two_mode(1.0)
 
-poles = pole_energies(model, sector, 2)
-lo, hi = poles[0] + 1e-3, poles[1] - 1e-3
-print(f"interval between poles {poles[0]:.6f} and {poles[1]:.6f}")
+pole_0, pole_1 = pole_energy(model, sector, 0), pole_energy(model, sector, 1)
+lo, hi = pole_0 + 1e-3, pole_1 - 1e-3
+print(f"interval between poles {pole_0:.6f} and {pole_1:.6f}")
 print()
 
 samples = 41

@@ -19,16 +19,11 @@ from .errors import (
 )
 from .models import (
     AsymptoticRoots,
-    BogoliubovParams,
     ModelKind,
     ModelParams,
     Sector,
-    ThreeTermCoeffs,
     asymptotic_roots,
-    bogoliubov_params,
     closed_form_spectrum_g0,
-    pole_energies,
-    three_term_coeffs,
 )
 from .oracle import (
     OracleSector,
@@ -54,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticRoots",
-    "BogoliubovParams",
     "CoefficientPole",
     "CouplingOutOfRange",
     "ModelKind",
@@ -69,13 +63,11 @@ __all__ = [
     "SignLostWarning",
     "SpectrumOptions",
     "SpectrumResult",
-    "ThreeTermCoeffs",
     "TruncatedHamiltonian",
     "TruncationCeiling",
     "TruncationInsufficient",
     "ZeroCoupling",
     "asymptotic_roots",
-    "bogoliubov_params",
     "build_hamiltonian",
     "closed_form_spectrum_g0",
     "compute_spectrum",
@@ -85,6 +77,4 @@ __all__ = [
     "minimal_series",
     "norm_tail_ratio",
     "oracle_spectrum",
-    "pole_energies",
-    "three_term_coeffs",
 ]

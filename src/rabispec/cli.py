@@ -24,7 +24,7 @@ import numpy as np
 
 from .contfrac import DEFAULT_REL_TOL
 from .errors import RabispecError, TruncationCeiling, ZeroCoupling
-from .models import ModelKind, ModelParams, Sector, distance_to_pole_set, pole_spacing
+from .models import ModelKind, ModelParams, Sector, distance_to_pole_set, pole_lattice
 from .oracle import oracle_spectrum
 from .series import minimal_series, norm_tail_ratio, norm_term_ratio
 from .spectral import (
@@ -149,6 +149,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{name} must be positive, got {opts[name]}")
     if opts["format"] not in _OPTIONS["format"].choices:
         raise ValueError(f"unknown output format {opts['format']!r}; choose csv or json")
+    if opts["output"]:
+        # fail on an unwritable path before any work; append truncates nothing
+        with open(opts["output"], "a", encoding="utf-8"):
+            pass
     return RunConfig(model, sector, (e_min, e_max), opts)
 
 
@@ -299,7 +303,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         cfg.model, cfg.sector, cfg.window, n_start=cfg.opts["oracle_n"]
     )
     poles = poles_in_window(
-        cfg.model, cfg.sector, cfg.window[0] - pole_spacing(cfg.model, cfg.sector), cfg.window[1]
+        cfg.model, cfg.sector, cfg.window[0] - pole_lattice(cfg.model, cfg.sector)[1], cfg.window[1]
     )
     rows = match_spectra(
         result.energies + [r.energy for r in result.flagged],

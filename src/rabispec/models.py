@@ -13,12 +13,12 @@ computation reads, so a(n) divides by the same float the solver keeps away from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import CouplingOutOfRange, NotDecoupled, PoleCollision, ZeroCoupling
+from .errors import CouplingOutOfRange, NotDecoupled, ZeroCoupling
 
 # Below eps_g the coefficient formulas divide by ~0; callers are routed to the
 # decoupled closed form.  Within eps_pole of a pole energy the A-coefficient
@@ -118,47 +118,32 @@ class Sector:
             raise ValueError(f"sector kind {self.kind} does not match model kind {model.kind}")
 
 
-@dataclass(frozen=True)
-class BogoliubovParams:
-    """Squeeze/displacement parameter and the square-root factor of the transformation.
+def root_factor(model: ModelParams) -> float:
+    """Square-root factor of the squeezing/displacement transformation for ``model``.
 
-    ``squeeze`` is tau (two-photon), sigma (two-mode) or the displacement -g
-    (driven); ``root_factor`` is Omega, Lambda or 1 respectively.
+    sqrt(1 - (c*g/omega)^2) for the squeezed models (Omega for the two-photon
+    model with c = 2, Lambda for the two-mode model with c = 1); 1 for the
+    driven model, whose transformation is a displacement.
     """
-
-    squeeze: float
-    root_factor: float
-
-
-def bogoliubov_params(model: ModelParams) -> BogoliubovParams:
-    """Parameters of the squeezing/displacement transformation for ``model``.
-
-    The squeeze solves (2/c)*omega*s + g*(1 + s^2) = 0 (two-photon tau with
-    c = 2, two-mode sigma with c = 1); the root with modulus < 1 is returned,
-    with root factor sqrt(1 - (c*g/omega)^2).
-    """
-    w, g = model.omega, model.g
     c = SQUEEZE_FACTOR.get(model.kind)
     if c is None:
-        return BogoliubovParams(squeeze=-g, root_factor=1.0)
-    root = math.sqrt(1.0 - c * c * g * g / (w * w))
-    # s = -(w/(c*g))(1 - root), rationalized to avoid cancellation at small g
-    return BogoliubovParams(squeeze=-c * g / (w * (1.0 + root)), root_factor=root)
+        return 1.0
+    w, g = model.omega, model.g
+    return math.sqrt(1.0 - c * c * g * g / (w * w))
 
 
 @dataclass(frozen=True)
 class AsymptoticRoots:
     """Characteristic-equation scales of the three-term recurrence.
 
-    The minimal-solution ratio behaves as ``t2 * n**exponent``.  For the driven
-    model the bare characteristic roots are {0, omega/2g}; the reported minimal
-    scale 2g/omega (with exponent -1) is the refined decay rate, which is what
-    the asymptotic tests can actually measure.
+    The minimal-solution ratio behaves as ``t2 / n``; ``t1`` is the scale of
+    the dominant solution.  For the driven model the bare characteristic roots
+    are {0, omega/2g}; the reported minimal scale 2g/omega is the refined
+    decay rate, which is what the asymptotic tests can actually measure.
     """
 
     t1: float
     t2: float
-    exponent: int = -1
 
 
 def asymptotic_roots(model: ModelParams) -> AsymptoticRoots:
@@ -184,7 +169,7 @@ def pole_lattice(model: ModelParams, sector: Sector) -> tuple[float, float]:
     c = SQUEEZE_FACTOR.get(model.kind)
     if c is None:
         return model.drive - model.g * model.g / w, w
-    root = bogoliubov_params(model).root_factor
+    root = root_factor(model)
     return -w / c + 2.0 * sector.value * w * root, 2.0 * w * root
 
 
@@ -197,83 +182,29 @@ def pole_energy(model: ModelParams, sector: Sector, n):
     return first + n * spacing
 
 
-def pole_energies(model: ModelParams, sector: Sector, n_max: int) -> list[float]:
-    """Strictly increasing list of the first ``n_max + 1`` pole energies."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return [pole_energy(model, sector, n) for n in range(n_max + 1)]
-
-
-def pole_spacing(model: ModelParams, sector: Sector) -> float:
-    """Common difference of the arithmetic pole sequence."""
-    return pole_lattice(model, sector)[1]
-
-
-@dataclass(frozen=True)
-class ThreeTermCoeffs:
-    """Coefficients a(n), b(n) of K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0 at fixed E.
-
-    ``a`` is A_n / C_n / X_n and ``b`` is B_n / D_n / Y_n of the respective
-    model.  ``tail_ratio_scale`` is the minimal-ratio scale used to seed
-    backward recursion (the ratio decays as scale / n).
-
-    The formulas are plain arithmetic, so ``energy`` may also be a numpy array
-    and ``n`` an array that broadcasts against it; ``coefficient_block`` builds
-    whole blocks of rows that way.
-    """
-
-    model: ModelParams
-    sector: Sector
-    energy: float | np.ndarray
-    _bog: BogoliubovParams = field(init=False, repr=False, compare=False)
-    _c: float | None = field(init=False, repr=False, compare=False)
-    _poles: tuple[float, float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_bog", bogoliubov_params(self.model))
-        object.__setattr__(self, "_c", SQUEEZE_FACTOR.get(self.model.kind))
-        object.__setattr__(self, "_poles", pole_lattice(self.model, self.sector))
-
-    @property
-    def tail_ratio_scale(self) -> float:
-        return asymptotic_roots(self.model).t2
-
-    def pole_denominator(self, n):
-        """Denominator of the Delta^2 term of a(n): E - E_n, zero exactly at pole_energy(n)."""
-        first, spacing = self._poles
-        return self.energy - (first + n * spacing)
-
-    def a(self, n):
-        m, s, e, c = self.model, self.sector, self.energy, self._c
-        w, g, d = m.omega, m.g, m.delta
-        # the Delta^2 term, without keeping the denominator alive on array input
-        pole_term = d * d / self.pole_denominator(n)
-        if c is None:
-            return (e - n * w + m.drive - 3.0 * g * g / w - pole_term) / (2.0 * g * (n + 1.0))
-        root = self._bog.root_factor
-        num = -(2.0 * n + 2.0 * s.value) * w * (2.0 - root * root) + (
-            e + w / c - pole_term
-        ) * root
-        return num / (2.0 * c * c * g * (n + 1.0) * (n + 2.0 * s.value))
-
-    def b(self, n):
-        c = self._c
-        if c is None:
-            return 1.0 / (n + 1.0)
-        return 1.0 / (c * c * (n + 1.0) * (n + 2.0 * self.sector.value))
-
-
 def coefficient_block(
     model: ModelParams, sector: Sector, energies: np.ndarray, n_lo: int, n_hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """a(n, E) and b(n) for rows n in [n_lo, n_hi] and columns E in ``energies``.
+    """a(n, E) and b(n) of K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0, the one copy of the formulas.
 
-    ``a`` has shape (rows, energies); ``b`` does not depend on E and has shape
-    (rows, 1).  The caller keeps ``energies`` away from the pole set.
+    Rows are n in [n_lo, n_hi] and columns E in ``energies``: ``a`` (A_n, C_n
+    or X_n of the respective model) has shape (rows, energies), and ``b``
+    (B_n, D_n or Y_n) does not depend on E and has shape (rows, 1).  The
+    caller keeps ``energies`` away from the pole set.
     """
-    coeffs = ThreeTermCoeffs(model, sector, energies)
+    first, spacing = pole_lattice(model, sector)
+    c = SQUEEZE_FACTOR.get(model.kind)
+    w, g, d = model.omega, model.g, model.delta
     n = np.arange(n_lo, n_hi + 1, dtype=float)[:, None]
-    return coeffs.a(n), coeffs.b(n)
+    # the Delta^2 term; its denominator E - E_n is zero exactly at pole_energy(n)
+    pole_term = d * d / (energies - (first + n * spacing))
+    if c is None:
+        a = (energies - n * w + model.drive - 3.0 * g * g / w - pole_term) / (2.0 * g * (n + 1.0))
+        return a, 1.0 / (n + 1.0)
+    root, s = root_factor(model), sector.value
+    num = -(2.0 * n + 2.0 * s) * w * (2.0 - root * root) + (energies + w / c - pole_term) * root
+    a = num / (2.0 * c * c * g * (n + 1.0) * (n + 2.0 * s))
+    return a, 1.0 / (c * c * (n + 1.0) * (n + 2.0 * s))
 
 
 def check_coupling(model: ModelParams) -> None:
@@ -284,28 +215,19 @@ def check_coupling(model: ModelParams) -> None:
         )
 
 
-def three_term_coeffs(model: ModelParams, sector: Sector, energy: float) -> ThreeTermCoeffs:
-    """Recurrence coefficient generator at fixed ``energy``.
+def nearest_pole(model: ModelParams, sector: Sector, energy):
+    """The pole E_n nearest ``energy`` (a float or an array); E_0 for energies below E_0.
 
-    Raises ZeroCoupling at |g| <= eps_g and PoleCollision when ``energy`` lies
-    within eps_pole of a pole energy.
+    The index n = max(rint((E - E_0) / spacing), 0) stays a float, so a nan
+    energy gives a nan pole.
     """
-    check_coupling(model)
-    if distance_to_pole_set(model, sector, energy) < model.eps_pole:
-        raise PoleCollision(f"E = {energy} coincides with a pole energy")
-    return ThreeTermCoeffs(model, sector, energy)
-
-
-def nearest_pole_index(model: ModelParams, sector: Sector, energy):
-    """Index n of the pole E_n nearest ``energy`` (a float or an array)."""
     first, spacing = pole_lattice(model, sector)
-    return np.maximum(np.rint((energy - first) / spacing), 0.0).astype(np.intp)
+    return first + np.maximum(np.rint((energy - first) / spacing), 0.0) * spacing
 
 
 def distance_to_pole_set(model: ModelParams, sector: Sector, energy):
     """Distance from ``energy`` (a float or an array) to the nearest pole of the coefficients."""
-    n = nearest_pole_index(model, sector, energy)
-    dist = np.abs(energy - pole_energy(model, sector, n))
+    dist = np.abs(energy - nearest_pole(model, sector, energy))
     return dist if isinstance(dist, np.ndarray) else float(dist)
 
 

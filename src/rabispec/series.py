@@ -20,8 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contfrac import backward_ratio_rows, twisted_residual
-from .errors import NotAnEigenvalueWarning, TruncationInsufficient
-from .models import ModelKind, ModelParams, Sector, coefficient_block, three_term_coeffs
+from .errors import NotAnEigenvalueWarning, PoleCollision, TruncationInsufficient
+from .models import (
+    ModelKind,
+    ModelParams,
+    Sector,
+    asymptotic_roots,
+    check_coupling,
+    coefficient_block,
+    distance_to_pole_set,
+    pole_energy,
+)
 from .spectral import RESIDUAL_CAP
 
 
@@ -64,14 +73,20 @@ def minimal_series(
     ``compute_spectrum`` reports.  If it exceeds the residual cap the series
     is still returned, flagged, with a NotAnEigenvalueWarning.
     The plus component uses the pole relation
-    plus[n] = delta * minus[n] / pole_denominator(n).  Raises PoleCollision
-    if E sits within eps_pole of a pole.
+    plus[n] = delta * minus[n] / (E - E_n).  Raises ValueError if E is not
+    finite, ZeroCoupling at g = 0 and PoleCollision if E sits within eps_pole
+    of a pole.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    coeffs = three_term_coeffs(model, sector, energy)  # raises ZeroCoupling/PoleCollision
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy}")
+    check_coupling(model)
+    if distance_to_pole_set(model, sector, energy) < model.eps_pole:
+        raise PoleCollision(f"E = {energy} coincides with a pole energy")
     a, b = coefficient_block(model, sector, np.array([energy]), 0, 2 * order + 64)
-    ratios = backward_ratio_rows(a[1:, 0].tolist(), b[1:, 0].tolist(), 0, coeffs.tail_ratio_scale)
+    t2 = asymptotic_roots(model).t2
+    ratios = backward_ratio_rows(a[1:, 0].tolist(), b[1:, 0].tolist(), 0, t2)
     residual = float(twisted_residual(a, b, np.c_[ratios], math.copysign(1.0, model.g))[0])
     flagged = residual > RESIDUAL_CAP
     if flagged:
@@ -86,7 +101,7 @@ def minimal_series(
     with np.errstate(divide="ignore"):
         log_abs = np.concatenate([[0.0], np.cumsum(np.log(np.abs(r)))])
     signs = np.concatenate([[1], np.cumprod(np.sign(r).astype(int))])
-    plus = model.delta * minus / coeffs.pole_denominator(np.arange(order + 1))
+    plus = model.delta * minus / (energy - pole_energy(model, sector, np.arange(order + 1)))
     return SeriesCoefficients(
         minus=minus.tolist(),
         plus=plus.tolist(),

@@ -56,8 +56,7 @@ from .models import (
     check_coupling,
     coefficient_block,
     distance_to_pole_set,
-    nearest_pole_index,
-    pole_energy,
+    nearest_pole,
     pole_lattice,
 )
 
@@ -222,7 +221,7 @@ def _points_inside(model: ModelParams, sector: Sector, lo, hi, tol: float, x) ->
     """
     eps = model.eps_pole
     lo, hi = lo[:, None], hi[:, None]
-    pole = pole_energy(model, sector, nearest_pole_index(model, sector, x))
+    pole = nearest_pole(model, sector, x)
     near = np.abs(x - pole) < eps
     x = np.where(near, np.where(pole - eps > lo, pole - eps, pole + eps), x)
     return np.where((hi - lo > tol) & (lo < x) & (x < hi), x, np.nan)
@@ -321,7 +320,7 @@ def compute_spectrum(
     # the pole in the window if the pole lies in it, and out if not
     eps = model.eps_pole
     edges = np.array([e_min, e_max])
-    pole = pole_energy(model, sector, nearest_pole_index(model, sector, edges))
+    pole = nearest_pole(model, sector, edges)
     inside = (pole >= e_min) & (pole <= e_max)
     off = np.where(inside, [-eps, eps], [eps, -eps])
     edges = np.where(np.abs(edges - pole) < eps, pole + off, edges)
@@ -365,7 +364,7 @@ def compute_spectrum(
 
     # a final bracket that holds a pole puts its level on the pole
     mid = 0.5 * (lo + hi)
-    pole = pole_energy(model, sector, nearest_pole_index(model, sector, mid))
+    pole = nearest_pole(model, sector, mid)
     energy = np.where((lo < pole) & (pole < hi), pole, mid)
     residual, dist = np.full(energy.shape, np.inf), distance_to_pole_set(model, sector, energy)
     usable, step = np.flatnonzero(dist >= eps), max(1, CHUNK_CELLS // rows)

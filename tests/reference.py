@@ -2,7 +2,8 @@
 
 They fetch a(n) and b(n) one n at a time from any object exposing them (and
 optionally ``tail_ratio_scale``), so tests can pass surrogate coefficient
-sequences:
+sequences; ``BlockCoeffs`` is that object for a model, read from
+``models.coefficient_block``:
 
 - ``eval_continued_fraction``: R_start by modified Lentz with depth doubling;
 - ``backward_recursion_ratio`` and ``backward_ratios``: one backward pass of
@@ -20,11 +21,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from rabispec.contfrac import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, backward_ratio_rows
-from rabispec.errors import CoefficientPole
-from rabispec.models import ModelParams, Sector, three_term_coeffs
+from rabispec.errors import CoefficientPole, PoleCollision
+from rabispec.models import (
+    ModelParams,
+    Sector,
+    asymptotic_roots,
+    coefficient_block,
+    distance_to_pole_set,
+)
 
 _TINY = 1e-30
 _FIRST_CHECKPOINT = 64
+# BlockCoeffs reads this many rows per coefficient_block call
+_FETCH_ROWS = 256
+
+
+class BlockCoeffs:
+    """a(n) and b(n) of a model at one energy, one n at a time, from ``coefficient_block``.
+
+    Rows are fetched ``_FETCH_ROWS`` at a time and kept as floats, so a
+    scalar reference pays one block call per chunk, not one per n.  No pole
+    check is made: a row on a pole reads inf.
+    """
+
+    def __init__(self, model: ModelParams, sector: Sector, energy: float):
+        self.model, self.sector, self.energy = model, sector, energy
+        self.tail_ratio_scale = asymptotic_roots(model).t2
+        self._chunks: dict[int, tuple[list[float], list[float]]] = {}
+
+    def _rows(self, n: int) -> tuple[list[float], list[float]]:
+        lo = n - n % _FETCH_ROWS
+        if lo not in self._chunks:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a, b = coefficient_block(
+                    self.model, self.sector, np.array([self.energy]), lo, lo + _FETCH_ROWS - 1
+                )
+            self._chunks[lo] = a[:, 0].tolist(), b[:, 0].tolist()
+        return self._chunks[lo]
+
+    def a(self, n: int) -> float:
+        return self._rows(n)[0][n % _FETCH_ROWS]
+
+    def b(self, n: int) -> float:
+        return self._rows(n)[1][n % _FETCH_ROWS]
 
 
 class DivisionBlowup(ArithmeticError):
@@ -151,9 +190,12 @@ def split_spectral_value(
 
     The zero set is the same for every k, the poles are not: the forward
     ratio has a simple pole at the k-th pole energy, and R_k consumes no
-    divergent coefficient near it.
+    divergent coefficient near it.  Raises PoleCollision within eps_pole of
+    a pole, where F is undefined.
     """
-    coeffs = three_term_coeffs(model, sector, energy)
+    if distance_to_pole_set(model, sector, energy) < model.eps_pole:
+        raise PoleCollision(f"E = {energy} coincides with a pole energy")
+    coeffs = BlockCoeffs(model, sector, energy)
     cf = eval_continued_fraction(coeffs, start=split, rel_tol=rel_tol, max_depth=max_depth)
     return cf.value - forward_ratio(coeffs, split)
 

@@ -20,6 +20,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,6 @@ from rabispec import (
     ModelParams,
     NotAnEigenvalueWarning,
     Sector,
-    ThreeTermCoeffs,
     build_hamiltonian,
     closed_form_spectrum_g0,
     compute_spectrum,
@@ -37,14 +37,23 @@ from rabispec import (
     minimal_series,
     norm_tail_ratio,
     oracle_spectrum,
-    pole_energies,
-    three_term_coeffs,
 )
-from rabispec.models import asymptotic_roots, bogoliubov_params, distance_to_pole_set
+from rabispec.models import (
+    asymptotic_roots,
+    coefficient_block,
+    distance_to_pole_set,
+    pole_energy,
+    root_factor,
+)
 from rabispec.oracle import eigen_in_range
 from rabispec.spectral import RESIDUAL_CAP, SpectrumOptions, default_window_min, eps_exceptional
 
-from reference import backward_recursion_ratio, eval_continued_fraction, split_spectral_value
+from reference import (
+    BlockCoeffs,
+    backward_recursion_ratio,
+    eval_continued_fraction,
+    split_spectral_value,
+)
 from test_contfrac import _random_cases
 
 MATCH_TOL = 1e-7
@@ -114,7 +123,7 @@ def test_near_degenerate_pair_in_one_grid_interval():
     sector = Sector.driven()
     window = (-2.5, 0.0)
     oracle_vals, _ = oracle_spectrum(model, sector, window)
-    pair = [o for o in oracle_vals if -1.975 < o < pole_energies(model, sector, 0)[0]]
+    pair = [o for o in oracle_vals if -1.975 < o < pole_energy(model, sector, 0)]
     assert pair == pytest.approx([-1.970030465753357, -1.9620048682187303], abs=1e-9)
     # 0.025 = omega/40, the default step of the sign-scan grid this solver used
     assert pair[1] - pair[0] < 0.025 / 3.0
@@ -214,7 +223,7 @@ def test_minimal_ratio_asymptotics(kind):
         energy = rng.uniform(-0.4, 4.0)
         if distance_to_pole_set(model, sector, energy) < 1e-3:
             energy += 2e-3
-        coeffs = three_term_coeffs(model, sector, energy)
+        coeffs = BlockCoeffs(model, sector, energy)
         r = backward_recursion_ratio(coeffs, start=2000, tail_depth=4096)
         assert 2000.0 * r == pytest.approx(g, rel=0.01)
 
@@ -252,7 +261,7 @@ def test_norm_series_tail_ratio(model, sector, window):
 def test_divergence_at_pole_energies(model, sector, n):
     # W_n has a simple pole at E_n; F (= W_0) diverges at E_0 and has a
     # removable singularity at E_n for n >= 1 (see the module docstring)
-    pole = pole_energies(model, sector, n)[n]
+    pole = pole_energy(model, sector, n)
 
     def w(e):
         return split_spectral_value(model, sector, e, split=n)
@@ -268,10 +277,11 @@ def test_divergence_at_pole_energies(model, sector, n):
         assert abs(f_lo) > 1e6 and abs(f_hi) > 1e6
         return
     # limit of F at E_n: a(n) sends R_{n-1} to zero, truncating the fraction
-    coeffs = ThreeTermCoeffs(model, sector, pole)
-    limit = coeffs.a(n - 1)
+    a, b = coefficient_block(model, sector, np.array([pole]), 0, n - 1)
+    a, b = a[:, 0].tolist(), b[:, 0].tolist()
+    limit = a[n - 1]
     for k in range(n - 1, 0, -1):
-        limit = coeffs.a(k - 1) - coeffs.b(k) / limit
+        limit = a[k - 1] - b[k] / limit
     assert 0.5 * (f_lo + f_hi) == pytest.approx(limit, rel=1e-10)
 
 
@@ -329,7 +339,7 @@ class TestSelfConsistency:
     def test_evaluator_agreement_random(self):
         # two independent continued-fraction evaluators on 100 random points
         for model, sector, energy in _random_cases(100, seed=20260824):
-            coeffs = three_term_coeffs(model, sector, energy)
+            coeffs = BlockCoeffs(model, sector, energy)
             cf = eval_continued_fraction(coeffs)
             back = backward_recursion_ratio(coeffs, tail_depth=8192)
             assert cf.converged
@@ -377,7 +387,7 @@ def _ode_residual(model, sector, energy, z):
     m0, m1, m2 = _series_sums(s.minus, z)
     w, d, g, e = model.omega, model.delta, model.g, energy
     if model.kind is ModelKind.TWO_PHOTON:
-        f = bogoliubov_params(model).root_factor
+        f = root_factor(model)
         q = sector.value
         r1 = 2.0 * w * f * (z * p1 + q * p0) - (0.5 * w + e) * p0 + d * m0
         r2 = (
@@ -387,7 +397,7 @@ def _ode_residual(model, sector, energy, z):
             - f * d * p0
         )
     elif model.kind is ModelKind.TWO_MODE:
-        f = bogoliubov_params(model).root_factor
+        f = root_factor(model)
         k = sector.value
         r1 = 2.0 * w * f * (z * p1 + k * p0) - (w + e) * p0 + d * m0
         r2 = (

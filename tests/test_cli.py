@@ -11,10 +11,10 @@ from rabispec import (
     ModelParams,
     Sector,
     closed_form_spectrum_g0,
-    pole_energies,
 )
 from rabispec import cli
 from rabispec.cli import main, match_spectra
+from rabispec.models import pole_energy
 
 from conftest import TWO_PHOTON_REF_EIGS
 from reference import split_spectral_value
@@ -205,6 +205,37 @@ class TestConfigHandling:
         assert err.startswith("ERROR config FileNotFoundError: ") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.parametrize("command, extra", [("series", ["--energy", "0.3"]), ("compare", [])])
+    def test_unwritable_output_fails_before_the_work(
+        self, capsys, monkeypatch, tmp_path, command, extra
+    ):
+        # the path is checked with the configuration, so the one ERROR line
+        # comes before any work: no series is built (at E = 0.3, no
+        # eigenvalue, it would warn) and compare runs neither route
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work ran before the output path was checked")
+
+        for name in ("minimal_series", "compute_spectrum", "oracle_spectrum"):
+            monkeypatch.setattr(cli, name, no_work)
+        path = tmp_path / "missing" / "x.csv"
+        argv = [command, "--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4",
+                "--emax", "2.5", "--output", str(path)] + extra
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR config FileNotFoundError: ") and err.count("\n") == 1
+
+    def test_output_check_truncates_nothing(self, capsys, tmp_path):
+        # a run that fails after the check (E on pole E_0) leaves the file as it was
+        path = tmp_path / "x.csv"
+        path.write_text("kept\n")
+        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
+        pole = pole_energy(model, Sector.two_photon(0.25), 0)
+        argv = ["series", "--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4",
+                "--emax", "2.5", "--energy", repr(pole), "--output", str(path)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1 and err.startswith("ERROR config PoleCollision: ")
+        assert path.read_text() == "kept\n"
+
     @pytest.mark.parametrize("command", ["oracle", "compare"])
     def test_oracle_n_above_ceiling_is_config_error(self, capsys, command):
         # the oracle would diagonalize nothing, so no truncation ceiling is reported
@@ -291,7 +322,7 @@ class TestCurveCommand:
 
     def test_pole_sample_reports_error_row(self, capsys):
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
-        pole = pole_energies(model, Sector.two_photon(0.25), 0)[0]
+        pole = pole_energy(model, Sector.two_photon(0.25), 0)
         code, out, _ = run_cli(
             capsys,
             ["curve", "--model", "two-photon", "--delta", "0.5", "--g", "0.2",
@@ -320,7 +351,7 @@ class TestCurveCommand:
     def test_near_pole_flag(self, capsys):
         # a sample is near_pole within 1e-6 omega of a pole, not 1e-5 away
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
-        pole = pole_energies(model, Sector.two_photon(0.25), 1)[1]
+        pole = pole_energy(model, Sector.two_photon(0.25), 1)
         code, out, _ = run_cli(
             capsys,
             ["curve", "--model", "two-photon", "--delta", "0.5", "--g", "0.2",

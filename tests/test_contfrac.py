@@ -15,7 +15,6 @@ from rabispec import (
     ModelParams,
     Sector,
     asymptotic_roots,
-    three_term_coeffs,
 )
 from rabispec import contfrac
 from rabispec.contfrac import (
@@ -28,6 +27,7 @@ from rabispec.models import coefficient_block, distance_to_pole_set
 
 from conftest import ConstCoeffs
 from reference import (
+    BlockCoeffs,
     backward_ratios,
     backward_recursion_ratio,
     eval_continued_fraction,
@@ -119,7 +119,7 @@ def _random_cases(count, seed=20240817):
 class TestModelFractions:
     def test_reference_point_converges(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
-        coeffs = three_term_coeffs(model, sector, 0.0)
+        coeffs = BlockCoeffs(model, sector, 0.0)
         cf = eval_continued_fraction(coeffs)
         assert cf.converged and math.isfinite(cf.value)
         assert cf.depth <= 1024
@@ -128,7 +128,7 @@ class TestModelFractions:
 
     def test_evaluator_agreement_random(self):
         for model, sector, energy in _random_cases(30):
-            coeffs = three_term_coeffs(model, sector, energy)
+            coeffs = BlockCoeffs(model, sector, energy)
             cf = eval_continued_fraction(coeffs)
             back = backward_recursion_ratio(coeffs, tail_depth=8192)
             assert cf.converged
@@ -138,7 +138,7 @@ class TestModelFractions:
         # R_start of a pass down from the same tail is the same number
         # whether the pass stops at start or runs on to 0
         model, sector, _, _ = two_photon_ref
-        coeffs = three_term_coeffs(model, sector, 0.7)
+        coeffs = BlockCoeffs(model, sector, 0.7)
         ratios = backward_ratios(coeffs, 0, 512)
         assert len(ratios) == 512
         for start in (0, 1, 7, 100, 503):
@@ -148,7 +148,7 @@ class TestModelFractions:
         # residual should not grow under depth doubling in >= 95% of cases
         good = total = 0
         for model, sector, energy in _random_cases(40, seed=7):
-            coeffs = three_term_coeffs(model, sector, energy)
+            coeffs = BlockCoeffs(model, sector, energy)
             res = [
                 eval_continued_fraction(coeffs, rel_tol=1e-16, max_depth=d)
                 for d in (256, 512, 1024)
@@ -163,13 +163,13 @@ class TestModelFractions:
 
     def test_minimal_ratio_asymptotics(self):
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.3, 0.2)
-        coeffs = three_term_coeffs(model, Sector.two_photon(0.25), 0.1)
+        coeffs = BlockCoeffs(model, Sector.two_photon(0.25), 0.1)
         r2000 = backward_recursion_ratio(coeffs, start=2000, tail_depth=4096)
         assert 2000.0 * r2000 == pytest.approx(0.2, rel=0.01)
 
     def test_minimal_ratio_asymptotics_two_mode(self):
         model = ModelParams(ModelKind.TWO_MODE, 1.0, 0.3, 0.5)
-        coeffs = three_term_coeffs(model, Sector.two_mode(0.5), 0.1)
+        coeffs = BlockCoeffs(model, Sector.two_mode(0.5), 0.1)
         r2000 = backward_recursion_ratio(coeffs, start=2000, tail_depth=4096)
         assert 2000.0 * r2000 == pytest.approx(0.5, rel=0.01)
 
@@ -225,7 +225,7 @@ class TestBatchMinimalRatio:
         block = partial(coefficient_block, model, sector)
         r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2)
         for e, got in zip(energies, r):
-            ref = eval_continued_fraction(three_term_coeffs(model, sector, e)).value
+            ref = eval_continued_fraction(BlockCoeffs(model, sector, e)).value
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("rows", [2, 3, 5])
@@ -326,7 +326,7 @@ class TestNegativePivots:
         a, b = coefficient_block(model, sector, energies, 0, 40)
         pivots = batch_pivots(a, b, 1.0)
         for lane, e in enumerate(energies):
-            coeffs = three_term_coeffs(model, sector, e)
+            coeffs = BlockCoeffs(model, sector, e)
             for k in range(41):
                 ref = forward_ratio(coeffs, k)
                 assert abs(pivots[k, lane] - ref) <= 1e-12 * max(1.0, abs(ref)), (e, k)

@@ -1,4 +1,4 @@
-"""Closed-form model data: parameters, Bogoliubov maps, coefficients, poles."""
+"""Closed-form model data: parameters, root factors, coefficients, poles."""
 
 import math
 
@@ -12,17 +12,19 @@ from rabispec import (
     ModelKind,
     ModelParams,
     NotDecoupled,
-    PoleCollision,
     Sector,
-    ThreeTermCoeffs,
     ZeroCoupling,
     asymptotic_roots,
-    bogoliubov_params,
     closed_form_spectrum_g0,
-    pole_energies,
-    three_term_coeffs,
 )
-from rabispec.models import coefficient_block, distance_to_pole_set, pole_energy, pole_spacing
+from rabispec.models import (
+    coefficient_block,
+    distance_to_pole_set,
+    nearest_pole,
+    pole_energy,
+    pole_lattice,
+    root_factor,
+)
 
 
 def tp(omega=1.0, delta=0.0, g=0.2):
@@ -35,6 +37,12 @@ def tm(omega=1.0, delta=0.0, g=0.2):
 
 def dr(omega=1.0, delta=0.0, g=0.2, drive=0.0):
     return ModelParams(ModelKind.DRIVEN_RABI, omega, delta, g, drive)
+
+
+def rows(model, sector, energy, n_lo, n_hi):
+    """a(n) and b(n) for n in [n_lo, n_hi] at one energy, as lists."""
+    a, b = coefficient_block(model, sector, np.array([energy]), n_lo, n_hi)
+    return a[:, 0].tolist(), b[:, 0].tolist()
 
 
 class TestModelParams:
@@ -83,93 +91,60 @@ class TestSector:
             Sector.two_photon(0.25).check_matches(tm())
 
 
-class TestBogoliubov:
+class TestRootFactor:
     def test_two_photon_example(self):
-        bog = bogoliubov_params(tp(g=0.3))
-        assert bog.root_factor == pytest.approx(0.8, abs=1e-15)
-        assert bog.squeeze == pytest.approx(-1.0 / 3.0, abs=1e-15)
+        assert root_factor(tp(g=0.3)) == pytest.approx(0.8, abs=1e-15)
 
     def test_two_mode_example(self):
-        bog = bogoliubov_params(tm(g=0.6))
-        assert bog.root_factor == pytest.approx(0.8, abs=1e-15)
-        assert bog.squeeze == pytest.approx(-1.0 / 3.0, abs=1e-15)
+        assert root_factor(tm(g=0.6)) == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_coupling_limit(self):
-        bog = bogoliubov_params(tp(g=0.0))
-        assert bog.root_factor == 1.0
-        assert bog.squeeze == 0.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        g=st.floats(-0.499, 0.499),
-        omega=st.floats(0.1, 10.0),
-    )
-    def test_two_photon_quadratic_identity(self, g, omega):
-        if 2.0 * abs(g) >= omega:
-            return
-        bog = bogoliubov_params(ModelParams(ModelKind.TWO_PHOTON, omega, 0.0, g))
-        tau = bog.squeeze
-        assert abs(omega * tau + g * (1.0 + tau * tau)) <= 1e-14 * max(omega, abs(g))
-        assert abs(tau) < 1.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        g=st.floats(-0.999, 0.999),
-        omega=st.floats(0.1, 10.0),
-    )
-    def test_two_mode_quadratic_identity(self, g, omega):
-        if abs(g) >= omega:
-            return
-        bog = bogoliubov_params(ModelParams(ModelKind.TWO_MODE, omega, 0.0, g))
-        sig = bog.squeeze
-        assert abs(2.0 * omega * sig + g * (1.0 + sig * sig)) <= 1e-14 * max(omega, abs(g))
-        assert abs(sig) < 1.0
+        assert root_factor(tp(g=0.0)) == 1.0
 
 
-class TestThreeTermCoeffs:
+class TestCoefficients:
     def test_two_photon_b_examples(self):
         # B_n = 1/(4(n+1)(n+2q)): 1/(4*1*0.5) and 1/(4*2*1.5) at q = 1/4
-        c = three_term_coeffs(tp(g=0.3), Sector.two_photon(0.25), 0.33)
-        assert c.b(0) == pytest.approx(0.5, abs=1e-15)
-        assert c.b(1) == pytest.approx(1.0 / 12.0, abs=1e-15)
+        _, b = rows(tp(g=0.3), Sector.two_photon(0.25), 0.33, 0, 1)
+        assert b == pytest.approx([0.5, 1.0 / 12.0], abs=1e-15)
 
     def test_two_photon_a0_example(self):
         # delta = 0 kills the pole term: A_0 = (-0.5*1.36 + 0.5*0.8) / 1.2
-        c = three_term_coeffs(tp(delta=0.0, g=0.3), Sector.two_photon(0.25), 0.0)
-        assert c.a(0) == pytest.approx(-7.0 / 30.0, abs=1e-14)
+        a, _ = rows(tp(delta=0.0, g=0.3), Sector.two_photon(0.25), 0.0, 0, 0)
+        assert a[0] == pytest.approx(-7.0 / 30.0, abs=1e-14)
 
     def test_driven_b_is_index_only(self):
-        c = three_term_coeffs(dr(delta=0.7, g=0.4, drive=0.2), Sector.driven(), 0.4)
-        assert c.b(0) == 1.0
-        assert c.b(3) == 0.25
+        _, b = rows(dr(delta=0.7, g=0.4, drive=0.2), Sector.driven(), 0.4, 0, 3)
+        assert b[0] == 1.0
+        assert b[3] == 0.25
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 10_000), g=st.floats(0.01, 0.49), kappa=st.sampled_from([0.5, 1.0, 2.5]))
     def test_b_positive(self, n, g, kappa):
-        assert three_term_coeffs(tp(g=g), Sector.two_photon(0.25), 0.11).b(n) > 0.0
-        assert three_term_coeffs(tm(g=g), Sector.two_mode(kappa), 0.11).b(n) > 0.0
-        assert three_term_coeffs(dr(g=g), Sector.driven(), 0.11).b(n) > 0.0
+        assert rows(tp(g=g), Sector.two_photon(0.25), 0.11, n, n)[1][0] > 0.0
+        assert rows(tm(g=g), Sector.two_mode(kappa), 0.11, n, n)[1][0] > 0.0
+        assert rows(dr(g=g), Sector.driven(), 0.11, n, n)[1][0] > 0.0
 
     def test_b_asymptotics(self):
         n = 10**6
-        c2p = three_term_coeffs(tp(g=0.3), Sector.two_photon(0.75), 0.2)
-        c2m = three_term_coeffs(tm(g=0.5), Sector.two_mode(1.0), 0.2)
-        cdr = three_term_coeffs(dr(g=0.5), Sector.driven(), 0.2)
-        assert n * n * c2p.b(n) == pytest.approx(0.25, rel=1e-5)
-        assert n * n * c2m.b(n) == pytest.approx(1.0, rel=1e-5)
-        assert n * cdr.b(n) == pytest.approx(1.0, rel=1e-6)
+        (b2p,) = rows(tp(g=0.3), Sector.two_photon(0.75), 0.2, n, n)[1]
+        (b2m,) = rows(tm(g=0.5), Sector.two_mode(1.0), 0.2, n, n)[1]
+        (bdr,) = rows(dr(g=0.5), Sector.driven(), 0.2, n, n)[1]
+        assert n * n * b2p == pytest.approx(0.25, rel=1e-5)
+        assert n * n * b2m == pytest.approx(1.0, rel=1e-5)
+        assert n * bdr == pytest.approx(1.0, rel=1e-6)
 
     def test_a_asymptotics(self):
         n = 10**6
         m2p, m2m, mdr = tp(delta=0.4, g=0.3), tm(delta=0.4, g=0.5), dr(delta=0.4, g=0.5)
-        om = bogoliubov_params(m2p).root_factor
-        lam = bogoliubov_params(m2m).root_factor
-        c2p = three_term_coeffs(m2p, Sector.two_photon(0.25), 0.2)
-        c2m = three_term_coeffs(m2m, Sector.two_mode(0.5), 0.2)
-        cdr = three_term_coeffs(mdr, Sector.driven(), 0.2)
-        assert n * c2p.a(n) == pytest.approx(-(1.0 / (4 * 0.3)) * (2 - om * om), rel=1e-4)
-        assert n * c2m.a(n) == pytest.approx(-(1.0 / 0.5) * (2 - lam * lam), rel=1e-4)
-        assert cdr.a(n) == pytest.approx(-1.0 / (2 * 0.5), rel=1e-4)
+        om = root_factor(m2p)
+        lam = root_factor(m2m)
+        (a2p,) = rows(m2p, Sector.two_photon(0.25), 0.2, n, n)[0]
+        (a2m,) = rows(m2m, Sector.two_mode(0.5), 0.2, n, n)[0]
+        (adr,) = rows(mdr, Sector.driven(), 0.2, n, n)[0]
+        assert n * a2p == pytest.approx(-(1.0 / (4 * 0.3)) * (2 - om * om), rel=1e-4)
+        assert n * a2m == pytest.approx(-(1.0 / 0.5) * (2 - lam * lam), rel=1e-4)
+        assert adr == pytest.approx(-1.0 / (2 * 0.5), rel=1e-4)
 
     @pytest.mark.parametrize("model,sector,expected", [
         (tp(delta=0.5, g=0.3), Sector.two_photon(0.75), [
@@ -193,52 +168,39 @@ class TestThreeTermCoeffs:
     ], ids=["two-photon", "two-mode", "driven"])
     def test_coefficient_values(self, model, sector, expected):
         # a(n), b(n) at E = 0.77 and n = 0, 1, 7, 40, as each model's own formula gives them
-        c = three_term_coeffs(model, sector, 0.77)
-        for n, (a, b) in zip((0, 1, 7, 40), expected):
-            assert c.a(n) == pytest.approx(a, rel=1e-13)
-            assert c.b(n) == pytest.approx(b, rel=1e-13)
-
-    def test_zero_coupling_refused(self):
-        with pytest.raises(ZeroCoupling):
-            three_term_coeffs(tp(g=0.0), Sector.two_photon(0.25), 0.1)
-
-    def test_pole_collision_refused(self):
-        model, sector = tp(g=0.3), Sector.two_photon(0.25)
-        pole0 = pole_energies(model, sector, 0)[0]
-        with pytest.raises(PoleCollision):
-            three_term_coeffs(model, sector, pole0 + 1e-12)
+        a, b = rows(model, sector, 0.77, 0, 40)
+        for n, (a_n, b_n) in zip((0, 1, 7, 40), expected):
+            assert a[n] == pytest.approx(a_n, rel=1e-13)
+            assert b[n] == pytest.approx(b_n, rel=1e-13)
 
     def test_a_pole_location(self):
         # a(n) has its single simple pole exactly at the n-th pole energy
         model, sector = tp(delta=0.4, g=0.3), Sector.two_photon(0.25)
-        poles = pole_energies(model, sector, 3)
-        c = three_term_coeffs(model, sector, poles[2] + 1e-8)
-        assert abs(c.a(2)) > 1e5
-        assert abs(c.a(1)) < 1e3
-        assert abs(c.pole_denominator(2)) == pytest.approx(1e-8, rel=1e-4)
+        a, _ = rows(model, sector, pole_energy(model, sector, 2) + 1e-8, 0, 3)
+        assert abs(a[2]) > 1e5
+        assert abs(a[1]) < 1e3 and abs(a[3]) < 1e3
 
 
-class TestPoleEnergies:
+class TestPoles:
     def test_two_photon_example(self):
-        got = pole_energies(tp(g=0.3), Sector.two_photon(0.25), 1)
-        assert got == pytest.approx([-0.1, 1.5], abs=1e-14)
+        got = pole_energy(tp(g=0.3), Sector.two_photon(0.25), np.arange(2))
+        assert got.tolist() == pytest.approx([-0.1, 1.5], abs=1e-14)
 
     def test_driven_example(self):
-        got = pole_energies(dr(g=0.2, drive=0.1), Sector.driven(), 2)
-        assert got == pytest.approx([0.06, 1.06, 2.06], abs=1e-14)
+        got = pole_energy(dr(g=0.2, drive=0.1), Sector.driven(), np.arange(3))
+        assert got.tolist() == pytest.approx([0.06, 1.06, 2.06], abs=1e-14)
 
     def test_two_mode_example(self):
-        got = pole_energies(tm(g=0.6), Sector.two_mode(0.5), 0)
-        assert got == pytest.approx([-0.2], abs=1e-14)
+        got = pole_energy(tm(g=0.6), Sector.two_mode(0.5), 0)
+        assert got == pytest.approx(-0.2, abs=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(g=st.floats(0.02, 0.45), n_max=st.integers(1, 30))
     def test_arithmetic_spacing(self, g, n_max):
         model, sector = tp(g=g), Sector.two_photon(0.75)
-        poles = pole_energies(model, sector, n_max)
-        spacing = pole_spacing(model, sector)
-        om = bogoliubov_params(model).root_factor
-        assert spacing == pytest.approx(2.0 * om, rel=1e-14)
+        poles = pole_energy(model, sector, np.arange(n_max + 1)).tolist()
+        spacing = pole_lattice(model, sector)[1]
+        assert spacing == pytest.approx(2.0 * root_factor(model), rel=1e-14)
         for p, pn in zip(poles, poles[1:]):
             assert pn - p == pytest.approx(spacing, rel=1e-12)
 
@@ -253,8 +215,20 @@ class TestPoleEnergies:
         # the pole a(n) divides by is the same float as the pole the scan avoids
         for n in range(60):
             e = pole_energy(model, sector, n)
+            assert nearest_pole(model, sector, e) == e
             assert distance_to_pole_set(model, sector, e) == 0.0
-            assert ThreeTermCoeffs(model, sector, e).pole_denominator(n) == 0.0
+            with np.errstate(divide="ignore"):
+                a, _ = rows(model, sector, e, n, n)
+            assert math.isinf(a[0])
+
+    def test_nearest_pole(self):
+        # E_0 below the lattice, the nearest E_n above it; nan stays nan, and
+        # the pole is computed in floats, so it casts nothing
+        model, sector = tp(g=0.3), Sector.two_photon(0.25)
+        got = nearest_pole(model, sector, np.array([-5.0, -0.1, 0.6, 0.8, 2.2, np.nan]))
+        expected = pole_energy(model, sector, np.array([0, 0, 0, 1, 1]))
+        np.testing.assert_array_equal(got[:5], expected)
+        assert math.isnan(got[5])
 
     def test_distance_to_pole_set(self):
         model, sector = tp(g=0.3), Sector.two_photon(0.25)
@@ -310,16 +284,17 @@ class TestCoefficientBlock:
         (tm(delta=0.7, g=0.4), Sector.two_mode(1.5)),
         (dr(delta=0.4, g=0.7, drive=0.3), Sector.driven()),
     ], ids=["two-photon", "two-mode", "driven"])
-    def test_block_equals_scalar_coefficients(self, model, sector):
-        # one set of formulas: the array block repeats the scalar values bit for bit
+    def test_block_equals_single_row_calls(self, model, sector):
+        # a row does not depend on the block it is built in: the whole block
+        # repeats the one-row, one-energy values bit for bit
         energies = [-0.37, 0.5, 1.23, 4.9]
         a, b = coefficient_block(model, sector, np.array(energies), 3, 40)
         assert a.shape == (38, 4) and b.shape == (38, 1)
         for col, e in enumerate(energies):
-            coeffs = three_term_coeffs(model, sector, e)
             for row, n in enumerate(range(3, 41)):
-                assert a[row, col] == coeffs.a(n)
-                assert b[row, 0] == coeffs.b(n)
+                a_n, b_n = rows(model, sector, e, n, n)
+                assert a[row, col] == a_n[0]
+                assert b[row, 0] == b_n[0]
 
     def test_array_distance_to_pole_set(self):
         model, sector = tp(delta=0.5, g=0.3), Sector.two_photon(0.25)

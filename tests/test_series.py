@@ -2,20 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rabispec import (
     ModelKind,
     ModelParams,
     NotAnEigenvalueWarning,
+    PoleCollision,
     Sector,
     TruncationInsufficient,
+    ZeroCoupling,
     compute_spectrum,
     eval_wavefunction,
     minimal_series,
     norm_tail_ratio,
-    three_term_coeffs,
 )
+from rabispec.models import coefficient_block, pole_energy
 from rabispec.series import norm_term_log, norm_term_ratio
 
 
@@ -29,12 +32,12 @@ class TestMinimalSeries:
     def test_recurrence_residual(self, ref_series):
         # K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0, checked against the local scale
         s = ref_series
-        coeffs = three_term_coeffs(s.model, s.sector, s.energy)
+        a, b = coefficient_block(s.model, s.sector, np.array([s.energy]), 0, 300)
         for n in range(1, 300):
             terms = (
                 s.minus[n + 1],
-                coeffs.a(n) * s.minus[n],
-                coeffs.b(n) * s.minus[n - 1],
+                a[n, 0] * s.minus[n],
+                b[n, 0] * s.minus[n - 1],
             )
             scale = max(abs(t) for t in terms)
             if scale == 0.0:
@@ -43,9 +46,8 @@ class TestMinimalSeries:
 
     def test_plus_pole_relation(self, ref_series):
         s = ref_series
-        coeffs = three_term_coeffs(s.model, s.sector, s.energy)
         for n in range(0, 200, 7):
-            expected = s.model.delta * s.minus[n] / coeffs.pole_denominator(n)
+            expected = s.model.delta * s.minus[n] / (s.energy - pole_energy(s.model, s.sector, n))
             assert s.plus[n] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_coefficients_are_the_ratio_products(self, ref_series):
@@ -76,6 +78,23 @@ class TestMinimalSeries:
             s = minimal_series(model, sector, 0.3, order=150)
         assert all(p == 0.0 for p in s.plus)
 
+    def test_zero_coupling_refused(self):
+        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.0)
+        with pytest.raises(ZeroCoupling):
+            minimal_series(model, Sector.two_photon(0.25), 0.1, order=10)
+
+    def test_pole_collision_refused(self):
+        model, sector = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.0, 0.3), Sector.two_photon(0.25)
+        with pytest.raises(PoleCollision):
+            minimal_series(model, sector, pole_energy(model, sector, 0) + 1e-12, order=10)
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_refused(self, two_photon_ref, energy):
+        # refused before any coefficient row is built
+        model, sector, _, _ = two_photon_ref
+        with pytest.raises(ValueError, match="energy must be finite"):
+            minimal_series(model, sector, energy, order=10)
+
     def test_non_root_is_flagged(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
         off = [(model, sector, 0.5 * (eigs[0] + eigs[1]))]
@@ -95,11 +114,12 @@ class TestMinimalSeries:
         # forward recursion from the same two starting values is contaminated
         # by the dominant solution and must diverge from the backward pass
         s = ref_series
-        coeffs = three_term_coeffs(s.model, s.sector, s.energy)
+        a, b = coefficient_block(s.model, s.sector, np.array([s.energy]), 0, 200)
+        a, b = a[:, 0].tolist(), b[:, 0].tolist()
         fwd_prev, fwd = s.minus[0], s.minus[1] * (1.0 + 1e-12)
         separated = False
         for n in range(1, 201):
-            fwd_prev, fwd = fwd, -coeffs.a(n) * fwd - coeffs.b(n) * fwd_prev
+            fwd_prev, fwd = fwd, -a[n] * fwd - b[n] * fwd_prev
             ref = s.minus[n + 1]
             if ref != 0.0 and abs(fwd) > 1e3 * abs(ref):
                 separated = True

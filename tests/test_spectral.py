@@ -4,6 +4,7 @@ import ast
 import importlib
 import math
 import pkgutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,10 @@ from rabispec import (
     Sector,
     compute_spectrum,
     oracle_spectrum,
-    pole_energies,
 )
 from rabispec import spectral
 from rabispec.errors import SignLostWarning
-from rabispec.models import distance_to_pole_set
+from rabispec.models import distance_to_pole_set, pole_energy
 from rabispec.spectral import (
     RESIDUAL_CAP,
     SpectrumOptions,
@@ -46,7 +46,7 @@ class TestSpectralFunction:
 
     def test_pole_collision(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
-        pole = pole_energies(model, sector, 0)[0]
+        pole = pole_energy(model, sector, 0)
         with pytest.raises(PoleCollision):
             split_spectral_value(model, sector, pole + 1e-12, 0)
 
@@ -74,7 +74,7 @@ class TestSplitFunction:
         # function does not (the coefficient pole truncates the fraction)
         model, sector, _, _ = two_photon_ref
         for n in range(1, 4):
-            pole = pole_energies(model, sector, n)[n]
+            pole = pole_energy(model, sector, n)
             assert abs(split_spectral_value(model, sector, pole + 1e-8, split=n)) > 1e6
             assert abs(split_spectral_value(model, sector, pole + 1e-8, 0)) < 1e3
 
@@ -155,7 +155,7 @@ class TestComputeSpectrum:
 
     def test_narrow_window_around_pole(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
-        pole = pole_energies(model, sector, 1)[1]
+        pole = pole_energy(model, sector, 1)
         window = (pole - 5e-7, pole + 5e-7)
         result = compute_spectrum(model, sector, window)
         oracle_vals, _ = oracle_spectrum(model, sector, window)
@@ -167,7 +167,7 @@ class TestComputeSpectrum:
         # the middle section point of the first step is the pole itself and
         # must move off it
         model, sector, _, _ = two_photon_ref
-        pole = pole_energies(model, sector, n)[n]
+        pole = pole_energy(model, sector, n)
         window = (pole - 0.5, pole + 0.5)
         assert 0.5 * (window[0] + window[1]) == pole
         result = compute_spectrum(model, sector, window)
@@ -180,7 +180,7 @@ class TestComputeSpectrum:
         # the lowest section point of the first step, not the middle one,
         # lands on the pole and must move off it
         model, sector, _, _ = two_photon_ref
-        pole = pole_energies(model, sector, n)[n]
+        pole = pole_energy(model, sector, n)
         window = (pole - 0.1, pole + 1.5)
         assert abs(window[0] + (window[1] - window[0]) / 16 - pole) < model.eps_pole
         result = compute_spectrum(model, sector, window)
@@ -342,7 +342,7 @@ class TestDrivenHiddenPairs:
         # level in the window exactly when the pole lies in it
         model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.6, 0.3)
         sector = Sector.driven()
-        pole = pole_energies(model, sector, 1)[1]
+        pole = pole_energy(model, sector, 1)
         window = (0.5 if lo_side is None else pole + lo_side * 5e-10,
                   1.3 if hi_side is None else pole + hi_side * 5e-10)
         result = compute_spectrum(model, sector, window)
@@ -353,7 +353,7 @@ class TestDrivenHiddenPairs:
         # the first step lands there: the level is still flagged at the pole
         model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.6, 0.3)
         sector = Sector.driven()
-        pole = pole_energies(model, sector, 1)[1]
+        pole = pole_energy(model, sector, 1)
         window = (pole - 0.05, pole + 0.75)
         assert abs(window[0] + (window[1] - window[0]) / 16 - pole) < model.eps_pole
         result = compute_spectrum(model, sector, window)
@@ -379,9 +379,18 @@ class TestBatchedEigencondition:
         assert values.shape == (len(eigs),)
         assert np.all(np.abs(values) <= 1e-6)
 
+    def test_nan_lane_is_nan_without_warnings(self, two_photon_ref):
+        # a nan energy has a nan nearest pole, which casts nothing
+        model, sector, _, _ = two_photon_ref
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = f_values(model, sector, [math.nan, 0.3])
+        assert math.isnan(values[0])
+        assert values[1] == f_values(model, sector, [0.3])[0]
+
     def test_pole_lane_is_nan_and_isolated(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
-        pole = pole_energies(model, sector, 2)[2]
+        pole = pole_energy(model, sector, 2)
         energies = np.array([0.3, 1.1, pole + 1e-10, 2.6, 4.2])
         batch = f_values(model, sector, energies)
         assert math.isnan(batch[2])
@@ -392,14 +401,16 @@ class TestBatchedEigencondition:
 
 
 # the scalar references, which live in tests/reference.py, and retired names:
-# error and warning types that no production path raised, and an old evaluator
+# error and warning types that no production path raised, an old evaluator,
+# and the scalar-era model layer that coefficient_block replaced
 REFERENCE_NAMES = {
     "CFValue", "eval_continued_fraction", "backward_recursion_ratio", "backward_ratios",
     "forward_ratio", "split_spectral_value",
 }
 RETIRED_NAMES = {
     "DivisionBlowup", "EmptyWindow", "CollapseRegimeWarning", "ConvergenceFailure",
-    "spectral_function",
+    "spectral_function", "ThreeTermCoeffs", "three_term_coeffs", "pole_energies",
+    "pole_spacing", "BogoliubovParams", "bogoliubov_params", "nearest_pole_index",
 }
 
 
