@@ -6,7 +6,6 @@ cross-validated against an independent truncated Fock-space diagonalization.
 """
 
 from .errors import (
-    CoefficientPole,
     CouplingOutOfRange,
     NotAnEigenvalueWarning,
     NotDecoupled,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticRoots",
-    "CoefficientPole",
     "CouplingOutOfRange",
     "ModelKind",
     "ModelParams",

@@ -5,17 +5,15 @@ K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0 is
 
     R_n = -b(n+1) / (a(n+1) - b(n+2) / (a(n+2) - ...)).
 
-Every production path runs one of two loops over coefficient rows built by
-``models.coefficient_block``:
-
-- ``batch_pivots``, the LDL^T pivot recursion over a table of rows, one lane
-  per energy.  Run forward from n = 0 it gives the Sturm count of
-  ``spectral.level_count`` and the pivots of ``twisted_residual``; run on
-  the reversed rows it is the backward recursion of ``batch_minimal_ratio``
-  (R_0 with per-lane depth doubling, for ``spectral.f_values``), the
-  bottom-up half of a twisted factorisation;
-- ``backward_ratio_rows``, one scalar backward pass, gives every ratio of
-  ``series.minimal_series``, and of each level for ``twisted_residual``.
+Every production path runs one loop, ``batch_pivots``, the LDL^T pivot
+recursion over coefficient rows built by ``models.coefficient_block``, one lane
+per energy.  Run forward from n = 0 it gives the Sturm count of
+``spectral.level_count`` and the pivots of ``twisted_residual``; run on the
+reversed rows it is the backward recursion of the minimal solution, the
+bottom-up half of a twisted factorisation: ``batch_ratios`` takes every ratio
+of a table from it (the residuals of ``spectral.compute_spectrum`` and the
+series of ``series.minimal_series``), and ``batch_minimal_ratio`` R_0 with
+per-lane depth doubling (for ``spectral.f_values``).
 
 Batched tables are built ``CHUNK_CELLS`` rows x lanes at a time, so their
 memory grows neither with the lanes nor with the depth.
@@ -23,14 +21,9 @@ memory grows neither with the lanes nor with the depth.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import CoefficientPole
-
 _TINY = 1e-30
-_DENOM_FLOOR = 1e-300
 
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 2**20
@@ -39,31 +32,6 @@ _FIRST_CHECKPOINT = 64
 # depth doubles per lane up to max_depth (2^20 by default), so a whole
 # depth x lanes table could take gigabytes.
 CHUNK_CELLS = 2**16
-
-
-def backward_ratio_rows(a: list[float], b: list[float], start: int, scale: float) -> list[float]:
-    """R_start, ..., R_{tail-1} from one backward recursion pass.
-
-    a[i] and b[i] are the coefficients of row n = start + 1 + i, up to
-    n = tail.  Iterates r_{n-1} = -b(n) / (a(n) + r_n) downward from n = tail,
-    seeded with scale / tail (a minimal-ratio scale t2 speeds convergence
-    near the collapse regime; 0 seeds with 0).  Vanishing denominators are
-    floored at 1e-300 with their sign preserved.  Raises CoefficientPole on
-    a non-finite coefficient.
-    """
-    r = scale / (start + len(a)) if scale else 0.0
-    isfinite = math.isfinite  # a local name: an order-2000 series runs this loop ~4,000 times
-    out = [0.0] * len(a)
-    for i in range(len(a) - 1, -1, -1):
-        a_n, b_n = a[i], b[i]
-        if not (isfinite(a_n) and isfinite(b_n)):
-            raise CoefficientPole(f"non-finite coefficient consumed at index {start + 1 + i}")
-        den = a_n + r
-        if abs(den) < _DENOM_FLOOR:
-            den = math.copysign(_DENOM_FLOOR, den if den != 0.0 else 1.0)
-        r = -b_n / den
-        out[i] = r
-    return out
 
 
 def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.ndarray:
@@ -86,9 +54,12 @@ def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.nda
     table that holds a pivot of +-0 is pivoted again from ``prev`` with the
     guard on every row.  Both passes do the same operations up to the first
     exact zero, which the unguarded pass stores, so the result is bit for
-    bit that of the guarded pass.
+    bit that of the guarded pass.  One lane, where numpy's overhead per row
+    is some 15 times the arithmetic, runs on Python floats, guarded on every row.
     """
     b_rows = b[:, 0].tolist()  # b_n / prev costs less per row with b(n) as a Python float
+    if a.shape[1] == 1:
+        return np.array(_pivot_floats((-sign * a[:, 0]).tolist(), b_rows, prev))[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pivots = _pivot_rows(-sign * a, b_rows, prev, guard=False)
         if not pivots.all():  # a pivot of +-0 (nan is not 0)
@@ -107,6 +78,30 @@ def _pivot_rows(pivots: np.ndarray, b_rows: list[float], prev, guard: bool) -> n
     return pivots
 
 
+def _pivot_floats(pivots: list[float], b_rows: list[float], prev) -> list[float]:
+    """The recursion of ``batch_pivots`` over one lane of Python floats, guarded on every row."""
+    out, prev = [], None if prev is None else float(prev[0])
+    for pivot, b_n in zip(pivots, b_rows):
+        if prev is not None:
+            pivot -= b_n / prev
+        prev = pivot if pivot != 0.0 else -_TINY
+        out.append(prev)
+    return out
+
+
+def batch_ratios(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """R_0, ..., R_{N-1} of every lane from one backward pass over the rows n = 0, ..., N.
+
+    ``a``, ``b`` are the rows as ``models.coefficient_block`` returns them.  tau_n = a(n) + R_n
+    are the pivots of ``batch_pivots`` with sign -1 over the rows n = N, ..., 1, b(n + 1)
+    beside a(n), from tau_N = a(N) + ``scale`` / N; then R_{n-1} = -b(n) / tau_n.
+    """
+    rows = a[:0:-1].copy()
+    rows[0] += scale / (len(a) - 1)
+    tau = batch_pivots(rows, np.vstack([b[:1], b[:1:-1]]), -1.0)  # b(0) stands in for b(N + 1)
+    return -b[1:] / tau[::-1]
+
+
 def twisted_residual(a: np.ndarray, b: np.ndarray, ratios: np.ndarray, sign: float) -> np.ndarray:
     """|gamma| / ||z|| per lane: the twisted-factorisation residual at the matching index k*.
 
@@ -117,6 +112,7 @@ def twisted_residual(a: np.ndarray, b: np.ndarray, ratios: np.ndarray, sign: flo
     first half of the rows, off the truncated tail; with the pivots below it the
     twisted vector solves T z = gamma e_k*, gamma = sigma_k* - sign R_k*.
     """
+    ratios = np.asfortranarray(ratios)  # a lane's sums then read the same in a table of any width
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         steps = np.log(np.abs(ratios)) - 0.5 * np.log(b[1:])
         log_z = np.cumsum(np.vstack([np.zeros_like(steps[:1]), steps]), axis=0)

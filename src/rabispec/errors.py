@@ -21,10 +21,6 @@ class PoleCollision(RabispecError):
     """Energy coincides with a pole of the recurrence coefficients."""
 
 
-class CoefficientPole(RabispecError):
-    """A non-finite recurrence coefficient was consumed during evaluation."""
-
-
 class TruncationInsufficient(RabispecError):
     """Series truncation too short for the requested evaluation point."""
 

@@ -227,7 +227,8 @@ def nearest_pole(model: ModelParams, sector: Sector, energy):
 
 def distance_to_pole_set(model: ModelParams, sector: Sector, energy):
     """Distance from ``energy`` (a float or an array) to the nearest pole of the coefficients."""
-    dist = np.abs(energy - nearest_pole(model, sector, energy))
+    with np.errstate(invalid="ignore"):  # nan at E = +inf, whose nearest pole is +inf
+        dist = np.abs(energy - nearest_pole(model, sector, energy))
     return dist if isinstance(dist, np.ndarray) else float(dist)
 
 

@@ -3,9 +3,9 @@
 Coefficients are built from continued-fraction ratios (cumulative products),
 never by forward recursion: forward recursion is contaminated exponentially by
 the dominant solution.  ``minimal_series`` takes its coefficient rows from one
-``models.coefficient_block`` call and runs the scalar backward loop
-``contfrac.backward_ratio_rows`` over them once; ``contfrac.twisted_residual``
-over those rows and ratios, the rule ``compute_spectrum`` reports, judges E.
+``models.coefficient_block`` call and their ratios from the one pivot loop run
+backward (``contfrac.batch_ratios``); ``contfrac.twisted_residual`` over those
+rows and ratios, the rule ``compute_spectrum`` reports, judges E.
 Because the minimal coefficients underflow doubles near n ~ 150,
 log-magnitudes and signs are stored alongside the raw values; ratio and norm
 diagnostics work entirely in log space.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import backward_ratio_rows, twisted_residual
+from .contfrac import batch_ratios, twisted_residual
 from .errors import NotAnEigenvalueWarning, PoleCollision, TruncationInsufficient
 from .models import (
     ModelKind,
@@ -85,17 +85,16 @@ def minimal_series(
     if distance_to_pole_set(model, sector, energy) < model.eps_pole:
         raise PoleCollision(f"E = {energy} coincides with a pole energy")
     a, b = coefficient_block(model, sector, np.array([energy]), 0, 2 * order + 64)
-    t2 = asymptotic_roots(model).t2
-    ratios = backward_ratio_rows(a[1:, 0].tolist(), b[1:, 0].tolist(), 0, t2)
-    residual = float(twisted_residual(a, b, np.c_[ratios], math.copysign(1.0, model.g))[0])
+    # E is finite and eps_pole off the pole set, so every row is finite
+    ratios = batch_ratios(a, b, asymptotic_roots(model).t2)
+    residual = float(twisted_residual(a, b, ratios, math.copysign(1.0, model.g))[0])
     flagged = residual > RESIDUAL_CAP
     if flagged:
         warnings.warn(
             f"twisted residual {residual:.3g} exceeds the residual cap; E is not an eigenvalue",
             NotAnEigenvalueWarning,
         )
-    ratios = ratios[:order]
-    r = np.array(ratios)
+    r = ratios[:order, 0]
     # minus[n] = r[0] * ... * r[n-1]; after a zero ratio every sign is 0 and every log -inf
     minus = np.concatenate([[1.0], np.cumprod(r)])
     with np.errstate(divide="ignore"):
@@ -105,7 +104,7 @@ def minimal_series(
     return SeriesCoefficients(
         minus=minus.tolist(),
         plus=plus.tolist(),
-        ratios=ratios,
+        ratios=r.tolist(),
         log_abs_minus=log_abs.tolist(),
         sign_minus=signs.tolist(),
         model=model,

@@ -43,9 +43,9 @@ from .contfrac import (
     CHUNK_CELLS,
     DEFAULT_MAX_DEPTH,
     DEFAULT_REL_TOL,
-    backward_ratio_rows,
     batch_minimal_ratio,
     batch_pivots,
+    batch_ratios,
     twisted_residual,
 )
 from .errors import SignLostWarning
@@ -368,11 +368,10 @@ def compute_spectrum(
     energy = np.where((lo < pole) & (pole < hi), pole, mid)
     residual, dist = np.full(energy.shape, np.inf), distance_to_pole_set(model, sector, energy)
     usable, step = np.flatnonzero(dist >= eps), max(1, CHUNK_CELLS // rows)
+    t2, sign = asymptotic_roots(model).t2, math.copysign(1.0, model.g)
     for table in (usable[i:i + step] for i in range(0, usable.size, step)):
         a, b = coefficient_block(model, sector, energy[table], 0, rows - 1)  # confirming rows
-        t2, b_rows = asymptotic_roots(model).t2, b[1:, 0].tolist()
-        ratios = [backward_ratio_rows(col, b_rows, 0, t2) for col in a[1:].T.tolist()]
-        residual[table] = twisted_residual(a, b, np.array(ratios).T, math.copysign(1.0, model.g))
+        residual[table] = twisted_residual(a, b, batch_ratios(a, b, t2), sign)
     near_pole = dist < eps_exceptional(model)
 
     roots: list[RootRecord] = []

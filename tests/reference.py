@@ -6,8 +6,8 @@ sequences; ``BlockCoeffs`` is that object for a model, read from
 ``models.coefficient_block``:
 
 - ``eval_continued_fraction``: R_start by modified Lentz with depth doubling;
-- ``backward_recursion_ratio`` and ``backward_ratios``: one backward pass of
-  ``contfrac.backward_ratio_rows``;
+- ``backward_recursion_ratio`` and ``backward_ratios``: one scalar backward
+  pass, the reference of ``contfrac.batch_ratios``;
 - ``forward_ratio``: K_{k+1}/K_k by forward recursion;
 - ``split_spectral_value``: the split eigencondition W_k(E), F(E) at k = 0;
 - ``guarded_pivots``: ``contfrac.batch_pivots`` with Kahan's guard on every row.
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rabispec.contfrac import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL, backward_ratio_rows
-from rabispec.errors import CoefficientPole, PoleCollision
+from rabispec.contfrac import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL
+from rabispec.errors import PoleCollision
 from rabispec.models import (
     ModelParams,
     Sector,
@@ -31,6 +31,7 @@ from rabispec.models import (
 )
 
 _TINY = 1e-30
+_DENOM_FLOOR = 1e-300
 _FIRST_CHECKPOINT = 64
 # BlockCoeffs reads this many rows per coefficient_block call
 _FETCH_ROWS = 256
@@ -64,6 +65,10 @@ class BlockCoeffs:
 
     def b(self, n: int) -> float:
         return self._rows(n)[1][n % _FETCH_ROWS]
+
+
+class CoefficientPole(ArithmeticError):
+    """A non-finite recurrence coefficient was consumed by a reference evaluator."""
 
 
 class DivisionBlowup(ArithmeticError):
@@ -150,10 +155,25 @@ def backward_recursion_ratio(coeffs, start: int = 0, tail_depth: int = 1024) -> 
 
 
 def backward_ratios(coeffs, start: int, tail: int) -> list[float]:
-    """R_start, ..., R_{tail-1} by ``backward_ratio_rows``, fetching a(n), b(n) one n at a time."""
-    n = range(start + 1, tail + 1)
-    scale = getattr(coeffs, "tail_ratio_scale", 0.0)
-    return backward_ratio_rows([coeffs.a(m) for m in n], [coeffs.b(m) for m in n], start, scale)
+    """R_start, ..., R_{tail-1} from one backward pass, fetching a(n), b(n) one n at a time.
+
+    Iterates r_{n-1} = -b(n) / (a(n) + r_n) downward from n = tail, seeded
+    with ``coeffs.tail_ratio_scale`` / tail (0 without it).  Vanishing
+    denominators are floored at 1e-300 with their sign kept.  Raises
+    CoefficientPole on a non-finite coefficient.
+    """
+    r = getattr(coeffs, "tail_ratio_scale", 0.0) / tail
+    out = [0.0] * (tail - start)
+    for n in range(tail, start, -1):
+        a_n, b_n = coeffs.a(n), coeffs.b(n)
+        if not (math.isfinite(a_n) and math.isfinite(b_n)):
+            raise CoefficientPole(f"non-finite coefficient consumed at index {n}")
+        den = a_n + r
+        if abs(den) < _DENOM_FLOOR:
+            den = math.copysign(_DENOM_FLOOR, den if den != 0.0 else 1.0)
+        r = -b_n / den
+        out[n - 1 - start] = r
+    return out
 
 
 def forward_ratio(coeffs, k: int) -> float:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabispec import (
-    CoefficientPole,
     ModelKind,
     ModelParams,
     Sector,
@@ -18,9 +17,9 @@ from rabispec import (
 )
 from rabispec import contfrac
 from rabispec.contfrac import (
-    backward_ratio_rows,
     batch_minimal_ratio,
     batch_pivots,
+    batch_ratios,
     twisted_residual,
 )
 from rabispec.models import coefficient_block, distance_to_pole_set
@@ -28,6 +27,7 @@ from rabispec.models import coefficient_block, distance_to_pole_set
 from conftest import ConstCoeffs
 from reference import (
     BlockCoeffs,
+    CoefficientPole,
     backward_ratios,
     backward_recursion_ratio,
     eval_continued_fraction,
@@ -92,6 +92,13 @@ class TestConstantCoefficients:
         assert cf.value == pytest.approx(expected, abs=1e-12 * max(1.0, abs(expected)))
 
 
+ONE_PER_MODEL = [
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.3), Sector.two_photon(0.75)),
+    (ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.6), Sector.two_mode(0.5)),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.8, 0.3), Sector.driven()),
+]
+
+
 def _random_cases(count, seed=20240817):
     """Random (model, sector, E) triples away from the pole set."""
     rng = random.Random(seed)
@@ -143,6 +150,19 @@ class TestModelFractions:
         assert len(ratios) == 512
         for start in (0, 1, 7, 100, 503):
             assert ratios[start] == backward_recursion_ratio(coeffs, start, tail_depth=512)
+
+    @pytest.mark.parametrize("lanes", [1, 5])
+    @pytest.mark.parametrize("model, sector", ONE_PER_MODEL)
+    def test_batch_ratios_are_the_scalar_pass(self, model, sector, lanes):
+        # every ratio of the batched backward pass, on Python floats at one
+        # lane and through numpy at five, is that of the scalar pass bit for bit
+        energies = np.linspace(-0.9, 6.1, 15)
+        energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3][:lanes]
+        a, b = coefficient_block(model, sector, energies, 0, 600)
+        got = batch_ratios(a, b, asymptotic_roots(model).t2)
+        assert got.shape == (600, lanes)
+        for lane, e in enumerate(energies):
+            assert got[:, lane].tolist() == backward_ratios(BlockCoeffs(model, sector, e), 0, 600)
 
     def test_depth_residual_monotone_statistically(self):
         # residual should not grow under depth doubling in >= 95% of cases
@@ -313,11 +333,7 @@ class TestNegativePivots:
         chunked = np.count_nonzero(head < 0.0, axis=0) + np.count_nonzero(tail < 0.0, axis=0)
         np.testing.assert_array_equal(chunked, negative_pivots(a, b, 1.0))
 
-    @pytest.mark.parametrize("model, sector", [
-        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.3), Sector.two_photon(0.75)),
-        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.6), Sector.two_mode(0.5)),
-        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.8, 0.3), Sector.driven()),
-    ])
+    @pytest.mark.parametrize("model, sector", ONE_PER_MODEL)
     def test_continuant_ratios_match_forward_recursion(self, model, sector):
         # at sign = +1 the pivot sigma_k of model rows is K_{k+1}/K_k, which
         # the scalar reference forward_ratio takes from the continuants
@@ -341,58 +357,63 @@ def plant_zero(a, b, sign, row, lane, prev=None):
     a[row, lane] = -sign * (b[row, 0] / before[lane])
 
 
-def random_table(seed, rows=40, lanes=5):
+def random_table(seed, lanes, rows=40):
     rng = np.random.default_rng(seed)
     return rng.uniform(-2.0, 2.0, (rows, lanes)), rng.uniform(0.5, 1.5, (rows, 1))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("lanes", [1, 5])
 class TestDeferredGuard:
-    """``batch_pivots`` guards zero pivots once per table, bit for bit the per-row guard."""
+    """``batch_pivots`` guards zero pivots bit for bit as the per-row guard does.
+
+    Several lanes are guarded once per table through numpy, one lane on every
+    row in Python floats; a zero planted in lane k of five is in the one lane.
+    """
 
     @staticmethod
     def assert_same(got, want):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
-    def test_no_zero(self, sign):
-        a, b = random_table(0)
+    def test_no_zero(self, sign, lanes):
+        a, b = random_table(0, lanes)
         self.assert_same(batch_pivots(a, b, sign), guarded_pivots(a, b, sign))
 
-    def test_zero_mid_table_in_one_lane(self, sign):
-        a, b = random_table(1)
-        plant_zero(a, b, sign, 17, 2)
+    def test_zero_mid_table_in_one_lane(self, sign, lanes):
+        a, b = random_table(1, lanes)
+        plant_zero(a, b, sign, 17, 2 % lanes)
         want = guarded_pivots(a, b, sign)
-        assert want[17, 2] == -1e-30 and np.count_nonzero(want == -1e-30) == 1
+        assert want[17, 2 % lanes] == -1e-30 and np.count_nonzero(want == -1e-30) == 1
         self.assert_same(batch_pivots(a, b, sign), want)
 
-    def test_zero_in_first_row_of_chunk_passed_prev(self, sign):
-        a, b = random_table(2)
+    def test_zero_in_first_row_of_chunk_passed_prev(self, sign, lanes):
+        a, b = random_table(2, lanes)
         head = batch_pivots(a[:10], b[:10], sign)
         a_tail, b_tail = a[10:].copy(), b[10:]
-        plant_zero(a_tail, b_tail, sign, 0, 3, prev=head[-1])
+        plant_zero(a_tail, b_tail, sign, 0, 3 % lanes, prev=head[-1])
         want = guarded_pivots(a_tail, b_tail, sign, head[-1])
-        assert want[0, 3] == -1e-30
+        assert want[0, 3 % lanes] == -1e-30
         self.assert_same(batch_pivots(a_tail, b_tail, sign, head[-1]), want)
 
-    def test_negative_zero(self, sign):
-        # -sign * a(n) = -0.0 and b(n) = 0 in a lane whose sigma_{n-1} > 0:
-        # the unguarded pivot is -0.0 - 0 / sigma_{n-1} = -0.0
-        a, b = random_table(3)
-        before = guarded_pivots(a, b, sign)[20]
-        lane = int(np.flatnonzero(before > 0.0)[0])
-        a[21, lane], b[21, 0] = sign * 0.0, 0.0
-        assert np.signbit(-sign * a[21, lane] - b[21, 0] / before[lane])
+    def test_negative_zero(self, sign, lanes):
+        # -sign * a(n) = -0.0 and b(n) = 0 in a lane whose sigma_{n-1} > 0, the
+        # first one from row 21 on: the unguarded pivot is -0.0 - 0 / sigma_{n-1} = -0.0
+        a, b = random_table(3, lanes)
+        before = guarded_pivots(a, b, sign)
+        row, lane = np.argwhere(before[20:-1] > 0.0)[0] + (21, 0)
+        a[row, lane], b[row, 0] = sign * 0.0, 0.0
+        assert np.signbit(-sign * a[row, lane] - b[row, 0] / before[row - 1, lane])
         want = guarded_pivots(a, b, sign)
-        assert want[21, lane] == -1e-30
+        assert want[row, lane] == -1e-30
         self.assert_same(batch_pivots(a, b, sign), want)
 
-    def test_zeros_in_two_lanes_at_different_rows(self, sign):
-        a, b = random_table(4)
+    def test_zeros_in_two_lanes_at_different_rows(self, sign, lanes):
+        a, b = random_table(4, lanes)
         plant_zero(a, b, sign, 8, 0)
-        plant_zero(a, b, sign, 25, 4)
+        plant_zero(a, b, sign, 25, 4 % lanes)
         want = guarded_pivots(a, b, sign)
-        assert want[8, 0] == want[25, 4] == -1e-30
+        assert want[8, 0] == want[25, 4 % lanes] == -1e-30
         self.assert_same(batch_pivots(a, b, sign), want)
 
 
@@ -414,8 +435,8 @@ def shifted_residuals(d, b, shifts, sign):
     The backward pass seeded with 0 is exact for the 40-row matrix.
     """
     a = -sign * (d[:, None] - shifts)  # diagonal -sign * a(n) = d_n - shift
-    ratios = np.array([backward_ratio_rows(c, b[1:, 0].tolist(), 0, 0.0) for c in a[1:].T.tolist()])
-    return twisted_residual(a, b, ratios.T, sign), ratios.T
+    ratios = batch_ratios(a, b, 0.0)
+    return twisted_residual(a, b, ratios, sign), ratios
 
 
 class TestTwistedResidual:

@@ -1,6 +1,7 @@
 """Minimal-solution series coefficients, norm convergence and wavefunctions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from rabispec import (
 )
 from rabispec.models import coefficient_block, pole_energy
 from rabispec.series import norm_term_log, norm_term_ratio
+
+from test_contfrac import ONE_PER_MODEL
 
 
 @pytest.fixture
@@ -87,6 +90,19 @@ class TestMinimalSeries:
         model, sector = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.0, 0.3), Sector.two_photon(0.25)
         with pytest.raises(PoleCollision):
             minimal_series(model, sector, pole_energy(model, sector, 0) + 1e-12, order=10)
+
+    @pytest.mark.parametrize("model, sector", ONE_PER_MODEL, ids=["two-photon", "two-mode", "driven"])
+    @pytest.mark.parametrize("side", [-1.01, 1.01])
+    def test_rows_stay_finite_next_to_a_pole(self, model, sector, side):
+        # the pole check keeps every coefficient row finite, so the backward
+        # pass needs no check of its own: just outside eps_pole of E_1 the
+        # ratios and the residual are finite, with no numpy warning
+        energy = pole_energy(model, sector, 1) + side * model.eps_pole
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", NotAnEigenvalueWarning)
+            s = minimal_series(model, sector, energy, order=100)
+        assert np.isfinite(s.ratios).all() and math.isfinite(s.residual)
 
     @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
     def test_non_finite_energy_refused(self, two_photon_ref, energy):

@@ -379,14 +379,15 @@ class TestBatchedEigencondition:
         assert values.shape == (len(eigs),)
         assert np.all(np.abs(values) <= 1e-6)
 
-    def test_nan_lane_is_nan_without_warnings(self, two_photon_ref):
-        # a nan energy has a nan nearest pole, which casts nothing
+    def test_non_finite_lanes_are_nan_without_warnings(self, two_photon_ref):
+        # a nan energy has a nan nearest pole, which casts nothing, and +inf
+        # the pole +inf, whose distance inf - inf is nan
         model, sector, _, _ = two_photon_ref
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = f_values(model, sector, [math.nan, 0.3])
-        assert math.isnan(values[0])
-        assert values[1] == f_values(model, sector, [0.3])[0]
+            values = f_values(model, sector, [math.inf, -math.inf, math.nan, 0.3])
+        assert np.isnan(values[:3]).all()
+        assert values[3] == f_values(model, sector, [0.3])[0]
 
     def test_pole_lane_is_nan_and_isolated(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
@@ -411,6 +412,7 @@ RETIRED_NAMES = {
     "DivisionBlowup", "EmptyWindow", "CollapseRegimeWarning", "ConvergenceFailure",
     "spectral_function", "ThreeTermCoeffs", "three_term_coeffs", "pole_energies",
     "pole_spacing", "BogoliubovParams", "bogoliubov_params", "nearest_pole_index",
+    "backward_ratio_rows", "CoefficientPole",
 }
 
 
@@ -427,7 +429,7 @@ def test_production_paths_reach_no_scalar_evaluator():
     # F has one production evaluator, f_values, and only the CLI (for
     # curve) imports it: the residual is read from the recursions its callers
     # run anyway.  The CLI imports no contfrac kernel (only the default
-    # tolerance); the series imports the scalar backward loop and the
+    # tolerance); the series imports the batched backward pass and the
     # residual rule.  No module defines or imports a scalar reference
     import rabispec
     import rabispec.cli
@@ -437,7 +439,7 @@ def test_production_paths_reach_no_scalar_evaluator():
     assert {name for module, name in cli if module == "contfrac"} == {"DEFAULT_REL_TOL"}
     series = rabispec_imports(rabispec.series)
     assert {name for module, name in series if module == "contfrac"} == {
-        "backward_ratio_rows", "twisted_residual",
+        "batch_ratios", "twisted_residual",
     }
     modules = [rabispec] + [
         importlib.import_module(f"rabispec.{info.name}")
