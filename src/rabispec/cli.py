@@ -80,7 +80,7 @@ _OPTIONS = {
     "emax": _Option(float, None, "upper window edge"),
     "cf_rel_tol": _Option(float, DEFAULT_REL_TOL, "continued-fraction tolerance"),
     "root_abs_tol": _Option(float, SpectrumOptions.root_abs_tol, "root bracket tolerance"),
-    "oracle_n": _Option(int, None, "starting Fock truncation for the oracle"),
+    "oracle_n": _Option(int, None, "lowest Fock truncation the oracle tries"),
     "match_tol": _Option(float, 1e-6, "root/oracle matching tolerance"),
     "format": _Option(str, "csv", "output format (default csv)", ("csv", "json")),
     "output": _Option(str, None, "output path (default: standard output)"),

@@ -9,6 +9,15 @@ the block's boson index, each solved by LAPACK's tridiagonal bisection; the
 driven block, which breaks the parity, goes to LAPACK's banded symmetric
 solver.  The split is read off the matrix's sparsity pattern, and neither
 route shares anything with the continued-fraction route.
+
+The truncation is doubled until the window's levels stop moving.  The first
+one tried is read off the same bands: the reach, the largest boson number
+whose Gershgorin disc reaches down to the window's upper edge.  Past it
+H - E is diagonally dominant for every E in the window, so the eigenvectors
+decay there (Combes and Thomas, Commun. Math. Phys. 34, 251 (1973)) and
+their bulk lies within the reach.  A truncation below the reach can miss the
+window's levels at two successive doublings alike and stop on an empty list,
+so the reach is a lower bound on the truncation; the doubling finds the rest.
 """
 
 from __future__ import annotations
@@ -88,13 +97,13 @@ class TruncatedHamiltonian:
         return h
 
 
-def build_hamiltonian(
+def _bands(
     model: ModelParams, osector: OracleSector, truncation: int
-) -> TruncatedHamiltonian:
-    """Assemble the sector Hamiltonian with boson numbers up to ``truncation``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upper banded storage of the sector block and the boson number of each state pair.
 
-    Basis states are (n, s) with s = +1/-1 the sigma_z spin, ordered
-    (n, +), (n, -), (n', +), ... along increasing boson quantum number.
+    Returns (bands, ns): column 2m holds state (ns[m], +), column 2m + 1
+    state (ns[m], -).
     """
     if truncation < 4:
         raise ValueError("truncation must be >= 4")
@@ -122,10 +131,8 @@ def build_hamiltonian(
         hop = g * np.sqrt(ns[:-1] + 1.0)
         spin_flip_same_n = drive
 
-    labels = [(n, s) for n in ns.tolist() for s in (+1, -1)]
-    dim = len(labels)
     u = _BANDWIDTH
-    bands = np.zeros((u + 1, dim))
+    bands = np.zeros((u + 1, 2 * ns.size))
     bands[u, 0::2] = diag_e + d
     bands[u, 1::2] = diag_e - d
     if spin_flip_same_n != 0.0:
@@ -134,10 +141,22 @@ def build_hamiltonian(
     bands[u - 3, 3::2] = hop
     # (m, -) <-> (m+1, +): indices 2m+1 and 2m+2
     bands[u - 1, 2::2] = hop
+    return bands, ns
+
+
+def build_hamiltonian(
+    model: ModelParams, osector: OracleSector, truncation: int
+) -> TruncatedHamiltonian:
+    """Assemble the sector Hamiltonian with boson numbers up to ``truncation``.
+
+    Basis states are (n, s) with s = +1/-1 the sigma_z spin, ordered
+    (n, +), (n, -), (n', +), ... along increasing boson quantum number.
+    """
+    bands, ns = _bands(model, osector, truncation)
     return TruncatedHamiltonian(
-        dimension=dim,
+        dimension=bands.shape[1],
         bands=bands,
-        labels=labels,
+        labels=[(n, s) for n in ns.tolist() for s in (+1, -1)],
         truncation=truncation,
         model=model,
         sector=osector,
@@ -210,13 +229,39 @@ def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]
     return [float(v) for v in vals]
 
 
-def _initial_truncation(model: ModelParams, e_max: float, n_start: int | None, n_max: int) -> int:
-    """Cutoff heuristic: bare level well above the window, doubled at most up to ``n_max``."""
-    w = model.omega
-    n = 16 if n_start is None else max(16, n_start)
-    while 2 * n <= n_max and w * n < 5.0 * (
-        max(e_max, 0.0) + model.delta + abs(model.drive) + abs(model.g) * math.sqrt(n)
-    ):
+def _reach(bands: np.ndarray, ns: np.ndarray, e_max: float) -> int:
+    """The largest boson number whose Gershgorin disc reaches down to ``e_max``.
+
+    A state's disc is its diagonal entry give or take its row's absolute
+    off-diagonal sum; 0 if no disc reaches ``e_max``.
+    """
+    u = _BANDWIDTH
+    edge = bands[u].copy()  # lower edge of each state's disc
+    for k in range(1, u + 1):
+        off = np.abs(bands[u - k, k:])
+        edge[k:] -= off
+        edge[:-k] -= off
+    reaching = np.flatnonzero(edge <= e_max)
+    return int(ns[reaching[-1] // 2]) if reaching.size else 0
+
+
+def _initial_truncation(
+    model: ModelParams, osector: OracleSector, e_max: float, n_start: int | None, n_max: int
+) -> int:
+    """The first truncation diagonalized: the floor, doubled up to the block's reach.
+
+    The floor is ``max(16, n_start)``, or 32 (at most ``n_max``) without a
+    start.  It is doubled while it lies below the reach of the block at
+    ``n_max`` and its double is within ``n_max``.  The reach is a lower
+    bound: below it the window's eigenvectors have not decayed, and a
+    truncation there may hold none of the window's levels at n and 2n
+    alike, which the stability check would take as converged.
+    """
+    n = min(32, n_max) if n_start is None else max(16, n_start)
+    if 2 * n > n_max:
+        return n
+    reach = _reach(*_bands(model, osector, n_max), e_max)
+    while n < reach and 2 * n <= n_max:
         n *= 2
     return n
 
@@ -230,12 +275,13 @@ def oracle_spectrum(
 ) -> tuple[list[float], int]:
     """Truncation-stable eigenvalues in ``window`` plus the cutoff used.
 
-    Doubles the boson cutoff until every in-window eigenvalue moves by less
-    than ``_STAB_TOL_FACTOR * omega`` from one truncation to the next; raises
-    TruncationCeiling if that never happens up to ``n_max``, and ValueError if
-    ``n_start`` exceeds it.  Both window edges must be finite, as for
-    ``compute_spectrum``: an infinite upper edge takes in new levels at every
-    truncation.
+    Starts at the block's reach (``_initial_truncation``; ``n_start`` sets
+    the lowest truncation tried) and doubles the boson cutoff until every
+    in-window eigenvalue moves by less than ``_STAB_TOL_FACTOR * omega`` from
+    one truncation to the next; raises TruncationCeiling if that never
+    happens up to ``n_max``, and ValueError if ``n_start`` exceeds it.  Both
+    window edges must be finite, as for ``compute_spectrum``: an infinite
+    upper edge takes in new levels at every truncation.
     """
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
@@ -244,7 +290,7 @@ def oracle_spectrum(
         raise ValueError("window must satisfy E_min < E_max")
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, e_max, n_start, n_max)
+    n = _initial_truncation(model, osector, e_max, n_start, n_max)
     if n > n_max:
         raise ValueError(f"starting truncation {n} exceeds the ceiling n_max={n_max}")
     prev: list[float] | None = None

@@ -17,7 +17,15 @@ from rabispec import (
     map_sector,
     oracle_spectrum,
 )
-from rabispec.oracle import TruncatedHamiltonian, _jacobi_chains, eigen_in_range
+from rabispec.oracle import (
+    N_MAX_DEFAULT,
+    TruncatedHamiltonian,
+    _bands,
+    _jacobi_chains,
+    _reach,
+    eigen_in_range,
+)
+from rabispec.spectral import default_window_min
 
 from conftest import rabispec_imports
 
@@ -219,6 +227,26 @@ def test_bands_equal_loop_assembly(model, sector, truncation):
     assert h.labels == labels
 
 
+@pytest.mark.parametrize("e_max", [-40.0, -10.0, 0.5, 3.0, 6.0])
+@pytest.mark.parametrize(
+    "model,sector",
+    [
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45), Sector.two_photon(0.75)),
+        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.3, -0.9), Sector.two_mode(1.5)),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 4.0, -0.3), Sector.driven()),
+    ],
+)
+def test_reach_is_the_last_disc_below_e_max(model, sector, e_max):
+    # the reach read off the bands equals the Gershgorin discs of the dense
+    # matrix, row by row
+    h = build_hamiltonian(model, map_sector(sector), 120)
+    dense = h.to_dense()
+    lower = np.diag(dense) - (np.abs(dense).sum(axis=1) - np.abs(np.diag(dense)))
+    reaching = [h.labels[i][0] for i in range(h.dimension) if lower[i] <= e_max]
+    bands, ns = _bands(model, map_sector(sector), 120)
+    assert _reach(bands, ns, e_max) == max(reaching, default=0)
+
+
 def _banded_in_range(h, lo, hi):
     return scipy.linalg.eig_banded(h.bands, eigvals_only=True, select="v", select_range=(lo, hi))
 
@@ -305,6 +333,25 @@ class TestJacobiChains:
         assert list(_banded_in_range(h, 1.0, 3.0)) == [2.0, 3.0]
 
 
+# (model, sector, window start above default_window_min, width): the three
+# models from weak coupling to 2g/omega = 0.98 and g/omega = 0.95, with
+# windows at the ground state and shifted off it
+STABILITY_WINDOWS = [
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2), Sector.two_photon(0.25), 0.0, 10.0),
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.4, 0.44), Sector.two_photon(0.75), 0.0, 10.0),
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.49), Sector.two_photon(0.25), 0.0, 4.0),
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.3, -0.3), Sector.two_photon(0.75), 6.0, 10.0),
+    (ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4), Sector.two_mode(1.0), 0.0, 10.0),
+    (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.95), Sector.two_mode(0.5), 0.0, 4.0),
+    (ModelParams(ModelKind.TWO_MODE, 1.0, 0.3, -0.8), Sector.two_mode(1.5), 5.0, 10.0),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.7, 0.3), Sector.driven(), 0.0, 10.0),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.6, 2.5, 0.2), Sector.driven(), 0.0, 10.0),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 4.0, -0.4), Sector.driven(), 8.0, 6.0),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.0, 1.0, 0.0), Sector.driven(), 0.0, 10.0),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 1.0, 0.1, 0.5), Sector.driven(), 0.0, 25.0),
+]
+
+
 class TestPhysics:
     def test_parity_blocks_partition_full_space(self):
         # the two parity sectors together must reproduce the spectrum of the
@@ -370,12 +417,15 @@ class TestPhysics:
             oracle_spectrum(model, Sector.two_photon(0.25), window)
 
     def test_truncation_ceiling(self, monkeypatch):
-        # the cutoff heuristic wants 64 states here; with n_max = 16 the oracle
-        # still diagonalizes at 16 before it reports the ceiling
+        # the block's Gershgorin reach is boson number 88 here, so the oracle
+        # would start at 128; with n_max = 16 it still diagonalizes at 16
+        # before it reports the ceiling
         built = []
         monkeypatch.setattr("rabispec.oracle.build_hamiltonian",
                             lambda *a: built.append(a[2]) or build_hamiltonian(*a))
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45)
+        osec = map_sector(Sector.two_photon(0.25))
+        assert _reach(*_bands(model, osec, N_MAX_DEFAULT), 8.0) == 88
         with pytest.raises(TruncationCeiling):
             oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0),
                             n_start=16, n_max=16)
@@ -392,12 +442,50 @@ class TestPhysics:
             oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0), n_start=64, n_max=32)
         assert built == []
 
-    def test_truncation_stability_reported(self):
-        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
-        vals, n_used = oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0))
-        h = build_hamiltonian(model, map_sector(Sector.two_photon(0.25)), 2 * n_used)
-        again = eigen_in_range(h, -0.5, 8.0)
+    @pytest.mark.parametrize("model,sector,lo,width", STABILITY_WINDOWS)
+    def test_truncation_stability_reported(self, monkeypatch, model, sector, lo, width):
+        # the first truncation diagonalized lies at or above the reach, and the
+        # levels returned are those of the block at twice the truncation used
+        built = []
+        monkeypatch.setattr("rabispec.oracle.build_hamiltonian",
+                            lambda *a: built.append(a[2]) or build_hamiltonian(*a))
+        osec = map_sector(sector)
+        e_min = default_window_min(model, sector) + lo
+        window = (e_min, e_min + width)
+        vals, n_used = oracle_spectrum(model, sector, window)
+        assert vals
+        assert built[0] >= _reach(*_bands(model, osec, N_MAX_DEFAULT), window[1])
+        again = eigen_in_range(build_hamiltonian(model, osec, 2 * n_used), *window)
         assert vals == pytest.approx(again, abs=1e-9)
+
+    @pytest.mark.parametrize("model,e_max,n_used", [
+        # the four driven windows of the benchmark's oracle workload (seed 1)
+        # and the driven sweep window at g = 2.5: each solved at 1,024 or 512
+        # under the old 5 (E_max + delta + |drive| + |g| sqrt(n)) start
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4002, 1.0, 0.8), 60.0, 256),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5636, 2.0, 0.5), 50.0, 256),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5918, 2.5, 1.0), 40.0, 256),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4617, 3.0, 0.3), 30.0, 256),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.6, 2.5, 0.2), None, 128),
+    ])
+    def test_driven_truncation_used(self, model, e_max, n_used):
+        e_min = default_window_min(model, Sector.driven())
+        window = (e_min, e_min + 10.0 if e_max is None else e_max)
+        assert oracle_spectrum(model, Sector.driven(), window)[1] == n_used
+
+    @pytest.mark.parametrize("n_start", [None, 16])
+    def test_no_false_stop_far_below_zero(self, n_start):
+        # the window's levels live near boson number g^2 = 49, where the
+        # diagonal sits far above E_max: the blocks at 16 and 32 hold none of
+        # them, so a start below the reach (83) would see no level at n and 2n
+        # alike and return none
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 7.0, 0.3)
+        window = (-49.5, -45.5)
+        vals, n_used = oracle_spectrum(model, Sector.driven(), window, n_start=n_start)
+        assert len(vals) == 8
+        assert n_used <= 512
+        h = build_hamiltonian(model, map_sector(Sector.driven()), 2 * n_used)
+        assert vals == pytest.approx(eigen_in_range(h, *window), abs=1e-9)
 
 
 def test_oracle_reads_no_solver_formula():
