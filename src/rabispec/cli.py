@@ -332,9 +332,10 @@ def cmd_series(cfg: RunConfig, energy: float, order: int) -> int:
     meta["not_an_eigenvalue"] = series.flagged
     meta["norm_tail_ratio"] = norm_tail_ratio(series) if order >= 100 else ""
     rows = []
-    for n in range(order + 1):
+    # Python floats, so the text is that of float, not of a numpy scalar
+    for n, (k_minus, k_plus) in enumerate(zip(series.minus.tolist(), series.plus.tolist())):
         term_ratio = norm_term_ratio(series, n) if n < order else ""
-        rows.append([n, series.minus[n], series.plus[n], term_ratio])
+        rows.append([n, k_minus, k_plus, term_ratio])
     _emit(cfg, meta, ["n", "k_minus", "k_plus", "norm_term_ratio"], rows)
     return 0
 

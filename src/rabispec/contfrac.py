@@ -21,6 +21,9 @@ memory grows neither with the lanes nor with the depth.
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
+
 import numpy as np
 
 _TINY = 1e-30
@@ -55,11 +58,12 @@ def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.nda
     guard on every row.  Both passes do the same operations up to the first
     exact zero, which the unguarded pass stores, so the result is bit for
     bit that of the guarded pass.  One lane, where numpy's overhead per row
-    is some 15 times the arithmetic, runs on Python floats, guarded on every row.
+    is some 15 times the arithmetic, runs over the floats of its two columns
+    read from ``array`` buffers, guarded on every row.
     """
-    b_rows = b[:, 0].tolist()  # b_n / prev costs less per row with b(n) as a Python float
     if a.shape[1] == 1:
-        return np.array(_pivot_floats((-sign * a[:, 0]).tolist(), b_rows, prev))[:, None]
+        return _pivot_floats(-sign * a[:, 0], b[:, 0], prev)[:, None]
+    b_rows = b[:, 0].tolist()  # b_n / prev costs less per row with b(n) as a Python float
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pivots = _pivot_rows(-sign * a, b_rows, prev, guard=False)
         if not pivots.all():  # a pivot of +-0 (nan is not 0)
@@ -78,15 +82,25 @@ def _pivot_rows(pivots: np.ndarray, b_rows: list[float], prev, guard: bool) -> n
     return pivots
 
 
-def _pivot_floats(pivots: list[float], b_rows: list[float], prev) -> list[float]:
-    """The recursion of ``batch_pivots`` over one lane of Python floats, guarded on every row."""
-    out, prev = [], None if prev is None else float(prev[0])
-    for pivot, b_n in zip(pivots, b_rows):
-        if prev is not None:
-            pivot -= b_n / prev
-        prev = pivot if pivot != 0.0 else -_TINY
+def _pivot_floats(pivots: np.ndarray, b_rows: np.ndarray, prev) -> np.ndarray:
+    """The recursion of ``batch_pivots`` over one lane, guarded on every row.
+
+    The lane's columns are iterated as ``array("d")`` copies, which yield
+    Python floats, and the pivots are appended to one that numpy then reads
+    in place.  ``x or -_TINY`` is the guard: +-0.0 is falsy and nan is not.
+    """
+    rows = zip(array("d", pivots.tobytes()), array("d", b_rows.tobytes()))
+    out = array("d")
+    if prev is None:  # row 0, if the table has one, reads no sigma_{n-1}
+        for pivot, _ in islice(rows, 1):
+            prev = pivot or -_TINY
+            out.append(prev)
+    else:
+        prev = float(prev[0])
+    for pivot, b_n in rows:
+        prev = (pivot - b_n / prev) or -_TINY
         out.append(prev)
-    return out
+    return np.frombuffer(out)
 
 
 def batch_ratios(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:

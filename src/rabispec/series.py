@@ -34,7 +34,7 @@ from .models import (
 from .spectral import RESIDUAL_CAP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesCoefficients:
     """Expansion coefficients of the two wavefunction components at fixed E.
 
@@ -44,13 +44,17 @@ class SeriesCoefficients:
     minus[n+1]/minus[n] as produced by the backward pass, exact at all n, and
     ``log_abs_minus``/``sign_minus`` carry the coefficients in log space.
     ``residual`` is the twisted residual at ``energy``, ``flagged`` if above the cap.
+
+    The five sequences are read-only numpy arrays, so a series cannot be
+    changed through its fields.  ``==`` is identity (``eq=False``): compare
+    two series field by field with ``np.array_equal``.
     """
 
-    minus: list[float]
-    plus: list[float]
-    ratios: list[float]
-    log_abs_minus: list[float]
-    sign_minus: list[int]
+    minus: np.ndarray
+    plus: np.ndarray
+    ratios: np.ndarray
+    log_abs_minus: np.ndarray
+    sign_minus: np.ndarray
     model: ModelParams
     sector: Sector
     energy: float
@@ -60,7 +64,7 @@ class SeriesCoefficients:
 
     def ratio(self, n: int) -> float:
         """minus[n+1] / minus[n], valid even where the raw values underflow."""
-        return self.ratios[n]
+        return float(self.ratios[n])
 
 
 def minimal_series(
@@ -101,12 +105,14 @@ def minimal_series(
         log_abs = np.concatenate([[0.0], np.cumsum(np.log(np.abs(r)))])
     signs = np.concatenate([[1], np.cumprod(np.sign(r).astype(int))])
     plus = model.delta * minus / (energy - pole_energy(model, sector, np.arange(order + 1)))
+    for field in (minus, plus, r, log_abs, signs):
+        field.flags.writeable = False
     return SeriesCoefficients(
-        minus=minus.tolist(),
-        plus=plus.tolist(),
-        ratios=r.tolist(),
-        log_abs_minus=log_abs.tolist(),
-        sign_minus=signs.tolist(),
+        minus=minus,
+        plus=plus,
+        ratios=r,
+        log_abs_minus=log_abs,
+        sign_minus=signs,
         model=model,
         sector=sector,
         energy=energy,
@@ -166,7 +172,7 @@ def norm_term_ratio(series: SeriesCoefficients, n: int) -> float:
 
 def norm_term_log(series: SeriesCoefficients, n: int) -> float:
     """log of the n-th Bargmann-norm series term |K_n|^2 * weight(n)."""
-    return 2.0 * series.log_abs_minus[n] + _log_weight(series.model, series.sector, n)
+    return 2.0 * float(series.log_abs_minus[n]) + _log_weight(series.model, series.sector, n)
 
 
 def eval_wavefunction(series: SeriesCoefficients, z: complex) -> tuple[complex, complex]:
@@ -175,17 +181,18 @@ def eval_wavefunction(series: SeriesCoefficients, z: complex) -> tuple[complex, 
     Raises TruncationInsufficient unless the last retained term is negligible
     at this z.
     """
+    # z**n as the running product 1 * z * z ..., and each sum term by term
+    # from 0 in the order of n: the operations of a scalar loop, bit for bit
     order = series.order
-    psi_minus = complex(0.0)
-    psi_plus = complex(0.0)
-    zp = complex(1.0)
-    for n in range(order + 1):
-        # skip underflowed coefficients: z**n may have overflowed by then and
-        # 0 * inf would poison the sum
-        if series.minus[n] != 0.0 or series.plus[n] != 0.0:
-            psi_minus += series.minus[n] * zp
-            psi_plus += series.plus[n] * zp
-        zp *= z
+    steps = np.full(order + 1, complex(z))
+    steps[0] = 1.0
+    # skip underflowed coefficients: z**n may have overflowed by then and
+    # 0 * inf would poison the sum
+    kept = (series.minus != 0.0) | (series.plus != 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.cumprod(steps)[kept]
+        psi_minus = _running_sum(series.minus[kept] * powers)
+        psi_plus = _running_sum(series.plus[kept] * powers)
     if not (math.isfinite(abs(psi_minus)) and math.isfinite(abs(psi_plus))):
         raise TruncationInsufficient(
             f"series of order {series.order} overflows at |z| = {abs(z)}"
@@ -199,3 +206,8 @@ def eval_wavefunction(series: SeriesCoefficients, z: complex) -> tuple[complex, 
                 f"series of order {series.order} too short at |z| = {abs(z)}"
             )
     return psi_plus, psi_minus
+
+
+def _running_sum(terms: np.ndarray) -> complex:
+    """0 + terms[0] + terms[1] + ... left to right (``np.sum`` adds pairwise)."""
+    return complex(np.cumsum(np.concatenate([[0j], terms]))[-1])

@@ -10,7 +10,8 @@ sequences; ``BlockCoeffs`` is that object for a model, read from
   pass, the reference of ``contfrac.batch_ratios``;
 - ``forward_ratio``: K_{k+1}/K_k by forward recursion;
 - ``split_spectral_value``: the split eigencondition W_k(E), F(E) at k = 0;
-- ``guarded_pivots``: ``contfrac.batch_pivots`` with Kahan's guard on every row.
+- ``guarded_pivots``: ``contfrac.batch_pivots`` with Kahan's guard on every row;
+- ``wavefunction_sums``: ``series.eval_wavefunction`` as one loop over Python floats.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rabispec.contfrac import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL
-from rabispec.errors import PoleCollision
+from rabispec.errors import PoleCollision, TruncationInsufficient
 from rabispec.models import (
     ModelParams,
     Sector,
@@ -235,3 +236,30 @@ def guarded_pivots(a, b, sign: float, prev=None):
             pivot[pivot == 0.0] = -_TINY
             prev = pivot
     return pivots
+
+
+def wavefunction_sums(series, z: complex) -> tuple[complex, complex]:
+    """(psi_plus(z), psi_minus(z)) of ``series.eval_wavefunction`` from one loop over n.
+
+    z**n is a running product and each sum adds its terms from 0 in the
+    order of n, skipping an n where both coefficients are 0.  Raises
+    TruncationInsufficient on the same two conditions, with the same text.
+    """
+    order = series.order
+    minus, plus = series.minus.tolist(), series.plus.tolist()
+    psi_minus = complex(0.0)
+    psi_plus = complex(0.0)
+    zp = complex(1.0)
+    for n in range(order + 1):
+        if minus[n] != 0.0 or plus[n] != 0.0:
+            psi_minus += minus[n] * zp
+            psi_plus += plus[n] * zp
+        zp *= z
+    if not (math.isfinite(abs(psi_minus)) and math.isfinite(abs(psi_plus))):
+        raise TruncationInsufficient(f"series of order {order} overflows at |z| = {abs(z)}")
+    if abs(z) > 0.0:
+        log_tail = float(series.log_abs_minus[order]) + order * math.log(abs(z))
+        log_bound = math.log(1e-15 * max(abs(psi_minus), 1e-300))
+        if log_tail >= log_bound:
+            raise TruncationInsufficient(f"series of order {order} too short at |z| = {abs(z)}")
+    return psi_plus, psi_minus

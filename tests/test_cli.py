@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from rabispec import (
@@ -11,6 +12,7 @@ from rabispec import (
     ModelParams,
     Sector,
     closed_form_spectrum_g0,
+    minimal_series,
 )
 from rabispec import cli
 from rabispec.cli import main, match_spectra
@@ -476,6 +478,26 @@ class TestSeriesCommand:
         payload = load_json(out)
         assert payload["meta"]["not_an_eigenvalue"] is True
         assert all(r["k_plus"] == 0.0 for r in payload["rows"])
+
+    def test_columns_are_the_series_bit_for_bit(self, capsys):
+        # both formats print the coefficients as Python floats: they parse
+        # back to the arrays of minimal_series, and no numpy repr shows
+        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
+        energy = TWO_PHOTON_REF_EIGS[1]
+        argv = ["series", "--model", "two-photon", "--delta", "0.5", "--g", "0.2",
+                "--q", "1/4", "--emax", "8", "--energy", repr(energy), "--order", "300"]
+        s = minimal_series(model, Sector.two_photon(0.25), energy, 300)
+        code, csv_text, _ = run_cli(capsys, argv)
+        _, header, rows = parse_csv(csv_text)
+        code_json, json_text, _ = run_cli(capsys, argv + ["--format", "json"])
+        json_rows = load_json(json_text)["rows"]
+        assert code == code_json == 0
+        for column, want in (("k_minus", s.minus), ("k_plus", s.plus)):
+            from_csv = np.array([float(r[header.index(column)]) for r in rows])
+            from_json = np.array([r[column] for r in json_rows])
+            for got in (from_csv, from_json):
+                assert got.tobytes() == want.tobytes(), column
+        assert "np.float64(" not in csv_text + json_text
 
 
 class TestCompareCommand:

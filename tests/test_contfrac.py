@@ -357,6 +357,25 @@ def plant_zero(a, b, sign, row, lane, prev=None):
     a[row, lane] = -sign * (b[row, 0] / before[lane])
 
 
+def plant_pivot(a, b, sign, row, lane, value, prev=None):
+    """Set a(row) of one lane, and for -0.0 also b(row), so its unguarded pivot is ``value``.
+
+    ``value`` is +0.0, -0.0 or nan.  A row that reads no sigma_{row-1} has the
+    pivot -sign * a(row); otherwise +0.0 is planted as ``plant_zero`` does and
+    -0.0 as -sign * a(row) = -0.0 less b(row) / sigma_{row-1} = +0.0.
+    """
+    before = guarded_pivots(a, b, sign, prev)[row - 1] if row else prev
+    a[row, lane] = -sign * value
+    if before is not None and value == 0.0:
+        if np.signbit(value):
+            b[row, 0] = math.copysign(0.0, before[lane])
+        else:
+            plant_zero(a, b, sign, row, lane, prev)
+    with np.errstate(invalid="ignore"):
+        unguarded = -sign * a[row, lane] - (0.0 if before is None else b[row, 0] / before[lane])
+    assert np.array(unguarded).tobytes() == np.array(value).tobytes()
+
+
 def random_table(seed, lanes, rows=40):
     rng = np.random.default_rng(seed)
     return rng.uniform(-2.0, 2.0, (rows, lanes)), rng.uniform(0.5, 1.5, (rows, 1))
@@ -368,7 +387,7 @@ class TestDeferredGuard:
     """``batch_pivots`` guards zero pivots bit for bit as the per-row guard does.
 
     Several lanes are guarded once per table through numpy, one lane on every
-    row in Python floats; a zero planted in lane k of five is in the one lane.
+    row in a loop over its floats; a zero planted in lane k of five is in the one lane.
     """
 
     @staticmethod
@@ -415,6 +434,27 @@ class TestDeferredGuard:
         want = guarded_pivots(a, b, sign)
         assert want[8, 0] == want[25, 4 % lanes] == -1e-30
         self.assert_same(batch_pivots(a, b, sign), want)
+
+    @pytest.mark.parametrize("with_prev", [False, True])
+    def test_empty_table(self, sign, lanes, with_prev):
+        a, b = random_table(5, lanes, rows=0)
+        prev = np.ones(lanes) if with_prev else None
+        got = batch_pivots(a, b, sign, prev)
+        assert got.shape == (0, lanes)
+        self.assert_same(got, guarded_pivots(a, b, sign, prev))
+
+    @pytest.mark.parametrize("rows, row", [(1, 0), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("with_prev", [False, True])
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nan], ids=["+0", "-0", "nan"])
+    def test_short_table(self, sign, lanes, rows, row, with_prev, value):
+        # the one-lane loop takes row 0 apart when no prev is passed
+        a, b = random_table(6, lanes, rows)
+        prev = np.random.default_rng(7).uniform(-2.0, 2.0, lanes) if with_prev else None
+        lane = lanes - 1
+        plant_pivot(a, b, sign, row, lane, value, prev)
+        want = guarded_pivots(a, b, sign, prev)
+        assert want[row, lane] == -1e-30 if value == 0.0 else math.isnan(want[row, lane])
+        self.assert_same(batch_pivots(a, b, sign, prev), want)
 
 
 def tridiagonal(seed):

@@ -1,6 +1,8 @@
 """Minimal-solution series coefficients, norm convergence and wavefunctions."""
 
+import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -21,7 +23,9 @@ from rabispec import (
 )
 from rabispec.models import coefficient_block, pole_energy
 from rabispec.series import norm_term_log, norm_term_ratio
+from rabispec.spectral import default_window_min
 
+from reference import wavefunction_sums
 from test_contfrac import ONE_PER_MODEL
 
 
@@ -207,6 +211,86 @@ class TestWavefunction:
         s = minimal_series(model, sector, eigs[0], order=4)
         with pytest.raises(TruncationInsufficient):
             eval_wavefunction(s, 5.0)
+
+
+FIELDS = ("minus", "plus", "ratios", "log_abs_minus", "sign_minus")
+
+
+class TestFrozenFields:
+    def test_fields_are_read_only_arrays(self, ref_series):
+        for name in FIELDS:
+            field = getattr(ref_series, name)
+            assert isinstance(field, np.ndarray)
+            assert len(field) == ref_series.order + (name != "ratios")
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ref_series.minus = np.zeros(3)
+
+    def test_equality_is_identity(self, ref_series):
+        # the same series twice: equal fields, yet == compares identity and
+        # never raises on the arrays; a series is hashable
+        s = ref_series
+        twin = minimal_series(s.model, s.sector, s.energy, s.order)
+        assert all(np.array_equal(getattr(s, f), getattr(twin, f)) for f in FIELDS)
+        assert s == s and s != twin
+        assert len({s, twin}) == 2
+
+
+@pytest.fixture(scope="module")
+def lowest_levels():
+    """The lowest level of each model in ONE_PER_MODEL."""
+    levels = []
+    for model, sector in ONE_PER_MODEL:
+        lo = default_window_min(model, sector)
+        levels.append(compute_spectrum(model, sector, (lo, lo + 4.0)).energies[0])
+    return levels
+
+
+def wavefunction_outcome(evaluate, series, z):
+    """The bits of both sums, or the text of the TruncationInsufficient raised."""
+    try:
+        psi_plus, psi_minus = evaluate(series, z)
+    except TruncationInsufficient as exc:
+        return str(exc)
+    return struct.pack("<4d", psi_plus.real, psi_plus.imag, psi_minus.real, psi_minus.imag)
+
+
+class TestWavefunctionReference:
+    """``eval_wavefunction`` sums through numpy as ``reference.wavefunction_sums`` loops."""
+
+    @pytest.mark.parametrize("index", range(3), ids=["two-photon", "two-mode", "driven"])
+    @pytest.mark.parametrize("order", [2, 50, 2000])
+    def test_bit_for_bit(self, lowest_levels, index, order):
+        model, sector = ONE_PER_MODEL[index]
+        s = minimal_series(model, sector, lowest_levels[index], order)
+        for z in (0.1, 0.5, 1.0, 0.3 + 0.4j, -1.5):
+            want = wavefunction_outcome(wavefunction_sums, s, z)
+            assert wavefunction_outcome(eval_wavefunction, s, z) == want, z
+
+    @pytest.mark.parametrize("side", [-0.1, 0.1])
+    def test_signed_zeros_of_the_decoupled_component(self, side):
+        # at delta = 0 every plus[n] is 0.0 * minus[n] / (E - E_n), -0.0 for a
+        # negative quotient; the loop's sum starts from +0.0 and so must numpy's
+        model, sector = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.0, 0.2), Sector.two_photon(0.25)
+        with pytest.warns(NotAnEigenvalueWarning):
+            s = minimal_series(model, sector, pole_energy(model, sector, 0) + side, order=100)
+        assert np.signbit(s.plus[0]) == (side < 0)
+        for z in (0.5, -0.5, 0.3 + 0.4j):
+            want = wavefunction_outcome(wavefunction_sums, s, z)
+            assert wavefunction_outcome(eval_wavefunction, s, z) == want, z
+
+    @pytest.mark.parametrize("order, z, text", [
+        (50, 1e200, "overflows"),
+        (4, 5.0, "too short"),
+        (50, 1e100j, "overflows"),
+    ])
+    def test_same_refusals(self, two_photon_ref, order, z, text):
+        model, sector, _, eigs = two_photon_ref
+        s = minimal_series(model, sector, eigs[0], order)
+        for evaluate in (eval_wavefunction, wavefunction_sums):
+            with pytest.raises(TruncationInsufficient, match=text):
+                evaluate(s, z)
 
 
 def test_norm_term_ratio_matches_term_logs(ref_series):
