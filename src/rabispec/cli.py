@@ -328,6 +328,7 @@ def cmd_series(cfg: RunConfig, energy: float, order: int) -> int:
     meta = _meta(cfg)
     meta["energy"] = energy
     meta["order"] = order
+    meta["backward_rows"] = series.backward_rows
     meta["spectral_residual"] = series.residual
     meta["not_an_eigenvalue"] = series.flagged
     meta["norm_tail_ratio"] = norm_tail_ratio(series) if order >= 100 else ""

@@ -13,7 +13,8 @@ reversed rows it is the backward recursion of the minimal solution, the
 bottom-up half of a twisted factorisation: ``batch_ratios`` takes every ratio
 of a table from it (the residuals of ``spectral.compute_spectrum`` and the
 series of ``series.minimal_series``), and ``batch_minimal_ratio`` R_0 with
-per-lane depth doubling (for ``spectral.f_values``).
+per-lane depth doubling (for ``spectral.f_values``).  ``backward_tail`` reads
+from the characteristic roots of the recurrence where both start.
 
 Batched tables are built ``CHUNK_CELLS`` rows x lanes at a time, so their
 memory grows neither with the lanes nor with the depth.
@@ -21,6 +22,7 @@ memory grows neither with the lanes nor with the depth.
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import islice
 
@@ -30,7 +32,11 @@ _TINY = 1e-30
 
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 2**20
-_FIRST_CHECKPOINT = 64
+# backward_tail's first chunk: 128 rows, and at most 2^12 rows x lanes.  A
+# table of many lanes costs more per cell the larger it is, and the tails of
+# the fractions that curve samples are some tens of rows.
+_FIRST_TAIL_ROWS = 128
+_FIRST_TAIL_CELLS = 2**12
 # Rows x lanes of one batched coefficient table.  The backward recursion's
 # depth doubles per lane up to max_depth (2^20 by default), so a whole
 # depth x lanes table could take gigabytes.
@@ -136,6 +142,44 @@ def twisted_residual(a: np.ndarray, b: np.ndarray, ratios: np.ndarray, sign: flo
     return np.abs(gamma) / norm
 
 
+def backward_tail(block, lanes: np.ndarray, n: int, eps: float) -> int:
+    """Rows past row ``n`` where a backward recursion must start for every lane.
+
+    ``block`` is as for ``batch_minimal_ratio``.  Row k has the characteristic
+    equation lambda^2 + a(k) lambda + b(k) = 0, whose roots' modulus ratio is
+    r(k) = (|a| - sqrt(a^2 - 4b)) / (|a| + sqrt(a^2 - 4b)) = 4b / (|a| + sqrt(a^2 - 4b))^2,
+    and 1 where a^2 <= 4b.  A backward recursion seeded at row n + tail damps
+    its seed error by about r(n + 1) * ... * r(n + tail) by the time it
+    reaches row n (Miller's algorithm; Gautschi, SIAM Rev. 9, 24 (1967)).  The
+    result is the least tail whose product falls below ``eps`` in every lane,
+    capped at ``DEFAULT_MAX_DEPTH``.  The rows are read in chunks, the first
+    of 128 rows (fewer for more than 32 lanes), then twice as many per chunk,
+    each at most ``CHUNK_CELLS`` rows x lanes (at least one row), and only for
+    lanes whose product is still above ``eps``.
+    """
+    lanes = np.asarray(lanes)
+    if not lanes.size:
+        return 0
+    log_eps = math.log(eps)
+    log_product = np.zeros(lanes.size)
+    done = 0  # rows past n read so far
+    size = max(1, min(_FIRST_TAIL_ROWS, _FIRST_TAIL_CELLS // lanes.size))
+    while done < DEFAULT_MAX_DEPTH:
+        rows = min(size, DEFAULT_MAX_DEPTH - done, max(1, CHUNK_CELLS // lanes.size))
+        a, b = block(lanes, n + done + 1, n + done + rows)
+        with np.errstate(divide="ignore", over="ignore"):  # a = 0 or a^2 = inf: ratio 1 or 0
+            root = np.sqrt(np.maximum(a * a - 4.0 * b, 0.0))
+            ratio = np.minimum(4.0 * b / (np.abs(a) + root) ** 2, 1.0)
+            log_products = log_product + np.cumsum(np.log(ratio), axis=0)
+        below = log_products < log_eps
+        hit = below.any(axis=0)
+        if hit.all():  # the lanes that settle last, in this chunk, set the tail
+            return done + 1 + int(np.argmax(below, axis=0).max())
+        lanes, log_product = lanes[~hit], log_products[-1, ~hit]
+        done, size = done + rows, 2 * rows
+    return DEFAULT_MAX_DEPTH
+
+
 def batch_minimal_ratio(
     block,
     lanes: np.ndarray,
@@ -150,12 +194,14 @@ def batch_minimal_ratio(
     as ``models.coefficient_block`` does.  A lane at depth N recurses tau_{n-1} = a(n-1) - b(n) / tau_n
     down from tau_N = a(N) + ``scale`` / N, where tau_n = a(n) + R_n: the
     pivots of ``batch_pivots`` with sign -1 over the reversed rows.  Then
-    R_0 = -b(1) / tau_1.  The depths are 64, 128, ... and finally
-    ``max_depth``.  A lane has converged once R_0 agrees between successive
-    depths to ``rel_tol`` relative to max(1, |R_0|), and only unconverged
-    lanes run the next depth.  A lane that has not converged by
-    ``max_depth`` is nan.  A tau_n that is exactly 0 is taken as a tiny
-    negative number, as every pivot of ``batch_pivots`` is.
+    R_0 = -b(1) / tau_1.  The depths are 2^k, 2^(k+1), ... and finally
+    ``max_depth``, where 2^k is the least power of two at or above the
+    largest lane's ``backward_tail`` from row 0 at ``rel_tol`` (but at most
+    ``max_depth`` // 2, so that one check is made).  A lane has converged
+    once R_0 agrees between successive depths to ``rel_tol`` relative to
+    max(1, |R_0|), and only unconverged lanes run the next depth.  A lane
+    that has not converged by ``max_depth`` is nan.  A tau_n that is exactly
+    0 is taken as a tiny negative number, as every pivot of ``batch_pivots`` is.
     """
     if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
@@ -163,7 +209,8 @@ def batch_minimal_ratio(
         raise ValueError("max_depth must be >= 8")
     lanes = np.asarray(lanes)
     depths = []
-    depth = _FIRST_CHECKPOINT
+    tail = backward_tail(block, lanes, 0, rel_tol)
+    depth = min(1 << (tail - 1).bit_length(), max_depth // 2)
     while depth < max_depth:
         depths.append(depth)
         depth *= 2

@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .contfrac import batch_ratios, twisted_residual
+from .contfrac import backward_tail, batch_ratios, twisted_residual
 from .errors import NotAnEigenvalueWarning, PoleCollision, TruncationInsufficient
 from .models import (
     ModelKind,
@@ -33,6 +34,12 @@ from .models import (
 )
 from .spectral import RESIDUAL_CAP
 
+# The backward pass starts where the characteristic roots have damped its
+# seed error by ulp^2 at row ``order``.  At ulp (2^-53) the kept ratios
+# still differed from a deeper seed's, by up to 1e-10 at the levels of
+# driven delta=0.5, drive=0.3, g=7 near E = -47 at orders 2 and 10.
+_TAIL_EPS = 2.0**-106
+
 
 @dataclass(frozen=True, eq=False)
 class SeriesCoefficients:
@@ -41,9 +48,12 @@ class SeriesCoefficients:
     ``minus[n]`` are the minimal-solution coefficients (normalized to
     minus[0] = 1; they may underflow to 0 at large n), ``plus[n]`` the
     companion component obtained through the pole relation.  ``ratios[n]`` is
-    minus[n+1]/minus[n] as produced by the backward pass, exact at all n, and
+    minus[n+1]/minus[n] as produced by the backward pass, which starts deep
+    enough that its seed has decayed below 2^-106 by n = order, and
     ``log_abs_minus``/``sign_minus`` carry the coefficients in log space.
     ``residual`` is the twisted residual at ``energy``, ``flagged`` if above the cap.
+    ``backward_rows`` is the row N the backward pass started at: it pivoted
+    the rows N, ..., 1.
 
     The five sequences are read-only numpy arrays, so a series cannot be
     changed through its fields.  ``==`` is identity (``eq=False``): compare
@@ -61,6 +71,7 @@ class SeriesCoefficients:
     order: int
     residual: float
     flagged: bool
+    backward_rows: int
 
     def ratio(self, n: int) -> float:
         """minus[n+1] / minus[n], valid even where the raw values underflow."""
@@ -72,10 +83,15 @@ def minimal_series(
 ) -> SeriesCoefficients:
     """Build the minimal-solution series at an (approximate) spectral root.
 
-    The ratios come from one backward pass seeded at row 2 * order + 64, and
-    E is judged by the twisted residual over those rows and ratios, the rule
-    ``compute_spectrum`` reports.  If it exceeds the residual cap the series
-    is still returned, flagged, with a NotAnEigenvalueWarning.
+    The ratios come from one backward pass seeded at row order + tail, where
+    tail is ``contfrac.backward_tail`` past row ``order`` at 2^-106: the
+    product of the characteristic roots' ratios over the tail damps the
+    seed's error below the last bit of every kept ratio.  Near spectral
+    collapse, where the roots coalesce, that takes thousands of rows; off
+    it, some tens.  E is judged by the twisted residual over those rows and
+    ratios, the rule ``compute_spectrum`` reports.  If it exceeds the
+    residual cap the series is still returned, flagged, with a
+    NotAnEigenvalueWarning.
     The plus component uses the pole relation
     plus[n] = delta * minus[n] / (E - E_n).  Raises ValueError if E is not
     finite, ZeroCoupling at g = 0 and PoleCollision if E sits within eps_pole
@@ -88,7 +104,9 @@ def minimal_series(
     check_coupling(model)
     if distance_to_pole_set(model, sector, energy) < model.eps_pole:
         raise PoleCollision(f"E = {energy} coincides with a pole energy")
-    a, b = coefficient_block(model, sector, np.array([energy]), 0, 2 * order + 64)
+    block, energies = partial(coefficient_block, model, sector), np.array([energy])
+    rows = order + backward_tail(block, energies, order, _TAIL_EPS)
+    a, b = block(energies, 0, rows)
     # E is finite and eps_pole off the pole set, so every row is finite
     ratios = batch_ratios(a, b, asymptotic_roots(model).t2)
     residual = float(twisted_residual(a, b, ratios, math.copysign(1.0, model.g))[0])
@@ -119,6 +137,7 @@ def minimal_series(
         order=order,
         residual=residual,
         flagged=flagged,
+        backward_rows=rows,
     )
 
 

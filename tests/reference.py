@@ -11,7 +11,9 @@ sequences; ``BlockCoeffs`` is that object for a model, read from
 - ``forward_ratio``: K_{k+1}/K_k by forward recursion;
 - ``split_spectral_value``: the split eigencondition W_k(E), F(E) at k = 0;
 - ``guarded_pivots``: ``contfrac.batch_pivots`` with Kahan's guard on every row;
-- ``wavefunction_sums``: ``series.eval_wavefunction`` as one loop over Python floats.
+- ``wavefunction_sums``: ``series.eval_wavefunction`` as one loop over Python floats;
+- ``fixed_depth_tail``: the start row 2 * order + 64 of ``series.minimal_series``
+  before ``contfrac.backward_tail`` placed it.
 """
 
 from __future__ import annotations
@@ -263,3 +265,12 @@ def wavefunction_sums(series, z: complex) -> tuple[complex, complex]:
         if log_tail >= log_bound:
             raise TruncationInsufficient(f"series of order {order} too short at |z| = {abs(z)}")
     return psi_plus, psi_minus
+
+
+def fixed_depth_tail(block, lanes, n: int, eps: float) -> int:
+    """``contfrac.backward_tail`` as ``series.minimal_series`` once fixed it: n + 64 rows.
+
+    ``minimal_series`` seeds its backward pass at row order + tail, so with
+    this tail it starts at row 2 * order + 64, whatever the coefficients.
+    """
+    return n + 64

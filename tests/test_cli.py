@@ -488,10 +488,14 @@ class TestSeriesCommand:
                 "--q", "1/4", "--emax", "8", "--energy", repr(energy), "--order", "300"]
         s = minimal_series(model, Sector.two_photon(0.25), energy, 300)
         code, csv_text, _ = run_cli(capsys, argv)
-        _, header, rows = parse_csv(csv_text)
+        meta, header, rows = parse_csv(csv_text)
         code_json, json_text, _ = run_cli(capsys, argv + ["--format", "json"])
-        json_rows = load_json(json_text)["rows"]
+        payload = load_json(json_text)
+        json_rows = payload["rows"]
         assert code == code_json == 0
+        # the row the backward pass started at, some tens of rows past the order
+        assert int(meta["backward_rows"]) == payload["meta"]["backward_rows"] == s.backward_rows
+        assert 300 < s.backward_rows < 400
         for column, want in (("k_minus", s.minus), ("k_plus", s.plus)):
             from_csv = np.array([float(r[header.index(column)]) for r in rows])
             from_json = np.array([r[column] for r in json_rows])

@@ -17,6 +17,8 @@ from rabispec import (
 )
 from rabispec import contfrac
 from rabispec.contfrac import (
+    DEFAULT_MAX_DEPTH,
+    backward_tail,
     batch_minimal_ratio,
     batch_pivots,
     batch_ratios,
@@ -226,6 +228,52 @@ def two_mode_lanes():
     return model, sector, energies[distance_to_pole_set(model, sector, energies) > 1e-3]
 
 
+def lane_block(lanes, n_lo, n_hi):
+    """``block`` callable whose rows are a(n) = the lane's value, b(n) = 1, for every n."""
+    rows = n_hi - n_lo + 1
+    return np.tile(lanes, (rows, 1)), np.ones((rows, 1))
+
+
+class TestBackwardTail:
+    def test_constant_root_ratio(self):
+        # t^2 + 3t + 2 = 0 has the roots -1 and -2, a ratio of 1/2 on every
+        # row: 2^-40 < 1e-12 < 2^-39, from any row n
+        for n in (0, 5, 1000):
+            assert backward_tail(const_block(3.0, 2.0), np.zeros(1), n, 1e-12) == 40
+        # a ratio of 0.9 takes 263 rows, past the first two chunks (128 + 256):
+        # 0.9^263 < 1e-12 < 0.9^262
+        root = math.sqrt(0.9)
+        assert backward_tail(const_block(root + 1.0 / root, 1.0), np.zeros(1), 0, 1e-12) == 263
+
+    @pytest.mark.parametrize("a", [2.0, 1.0, 0.0], ids=["double-root", "complex", "a=0"])
+    def test_roots_of_one_modulus_reach_the_cap(self, a):
+        # a^2 <= 4b: both roots have modulus 1, the ratio is 1 and never damps
+        assert backward_tail(const_block(a, 1.0), np.zeros(1), 0, 1e-12) == DEFAULT_MAX_DEPTH
+
+    def test_lanes_take_the_largest_tail(self):
+        # 600 lanes make a first chunk of 6 rows, and the lane a = 2.02 (ratio
+        # 0.754) needs 98, in the fifth chunk; the other lanes leave earlier
+        values = np.linspace(2.02, 40.0, 600)
+        single = [backward_tail(lane_block, np.array([v]), 0, 1e-12) for v in values]
+        assert max(single) == 98
+        assert backward_tail(lane_block, values, 0, 1e-12) == max(single)
+        assert backward_tail(lane_block, values[::-1], 7, 1e-12) == max(single)
+        assert backward_tail(lane_block, np.zeros(0), 0, 1e-12) == 0
+
+    def test_model_rows_past_the_order(self):
+        # at the couplings of the benchmark's series points, driven g = 1
+        # needs 12 rows past row 2000, two-mode g = 0.45 47 and two-photon
+        # g = 0.3 73, whatever the splitting and the level
+        cases = [
+            (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 1.0, 0.2), Sector.driven(), 0.5, 12),
+            (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.45), Sector.two_mode(0.5), 0.5, 47),
+            (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.3), Sector.two_photon(0.75), 0.5, 73),
+        ]
+        for model, sector, energy, tail in cases:
+            block = partial(coefficient_block, model, sector)
+            assert backward_tail(block, np.array([energy]), 2000, 2.0**-106) == tail
+
+
 class TestBatchMinimalRatio:
     def test_constant_coefficients(self):
         # minimal ratio of K_{n+1} + 3 K_n + 2 K_{n-1} = 0 is -1
@@ -248,9 +296,27 @@ class TestBatchMinimalRatio:
             ref = eval_continued_fraction(BlockCoeffs(model, sector, e)).value
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
+    def test_first_depth_is_the_largest_tail(self, monkeypatch):
+        # the README curve window: the tails from row 0 at 1e-12 are 17 to 28
+        # rows, so the depths start at 32 and the first check comes after
+        # 32 + 64 rows; every lane settles there
+        model, sector = ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4), Sector.two_mode(1.0)
+        energies = np.linspace(-1.0, 4.0, 400)
+        block = partial(coefficient_block, model, sector)
+        assert backward_tail(block, energies, 0, 1e-12) == 28
+        depths, one_pass = [], contfrac._minimal_ratio
+
+        def recording(block, lanes, tail, scale):
+            depths.append(tail)
+            return one_pass(block, lanes, tail, scale)
+
+        monkeypatch.setattr(contfrac, "_minimal_ratio", recording)
+        r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2)
+        assert depths == [32, 64] and np.isfinite(r).all()
+
     @pytest.mark.parametrize("rows", [2, 3, 5])
     def test_chunked_pass_equals_one_table(self, monkeypatch, rows):
-        # the depths 64, 128, ... hold an odd number of rows n = 0..N: while every
+        # the depths 2^k, 2^(k+1), ... hold an odd number of rows n = 0..N: while every
         # lane is active, blocks of 2, 3 or 5 rows (chunks of 1, 2 or 4 pivot rows)
         # leave row 0 alone in the last chunk, and tau_1 comes from the chunk above
         model, sector, energies = two_mode_lanes()

@@ -20,12 +20,14 @@ from rabispec import (
     eval_wavefunction,
     minimal_series,
     norm_tail_ratio,
+    oracle_spectrum,
 )
+from rabispec import series as series_module
 from rabispec.models import coefficient_block, pole_energy
 from rabispec.series import norm_term_log, norm_term_ratio
 from rabispec.spectral import default_window_min
 
-from reference import wavefunction_sums
+from reference import BlockCoeffs, backward_ratios, fixed_depth_tail, wavefunction_sums
 from test_contfrac import ONE_PER_MODEL
 
 
@@ -235,6 +237,47 @@ class TestFrozenFields:
         assert all(np.array_equal(getattr(s, f), getattr(twin, f)) for f in FIELDS)
         assert s == s and s != twin
         assert len({s, twin}) == 2
+
+
+class TestBackwardDepth:
+    """The backward pass starts where the characteristic roots have damped its seed."""
+
+    # 2g/omega = 0.99 and g/omega = 0.92, where the roots nearly coalesce, and
+    # strong drive, whose eigenvectors live near boson number g^2 = 49; a
+    # start at row 2 * order + 64 left these ratios wrong by up to 5.8
+    @pytest.mark.parametrize("model, sector, energy, orders", [
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.495), Sector.two_photon(0.25),
+         0.4713, (2, 10, 100)),
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.495), Sector.two_photon(0.25),
+         -0.733190203877351, (200,)),
+        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.92), Sector.two_mode(1.5),
+         0.8549, (2, 10, 100)),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 7.0, 0.3), Sector.driven(),
+         -47.70129961659948, (100,)),
+    ], ids=["two-photon", "two-photon-ground", "two-mode", "strong-drive"])
+    def test_ratios_equal_a_deep_seed(self, model, sector, energy, orders):
+        deep = backward_ratios(BlockCoeffs(model, sector, energy), 0, 2**17)
+        for order in orders:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NotAnEigenvalueWarning)
+                s = minimal_series(model, sector, energy, order)
+            np.testing.assert_allclose(s.ratios, deep[:order], rtol=1e-15, atol=0.0)
+            assert s.backward_rows > order
+
+    @pytest.mark.parametrize("index", range(3), ids=["two-photon", "two-mode", "driven"])
+    def test_benchmark_regime_equals_the_fixed_depth(self, monkeypatch, index):
+        # at order 2000 off collapse some tens of rows past the order give every
+        # bit that the former start at 2 * order + 64 gave
+        model, sector = ONE_PER_MODEL[index]
+        lo = default_window_min(model, sector)
+        energy = oracle_spectrum(model, sector, (lo, lo + 4.0))[0][1]
+        s = minimal_series(model, sector, energy, 2000)
+        monkeypatch.setattr(series_module, "backward_tail", fixed_depth_tail)
+        fixed = minimal_series(model, sector, energy, 2000)
+        assert fixed.backward_rows == 4064 and 2000 < s.backward_rows < 2100
+        for name in FIELDS:
+            assert getattr(s, name).tobytes() == getattr(fixed, name).tobytes(), name
+        assert s.residual == fixed.residual and not s.flagged
 
 
 @pytest.fixture(scope="module")

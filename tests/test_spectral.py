@@ -429,8 +429,8 @@ def test_production_paths_reach_no_scalar_evaluator():
     # F has one production evaluator, f_values, and only the CLI (for
     # curve) imports it: the residual is read from the recursions its callers
     # run anyway.  The CLI imports no contfrac kernel (only the default
-    # tolerance); the series imports the batched backward pass and the
-    # residual rule.  No module defines or imports a scalar reference
+    # tolerance); the series imports the batched backward pass, its start
+    # depth and the residual rule.  No module defines or imports a scalar reference
     import rabispec
     import rabispec.cli
     import rabispec.series
@@ -439,7 +439,7 @@ def test_production_paths_reach_no_scalar_evaluator():
     assert {name for module, name in cli if module == "contfrac"} == {"DEFAULT_REL_TOL"}
     series = rabispec_imports(rabispec.series)
     assert {name for module, name in series if module == "contfrac"} == {
-        "batch_ratios", "twisted_residual",
+        "backward_tail", "batch_ratios", "twisted_residual",
     }
     modules = [rabispec] + [
         importlib.import_module(f"rabispec.{info.name}")
