@@ -7,14 +7,17 @@ K_{n+1} + a(n) K_n + b(n) K_{n-1} = 0 is
 
 Every production path runs one loop, ``batch_pivots``, the LDL^T pivot
 recursion over coefficient rows built by ``models.coefficient_block``, one lane
-per energy.  Run forward from n = 0 it gives the Sturm count of
-``spectral.level_count`` and the pivots of ``twisted_residual``; run on the
-reversed rows it is the backward recursion of the minimal solution, the
-bottom-up half of a twisted factorisation: ``batch_ratios`` takes every ratio
-of a table from it (the residuals of ``spectral.compute_spectrum`` and the
-series of ``series.minimal_series``), and ``batch_minimal_ratio`` R_0 with
-per-lane depth doubling (for ``spectral.f_values``).  ``backward_tail`` reads
-from the characteristic roots of the recurrence where both start.
+per energy and one divisor b(n) per row, or per lane.  Run forward
+from n = 0 it gives the pivots of ``twisted_residual``; run on the reversed
+rows it is the backward recursion of the minimal solution, the bottom-up half
+of a twisted factorisation: ``batch_ratios`` takes every ratio of a table from
+it (the residuals of ``spectral.compute_spectrum`` and the series of
+``series.minimal_series``), and ``batch_minimal_ratio`` R_0 with per-lane
+depth doubling (for ``spectral.f_values``).  ``spectral.level_count`` runs both
+halves at once, forward and backward as two groups of lanes of one table, and
+reads the Sturm count off the twisted factorisation where they meet.
+``backward_tail`` reads from the characteristic roots of the recurrence where
+the backward passes start.
 
 Batched tables are built ``CHUNK_CELLS`` rows x lanes at a time, so their
 memory grows neither with the lanes nor with the depth.
@@ -47,9 +50,13 @@ def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.nda
     """Every pivot sigma_n of the coefficient rows, one column per lane.
 
     ``a`` (rows, lanes) and ``b`` (rows, 1) are consecutive rows, as
-    ``models.coefficient_block`` returns them; overflow is ignored.  The
-    pivots are sigma_n = -sign * a(n) - b(n) / sigma_{n-1}, where the table's
-    first row takes ``prev`` as sigma_{n-1} and, without it, is row 0:
+    ``models.coefficient_block`` returns them; overflow is ignored.  ``b`` may
+    also hold one divisor per lane, in a table of ``a``'s shape, so that
+    lanes can run over rows of their own: ``spectral.level_count`` pivots the
+    two halves of a twisted factorisation as two groups of lanes, ``a`` and
+    ``b`` of shape (rows, 2, lanes).  The pivots are
+    sigma_n = -sign * a(n) - b(n) / sigma_{n-1}, where the table's first row
+    takes ``prev`` as sigma_{n-1} and, without it, is row 0:
     sigma_0 = -sign * a(0).  So a table pivoted in row chunks, each passed
     the last pivot row of the one before, gives the pivots of the whole
     table.  With sign = +1 the pivots are the continuant ratios K_{n+1}/K_n
@@ -65,11 +72,14 @@ def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.nda
     exact zero, which the unguarded pass stores, so the result is bit for
     bit that of the guarded pass.  One lane, where numpy's overhead per row
     is some 15 times the arithmetic, runs over the floats of its two columns
-    read from ``array`` buffers, guarded on every row.
+    read from ``array`` buffers, guarded on every row.  A table of groups
+    takes a divisor table of ``a``'s shape, which numpy divides faster than
+    one divisor per row and group broadcast against the lanes.
     """
-    if a.shape[1] == 1:
+    if a.shape[1:] == (1,):
         return _pivot_floats(-sign * a[:, 0], b[:, 0], prev)[:, None]
-    b_rows = b[:, 0].tolist()  # b_n / prev costs less per row with b(n) as a Python float
+    # b_n / prev costs less per row with b(n) as a Python float
+    b_rows = b[:, 0].tolist() if b.shape[1:] == (1,) else b
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pivots = _pivot_rows(-sign * a, b_rows, prev, guard=False)
         if not pivots.all():  # a pivot of +-0 (nan is not 0)
@@ -77,7 +87,7 @@ def batch_pivots(a: np.ndarray, b: np.ndarray, sign: float, prev=None) -> np.nda
     return pivots
 
 
-def _pivot_rows(pivots: np.ndarray, b_rows: list[float], prev, guard: bool) -> np.ndarray:
+def _pivot_rows(pivots: np.ndarray, b_rows, prev, guard: bool) -> np.ndarray:
     """The recursion of ``batch_pivots`` in place over ``pivots`` = -sign * a, guarded or not."""
     for pivot, b_n in zip(pivots, b_rows):
         if prev is not None:

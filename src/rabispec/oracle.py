@@ -12,7 +12,8 @@ route shares anything with the continued-fraction route.
 
 The truncation is doubled until the window's levels stop moving.  The first
 one tried is read off the same bands: the reach, the largest boson number
-whose Gershgorin disc reaches down to the window's upper edge.  Past it
+whose Gershgorin disc reaches down to the window's upper edge, found on bands
+of 32, 64, ... states until the disc edges past it can only grow.  Past it
 H - E is diagonally dominant for every E in the window, so the eigenvectors
 decay there (Combes and Thomas, Commun. Math. Phys. 34, 251 (1973)) and
 their bulk lies within the reach.  A truncation below the reach can miss the
@@ -229,20 +230,46 @@ def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]
     return [float(v) for v in vals]
 
 
-def _reach(bands: np.ndarray, ns: np.ndarray, e_max: float) -> int:
-    """The largest boson number whose Gershgorin disc reaches down to ``e_max``.
-
-    A state's disc is its diagonal entry give or take its row's absolute
-    off-diagonal sum; 0 if no disc reaches ``e_max``.
-    """
+def _disc_edges(bands: np.ndarray) -> np.ndarray:
+    """The lower edge of each state's Gershgorin disc: its diagonal entry less
+    its row's absolute off-diagonal sum."""
     u = _BANDWIDTH
-    edge = bands[u].copy()  # lower edge of each state's disc
+    edge = bands[u].copy()
     for k in range(1, u + 1):
         off = np.abs(bands[u - k, k:])
         edge[k:] -= off
         edge[:-k] -= off
-    reaching = np.flatnonzero(edge <= e_max)
+    return edge
+
+
+def _reach(bands: np.ndarray, ns: np.ndarray, e_max: float) -> int:
+    """The largest boson number whose Gershgorin disc reaches down to ``e_max``.
+
+    0 if no disc reaches ``e_max``.
+    """
+    reaching = np.flatnonzero(_disc_edges(bands) <= e_max)
     return int(ns[reaching[-1] // 2]) if reaching.size else 0
+
+
+def _block_reach(model: ModelParams, osector: OracleSector, e_max: float, n_max: int) -> int:
+    """The reach of the block at ``n_max``, read from its bands at truncations 32, 64, ...
+
+    Along either spin the disc edge is the boson energy, affine in the boson
+    number, less the two hops, each concave in it (|g| times the square root
+    of affine factors), less a constant: it is convex, so once it grows from
+    one state to the next it grows on.  The last boson number of a truncation
+    lacks its upper hop, and its edge reads too high.  So the doubling stops
+    once, along both spins, the edges of the two states below it grow and lie
+    above ``e_max``: no state past them reaches ``e_max`` at any truncation.
+    """
+    n = 32
+    while n < n_max:
+        bands, ns = _bands(model, osector, n)
+        below = _disc_edges(bands)[-6:-2].reshape(2, 2)  # (state, spin)
+        if ((below[1] >= below[0]) & (below[1] > e_max)).all():
+            return _reach(bands, ns, e_max)
+        n *= 2
+    return _reach(*_bands(model, osector, n_max), e_max)
 
 
 def _initial_truncation(
@@ -252,15 +279,15 @@ def _initial_truncation(
 
     The floor is ``max(16, n_start)``, or 32 (at most ``n_max``) without a
     start.  It is doubled while it lies below the reach of the block at
-    ``n_max`` and its double is within ``n_max``.  The reach is a lower
-    bound: below it the window's eigenvectors have not decayed, and a
-    truncation there may hold none of the window's levels at n and 2n
-    alike, which the stability check would take as converged.
+    ``n_max`` (``_block_reach``) and its double is within ``n_max``.  The
+    reach is a lower bound: below it the window's eigenvectors have not
+    decayed, and a truncation there may hold none of the window's levels at
+    n and 2n alike, which the stability check would take as converged.
     """
     n = min(32, n_max) if n_start is None else max(16, n_start)
     if 2 * n > n_max:
         return n
-    reach = _reach(*_bands(model, osector, n_max), e_max)
+    reach = _block_reach(model, osector, e_max, n_max)
     while n < reach and 2 * n <= n_max:
         n *= 2
     return n

@@ -16,12 +16,15 @@ the poles of R_k.  An eigenvalue can sit inside a zero/pole pair of every W_k
 with small k, too narrow for any sign scan to see.
 
 So levels are not searched for by sign changes.  ``level_count`` gives N(E),
-the number of levels below E, from the signs of the LDL^T pivots of the
-truncated recurrence plus the poles below E (the Sturm count with the
-Wittrick-Williams pole term).  ``compute_spectrum`` takes the levels of a
-window as j in [N(e_min), N(e_max)), narrows each by multisection on N(E)
-(many points per bracket in one count call), and checks each level's
-position under a doubling of the truncation.  The count is the
+the number of levels below E, from the inertia of the truncated recurrence's
+tridiagonal plus the poles below E (the Sturm count with the
+Wittrick-Williams pole term).  It reads the inertia off the twisted
+factorisation at the middle row, the LDL^T pivots from the top and from the
+bottom run at once as two groups of lanes, so its row loop is half the
+truncation long.  ``compute_spectrum`` takes the levels of a window as j in
+[N(e_min), N(e_max)), narrows each by multisection on N(E) (many points per
+bracket in one count call, each point counted once per truncation), and
+checks each level's position under a doubling of the truncation.  The count is the
 certificate that no level is lost.  Each level's residual (only reported,
 ``contfrac.twisted_residual``) is the twist element sigma_k* - sign(g) R_k* =
 -sign(g) W_k* of the count's pivots and the backward ratios at the matching
@@ -67,7 +70,8 @@ RESIDUAL_CAP = 1e-4            # energies above this twisted residual are not ei
 _FIRST_COUNT_ROWS = 64
 # Each multisection step cuts every unsettled bracket into this many sections.
 _SECTIONS = 16
-# Rows pivoted at a time by level_count, so its memory does not grow with the rows.
+# Rows pivoted at a time by level_count, half from each end, and at most
+# CHUNK_CELLS rows x lanes, so its memory grows neither with the rows nor the lanes.
 _COUNT_CHUNK_ROWS = 1024
 
 
@@ -107,9 +111,10 @@ class SpectrumResult:
     ``flagged``.  ``brackets_rejected`` counts the levels whose position was
     not confirmed at the ``cf_max_depth`` row cap.  ``count_calls`` is the
     number of ``level_count`` calls, ``grid_points`` the lanes passed to
-    them and ``count_row_steps`` the sum of their rows (the iterations of the
-    pivot loop), and ``count_rows`` is the truncation N at which the levels
-    were last narrowed.  A level's ``residual`` is its twisted residual.
+    them (each point once per truncation) and ``count_row_steps`` the sum of
+    their rows N (the pivot loop runs N // 2 iterations of a call, one row
+    from each end), and ``count_rows`` is the truncation N at which the
+    levels were last narrowed.  A level's ``residual`` is its twisted residual.
     """
 
     roots: list[RootRecord]
@@ -188,27 +193,63 @@ def default_window_min(model: ModelParams, sector: Sector) -> float:
 def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.ndarray:
     """N(E): the number of levels below each energy, from the first ``rows`` rows.
 
-    N(E) = #{n < rows : sign(g) rho_n < 0} + #{n < rows : E_n < E}, with the
-    continuant ratios rho_0 = -a(0), rho_n = -a(n) - b(n)/rho_{n-1}.  Since
-    b(n) > 0 the rho_n are LDL^T pivots, and their negative count is the Sturm
-    count of the truncated recurrence (``contfrac.batch_pivots``, over
-    ``_COUNT_CHUNK_ROWS`` rows at a time).
-    The rational term -delta^2/(E - E_n) of a(n) drops one negative pivot at
-    each pole; the second term puts it back (the Wittrick-Williams count), so
-    N(E) is nondecreasing and steps by one at each level.  The caller keeps
+    N(E) is the number of negative eigenvalues of the truncated tridiagonal
+    T(E), diagonal alpha_n = -sign(g) a(n) and off-diagonal sqrt(b(n)) for
+    n < rows, plus #{n < rows : E_n < E}.  The rational term
+    -delta^2/(E - E_n) of a(n) drops one negative eigenvalue at each pole;
+    the second term puts it back (the Wittrick-Williams count), so N(E) is
+    nondecreasing and steps by one at each level.  The caller keeps
     ``energies`` off the pole set.
+
+    The negative count is the inertia of the twisted factorisation of T(E)
+    at its middle row k = rows // 2 (Sylvester's law; Parlett and Dhillon,
+    Linear Algebra Appl. 267, 247 (1997)): the negative forward pivots
+    sigma_0..sigma_{k-1}, sigma_n = alpha_n - b(n)/sigma_{n-1}, the negative
+    backward pivots tau_{rows-1}..tau_{k+1}, tau_n = alpha_n - b(n+1)/tau_{n+1},
+    and the twist gamma_k = alpha_k - b(k)/sigma_{k-1} - b(k+1)/tau_{k+1} if
+    gamma_k <= 0.  Both halves are two groups of lanes of one table, pivoted
+    at once by ``contfrac.batch_pivots`` (with its guard: a zero pivot is a
+    tiny negative one) in chunks of ``_COUNT_CHUNK_ROWS`` rows (fewer for
+    many lanes), so the loop runs rows // 2 steps where a forward pass alone
+    ran rows.  For even ``rows`` the backward half runs one row more than it
+    counts, tau_k, so both halves are k rows long.
     """
     check_coupling(model)
     energies = np.asarray(energies, dtype=float)
     first, spacing = pole_lattice(model, sector)
     count = np.clip(np.ceil((energies - first) / spacing), 0, rows).astype(np.intp)
-    sign, last = math.copysign(1.0, model.g), None
-    for n_lo in range(0, rows, _COUNT_CHUNK_ROWS):
-        n_hi = min(n_lo + _COUNT_CHUNK_ROWS, rows) - 1
-        pivots = batch_pivots(*coefficient_block(model, sector, energies, n_lo, n_hi), sign, last)
-        count += np.count_nonzero(pivots < 0.0, axis=0)
-        last = pivots[-1]
-    return count
+    sign, k = math.copysign(1.0, model.g), rows // 2
+    step = max(1, min(_COUNT_CHUNK_ROWS, CHUNK_CELLS // max(1, energies.size)) // 2)
+    block = partial(coefficient_block, model, sector, energies)
+    i, before, last = 0, None, None  # the last two pivot rows, (2, lanes)
+    if not k:  # one row: no pivots, the twist is row 0
+        a_lo, b_lo = block(0, 0)
+    for i in range(0, k, step):
+        j = min(i + step, k)  # forward rows i..j-1, backward rows rows-1-i..rows-j
+        top = min(rows - i, rows - 1)  # b(rows - i) divides the backward row rows-1-i if i > 0
+        if rows - j <= j + 1:  # both ranges meet at the twist row: one block
+            a_lo, b_lo = block(i, top)
+            a_hi, b_hi = a_lo[rows - j - i:], b_lo[rows - j - i:]
+        else:
+            (a_lo, b_lo), (a_hi, b_hi) = block(i, j), block(rows - j, top)
+        m, b_down = j - i, b_hi[:0:-1]  # b(n + 1) of the backward rows n from the top down
+        table, divisors = np.zeros((2, m, 2, energies.size))
+        table[:, 0], table[:, 1] = a_lo[:m], a_hi[m - 1::-1]
+        divisors[:, 0], divisors[m - len(b_down):, 1] = b_lo[:m], b_down
+        pivots = batch_pivots(table, divisors, sign, last)
+        count += np.count_nonzero(pivots < 0.0, axis=(0, 1))
+        before, last = (pivots[-2] if m > 1 else last), pivots[-1]
+    # the last block holds the twist row k and b(k + 1)
+    tau = last if rows % 2 else before  # tau_{k+1}, or None where row k + 1 is past the rows
+    if not rows % 2:
+        count -= last[1] < 0.0  # tau_k: pivoted, not counted
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gamma = -sign * a_lo[k - i]
+        if last is not None:
+            gamma = gamma - b_lo[k - i, 0] / last[0]
+        if tau is not None:
+            gamma = gamma - b_lo[k + 1 - i, 0] / tau[1]
+    return count + (gamma <= 0.0)
 
 
 def _points_inside(model: ModelParams, sector: Sector, lo, hi, tol: float, x) -> np.ndarray:
@@ -279,8 +320,11 @@ def compute_spectrum(
     an edge within eps_pole of a pole moves off it, keeping the pole's side).
     Each level's bracket starts as the window.  Every multisection step cuts
     each bracket wider than ``root_abs_tol`` into ``_SECTIONS`` sections and
-    counts N(E) at all their points and bracket ends in one ``level_count``
-    call; level j lies between the last point counted <= j and the next one.
+    counts N(E) at all their points in one ``level_count`` call; level j
+    lies between the last point counted <= j and the next one.  The edges
+    and bracket ends counted at these rows are kept with their counts, so a
+    step counts only its new points, each once per truncation, and the first
+    count takes the window's sections with its edges.
     Points avoid the poles by eps_pole, so a level at a pole E_n (an
     exceptional level) ends in (E_n - eps_pole, E_n + eps_pole), put at E_n.
 
@@ -327,16 +371,27 @@ def compute_spectrum(
 
     cap, tol = opts.cf_max_depth, opts.root_abs_tol
     rows = min(_FIRST_COUNT_ROWS, cap)
-    points, settled_rows, steps, todo, last = edges, 0, {}, None, None
+    # the first count takes the window's sections, every level's first step, with its edges
+    x = _section_points(model, sector, edges[:1], edges[1:], tol)
+    new, window_step = np.concatenate([edges, x[~np.isnan(x)]]), not np.isnan(x).all()
+    settled_rows, todo, last = 0, None, None
+    # the points counted at these rows, sorted (the edges first and last), and their counts
+    taken, taken_counts = np.empty(0), np.empty(0, dtype=np.intp)
     calls = lanes = row_steps = 0
     while True:
-        points = np.unique(points)  # sorted: the edges come first and last
-        counts = level_count(model, sector, points, rows)
-        calls, lanes, row_steps = calls + 1, lanes + points.size, row_steps + rows
+        new = np.unique(new)  # inside the brackets, so none of them was counted at these rows
+        points = np.concatenate([taken, new])
+        order = np.argsort(points)
+        counts = np.concatenate([taken_counts, level_count(model, sector, new, rows)])[order]
+        points = points[order]
+        calls, lanes, row_steps = calls + 1, lanes + new.size, row_steps + rows
         levels = np.arange(counts[0], counts[-1])
         # level j lies between the last point counted <= j and the next one
         k = np.searchsorted(counts, levels, side="right")
         lo, hi = points[k - 1], points[k]
+        if window_step is not None:  # the first count: every level took the window's step
+            todo = np.full(levels.size, window_step)
+            steps, window_step = dict.fromkeys(levels.tolist(), int(window_step)), None
         x = _section_points(model, sector, lo, hi, tol)
         if last is not None:  # the check after a doubling
             x, last = _probe_points(model, sector, levels, lo, hi, tol, x, last), None
@@ -346,14 +401,16 @@ def compute_spectrum(
         if live.any():
             for j in levels[live].tolist():
                 steps[j] = steps.get(j, 0) + 1
-            points = np.concatenate([edges, lo, hi, x[~np.isnan(x)]])
+            ends = np.unique(np.concatenate([[0, points.size - 1], k - 1, k]))
+            taken, taken_counts, new = points[ends], counts[ends], x[~np.isnan(x)]
             continue
         if settled_rows and not todo.any():
             break
         settled_rows = rows
         if rows == cap:
             break
-        points, rows, todo = np.concatenate([edges, lo, hi]), min(2 * rows, cap), None
+        new, rows, todo = np.concatenate([edges, lo, hi]), min(2 * rows, cap), None
+        taken, taken_counts = taken[:0], taken_counts[:0]
         last = levels, lo, hi
     unconfirmed = todo  # empty unless levels were narrowed at the cap
     if unconfirmed.any():

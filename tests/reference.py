@@ -11,6 +11,8 @@ sequences; ``BlockCoeffs`` is that object for a model, read from
 - ``forward_ratio``: K_{k+1}/K_k by forward recursion;
 - ``split_spectral_value``: the split eigencondition W_k(E), F(E) at k = 0;
 - ``guarded_pivots``: ``contfrac.batch_pivots`` with Kahan's guard on every row;
+- ``forward_count``: ``spectral.level_count`` as the Sturm count of one forward
+  pass from row 0, before it read the count off a twisted factorisation;
 - ``wavefunction_sums``: ``series.eval_wavefunction`` as one loop over Python floats;
 - ``fixed_depth_tail``: the start row 2 * order + 64 of ``series.minimal_series``
   before ``contfrac.backward_tail`` placed it.
@@ -31,6 +33,7 @@ from rabispec.models import (
     asymptotic_roots,
     coefficient_block,
     distance_to_pole_set,
+    pole_lattice,
 )
 
 _TINY = 1e-30
@@ -238,6 +241,20 @@ def guarded_pivots(a, b, sign: float, prev=None):
             pivot[pivot == 0.0] = -_TINY
             prev = pivot
     return pivots
+
+
+def forward_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.ndarray:
+    """N(E) from the first ``rows`` rows: the negative forward pivots plus the poles below E.
+
+    The pivots are ``guarded_pivots`` of one table of the rows 0..rows-1 with
+    sign(g), the Sturm count of the truncated tridiagonal, and the pole term
+    is #{n < rows : E_n < E} (Wittrick and Williams).
+    """
+    energies = np.asarray(energies, dtype=float)
+    a, b = coefficient_block(model, sector, energies, 0, rows - 1)
+    negative = np.count_nonzero(guarded_pivots(a, b, math.copysign(1.0, model.g)) < 0.0, axis=0)
+    first, spacing = pole_lattice(model, sector)
+    return negative + np.clip(np.ceil((energies - first) / spacing), 0, rows).astype(np.intp)
 
 
 def wavefunction_sums(series, z: complex) -> tuple[complex, complex]:

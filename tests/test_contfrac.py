@@ -414,11 +414,16 @@ class TestNegativePivots:
                 assert abs(pivots[k, lane] - ref) <= 1e-12 * max(1.0, abs(ref)), (e, k)
 
 
-def plant_zero(a, b, sign, row, lane, prev=None):
+def plant_zero(a, b, sign, row, lane, prev=None, backward=False):
     """Set a(row) of one lane so that its pivot is exactly 0.
 
     -sign * a(row) = b(row) / sigma_{row-1}, which is exact since sign = +-1.
+    With ``backward`` the pivot is tau_row of the backward pass from the
+    table's last row down, tau_n = -sign * a(n) - b(n + 1) / tau_{n+1}: the
+    forward pivot of the reversed rows with b(n + 1) beside a(n).
     """
+    if backward:  # a[::-1] is a view, so a(row) is set in place
+        a, b, row = a[::-1], np.vstack([b[:1], b[:0:-1]]), len(a) - 1 - row
     before = guarded_pivots(a, b, sign, prev)[row - 1] if row else prev
     a[row, lane] = -sign * (b[row, 0] / before[lane])
 
@@ -480,6 +485,20 @@ class TestDeferredGuard:
         want = guarded_pivots(a_tail, b_tail, sign, head[-1])
         assert want[0, 3 % lanes] == -1e-30
         self.assert_same(batch_pivots(a_tail, b_tail, sign, head[-1]), want)
+
+    def test_groups_pivot_as_separate_tables(self, sign, lanes):
+        # two groups of lanes over rows of their own, with a divisor table of
+        # the pivots' shape, pivot as each group alone, in one table or in
+        # two chunks, a zero planted in the second group's chunk
+        (a0, b0), (a1, b1) = random_table(8, lanes), random_table(9, lanes)
+        plant_zero(a1, b1, sign, 12, lanes - 1)
+        a = np.stack([a0, a1], axis=1)
+        b = np.stack([np.broadcast_to(b0, a0.shape), np.broadcast_to(b1, a1.shape)], axis=1)
+        want = np.stack([guarded_pivots(a0, b0, sign), guarded_pivots(a1, b1, sign)], axis=1)
+        assert want[12, 1, lanes - 1] == -1e-30
+        self.assert_same(batch_pivots(a, b, sign), want)
+        head = batch_pivots(a[:10], b[:10], sign)
+        self.assert_same(batch_pivots(a[10:], b[10:], sign, head[-1]), want[10:])
 
     def test_negative_zero(self, sign, lanes):
         # -sign * a(n) = -0.0 and b(n) = 0 in a lane whose sigma_{n-1} > 0, the

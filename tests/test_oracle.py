@@ -1,6 +1,7 @@
 """Truncated Fock-space diagonalization and its independence cross-checks."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rabispec.oracle import (
     N_MAX_DEFAULT,
     TruncatedHamiltonian,
     _bands,
+    _block_reach,
     _jacobi_chains,
     _reach,
     eigen_in_range,
@@ -245,6 +247,42 @@ def test_reach_is_the_last_disc_below_e_max(model, sector, e_max):
     reaching = [h.labels[i][0] for i in range(h.dimension) if lower[i] <= e_max]
     bands, ns = _bands(model, map_sector(sector), 120)
     assert _reach(bands, ns, e_max) == max(reaching, default=0)
+
+
+def _reach_windows(count, seed):
+    """(model, sector, E_max): the strong-drive windows and ``count`` drawn ones.
+
+    The draws span the three models up to 2g/omega = 0.994, g/omega = 0.99 and
+    |g| = 8, with E_max in [-60, 60].  At strong drive the disc edges still
+    fall past 32 states, above E_max, and reach it further out.
+    """
+    rng = random.Random(seed)
+    out = [
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, g, 0.3), Sector.driven(), e_max)
+        for g, e_max in ((7.0, -45.5), (8.0, -60.5), (-7.5, -55.0))
+    ]
+    for _ in range(count):
+        kind, delta = rng.choice(list(ModelKind)), rng.uniform(0.0, 1.0)
+        if kind is ModelKind.TWO_PHOTON:
+            model = ModelParams(kind, 1.0, delta, rng.uniform(-0.497, 0.497))
+            sector = Sector.two_photon(rng.choice([0.25, 0.75]))
+        elif kind is ModelKind.TWO_MODE:
+            model = ModelParams(kind, 1.0, delta, rng.uniform(-0.99, 0.99))
+            sector = Sector.two_mode(rng.choice([0.5, 1.0, 1.5, 2.0]))
+        else:
+            model = ModelParams(kind, 1.0, delta, rng.uniform(-8.0, 8.0), rng.uniform(-1.0, 1.0))
+            sector = Sector.driven()
+        out.append((model, sector, rng.uniform(-60.0, 60.0)))
+    return out
+
+
+def test_doubling_bands_give_the_reach_at_n_max():
+    # the reach read from bands of 32, 64, ... states, stopped where the disc
+    # edges can only grow, is the reach of the bands at n_max
+    for model, sector, e_max in _reach_windows(300, 20261019):
+        osec = map_sector(sector)
+        want = _reach(*_bands(model, osec, N_MAX_DEFAULT), e_max)
+        assert _block_reach(model, osec, e_max, N_MAX_DEFAULT) == want, (model, sector, e_max)
 
 
 def _banded_in_range(h, lo, hi):

@@ -38,6 +38,25 @@ from reference import eval_continued_fraction, split_spectral_value
 from test_contfrac import _random_cases, plant_zero
 
 
+def collapse_window(model, sector):
+    """(model, sector, window): a window 4 wide from the default lower bound."""
+    lo = default_window_min(model, sector)
+    return model, sector, (lo, lo + 4.0)
+
+
+# two near-collapse windows (2g/omega = 0.92, g/omega = 0.92) whose levels
+# move under every doubling
+COLLAPSE_WINDOWS = [
+    collapse_window(ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.46), Sector.two_photon(0.25)),
+    collapse_window(ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.92), Sector.two_mode(1.5)),
+]
+COLLAPSE_IDS = ["two-photon", "two-mode"]
+# the README compare window: driven, 18 levels, a Juddian level on pole n = 1
+README_WINDOW = (
+    ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.6, 0.3), Sector.driven(), (-1.5, 8.0),
+)
+
+
 class TestSpectralFunction:
     def test_small_at_reference_eigenvalues(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
@@ -189,12 +208,12 @@ class TestComputeSpectrum:
         assert found == pytest.approx(oracle_vals, abs=1e-7)
 
     def test_few_count_calls(self, two_photon_ref):
-        # a multisection step settles four bits of every level: 12 count calls
+        # a multisection step settles four bits of every level: 11 count calls
         # on this window, where bisection took 39
         model, sector, window, _ = two_photon_ref
         opts = SpectrumOptions()
         result = compute_spectrum(model, sector, window, opts)
-        assert result.count_calls <= 15
+        assert result.count_calls <= 11
         assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots + result.flagged)
 
     def test_counters_tally_level_count(self, two_photon_ref, monkeypatch):
@@ -212,22 +231,30 @@ class TestComputeSpectrum:
         assert (result.count_calls, result.grid_points, result.count_row_steps) == (
             tally["calls"], tally["lanes"], tally["rows"])
 
-    @pytest.mark.parametrize("model, sector", [
-        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.46), Sector.two_photon(0.25)),
-        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.92), Sector.two_mode(1.5)),
-    ], ids=["two-photon", "two-mode"])
-    def test_collapse_window_renarrows_from_last_bracket(self, model, sector):
+    @pytest.mark.parametrize("model, sector, window", COLLAPSE_WINDOWS, ids=COLLAPSE_IDS)
+    def test_collapse_window_renarrows_from_last_bracket(self, model, sector, window):
         # near collapse the levels move a little under each doubling; cutting
-        # out from their last bracket takes 28 count calls on each window,
+        # out from their last bracket takes 27 count calls on each window,
         # where narrowing from the neighbours' brackets took 40 and 31
-        lo = default_window_min(model, sector)
-        window, opts = (lo, lo + 4.0), SpectrumOptions()
+        opts = SpectrumOptions()
         result = compute_spectrum(model, sector, window, opts)
         oracle_vals, _ = oracle_spectrum(model, sector, window)
         found = sorted(result.energies + [r.energy for r in result.flagged])
         assert found == pytest.approx(oracle_vals, abs=1e-7)
         assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots + result.flagged)
-        assert result.count_calls <= 28
+        assert result.count_calls <= 27
+
+    @pytest.mark.parametrize("case, work", zip(
+        [README_WINDOW, *COLLAPSE_WINDOWS], [(11, 768, 2413), (27, 4160, 1718), (27, 4160, 1277)],
+    ), ids=["readme"] + COLLAPSE_IDS)
+    def test_count_work_pinned(self, case, work):
+        # the count's work counters, (count_calls, count_row_steps,
+        # grid_points), at most their values when the count first took each
+        # point once: a change that adds count work fails here, with no timing
+        result = compute_spectrum(*case)
+        assert result.count_calls <= work[0]
+        assert result.count_row_steps <= work[1]
+        assert result.grid_points <= work[2]
 
     @pytest.mark.parametrize("levels", [
         # level 0 moves between the old brackets of levels 1 and 2, where no
@@ -252,21 +279,42 @@ class TestComputeSpectrum:
         assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots)
 
     def test_zero_pivot_across_count_chunks(self, two_photon_ref, monkeypatch):
-        # a 1,500-row count (two chunks) over a random table with exact zero
-        # pivots in the first row of the second chunk and further down equals
-        # the Sturm count of the per-row guarded pivots of the whole table
+        # a 1,500-row count over a random table equals the Sturm count of the
+        # per-row guarded forward pivots of the whole table.  The twisted
+        # factorisation meets at row 750, and each half runs in chunks of 512
+        # rows: forward rows 0..511 and 512..749, backward rows 1499..988 and
+        # 987..751.  Each lane holds one exact zero pivot: in the forward half,
+        # in the first row of its second chunk, in the backward half, in the
+        # first row of its second chunk; the last lane's pivots are powers of
+        # two with gamma_750 = 0, so its T is exactly singular and the forward
+        # pass meets its zero in the last row
         model, sector, _, _ = two_photon_ref
+        rows, k = 1500, 750
         rng = np.random.default_rng(5)
-        a, b = rng.uniform(-2.0, 2.0, (1500, 4)), rng.uniform(0.5, 1.5, (1500, 1))
-        plant_zero(a, b, 1.0, spectral._COUNT_CHUNK_ROWS, 0)
-        plant_zero(a, b, 1.0, 1300, 2)
+        a, b = rng.uniform(-2.0, 2.0, (rows, 5)), 2.0 ** rng.integers(-1, 2, (rows, 1))
+        # the last lane: alpha_n = sigma_n + b(n)/sigma_{n-1} below k and
+        # tau_n + b(n+1)/tau_{n+1} above it, every sum exact
+        pivots = rng.choice([-1.0, 1.0], rows) * 2.0 ** rng.integers(-3, 4, rows)
+        b_row = b[:, 0]
+        alpha = pivots.copy()
+        alpha[1:k] += b_row[1:k] / pivots[:k - 1]
+        alpha[k + 1:-1] += b_row[k + 2:] / pivots[k + 2:]
+        alpha[k] = b_row[k] / pivots[k - 1] + b_row[k + 1] / pivots[k + 1]
+        a[:, 4] = -alpha
+        plant_zero(a, b, 1.0, 300, 0)
+        plant_zero(a, b, 1.0, 512, 1)
+        plant_zero(a, b, 1.0, 1200, 2, backward=True)
+        plant_zero(a, b, 1.0, 987, 3, backward=True)
+        assert spectral._COUNT_CHUNK_ROWS == 1024
         monkeypatch.setattr(
             spectral, "coefficient_block",
             lambda model, sector, energies, n_lo, n_hi: (a[n_lo:n_hi + 1], b[n_lo:n_hi + 1]),
         )
-        energies = np.linspace(-3.0, -2.0, 4)  # below the first pole: no pole term
-        want = np.count_nonzero(reference.guarded_pivots(a, b, 1.0) < 0.0, axis=0)
-        np.testing.assert_array_equal(level_count(model, sector, energies, 1500), want)
+        energies = np.linspace(-3.0, -2.0, 5)  # below the first pole: no pole term
+        forward = reference.guarded_pivots(a, b, 1.0)
+        assert forward[-1, 4] == -1e-30  # the singular lane's last pivot was 0
+        want = np.count_nonzero(forward < 0.0, axis=0)
+        np.testing.assert_array_equal(level_count(model, sector, energies, rows), want)
 
     def test_residual_tables_equal_one_table(self, two_photon_ref, monkeypatch):
         # residuals read one level per table equal those read in one table
@@ -277,11 +325,14 @@ class TestComputeSpectrum:
 
     @pytest.mark.parametrize("chunk", [1, 7, 32])
     def test_chunked_count_equals_one_table(self, two_photon_ref, monkeypatch, chunk):
-        # 100 rows in chunks, the last one partial, against one 100-row table
+        # 100 rows in chunks of 1, 3 or 16 rows per half, the last one
+        # partial, against one table of 50 rows per half and the forward count
         model, sector, window, _ = two_photon_ref
         energies = np.linspace(*window, 201)
         energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
         one_table = level_count(model, sector, energies, 100)
+        np.testing.assert_array_equal(
+            one_table, reference.forward_count(model, sector, energies, 100))
         monkeypatch.setattr(spectral, "_COUNT_CHUNK_ROWS", chunk)
         np.testing.assert_array_equal(level_count(model, sector, energies, 100), one_table)
 
@@ -311,6 +362,46 @@ class TestComputeSpectrum:
     def test_default_window_min_below_ground(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
         assert default_window_min(model, sector) < eigs[0]
+
+
+class TestTwoEndedCount:
+    """``level_count``, the inertia of a twisted factorisation, against the forward Sturm count."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 64, 127, 1024, 2049, 5000])
+    def test_equals_forward_count_on_random_energies(self, rows):
+        rng = np.random.default_rng(rows)
+        for model, sector, energy in _random_cases(8, seed=rows):
+            energies = energy + rng.uniform(-2.0, 2.0, 6)
+            energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
+            np.testing.assert_array_equal(
+                level_count(model, sector, energies, rows),
+                reference.forward_count(model, sector, energies, rows),
+            )
+
+    @pytest.mark.parametrize("model, sector, window", [
+        README_WINDOW,
+        *COLLAPSE_WINDOWS,
+        collapse_window(
+            ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.495), Sector.two_photon(0.25)),
+    ], ids=["readme"] + COLLAPSE_IDS + ["two-photon-0.99"])
+    def test_each_point_counted_once_as_forward(self, monkeypatch, model, sector, window):
+        # every point compute_spectrum counts reaches level_count once per
+        # truncation, and its count equals the forward Sturm count
+        calls = []
+
+        def spy(model, sector, energies, rows):
+            counts = level_count(model, sector, energies, rows)
+            calls.append((rows, np.array(energies, dtype=float), counts))
+            return counts
+
+        monkeypatch.setattr(spectral, "level_count", spy)
+        compute_spectrum(model, sector, window)
+        for rows in sorted({rows for rows, _, _ in calls}):
+            energies = np.concatenate([e for r, e, _ in calls if r == rows])
+            counts = np.concatenate([c for r, _, c in calls if r == rows])
+            assert np.unique(energies).size == energies.size, rows
+            np.testing.assert_array_equal(
+                counts, reference.forward_count(model, sector, energies, rows))
 
 
 class TestDrivenHiddenPairs:
@@ -406,7 +497,7 @@ class TestBatchedEigencondition:
 # and the scalar-era model layer that coefficient_block replaced
 REFERENCE_NAMES = {
     "CFValue", "eval_continued_fraction", "backward_recursion_ratio", "backward_ratios",
-    "forward_ratio", "split_spectral_value",
+    "forward_ratio", "split_spectral_value", "forward_count",
 }
 RETIRED_NAMES = {
     "DivisionBlowup", "EmptyWindow", "CollapseRegimeWarning", "ConvergenceFailure",
