@@ -325,6 +325,21 @@ class TestJacobiChains:
         for k in sorted({1, min(9, h.dimension), min(40, h.dimension)}):
             assert_close_multiset(eigen_lowest(h, k), _banded_lowest(h, k))
 
+    @pytest.mark.parametrize("truncation", [4, 5, 64, 1024])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("drive", [0.3, -0.3, 1.0, -1.0])
+    def test_driven_matches_banded_bisection(self, drive, delta, sign, truncation):
+        # the whole-spectrum solve of a driven block against LAPACK's
+        # bisection of the window alone (dsbevx)
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, delta, sign * 1.2, drive)
+        h = build_hamiltonian(model, map_sector(Sector.driven()), truncation)
+        assert _jacobi_chains(h.bands) is None
+        lo, hi = -3.1, 12.7
+        assert_close_multiset(eigen_in_range(h, lo, hi), _banded_in_range(h, lo, hi))
+        for k in sorted({1, min(9, h.dimension), min(40, h.dimension)}):
+            assert_close_multiset(eigen_lowest(h, k), _banded_lowest(h, k))
+
     @pytest.mark.parametrize("drive", [0.3, -1.0])
     def test_driven_block_matches_dense(self, drive):
         model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 1.2, drive)
@@ -369,6 +384,31 @@ class TestJacobiChains:
         h = _hand_built(np.array([[0.0] * 4, [0.0] * 4, [0.0] * 4, [3.0, 1.0, 2.0, 4.0]]))
         assert eigen_in_range(h, 1.0, 3.0) == [2.0, 3.0]
         assert list(_banded_in_range(h, 1.0, 3.0)) == [2.0, 3.0]
+
+    def test_window_is_half_open_without_chains(self):
+        # the same on a block that does not split: the second superdiagonal
+        # couples states 0 and 2 into the levels 1 and 2, which the whole
+        # spectrum holds exactly
+        bands = np.zeros((4, 4))
+        bands[1, 2] = 0.5
+        bands[3] = [1.5, 4.0, 1.5, 3.0]
+        h = _hand_built(bands)
+        assert _jacobi_chains(h.bands) is None
+        assert eigen_lowest(h, 4) == [1.0, 2.0, 3.0, 4.0]
+        assert eigen_in_range(h, 1.0, 3.0) == [2.0, 3.0]
+        assert len(_banded_in_range(h, 1.0, 3.0)) == 2
+
+    @pytest.mark.parametrize("window", [(1.0, 1.0), (3.0, 1.0), (math.nan, 3.0), (1.0, math.nan)])
+    @pytest.mark.parametrize("drive", [0.0, 0.3])
+    def test_empty_or_nan_window_rejected(self, capfd, drive, window):
+        # rejected before LAPACK, which fails differently on each route and
+        # prints to the terminal on an empty window
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.6, drive)
+        h = build_hamiltonian(model, map_sector(Sector.driven()), 16)
+        assert (_jacobi_chains(h.bands) is None) == (drive != 0.0)
+        with pytest.raises(ValueError, match="lo < hi"):
+            eigen_in_range(h, *window)
+        assert capfd.readouterr() == ("", "")
 
 
 # (model, sector, window start above default_window_min, width): the three
@@ -510,6 +550,21 @@ class TestPhysics:
         e_min = default_window_min(model, Sector.driven())
         window = (e_min, e_min + 10.0 if e_max is None else e_max)
         assert oracle_spectrum(model, Sector.driven(), window)[1] == n_used
+
+    @pytest.mark.parametrize("g,drive,e_max,n_used,count", [
+        (1.0, 0.8, 60.0, 256, 123),
+        (2.0, 0.5, 50.0, 256, 109),
+        (2.5, 1.0, 40.0, 256, 94),
+        (3.0, 0.3, 30.0, 256, 79),
+    ])
+    def test_driven_wide_window_pinned(self, g, drive, e_max, n_used, count):
+        # wide windows like those of the benchmark's oracle workload, at
+        # delta = 0.5: a change of eigensolver moves neither the truncation
+        # nor the level count
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, g, drive)
+        window = (default_window_min(model, Sector.driven()), e_max)
+        vals, n = oracle_spectrum(model, Sector.driven(), window)
+        assert (n, len(vals)) == (n_used, count)
 
     @pytest.mark.parametrize("n_start", [None, 16])
     def test_no_false_stop_far_below_zero(self, n_start):
