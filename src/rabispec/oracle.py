@@ -27,6 +27,16 @@ decay there (Combes and Thomas, Commun. Math. Phys. 34, 251 (1973)) and
 their bulk lies within the reach.  A truncation below the reach can miss the
 window's levels at two successive doublings alike and stop on an empty list,
 so the reach is a lower bound on the truncation; the doubling finds the rest.
+
+A chain block need not solve its window anew at each doubling: the levels of
+the truncation before say where to look.  The doubled truncation is confirmed
+by Sturm counts (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)):
+one count of each chain's levels in the window, then one bisection of each
+previous level's stability bracket, which the level must not leave.  That
+narrows a level from a bracket of 2e-9 omega rather than from the window's
+width, in fewer than half the bisection steps.  Where a chain's brackets
+overlap, or a count differs, the truncation is solved over the whole window
+instead.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import TruncationCeiling
 from .models import ModelKind, ModelParams, Sector
@@ -45,7 +56,9 @@ _STAB_TOL_FACTOR = 1e-9  # stable: each level moves by < this * omega per doubli
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
 # bisection tolerance of the chain solver: twice the safe minimum, which
 # bisects each level to working accuracy (LAPACK's default, ulp times the
-# matrix norm, leaves errors near 1e-12 at truncation 4,096)
+# matrix norm, leaves errors near 1e-12 at truncation 4,096), whether from
+# the whole window or, when a doubled truncation is confirmed, from the
+# level's stability bracket
 _BISECT_TOL = 2.0 * np.finfo(float).tiny
 
 
@@ -192,6 +205,24 @@ def _jacobi_chains(bands: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | N
     return chains
 
 
+def _stebz(d: np.ndarray, e: np.ndarray, select: int, vl: float, vu: float,
+           il: int, iu: int, tol: float) -> np.ndarray:
+    """LAPACK's tridiagonal bisection (dstebz) of the chain (d, e), ascending.
+
+    ``select`` 1 takes the levels in (vl, vu], 2 those of 1-based index il
+    to iu; ``tol`` is the absolute bisection tolerance.  The f2py routine is
+    called directly: scipy's tridiagonal wrapper adds some 20 us of checks
+    to each call, and a confirmation makes one call per level.  Raises
+    LinAlgError on a nonzero info.
+    """
+    # the wrapper wants an off-diagonal of max(1, n - 1) entries
+    e = e if d.size > 1 else np.zeros(1)
+    m, w, _, _, info = lapack.dstebz(d, e, select, vl, vu, il, iu, tol, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
+    return w[:m]
+
+
 def eigen_lowest(h: TruncatedHamiltonian, k: int) -> list[float]:
     """The k smallest eigenvalues, ascending.
 
@@ -207,12 +238,52 @@ def eigen_lowest(h: TruncatedHamiltonian, k: int) -> list[float]:
         vals = scipy.linalg.eig_banded(h.bands, lower=False, eigvals_only=True)[:k]
     else:
         vals = np.sort(np.concatenate([
-            scipy.linalg.eigvalsh_tridiagonal(
-                d, e, select="i", select_range=(0, min(k, d.size) - 1), tol=_BISECT_TOL
-            )
-            for d, e in chains
+            _stebz(d, e, 2, 0.0, 0.0, 1, min(k, d.size), _BISECT_TOL) for d, e in chains
         ]))[:k]
     return [float(v) for v in vals]
+
+
+def _chains_in_range(
+    chains: list[tuple[np.ndarray, np.ndarray]], lo: float, hi: float
+) -> list[np.ndarray]:
+    """Each chain's levels in (lo, hi], bisected from the whole window."""
+    return [_stebz(d, e, 1, lo, hi, 0, 0, _BISECT_TOL) for d, e in chains]
+
+
+def _confirmed(
+    chains: list[tuple[np.ndarray, np.ndarray]],
+    prev: list[np.ndarray],
+    lo: float,
+    hi: float,
+    tol: float,
+) -> list[float] | None:
+    """The chains' levels in (lo, hi] if each stayed within ``tol`` of a level of ``prev``.
+
+    ``prev`` holds each chain's levels at the truncation before.  A chain
+    passes when its count in (lo, hi] is that of ``prev`` and the bracket
+    (max(lo, p - tol), min(hi, p + tol)) of each previous level p holds
+    exactly one level, which is bisected there.  For disjoint brackets that
+    is the test that each sorted pair moved by less than ``tol``.  Returns
+    the merged levels, ascending, or None if a chain fails or its brackets
+    do not lie apart, when only a solve of the whole window can tell.
+    """
+    out = []
+    for (d, e), p in zip(chains, prev):
+        lower = np.maximum(lo, p - tol)
+        # just below p + tol: a level that moved by tol is refused
+        upper = np.minimum(hi, np.nextafter(p + tol, -np.inf))
+        if not ((lower < upper).all() and (lower[1:] >= upper[:-1]).all()):
+            return None
+        # an absolute tolerance of the window's width stops the bisection
+        # at once: only the count is wanted
+        if _stebz(d, e, 1, lo, hi, 0, 0, hi - lo).size != p.size:
+            return None
+        for vl, vu in zip(lower.tolist(), upper.tolist()):
+            w = _stebz(d, e, 1, vl, vu, 0, 0, _BISECT_TOL)
+            if w.size != 1:
+                return None
+            out.append(float(w[0]))
+    return sorted(out)
 
 
 def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]:
@@ -231,12 +302,7 @@ def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]
         vals = scipy.linalg.eig_banded(h.bands, lower=False, eigvals_only=True)
         vals = vals[(vals > lo) & (vals <= hi)]
     else:
-        vals = np.sort(np.concatenate([
-            scipy.linalg.eigvalsh_tridiagonal(
-                d, e, select="v", select_range=(lo, hi), tol=_BISECT_TOL
-            )
-            for d, e in chains
-        ]))
+        vals = np.sort(np.concatenate(_chains_in_range(chains, lo, hi)))
     return [float(v) for v in vals]
 
 
@@ -319,6 +385,15 @@ def oracle_spectrum(
     happens up to ``n_max``, and ValueError if ``n_start`` exceeds it.  Both
     window edges must be finite, as for ``compute_spectrum``: an infinite
     upper edge takes in new levels at every truncation.
+
+    A block that splits into Jacobi chains first tries to confirm a doubled
+    truncation from each chain's previous levels (``_confirmed``): a count
+    of the window and a bisection of each level's stability bracket.  If
+    that fails, or a chain's previous levels lie within twice the tolerance
+    of each other, the window is solved whole and each sorted pair compared,
+    as for the driven block, whose solver has no Sturm count.  Either way the
+    truncation stops where the pairwise test would, up to rounding at a
+    bracket's edge.
     """
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
@@ -331,9 +406,19 @@ def oracle_spectrum(
     if n > n_max:
         raise ValueError(f"starting truncation {n} exceeds the ceiling n_max={n_max}")
     prev: list[float] | None = None
+    prev_chains: list[np.ndarray] | None = None
     while n <= n_max:
         h = build_hamiltonian(model, osector, n)
-        vals = eigen_in_range(h, e_min, e_max)
+        chains = _jacobi_chains(h.bands)
+        if chains is None:
+            vals = eigen_in_range(h, e_min, e_max)
+        else:
+            if prev_chains is not None:
+                confirmed = _confirmed(chains, prev_chains, e_min, e_max, tol)
+                if confirmed is not None:
+                    return confirmed, n
+            prev_chains = _chains_in_range(chains, e_min, e_max)
+            vals = np.sort(np.concatenate(prev_chains)).tolist()
         if prev is not None and len(vals) == len(prev):
             if all(abs(a - b) < tol for a, b in zip(vals, prev)):
                 return vals, n

@@ -15,7 +15,10 @@ sequences; ``BlockCoeffs`` is that object for a model, read from
   pass from row 0, before it read the count off a twisted factorisation;
 - ``wavefunction_sums``: ``series.eval_wavefunction`` as one loop over Python floats;
 - ``fixed_depth_tail``: the start row 2 * order + 64 of ``series.minimal_series``
-  before ``contfrac.backward_tail`` placed it.
+  before ``contfrac.backward_tail`` placed it;
+- ``doubling_oracle_spectrum``: ``oracle.oracle_spectrum`` solving the whole
+  window at every truncation, before a doubled truncation of a chain block
+  was confirmed from the levels of the one before.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rabispec.contfrac import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL
-from rabispec.errors import PoleCollision, TruncationInsufficient
+from rabispec.errors import PoleCollision, TruncationCeiling, TruncationInsufficient
 from rabispec.models import (
     ModelParams,
     Sector,
@@ -34,6 +37,14 @@ from rabispec.models import (
     coefficient_block,
     distance_to_pole_set,
     pole_lattice,
+)
+from rabispec.oracle import (
+    _STAB_TOL_FACTOR,
+    N_MAX_DEFAULT,
+    _initial_truncation,
+    build_hamiltonian,
+    eigen_in_range,
+    map_sector,
 )
 
 _TINY = 1e-30
@@ -291,3 +302,30 @@ def fixed_depth_tail(block, lanes, n: int, eps: float) -> int:
     this tail it starts at row 2 * order + 64, whatever the coefficients.
     """
     return n + 64
+
+
+def doubling_oracle_spectrum(
+    model: ModelParams,
+    sector: Sector,
+    window: tuple[float, float],
+    n_start: int | None = None,
+    n_max: int = N_MAX_DEFAULT,
+) -> tuple[list[float], int]:
+    """``oracle.oracle_spectrum`` as a whole-window solve at every truncation.
+
+    From the same first truncation the cutoff doubles until the window holds
+    as many levels as at the one before and each sorted pair lies closer
+    than ``_STAB_TOL_FACTOR * omega``.  Window checks are left to the caller.
+    """
+    osector = map_sector(sector)
+    tol = _STAB_TOL_FACTOR * model.omega
+    n = _initial_truncation(model, osector, window[1], n_start, n_max)
+    prev = None
+    while n <= n_max:
+        vals = eigen_in_range(build_hamiltonian(model, osector, n), *window)
+        if prev is not None and len(vals) == len(prev):
+            if all(abs(a - b) < tol for a, b in zip(vals, prev)):
+                return vals, n
+        prev = vals
+        n *= 2
+    raise TruncationCeiling(f"eigenvalues did not stabilize below truncation {n_max}")

@@ -19,17 +19,23 @@ from rabispec import (
     oracle_spectrum,
 )
 from rabispec.oracle import (
+    _BISECT_TOL,
+    _STAB_TOL_FACTOR,
     N_MAX_DEFAULT,
     TruncatedHamiltonian,
     _bands,
     _block_reach,
+    _chains_in_range,
+    _confirmed,
     _jacobi_chains,
     _reach,
+    _stebz,
     eigen_in_range,
 )
 from rabispec.spectral import default_window_min
 
 from conftest import rabispec_imports
+from reference import doubling_oracle_spectrum
 
 
 def inertia_below(a, x):
@@ -411,6 +417,155 @@ class TestJacobiChains:
         assert capfd.readouterr() == ("", "")
 
 
+def _random_chain(rows, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3.0, 3.0, rows), rng.uniform(-1.0, 1.0, rows - 1)
+
+
+class TestStebz:
+    """The direct dstebz call against scipy's tridiagonal wrapper at the same tolerance."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 33])
+    @pytest.mark.parametrize("lo,hi", [
+        (-math.inf, math.inf), (-math.inf, 0.5), (-0.5, math.inf), (-1.0, 1.5), (8.0, 9.0),
+    ])
+    def test_by_value(self, rows, lo, hi):
+        d, e = _random_chain(rows, rows)
+        got = _stebz(d, e, 1, lo, hi, 0, 0, _BISECT_TOL)
+        ref = scipy.linalg.eigvalsh_tridiagonal(
+            d, e, select="v", select_range=(lo, hi), tol=_BISECT_TOL
+        )
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("rows", [1, 2, 33])
+    def test_by_index(self, rows):
+        # the k lowest, as eigen_lowest selects them
+        d, e = _random_chain(rows, rows)
+        for k in sorted({1, min(2, rows), rows}):
+            got = _stebz(d, e, 2, 0.0, 0.0, 1, k, _BISECT_TOL)
+            ref = scipy.linalg.eigvalsh_tridiagonal(
+                d, e, select="i", select_range=(0, k - 1), tol=_BISECT_TOL
+            )
+            assert np.array_equal(got, ref)
+
+    def test_window_is_half_open(self):
+        d, e = np.array([3.0, 1.0, 2.0]), np.zeros(2)
+        assert _stebz(d, e, 1, 1.0, 3.0, 0, 0, _BISECT_TOL).tolist() == [2.0, 3.0]
+
+    def test_error_raised(self, capfd):
+        # an empty window is an illegal argument to LAPACK, which says so on
+        # the terminal and returns info = -5
+        d, e = _random_chain(4, 0)
+        with pytest.raises(np.linalg.LinAlgError, match="info=-5"):
+            _stebz(d, e, 1, 1.0, 0.0, 0, 0, _BISECT_TOL)
+        capfd.readouterr()
+
+
+class TestConfirmation:
+    """A doubled truncation confirmed from the levels before, on hand-built chains."""
+
+    tol = _STAB_TOL_FACTOR
+    lo, hi = -1.0, 1.5
+
+    def _chains(self):
+        return [_random_chain(33, 1), _random_chain(40, 2)]
+
+    def _levels(self, chains):
+        return [_stebz(d, e, 1, self.lo, self.hi, 0, 0, _BISECT_TOL) for d, e in chains]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_levels_within_tol_confirmed(self, sign):
+        chains = self._chains()
+        levels = self._levels(chains)
+        assert all(p.size >= 2 for p in levels)
+        prev = [p + sign * 0.9 * self.tol for p in levels]
+        got = _confirmed(chains, prev, self.lo, self.hi, self.tol)
+        want = np.sort(np.concatenate(levels))
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_level_moved_by_more_than_tol_refused(self, sign):
+        chains = self._chains()
+        levels = self._levels(chains)
+        # one level of the second chain moved too far; the first chain passes
+        prev = [levels[0], levels[1].copy()]
+        prev[1][1] += sign * 1.1 * self.tol
+        assert _confirmed(chains, prev, self.lo, self.hi, self.tol) is None
+        prev[1][1] = levels[1][1] + sign * 0.9 * self.tol
+        assert _confirmed(chains, prev, self.lo, self.hi, self.tol) is not None
+
+    def test_level_leaving_or_entering_refused(self):
+        chains = self._chains()
+        d, e = chains[0]
+        top = float(_stebz(d, e, 1, self.lo, self.hi, 0, 0, _BISECT_TOL)[-1])
+        # the window's upper edge just below the chain's top level: within
+        # tol of it, the level was inside before and has left
+        hi = top - 0.3 * self.tol
+        inside = _stebz(d, e, 1, self.lo, hi, 0, 0, _BISECT_TOL)
+        left = [np.append(inside, hi)]
+        assert _confirmed(chains[:1], left, self.lo, hi, self.tol) is None
+        assert _confirmed(chains[:1], [inside], self.lo, hi, self.tol) is not None
+        # just above it: the top level has entered, and was not there before
+        hi = top + 0.3 * self.tol
+        assert _confirmed(chains[:1], [inside], self.lo, hi, self.tol) is None
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_level_moved_by_exactly_tol_refused(self, sign):
+        # the pairwise test is strict: with tol a power of two, p +- tol is
+        # exact, and a level there has moved by tol
+        tol = 2.0**-30
+        d, e = np.array([0.25, 0.5 + sign * tol]), np.zeros(1)
+        assert _confirmed([(d, e)], [np.array([0.25, 0.5])], self.lo, self.hi, tol) is None
+        d[1] = 0.5 + sign * tol * (1.0 - 2.0**-20)
+        assert _confirmed([(d, e)], [np.array([0.25, 0.5])], self.lo, self.hi, tol) == d.tolist()
+
+    @pytest.mark.parametrize("edge", ["lo", "hi"])
+    def test_level_swapped_across_window_edge_refused(self, edge):
+        # one level leaves the window within tol of where it was while
+        # another enters elsewhere: the counts agree, but the bracket,
+        # clipped to the window, is empty
+        lo, hi, tol = self.lo, self.hi, self.tol
+        at, out = (lo, -1.0) if edge == "lo" else (hi, 1.0)
+        left, kept = at + out * 0.3 * tol, at - out * 0.3 * tol
+        d, e = np.array([0.5, left, 1.0]), np.zeros(2)
+        assert _stebz(d, e, 1, lo, hi, 0, 0, _BISECT_TOL).tolist() == [0.5, 1.0]
+        assert _confirmed([(d, e)], [np.sort([0.5, kept])], lo, hi, tol) is None
+
+    def test_close_levels_fall_back(self, monkeypatch):
+        # two levels closer than 2 tol share a bracket: no bisection is
+        # tried, and oracle_spectrum would solve the whole window
+        d, e = np.array([0.2, 0.2 + 1.5 * self.tol, 0.9]), np.zeros(2)
+        prev = [d.copy()]
+        calls = []
+        monkeypatch.setattr("rabispec.oracle._stebz", lambda *a: calls.append(a) or _stebz(*a))
+        assert _confirmed([(d, e)], prev, self.lo, self.hi, self.tol) is None
+        assert calls == []
+        # the spacing of the previous levels decides, not that of the new
+        prev = [np.array([0.2 - 0.5 * self.tol, 0.2 + 2.0 * self.tol, 0.9])]
+        assert _confirmed([(d, e)], prev, self.lo, self.hi, self.tol) == d.tolist()
+
+    def test_bracket_lost_to_rounding_falls_back(self, monkeypatch):
+        # at |E| = 1e8 the spacing of doubles exceeds tol, and p +- tol
+        # rounds to p: the bracket is empty, so no bisection is tried
+        d, e = np.array([1e8, 2e8]), np.zeros(1)
+        calls = []
+        monkeypatch.setattr("rabispec.oracle._stebz", lambda *a: calls.append(a) or _stebz(*a))
+        assert _confirmed([(d, e)], [d[:1].copy()], 0.0, 1.5e8, self.tol) is None
+        assert calls == []
+
+    def test_window_stays_half_open(self):
+        # a level exactly at hi is kept, one exactly at lo left out
+        d, e = np.array([-1.0, 0.5, 1.5]), np.zeros(2)
+        prev = [np.array([0.5, 1.5])]
+        assert _confirmed([(d, e)], prev, self.lo, self.hi, self.tol) == [0.5, 1.5]
+        prev = [np.array([-1.0, 0.5, 1.5])]
+        assert _confirmed([(d, e)], prev, self.lo, self.hi, self.tol) is None
+
+    def test_empty_chain_confirmed(self):
+        d, e = np.array([5.0, 6.0]), np.array([0.1])
+        assert _confirmed([(d, e)], [np.zeros(0)], self.lo, self.hi, self.tol) == []
+
+
 # (model, sector, window start above default_window_min, width): the three
 # models from weak coupling to 2g/omega = 0.98 and g/omega = 0.95, with
 # windows at the ground state and shifted off it
@@ -428,6 +583,25 @@ STABILITY_WINDOWS = [
     (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.0, 1.0, 0.0), Sector.driven(), 0.0, 10.0),
     (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 1.0, 0.1, 0.5), Sector.driven(), 0.0, 25.0),
 ]
+
+
+# (kind, g, sector, E_max, truncation used, level count): the chain windows
+# of the benchmark's oracle workload, from default_window_min at delta = 0.5
+CHAIN_WIDE_WINDOWS = [
+    (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), 50.0, 512, 64),
+    (ModelKind.TWO_PHOTON, 0.44, Sector.two_photon(0.75), 30.0, 1024, 64),
+    (ModelKind.TWO_PHOTON, 0.47, Sector.two_photon(0.25), 25.0, 2048, 76),
+    (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), 20.0, 4096, 104),
+    (ModelKind.TWO_MODE, 0.8, Sector.two_mode(0.5), 40.0, 512, 68),
+    (ModelKind.TWO_MODE, 0.9, Sector.two_mode(1.0), 40.0, 1024, 94),
+    (ModelKind.TWO_MODE, 0.93, Sector.two_mode(1.5), 25.0, 512, 68),
+    (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), 30.0, 1024, 100),
+]
+
+# a driven window whose levels lie near boson number 49, far below zero
+FAR_BELOW_ZERO = (
+    ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 7.0, 0.3), Sector.driven(), (-49.5, -45.5)
+)
 
 
 class TestPhysics:
@@ -566,19 +740,55 @@ class TestPhysics:
         vals, n = oracle_spectrum(model, Sector.driven(), window)
         assert (n, len(vals)) == (n_used, count)
 
+    @pytest.mark.parametrize("kind,g,sector,e_max,n_used,count", CHAIN_WIDE_WINDOWS)
+    def test_chain_wide_window_pinned(self, monkeypatch, kind, g, sector, e_max, n_used, count):
+        # the chain windows of the benchmark's oracle workload, at delta =
+        # 0.5: the last truncation is confirmed, not solved over the window
+        solved = []
+        monkeypatch.setattr("rabispec.oracle._chains_in_range",
+                            lambda chains, *a: solved.append(chains[0][0].size)
+                            or _chains_in_range(chains, *a))
+        model = ModelParams(kind, 1.0, 0.5, g)
+        window = (default_window_min(model, sector), e_max)
+        vals, n = oracle_spectrum(model, sector, window)
+        assert (n, len(vals)) == (n_used, count)
+        rows = _jacobi_chains(build_hamiltonian(model, map_sector(sector), n).bands)[0][0].size
+        assert solved and max(solved) < rows
+
     @pytest.mark.parametrize("n_start", [None, 16])
     def test_no_false_stop_far_below_zero(self, n_start):
         # the window's levels live near boson number g^2 = 49, where the
         # diagonal sits far above E_max: the blocks at 16 and 32 hold none of
         # them, so a start below the reach (83) would see no level at n and 2n
         # alike and return none
-        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 7.0, 0.3)
-        window = (-49.5, -45.5)
+        model, _, window = FAR_BELOW_ZERO
         vals, n_used = oracle_spectrum(model, Sector.driven(), window, n_start=n_start)
         assert len(vals) == 8
         assert n_used <= 512
         h = build_hamiltonian(model, map_sector(Sector.driven()), 2 * n_used)
         assert vals == pytest.approx(eigen_in_range(h, *window), abs=1e-9)
+
+
+def _reference_windows():
+    for model, sector, lo, width in STABILITY_WINDOWS:
+        e_min = default_window_min(model, sector) + lo
+        yield model, sector, (e_min, e_min + width), None
+    for n_start in (None, 16):
+        yield FAR_BELOW_ZERO + (n_start,)
+    for kind, g, sector, e_max, _, _ in CHAIN_WIDE_WINDOWS:
+        model = ModelParams(kind, 1.0, 0.5, g)
+        yield model, sector, (default_window_min(model, sector), e_max), None
+
+
+@pytest.mark.parametrize("model,sector,window,n_start", list(_reference_windows()))
+def test_matches_whole_window_doubling(model, sector, window, n_start):
+    # the confirmation stops at the truncation the pairwise test of whole-
+    # window solves stops at, with the same levels
+    vals, n = oracle_spectrum(model, sector, window, n_start=n_start)
+    ref, n_ref = doubling_oracle_spectrum(model, sector, window, n_start=n_start)
+    assert (n, len(vals)) == (n_ref, len(ref))
+    ref = np.array(ref)
+    assert np.all(np.abs(np.array(vals) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_oracle_reads_no_solver_formula():

@@ -497,7 +497,7 @@ class TestBatchedEigencondition:
 # and the scalar-era model layer that coefficient_block replaced
 REFERENCE_NAMES = {
     "CFValue", "eval_continued_fraction", "backward_recursion_ratio", "backward_ratios",
-    "forward_ratio", "split_spectral_value", "forward_count",
+    "forward_ratio", "split_spectral_value", "forward_count", "doubling_oracle_spectrum",
 }
 RETIRED_NAMES = {
     "DivisionBlowup", "EmptyWindow", "CollapseRegimeWarning", "ConvergenceFailure",
