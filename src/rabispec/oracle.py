@@ -5,17 +5,16 @@ elements in a sector-resolved basis, interleaving spin within the boson index
 so the matrices are banded with three superdiagonals.  In the two-photon and
 two-mode blocks the Z2 parity splits that basis into two uncoupled Jacobi
 (symmetric tridiagonal) chains, (0,+)-(1,-)-(2,+)-... and (0,-)-(1,+)-... in
-the block's boson index, each solved by LAPACK's tridiagonal bisection
-(dstebz), which costs O(k n) for k levels and needs no reduction.  The
-driven block, which breaks the parity, goes whole to LAPACK's banded
-symmetric solver (dsbevd), and the window's levels are picked from its
-spectrum.  That solver first reduces the band to a tridiagonal, O(n^2) work
-that a windowed solve (dsbevx) pays too; after it, one root-free QR sweep
-(dsterf, O(n^2)) yields every level, where dsbevx bisects each of the
-window's levels anew over all n rows.  That makes the whole spectrum about
-three times faster on wide windows of a hundred levels, and two to four
-times slower on a deep window of a handful.  The split is read off the
-matrix's sparsity pattern, and neither route shares anything with the
+the block's boson index.  The driven block, which breaks the parity, goes
+whole to LAPACK's banded symmetric solver (dsbevd), which first reduces the
+band to a tridiagonal.  Either way one root-free QR sweep (dsterf; Parlett,
+The Symmetric Eigenvalue Problem, 8.15) yields the whole spectrum in O(n^2),
+and the window's levels are picked from it.  On wide windows of a hundred
+levels that is faster than bisecting each of them from the window's width,
+O(n) per level (dstebz on a chain, dsbevx on the band after its
+reduction); on a deep window of a handful of levels it is about twice as
+slow on a chain and up to four times on the band.  The split is read off
+the matrix's sparsity pattern, and neither route shares anything with the
 continued-fraction route.
 
 The truncation is doubled until the window's levels stop moving.  The first
@@ -31,12 +30,12 @@ so the reach is a lower bound on the truncation; the doubling finds the rest.
 A chain block need not solve its window anew at each doubling: the levels of
 the truncation before say where to look.  The doubled truncation is confirmed
 by Sturm counts (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)):
-one count of each chain's levels in the window, then one bisection of each
-previous level's stability bracket, which the level must not leave.  That
-narrows a level from a bracket of 2e-9 omega rather than from the window's
-width, in fewer than half the bisection steps.  Where a chain's brackets
-overlap, or a count differs, the truncation is solved over the whole window
-instead.
+one count of each chain's levels in the window, then one bisection (dstebz)
+of each previous level's stability bracket, which the level must not leave.
+That narrows a level from a bracket of 2e-9 omega rather than from the
+window's width, and costs O(n) per level where the whole spectrum of the
+doubled chain would cost O(n^2).  Where a chain's brackets overlap, or a
+count differs, the truncation is solved whole instead.
 """
 
 from __future__ import annotations
@@ -54,11 +53,10 @@ from .models import ModelKind, ModelParams, Sector
 N_MAX_DEFAULT = 2**13
 _STAB_TOL_FACTOR = 1e-9  # stable: each level moves by < this * omega per doubling
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
-# bisection tolerance of the chain solver: twice the safe minimum, which
-# bisects each level to working accuracy (LAPACK's default, ulp times the
-# matrix norm, leaves errors near 1e-12 at truncation 4,096), whether from
-# the whole window or, when a doubled truncation is confirmed, from the
-# level's stability bracket
+# bisection tolerance of a confirmed chain's levels: twice the safe minimum,
+# which bisects each level to working accuracy inside its stability bracket
+# (LAPACK's default, ulp times the matrix norm, leaves errors near 1e-12 at
+# truncation 4,096)
 _BISECT_TOL = 2.0 * np.finfo(float).tiny
 
 
@@ -205,49 +203,68 @@ def _jacobi_chains(bands: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | N
     return chains
 
 
-def _stebz(d: np.ndarray, e: np.ndarray, select: int, vl: float, vu: float,
-           il: int, iu: int, tol: float) -> np.ndarray:
-    """LAPACK's tridiagonal bisection (dstebz) of the chain (d, e), ascending.
+def _offdiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The chain's off-diagonal as the f2py wrappers of dstebz and dsterf take it.
 
-    ``select`` 1 takes the levels in (vl, vu], 2 those of 1-based index il
-    to iu; ``tol`` is the absolute bisection tolerance.  The f2py routine is
-    called directly: scipy's tridiagonal wrapper adds some 20 us of checks
-    to each call, and a confirmation makes one call per level.  Raises
-    LinAlgError on a nonzero info.
+    They want max(1, n - 1) entries, so a 1-row chain gets one zero.
     """
-    # the wrapper wants an off-diagonal of max(1, n - 1) entries
-    e = e if d.size > 1 else np.zeros(1)
-    m, w, _, _, info = lapack.dstebz(d, e, select, vl, vu, il, iu, tol, "E")
+    return e if d.size > 1 else np.zeros(1)
+
+
+def _sterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The whole spectrum of the chain (d, e), ascending, from LAPACK's
+    root-free QR sweep (dsterf).  Raises LinAlgError on a nonzero info."""
+    w, info = lapack.dsterf(d, _offdiagonal(d, e))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
+    return w
+
+
+def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float, tol: float) -> np.ndarray:
+    """The levels of the chain (d, e) in (vl, vu], ascending, by LAPACK's
+    tridiagonal bisection (dstebz) to the absolute tolerance ``tol``.
+
+    The f2py routine is called directly: scipy's tridiagonal wrapper adds
+    some 20 us of checks to each call, and a confirmation makes one call per
+    level.  Raises LinAlgError on a nonzero info.
+    """
+    m, w, _, _, info = lapack.dstebz(d, _offdiagonal(d, e), 1, vl, vu, 0, 0, tol, "E")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
     return w[:m]
 
 
-def eigen_lowest(h: TruncatedHamiltonian, k: int) -> list[float]:
-    """The k smallest eigenvalues, ascending.
+def _in_window(vals: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The values in (lo, hi]."""
+    return vals[(vals > lo) & (vals <= hi)]
 
-    A parity-symmetric block is solved as its two Jacobi chains, bisecting
-    the k lowest of each (dstebz) and merging them; any other block is
-    diagonalized whole by LAPACK's banded symmetric solver (dsbevd), and the
-    first k of its spectrum are kept.
+
+def _spectrum(bands: np.ndarray) -> np.ndarray:
+    """The block's whole spectrum, ascending.
+
+    A parity-symmetric block is solved as its two Jacobi chains (dsterf
+    each) and their spectra merged; any other block goes whole to LAPACK's
+    banded symmetric solver (dsbevd).
     """
+    chains = _jacobi_chains(bands)
+    if chains is None:
+        return scipy.linalg.eig_banded(bands, lower=False, eigvals_only=True)
+    return np.sort(np.concatenate([_sterf(d, e) for d, e in chains]))
+
+
+def eigen_lowest(h: TruncatedHamiltonian, k: int) -> list[float]:
+    """The k smallest eigenvalues, ascending: the first k of the block's
+    whole spectrum (``_spectrum``)."""
     if not 1 <= k <= h.dimension:
         raise ValueError("need 1 <= k <= dimension")
-    chains = _jacobi_chains(h.bands)
-    if chains is None:
-        vals = scipy.linalg.eig_banded(h.bands, lower=False, eigvals_only=True)[:k]
-    else:
-        vals = np.sort(np.concatenate([
-            _stebz(d, e, 2, 0.0, 0.0, 1, min(k, d.size), _BISECT_TOL) for d, e in chains
-        ]))[:k]
-    return [float(v) for v in vals]
+    return _spectrum(h.bands)[:k].tolist()
 
 
 def _chains_in_range(
     chains: list[tuple[np.ndarray, np.ndarray]], lo: float, hi: float
 ) -> list[np.ndarray]:
-    """Each chain's levels in (lo, hi], bisected from the whole window."""
-    return [_stebz(d, e, 1, lo, hi, 0, 0, _BISECT_TOL) for d, e in chains]
+    """Each chain's levels in (lo, hi], picked from its whole spectrum (dsterf)."""
+    return [_in_window(_sterf(d, e), lo, hi) for d, e in chains]
 
 
 def _confirmed(
@@ -265,7 +282,7 @@ def _confirmed(
     exactly one level, which is bisected there.  For disjoint brackets that
     is the test that each sorted pair moved by less than ``tol``.  Returns
     the merged levels, ascending, or None if a chain fails or its brackets
-    do not lie apart, when only a solve of the whole window can tell.
+    do not lie apart, when only a solve of the whole chain can tell.
     """
     out = []
     for (d, e), p in zip(chains, prev):
@@ -276,10 +293,10 @@ def _confirmed(
             return None
         # an absolute tolerance of the window's width stops the bisection
         # at once: only the count is wanted
-        if _stebz(d, e, 1, lo, hi, 0, 0, hi - lo).size != p.size:
+        if _stebz(d, e, lo, hi, hi - lo).size != p.size:
             return None
         for vl, vu in zip(lower.tolist(), upper.tolist()):
-            w = _stebz(d, e, 1, vl, vu, 0, 0, _BISECT_TOL)
+            w = _stebz(d, e, vl, vu, _BISECT_TOL)
             if w.size != 1:
                 return None
             out.append(float(w[0]))
@@ -289,21 +306,13 @@ def _confirmed(
 def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]:
     """All eigenvalues in (lo, hi], ascending; ValueError unless lo < hi.
 
-    A parity-symmetric block is solved as its two Jacobi chains by bisection
-    (LAPACK dstebz), which takes the half-open window (lo, hi] itself.  Any
-    other block is diagonalized whole by LAPACK's banded symmetric solver
-    (dsbevd), and its eigenvalues in (lo, hi] are kept.  Either edge may be
-    infinite.
+    They are picked from the block's whole spectrum (``_spectrum``: dsterf
+    on each Jacobi chain of a parity-symmetric block, dsbevd on any other).
+    Either edge may be infinite.
     """
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
-    chains = _jacobi_chains(h.bands)
-    if chains is None:
-        vals = scipy.linalg.eig_banded(h.bands, lower=False, eigvals_only=True)
-        vals = vals[(vals > lo) & (vals <= hi)]
-    else:
-        vals = np.sort(np.concatenate(_chains_in_range(chains, lo, hi)))
-    return [float(v) for v in vals]
+    return _in_window(_spectrum(h.bands), lo, hi).tolist()
 
 
 def _disc_edges(bands: np.ndarray) -> np.ndarray:
@@ -386,12 +395,15 @@ def oracle_spectrum(
     window edges must be finite, as for ``compute_spectrum``: an infinite
     upper edge takes in new levels at every truncation.
 
-    A block that splits into Jacobi chains first tries to confirm a doubled
+    Each truncation is read from the block's bands alone (``_bands``).  A
+    block that splits into Jacobi chains first tries to confirm a doubled
     truncation from each chain's previous levels (``_confirmed``): a count
     of the window and a bisection of each level's stability bracket.  If
     that fails, or a chain's previous levels lie within twice the tolerance
-    of each other, the window is solved whole and each sorted pair compared,
-    as for the driven block, whose solver has no Sturm count.  Either way the
+    of each other, or there is no truncation before, each chain's whole
+    spectrum is taken (dsterf) and its levels in the window kept, and each
+    sorted pair is compared, as for the driven block, whose whole spectrum
+    comes from dsbevd and which has no Sturm count.  Either way the
     truncation stops where the pairwise test would, up to rounding at a
     bracket's edge.
     """
@@ -408,10 +420,10 @@ def oracle_spectrum(
     prev: list[float] | None = None
     prev_chains: list[np.ndarray] | None = None
     while n <= n_max:
-        h = build_hamiltonian(model, osector, n)
-        chains = _jacobi_chains(h.bands)
+        bands, _ = _bands(model, osector, n)
+        chains = _jacobi_chains(bands)
         if chains is None:
-            vals = eigen_in_range(h, e_min, e_max)
+            vals = _in_window(_spectrum(bands), e_min, e_max).tolist()
         else:
             if prev_chains is not None:
                 confirmed = _confirmed(chains, prev_chains, e_min, e_max, tol)

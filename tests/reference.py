@@ -18,7 +18,9 @@ sequences; ``BlockCoeffs`` is that object for a model, read from
   before ``contfrac.backward_tail`` placed it;
 - ``doubling_oracle_spectrum``: ``oracle.oracle_spectrum`` solving the whole
   window at every truncation, before a doubled truncation of a chain block
-  was confirmed from the levels of the one before.
+  was confirmed from the levels of the one before, with each Jacobi chain
+  bisected over the window (scipy's ``eigvalsh_tridiagonal``), not taken
+  from its whole spectrum.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from rabispec.contfrac import DEFAULT_MAX_DEPTH, DEFAULT_REL_TOL
 from rabispec.errors import PoleCollision, TruncationCeiling, TruncationInsufficient
@@ -39,9 +42,11 @@ from rabispec.models import (
     pole_lattice,
 )
 from rabispec.oracle import (
+    _BISECT_TOL,
     _STAB_TOL_FACTOR,
     N_MAX_DEFAULT,
     _initial_truncation,
+    _jacobi_chains,
     build_hamiltonian,
     eigen_in_range,
     map_sector,
@@ -315,14 +320,22 @@ def doubling_oracle_spectrum(
 
     From the same first truncation the cutoff doubles until the window holds
     as many levels as at the one before and each sorted pair lies closer
-    than ``_STAB_TOL_FACTOR * omega``.  Window checks are left to the caller.
+    than ``_STAB_TOL_FACTOR * omega``.  Each Jacobi chain of a parity-
+    symmetric block is bisected over the window; a driven block goes to
+    ``eigen_in_range``.  Window checks are left to the caller.
     """
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
     n = _initial_truncation(model, osector, window[1], n_start, n_max)
     prev = None
     while n <= n_max:
-        vals = eigen_in_range(build_hamiltonian(model, osector, n), *window)
+        h = build_hamiltonian(model, osector, n)
+        chains = _jacobi_chains(h.bands)
+        if chains is None:
+            vals = eigen_in_range(h, *window)
+        else:
+            vals = sorted(float(v) for d, e in chains for v in scipy.linalg.eigvalsh_tridiagonal(
+                d, e, select="v", select_range=window, tol=_BISECT_TOL))
         if prev is not None and len(vals) == len(prev):
             if all(abs(a - b) < tol for a, b in zip(vals, prev)):
                 return vals, n

@@ -27,9 +27,11 @@ from rabispec.oracle import (
     _block_reach,
     _chains_in_range,
     _confirmed,
+    _initial_truncation,
     _jacobi_chains,
     _reach,
     _stebz,
+    _sterf,
     eigen_in_range,
 )
 from rabispec.spectral import default_window_min
@@ -431,34 +433,89 @@ class TestStebz:
     ])
     def test_by_value(self, rows, lo, hi):
         d, e = _random_chain(rows, rows)
-        got = _stebz(d, e, 1, lo, hi, 0, 0, _BISECT_TOL)
+        got = _stebz(d, e, lo, hi, _BISECT_TOL)
         ref = scipy.linalg.eigvalsh_tridiagonal(
             d, e, select="v", select_range=(lo, hi), tol=_BISECT_TOL
         )
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("rows", [1, 2, 33])
-    def test_by_index(self, rows):
-        # the k lowest, as eigen_lowest selects them
-        d, e = _random_chain(rows, rows)
-        for k in sorted({1, min(2, rows), rows}):
-            got = _stebz(d, e, 2, 0.0, 0.0, 1, k, _BISECT_TOL)
-            ref = scipy.linalg.eigvalsh_tridiagonal(
-                d, e, select="i", select_range=(0, k - 1), tol=_BISECT_TOL
-            )
-            assert np.array_equal(got, ref)
-
     def test_window_is_half_open(self):
         d, e = np.array([3.0, 1.0, 2.0]), np.zeros(2)
-        assert _stebz(d, e, 1, 1.0, 3.0, 0, 0, _BISECT_TOL).tolist() == [2.0, 3.0]
+        assert _stebz(d, e, 1.0, 3.0, _BISECT_TOL).tolist() == [2.0, 3.0]
 
     def test_error_raised(self, capfd):
         # an empty window is an illegal argument to LAPACK, which says so on
         # the terminal and returns info = -5
         d, e = _random_chain(4, 0)
         with pytest.raises(np.linalg.LinAlgError, match="info=-5"):
-            _stebz(d, e, 1, 1.0, 0.0, 0, 0, _BISECT_TOL)
+            _stebz(d, e, 1.0, 0.0, _BISECT_TOL)
         capfd.readouterr()
+
+
+class TestWholeChainSpectrum:
+    """Each chain's levels in a window, picked from its whole spectrum (dsterf),
+    against scipy's bisection of the window (dstebz)."""
+
+    @staticmethod
+    def _assert_matches_bisection(chains, lo, hi):
+        got = _chains_in_range(chains, lo, hi)
+        assert len(got) == len(chains)
+        for (d, e), w in zip(chains, got):
+            ref = scipy.linalg.eigvalsh_tridiagonal(
+                d, e, select="v", select_range=(lo, hi), tol=_BISECT_TOL
+            )
+            assert w.shape == ref.shape
+            assert np.all(np.abs(w - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("rows", [1, 2, 33, 1025])
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, math.inf), (-1.0, 1.5), (8.0, 9.0)])
+    def test_random_chain(self, rows, lo, hi):
+        self._assert_matches_bisection([_random_chain(rows, rows)], lo, hi)
+
+    @pytest.mark.parametrize("kind,g,sector", [
+        (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25)),
+        (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5)),
+    ])
+    def test_chains_of_1025_rows_near_collapse(self, kind, g, sector):
+        # chains of 1,025 rows near collapse (two-photon at truncation 2,048,
+        # two-mode at 1,024), over windows like the benchmark's oracle ones
+        model = ModelParams(kind, 1.0, 0.5, g)
+        osec = map_sector(sector)
+        truncation = 2048 if kind is ModelKind.TWO_PHOTON else 1024
+        chains = _jacobi_chains(_bands(model, osec, truncation)[0])
+        assert [d.size for d, _ in chains] == [1025, 1025]
+        self._assert_matches_bisection(chains, default_window_min(model, sector), 30.0)
+
+    def test_split_chain(self):
+        # an exact zero on the off-diagonal splits the chain in two; the
+        # whole spectrum is the union of the two parts'
+        d, e = _random_chain(33, 5)
+        e[10] = 0.0
+        self._assert_matches_bisection([(d, e)], -1.0, 1.5)
+        parts = np.sort(np.concatenate([_sterf(d[:11], e[:10]), _sterf(d[11:], e[11:])]))
+        assert np.all(np.abs(_sterf(d, e) - parts) <= 1e-14 * np.maximum(1.0, np.abs(parts)))
+
+    @pytest.mark.parametrize("kind,sector", [
+        (ModelKind.TWO_PHOTON, Sector.two_photon(0.75)),
+        (ModelKind.TWO_MODE, Sector.two_mode(1.0)),
+    ])
+    def test_degenerate_pairs_across_chains(self, kind, sector):
+        # at delta = 0 the two chains are the same matrix, and every level of
+        # the block comes twice, once from each
+        model = ModelParams(kind, 1.0, 0.0, 0.3)
+        h = build_hamiltonian(model, map_sector(sector), 64)
+        (d0, e0), (d1, e1) = chains = _jacobi_chains(h.bands)
+        assert np.array_equal(d0, d1) and np.array_equal(e0, e1)
+        self._assert_matches_bisection(chains, -3.1, 12.7)
+        vals = eigen_in_range(h, -3.1, 12.7)
+        assert len(vals) > 10 and vals[0::2] == vals[1::2]
+
+    def test_window_is_half_open(self):
+        # levels exactly at lo and hi: the one at lo is left out, the one at
+        # hi kept, as bisection of the window does
+        d, e = np.array([1.5, -1.0, 0.5, 3.0]), np.zeros(3)
+        assert [w.tolist() for w in _chains_in_range([(d, e)], -1.0, 1.5)] == [[0.5, 1.5]]
+        self._assert_matches_bisection([(d, e)], -1.0, 1.5)
 
 
 class TestConfirmation:
@@ -471,7 +528,7 @@ class TestConfirmation:
         return [_random_chain(33, 1), _random_chain(40, 2)]
 
     def _levels(self, chains):
-        return [_stebz(d, e, 1, self.lo, self.hi, 0, 0, _BISECT_TOL) for d, e in chains]
+        return [_stebz(d, e, self.lo, self.hi, _BISECT_TOL) for d, e in chains]
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_levels_within_tol_confirmed(self, sign):
@@ -497,11 +554,11 @@ class TestConfirmation:
     def test_level_leaving_or_entering_refused(self):
         chains = self._chains()
         d, e = chains[0]
-        top = float(_stebz(d, e, 1, self.lo, self.hi, 0, 0, _BISECT_TOL)[-1])
+        top = float(_stebz(d, e, self.lo, self.hi, _BISECT_TOL)[-1])
         # the window's upper edge just below the chain's top level: within
         # tol of it, the level was inside before and has left
         hi = top - 0.3 * self.tol
-        inside = _stebz(d, e, 1, self.lo, hi, 0, 0, _BISECT_TOL)
+        inside = _stebz(d, e, self.lo, hi, _BISECT_TOL)
         left = [np.append(inside, hi)]
         assert _confirmed(chains[:1], left, self.lo, hi, self.tol) is None
         assert _confirmed(chains[:1], [inside], self.lo, hi, self.tol) is not None
@@ -528,7 +585,7 @@ class TestConfirmation:
         at, out = (lo, -1.0) if edge == "lo" else (hi, 1.0)
         left, kept = at + out * 0.3 * tol, at - out * 0.3 * tol
         d, e = np.array([0.5, left, 1.0]), np.zeros(2)
-        assert _stebz(d, e, 1, lo, hi, 0, 0, _BISECT_TOL).tolist() == [0.5, 1.0]
+        assert _stebz(d, e, lo, hi, _BISECT_TOL).tolist() == [0.5, 1.0]
         assert _confirmed([(d, e)], [np.sort([0.5, kept])], lo, hi, tol) is None
 
     def test_close_levels_fall_back(self, monkeypatch):
@@ -671,10 +728,10 @@ class TestPhysics:
     def test_truncation_ceiling(self, monkeypatch):
         # the block's Gershgorin reach is boson number 88 here, so the oracle
         # would start at 128; with n_max = 16 it still diagonalizes at 16
-        # before it reports the ceiling
+        # before it reports the ceiling (and reads no reach: 2 * 16 > n_max)
         built = []
-        monkeypatch.setattr("rabispec.oracle.build_hamiltonian",
-                            lambda *a: built.append(a[2]) or build_hamiltonian(*a))
+        monkeypatch.setattr("rabispec.oracle._bands",
+                            lambda *a: built.append(a[2]) or _bands(*a))
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45)
         osec = map_sector(Sector.two_photon(0.25))
         assert _reach(*_bands(model, osec, N_MAX_DEFAULT), 8.0) == 88
@@ -683,12 +740,21 @@ class TestPhysics:
                             n_start=16, n_max=16)
         assert built == [16]
 
+    @pytest.mark.parametrize("drive", [0.0, 0.3])
+    def test_doubling_reads_only_the_bands(self, monkeypatch, drive):
+        # no TruncatedHamiltonian, and so no label list, is built per
+        # truncation, on the chain route or the driven one
+        monkeypatch.setattr("rabispec.oracle.build_hamiltonian",
+                            lambda *a: pytest.fail("build_hamiltonian called"))
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.7, drive)
+        assert oracle_spectrum(model, Sector.driven(), (-1.0, 5.0))[0]
+
     def test_start_above_ceiling_rejected(self, monkeypatch):
         # a start above n_max would diagonalize nothing: a usage error, not a
         # truncation ceiling
         built = []
-        monkeypatch.setattr("rabispec.oracle.build_hamiltonian",
-                            lambda *a: built.append(a[2]) or build_hamiltonian(*a))
+        monkeypatch.setattr("rabispec.oracle._bands",
+                            lambda *a: built.append(a[2]) or _bands(*a))
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
         with pytest.raises(ValueError, match="exceeds the ceiling"):
             oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0), n_start=64, n_max=32)
@@ -699,8 +765,8 @@ class TestPhysics:
         # the first truncation diagonalized lies at or above the reach, and the
         # levels returned are those of the block at twice the truncation used
         built = []
-        monkeypatch.setattr("rabispec.oracle.build_hamiltonian",
-                            lambda *a: built.append(a[2]) or build_hamiltonian(*a))
+        monkeypatch.setattr("rabispec.oracle._initial_truncation",
+                            lambda *a: built.append(_initial_truncation(*a)) or built[-1])
         osec = map_sector(sector)
         e_min = default_window_min(model, sector) + lo
         window = (e_min, e_min + width)
@@ -755,6 +821,18 @@ class TestPhysics:
         rows = _jacobi_chains(build_hamiltonian(model, map_sector(sector), n).bands)[0][0].size
         assert solved and max(solved) < rows
 
+    @pytest.mark.parametrize("kind,g,sector,window,n_used,count", [
+        (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), (15.0, 20.0), 4096, 26),
+        (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), (25.0, 30.0), 1024, 16),
+        (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), (45.0, 50.0), 512, 6),
+    ])
+    def test_deep_chain_window_pinned(self, kind, g, sector, window, n_used, count):
+        # deep, narrow chain windows at delta = 0.5, where a whole spectrum
+        # pays for many levels the window throws away: a change of chain
+        # solver moves neither the truncation nor the level count
+        vals, n = oracle_spectrum(ModelParams(kind, 1.0, 0.5, g), sector, window)
+        assert (n, len(vals)) == (n_used, count)
+
     @pytest.mark.parametrize("n_start", [None, 16])
     def test_no_false_stop_far_below_zero(self, n_start):
         # the window's levels live near boson number g^2 = 49, where the
@@ -780,15 +858,26 @@ def _reference_windows():
         yield model, sector, (default_window_min(model, sector), e_max), None
 
 
+def _off_edges(vals, window):
+    """The levels farther than rounding (1e-14 max(1, |E|)) from both window
+    edges: a level on an edge is in or out as its solver rounds it."""
+    return np.array([x for x in vals
+                     if min(abs(x - window[0]), abs(x - window[1])) > 1e-14 * max(1.0, abs(x))])
+
+
 @pytest.mark.parametrize("model,sector,window,n_start", list(_reference_windows()))
 def test_matches_whole_window_doubling(model, sector, window, n_start):
     # the confirmation stops at the truncation the pairwise test of whole-
-    # window solves stops at, with the same levels
+    # window solves stops at, with the same levels.  The reference bisects
+    # each chain over the window, and may round a level that lies exactly on
+    # an edge the other way: at delta = drive = 0 the driven levels are
+    # n - g^2, twice each, and E_max = 8 of the g = 1 window is one of them
     vals, n = oracle_spectrum(model, sector, window, n_start=n_start)
     ref, n_ref = doubling_oracle_spectrum(model, sector, window, n_start=n_start)
-    assert (n, len(vals)) == (n_ref, len(ref))
-    ref = np.array(ref)
-    assert np.all(np.abs(np.array(vals) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    assert n == n_ref
+    vals, ref = _off_edges(vals, window), _off_edges(ref, window)
+    assert vals.shape == ref.shape
+    assert np.all(np.abs(vals - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_oracle_reads_no_solver_formula():
