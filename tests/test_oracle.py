@@ -865,19 +865,52 @@ def _off_edges(vals, window):
                      if min(abs(x - window[0]), abs(x - window[1])) > 1e-14 * max(1.0, abs(x))])
 
 
+# (model, window) -> (oracle_spectrum's count, the reference's count) on the
+# reference windows with a level on an edge.  At delta = drive = 0 the driven
+# levels are n - g^2, twice each, and E_max = 8 of the g = 1 window is one of
+# them: dsterf puts the pair at 7.999999999999997 (in), the reference's
+# bisection at 8.000000000000001 (out).  The true count in (-2, 8] is 20.
+EDGE_COUNTS = {
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.0, 1.0, 0.0), (-2.0, 8.0)): (20, 18),
+}
+
+
 @pytest.mark.parametrize("model,sector,window,n_start", list(_reference_windows()))
 def test_matches_whole_window_doubling(model, sector, window, n_start):
     # the confirmation stops at the truncation the pairwise test of whole-
     # window solves stops at, with the same levels.  The reference bisects
     # each chain over the window, and may round a level that lies exactly on
-    # an edge the other way: at delta = drive = 0 the driven levels are
-    # n - g^2, twice each, and E_max = 8 of the g = 1 window is one of them
+    # an edge the other way; only the windows of EDGE_COUNTS have one, and
+    # there both counts are pinned
     vals, n = oracle_spectrum(model, sector, window, n_start=n_start)
     ref, n_ref = doubling_oracle_spectrum(model, sector, window, n_start=n_start)
     assert n == n_ref
+    counts = (len(vals), len(ref))
     vals, ref = _off_edges(vals, window), _off_edges(ref, window)
+    on_edge = (vals.size, ref.size) != counts
+    assert on_edge == ((model, window) in EDGE_COUNTS)
+    assert counts == EDGE_COUNTS.get((model, window), (counts[1], counts[1]))
     assert vals.shape == ref.shape
     assert np.all(np.abs(vals - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("kind,g,sector,e_max,n_used,count",
+                         [w for w in CHAIN_WIDE_WINDOWS if w[4] >= 2048])
+def test_unconfirmed_levels_accurate(monkeypatch, kind, g, sector, e_max, n_used, count):
+    # with every confirmation refused the doubling stops on the pairwise test,
+    # at a truncation of 2,048 or 4,096, and returns the levels of its last
+    # whole solve (dsterf): they agree with bisection of the same chains to
+    # the 1e-14 max(1, |E|) of the confirmed levels
+    monkeypatch.setattr("rabispec.oracle._confirmed", lambda *a: None)
+    model = ModelParams(kind, 1.0, 0.5, g)
+    window = (default_window_min(model, sector), e_max)
+    vals, n = oracle_spectrum(model, sector, window)
+    assert (n, len(vals)) == (n_used, count)
+    ref = np.sort(np.concatenate([
+        scipy.linalg.eigvalsh_tridiagonal(d, e, select="v", select_range=window, tol=_BISECT_TOL)
+        for d, e in _jacobi_chains(_bands(model, map_sector(sector), n)[0])
+    ]))
+    assert np.all(np.abs(np.array(vals) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_oracle_reads_no_solver_formula():
