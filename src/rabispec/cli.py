@@ -78,7 +78,9 @@ _OPTIONS = {
     "kappa": _Option(str, None, "two-mode sector, half-integer as p/2 or decimal"),
     "emin": _Option(float, None, "lower window edge"),
     "emax": _Option(float, None, "upper window edge"),
-    "cf_rel_tol": _Option(float, DEFAULT_REL_TOL, "continued-fraction tolerance"),
+    "cf_rel_tol": _Option(
+        float, DEFAULT_REL_TOL, "damping of the continued fraction's seed error (curve)"
+    ),
     "root_abs_tol": _Option(float, SpectrumOptions.root_abs_tol, "root bracket tolerance"),
     "oracle_n": _Option(int, None, "lowest Fock truncation the oracle tries"),
     "match_tol": _Option(float, 1e-6, "root/oracle matching tolerance"),
@@ -223,7 +225,7 @@ def cmd_curve(cfg: RunConfig, samples: int) -> int:
     lo, hi = cfg.window
     step = (hi - lo) / (samples - 1)
     energies = lo + np.arange(samples) * step
-    values = f_values(m, s, energies, cfg.opts["cf_rel_tol"])  # nan on a pole or unconverged
+    values = f_values(m, s, energies, cfg.opts["cf_rel_tol"])  # nan on a pole or non-finite
     dist = distance_to_pole_set(m, s, energies)
     collisions = energies[dist < m.eps_pole].tolist()
     if collisions:

@@ -12,10 +12,11 @@ from n = 0 it gives the pivots of ``twisted_residual``; run on the reversed
 rows it is the backward recursion of the minimal solution, the bottom-up half
 of a twisted factorisation: ``batch_ratios`` takes every ratio of a table from
 it (the residuals of ``spectral.compute_spectrum`` and the series of
-``series.minimal_series``), and ``batch_minimal_ratio`` R_0 with per-lane
-depth doubling (for ``spectral.f_values``).  ``spectral.level_count`` runs both
-halves at once, forward and backward as two groups of lanes of one table, and
-reads the Sturm count off the twisted factorisation where they meet.
+``series.minimal_series``), and ``batch_minimal_ratio`` R_0 from one pass
+down from the row that ``backward_tail`` gives (for ``spectral.f_values``).
+``spectral.level_count`` runs both halves at once, forward and backward as
+two groups of lanes of one table, and reads the Sturm count off the twisted
+factorisation where they meet.
 ``backward_tail`` reads from the characteristic roots of the recurrence where
 the backward passes start.
 
@@ -40,9 +41,9 @@ DEFAULT_MAX_DEPTH = 2**20
 # the fractions that curve samples are some tens of rows.
 _FIRST_TAIL_ROWS = 128
 _FIRST_TAIL_CELLS = 2**12
-# Rows x lanes of one batched coefficient table.  The backward recursion's
-# depth doubles per lane up to max_depth (2^20 by default), so a whole
-# depth x lanes table could take gigabytes.
+# Rows x lanes of one batched coefficient table.  A backward pass may start
+# as deep as DEFAULT_MAX_DEPTH (2^20) rows, so a whole depth x lanes table
+# could take gigabytes.
 CHUNK_CELLS = 2**16
 
 
@@ -191,66 +192,29 @@ def backward_tail(block, lanes: np.ndarray, n: int, eps: float) -> int:
 
 
 def batch_minimal_ratio(
-    block,
-    lanes: np.ndarray,
-    scale: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_depth: int = DEFAULT_MAX_DEPTH,
+    block, lanes: np.ndarray, scale: float, eps: float = DEFAULT_REL_TOL
 ) -> np.ndarray:
-    """R_0 for every lane by backward recursion with per-lane depth doubling.
+    """R_0 for every lane from one backward pass down from the lanes' common tail.
 
     ``block(lanes, n_lo, n_hi)`` returns the coefficients a(n), (rows, lanes),
     and b(n), (rows, 1), for rows n in [n_lo, n_hi] against the given lanes,
-    as ``models.coefficient_block`` does.  A lane at depth N recurses tau_{n-1} = a(n-1) - b(n) / tau_n
+    as ``models.coefficient_block`` does.  The pass starts at the tail N =
+    ``backward_tail(block, lanes, 0, eps)``, where every lane's seed error
+    has damped below ``eps`` relative to R_0, and recurses tau_{n-1} = a(n-1) - b(n) / tau_n
     down from tau_N = a(N) + ``scale`` / N, where tau_n = a(n) + R_n: the
-    pivots of ``batch_pivots`` with sign -1 over the reversed rows.  Then
-    R_0 = -b(1) / tau_1.  The depths are 2^k, 2^(k+1), ... and finally
-    ``max_depth``, where 2^k is the least power of two at or above the
-    largest lane's ``backward_tail`` from row 0 at ``rel_tol`` (but at most
-    ``max_depth`` // 2, so that one check is made).  A lane has converged
-    once R_0 agrees between successive depths to ``rel_tol`` relative to
-    max(1, |R_0|), and only unconverged lanes run the next depth.  A lane
-    that has not converged by ``max_depth`` is nan.  A tau_n that is exactly
-    0 is taken as a tiny negative number, as every pivot of ``batch_pivots`` is.
+    pivots of ``batch_pivots`` with sign -1 over the reversed rows, in chunks
+    of at most ``CHUNK_CELLS`` cells (at least two rows per block), each
+    passed the last pivot row of the one above it.  Then R_0 = -b(1) / tau_1.
+    Where the tail reaches ``DEFAULT_MAX_DEPTH`` every lane is nan and no pass
+    runs.  A tau_n that is exactly 0 is taken as a tiny negative number, as
+    every pivot of ``batch_pivots`` is.
     """
-    if not rel_tol > 0.0:
-        raise ValueError("rel_tol must be positive")
-    if max_depth < 8:
-        raise ValueError("max_depth must be >= 8")
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     lanes = np.asarray(lanes)
-    depths = []
-    tail = backward_tail(block, lanes, 0, rel_tol)
-    depth = min(1 << (tail - 1).bit_length(), max_depth // 2)
-    while depth < max_depth:
-        depths.append(depth)
-        depth *= 2
-    depths.append(max_depth)
-    out = np.full(lanes.shape, np.nan)
-    active = np.arange(lanes.size)
-    prev = None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for depth in depths:
-            if not active.size:
-                break
-            value = _minimal_ratio(block, lanes[active], depth, scale)
-            out[active] = value
-            if prev is not None:
-                settled = np.abs(value - prev) <= rel_tol * np.maximum(1.0, np.abs(value))
-                # a non-finite ratio cannot settle
-                keep = ~(settled | ~np.isfinite(value))
-                active, value = active[keep], value[keep]
-            prev = value
-    out[active] = np.nan
-    return out
-
-
-def _minimal_ratio(block, lanes: np.ndarray, tail: int, scale: float) -> np.ndarray:
-    """R_0 of every lane from one backward pass down from row ``tail``.
-
-    The rows n = tail, ..., 0 are pivoted in chunks of at most ``CHUNK_CELLS``
-    cells (at least two rows per block), each chunk passed the last pivot row
-    of the one above it.
-    """
+    tail = backward_tail(block, lanes, 0, eps)
+    if not lanes.size or tail >= DEFAULT_MAX_DEPTH:
+        return np.full(lanes.shape, np.nan)
     rows = max(2, CHUNK_CELLS // lanes.size)  # rows per block; a chunk pivots all but the top one
     hi, last = tail, None
     while hi >= 0:
@@ -262,4 +226,5 @@ def _minimal_ratio(block, lanes: np.ndarray, tail: int, scale: float) -> np.ndar
         pivots = batch_pivots(a, b, -1.0, last)
         tau_1 = pivots[-2] if len(pivots) > 1 else last  # a one-row chunk holds tau_0 alone
         last, hi = pivots[-1], lo - 1
-    return -b[-1] / tau_1
+    with np.errstate(divide="ignore", over="ignore"):
+        return -b[-1] / tau_1

@@ -162,9 +162,13 @@ def f_values(
 ) -> np.ndarray:
     """F(E) = R_0(E) + a(0) over an array of energies, one lane per energy.
 
-    R_0 comes from batched backward recursion (``batch_minimal_ratio``).
-    Lanes within eps_pole of the pole set, lanes whose R_0 did not converge
-    by ``DEFAULT_MAX_DEPTH`` and lanes whose value is not finite are nan.
+    R_0 comes from one batched backward pass (``batch_minimal_ratio``) that
+    starts where the seed error of every lane has damped below ``rel_tol``
+    relative to R_0 (``contfrac.backward_tail``), so F is off by about
+    ``rel_tol`` * |R_0|.  Lanes within eps_pole of the pole set and
+    lanes whose value is not finite are nan, and so is every lane when the
+    tail reaches ``DEFAULT_MAX_DEPTH`` rows, which happens only near the
+    coupling bound.
     """
     check_coupling(model)
     sector.check_matches(model)
@@ -175,7 +179,7 @@ def f_values(
         return out
     e = energies[usable]
     block = partial(coefficient_block, model, sector)
-    ratio = batch_minimal_ratio(block, e, asymptotic_roots(model).t2, rel_tol, DEFAULT_MAX_DEPTH)
+    ratio = batch_minimal_ratio(block, e, asymptotic_roots(model).t2, rel_tol)
     a, _ = coefficient_block(model, sector, e, 0, 0)
     with np.errstate(invalid="ignore", over="ignore"):
         f = ratio + a[0]

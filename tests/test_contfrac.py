@@ -282,9 +282,11 @@ class TestBatchMinimalRatio:
 
     def test_unsettled_lane_is_nan(self):
         # t^2 + 2t + 1 = 0 has the double root -1: no solution is minimal, the
-        # ratio creeps towards -1 like -d/(d + 1) and never settles
+        # ratio creeps towards -1 like -d/(d + 1) and never settles; the
+        # roots' modulus ratio is 1 on every row, so the tail reaches
+        # DEFAULT_MAX_DEPTH and no pass runs
         assert not eval_continued_fraction(ConstCoeffs(2.0, 1.0), max_depth=4096).converged
-        r = batch_minimal_ratio(const_block(2.0, 1.0), np.zeros(1), 0.0, max_depth=4096)
+        r = batch_minimal_ratio(const_block(2.0, 1.0), np.zeros(1), 0.0)
         assert np.isnan(r[0])
 
     def test_matches_lentz_per_lane(self):
@@ -296,31 +298,33 @@ class TestBatchMinimalRatio:
             ref = eval_continued_fraction(BlockCoeffs(model, sector, e)).value
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
-    def test_first_depth_is_the_largest_tail(self, monkeypatch):
+    def test_one_pass_from_the_tail(self, monkeypatch):
         # the README curve window: the tails from row 0 at 1e-12 are 17 to 28
-        # rows, so the depths start at 32 and the first check comes after
-        # 32 + 64 rows; every lane settles there
+        # rows, so one pass pivots the rows 28, ..., 0 in one table of 400
+        # lanes, and no pivot row lies past 28
         model, sector = ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4), Sector.two_mode(1.0)
         energies = np.linspace(-1.0, 4.0, 400)
         block = partial(coefficient_block, model, sector)
         assert backward_tail(block, energies, 0, 1e-12) == 28
-        depths, one_pass = [], contfrac._minimal_ratio
+        tables, pivots = [], contfrac.batch_pivots
 
-        def recording(block, lanes, tail, scale):
-            depths.append(tail)
-            return one_pass(block, lanes, tail, scale)
+        def recording(a, b, sign, prev=None):
+            tables.append(a.shape)
+            return pivots(a, b, sign, prev)
 
-        monkeypatch.setattr(contfrac, "_minimal_ratio", recording)
-        r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2)
-        assert depths == [32, 64] and np.isfinite(r).all()
+        monkeypatch.setattr(contfrac, "batch_pivots", recording)
+        r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2, 1e-12)
+        assert tables == [(29, 400)] and np.isfinite(r).all()
 
-    @pytest.mark.parametrize("rows", [2, 3, 5])
+    @pytest.mark.parametrize("rows", [2, 3, 5, 6])
     def test_chunked_pass_equals_one_table(self, monkeypatch, rows):
-        # the depths 2^k, 2^(k+1), ... hold an odd number of rows n = 0..N: while every
-        # lane is active, blocks of 2, 3 or 5 rows (chunks of 1, 2 or 4 pivot rows)
-        # leave row 0 alone in the last chunk, and tau_1 comes from the chunk above
+        # the tail of these lanes is 35, so the pass pivots the 36 rows
+        # n = 35, ..., 0: blocks of 2 or 6 rows (chunks of 1 or 5 pivot rows)
+        # leave row 0 alone in the last chunk, and tau_1 comes from the chunk
+        # above; blocks of 3 or 5 rows do not
         model, sector, energies = two_mode_lanes()
         block, t2 = partial(coefficient_block, model, sector), asymptotic_roots(model).t2
+        assert backward_tail(block, energies, 0, 1e-12) == 35
         one_table = batch_minimal_ratio(block, energies, t2)
         monkeypatch.setattr(contfrac, "CHUNK_CELLS", rows * energies.size)
         np.testing.assert_array_equal(batch_minimal_ratio(block, energies, t2), one_table)
@@ -341,11 +345,11 @@ class TestBatchMinimalRatio:
 
     def test_argument_validation(self):
         block = const_block(1.0, 1.0)
-        for rel_tol in (0.0, math.nan):
+        for eps in (0.0, math.nan):
             with pytest.raises(ValueError):
-                batch_minimal_ratio(block, np.zeros(1), 0.0, rel_tol=rel_tol)
-        with pytest.raises(ValueError):
-            batch_minimal_ratio(block, np.zeros(1), 0.0, max_depth=4)
+                batch_minimal_ratio(block, np.zeros(1), 0.0, eps)
+        # no lanes: no tail and no pass, whose rows per block divide by the lanes
+        assert batch_minimal_ratio(block, np.zeros(0), 0.0).shape == (0,)
 
 
 def negative_pivots(a, b, sign):
