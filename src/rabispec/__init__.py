@@ -28,7 +28,6 @@ from .oracle import (
     OracleSector,
     TruncatedHamiltonian,
     build_hamiltonian,
-    eigen_lowest,
     map_sector,
     oracle_spectrum,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "build_hamiltonian",
     "closed_form_spectrum_g0",
     "compute_spectrum",
-    "eigen_lowest",
     "eval_wavefunction",
     "map_sector",
     "minimal_series",

@@ -82,7 +82,6 @@ _OPTIONS = {
         float, DEFAULT_REL_TOL, "damping of the continued fraction's seed error (curve)"
     ),
     "root_abs_tol": _Option(float, SpectrumOptions.root_abs_tol, "root bracket tolerance"),
-    "oracle_n": _Option(int, None, "lowest Fock truncation the oracle tries"),
     "match_tol": _Option(float, 1e-6, "root/oracle matching tolerance"),
     "format": _Option(str, "csv", "output format (default csv)", ("csv", "json")),
     "output": _Option(str, None, "output path (default: standard output)"),
@@ -240,9 +239,7 @@ def cmd_curve(cfg: RunConfig, samples: int) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    vals, n_used = oracle_spectrum(
-        cfg.model, cfg.sector, cfg.window, n_start=cfg.opts["oracle_n"]
-    )
+    vals, n_used = oracle_spectrum(cfg.model, cfg.sector, cfg.window)
     meta = _meta(cfg)
     meta["oracle_n_used"] = n_used
     rows = [[i, v, n_used] for i, v in enumerate(vals)]
@@ -301,9 +298,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     result = compute_spectrum(
         cfg.model, cfg.sector, cfg.window, SpectrumOptions(root_abs_tol=cfg.opts["root_abs_tol"])
     )
-    oracle_vals, n_used = oracle_spectrum(
-        cfg.model, cfg.sector, cfg.window, n_start=cfg.opts["oracle_n"]
-    )
+    oracle_vals, n_used = oracle_spectrum(cfg.model, cfg.sector, cfg.window)
     poles = poles_in_window(
         cfg.model, cfg.sector, cfg.window[0] - pole_lattice(cfg.model, cfg.sector)[1], cfg.window[1]
     )

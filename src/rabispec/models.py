@@ -91,22 +91,33 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Sector:
-    """Symmetry-sector label: q in {1/4, 3/4}, kappa in {1/2, 1, 3/2, ...}, or trivial."""
+    """Symmetry-sector label: q in {1/4, 3/4}, kappa in {1/2, 1, 3/2, ...}, or trivial.
+
+    The label is checked on construction, through the named constructors or
+    the dataclass's own: ValueError on any other q or kappa, and on a driven
+    label other than 0.
+    """
 
     kind: ModelKind
     value: float = 0.0
 
+    def __post_init__(self):
+        if self.kind is ModelKind.TWO_PHOTON:
+            if self.value not in (0.25, 0.75):
+                raise ValueError("two-photon sector label q must be 1/4 or 3/4")
+        elif self.kind is ModelKind.TWO_MODE:
+            two_kappa = 2.0 * self.value
+            if not (two_kappa > 0 and float(two_kappa).is_integer()):
+                raise ValueError("two-mode sector label kappa must be a positive half-integer")
+        elif self.value != 0.0:
+            raise ValueError("the driven model's only sector label is 0")
+
     @staticmethod
     def two_photon(q: float) -> "Sector":
-        if q not in (0.25, 0.75):
-            raise ValueError("two-photon sector label q must be 1/4 or 3/4")
         return Sector(ModelKind.TWO_PHOTON, q)
 
     @staticmethod
     def two_mode(kappa: float) -> "Sector":
-        two_kappa = 2.0 * kappa
-        if not (two_kappa > 0 and float(two_kappa).is_integer()):
-            raise ValueError("two-mode sector label kappa must be a positive half-integer")
         return Sector(ModelKind.TWO_MODE, kappa)
 
     @staticmethod

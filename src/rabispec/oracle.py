@@ -27,15 +27,19 @@ their bulk lies within the reach.  A truncation below the reach can miss the
 window's levels at two successive doublings alike and stop on an empty list,
 so the reach is a lower bound on the truncation; the doubling finds the rest.
 
-A chain block need not solve its window anew at each doubling: the levels of
-the truncation before say where to look.  The doubled truncation is confirmed
-by Sturm counts (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)):
-one count of each chain's levels in the window, then one bisection (dstebz)
-of each previous level's stability bracket, which the level must not leave.
-That narrows a level from a bracket of 2e-9 omega rather than from the
-window's width, and costs O(n) per level where the whole spectrum of the
-doubled chain would cost O(n^2).  Where a chain's brackets overlap, or a
-count differs, the truncation is solved whole instead.
+The doubling loop carries one state: the window's levels of each part of the
+block (its two Jacobi chains, or the whole driven band) at the truncation
+before.  A chain block need not solve its window anew at each doubling: those
+levels say where to look.  The doubled truncation is confirmed by Sturm
+counts (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)): one count
+of each chain's levels in the window, then one bisection (dstebz) of each
+previous level's stability bracket, which the level must not leave.  That
+narrows a level from a bracket of 2e-9 omega rather than from the window's
+width, and costs O(n) per level where the whole spectrum of the doubled
+chain would cost O(n^2).  Where a chain's brackets overlap, or a count
+differs, and on the driven band, which has no Sturm count, each part's whole
+spectrum is taken instead, and the merged levels in the window are compared
+pairwise with those before.
 """
 
 from __future__ import annotations
@@ -85,10 +89,7 @@ def map_sector(sector: Sector) -> OracleSector:
     if sector.kind is ModelKind.TWO_PHOTON:
         return OracleSector(sector.kind, parity=0 if sector.value == 0.25 else 1)
     if sector.kind is ModelKind.TWO_MODE:
-        d = int(round(2.0 * sector.value - 1.0))
-        if d < 0:
-            raise ValueError("kappa must be >= 1/2")
-        return OracleSector(sector.kind, mode_diff=d)
+        return OracleSector(sector.kind, mode_diff=int(round(2.0 * sector.value - 1.0)))
     return OracleSector(sector.kind)
 
 
@@ -197,9 +198,12 @@ def _jacobi_chains(bands: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | N
     if bands.shape[0] != u + 1 or bands[1].any() or bands[2, 1::2].any() or bands[0, 0::2].any():
         return None
     idx = np.arange(bands.shape[1])
+    rem = idx % 4
     chains = []
-    for members in ((0, 3), (1, 2)):
-        c = idx[np.isin(idx % 4, members)]
+    # two comparisons, not np.isin, which costs several times more: the
+    # doubling splits the bands twice at each truncation it solves whole
+    for a, b in ((0, 3), (1, 2)):
+        c = idx[(rem == a) | (rem == b)]
         if c.size:
             chains.append((bands[u, c], bands[u - np.diff(c), c[1:]]))
     return chains
@@ -241,32 +245,22 @@ def _in_window(vals: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return vals[(vals > lo) & (vals <= hi)]
 
 
-def _spectrum(bands: np.ndarray) -> np.ndarray:
-    """The block's whole spectrum, ascending.
+def _spectra(bands: np.ndarray) -> list[np.ndarray]:
+    """The whole spectrum of each part of the block, ascending.
 
-    A parity-symmetric block is solved as its two Jacobi chains (dsterf
-    each) and their spectra merged; any other block goes whole to LAPACK's
-    banded symmetric solver (dsbevd).
+    A parity-symmetric block has two parts, its Jacobi chains, each solved
+    by dsterf; any other block is one part, solved whole by LAPACK's banded
+    symmetric solver (dsbevd).
     """
     chains = _jacobi_chains(bands)
     if chains is None:
-        return scipy.linalg.eig_banded(bands, lower=False, eigvals_only=True)
-    return np.sort(np.concatenate([_sterf(d, e) for d, e in chains]))
+        return [scipy.linalg.eig_banded(bands, lower=False, eigvals_only=True)]
+    return [_sterf(d, e) for d, e in chains]
 
 
-def eigen_lowest(h: TruncatedHamiltonian, k: int) -> list[float]:
-    """The k smallest eigenvalues, ascending: the first k of the block's
-    whole spectrum (``_spectrum``), which costs O(n^2) whatever k."""
-    if not 1 <= k <= h.dimension:
-        raise ValueError("need 1 <= k <= dimension")
-    return _spectrum(h.bands)[:k].tolist()
-
-
-def _chains_in_range(
-    chains: list[tuple[np.ndarray, np.ndarray]], lo: float, hi: float
-) -> list[np.ndarray]:
-    """Each chain's levels in (lo, hi], picked from its whole spectrum (dsterf)."""
-    return [_in_window(_sterf(d, e), lo, hi) for d, e in chains]
+def _merged(levels: list[np.ndarray]) -> list[float]:
+    """The levels of all parts as one ascending list."""
+    return np.sort(np.concatenate(levels)).tolist()
 
 
 def _confirmed(
@@ -308,13 +302,13 @@ def _confirmed(
 def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]:
     """All eigenvalues in (lo, hi], ascending; ValueError unless lo < hi.
 
-    They are picked from the block's whole spectrum (``_spectrum``: dsterf
-    on each Jacobi chain of a parity-symmetric block, dsbevd on any other).
-    Either edge may be infinite.
+    They are picked from the whole spectrum of each part of the block
+    (``_spectra``: dsterf on each Jacobi chain of a parity-symmetric block,
+    dsbevd on any other).  Either edge may be infinite.
     """
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
-    return _in_window(_spectrum(h.bands), lo, hi).tolist()
+    return _merged([_in_window(w, lo, hi) for w in _spectra(h.bands)])
 
 
 def _disc_edges(bands: np.ndarray) -> np.ndarray:
@@ -360,18 +354,17 @@ def _block_reach(model: ModelParams, osector: OracleSector, e_max: float, n_max:
 
 
 def _initial_truncation(
-    model: ModelParams, osector: OracleSector, e_max: float, n_start: int | None, n_max: int
+    model: ModelParams, osector: OracleSector, e_max: float, n_max: int
 ) -> int:
-    """The first truncation diagonalized: the floor, doubled up to the block's reach.
+    """The first truncation diagonalized: 32 (at most ``n_max``), doubled up to the block's reach.
 
-    The floor is ``max(16, n_start)``, or 32 (at most ``n_max``) without a
-    start.  It is doubled while it lies below the reach of the block at
-    ``n_max`` (``_block_reach``) and its double is within ``n_max``.  The
-    reach is a lower bound: below it the window's eigenvectors have not
-    decayed, and a truncation there may hold none of the window's levels at
-    n and 2n alike, which the stability check would take as converged.
+    It is doubled while it lies below the reach of the block at ``n_max``
+    (``_block_reach``) and its double is within ``n_max``.  The reach is a
+    lower bound: below it the window's eigenvectors have not decayed, and a
+    truncation there may hold none of the window's levels at n and 2n
+    alike, which the stability check would take as converged.
     """
-    n = min(32, n_max) if n_start is None else max(16, n_start)
+    n = min(32, n_max)
     if 2 * n > n_max:
         return n
     reach = _block_reach(model, osector, e_max, n_max)
@@ -384,30 +377,28 @@ def oracle_spectrum(
     model: ModelParams,
     sector: Sector,
     window: tuple[float, float],
-    n_start: int | None = None,
     n_max: int = N_MAX_DEFAULT,
 ) -> tuple[list[float], int]:
     """Truncation-stable eigenvalues in ``window`` plus the cutoff used.
 
-    Starts at the block's reach (``_initial_truncation``; ``n_start`` sets
-    the lowest truncation tried) and doubles the boson cutoff until every
-    in-window eigenvalue moves by less than ``_STAB_TOL_FACTOR * omega`` from
-    one truncation to the next; raises TruncationCeiling if that never
-    happens up to ``n_max``, and ValueError if ``n_start`` exceeds it.  Both
-    window edges must be finite, as for ``compute_spectrum``: an infinite
-    upper edge takes in new levels at every truncation.
+    Starts at the block's reach (``_initial_truncation``) and doubles the
+    boson cutoff until every in-window eigenvalue moves by less than
+    ``_STAB_TOL_FACTOR * omega`` from one truncation to the next; raises
+    TruncationCeiling if that never happens up to ``n_max``.  Both window
+    edges must be finite, as for ``compute_spectrum``: an infinite upper
+    edge takes in new levels at every truncation.
 
-    Each truncation is read from the block's bands alone (``_bands``).  A
-    block that splits into Jacobi chains first tries to confirm a doubled
-    truncation from each chain's previous levels (``_confirmed``): a count
-    of the window and a bisection of each level's stability bracket.  If
-    that fails, or a chain's previous levels lie within twice the tolerance
-    of each other, or there is no truncation before, each chain's whole
-    spectrum is taken (dsterf) and its levels in the window kept, and each
-    sorted pair is compared, as for the driven block, whose whole spectrum
-    comes from dsbevd and which has no Sturm count.  Either way the
-    truncation stops where the pairwise test would, up to rounding at a
-    bracket's edge.
+    Each truncation is read from the block's bands alone (``_bands``), and
+    the loop keeps one state: the window's levels of each part of the block
+    at the truncation before (two Jacobi chains, or the whole driven band).
+    A block with chains first tries to confirm the doubled truncation from
+    them (``_confirmed``): a count of the window and a bisection of each
+    level's stability bracket.  If that fails, or a chain's previous levels
+    lie within twice the tolerance of each other, or there is no truncation
+    before, each part's whole spectrum is taken (``_spectra``), its levels
+    in the window kept, and the merged levels compared pairwise with those
+    before.  Either way the truncation stops where the pairwise test would,
+    up to rounding at a bracket's edge.
     """
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
@@ -416,27 +407,21 @@ def oracle_spectrum(
         raise ValueError("window must satisfy E_min < E_max")
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, osector, e_max, n_start, n_max)
-    if n > n_max:
-        raise ValueError(f"starting truncation {n} exceeds the ceiling n_max={n_max}")
-    prev: list[float] | None = None
-    prev_chains: list[np.ndarray] | None = None
+    n = _initial_truncation(model, osector, e_max, n_max)
+    prev: list[np.ndarray] | None = None
     while n <= n_max:
         bands, _ = _bands(model, osector, n)
         chains = _jacobi_chains(bands)
-        if chains is None:
-            vals = _in_window(_spectrum(bands), e_min, e_max).tolist()
-        else:
-            if prev_chains is not None:
-                confirmed = _confirmed(chains, prev_chains, e_min, e_max, tol)
-                if confirmed is not None:
-                    return confirmed, n
-            prev_chains = _chains_in_range(chains, e_min, e_max)
-            vals = np.sort(np.concatenate(prev_chains)).tolist()
-        if prev is not None and len(vals) == len(prev):
-            if all(abs(a - b) < tol for a, b in zip(vals, prev)):
+        if chains is not None and prev is not None:
+            confirmed = _confirmed(chains, prev, e_min, e_max, tol)
+            if confirmed is not None:
+                return confirmed, n
+        levels = [_in_window(w, e_min, e_max) for w in _spectra(bands)]
+        if prev is not None:
+            vals, before = _merged(levels), _merged(prev)
+            if len(vals) == len(before) and all(abs(a - b) < tol for a, b in zip(vals, before)):
                 return vals, n
-        prev = vals
+        prev = levels
         n *= 2
     raise TruncationCeiling(
         f"eigenvalues did not stabilize below truncation {n_max}"

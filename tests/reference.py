@@ -313,7 +313,6 @@ def doubling_oracle_spectrum(
     model: ModelParams,
     sector: Sector,
     window: tuple[float, float],
-    n_start: int | None = None,
     n_max: int = N_MAX_DEFAULT,
 ) -> tuple[list[float], int]:
     """``oracle.oracle_spectrum`` as a whole-window solve at every truncation.
@@ -326,7 +325,7 @@ def doubling_oracle_spectrum(
     """
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, osector, window[1], n_start, n_max)
+    n = _initial_truncation(model, osector, window[1], n_max)
     prev = None
     while n <= n_max:
         h = build_hamiltonian(model, osector, n)

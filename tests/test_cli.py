@@ -239,14 +239,20 @@ class TestConfigHandling:
         assert path.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command", ["oracle", "compare"])
-    def test_oracle_n_above_ceiling_is_config_error(self, capsys, command):
-        # the oracle would diagonalize nothing, so no truncation ceiling is reported
+    def test_oracle_start_option_is_gone(self, capsys, tmp_path, command):
+        # the oracle starts at the block's reach, and takes no start option:
+        # the flag is a usage error and the config key an unknown one
         argv = [command, "--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4",
-                "--emax", "2.5", "--oracle-n", "100000"]
-        code, out, err = run_cli(capsys, argv)
+                "--emax", "2.5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--oracle-n", "64"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --oracle-n 64" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("oracle_n = 64\n")
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
         assert code == 1 and out == ""
-        assert err == ("ERROR config ValueError: starting truncation 100000 exceeds the "
-                       "ceiling n_max=8192\n")
+        assert err.startswith("ERROR config ValueError: unknown config key 'oracle_n'; known: ")
 
 
 # Each shared option with a run that uses it: (subcommand, the other options,
@@ -264,7 +270,6 @@ OPTION_RUNS = {
     "emax": (["oracle"], TWO_PHOTON_RUN, "4"),
     "cf_rel_tol": (["curve", "--samples", "5"], TWO_PHOTON_RUN, "1e-10"),
     "root_abs_tol": (["spectrum"], TWO_PHOTON_RUN, "1e-11"),
-    "oracle_n": (["oracle"], TWO_PHOTON_RUN, "64"),
     "match_tol": (["compare"], TWO_PHOTON_RUN, "1e-5"),
     "format": (["oracle"], TWO_PHOTON_RUN, "json"),
     "output": (["oracle"], TWO_PHOTON_RUN, None),  # a path under tmp_path

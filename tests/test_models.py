@@ -86,6 +86,23 @@ class TestSector:
         with pytest.raises(ValueError):
             Sector.two_mode(0.0)
 
+    @pytest.mark.parametrize("kind,value", [
+        (ModelKind.TWO_PHOTON, 0.5),
+        (ModelKind.TWO_PHOTON, 0.0),
+        (ModelKind.TWO_MODE, 0.7),
+        (ModelKind.TWO_MODE, 0.0),
+        (ModelKind.TWO_MODE, -0.5),
+        (ModelKind.TWO_MODE, math.inf),
+        (ModelKind.TWO_MODE, math.nan),
+        (ModelKind.DRIVEN_RABI, 0.5),
+    ])
+    def test_dataclass_constructor_checks_the_label(self, kind, value):
+        # the constructor is checked as the named ones are: a two-photon label
+        # of 0.5 would otherwise read as q = 1/4 in the solver and as odd
+        # parity in the oracle, and a kappa of 0.7 as a mode difference of 0
+        with pytest.raises(ValueError):
+            Sector(kind, value)
+
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Sector.two_photon(0.25).check_matches(tm())

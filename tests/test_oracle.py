@@ -14,7 +14,6 @@ from rabispec import (
     TruncationCeiling,
     build_hamiltonian,
     closed_form_spectrum_g0,
-    eigen_lowest,
     map_sector,
     oracle_spectrum,
 )
@@ -25,11 +24,12 @@ from rabispec.oracle import (
     TruncatedHamiltonian,
     _bands,
     _block_reach,
-    _chains_in_range,
     _confirmed,
+    _in_window,
     _initial_truncation,
     _jacobi_chains,
     _reach,
+    _spectra,
     _stebz,
     _sterf,
     eigen_in_range,
@@ -132,7 +132,7 @@ class TestMatrixElements:
         block = dense[:2, :2]
         assert block == pytest.approx(np.array([[0.4, 0.3], [0.3, -0.4]]))
         gap = math.hypot(0.4, 0.3)
-        assert eigen_lowest(h, 2) == pytest.approx([-gap, gap], abs=1e-12)
+        assert eigen_in_range(h, -math.inf, math.inf)[:2] == pytest.approx([-gap, gap], abs=1e-12)
 
     def test_dense_is_symmetric(self):
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
@@ -150,22 +150,14 @@ def _hand_built(bands):
 
 class TestBandedSolver:
     def _wrap(self, diag):
-        # hand-assembled banded storage exercising eigen_lowest directly
+        # hand-assembled banded storage exercising eigen_in_range directly
         bands = np.zeros((4, len(diag)))
         bands[3, :] = diag
         return _hand_built(bands)
 
     def test_diagonal_matrix(self):
         h = self._wrap([3.0, 1.0, 2.0])
-        assert eigen_lowest(h, 2) == pytest.approx([1.0, 2.0])
         assert eigen_in_range(h, 1.5, 3.5) == pytest.approx([2.0, 3.0])
-
-    def test_k_validation(self):
-        h = self._wrap([1.0, 2.0])
-        with pytest.raises(ValueError):
-            eigen_lowest(h, 0)
-        with pytest.raises(ValueError):
-            eigen_lowest(h, 3)
 
     @pytest.mark.parametrize(
         "model,sector",
@@ -180,7 +172,7 @@ class TestBandedSolver:
         h = build_hamiltonian(model, map_sector(sector), 4)
         dense = h.to_dense().tolist()
         k = min(h.dimension, 6)
-        assert eigen_lowest(h, k) == pytest.approx(
+        assert eigen_in_range(h, -math.inf, math.inf)[:k] == pytest.approx(
             eigs_by_bisection(dense, k), abs=1e-9
         )
 
@@ -297,10 +289,6 @@ def _banded_in_range(h, lo, hi):
     return scipy.linalg.eig_banded(h.bands, eigvals_only=True, select="v", select_range=(lo, hi))
 
 
-def _banded_lowest(h, k):
-    return scipy.linalg.eig_banded(h.bands, eigvals_only=True, select="i", select_range=(0, k - 1))
-
-
 def assert_close_multiset(vals, ref):
     vals, ref = np.sort(vals), np.sort(ref)
     assert vals.shape == ref.shape
@@ -330,8 +318,6 @@ class TestJacobiChains:
         # at delta = 0 the two chains hold degenerate pairs
         lo, hi = -3.1, 12.7
         assert_close_multiset(eigen_in_range(h, lo, hi), _banded_in_range(h, lo, hi))
-        for k in sorted({1, min(9, h.dimension), min(40, h.dimension)}):
-            assert_close_multiset(eigen_lowest(h, k), _banded_lowest(h, k))
 
     @pytest.mark.parametrize("truncation", [4, 5, 64, 1024])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -345,8 +331,6 @@ class TestJacobiChains:
         assert _jacobi_chains(h.bands) is None
         lo, hi = -3.1, 12.7
         assert_close_multiset(eigen_in_range(h, lo, hi), _banded_in_range(h, lo, hi))
-        for k in sorted({1, min(9, h.dimension), min(40, h.dimension)}):
-            assert_close_multiset(eigen_lowest(h, k), _banded_lowest(h, k))
 
     @pytest.mark.parametrize("drive", [0.3, -1.0])
     def test_driven_block_matches_dense(self, drive):
@@ -354,7 +338,6 @@ class TestJacobiChains:
         h = build_hamiltonian(model, map_sector(Sector.driven()), 40)
         assert _jacobi_chains(h.bands) is None
         ref = np.linalg.eigvalsh(h.to_dense())
-        assert eigen_lowest(h, 12) == pytest.approx(ref[:12], abs=1e-10)
         inside = ref[(ref > -2.0) & (ref <= 6.0)]
         assert eigen_in_range(h, -2.0, 6.0) == pytest.approx(inside, abs=1e-10)
 
@@ -367,9 +350,9 @@ class TestJacobiChains:
         bands = h.bands.copy()
         bands[row, col] = 0.7
         h = _hand_built(bands)
-        assert _jacobi_chains(h.bands) is None
+        assert _jacobi_chains(h.bands) is None and len(_spectra(h.bands)) == 1
         ref = np.linalg.eigvalsh(h.to_dense())
-        assert eigen_lowest(h, h.dimension) == pytest.approx(ref, abs=1e-10)
+        assert eigen_in_range(h, -math.inf, math.inf) == pytest.approx(ref, abs=1e-10)
         inside = ref[(ref > 0.0) & (ref <= 5.0)]
         assert eigen_in_range(h, 0.0, 5.0) == pytest.approx(inside, abs=1e-10)
 
@@ -382,8 +365,6 @@ class TestJacobiChains:
     def test_small_hand_built(self, bands):
         h = _hand_built(np.array(bands))
         ref = np.linalg.eigvalsh(h.to_dense())
-        for k in range(1, h.dimension + 1):
-            assert eigen_lowest(h, k) == pytest.approx(ref[:k], abs=1e-14)
         assert eigen_in_range(h, -10.0, 10.0) == pytest.approx(ref, abs=1e-14)
         assert eigen_in_range(h, 10.0, 20.0) == []
 
@@ -402,7 +383,7 @@ class TestJacobiChains:
         bands[3] = [1.5, 4.0, 1.5, 3.0]
         h = _hand_built(bands)
         assert _jacobi_chains(h.bands) is None
-        assert eigen_lowest(h, 4) == [1.0, 2.0, 3.0, 4.0]
+        assert eigen_in_range(h, -math.inf, math.inf) == [1.0, 2.0, 3.0, 4.0]
         assert eigen_in_range(h, 1.0, 3.0) == [2.0, 3.0]
         assert len(_banded_in_range(h, 1.0, 3.0)) == 2
 
@@ -452,15 +433,29 @@ class TestStebz:
         capfd.readouterr()
 
 
+def _chain_bands(first, second):
+    """Banded storage of a block whose two Jacobi chains are ``first`` and
+    ``second``, each of the same number of rows: ``_jacobi_chains`` inverted."""
+    idx = np.arange(2 * first[0].size)
+    bands = np.zeros((4, idx.size))
+    for members, (d, e) in zip(((0, 3), (1, 2)), (first, second)):
+        c = idx[np.isin(idx % 4, members)]
+        bands[3, c] = d
+        bands[3 - np.diff(c), c[1:]] = e
+    return bands
+
+
 class TestWholeChainSpectrum:
-    """Each chain's levels in a window, picked from its whole spectrum (dsterf),
-    against scipy's bisection of the window (dstebz)."""
+    """Each chain's levels in a window, picked from its whole spectrum
+    (``_spectra``: dsterf), against scipy's bisection of the window (dstebz)."""
 
     @staticmethod
-    def _assert_matches_bisection(chains, lo, hi):
-        got = _chains_in_range(chains, lo, hi)
-        assert len(got) == len(chains)
+    def _assert_matches_bisection(bands, lo, hi):
+        chains = _jacobi_chains(bands)
+        got = _spectra(bands)
+        assert len(got) == len(chains) == 2
         for (d, e), w in zip(chains, got):
+            w = _in_window(w, lo, hi)
             ref = scipy.linalg.eigvalsh_tridiagonal(
                 d, e, select="v", select_range=(lo, hi), tol=_BISECT_TOL
             )
@@ -468,9 +463,17 @@ class TestWholeChainSpectrum:
             assert np.all(np.abs(w - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
     @pytest.mark.parametrize("rows", [1, 2, 33, 1025])
+    def test_chains_round_trip(self, rows):
+        first, second = _random_chain(rows, rows), _random_chain(rows, rows + 1)
+        chains = _jacobi_chains(_chain_bands(first, second))
+        for (d, e), (d0, e0) in zip(chains, (first, second)):
+            assert np.array_equal(d, d0) and np.array_equal(e, e0)
+
+    @pytest.mark.parametrize("rows", [1, 2, 33, 1025])
     @pytest.mark.parametrize("lo,hi", [(-math.inf, math.inf), (-1.0, 1.5), (8.0, 9.0)])
     def test_random_chain(self, rows, lo, hi):
-        self._assert_matches_bisection([_random_chain(rows, rows)], lo, hi)
+        bands = _chain_bands(_random_chain(rows, rows), _random_chain(rows, rows + 1))
+        self._assert_matches_bisection(bands, lo, hi)
 
     @pytest.mark.parametrize("kind,g,sector", [
         (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25)),
@@ -482,16 +485,16 @@ class TestWholeChainSpectrum:
         model = ModelParams(kind, 1.0, 0.5, g)
         osec = map_sector(sector)
         truncation = 2048 if kind is ModelKind.TWO_PHOTON else 1024
-        chains = _jacobi_chains(_bands(model, osec, truncation)[0])
-        assert [d.size for d, _ in chains] == [1025, 1025]
-        self._assert_matches_bisection(chains, default_window_min(model, sector), 30.0)
+        bands = _bands(model, osec, truncation)[0]
+        assert [d.size for d, _ in _jacobi_chains(bands)] == [1025, 1025]
+        self._assert_matches_bisection(bands, default_window_min(model, sector), 30.0)
 
     def test_split_chain(self):
         # an exact zero on the off-diagonal splits the chain in two; the
         # whole spectrum is the union of the two parts'
         d, e = _random_chain(33, 5)
         e[10] = 0.0
-        self._assert_matches_bisection([(d, e)], -1.0, 1.5)
+        self._assert_matches_bisection(_chain_bands((d, e), _random_chain(33, 6)), -1.0, 1.5)
         parts = np.sort(np.concatenate([_sterf(d[:11], e[:10]), _sterf(d[11:], e[11:])]))
         assert np.all(np.abs(_sterf(d, e) - parts) <= 1e-14 * np.maximum(1.0, np.abs(parts)))
 
@@ -504,9 +507,9 @@ class TestWholeChainSpectrum:
         # the block comes twice, once from each
         model = ModelParams(kind, 1.0, 0.0, 0.3)
         h = build_hamiltonian(model, map_sector(sector), 64)
-        (d0, e0), (d1, e1) = chains = _jacobi_chains(h.bands)
+        (d0, e0), (d1, e1) = _jacobi_chains(h.bands)
         assert np.array_equal(d0, d1) and np.array_equal(e0, e1)
-        self._assert_matches_bisection(chains, -3.1, 12.7)
+        self._assert_matches_bisection(h.bands, -3.1, 12.7)
         vals = eigen_in_range(h, -3.1, 12.7)
         assert len(vals) > 10 and vals[0::2] == vals[1::2]
 
@@ -514,8 +517,9 @@ class TestWholeChainSpectrum:
         # levels exactly at lo and hi: the one at lo is left out, the one at
         # hi kept, as bisection of the window does
         d, e = np.array([1.5, -1.0, 0.5, 3.0]), np.zeros(3)
-        assert [w.tolist() for w in _chains_in_range([(d, e)], -1.0, 1.5)] == [[0.5, 1.5]]
-        self._assert_matches_bisection([(d, e)], -1.0, 1.5)
+        bands = _chain_bands((d, e), (d, e))
+        assert [_in_window(w, -1.0, 1.5).tolist() for w in _spectra(bands)] == [[0.5, 1.5]] * 2
+        self._assert_matches_bisection(bands, -1.0, 1.5)
 
 
 class TestConfirmation:
@@ -655,6 +659,15 @@ CHAIN_WIDE_WINDOWS = [
     (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), 30.0, 1024, 100),
 ]
 
+# (model, E_max): the driven windows of the benchmark's oracle workload (seed
+# 1), from default_window_min
+DRIVEN_ORACLE_WINDOWS = [
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4002, 1.0, 0.8), 60.0),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5636, 2.0, 0.5), 50.0),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5918, 2.5, 1.0), 40.0),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4617, 3.0, 0.3), 30.0),
+]
+
 # a driven window whose levels lie near boson number 49, far below zero
 FAR_BELOW_ZERO = (
     ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 7.0, 0.3), Sector.driven(), (-49.5, -45.5)
@@ -682,7 +695,7 @@ class TestPhysics:
         union = []
         for q in (0.25, 0.75):
             h = build_hamiltonian(model, map_sector(Sector.two_photon(q)), n_cut)
-            union += eigen_lowest(h, 10)
+            union += eigen_in_range(h, -math.inf, math.inf)[:10]
         assert sorted(union)[:10] == pytest.approx(ref, abs=1e-10)
 
     def test_sign_of_g_invariance(self):
@@ -714,8 +727,8 @@ class TestPhysics:
         # enlarging the basis can only lower (never raise) each ordered level
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.35)
         osec = map_sector(Sector.two_photon(0.25))
-        v1 = eigen_lowest(build_hamiltonian(model, osec, 64), 20)
-        v2 = eigen_lowest(build_hamiltonian(model, osec, 128), 20)
+        v1 = eigen_in_range(build_hamiltonian(model, osec, 64), -math.inf, math.inf)[:20]
+        v2 = eigen_in_range(build_hamiltonian(model, osec, 128), -math.inf, math.inf)[:20]
         for a, b in zip(v2, v1):
             assert a <= b + 1e-12
 
@@ -727,8 +740,8 @@ class TestPhysics:
 
     def test_truncation_ceiling(self, monkeypatch):
         # the block's Gershgorin reach is boson number 88 here, so the oracle
-        # would start at 128; with n_max = 16 it still diagonalizes at 16
-        # before it reports the ceiling (and reads no reach: 2 * 16 > n_max)
+        # would start at 128; with n_max = 16 it starts at 16 and diagonalizes
+        # there before it reports the ceiling (and reads no reach: 2 * 16 > n_max)
         built = []
         monkeypatch.setattr("rabispec.oracle._bands",
                             lambda *a: built.append(a[2]) or _bands(*a))
@@ -736,8 +749,7 @@ class TestPhysics:
         osec = map_sector(Sector.two_photon(0.25))
         assert _reach(*_bands(model, osec, N_MAX_DEFAULT), 8.0) == 88
         with pytest.raises(TruncationCeiling):
-            oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0),
-                            n_start=16, n_max=16)
+            oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0), n_max=16)
         assert built == [16]
 
     @pytest.mark.parametrize("drive", [0.0, 0.3])
@@ -748,17 +760,6 @@ class TestPhysics:
                             lambda *a: pytest.fail("build_hamiltonian called"))
         model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.7, drive)
         assert oracle_spectrum(model, Sector.driven(), (-1.0, 5.0))[0]
-
-    def test_start_above_ceiling_rejected(self, monkeypatch):
-        # a start above n_max would diagonalize nothing: a usage error, not a
-        # truncation ceiling
-        built = []
-        monkeypatch.setattr("rabispec.oracle._bands",
-                            lambda *a: built.append(a[2]) or _bands(*a))
-        model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2)
-        with pytest.raises(ValueError, match="exceeds the ceiling"):
-            oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0), n_start=64, n_max=32)
-        assert built == []
 
     @pytest.mark.parametrize("model,sector,lo,width", STABILITY_WINDOWS)
     def test_truncation_stability_reported(self, monkeypatch, model, sector, lo, width):
@@ -776,16 +777,12 @@ class TestPhysics:
         again = eigen_in_range(build_hamiltonian(model, osec, 2 * n_used), *window)
         assert vals == pytest.approx(again, abs=1e-9)
 
+    # the four driven windows of the benchmark's oracle workload (seed 1)
+    # and the driven sweep window at g = 2.5: each solved at 1,024 or 512
+    # under the old 5 (E_max + delta + |drive| + |g| sqrt(n)) start
     @pytest.mark.parametrize("model,e_max,n_used", [
-        # the four driven windows of the benchmark's oracle workload (seed 1)
-        # and the driven sweep window at g = 2.5: each solved at 1,024 or 512
-        # under the old 5 (E_max + delta + |drive| + |g| sqrt(n)) start
-        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4002, 1.0, 0.8), 60.0, 256),
-        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5636, 2.0, 0.5), 50.0, 256),
-        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5918, 2.5, 1.0), 40.0, 256),
-        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4617, 3.0, 0.3), 30.0, 256),
-        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.6, 2.5, 0.2), None, 128),
-    ])
+        (model, e_max, 256) for model, e_max in DRIVEN_ORACLE_WINDOWS
+    ] + [(ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.6, 2.5, 0.2), None, 128)])
     def test_driven_truncation_used(self, model, e_max, n_used):
         e_min = default_window_min(model, Sector.driven())
         window = (e_min, e_min + 10.0 if e_max is None else e_max)
@@ -811,15 +808,13 @@ class TestPhysics:
         # the chain windows of the benchmark's oracle workload, at delta =
         # 0.5: the last truncation is confirmed, not solved over the window
         solved = []
-        monkeypatch.setattr("rabispec.oracle._chains_in_range",
-                            lambda chains, *a: solved.append(chains[0][0].size)
-                            or _chains_in_range(chains, *a))
+        monkeypatch.setattr("rabispec.oracle._spectra",
+                            lambda bands: solved.append(bands.shape[1]) or _spectra(bands))
         model = ModelParams(kind, 1.0, 0.5, g)
         window = (default_window_min(model, sector), e_max)
         vals, n = oracle_spectrum(model, sector, window)
         assert (n, len(vals)) == (n_used, count)
-        rows = _jacobi_chains(build_hamiltonian(model, map_sector(sector), n).bands)[0][0].size
-        assert solved and max(solved) < rows
+        assert solved and max(solved) < _bands(model, map_sector(sector), n)[0].shape[1]
 
     @pytest.mark.parametrize("kind,g,sector,window,n_used,count", [
         (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), (15.0, 20.0), 4096, 26),
@@ -833,14 +828,13 @@ class TestPhysics:
         vals, n = oracle_spectrum(ModelParams(kind, 1.0, 0.5, g), sector, window)
         assert (n, len(vals)) == (n_used, count)
 
-    @pytest.mark.parametrize("n_start", [None, 16])
-    def test_no_false_stop_far_below_zero(self, n_start):
+    def test_no_false_stop_far_below_zero(self):
         # the window's levels live near boson number g^2 = 49, where the
         # diagonal sits far above E_max: the blocks at 16 and 32 hold none of
         # them, so a start below the reach (83) would see no level at n and 2n
         # alike and return none
         model, _, window = FAR_BELOW_ZERO
-        vals, n_used = oracle_spectrum(model, Sector.driven(), window, n_start=n_start)
+        vals, n_used = oracle_spectrum(model, Sector.driven(), window)
         assert len(vals) == 8
         assert n_used <= 512
         h = build_hamiltonian(model, map_sector(Sector.driven()), 2 * n_used)
@@ -850,12 +844,13 @@ class TestPhysics:
 def _reference_windows():
     for model, sector, lo, width in STABILITY_WINDOWS:
         e_min = default_window_min(model, sector) + lo
-        yield model, sector, (e_min, e_min + width), None
-    for n_start in (None, 16):
-        yield FAR_BELOW_ZERO + (n_start,)
+        yield model, sector, (e_min, e_min + width)
+    yield FAR_BELOW_ZERO
     for kind, g, sector, e_max, _, _ in CHAIN_WIDE_WINDOWS:
         model = ModelParams(kind, 1.0, 0.5, g)
-        yield model, sector, (default_window_min(model, sector), e_max), None
+        yield model, sector, (default_window_min(model, sector), e_max)
+    for model, e_max in DRIVEN_ORACLE_WINDOWS:
+        yield model, Sector.driven(), (default_window_min(model, Sector.driven()), e_max)
 
 
 def _off_edges(vals, window):
@@ -875,15 +870,15 @@ EDGE_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("model,sector,window,n_start", list(_reference_windows()))
-def test_matches_whole_window_doubling(model, sector, window, n_start):
+@pytest.mark.parametrize("model,sector,window", list(_reference_windows()))
+def test_matches_whole_window_doubling(model, sector, window):
     # the confirmation stops at the truncation the pairwise test of whole-
     # window solves stops at, with the same levels.  The reference bisects
     # each chain over the window, and may round a level that lies exactly on
     # an edge the other way; only the windows of EDGE_COUNTS have one, and
     # there both counts are pinned
-    vals, n = oracle_spectrum(model, sector, window, n_start=n_start)
-    ref, n_ref = doubling_oracle_spectrum(model, sector, window, n_start=n_start)
+    vals, n = oracle_spectrum(model, sector, window)
+    ref, n_ref = doubling_oracle_spectrum(model, sector, window)
     assert n == n_ref
     counts = (len(vals), len(ref))
     vals, ref = _off_edges(vals, window), _off_edges(ref, window)
