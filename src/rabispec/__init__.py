@@ -38,7 +38,6 @@ from .series import (
     norm_tail_ratio,
 )
 from .spectral import (
-    SpectrumOptions,
     SpectrumResult,
     compute_spectrum,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Sector",
     "SeriesCoefficients",
     "SignLostWarning",
-    "SpectrumOptions",
     "SpectrumResult",
     "TruncatedHamiltonian",
     "TruncationCeiling",

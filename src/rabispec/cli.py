@@ -28,7 +28,7 @@ from .models import ModelKind, ModelParams, Sector, distance_to_pole_set, pole_l
 from .oracle import oracle_spectrum
 from .series import minimal_series, norm_tail_ratio, norm_term_ratio
 from .spectral import (
-    SpectrumOptions,
+    DEFAULT_ROOT_ABS_TOL,
     compute_spectrum,
     default_window_min,
     eps_exceptional,
@@ -81,7 +81,7 @@ _OPTIONS = {
     "cf_rel_tol": _Option(
         float, DEFAULT_REL_TOL, "damping of the continued fraction's seed error (curve)"
     ),
-    "root_abs_tol": _Option(float, SpectrumOptions.root_abs_tol, "root bracket tolerance"),
+    "root_abs_tol": _Option(float, DEFAULT_ROOT_ABS_TOL, "root bracket tolerance"),
     "match_tol": _Option(float, 1e-6, "root/oracle matching tolerance"),
     "format": _Option(str, "csv", "output format (default csv)", ("csv", "json")),
     "output": _Option(str, None, "output path (default: standard output)"),
@@ -201,9 +201,7 @@ def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> N
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    result = compute_spectrum(
-        cfg.model, cfg.sector, cfg.window, SpectrumOptions(root_abs_tol=cfg.opts["root_abs_tol"])
-    )
+    result = compute_spectrum(cfg.model, cfg.sector, cfg.window, cfg.opts["root_abs_tol"])
     meta = _meta(cfg)
     meta["count_rows"] = result.count_rows
     meta["count_calls"] = result.count_calls
@@ -295,9 +293,7 @@ def match_spectra(
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    result = compute_spectrum(
-        cfg.model, cfg.sector, cfg.window, SpectrumOptions(root_abs_tol=cfg.opts["root_abs_tol"])
-    )
+    result = compute_spectrum(cfg.model, cfg.sector, cfg.window, cfg.opts["root_abs_tol"])
     oracle_vals, n_used = oracle_spectrum(cfg.model, cfg.sector, cfg.window)
     poles = poles_in_window(
         cfg.model, cfg.sector, cfg.window[0] - pole_lattice(cfg.model, cfg.sector)[1], cfg.window[1]

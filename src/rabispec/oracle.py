@@ -54,7 +54,7 @@ from scipy.linalg import lapack
 from .errors import TruncationCeiling
 from .models import ModelKind, ModelParams, Sector
 
-N_MAX_DEFAULT = 2**13
+N_MAX_DEFAULT = 2**13  # the truncation ceiling, a power of two, read at call time
 _STAB_TOL_FACTOR = 1e-9  # stable: each level moves by < this * omega per doubling
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
 # bisection tolerance of a confirmed chain's levels: twice the safe minimum,
@@ -201,7 +201,7 @@ def _jacobi_chains(bands: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | N
     rem = idx % 4
     chains = []
     # two comparisons, not np.isin, which costs several times more: the
-    # doubling splits the bands twice at each truncation it solves whole
+    # doubling splits the bands at every truncation
     for a, b in ((0, 3), (1, 2)):
         c = idx[(rem == a) | (rem == b)]
         if c.size:
@@ -245,14 +245,14 @@ def _in_window(vals: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return vals[(vals > lo) & (vals <= hi)]
 
 
-def _spectra(bands: np.ndarray) -> list[np.ndarray]:
+def _spectra(bands: np.ndarray, chains) -> list[np.ndarray]:
     """The whole spectrum of each part of the block, ascending.
 
-    A parity-symmetric block has two parts, its Jacobi chains, each solved
-    by dsterf; any other block is one part, solved whole by LAPACK's banded
-    symmetric solver (dsbevd).
+    ``chains`` is the block's split into Jacobi chains (``_jacobi_chains``
+    of ``bands``): a parity-symmetric block has two parts, its chains, each
+    solved by dsterf; any other block (``chains`` None) is one part, solved
+    whole by LAPACK's banded symmetric solver (dsbevd).
     """
-    chains = _jacobi_chains(bands)
     if chains is None:
         return [scipy.linalg.eig_banded(bands, lower=False, eigvals_only=True)]
     return [_sterf(d, e) for d, e in chains]
@@ -308,7 +308,8 @@ def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]
     """
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
-    return _merged([_in_window(w, lo, hi) for w in _spectra(h.bands)])
+    parts = _spectra(h.bands, _jacobi_chains(h.bands))
+    return _merged([_in_window(w, lo, hi) for w in parts])
 
 
 def _disc_edges(bands: np.ndarray) -> np.ndarray:
@@ -332,61 +333,53 @@ def _reach(bands: np.ndarray, ns: np.ndarray, e_max: float) -> int:
     return int(ns[reaching[-1] // 2]) if reaching.size else 0
 
 
-def _block_reach(model: ModelParams, osector: OracleSector, e_max: float, n_max: int) -> int:
-    """The reach of the block at ``n_max``, read from its bands at truncations 32, 64, ...
+def _initial_truncation(model: ModelParams, osector: OracleSector, e_max: float) -> int:
+    """The first truncation diagonalized: the smallest power of two from 32
+    at or above the block's reach at ``N_MAX_DEFAULT``.
 
-    Along either spin the disc edge is the boson energy, affine in the boson
-    number, less the two hops, each concave in it (|g| times the square root
-    of affine factors), less a constant: it is convex, so once it grows from
-    one state to the next it grows on.  The last boson number of a truncation
-    lacks its upper hop, and its edge reads too high.  So the doubling stops
-    once, along both spins, the edges of the two states below it grow and lie
-    above ``e_max``: no state past them reaches ``e_max`` at any truncation.
+    The reach is read from the bands at truncations 32, 64, ... up to
+    ``N_MAX_DEFAULT``.  Along either spin the disc edge is the boson energy,
+    affine in the boson number, less the two hops, each concave in it (|g|
+    times the square root of affine factors), less a constant: it is convex,
+    so once it grows from one state to the next it grows on.  The last boson
+    number of a truncation lacks its upper hop, and its edge reads too high.
+    So the doubling stops once, along both spins, the edges of the two states
+    below it grow and lie above ``e_max``: no state past them reaches
+    ``e_max`` at any truncation, and the reach, which lies below them, is
+    that of the bands at the ceiling.  A ceiling of at most 32 is itself the
+    start, and no reach is read.
+
+    The reach is a lower bound: below it the window's eigenvectors have not
+    decayed, and a truncation there may hold none of the window's levels at
+    n and 2n alike, which the stability check would take as converged.
     """
+    n_max = N_MAX_DEFAULT
+    if n_max <= 32:
+        return n_max
     n = 32
-    while n < n_max:
+    while True:
         bands, ns = _bands(model, osector, n)
         below = _disc_edges(bands)[-6:-2].reshape(2, 2)  # (state, spin)
-        if ((below[1] >= below[0]) & (below[1] > e_max)).all():
-            return _reach(bands, ns, e_max)
+        if n >= n_max or ((below[1] >= below[0]) & (below[1] > e_max)).all():
+            break
         n *= 2
-    return _reach(*_bands(model, osector, n_max), e_max)
-
-
-def _initial_truncation(
-    model: ModelParams, osector: OracleSector, e_max: float, n_max: int
-) -> int:
-    """The first truncation diagonalized: 32 (at most ``n_max``), doubled up to the block's reach.
-
-    It is doubled while it lies below the reach of the block at ``n_max``
-    (``_block_reach``) and its double is within ``n_max``.  The reach is a
-    lower bound: below it the window's eigenvectors have not decayed, and a
-    truncation there may hold none of the window's levels at n and 2n
-    alike, which the stability check would take as converged.
-    """
-    n = min(32, n_max)
-    if 2 * n > n_max:
-        return n
-    reach = _block_reach(model, osector, e_max, n_max)
-    while n < reach and 2 * n <= n_max:
-        n *= 2
-    return n
+    return max(32, 1 << (_reach(bands, ns, e_max) - 1).bit_length())  # 2^k >= the reach
 
 
 def oracle_spectrum(
     model: ModelParams,
     sector: Sector,
     window: tuple[float, float],
-    n_max: int = N_MAX_DEFAULT,
 ) -> tuple[list[float], int]:
     """Truncation-stable eigenvalues in ``window`` plus the cutoff used.
 
     Starts at the block's reach (``_initial_truncation``) and doubles the
     boson cutoff until every in-window eigenvalue moves by less than
     ``_STAB_TOL_FACTOR * omega`` from one truncation to the next; raises
-    TruncationCeiling if that never happens up to ``n_max``.  Both window
-    edges must be finite, as for ``compute_spectrum``: an infinite upper
-    edge takes in new levels at every truncation.
+    TruncationCeiling if that never happens up to ``N_MAX_DEFAULT`` (read at
+    call time).  Both window edges must be finite, as for
+    ``compute_spectrum``: an infinite upper edge takes in new levels at every
+    truncation.
 
     Each truncation is read from the block's bands alone (``_bands``), and
     the loop keeps one state: the window's levels of each part of the block
@@ -395,10 +388,11 @@ def oracle_spectrum(
     them (``_confirmed``): a count of the window and a bisection of each
     level's stability bracket.  If that fails, or a chain's previous levels
     lie within twice the tolerance of each other, or there is no truncation
-    before, each part's whole spectrum is taken (``_spectra``), its levels
-    in the window kept, and the merged levels compared pairwise with those
-    before.  Either way the truncation stops where the pairwise test would,
-    up to rounding at a bracket's edge.
+    before, each part's whole spectrum is taken (``_spectra``, on the chains
+    already split off the bands), its levels in the window kept, and the
+    merged levels compared pairwise with those before.  Either way the
+    truncation stops where the pairwise test would, up to rounding at a
+    bracket's edge.
     """
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
@@ -407,16 +401,16 @@ def oracle_spectrum(
         raise ValueError("window must satisfy E_min < E_max")
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, osector, e_max, n_max)
+    n = _initial_truncation(model, osector, e_max)
     prev: list[np.ndarray] | None = None
-    while n <= n_max:
+    while n <= N_MAX_DEFAULT:
         bands, _ = _bands(model, osector, n)
         chains = _jacobi_chains(bands)
         if chains is not None and prev is not None:
             confirmed = _confirmed(chains, prev, e_min, e_max, tol)
             if confirmed is not None:
                 return confirmed, n
-        levels = [_in_window(w, e_min, e_max) for w in _spectra(bands)]
+        levels = [_in_window(w, e_min, e_max) for w in _spectra(bands, chains)]
         if prev is not None:
             vals, before = _merged(levels), _merged(prev)
             if len(vals) == len(before) and all(abs(a - b) < tol for a, b in zip(vals, before)):
@@ -424,5 +418,5 @@ def oracle_spectrum(
         prev = levels
         n *= 2
     raise TruncationCeiling(
-        f"eigenvalues did not stabilize below truncation {n_max}"
+        f"eigenvalues did not stabilize below truncation {N_MAX_DEFAULT}"
     )

@@ -66,7 +66,9 @@ from .models import (
 # Pole-handling constants (in units of omega where dimensionful).
 EPS_EXC_FACTOR = 1e-5          # levels closer than this to a pole are exceptional candidates
 RESIDUAL_CAP = 1e-4            # energies above this twisted residual are not eigenvalues (series)
-# Recurrence rows of the first level count; doubled while levels move.
+DEFAULT_ROOT_ABS_TOL = 1e-10   # width below which a level's bracket is settled
+# Recurrence rows of the first level count, at least; doubled while levels
+# move, up to contfrac's DEFAULT_MAX_DEPTH.
 _FIRST_COUNT_ROWS = 64
 # Each multisection step cuts every unsettled bracket into this many sections.
 _SECTIONS = 16
@@ -80,7 +82,7 @@ class RootRecord:
     """One level: its energy, twisted residual, final bracket width and multisection steps.
 
     ``sign_lost`` marks a level whose position was not confirmed under a
-    doubling of the count rows because the rows reached ``cf_max_depth``.
+    doubling of the count rows because the rows reached ``DEFAULT_MAX_DEPTH``.
     """
 
     energy: float
@@ -91,25 +93,13 @@ class RootRecord:
 
 
 @dataclass(frozen=True)
-class SpectrumOptions:
-    cf_max_depth: int = DEFAULT_MAX_DEPTH
-    root_abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.root_abs_tol > 0.0:
-            raise ValueError(f"root_abs_tol must be positive, got {self.root_abs_tol}")
-        if not self.cf_max_depth >= 8:
-            raise ValueError(f"cf_max_depth must be >= 8, got {self.cf_max_depth}")
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """Regular roots, pole set and exceptional candidates found in a window.
 
     ``brackets_found`` is N(e_max) - N(e_min), the number of levels the count
     puts in the window; every one of them is returned, in ``roots`` or in
     ``flagged``.  ``brackets_rejected`` counts the levels whose position was
-    not confirmed at the ``cf_max_depth`` row cap.  ``count_calls`` is the
+    not confirmed at the ``DEFAULT_MAX_DEPTH`` row cap.  ``count_calls`` is the
     number of ``level_count`` calls, ``grid_points`` the lanes passed to
     them (each point once per truncation) and ``count_row_steps`` the sum of
     their rows N (the pivot loop runs N // 2 iterations of a call, one row
@@ -142,14 +132,19 @@ def eps_exceptional(model: ModelParams) -> float:
 def poles_in_window(
     model: ModelParams, sector: Sector, e_min: float, e_max: float
 ) -> list[float]:
-    """Analytic pole energies lying in [e_min, e_max]."""
+    """Analytic pole energies lying in [e_min, e_max].
+
+    The poles E_n = first + n * spacing are taken for the indices
+    ceil((e_min - first) / spacing)..floor((e_max - first) / spacing), each
+    widened by one against rounding, and kept where they lie in the window:
+    the work grows with the poles in the window, not with its height.
+    """
     first, spacing = pole_lattice(model, sector)
-    if e_max < first:
-        return []
-    n_hi = int(math.floor((e_max - first) / spacing)) + 1
+    n_lo = math.ceil(max(0.0, (e_min - first) / spacing))
+    n_hi = math.floor((e_max - first) / spacing) + 1
     return [
         p
-        for p in (first + n * spacing for n in range(n_hi + 1))
+        for p in (first + n * spacing for n in range(max(n_lo - 1, 0), n_hi + 1))
         if e_min <= p <= e_max
     ]
 
@@ -316,7 +311,7 @@ def compute_spectrum(
     model: ModelParams,
     sector: Sector,
     window: tuple[float, float],
-    opts: SpectrumOptions | None = None,
+    root_abs_tol: float = DEFAULT_ROOT_ABS_TOL,
 ) -> SpectrumResult:
     """Every level in the window, each found by multisection on the level count.
 
@@ -335,11 +330,16 @@ def compute_spectrum(
     The count truncates the recurrence at N rows, and the truncated levels
     move as N grows: agreeing counts at the window edges do not show that
     the levels inside sit where they should.  So the position of every level
-    is checked.  Starting from N = 64, the levels are narrowed at N, then
-    N(E) at 2N is taken at both ends of every final bracket and at the window
-    edges.  A level whose bracket still holds its step at 2N is confirmed;
-    the others are narrowed again at 2N, from the tightest brackets those
-    counts give, and checked at 4N, and so on up to ``cf_max_depth`` rows.
+    is checked.  The levels are narrowed at N, then N(E) at 2N is taken at
+    both ends of every final bracket and at the window edges.  A level whose
+    bracket still holds its step at 2N is confirmed; the others are narrowed
+    again at 2N, from the tightest brackets those counts give, and checked at
+    4N, and so on up to ``DEFAULT_MAX_DEPTH`` rows, the cap of
+    ``contfrac.backward_tail``.  The first N is 64, or the power of two above
+    the index of the last pole below the window's upper edge if that is
+    larger: the pole term counts only the poles of the first N rows, so fewer
+    rows would put N(e_min) = N(e_max) on a high window.  A window whose last
+    pole index is not below the cap raises ValueError.
     A level moves little under a doubling, so the first step at 2N does not
     cut its new bracket evenly: it counts at plo - tol * 16^k and
     phi + tol * 16^k (k >= 1) out from the level's bracket [plo, phi] at N,
@@ -356,8 +356,8 @@ def compute_spectrum(
     ``contfrac.twisted_residual`` from one backward pass over the rows that
     confirmed it (inf on a pole), is reported, never used to reject a level.
     """
-    if opts is None:
-        opts = SpectrumOptions()
+    if not root_abs_tol > 0.0:
+        raise ValueError(f"root_abs_tol must be positive, got {root_abs_tol}")
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
         raise ValueError(f"window edges must be finite, got {window}")
@@ -373,8 +373,12 @@ def compute_spectrum(
     off = np.where(inside, [-eps, eps], [eps, -eps])
     edges = np.where(np.abs(edges - pole) < eps, pole + off, edges)
 
-    cap, tol = opts.cf_max_depth, opts.root_abs_tol
-    rows = min(_FIRST_COUNT_ROWS, cap)
+    cap, tol = DEFAULT_MAX_DEPTH, root_abs_tol
+    first, spacing = pole_lattice(model, sector)
+    top = max(math.floor((edges[1] - first) / spacing), 0)  # the last pole below, or pole 0
+    if top >= cap:
+        raise ValueError(f"pole index {top} below the window's upper edge reaches the {cap}-row cap")
+    rows = max(_FIRST_COUNT_ROWS, 1 << top.bit_length())  # the power of two above top
     # the first count takes the window's sections, every level's first step, with its edges
     x = _section_points(model, sector, edges[:1], edges[1:], tol)
     new, window_step = np.concatenate([edges, x[~np.isnan(x)]]), not np.isnan(x).all()

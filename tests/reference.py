@@ -313,11 +313,11 @@ def doubling_oracle_spectrum(
     model: ModelParams,
     sector: Sector,
     window: tuple[float, float],
-    n_max: int = N_MAX_DEFAULT,
 ) -> tuple[list[float], int]:
     """``oracle.oracle_spectrum`` as a whole-window solve at every truncation.
 
-    From the same first truncation the cutoff doubles until the window holds
+    From the same first truncation the cutoff doubles, up to
+    ``N_MAX_DEFAULT``, until the window holds
     as many levels as at the one before and each sorted pair lies closer
     than ``_STAB_TOL_FACTOR * omega``.  Each Jacobi chain of a parity-
     symmetric block is bisected over the window; a driven block goes to
@@ -325,9 +325,9 @@ def doubling_oracle_spectrum(
     """
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, osector, window[1], n_max)
+    n = _initial_truncation(model, osector, window[1])
     prev = None
-    while n <= n_max:
+    while n <= N_MAX_DEFAULT:
         h = build_hamiltonian(model, osector, n)
         chains = _jacobi_chains(h.bands)
         if chains is None:
@@ -340,4 +340,4 @@ def doubling_oracle_spectrum(
                 return vals, n
         prev = vals
         n *= 2
-    raise TruncationCeiling(f"eigenvalues did not stabilize below truncation {n_max}")
+    raise TruncationCeiling(f"eigenvalues did not stabilize below truncation {N_MAX_DEFAULT}")

@@ -38,6 +38,7 @@ from rabispec import (
     norm_tail_ratio,
     oracle_spectrum,
 )
+from rabispec import spectral
 from rabispec.models import (
     asymptotic_roots,
     coefficient_block,
@@ -46,7 +47,7 @@ from rabispec.models import (
     root_factor,
 )
 from rabispec.oracle import eigen_in_range
-from rabispec.spectral import RESIDUAL_CAP, SpectrumOptions, default_window_min, eps_exceptional
+from rabispec.spectral import RESIDUAL_CAP, default_window_min, eps_exceptional
 
 from reference import (
     BlockCoeffs,
@@ -183,6 +184,24 @@ def test_strong_drive_levels_found(g, window):
     # 64 rows and returns 4; 256 rows count 8 (g = 7) and 6 (g = 8)
     model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, g, 0.3)
     assert_every_level_found(model, Sector.driven(), window)
+
+
+_DRIVEN_HIGH = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("model,sector,window,levels", [
+    (_DRIVEN_HIGH, Sector.driven(), (150.0, 154.0), 8),
+    (_DRIVEN_HIGH, Sector.driven(), (500.0, 504.0), 8),
+    (_DRIVEN_HIGH, Sector.driven(), (1000.0, 1004.0), 8),
+    (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.4), Sector.two_mode(1.0), (1000.0, 1004.0), 4),
+    (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45), Sector.two_photon(0.75), (300.0, 304.0), 10),
+], ids=["driven-150", "driven-500", "driven-1000", "two-mode-1000", "two-photon-300"])
+def test_high_window_levels_found(model, sector, window, levels):
+    # windows whose poles lie past the 64 rows of the first count: a count
+    # of 64 rows puts as many poles below e_min as below e_max, and took
+    # N(e_min) = N(e_max), so none of these levels was found
+    result = assert_every_level_found(model, sector, window)
+    assert len(result.roots) + len(result.flagged) == levels
 
 
 @st.composite
@@ -327,14 +346,12 @@ def test_weak_coupling_continuity(kind, sector_value, window, g, tol):
 
 
 class TestSelfConsistency:
-    def test_root_stable_under_depth_doubling(self, two_photon_ref):
+    def test_root_stable_under_depth_doubling(self, two_photon_ref, monkeypatch):
         model, sector, _, _ = two_photon_ref
-        roots = [
-            compute_spectrum(
-                model, sector, (0.2, 0.6), SpectrumOptions(root_abs_tol=1e-12, cf_max_depth=depth)
-            ).energies[0]
-            for depth in (2**14, 2**15)
-        ]
+        roots = []
+        for depth in (2**14, 2**15):
+            monkeypatch.setattr(spectral, "DEFAULT_MAX_DEPTH", depth)
+            roots.append(compute_spectrum(model, sector, (0.2, 0.6), 1e-12).energies[0])
         assert abs(roots[0] - roots[1]) <= 1e-10
 
     def test_oracle_stable_under_truncation_doubling(self, two_photon_ref):
@@ -430,8 +447,7 @@ def _ode_residual(model, sector, energy, z):
 @pytest.mark.parametrize("model,sector,window", _NORM_POINTS,
                          ids=[m.kind.value for m, _, _ in _NORM_POINTS])
 def test_wavefunctions_solve_differential_system(model, sector, window):
-    opts = SpectrumOptions(root_abs_tol=1e-12)
-    energies = compute_spectrum(model, sector, window, opts).energies[:5]
+    energies = compute_spectrum(model, sector, window, root_abs_tol=1e-12).energies[:5]
     assert len(energies) == 5
     for e in energies:
         for z in (0.1, 0.5, 1.0):

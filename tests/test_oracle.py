@@ -23,7 +23,6 @@ from rabispec.oracle import (
     N_MAX_DEFAULT,
     TruncatedHamiltonian,
     _bands,
-    _block_reach,
     _confirmed,
     _in_window,
     _initial_truncation,
@@ -276,13 +275,17 @@ def _reach_windows(count, seed):
     return out
 
 
-def test_doubling_bands_give_the_reach_at_n_max():
+def test_start_is_the_power_of_two_above_the_reach_at_n_max():
     # the reach read from bands of 32, 64, ... states, stopped where the disc
-    # edges can only grow, is the reach of the bands at n_max
+    # edges can only grow, is the reach of the bands at N_MAX_DEFAULT: the
+    # start is the smallest power of two, from 32, at or above it
     for model, sector, e_max in _reach_windows(300, 20261019):
         osec = map_sector(sector)
-        want = _reach(*_bands(model, osec, N_MAX_DEFAULT), e_max)
-        assert _block_reach(model, osec, e_max, N_MAX_DEFAULT) == want, (model, sector, e_max)
+        reach = _reach(*_bands(model, osec, N_MAX_DEFAULT), e_max)
+        want = 32
+        while want < reach:
+            want *= 2
+        assert _initial_truncation(model, osec, e_max) == want, (model, sector, e_max)
 
 
 def _banded_in_range(h, lo, hi):
@@ -350,7 +353,7 @@ class TestJacobiChains:
         bands = h.bands.copy()
         bands[row, col] = 0.7
         h = _hand_built(bands)
-        assert _jacobi_chains(h.bands) is None and len(_spectra(h.bands)) == 1
+        assert _jacobi_chains(h.bands) is None and len(_spectra(h.bands, None)) == 1
         ref = np.linalg.eigvalsh(h.to_dense())
         assert eigen_in_range(h, -math.inf, math.inf) == pytest.approx(ref, abs=1e-10)
         inside = ref[(ref > 0.0) & (ref <= 5.0)]
@@ -452,7 +455,7 @@ class TestWholeChainSpectrum:
     @staticmethod
     def _assert_matches_bisection(bands, lo, hi):
         chains = _jacobi_chains(bands)
-        got = _spectra(bands)
+        got = _spectra(bands, chains)
         assert len(got) == len(chains) == 2
         for (d, e), w in zip(chains, got):
             w = _in_window(w, lo, hi)
@@ -518,7 +521,8 @@ class TestWholeChainSpectrum:
         # hi kept, as bisection of the window does
         d, e = np.array([1.5, -1.0, 0.5, 3.0]), np.zeros(3)
         bands = _chain_bands((d, e), (d, e))
-        assert [_in_window(w, -1.0, 1.5).tolist() for w in _spectra(bands)] == [[0.5, 1.5]] * 2
+        parts = _spectra(bands, _jacobi_chains(bands))
+        assert [_in_window(w, -1.0, 1.5).tolist() for w in parts] == [[0.5, 1.5]] * 2
         self._assert_matches_bisection(bands, -1.0, 1.5)
 
 
@@ -740,16 +744,18 @@ class TestPhysics:
 
     def test_truncation_ceiling(self, monkeypatch):
         # the block's Gershgorin reach is boson number 88 here, so the oracle
-        # would start at 128; with n_max = 16 it starts at 16 and diagonalizes
-        # there before it reports the ceiling (and reads no reach: 2 * 16 > n_max)
-        built = []
-        monkeypatch.setattr("rabispec.oracle._bands",
-                            lambda *a: built.append(a[2]) or _bands(*a))
+        # would start at 128; with a ceiling of 16 it starts at 16 and
+        # diagonalizes there before it reports the ceiling (and reads no
+        # reach: 2 * 16 > the ceiling)
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45)
         osec = map_sector(Sector.two_photon(0.25))
         assert _reach(*_bands(model, osec, N_MAX_DEFAULT), 8.0) == 88
-        with pytest.raises(TruncationCeiling):
-            oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0), n_max=16)
+        built = []
+        monkeypatch.setattr("rabispec.oracle._bands",
+                            lambda *a: built.append(a[2]) or _bands(*a))
+        monkeypatch.setattr("rabispec.oracle.N_MAX_DEFAULT", 16)
+        with pytest.raises(TruncationCeiling, match="truncation 16"):
+            oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0))
         assert built == [16]
 
     @pytest.mark.parametrize("drive", [0.0, 0.3])
@@ -809,7 +815,8 @@ class TestPhysics:
         # 0.5: the last truncation is confirmed, not solved over the window
         solved = []
         monkeypatch.setattr("rabispec.oracle._spectra",
-                            lambda bands: solved.append(bands.shape[1]) or _spectra(bands))
+                            lambda bands, chains: solved.append(bands.shape[1])
+                            or _spectra(bands, chains))
         model = ModelParams(kind, 1.0, 0.5, g)
         window = (default_window_min(model, sector), e_max)
         vals, n = oracle_spectrum(model, sector, window)

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabispec import (
     ModelKind,
@@ -24,10 +26,10 @@ from rabispec import (
 from rabispec import spectral
 from rabispec.contfrac import DEFAULT_REL_TOL, backward_tail, batch_ratios
 from rabispec.errors import SignLostWarning
-from rabispec.models import coefficient_block, distance_to_pole_set, pole_energy
+from rabispec.models import coefficient_block, distance_to_pole_set, pole_energy, pole_lattice
 from rabispec.spectral import (
+    DEFAULT_ROOT_ABS_TOL,
     RESIDUAL_CAP,
-    SpectrumOptions,
     default_window_min,
     eps_exceptional,
     f_values,
@@ -114,8 +116,7 @@ class TestScanAndRefine:
 
     def test_refine_hits_oracle_value(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
-        opts = SpectrumOptions(root_abs_tol=1e-10)
-        (rec,) = compute_spectrum(model, sector, (0.2, 0.6), opts).roots
+        (rec,) = compute_spectrum(model, sector, (0.2, 0.6), root_abs_tol=1e-10).roots
         assert rec.energy == pytest.approx(eigs[0], abs=1e-7)
         assert rec.residual <= RESIDUAL_CAP
         assert not rec.sign_lost
@@ -123,7 +124,7 @@ class TestScanAndRefine:
     def test_abs_tol_self_consistency(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
         (coarse,), (fine,) = (
-            compute_spectrum(model, sector, (0.2, 0.6), SpectrumOptions(root_abs_tol=tol)).roots
+            compute_spectrum(model, sector, (0.2, 0.6), root_abs_tol=tol).roots
             for tol in (1e-6, 1e-10)
         )
         assert abs(coarse.energy - fine.energy) <= 1e-6
@@ -214,10 +215,9 @@ class TestComputeSpectrum:
         # a multisection step settles four bits of every level: 11 count calls
         # on this window, where bisection took 39
         model, sector, window, _ = two_photon_ref
-        opts = SpectrumOptions()
-        result = compute_spectrum(model, sector, window, opts)
+        result = compute_spectrum(model, sector, window)
         assert result.count_calls <= 11
-        assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots + result.flagged)
+        assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots + result.flagged)
 
     def test_counters_tally_level_count(self, two_photon_ref, monkeypatch):
         model, sector, window, _ = two_photon_ref
@@ -239,12 +239,11 @@ class TestComputeSpectrum:
         # near collapse the levels move a little under each doubling; cutting
         # out from their last bracket takes 27 count calls on each window,
         # where narrowing from the neighbours' brackets took 40 and 31
-        opts = SpectrumOptions()
-        result = compute_spectrum(model, sector, window, opts)
+        result = compute_spectrum(model, sector, window)
         oracle_vals, _ = oracle_spectrum(model, sector, window)
         found = sorted(result.energies + [r.energy for r in result.flagged])
         assert found == pytest.approx(oracle_vals, abs=1e-7)
-        assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots + result.flagged)
+        assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots + result.flagged)
         assert result.count_calls <= 27
 
     @pytest.mark.parametrize("case, work", zip(
@@ -275,11 +274,10 @@ class TestComputeSpectrum:
             return np.searchsorted(levels[min(rows, 128)], energies)
 
         monkeypatch.setattr(spectral, "level_count", count)
-        opts = SpectrumOptions()
-        result = compute_spectrum(model, sector, (0.5, 1.5), opts)
+        result = compute_spectrum(model, sector, (0.5, 1.5))
         assert result.count_rows == 128 and not result.flagged
-        assert result.energies == pytest.approx(levels[128], abs=opts.root_abs_tol)
-        assert all(r.bracket_width <= opts.root_abs_tol for r in result.roots)
+        assert result.energies == pytest.approx(levels[128], abs=DEFAULT_ROOT_ABS_TOL)
+        assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots)
 
     def test_zero_pivot_across_count_chunks(self, two_photon_ref, monkeypatch):
         # a 1,500-row count over a random table equals the Sturm count of the
@@ -345,18 +343,32 @@ class TestComputeSpectrum:
             with pytest.raises(ValueError):
                 compute_spectrum(model, sector, window)
 
-    @pytest.mark.parametrize("field", ["root_abs_tol", "cf_max_depth"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
-    def test_tolerances_must_be_positive(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SpectrumOptions(**{field: value})
+    def test_window_past_the_row_cap_rejected(self, monkeypatch):
+        # the count's rows must exceed the index of the last pole below e_max:
+        # at E = 1e7 that is pole 10^7, past the 2^20-row cap, and at a
+        # 64-row cap pole 64 (E_n = 0.05 + n here) is out of reach
+        model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.5, 0.3)
+        with pytest.raises(ValueError, match="cap"):
+            compute_spectrum(model, Sector.driven(), (1e7, 1e7 + 4.0))
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_DEPTH", 64)
+        with pytest.warns(SignLostWarning):
+            assert compute_spectrum(model, Sector.driven(), (60.0, 64.0)).count_rows == 64
+        with pytest.raises(ValueError, match="pole index 64 "):
+            compute_spectrum(model, Sector.driven(), (60.0, 64.9))
 
-    def test_row_cap_leaves_levels_unconfirmed(self, two_photon_ref):
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_tolerances_must_be_positive(self, two_photon_ref, value):
+        model, sector, window, _ = two_photon_ref
+        with pytest.raises(ValueError, match="root_abs_tol"):
+            compute_spectrum(model, sector, window, root_abs_tol=value)
+
+    def test_row_cap_leaves_levels_unconfirmed(self, two_photon_ref, monkeypatch):
         # at a 64-row cap the first count is the last: every level is narrowed
         # at the cap, none is checked under a doubling, and one warning says so
         model, sector, window, eigs = two_photon_ref
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_DEPTH", 64)
         with pytest.warns(SignLostWarning) as record:
-            result = compute_spectrum(model, sector, window, SpectrumOptions(cf_max_depth=64))
+            result = compute_spectrum(model, sector, window)
         assert len(record) == 1
         assert len(result.roots) == len(eigs) == 9
         assert all(rec.sign_lost for rec in result.roots)
@@ -365,6 +377,48 @@ class TestComputeSpectrum:
     def test_default_window_min_below_ground(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
         assert default_window_min(model, sector) < eigs[0]
+
+
+def _brute_poles_in_window(model, sector, e_min, e_max):
+    """Every pole from E_0 up to e_max, kept where it lies in [e_min, e_max]."""
+    first, spacing = pole_lattice(model, sector)
+    if e_max < first:
+        return []
+    n_hi = int(math.floor((e_max - first) / spacing)) + 1
+    return [p for p in (first + n * spacing for n in range(n_hi + 1)) if e_min <= p <= e_max]
+
+
+@st.composite
+def _pole_windows(draw):
+    """A model, its sector and a window whose edges may sit exactly on poles."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    if kind is ModelKind.TWO_PHOTON:
+        model = ModelParams(kind, 1.0, 0.5, draw(st.floats(-0.49, 0.49).filter(abs)))
+        sector = Sector.two_photon(draw(st.sampled_from([0.25, 0.75])))
+    elif kind is ModelKind.TWO_MODE:
+        model = ModelParams(kind, 1.0, 0.5, draw(st.floats(-0.99, 0.99).filter(abs)))
+        sector = Sector.two_mode(draw(st.sampled_from([0.5, 1.0, 1.5])))
+    else:
+        model = ModelParams(kind, 1.0, 0.5, draw(st.floats(-3.0, 3.0).filter(abs)),
+                            draw(st.floats(-1.0, 1.0)))
+        sector = Sector.driven()
+    first, spacing = pole_lattice(model, sector)
+    edges = []
+    for _ in range(2):
+        n = draw(st.integers(-5, 3000))
+        # on a pole E_n as the pole set computes it, or anywhere around it
+        off = draw(st.sampled_from([0.0, 0.0, None]))
+        edges.append(first + n * spacing
+                     + (draw(st.floats(-spacing, spacing)) if off is None else off))
+    return model, sector, min(edges), max(edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_pole_windows())
+def test_poles_in_window_matches_every_pole(case):
+    # the index range equals the pole-by-pole list from E_0, an edge on a
+    # pole included
+    assert poles_in_window(*case) == _brute_poles_in_window(*case)
 
 
 class TestTwoEndedCount:
