@@ -26,7 +26,7 @@ class TruncationInsufficient(RabispecError):
 
 
 class TruncationCeiling(RabispecError):
-    """Oracle truncation limit reached before eigenvalues stabilized."""
+    """Oracle truncation limit reached before the eigenvalues settled."""
 
 
 class NotAnEigenvalueWarning(UserWarning):

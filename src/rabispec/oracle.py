@@ -17,29 +17,31 @@ slow on a chain and up to four times on the band.  The split is read off
 the matrix's sparsity pattern, and neither route shares anything with the
 continued-fraction route.
 
-The truncation is doubled until the window's levels stop moving.  The first
+The truncation is doubled until the window's levels are settled.  The first
 one tried is read off the same bands: the reach, the largest boson number
 whose Gershgorin disc reaches down to the window's upper edge, found on bands
 of 32, 64, ... states until the disc edges past it can only grow.  Past it
 H - E is diagonally dominant for every E in the window, so the eigenvectors
 decay there (Combes and Thomas, Commun. Math. Phys. 34, 251 (1973)) and
 their bulk lies within the reach.  A truncation below the reach can miss the
-window's levels at two successive doublings alike and stop on an empty list,
-so the reach is a lower bound on the truncation; the doubling finds the rest.
+window's levels at n and 2n alike and stop on an empty list, so the reach is
+a lower bound on the truncation; the doubling finds the rest.
 
-The doubling loop carries one state: the window's levels of each part of the
-block (its two Jacobi chains, or the whole driven band) at the truncation
-before.  A chain block need not solve its window anew at each doubling: those
-levels say where to look.  The doubled truncation is confirmed by Sturm
-counts (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)): one count
-of each chain's levels in the window, then one bisection (dstebz) of each
-previous level's stability bracket, which the level must not leave.  That
-narrows a level from a bracket of 2e-9 omega rather than from the window's
-width, and costs O(n) per level where the whole spectrum of the doubled
-chain would cost O(n^2).  Where a chain's brackets overlap, or a count
-differs, and on the driven band, which has no Sturm count, each part's whole
-spectrum is taken instead, and the merged levels in the window are compared
-pairwise with those before.
+A Jacobi-chain block stops at one truncation n on a Ritz residual bound
+(Weinstein's bound: Kato, J. Phys. Soc. Jpn. 4, 334 (1949); Parlett, The
+Symmetric Eigenvalue Problem, ch. 4), with nothing carried from the
+truncation before.  The basis is ordered by boson number, so a chain at n
+is the leading k rows of the chain at 2n.  A level lambda of the leading
+rows with unit eigenvector z (dstein) leaves the residual |beta z[k-1]|,
+beta the first coupling dropped, plus its own, about ulp times the norm:
+the untruncated chain has a level within that radius.  The truncation is
+accepted when in every chain each radius lies below 1e-9 omega, the
+neighbouring radii lie apart, so each holds a level of its own, and Sturm
+counts (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)) find as
+many levels in the window at 2n as at n, which catches a level that enters
+on doubling.  The driven band, which has no chain and no cheap
+eigenvector, is solved whole at each truncation and compared pairwise with
+the one before.
 """
 
 from __future__ import annotations
@@ -55,15 +57,8 @@ from .errors import TruncationCeiling
 from .models import ModelKind, ModelParams, Sector
 
 N_MAX_DEFAULT = 2**13  # the truncation ceiling, a power of two, read at call time
-_STAB_TOL_FACTOR = 1e-9  # stable: each level moves by < this * omega per doubling
+_STAB_TOL_FACTOR = 1e-9  # bounds a chain level's Ritz radius, a driven level's move per doubling
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
-# bisection tolerance of a confirmed chain's levels: twice the safe minimum,
-# which bisects each level to working accuracy inside its stability bracket
-# (LAPACK's default, ulp times the matrix norm, leaves errors near 1e-12 at
-# truncation 4,096).  Levels returned unconfirmed come from a whole solve and
-# carry its accuracy: dsterf's were within 3.2e-15 max(1, |E|) of bisection
-# on the benchmark's chain windows up to truncation 4,096
-_BISECT_TOL = 2.0 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ def _jacobi_chains(bands: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | N
 
 
 def _offdiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The chain's off-diagonal as the f2py wrappers of dstebz and dsterf take it.
+    """The chain's off-diagonal as the f2py wrappers of dstebz, dsterf and dstein take it.
 
     They want max(1, n - 1) entries, so a 1-row chain gets one zero.
     """
@@ -231,8 +226,7 @@ def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float, tol: float) -> np
     tridiagonal bisection (dstebz) to the absolute tolerance ``tol``.
 
     The f2py routine is called directly: scipy's tridiagonal wrapper adds
-    some 20 us of checks to each call, and a confirmation makes one call per
-    level.  Raises LinAlgError on a nonzero info.
+    some 20 us of checks to each call.  Raises LinAlgError on a nonzero info.
     """
     m, w, _, _, info = lapack.dstebz(d, _offdiagonal(d, e), 1, vl, vu, 0, 0, tol, "E")
     if info != 0:
@@ -240,19 +234,40 @@ def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float, tol: float) -> np
     return w[:m]
 
 
+def _ritz_bounds(d: np.ndarray, e: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
+    """For each eigenvalue in ``w`` of the chain's leading k rows, a radius
+    about it that holds an eigenvalue of the whole chain (d, e).
+
+    With z the unit eigenvector on the leading rows (LAPACK's dstein,
+    called directly; LinAlgError on a nonzero info), (z, 0, ...) leaves the
+    residual |e[k-1] z[k-1]| in row k plus its own on the leading rows,
+    about ulp times their norm, computed here.  By Weinstein's bound a
+    level lies within that of w, on any chain that extends the leading rows.
+    """
+    dk, ek = d[:k], e[:k - 1]
+    block, split = np.ones(k, dtype=np.int32), np.full(k, k, dtype=np.int32)
+    z, info = lapack.dstein(dk, _offdiagonal(dk, ek), w, block, split)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed with info={info}")
+    res = (dk[:, None] - w) * z
+    res[1:] += ek[:, None] * z[:-1]
+    res[:-1] += ek[:, None] * z[1:]
+    return np.abs(e[k - 1] * z[-1]) + np.linalg.norm(res, axis=0)
+
+
 def _in_window(vals: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The values in (lo, hi]."""
     return vals[(vals > lo) & (vals <= hi)]
 
 
-def _spectra(bands: np.ndarray, chains) -> list[np.ndarray]:
+def _spectra(bands: np.ndarray) -> list[np.ndarray]:
     """The whole spectrum of each part of the block, ascending.
 
-    ``chains`` is the block's split into Jacobi chains (``_jacobi_chains``
-    of ``bands``): a parity-symmetric block has two parts, its chains, each
-    solved by dsterf; any other block (``chains`` None) is one part, solved
-    whole by LAPACK's banded symmetric solver (dsbevd).
+    A parity-symmetric block has two parts, its Jacobi chains
+    (``_jacobi_chains``), each solved by dsterf; any other block is one
+    part, solved whole by LAPACK's banded symmetric solver (dsbevd).
     """
+    chains = _jacobi_chains(bands)
     if chains is None:
         return [scipy.linalg.eig_banded(bands, lower=False, eigvals_only=True)]
     return [_sterf(d, e) for d, e in chains]
@@ -263,40 +278,33 @@ def _merged(levels: list[np.ndarray]) -> list[float]:
     return np.sort(np.concatenate(levels)).tolist()
 
 
-def _confirmed(
-    chains: list[tuple[np.ndarray, np.ndarray]],
-    prev: list[np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float,
+def _bounded(
+    chains: list[tuple[np.ndarray, np.ndarray]], k: int, lo: float, hi: float, tol: float
 ) -> list[float] | None:
-    """The chains' levels in (lo, hi] if each stayed within ``tol`` of a level of ``prev``.
+    """The levels in (lo, hi] of the chains' leading k rows, merged and
+    ascending, if those rows settle them; else None.
 
-    ``prev`` holds each chain's levels at the truncation before.  A chain
-    passes when its count in (lo, hi] is that of ``prev`` and the bracket
-    (max(lo, p - tol), min(hi, p + tol)) of each previous level p holds
-    exactly one level, which is bisected there.  For disjoint brackets that
-    is the test that each sorted pair moved by less than ``tol``.  Returns
-    the merged levels, ascending, or None if a chain fails or its brackets
-    do not lie apart, when only a solve of the whole chain can tell.
+    A chain passes when Sturm counts find as many levels in (lo, hi] on the
+    whole chain as on its leading rows, and the leading rows' levels (from
+    dsterf) have radii (``_ritz_bounds``) below ``tol`` and lie further
+    apart than the sum of their neighbours' radii, so each radius holds a
+    level of its own.  Levels of different chains may coincide, so the
+    spacing is tested within a chain.  The two counts pivot alike on the
+    leading rows: a level within rounding of an edge, which dsterf and a
+    count may put on opposite sides, cannot fail every truncation.
     """
     out = []
-    for (d, e), p in zip(chains, prev):
-        lower = np.maximum(lo, p - tol)
-        # just below p + tol: a level that moved by tol is refused
-        upper = np.minimum(hi, np.nextafter(p + tol, -np.inf))
-        if not ((lower < upper).all() and (lower[1:] >= upper[:-1]).all()):
+    for d, e in chains:
+        dk, ek = d[:k], e[:k - 1]
+        # a tolerance of the window's width stops dstebz at the count
+        if _stebz(dk, ek, lo, hi, hi - lo).size != _stebz(d, e, lo, hi, hi - lo).size:
             return None
-        # an absolute tolerance of the window's width stops the bisection
-        # at once: only the count is wanted
-        if _stebz(d, e, lo, hi, hi - lo).size != p.size:
+        w = _in_window(_sterf(dk, ek), lo, hi)
+        r = _ritz_bounds(d, e, k, w)
+        if not ((r < tol).all() and (np.diff(w) > r[1:] + r[:-1]).all()):
             return None
-        for vl, vu in zip(lower.tolist(), upper.tolist()):
-            w = _stebz(d, e, vl, vu, _BISECT_TOL)
-            if w.size != 1:
-                return None
-            out.append(float(w[0]))
-    return sorted(out)
+        out.append(w)
+    return _merged(out)
 
 
 def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]:
@@ -308,8 +316,7 @@ def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]
     """
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
-    parts = _spectra(h.bands, _jacobi_chains(h.bands))
-    return _merged([_in_window(w, lo, hi) for w in parts])
+    return _merged([_in_window(w, lo, hi) for w in _spectra(h.bands)])
 
 
 def _disc_edges(bands: np.ndarray) -> np.ndarray:
@@ -351,7 +358,7 @@ def _initial_truncation(model: ModelParams, osector: OracleSector, e_max: float)
 
     The reach is a lower bound: below it the window's eigenvectors have not
     decayed, and a truncation there may hold none of the window's levels at
-    n and 2n alike, which the stability check would take as converged.
+    n and 2n alike, which the stopping rule would take as settled.
     """
     n_max = N_MAX_DEFAULT
     if n_max <= 32:
@@ -371,28 +378,22 @@ def oracle_spectrum(
     sector: Sector,
     window: tuple[float, float],
 ) -> tuple[list[float], int]:
-    """Truncation-stable eigenvalues in ``window`` plus the cutoff used.
+    """Truncation-settled eigenvalues in ``window`` plus the cutoff used.
 
     Starts at the block's reach (``_initial_truncation``) and doubles the
-    boson cutoff until every in-window eigenvalue moves by less than
-    ``_STAB_TOL_FACTOR * omega`` from one truncation to the next; raises
-    TruncationCeiling if that never happens up to ``N_MAX_DEFAULT`` (read at
-    call time).  Both window edges must be finite, as for
-    ``compute_spectrum``: an infinite upper edge takes in new levels at every
-    truncation.
+    boson cutoff n until the window's levels are settled; raises
+    TruncationCeiling if they are not by ``N_MAX_DEFAULT`` (read at call
+    time).  Both window edges must be finite, as for ``compute_spectrum``:
+    an infinite upper edge takes in new levels at every truncation.
 
-    Each truncation is read from the block's bands alone (``_bands``), and
-    the loop keeps one state: the window's levels of each part of the block
-    at the truncation before (two Jacobi chains, or the whole driven band).
-    A block with chains first tries to confirm the doubled truncation from
-    them (``_confirmed``): a count of the window and a bisection of each
-    level's stability bracket.  If that fails, or a chain's previous levels
-    lie within twice the tolerance of each other, or there is no truncation
-    before, each part's whole spectrum is taken (``_spectra``, on the chains
-    already split off the bands), its levels in the window kept, and the
-    merged levels compared pairwise with those before.  Either way the
-    truncation stops where the pairwise test would, up to rounding at a
-    bracket's edge.
+    Each truncation is read from the block's bands alone (``_bands``), built
+    once, at 2n.  A block with Jacobi chains is settled at n by
+    ``_bounded``: each level returned lies within ``_STAB_TOL_FACTOR *
+    omega`` of its own level of the untruncated chain.  At the ceiling its
+    count runs on chains of twice the rows, which dstebz counts in O(n)
+    without building a matrix.  The driven band takes its whole spectrum
+    at n (``_spectra``) and is settled when the window holds as many levels
+    as at the truncation before, each sorted pair closer than the tolerance.
     """
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
@@ -402,21 +403,19 @@ def oracle_spectrum(
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
     n = _initial_truncation(model, osector, e_max)
-    prev: list[np.ndarray] | None = None
+    prev: np.ndarray | None = None  # the driven band's levels at the truncation before
     while n <= N_MAX_DEFAULT:
-        bands, _ = _bands(model, osector, n)
+        bands, ns = _bands(model, osector, 2 * n)
+        k = int(np.count_nonzero(ns <= n))  # boson numbers up to n: a chain's rows at n
         chains = _jacobi_chains(bands)
-        if chains is not None and prev is not None:
-            confirmed = _confirmed(chains, prev, e_min, e_max, tol)
-            if confirmed is not None:
-                return confirmed, n
-        levels = [_in_window(w, e_min, e_max) for w in _spectra(bands, chains)]
-        if prev is not None:
-            vals, before = _merged(levels), _merged(prev)
-            if len(vals) == len(before) and all(abs(a - b) < tol for a, b in zip(vals, before)):
+        if chains is not None:
+            vals = _bounded(chains, k, e_min, e_max, tol)
+            if vals is not None:
                 return vals, n
-        prev = levels
+        else:
+            levels = _in_window(_spectra(bands[:, :2 * k])[0], e_min, e_max)
+            if prev is not None and levels.size == prev.size and (abs(levels - prev) < tol).all():
+                return levels.tolist(), n
+            prev = levels
         n *= 2
-    raise TruncationCeiling(
-        f"eigenvalues did not stabilize below truncation {N_MAX_DEFAULT}"
-    )
+    raise TruncationCeiling(f"eigenvalues not settled below truncation {N_MAX_DEFAULT}")

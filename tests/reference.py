@@ -16,11 +16,13 @@ sequences; ``BlockCoeffs`` is that object for a model, read from
 - ``wavefunction_sums``: ``series.eval_wavefunction`` as one loop over Python floats;
 - ``fixed_depth_tail``: the start row 2 * order + 64 of ``series.minimal_series``
   before ``contfrac.backward_tail`` placed it;
+- ``bisected_levels``: the oracle's levels in a window at one truncation,
+  each Jacobi chain bisected over the window (scipy's
+  ``eigvalsh_tridiagonal``), not taken from its whole spectrum;
 - ``doubling_oracle_spectrum``: ``oracle.oracle_spectrum`` solving the whole
-  window at every truncation, before a doubled truncation of a chain block
-  was confirmed from the levels of the one before, with each Jacobi chain
-  bisected over the window (scipy's ``eigvalsh_tridiagonal``), not taken
-  from its whole spectrum.
+  window at every truncation and stopping on the pairwise test of two
+  truncations, before a chain block was settled at one truncation by a
+  Ritz residual bound.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from rabispec.models import (
     pole_lattice,
 )
 from rabispec.oracle import (
-    _BISECT_TOL,
     _STAB_TOL_FACTOR,
     N_MAX_DEFAULT,
     _initial_truncation,
@@ -57,6 +58,10 @@ _DENOM_FLOOR = 1e-300
 _FIRST_CHECKPOINT = 64
 # BlockCoeffs reads this many rows per coefficient_block call
 _FETCH_ROWS = 256
+# bisection tolerance of the reference's chain levels: twice the safe
+# minimum, which bisects each level to working accuracy (LAPACK's default,
+# ulp times the matrix norm, leaves errors near 1e-12 at truncation 4,096)
+BISECT_TOL = 2.0 * np.finfo(float).tiny
 
 
 class BlockCoeffs:
@@ -309,6 +314,21 @@ def fixed_depth_tail(block, lanes, n: int, eps: float) -> int:
     return n + 64
 
 
+def bisected_levels(
+    model: ModelParams, sector: Sector, window: tuple[float, float], truncation: int
+) -> list[float]:
+    """The block's levels in ``window`` at ``truncation``, ascending: each
+    Jacobi chain of a parity-symmetric block bisected over the window
+    (scipy's ``eigvalsh_tridiagonal`` to ``BISECT_TOL``), a driven block
+    solved by ``eigen_in_range``."""
+    h = build_hamiltonian(model, map_sector(sector), truncation)
+    chains = _jacobi_chains(h.bands)
+    if chains is None:
+        return eigen_in_range(h, *window)
+    return sorted(float(v) for d, e in chains for v in scipy.linalg.eigvalsh_tridiagonal(
+        d, e, select="v", select_range=window, tol=BISECT_TOL))
+
+
 def doubling_oracle_spectrum(
     model: ModelParams,
     sector: Sector,
@@ -317,24 +337,16 @@ def doubling_oracle_spectrum(
     """``oracle.oracle_spectrum`` as a whole-window solve at every truncation.
 
     From the same first truncation the cutoff doubles, up to
-    ``N_MAX_DEFAULT``, until the window holds
-    as many levels as at the one before and each sorted pair lies closer
-    than ``_STAB_TOL_FACTOR * omega``.  Each Jacobi chain of a parity-
-    symmetric block is bisected over the window; a driven block goes to
-    ``eigen_in_range``.  Window checks are left to the caller.
+    ``N_MAX_DEFAULT``, until the window holds as many levels
+    (``bisected_levels``) as at the one before and each sorted pair lies
+    closer than ``_STAB_TOL_FACTOR * omega``.  Window checks are left to
+    the caller.
     """
-    osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, osector, window[1])
+    n = _initial_truncation(model, map_sector(sector), window[1])
     prev = None
     while n <= N_MAX_DEFAULT:
-        h = build_hamiltonian(model, osector, n)
-        chains = _jacobi_chains(h.bands)
-        if chains is None:
-            vals = eigen_in_range(h, *window)
-        else:
-            vals = sorted(float(v) for d, e in chains for v in scipy.linalg.eigvalsh_tridiagonal(
-                d, e, select="v", select_range=window, tol=_BISECT_TOL))
+        vals = bisected_levels(model, sector, window, n)
         if prev is not None and len(vals) == len(prev):
             if all(abs(a - b) < tol for a, b in zip(vals, prev)):
                 return vals, n

@@ -18,16 +18,16 @@ from rabispec import (
     oracle_spectrum,
 )
 from rabispec.oracle import (
-    _BISECT_TOL,
     _STAB_TOL_FACTOR,
     N_MAX_DEFAULT,
     TruncatedHamiltonian,
     _bands,
-    _confirmed,
+    _bounded,
     _in_window,
     _initial_truncation,
     _jacobi_chains,
     _reach,
+    _ritz_bounds,
     _spectra,
     _stebz,
     _sterf,
@@ -36,7 +36,7 @@ from rabispec.oracle import (
 from rabispec.spectral import default_window_min
 
 from conftest import rabispec_imports
-from reference import doubling_oracle_spectrum
+from reference import BISECT_TOL, bisected_levels, doubling_oracle_spectrum
 
 
 def inertia_below(a, x):
@@ -353,7 +353,7 @@ class TestJacobiChains:
         bands = h.bands.copy()
         bands[row, col] = 0.7
         h = _hand_built(bands)
-        assert _jacobi_chains(h.bands) is None and len(_spectra(h.bands, None)) == 1
+        assert _jacobi_chains(h.bands) is None and len(_spectra(h.bands)) == 1
         ref = np.linalg.eigvalsh(h.to_dense())
         assert eigen_in_range(h, -math.inf, math.inf) == pytest.approx(ref, abs=1e-10)
         inside = ref[(ref > 0.0) & (ref <= 5.0)]
@@ -417,22 +417,22 @@ class TestStebz:
     ])
     def test_by_value(self, rows, lo, hi):
         d, e = _random_chain(rows, rows)
-        got = _stebz(d, e, lo, hi, _BISECT_TOL)
+        got = _stebz(d, e, lo, hi, BISECT_TOL)
         ref = scipy.linalg.eigvalsh_tridiagonal(
-            d, e, select="v", select_range=(lo, hi), tol=_BISECT_TOL
+            d, e, select="v", select_range=(lo, hi), tol=BISECT_TOL
         )
         assert np.array_equal(got, ref)
 
     def test_window_is_half_open(self):
         d, e = np.array([3.0, 1.0, 2.0]), np.zeros(2)
-        assert _stebz(d, e, 1.0, 3.0, _BISECT_TOL).tolist() == [2.0, 3.0]
+        assert _stebz(d, e, 1.0, 3.0, BISECT_TOL).tolist() == [2.0, 3.0]
 
     def test_error_raised(self, capfd):
         # an empty window is an illegal argument to LAPACK, which says so on
         # the terminal and returns info = -5
         d, e = _random_chain(4, 0)
         with pytest.raises(np.linalg.LinAlgError, match="info=-5"):
-            _stebz(d, e, 1.0, 0.0, _BISECT_TOL)
+            _stebz(d, e, 1.0, 0.0, BISECT_TOL)
         capfd.readouterr()
 
 
@@ -455,12 +455,12 @@ class TestWholeChainSpectrum:
     @staticmethod
     def _assert_matches_bisection(bands, lo, hi):
         chains = _jacobi_chains(bands)
-        got = _spectra(bands, chains)
+        got = _spectra(bands)
         assert len(got) == len(chains) == 2
         for (d, e), w in zip(chains, got):
             w = _in_window(w, lo, hi)
             ref = scipy.linalg.eigvalsh_tridiagonal(
-                d, e, select="v", select_range=(lo, hi), tol=_BISECT_TOL
+                d, e, select="v", select_range=(lo, hi), tol=BISECT_TOL
             )
             assert w.shape == ref.shape
             assert np.all(np.abs(w - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
@@ -521,114 +521,101 @@ class TestWholeChainSpectrum:
         # hi kept, as bisection of the window does
         d, e = np.array([1.5, -1.0, 0.5, 3.0]), np.zeros(3)
         bands = _chain_bands((d, e), (d, e))
-        parts = _spectra(bands, _jacobi_chains(bands))
+        parts = _spectra(bands)
         assert [_in_window(w, -1.0, 1.5).tolist() for w in parts] == [[0.5, 1.5]] * 2
         self._assert_matches_bisection(bands, -1.0, 1.5)
 
 
-class TestConfirmation:
-    """A doubled truncation confirmed from the levels before, on hand-built chains."""
+class TestRitzBound:
+    """The stopping rule of a chain block, on hand-built chains whose leading
+    two rows [[0.5, b], [b, 0.5]] have the unit eigenvectors (1, -+1)/sqrt(2)
+    at 0.5 -+ b; beta couples them to the rows past them."""
 
     tol = _STAB_TOL_FACTOR
     lo, hi = -1.0, 1.5
 
-    def _chains(self):
-        return [_random_chain(33, 1), _random_chain(40, 2)]
+    @staticmethod
+    def _chain(b, beta, far=100.0):
+        # the rows past the leading two sit near ``far``
+        return np.array([0.5, 0.5, far, far + 1.0]), np.array([b, beta, 0.3])
 
-    def _levels(self, chains):
-        return [_stebz(d, e, self.lo, self.hi, _BISECT_TOL) for d, e in chains]
+    def _settled(self, d, e):
+        return _bounded([(d, e)], 2, self.lo, self.hi, self.tol)
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_levels_within_tol_confirmed(self, sign):
-        chains = self._chains()
-        levels = self._levels(chains)
-        assert all(p.size >= 2 for p in levels)
-        prev = [p + sign * 0.9 * self.tol for p in levels]
-        got = _confirmed(chains, prev, self.lo, self.hi, self.tol)
-        want = np.sort(np.concatenate(levels))
-        assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+    @pytest.mark.parametrize("beta", [1e-10, -3e-12, 0.25])
+    def test_radius_is_beta_times_last_component(self, beta):
+        d, e = self._chain(0.2, beta)
+        w = _sterf(d[:2], e[:1])
+        r = _ritz_bounds(d, e, 2, w)
+        # the last component is 1/sqrt(2) in size, and the pair's own
+        # residual on the leading rows is rounding
+        assert r == pytest.approx([abs(beta) / math.sqrt(2.0)] * 2, rel=0.0, abs=4e-16)
+        # Weinstein: the whole chain has a level within r of each
+        whole = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert all(np.min(np.abs(whole - x)) <= rx for x, rx in zip(w, r))
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_level_moved_by_more_than_tol_refused(self, sign):
-        chains = self._chains()
-        levels = self._levels(chains)
-        # one level of the second chain moved too far; the first chain passes
-        prev = [levels[0], levels[1].copy()]
-        prev[1][1] += sign * 1.1 * self.tol
-        assert _confirmed(chains, prev, self.lo, self.hi, self.tol) is None
-        prev[1][1] = levels[1][1] + sign * 0.9 * self.tol
-        assert _confirmed(chains, prev, self.lo, self.hi, self.tol) is not None
+    def test_radius_takes_in_the_pairs_own_residual(self):
+        # a level 1e-6 off the leading rows' eigenvalue: its vector is still
+        # the eigenvector, which leaves a residual of 1e-6 on those rows
+        d, e = self._chain(0.2, 1e-10)
+        r = _ritz_bounds(d, e, 2, _sterf(d[:2], e[:1]) + 1e-6)
+        assert r == pytest.approx([1e-6 + 1e-10 / math.sqrt(2.0)] * 2, rel=1e-9)
 
-    def test_level_leaving_or_entering_refused(self):
-        chains = self._chains()
-        d, e = chains[0]
-        top = float(_stebz(d, e, self.lo, self.hi, _BISECT_TOL)[-1])
-        # the window's upper edge just below the chain's top level: within
-        # tol of it, the level was inside before and has left
-        hi = top - 0.3 * self.tol
-        inside = _stebz(d, e, self.lo, hi, _BISECT_TOL)
-        left = [np.append(inside, hi)]
-        assert _confirmed(chains[:1], left, self.lo, hi, self.tol) is None
-        assert _confirmed(chains[:1], [inside], self.lo, hi, self.tol) is not None
-        # just above it: the top level has entered, and was not there before
-        hi = top + 0.3 * self.tol
-        assert _confirmed(chains[:1], [inside], self.lo, hi, self.tol) is None
+    def test_settled_levels_returned(self):
+        d, e = self._chain(0.2, 1e-10)
+        assert self._settled(d, e) == pytest.approx([0.3, 0.7], rel=0.0, abs=1e-15)
+        # levels of different chains may coincide: spacing is tested per chain
+        got = _bounded([(d, e), (d, e)], 2, self.lo, self.hi, self.tol)
+        assert got == pytest.approx([0.3, 0.3, 0.7, 0.7], rel=0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_level_moved_by_exactly_tol_refused(self, sign):
-        # the pairwise test is strict: with tol a power of two, p +- tol is
-        # exact, and a level there has moved by tol
-        tol = 2.0**-30
-        d, e = np.array([0.25, 0.5 + sign * tol]), np.zeros(1)
-        assert _confirmed([(d, e)], [np.array([0.25, 0.5])], self.lo, self.hi, tol) is None
-        d[1] = 0.5 + sign * tol * (1.0 - 2.0**-20)
-        assert _confirmed([(d, e)], [np.array([0.25, 0.5])], self.lo, self.hi, tol) == d.tolist()
+    def test_radius_above_tol_refused(self):
+        # r = beta / sqrt(2) against tol = 1e-9
+        assert self._settled(*self._chain(0.2, 1.4e-9)) is not None
+        assert self._settled(*self._chain(0.2, 1.5e-9)) is None
 
-    @pytest.mark.parametrize("edge", ["lo", "hi"])
-    def test_level_swapped_across_window_edge_refused(self, edge):
-        # one level leaves the window within tol of where it was while
-        # another enters elsewhere: the counts agree, but the bracket,
-        # clipped to the window, is empty
-        lo, hi, tol = self.lo, self.hi, self.tol
-        at, out = (lo, -1.0) if edge == "lo" else (hi, 1.0)
-        left, kept = at + out * 0.3 * tol, at - out * 0.3 * tol
-        d, e = np.array([0.5, left, 1.0]), np.zeros(2)
-        assert _stebz(d, e, lo, hi, _BISECT_TOL).tolist() == [0.5, 1.0]
-        assert _confirmed([(d, e)], [np.sort([0.5, kept])], lo, hi, tol) is None
+    def test_overlapping_neighbours_refused(self):
+        # r = 7.1e-11 each: levels 1e-10 apart may share one true level,
+        # levels 2e-9 apart may not
+        assert self._settled(*self._chain(0.5e-10, 1e-10)) is None
+        assert self._settled(*self._chain(1e-9, 1e-10)) is not None
 
-    def test_close_levels_fall_back(self, monkeypatch):
-        # two levels closer than 2 tol share a bracket: no bisection is
-        # tried, and oracle_spectrum would solve the whole window
-        d, e = np.array([0.2, 0.2 + 1.5 * self.tol, 0.9]), np.zeros(2)
-        prev = [d.copy()]
-        calls = []
-        monkeypatch.setattr("rabispec.oracle._stebz", lambda *a: calls.append(a) or _stebz(*a))
-        assert _confirmed([(d, e)], prev, self.lo, self.hi, self.tol) is None
-        assert calls == []
-        # the spacing of the previous levels decides, not that of the new
-        prev = [np.array([0.2 - 0.5 * self.tol, 0.2 + 2.0 * self.tol, 0.9])]
-        assert _confirmed([(d, e)], prev, self.lo, self.hi, self.tol) == d.tolist()
+    def test_count_that_differs_refused(self):
+        # a third row at 1.0, inside the window, is a level the leading two
+        # rows do not hold: the count of the whole chain finds three
+        d, e = self._chain(0.2, 1e-10, far=1.0)
+        assert _stebz(d, e, self.lo, self.hi, self.hi - self.lo).size == 3
+        assert self._settled(d, e) is None
+        # above the window it is not counted
+        assert self._settled(*self._chain(0.2, 1e-10, far=1.6)) is not None
 
-    def test_bracket_lost_to_rounding_falls_back(self, monkeypatch):
-        # at |E| = 1e8 the spacing of doubles exceeds tol, and p +- tol
-        # rounds to p: the bracket is empty, so no bisection is tried
-        d, e = np.array([1e8, 2e8]), np.zeros(1)
-        calls = []
-        monkeypatch.setattr("rabispec.oracle._stebz", lambda *a: calls.append(a) or _stebz(*a))
-        assert _confirmed([(d, e)], [d[:1].copy()], 0.0, 1.5e8, self.tol) is None
-        assert calls == []
+    def test_window_is_half_open(self):
+        # the leading levels 0.3 and 0.7, with 0.3 on lo and 0.7 on hi
+        d, e = np.array([0.3, 0.7, 100.0]), np.array([0.0, 1e-10])
+        assert _bounded([(d, e)], 2, 0.3, 0.7, self.tol) == [0.7]
 
-    def test_window_stays_half_open(self):
-        # a level exactly at hi is kept, one exactly at lo left out
-        d, e = np.array([-1.0, 0.5, 1.5]), np.zeros(2)
-        prev = [np.array([0.5, 1.5])]
-        assert _confirmed([(d, e)], prev, self.lo, self.hi, self.tol) == [0.5, 1.5]
-        prev = [np.array([-1.0, 0.5, 1.5])]
-        assert _confirmed([(d, e)], prev, self.lo, self.hi, self.tol) is None
+    def test_empty_window_settled(self):
+        d, e = self._chain(0.2, 0.3)
+        assert _bounded([(d, e)], 2, 5.0, 6.0, self.tol) == []
 
-    def test_empty_chain_confirmed(self):
-        d, e = np.array([5.0, 6.0]), np.array([0.1])
-        assert _confirmed([(d, e)], [np.zeros(0)], self.lo, self.hi, self.tol) == []
+    def test_oracle_doubles_while_refused(self, monkeypatch):
+        model, sector, window = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2), \
+            Sector.two_photon(0.25), (-0.5, 8.0)
+        vals, n = oracle_spectrum(model, sector, window)
+        rows, refused = [], []
+
+        def refuse_first_settled(chains, k, *args):
+            rows.append(k)
+            got = _bounded(chains, k, *args)
+            if got is not None and not refused:
+                refused.append(k)
+                return None
+            return got
+
+        monkeypatch.setattr("rabispec.oracle._bounded", refuse_first_settled)
+        again, n_again = oracle_spectrum(model, sector, window)
+        # parity 0: each chain holds the states of boson numbers 0, 2, ..., n
+        assert (n_again, rows[-2:]) == (2 * n, [n // 2 + 1, n + 1])
+        assert again == pytest.approx(vals, rel=0.0, abs=1e-12)
 
 
 # (model, sector, window start above default_window_min, width): the three
@@ -653,14 +640,14 @@ STABILITY_WINDOWS = [
 # (kind, g, sector, E_max, truncation used, level count): the chain windows
 # of the benchmark's oracle workload, from default_window_min at delta = 0.5
 CHAIN_WIDE_WINDOWS = [
-    (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), 50.0, 512, 64),
-    (ModelKind.TWO_PHOTON, 0.44, Sector.two_photon(0.75), 30.0, 1024, 64),
-    (ModelKind.TWO_PHOTON, 0.47, Sector.two_photon(0.25), 25.0, 2048, 76),
-    (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), 20.0, 4096, 104),
-    (ModelKind.TWO_MODE, 0.8, Sector.two_mode(0.5), 40.0, 512, 68),
-    (ModelKind.TWO_MODE, 0.9, Sector.two_mode(1.0), 40.0, 1024, 94),
+    (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), 50.0, 256, 64),
+    (ModelKind.TWO_PHOTON, 0.44, Sector.two_photon(0.75), 30.0, 512, 64),
+    (ModelKind.TWO_PHOTON, 0.47, Sector.two_photon(0.25), 25.0, 1024, 76),
+    (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), 20.0, 2048, 104),
+    (ModelKind.TWO_MODE, 0.8, Sector.two_mode(0.5), 40.0, 256, 68),
+    (ModelKind.TWO_MODE, 0.9, Sector.two_mode(1.0), 40.0, 512, 94),
     (ModelKind.TWO_MODE, 0.93, Sector.two_mode(1.5), 25.0, 512, 68),
-    (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), 30.0, 1024, 100),
+    (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), 30.0, 512, 100),
 ]
 
 # (model, E_max): the driven windows of the benchmark's oracle workload (seed
@@ -744,8 +731,8 @@ class TestPhysics:
 
     def test_truncation_ceiling(self, monkeypatch):
         # the block's Gershgorin reach is boson number 88 here, so the oracle
-        # would start at 128; with a ceiling of 16 it starts at 16 and
-        # diagonalizes there before it reports the ceiling (and reads no
+        # would start at 128; with a ceiling of 16 it starts at 16, builds
+        # the bands there once, at 32, and reports the ceiling (it reads no
         # reach: 2 * 16 > the ceiling)
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45)
         osec = map_sector(Sector.two_photon(0.25))
@@ -756,7 +743,7 @@ class TestPhysics:
         monkeypatch.setattr("rabispec.oracle.N_MAX_DEFAULT", 16)
         with pytest.raises(TruncationCeiling, match="truncation 16"):
             oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0))
-        assert built == [16]
+        assert built == [32]
 
     @pytest.mark.parametrize("drive", [0.0, 0.3])
     def test_doubling_reads_only_the_bands(self, monkeypatch, drive):
@@ -812,21 +799,21 @@ class TestPhysics:
     @pytest.mark.parametrize("kind,g,sector,e_max,n_used,count", CHAIN_WIDE_WINDOWS)
     def test_chain_wide_window_pinned(self, monkeypatch, kind, g, sector, e_max, n_used, count):
         # the chain windows of the benchmark's oracle workload, at delta =
-        # 0.5: the last truncation is confirmed, not solved over the window
+        # 0.5: the chains at twice the truncation used are counted, never
+        # solved whole
         solved = []
-        monkeypatch.setattr("rabispec.oracle._spectra",
-                            lambda bands, chains: solved.append(bands.shape[1])
-                            or _spectra(bands, chains))
+        monkeypatch.setattr("rabispec.oracle._sterf", lambda d, e: solved.append(d.size)
+                            or _sterf(d, e))
         model = ModelParams(kind, 1.0, 0.5, g)
         window = (default_window_min(model, sector), e_max)
         vals, n = oracle_spectrum(model, sector, window)
         assert (n, len(vals)) == (n_used, count)
-        assert solved and max(solved) < _bands(model, map_sector(sector), n)[0].shape[1]
+        assert max(solved) == _bands(model, map_sector(sector), n)[0].shape[1] // 2
 
     @pytest.mark.parametrize("kind,g,sector,window,n_used,count", [
-        (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), (15.0, 20.0), 4096, 26),
-        (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), (25.0, 30.0), 1024, 16),
-        (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), (45.0, 50.0), 512, 6),
+        (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), (15.0, 20.0), 2048, 26),
+        (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), (25.0, 30.0), 512, 16),
+        (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), (45.0, 50.0), 256, 6),
     ])
     def test_deep_chain_window_pinned(self, kind, g, sector, window, n_used, count):
         # deep, narrow chain windows at delta = 0.5, where a whole spectrum
@@ -879,40 +866,70 @@ EDGE_COUNTS = {
 
 @pytest.mark.parametrize("model,sector,window", list(_reference_windows()))
 def test_matches_whole_window_doubling(model, sector, window):
-    # the confirmation stops at the truncation the pairwise test of whole-
-    # window solves stops at, with the same levels.  The reference bisects
-    # each chain over the window, and may round a level that lies exactly on
-    # an edge the other way; only the windows of EDGE_COUNTS have one, and
-    # there both counts are pinned
+    # the bound stops no later than the pairwise test of whole-window solves
+    # and finds as many levels, and they are those of the reference's
+    # bisection of the same truncation.  The reference may round a level
+    # that lies exactly on an edge the other way; only the windows of
+    # EDGE_COUNTS have one, and there both counts are pinned
     vals, n = oracle_spectrum(model, sector, window)
     ref, n_ref = doubling_oracle_spectrum(model, sector, window)
-    assert n == n_ref
+    assert n <= n_ref
     counts = (len(vals), len(ref))
+    assert counts == EDGE_COUNTS.get((model, window), (counts[1], counts[1]))
     vals, ref = _off_edges(vals, window), _off_edges(ref, window)
     on_edge = (vals.size, ref.size) != counts
     assert on_edge == ((model, window) in EDGE_COUNTS)
-    assert counts == EDGE_COUNTS.get((model, window), (counts[1], counts[1]))
-    assert vals.shape == ref.shape
-    assert np.all(np.abs(vals - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    same_n = _off_edges(bisected_levels(model, sector, window, n), window)
+    assert vals.shape == same_n.shape
+    assert np.all(np.abs(vals - same_n) <= 1e-14 * np.maximum(1.0, np.abs(same_n)))
 
 
 @pytest.mark.parametrize("kind,g,sector,e_max,n_used,count",
-                         [w for w in CHAIN_WIDE_WINDOWS if w[4] >= 2048])
-def test_unconfirmed_levels_accurate(monkeypatch, kind, g, sector, e_max, n_used, count):
-    # with every confirmation refused the doubling stops on the pairwise test,
-    # at a truncation of 2,048 or 4,096, and returns the levels of its last
-    # whole solve (dsterf): they agree with bisection of the same chains to
-    # the 1e-14 max(1, |E|) of the confirmed levels
-    monkeypatch.setattr("rabispec.oracle._confirmed", lambda *a: None)
+                         [w for w in CHAIN_WIDE_WINDOWS if w[4] >= 1024])
+def test_deep_levels_match_bisection(kind, g, sector, e_max, n_used, count):
+    # the levels of the two deepest chain windows, at a truncation of 1,024
+    # or 2,048, come from dsterf: they agree with bisection of the same
+    # chains to 1e-14 max(1, |E|)
     model = ModelParams(kind, 1.0, 0.5, g)
     window = (default_window_min(model, sector), e_max)
     vals, n = oracle_spectrum(model, sector, window)
     assert (n, len(vals)) == (n_used, count)
     ref = np.sort(np.concatenate([
-        scipy.linalg.eigvalsh_tridiagonal(d, e, select="v", select_range=window, tol=_BISECT_TOL)
+        scipy.linalg.eigvalsh_tridiagonal(d, e, select="v", select_range=window, tol=BISECT_TOL)
         for d, e in _jacobi_chains(_bands(model, map_sector(sector), n)[0])
     ]))
     assert np.all(np.abs(np.array(vals) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+# chain windows near collapse, 2g/omega and g/omega from 0.86 to 0.98, of
+# width 4 from default_window_min shifted by 0 or 6
+NEAR_COLLAPSE = [
+    (kind, g, sector, delta, shift)
+    for kind, g, sector, delta in [
+        (ModelKind.TWO_PHOTON, 0.43, Sector.two_photon(0.25), 0.3),
+        (ModelKind.TWO_PHOTON, 0.46, Sector.two_photon(0.75), 0.5),
+        (ModelKind.TWO_PHOTON, 0.48, Sector.two_photon(0.25), 0.7),
+        (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.75), 0.4),
+        (ModelKind.TWO_MODE, 0.86, Sector.two_mode(0.5), 0.6),
+        (ModelKind.TWO_MODE, 0.9, Sector.two_mode(1.0), 0.3),
+        (ModelKind.TWO_MODE, 0.94, Sector.two_mode(1.5), 0.5),
+        (ModelKind.TWO_MODE, 0.98, Sector.two_mode(0.5), 0.45),
+    ]
+    for shift in (0.0, 6.0)
+]
+
+
+@pytest.mark.parametrize("kind,g,sector,delta,shift", NEAR_COLLAPSE)
+def test_levels_within_tol_of_four_times_the_truncation(kind, g, sector, delta, shift):
+    # each level returned lies within the tolerance of a level of the block
+    # at four times the truncation used, bisected, and the counts agree
+    model = ModelParams(kind, 1.0, delta, g)
+    e_min = default_window_min(model, sector) + shift
+    window = (e_min, e_min + 4.0)
+    vals, n = oracle_spectrum(model, sector, window)
+    ref = bisected_levels(model, sector, window, 4 * n)
+    assert vals and len(vals) == len(ref)
+    assert np.all(np.abs(np.array(vals) - ref) < _STAB_TOL_FACTOR * model.omega)
 
 
 def test_oracle_reads_no_solver_formula():
