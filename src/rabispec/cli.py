@@ -22,13 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .contfrac import DEFAULT_REL_TOL
 from .errors import RabispecError, TruncationCeiling, ZeroCoupling
 from .models import ModelKind, ModelParams, Sector, distance_to_pole_set, pole_lattice
 from .oracle import oracle_spectrum
 from .series import minimal_series, norm_tail_ratio, norm_term_ratio
 from .spectral import (
-    DEFAULT_ROOT_ABS_TOL,
     compute_spectrum,
     default_window_min,
     eps_exceptional,
@@ -78,10 +76,6 @@ _OPTIONS = {
     "kappa": _Option(str, None, "two-mode sector, half-integer as p/2 or decimal"),
     "emin": _Option(float, None, "lower window edge"),
     "emax": _Option(float, None, "upper window edge"),
-    "cf_rel_tol": _Option(
-        float, DEFAULT_REL_TOL, "damping of the continued fraction's seed error (curve)"
-    ),
-    "root_abs_tol": _Option(float, DEFAULT_ROOT_ABS_TOL, "root bracket tolerance"),
     "match_tol": _Option(float, 1e-6, "root/oracle matching tolerance"),
     "format": _Option(str, "csv", "output format (default csv)", ("csv", "json")),
     "output": _Option(str, None, "output path (default: standard output)"),
@@ -145,9 +139,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{name} must be finite, got {value}")
     if not e_min < e_max:
         raise ValueError("window must satisfy E_min < E_max")
-    for name in ("cf_rel_tol", "root_abs_tol", "match_tol"):
-        if not opts[name] > 0.0:
-            raise ValueError(f"{name} must be positive, got {opts[name]}")
+    if not opts["match_tol"] > 0.0:
+        raise ValueError(f"match_tol must be positive, got {opts['match_tol']}")
     if opts["format"] not in _OPTIONS["format"].choices:
         raise ValueError(f"unknown output format {opts['format']!r}; choose csv or json")
     if opts["output"]:
@@ -166,8 +159,6 @@ def _meta(cfg: RunConfig) -> dict:
         "g": m.g,
         "emin": cfg.window[0],
         "emax": cfg.window[1],
-        "cf_rel_tol": cfg.opts["cf_rel_tol"],
-        "root_abs_tol": cfg.opts["root_abs_tol"],
     }
     if m.kind in _SECTOR_OPTIONS:
         meta[_SECTOR_OPTIONS[m.kind][0]] = s.value
@@ -201,7 +192,7 @@ def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> N
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    result = compute_spectrum(cfg.model, cfg.sector, cfg.window, cfg.opts["root_abs_tol"])
+    result = compute_spectrum(cfg.model, cfg.sector, cfg.window)
     meta = _meta(cfg)
     meta["count_rows"] = result.count_rows
     meta["count_calls"] = result.count_calls
@@ -222,7 +213,7 @@ def cmd_curve(cfg: RunConfig, samples: int) -> int:
     lo, hi = cfg.window
     step = (hi - lo) / (samples - 1)
     energies = lo + np.arange(samples) * step
-    values = f_values(m, s, energies, cfg.opts["cf_rel_tol"])  # nan on a pole or non-finite
+    values = f_values(m, s, energies)  # nan on a pole or non-finite
     dist = distance_to_pole_set(m, s, energies)
     collisions = energies[dist < m.eps_pole].tolist()
     if collisions:
@@ -293,7 +284,7 @@ def match_spectra(
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    result = compute_spectrum(cfg.model, cfg.sector, cfg.window, cfg.opts["root_abs_tol"])
+    result = compute_spectrum(cfg.model, cfg.sector, cfg.window)
     oracle_vals, n_used = oracle_spectrum(cfg.model, cfg.sector, cfg.window)
     poles = poles_in_window(
         cfg.model, cfg.sector, cfg.window[0] - pole_lattice(cfg.model, cfg.sector)[1], cfg.window[1]

@@ -34,6 +34,7 @@ import numpy as np
 
 _TINY = 1e-30
 
+# The damping of F's seed error, relative to R_0 (``batch_minimal_ratio``).
 DEFAULT_REL_TOL = 1e-12
 DEFAULT_MAX_DEPTH = 2**20
 # backward_tail's first chunk: 128 rows, and at most 2^12 rows x lanes.  A
@@ -191,16 +192,15 @@ def backward_tail(block, lanes: np.ndarray, n: int, eps: float) -> int:
     return DEFAULT_MAX_DEPTH
 
 
-def batch_minimal_ratio(
-    block, lanes: np.ndarray, scale: float, eps: float = DEFAULT_REL_TOL
-) -> np.ndarray:
+def batch_minimal_ratio(block, lanes: np.ndarray, scale: float) -> np.ndarray:
     """R_0 for every lane from one backward pass down from the lanes' common tail.
 
     ``block(lanes, n_lo, n_hi)`` returns the coefficients a(n), (rows, lanes),
     and b(n), (rows, 1), for rows n in [n_lo, n_hi] against the given lanes,
     as ``models.coefficient_block`` does.  The pass starts at the tail N =
-    ``backward_tail(block, lanes, 0, eps)``, where every lane's seed error
-    has damped below ``eps`` relative to R_0, and recurses tau_{n-1} = a(n-1) - b(n) / tau_n
+    ``backward_tail(block, lanes, 0, DEFAULT_REL_TOL)``, where every lane's
+    seed error has damped below ``DEFAULT_REL_TOL`` (read at call time)
+    relative to R_0, and recurses tau_{n-1} = a(n-1) - b(n) / tau_n
     down from tau_N = a(N) + ``scale`` / N, where tau_n = a(n) + R_n: the
     pivots of ``batch_pivots`` with sign -1 over the reversed rows, in chunks
     of at most ``CHUNK_CELLS`` cells (at least two rows per block), each
@@ -209,10 +209,8 @@ def batch_minimal_ratio(
     runs.  A tau_n that is exactly 0 is taken as a tiny negative number, as
     every pivot of ``batch_pivots`` is.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
     lanes = np.asarray(lanes)
-    tail = backward_tail(block, lanes, 0, eps)
+    tail = backward_tail(block, lanes, 0, DEFAULT_REL_TOL)
     if not lanes.size or tail >= DEFAULT_MAX_DEPTH:
         return np.full(lanes.shape, np.nan)
     rows = max(2, CHUNK_CELLS // lanes.size)  # rows per block; a chunk pivots all but the top one

@@ -145,27 +145,25 @@ def root_factor(model: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticRoots:
-    """Characteristic-equation scales of the three-term recurrence.
+    """The minimal-solution scale of the three-term recurrence.
 
-    The minimal-solution ratio behaves as ``t2 / n``; ``t1`` is the scale of
-    the dominant solution.  For the driven model the bare characteristic roots
-    are {0, omega/2g}; the reported minimal scale 2g/omega is the refined
-    decay rate, which is what the asymptotic tests can actually measure.
+    The minimal-solution ratio behaves as ``t2 / n``; the backward passes
+    seed with it.  For the driven model the bare characteristic roots are
+    {0, omega/2g}; the reported minimal scale 2g/omega is the refined decay
+    rate, which is what the asymptotic tests can actually measure.
     """
 
-    t1: float
     t2: float
 
 
 def asymptotic_roots(model: ModelParams) -> AsymptoticRoots:
-    """Dominant and minimal ratio scales of the recurrence for ``model``."""
+    """The minimal ratio scale of the recurrence for ``model``."""
     w, g = model.omega, model.g
     if abs(g) <= model.eps_g:
         raise ZeroCoupling("asymptotic roots are undefined at g = 0")
-    c = SQUEEZE_FACTOR.get(model.kind)
-    if c is None:
-        return AsymptoticRoots(t1=w / (2.0 * g), t2=2.0 * g / w)
-    return AsymptoticRoots(t1=w / (c * c * g), t2=g / w)
+    if model.kind in SQUEEZE_FACTOR:
+        return AsymptoticRoots(t2=g / w)
+    return AsymptoticRoots(t2=2.0 * g / w)
 
 
 def pole_lattice(model: ModelParams, sector: Sector) -> tuple[float, float]:

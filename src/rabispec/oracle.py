@@ -59,6 +59,7 @@ from .models import ModelKind, ModelParams, Sector
 N_MAX_DEFAULT = 2**13  # the truncation ceiling, a power of two, read at call time
 _STAB_TOL_FACTOR = 1e-9  # bounds a chain level's Ritz radius, a driven level's move per doubling
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
+_RITZ_BLOCK = 16  # eigenvectors whose own residual _ritz_bounds holds at a time
 
 
 @dataclass(frozen=True)
@@ -241,18 +242,25 @@ def _ritz_bounds(d: np.ndarray, e: np.ndarray, k: int, w: np.ndarray) -> np.ndar
     With z the unit eigenvector on the leading rows (LAPACK's dstein,
     called directly; LinAlgError on a nonzero info), (z, 0, ...) leaves the
     residual |e[k-1] z[k-1]| in row k plus its own on the leading rows,
-    about ulp times their norm, computed here.  By Weinstein's bound a
-    level lies within that of w, on any chain that extends the leading rows.
+    about ulp times their norm, computed here ``_RITZ_BLOCK`` vectors at a
+    time, so that it holds no second array of z's size.  By Weinstein's
+    bound a level lies within that of w, on any chain that extends the
+    leading rows.
     """
     dk, ek = d[:k], e[:k - 1]
     block, split = np.ones(k, dtype=np.int32), np.full(k, k, dtype=np.int32)
     z, info = lapack.dstein(dk, _offdiagonal(dk, ek), w, block, split)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstein failed with info={info}")
-    res = (dk[:, None] - w) * z
-    res[1:] += ek[:, None] * z[:-1]
-    res[:-1] += ek[:, None] * z[1:]
-    return np.abs(e[k - 1] * z[-1]) + np.linalg.norm(res, axis=0)
+    own = np.empty(w.size)
+    for i in range(0, w.size, _RITZ_BLOCK):
+        cols = slice(i, i + _RITZ_BLOCK)
+        zi = z[:, cols]
+        res = (dk[:, None] - w[cols]) * zi
+        res[1:] += ek[:, None] * zi[:-1]
+        res[:-1] += ek[:, None] * zi[1:]
+        own[cols] = np.linalg.norm(res, axis=0)
+    return np.abs(e[k - 1] * z[-1]) + own
 
 
 def _in_window(vals: np.ndarray, lo: float, hi: float) -> np.ndarray:

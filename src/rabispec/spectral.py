@@ -45,7 +45,6 @@ import numpy as np
 from .contfrac import (
     CHUNK_CELLS,
     DEFAULT_MAX_DEPTH,
-    DEFAULT_REL_TOL,
     batch_minimal_ratio,
     batch_pivots,
     batch_ratios,
@@ -149,21 +148,16 @@ def poles_in_window(
     ]
 
 
-def f_values(
-    model: ModelParams,
-    sector: Sector,
-    energies,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> np.ndarray:
+def f_values(model: ModelParams, sector: Sector, energies) -> np.ndarray:
     """F(E) = R_0(E) + a(0) over an array of energies, one lane per energy.
 
     R_0 comes from one batched backward pass (``batch_minimal_ratio``) that
-    starts where the seed error of every lane has damped below ``rel_tol``
-    relative to R_0 (``contfrac.backward_tail``), so F is off by about
-    ``rel_tol`` * |R_0|.  Lanes within eps_pole of the pole set and
-    lanes whose value is not finite are nan, and so is every lane when the
-    tail reaches ``DEFAULT_MAX_DEPTH`` rows, which happens only near the
-    coupling bound.
+    starts where the seed error of every lane has damped below
+    ``contfrac.DEFAULT_REL_TOL`` relative to R_0 (``contfrac.backward_tail``),
+    so F is off by about ``DEFAULT_REL_TOL`` * |R_0|.  Lanes within eps_pole
+    of the pole set and lanes whose value is not finite are nan, and so is
+    every lane when the tail reaches ``DEFAULT_MAX_DEPTH`` rows, which
+    happens only near the coupling bound.
     """
     check_coupling(model)
     sector.check_matches(model)
@@ -174,7 +168,7 @@ def f_values(
         return out
     e = energies[usable]
     block = partial(coefficient_block, model, sector)
-    ratio = batch_minimal_ratio(block, e, asymptotic_roots(model).t2, rel_tol)
+    ratio = batch_minimal_ratio(block, e, asymptotic_roots(model).t2)
     a, _ = coefficient_block(model, sector, e, 0, 0)
     with np.errstate(invalid="ignore", over="ignore"):
         f = ratio + a[0]
@@ -308,22 +302,20 @@ def _probe_points(
 
 
 def compute_spectrum(
-    model: ModelParams,
-    sector: Sector,
-    window: tuple[float, float],
-    root_abs_tol: float = DEFAULT_ROOT_ABS_TOL,
+    model: ModelParams, sector: Sector, window: tuple[float, float]
 ) -> SpectrumResult:
     """Every level in the window, each found by multisection on the level count.
 
     The levels in the window are j in [N(e_min), N(e_max)) (``level_count``;
     an edge within eps_pole of a pole moves off it, keeping the pole's side).
     Each level's bracket starts as the window.  Every multisection step cuts
-    each bracket wider than ``root_abs_tol`` into ``_SECTIONS`` sections and
-    counts N(E) at all their points in one ``level_count`` call; level j
-    lies between the last point counted <= j and the next one.  The edges
-    and bracket ends counted at these rows are kept with their counts, so a
-    step counts only its new points, each once per truncation, and the first
-    count takes the window's sections with its edges.
+    each bracket wider than ``DEFAULT_ROOT_ABS_TOL`` (read at call time)
+    into ``_SECTIONS`` sections and counts N(E) at all their points in one
+    ``level_count`` call; level j lies between the last point counted <= j
+    and the next one.  The edges and bracket ends counted at these rows are
+    kept with their counts, so a step counts only its new points, each once
+    per truncation, and the first count takes the window's sections with
+    its edges.
     Points avoid the poles by eps_pole, so a level at a pole E_n (an
     exceptional level) ends in (E_n - eps_pole, E_n + eps_pole), put at E_n.
 
@@ -356,8 +348,6 @@ def compute_spectrum(
     ``contfrac.twisted_residual`` from one backward pass over the rows that
     confirmed it (inf on a pole), is reported, never used to reject a level.
     """
-    if not root_abs_tol > 0.0:
-        raise ValueError(f"root_abs_tol must be positive, got {root_abs_tol}")
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
         raise ValueError(f"window edges must be finite, got {window}")
@@ -373,7 +363,7 @@ def compute_spectrum(
     off = np.where(inside, [-eps, eps], [eps, -eps])
     edges = np.where(np.abs(edges - pole) < eps, pole + off, edges)
 
-    cap, tol = DEFAULT_MAX_DEPTH, root_abs_tol
+    cap, tol = DEFAULT_MAX_DEPTH, DEFAULT_ROOT_ABS_TOL
     first, spacing = pole_lattice(model, sector)
     top = max(math.floor((edges[1] - first) / spacing), 0)  # the last pole below, or pole 0
     if top >= cap:

@@ -353,9 +353,10 @@ class TestSelfConsistency:
     def test_root_stable_under_depth_doubling(self, two_photon_ref, monkeypatch):
         model, sector, _, _ = two_photon_ref
         roots = []
+        monkeypatch.setattr(spectral, "DEFAULT_ROOT_ABS_TOL", 1e-12)
         for depth in (2**14, 2**15):
             monkeypatch.setattr(spectral, "DEFAULT_MAX_DEPTH", depth)
-            roots.append(compute_spectrum(model, sector, (0.2, 0.6), 1e-12).energies[0])
+            roots.append(compute_spectrum(model, sector, (0.2, 0.6)).energies[0])
         assert abs(roots[0] - roots[1]) <= 1e-10
 
     def test_oracle_stable_under_truncation_doubling(self, two_photon_ref):
@@ -450,8 +451,9 @@ def _ode_residual(model, sector, energy, z):
 
 @pytest.mark.parametrize("model,sector,window", _NORM_POINTS,
                          ids=[m.kind.value for m, _, _ in _NORM_POINTS])
-def test_wavefunctions_solve_differential_system(model, sector, window):
-    energies = compute_spectrum(model, sector, window, root_abs_tol=1e-12).energies[:5]
+def test_wavefunctions_solve_differential_system(model, sector, window, monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_ROOT_ABS_TOL", 1e-12)
+    energies = compute_spectrum(model, sector, window).energies[:5]
     assert len(energies) == 5
     for e in energies:
         for z in (0.1, 0.5, 1.0):

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, output formats, exit codes."""
 
+import itertools
 import json
 import math
 import warnings
@@ -136,7 +137,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("line, named", [
         ("gridstep = 0.5", "gridstep"),
         ("format = xml", "xml"),
-        ("root_abs_tol = 0", "root_abs_tol"),
+        ("root_abs_tol = 0", "unknown config key 'root_abs_tol'"),  # a module constant
         ("grid_step = -1", "grid_step"),  # a retired key is an unknown key
         ("match_tol = nan", "match_tol"),
         ("match_tol = 0", "match_tol"),
@@ -254,6 +255,24 @@ class TestConfigHandling:
         assert code == 1 and out == ""
         assert err.startswith("ERROR config ValueError: unknown config key 'oracle_n'; known: ")
 
+    def test_tolerance_options_are_gone(self, capsys, tmp_path):
+        # the bracket tolerance and F's seed damping are module constants:
+        # each flag is a usage error and each config key an unknown one
+        for command, key in itertools.product(["spectrum", "curve", "compare"],
+                                              ["root_abs_tol", "cf_rel_tol"]):
+            argv = [command, "--model", "two-photon", "--delta", "0.5", "--g", "0.2",
+                    "--q", "1/4", "--emax", "2.5"]
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag, "1e-8"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1e-8" in capsys.readouterr().err
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = 1e-8\n")
+            code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+            assert code == 1 and out == ""
+            assert err.startswith(f"ERROR config ValueError: unknown config key '{key}'; known: ")
+
 
 # Each shared option with a run that uses it: (subcommand, the other options,
 # the value under test).  Every option the CLI shares, and no other, is here.
@@ -268,8 +287,6 @@ OPTION_RUNS = {
     "kappa": (["oracle"], {"model": "two-mode", "g": "0.4", "emax": "3"}, "3/2"),
     "emin": (["oracle"], TWO_PHOTON_RUN, "-1"),
     "emax": (["oracle"], TWO_PHOTON_RUN, "4"),
-    "cf_rel_tol": (["curve", "--samples", "5"], TWO_PHOTON_RUN, "1e-10"),
-    "root_abs_tol": (["spectrum"], TWO_PHOTON_RUN, "1e-11"),
     "match_tol": (["compare"], TWO_PHOTON_RUN, "1e-5"),
     "format": (["oracle"], TWO_PHOTON_RUN, "json"),
     "output": (["oracle"], TWO_PHOTON_RUN, None),  # a path under tmp_path
@@ -406,21 +423,20 @@ class TestCurveCommand:
             assert err == "ERROR config ValueError: window must satisfy E_min < E_max\n", command
 
     def test_nan_tolerance_rejected(self, capsys):
-        # the CLI checks every tolerance itself, for every subcommand, used or
-        # not: a NaN or non-positive value is a config error
+        # the CLI checks its one tolerance itself, for every subcommand, used
+        # or not: a NaN or non-positive match_tol is a config error
         commands = (["curve", "--samples", "5"], ["spectrum"], ["compare"], ["oracle"],
                     ["series", "--energy", "0.4", "--order", "20"])
         for command in commands:
-            for option in ("cf_rel_tol", "root_abs_tol", "match_tol"):
-                for value in ("nan", "0", "-1"):
-                    code, out, err = run_cli(
-                        capsys,
-                        command + ["--model", "two-mode", "--delta", "0.7", "--g", "0.4",
-                                   "--kappa", "1", "--emin", "-1", "--emax", "4",
-                                   "--" + option.replace("_", "-"), value],
-                    )
-                    assert code == 1 and out == "", (command, option, value)
-                    assert err.startswith(f"ERROR config ValueError: {option} must be positive")
+            for value in ("nan", "0", "-1"):
+                code, out, err = run_cli(
+                    capsys,
+                    command + ["--model", "two-mode", "--delta", "0.7", "--g", "0.4",
+                               "--kappa", "1", "--emin", "-1", "--emax", "4",
+                               "--match-tol", value],
+                )
+                assert code == 1 and out == "", (command, value)
+                assert err.startswith("ERROR config ValueError: match_tol must be positive")
 
 
 class TestOracleCommand:

@@ -313,7 +313,7 @@ class TestBatchMinimalRatio:
             return pivots(a, b, sign, prev)
 
         monkeypatch.setattr(contfrac, "batch_pivots", recording)
-        r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2, 1e-12)
+        r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2)
         assert tables == [(29, 400)] and np.isfinite(r).all()
 
     @pytest.mark.parametrize("rows", [2, 3, 5, 6])
@@ -344,12 +344,8 @@ class TestBatchMinimalRatio:
         assert cells and max(cells) <= 4096
 
     def test_argument_validation(self):
-        block = const_block(1.0, 1.0)
-        for eps in (0.0, math.nan):
-            with pytest.raises(ValueError):
-                batch_minimal_ratio(block, np.zeros(1), 0.0, eps)
         # no lanes: no tail and no pass, whose rows per block divide by the lanes
-        assert batch_minimal_ratio(block, np.zeros(0), 0.0).shape == (0,)
+        assert batch_minimal_ratio(const_block(1.0, 1.0), np.zeros(0), 0.0).shape == (0,)
 
 
 def negative_pivots(a, b, sign):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import math
 import pkgutil
 import warnings
@@ -24,7 +25,7 @@ from rabispec import (
     oracle_spectrum,
 )
 from rabispec import spectral
-from rabispec.contfrac import DEFAULT_REL_TOL, backward_tail, batch_ratios
+from rabispec.contfrac import DEFAULT_REL_TOL, backward_tail, batch_minimal_ratio, batch_ratios
 from rabispec.errors import SignLostWarning
 from rabispec.models import coefficient_block, distance_to_pole_set, pole_energy, pole_lattice
 from rabispec.spectral import (
@@ -116,17 +117,22 @@ class TestScanAndRefine:
 
     def test_refine_hits_oracle_value(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
-        (rec,) = compute_spectrum(model, sector, (0.2, 0.6), root_abs_tol=1e-10).roots
+        (rec,) = compute_spectrum(model, sector, (0.2, 0.6)).roots
         assert rec.energy == pytest.approx(eigs[0], abs=1e-7)
         assert rec.residual <= RESIDUAL_CAP
         assert not rec.sign_lost
 
-    def test_abs_tol_self_consistency(self, two_photon_ref):
+    def test_abs_tol_self_consistency(self, two_photon_ref, monkeypatch):
+        # the bracket tolerance is read when compute_spectrum is called
         model, sector, _, _ = two_photon_ref
-        (coarse,), (fine,) = (
-            compute_spectrum(model, sector, (0.2, 0.6), root_abs_tol=tol).roots
-            for tol in (1e-6, 1e-10)
-        )
+        records = []
+        for tol in (1e-6, 1e-10):
+            monkeypatch.setattr(spectral, "DEFAULT_ROOT_ABS_TOL", tol)
+            (rec,) = compute_spectrum(model, sector, (0.2, 0.6)).roots
+            assert rec.bracket_width <= tol
+            records.append(rec)
+        coarse, fine = records
+        assert coarse.bracket_width > 1e-10
         assert abs(coarse.energy - fine.energy) <= 1e-6
 
     def test_surrogate_root_closed_form(self):
@@ -355,12 +361,6 @@ class TestComputeSpectrum:
             assert compute_spectrum(model, Sector.driven(), (60.0, 64.0)).count_rows == 64
         with pytest.raises(ValueError, match="pole index 64 "):
             compute_spectrum(model, Sector.driven(), (60.0, 64.9))
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
-    def test_tolerances_must_be_positive(self, two_photon_ref, value):
-        model, sector, window, _ = two_photon_ref
-        with pytest.raises(ValueError, match="root_abs_tol"):
-            compute_spectrum(model, sector, window, root_abs_tol=value)
 
     def test_row_cap_leaves_levels_unconfirmed(self, two_photon_ref, monkeypatch):
         # at a 64-row cap the first count is the last: every level is narrowed
@@ -596,6 +596,15 @@ RETIRED_NAMES = {
 }
 
 
+def test_solvers_take_no_settable_value():
+    # the bracket tolerance, F's seed damping, the count's row cap and the
+    # oracle's ceiling are module constants, read when a solver is called
+    for solver in (compute_spectrum, oracle_spectrum):
+        assert list(inspect.signature(solver).parameters) == ["model", "sector", "window"]
+    assert list(inspect.signature(f_values).parameters) == ["model", "sector", "energies"]
+    assert list(inspect.signature(batch_minimal_ratio).parameters) == ["block", "lanes", "scale"]
+
+
 def test_warning_types_exported():
     import rabispec
 
@@ -608,15 +617,15 @@ def test_warning_types_exported():
 def test_production_paths_reach_no_scalar_evaluator():
     # F has one production evaluator, f_values, and only the CLI (for
     # curve) imports it: the residual is read from the recursions its callers
-    # run anyway.  The CLI imports no contfrac kernel (only the default
-    # tolerance); the series imports the batched backward pass, its start
-    # depth and the residual rule.  No module defines or imports a scalar reference
+    # run anyway.  The CLI imports nothing from contfrac; the series imports
+    # the batched backward pass, its start depth and the residual rule.  No
+    # module defines or imports a scalar reference
     import rabispec
     import rabispec.cli
     import rabispec.series
 
     cli = rabispec_imports(rabispec.cli)
-    assert {name for module, name in cli if module == "contfrac"} == {"DEFAULT_REL_TOL"}
+    assert {name for module, name in cli if module == "contfrac"} == set()
     series = rabispec_imports(rabispec.series)
     assert {name for module, name in series if module == "contfrac"} == {
         "backward_tail", "batch_ratios", "twisted_residual",
