@@ -273,6 +273,20 @@ class TestConfigHandling:
             assert code == 1 and out == ""
             assert err.startswith(f"ERROR config ValueError: unknown config key '{key}'; known: ")
 
+    def test_metadata_carries_no_tolerance(self, capsys):
+        # the two tolerances are constants, not run settings: no subcommand's
+        # metadata names them
+        argv = ["--model", "two-photon", "--delta", "0.5", "--g", "0.2", "--q", "1/4",
+                "--emax", "2.5", "--format", "json"]
+        commands = (["spectrum"], ["curve", "--samples", "5"], ["compare"], ["oracle"],
+                    ["series", "--energy", repr(TWO_PHOTON_REF_EIGS[0]), "--order", "200"])
+        for command in commands:
+            code, out, _ = run_cli(capsys, command + argv)
+            assert code == 0, command
+            meta = load_json(out)["meta"]
+            assert meta["model"] == "two-photon" and meta["g"] == 0.2, command
+            assert not {"root_abs_tol", "cf_rel_tol"} & set(meta), command
+
 
 # Each shared option with a run that uses it: (subcommand, the other options,
 # the value under test).  Every option the CLI shares, and no other, is here.

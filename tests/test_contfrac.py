@@ -343,6 +343,26 @@ class TestBatchMinimalRatio:
         batch_minimal_ratio(recording, energies, asymptotic_roots(model).t2)
         assert cells and max(cells) <= 4096
 
+    def test_tail_tolerance_read_at_call_time(self, monkeypatch):
+        # the pass starts where the seed error has damped below
+        # DEFAULT_REL_TOL as it stands when batch_minimal_ratio is called:
+        # at 1e-6 the tail of these lanes is 25 rows, not 35
+        model, sector, energies = two_mode_lanes()
+        block, t2 = partial(coefficient_block, model, sector), asymptotic_roots(model).t2
+        fine = batch_minimal_ratio(block, energies, t2)
+        tails, tail = [], contfrac.backward_tail
+
+        def recording(block, lanes, n, eps):
+            tails.append((eps, tail(block, lanes, n, eps)))
+            return tails[-1][1]
+
+        monkeypatch.setattr(contfrac, "backward_tail", recording)
+        monkeypatch.setattr(contfrac, "DEFAULT_REL_TOL", 1e-6)
+        coarse = batch_minimal_ratio(block, energies, t2)
+        assert tails == [(1e-6, 25)]
+        assert not np.array_equal(coarse, fine)
+        assert np.all(np.abs(coarse - fine) <= 1e-6 * np.maximum(1.0, np.abs(fine)))
+
     def test_argument_validation(self):
         # no lanes: no tail and no pass, whose rows per block divide by the lanes
         assert batch_minimal_ratio(const_block(1.0, 1.0), np.zeros(0), 0.0).shape == (0,)

@@ -561,6 +561,18 @@ class TestRitzBound:
         r = _ritz_bounds(d, e, 2, _sterf(d[:2], e[:1]) + 1e-6)
         assert r == pytest.approx([1e-6 + 1e-10 / math.sqrt(2.0)] * 2, rel=1e-9)
 
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    def test_radii_independent_of_block_size(self, monkeypatch, size):
+        # the own residuals are taken a block of eigenvectors at a time; 40
+        # levels in blocks of 1, 3 or 16 give the radii of one whole block
+        rng = np.random.default_rng(3)
+        d, e = rng.uniform(-1.0, 1.0, 60), rng.uniform(0.1, 0.5, 59)
+        w = _sterf(d[:40], e[:39])
+        monkeypatch.setattr("rabispec.oracle._RITZ_BLOCK", w.size)
+        whole = _ritz_bounds(d, e, 40, w)
+        monkeypatch.setattr("rabispec.oracle._RITZ_BLOCK", size)
+        np.testing.assert_array_equal(_ritz_bounds(d, e, 40, w), whole)
+
     def test_settled_levels_returned(self):
         d, e = self._chain(0.2, 1e-10)
         assert self._settled(d, e) == pytest.approx([0.3, 0.7], rel=0.0, abs=1e-15)
