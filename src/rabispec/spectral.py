@@ -21,14 +21,18 @@ tridiagonal plus the poles below E (the Sturm count with the
 Wittrick-Williams pole term).  It reads the inertia off the twisted
 factorisation at the middle row, the LDL^T pivots from the top and from the
 bottom run at once as two groups of lanes, so its row loop is half the
-truncation long.  ``compute_spectrum`` takes the levels of a window as j in
-[N(e_min), N(e_max)), narrows each by multisection on N(E) (many points per
-bracket in one count call, each point counted once per truncation), and
-checks each level's position under a doubling of the truncation.  The count is the
-certificate that no level is lost.  Each level's residual (only reported,
-``contfrac.twisted_residual``) is the twist element sigma_k* - sign(g) R_k* =
--sign(g) W_k* of the count's pivots and the backward ratios at the matching
-index k*, over the eigenvector's norm (Parlett and Dhillon; Cooley).
+truncation long, and log|det T(E)| from the same pivots.  ``compute_spectrum``
+takes the levels of a window as j in [N(e_min), N(e_max)) and narrows each on
+N(E) (many points per bracket in one count call, each point counted once per
+truncation): by multisection, and once a bracket holds one level and no pole,
+by two points around the secant zero of det T(E), safeguarded as in Brent's
+zeroin (the value of the determinant beside its sign, as Williams and Kennedy
+use it).  It checks each level's position under a doubling of the truncation.
+The count decides every bracket and is the certificate that no level is lost.
+Each level's residual (only reported, ``contfrac.twisted_residual``) is the
+twist element sigma_k* - sign(g) R_k* = -sign(g) W_k* of the count's pivots
+and the backward ratios at the matching index k*, over the eigenvector's norm
+(Parlett and Dhillon; Cooley).
 
 ``f_values`` evaluates F over a batch of energies for ``rabispec curve``.
 """
@@ -78,10 +82,12 @@ _COUNT_CHUNK_ROWS = 1024
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One level: its energy, twisted residual, final bracket width and multisection steps.
+    """One level: its energy, twisted residual, final bracket width and narrowing steps.
 
-    ``sign_lost`` marks a level whose position was not confirmed under a
-    doubling of the count rows because the rows reached ``DEFAULT_MAX_DEPTH``.
+    ``iterations`` counts the count calls that narrowed the level, by
+    multisection or by secant points, at every truncation.  ``sign_lost``
+    marks a level whose position was not confirmed under a doubling of the
+    count rows because the rows reached ``DEFAULT_MAX_DEPTH``.
     """
 
     energy: float
@@ -183,8 +189,10 @@ def default_window_min(model: ModelParams, sector: Sector) -> float:
     return min(p0, -model.omega) - model.delta - abs(model.drive) - 1.0
 
 
-def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.ndarray:
-    """N(E): the number of levels below each energy, from the first ``rows`` rows.
+def level_count(
+    model: ModelParams, sector: Sector, energies, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N(E), log|det T(E)|) at each energy, from the first ``rows`` rows.
 
     N(E) is the number of negative eigenvalues of the truncated tridiagonal
     T(E), diagonal alpha_n = -sign(g) a(n) and off-diagonal sqrt(b(n)) for
@@ -206,6 +214,11 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
     many lanes), so the loop runs rows // 2 steps where a forward pass alone
     ran rows.  For even ``rows`` the backward half runs one row more than it
     counts, tau_k, so both halves are k rows long.
+
+    det T(E) is the product of the same pivots, gamma_k included and the
+    extra tau_k left out, so log|det T(E)| is the sum of their log|pivot|;
+    its sign is (-1)^(N(E) - #{n < rows : E_n < E}).  Where the guard made a
+    pivot tiny, the next pivot is b(n+1)/tiny and their product is right.
     """
     check_coupling(model)
     energies = np.asarray(energies, dtype=float)
@@ -215,6 +228,7 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
     step = max(1, min(_COUNT_CHUNK_ROWS, CHUNK_CELLS // max(1, energies.size)) // 2)
     block = partial(coefficient_block, model, sector, energies)
     i, before, last = 0, None, None  # the last two pivot rows, (2, lanes)
+    log_det = np.zeros(energies.shape)
     if not k:  # one row: no pivots, the twist is row 0
         a_lo, b_lo = block(0, 0)
     for i in range(0, k, step):
@@ -231,18 +245,21 @@ def level_count(model: ModelParams, sector: Sector, energies, rows: int) -> np.n
         divisors[:, 0], divisors[m - len(b_down):, 1] = b_lo[:m], b_down
         pivots = batch_pivots(table, divisors, sign, last)
         count += np.count_nonzero(pivots < 0.0, axis=(0, 1))
+        log_det += np.log(np.abs(pivots)).sum(axis=(0, 1))
         before, last = (pivots[-2] if m > 1 else last), pivots[-1]
     # the last block holds the twist row k and b(k + 1)
     tau = last if rows % 2 else before  # tau_{k+1}, or None where row k + 1 is past the rows
-    if not rows % 2:
-        count -= last[1] < 0.0  # tau_k: pivoted, not counted
+    if not rows % 2:  # tau_k: pivoted, neither counted nor a factor of det T
+        count -= last[1] < 0.0
+        log_det -= np.log(np.abs(last[1]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gamma = -sign * a_lo[k - i]
         if last is not None:
             gamma = gamma - b_lo[k - i, 0] / last[0]
         if tau is not None:
             gamma = gamma - b_lo[k + 1 - i, 0] / tau[1]
-    return count + (gamma <= 0.0)
+        log_det += np.log(np.abs(gamma))
+    return count + (gamma <= 0.0), log_det
 
 
 def _points_inside(model: ModelParams, sector: Sector, lo, hi, tol: float, x) -> np.ndarray:
@@ -261,15 +278,67 @@ def _points_inside(model: ModelParams, sector: Sector, lo, hi, tol: float, x) ->
     return np.where((hi - lo > tol) & (lo < x) & (x < hi), x, np.nan)
 
 
+def _sections(lo, hi) -> np.ndarray:
+    """lo + i (hi - lo) / _SECTIONS for 0 < i < _SECTIONS, one row per bracket."""
+    return lo[:, None] + np.arange(1, _SECTIONS) * ((hi - lo)[:, None] / _SECTIONS)
+
+
 def _section_points(model: ModelParams, sector: Sector, lo, hi, tol: float) -> np.ndarray:
     """The multisection points of each bracket, one row per bracket, nan where settled.
 
-    The points are lo + i (hi - lo) / _SECTIONS for 0 < i < _SECTIONS, kept
-    off the poles and inside by ``_points_inside``; a bracket with no point
-    left is settled.
+    The points are ``_sections`` kept off the poles and inside by
+    ``_points_inside``; a bracket with no point left is settled.
     """
-    x = lo[:, None] + np.arange(1, _SECTIONS) * ((hi - lo)[:, None] / _SECTIONS)
-    return _points_inside(model, sector, lo, hi, tol, x)
+    return _points_inside(model, sector, lo, hi, tol, _sections(lo, hi))
+
+
+def _step_points(
+    model: ModelParams, sector: Sector, lo, hi, logs, single, tol: float, last
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """A step's points: two around the secant zero of det T where a bracket holds one level.
+
+    ``logs`` (2, levels) holds log|det T(E)| at lo and hi, and ``single``
+    marks the brackets whose ends count j and j + 1.  On such a bracket with
+    no pole in it, T'(E) is a negative-definite diagonal, so every eigenvalue
+    of T(E) falls with E and f(E) = det T(E) (E - E_p), E_p the pole nearest
+    the bracket, has one simple zero there; the count gives the signs of f
+    at the ends, which differ.  The secant through the ends puts the zero at
+    x* = lo + w / (1 + |f(hi)| / |f(lo)|), w = hi - lo, off by about
+    K (x* - lo)(hi - x*).  The points are x* -+ delta,
+    delta = max(tol / 4, 4 K (x* - lo)(hi - x*)), with K the error constant
+    the level's last secant point showed, |x*_last - x*| over its
+    (x*_last - lo)(hi - x*_last), and before its first one
+    K = max(2, 1 / the distance to the neighbouring levels' bracket
+    midpoints).  A bracket takes them where 4 K w^2 <= w / _SECTIONS, so
+    that they leave less than a section would; the others take their
+    sections.  Since delta < w / 2, one of them lies inside the bracket, and
+    none is moved by ``_points_inside``: every point counted keeps eps_pole
+    from the poles, so no point between two of them that hold no pole lies
+    nearer.  ``last`` holds each level's last secant point and its
+    (x* - lo)(hi - x*) (nan where none); the result returns it updated.
+    """
+    last_x, last_span = last
+    w, x = hi - lo, _sections(lo, hi)
+    # the first steps at each truncation: no bracket is narrow enough yet (K >= 2 at first)
+    if not (single & (w > tol) & ((8.0 * _SECTIONS * w <= 1.0) | ~np.isnan(last_x))).any():
+        return _points_inside(model, sector, lo, hi, tol, x), last
+    mid = 0.5 * (lo + hi)
+    pole = nearest_pole(model, sector, mid)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_f = logs + np.log(np.abs(np.stack([lo, hi]) - pole))
+        guess = lo + w / (1.0 + np.exp(log_f[1] - log_f[0]))
+        span = (guess - lo) * (hi - guess)
+        gap = np.full(mid.size + 1, np.inf)
+        gap[1:-1] = np.diff(mid)
+        first_k = np.maximum(2.0, 1.0 / np.minimum(gap[:-1], gap[1:]))
+        k = np.where(np.isnan(last_x), first_k, np.abs(last_x - guess) / last_span)
+        delta = np.maximum(tol / 4.0, 4.0 * k * span)
+        narrow = 4.0 * _SECTIONS * k * w <= 1.0
+        use = single & ~((lo < pole) & (pole < hi)) & np.isfinite(guess) & narrow
+    x[use] = np.nan
+    x[use, 0], x[use, 1] = guess[use] - delta[use], guess[use] + delta[use]
+    last = np.where(use, guess, last_x), np.where(use, span, last_span)
+    return _points_inside(model, sector, lo, hi, tol, x), last
 
 
 def _probe_points(
@@ -304,18 +373,23 @@ def _probe_points(
 def compute_spectrum(
     model: ModelParams, sector: Sector, window: tuple[float, float]
 ) -> SpectrumResult:
-    """Every level in the window, each found by multisection on the level count.
+    """Every level in the window, each narrowed on the level count by multisection and secant.
 
     The levels in the window are j in [N(e_min), N(e_max)) (``level_count``;
     an edge within eps_pole of a pole moves off it, keeping the pole's side).
-    Each level's bracket starts as the window.  Every multisection step cuts
-    each bracket wider than ``DEFAULT_ROOT_ABS_TOL`` (read at call time)
-    into ``_SECTIONS`` sections and counts N(E) at all their points in one
-    ``level_count`` call; level j lies between the last point counted <= j
-    and the next one.  The edges and bracket ends counted at these rows are
-    kept with their counts, so a step counts only its new points, each once
-    per truncation, and the first count takes the window's sections with
-    its edges.
+    Each level's bracket starts as the window.  Every step counts N(E) at
+    new points of each bracket wider than ``DEFAULT_ROOT_ABS_TOL`` (read at
+    call time) in one ``level_count`` call; level j lies between the last
+    point counted <= j and the next one.  A bracket takes the points that
+    cut it into ``_SECTIONS`` sections, or, once its ends count j and j + 1,
+    it holds no pole and it is narrow enough for the secant's error estimate
+    to be a sixteenth of it, the two points x* -+ delta around the secant zero
+    x* of det T(E) (E - E_p) (``_step_points``).  If the level lies between
+    them the bracket shrinks to 2 delta, about the square of its width; if
+    not, it still loses the side beyond x*.  The edges and bracket ends
+    counted at these rows are kept with their counts and log|det T|, so a
+    step counts only its new points, each once per truncation, and the first
+    count takes the window's sections with its edges.
     Points avoid the poles by eps_pole, so a level at a pole E_n (an
     exceptional level) ends in (E_n - eps_pole, E_n + eps_pole), put at E_n.
 
@@ -372,15 +446,18 @@ def compute_spectrum(
     # the first count takes the window's sections, every level's first step, with its edges
     x = _section_points(model, sector, edges[:1], edges[1:], tol)
     new, window_step = np.concatenate([edges, x[~np.isnan(x)]]), not np.isnan(x).all()
-    settled_rows, todo, last = 0, None, None
-    # the points counted at these rows, sorted (the edges first and last), and their counts
-    taken, taken_counts = np.empty(0), np.empty(0, dtype=np.intp)
+    settled_rows, todo, last, secant = 0, None, None, None
+    # the points counted at these rows, sorted (the edges first and last), their
+    # counts and their log|det T|
+    taken, taken_counts, taken_logs = np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
     calls = lanes = row_steps = 0
     while True:
         new = np.unique(new)  # inside the brackets, so none of them was counted at these rows
         points = np.concatenate([taken, new])
         order = np.argsort(points)
-        counts = np.concatenate([taken_counts, level_count(model, sector, new, rows)])[order]
+        new_counts, new_logs = level_count(model, sector, new, rows)
+        counts = np.concatenate([taken_counts, new_counts])[order]
+        logs = np.concatenate([taken_logs, new_logs])[order]
         points = points[order]
         calls, lanes, row_steps = calls + 1, lanes + new.size, row_steps + rows
         levels = np.arange(counts[0], counts[-1])
@@ -390,9 +467,14 @@ def compute_spectrum(
         if window_step is not None:  # the first count: every level took the window's step
             todo = np.full(levels.size, window_step)
             steps, window_step = dict.fromkeys(levels.tolist(), int(window_step)), None
-        x = _section_points(model, sector, lo, hi, tol)
         if last is not None:  # the check after a doubling
+            x = _section_points(model, sector, lo, hi, tol)
             x, last = _probe_points(model, sector, levels, lo, hi, tol, x, last), None
+        else:
+            if secant is None:  # each level's last secant point and (x* - lo)(hi - x*): none yet
+                secant = np.full((2, levels.size), np.nan)
+            single = (counts[k - 1] == levels) & (counts[k] == levels + 1)
+            x, secant = _step_points(model, sector, lo, hi, logs[[k - 1, k]], single, tol, secant)
         live = ~np.isnan(x).all(axis=1)
         # todo: the levels narrowed at these rows
         todo = live if todo is None else todo | live
@@ -400,7 +482,8 @@ def compute_spectrum(
             for j in levels[live].tolist():
                 steps[j] = steps.get(j, 0) + 1
             ends = np.unique(np.concatenate([[0, points.size - 1], k - 1, k]))
-            taken, taken_counts, new = points[ends], counts[ends], x[~np.isnan(x)]
+            taken, taken_counts, taken_logs = points[ends], counts[ends], logs[ends]
+            new = x[~np.isnan(x)]
             continue
         if settled_rows and not todo.any():
             break
@@ -408,8 +491,8 @@ def compute_spectrum(
         if rows == cap:
             break
         new, rows, todo = np.concatenate([edges, lo, hi]), min(2 * rows, cap), None
-        taken, taken_counts = taken[:0], taken_counts[:0]
-        last = levels, lo, hi
+        taken, taken_counts, taken_logs = taken[:0], taken_counts[:0], taken_logs[:0]
+        last, secant = (levels, lo, hi), None
     unconfirmed = todo  # empty unless levels were narrowed at the cap
     if unconfirmed.any():
         warnings.warn(

@@ -554,13 +554,21 @@ class TestCompareCommand:
         assert [r[3] for r in rows] == ["matched"] * 3
         assert all(float(r[2]) < 1e-6 for r in rows)
 
-    def test_unmatched_rows_exit_2(self, capsys):
-        # negative control: an impossible matching tolerance
+    def test_unmatched_rows_exit_2(self, capsys, monkeypatch):
+        # negative control: an oracle whose levels sit 1e-6 off, ten times the
+        # matching tolerance, however close the roots come to the true levels
+        oracle_spectrum = cli.oracle_spectrum
+
+        def shifted(model, sector, window):
+            vals, n_used = oracle_spectrum(model, sector, window)
+            return [v + 1e-6 for v in vals], n_used
+
+        monkeypatch.setattr(cli, "oracle_spectrum", shifted)
         code, out, _ = run_cli(
             capsys,
             ["compare", "--model", "two-photon", "--delta", "0.5", "--g", "0.2",
              "--q", "1/4", "--emin", "-0.5", "--emax", "2.5",
-             "--match-tol", "1e-15"],
+             "--match-tol", "1e-7"],
         )
         assert code == 2
         _, _, rows = parse_csv(out)

@@ -57,6 +57,14 @@ COLLAPSE_WINDOWS = [
     collapse_window(ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.92), Sector.two_mode(1.5)),
 ]
 COLLAPSE_IDS = ["two-photon", "two-mode"]
+# 2g/omega = 0.99, where the count settles at 4,096 rows
+COLLAPSE_099 = collapse_window(
+    ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.495), Sector.two_photon(0.25))
+# driven, delta = 1e-4 and no drive: the levels come in pairs about 1e-4
+# apart, half of them within the exceptional tolerance of a pole
+NEAR_DEGENERATE = (
+    ModelParams(ModelKind.DRIVEN_RABI, 1.0, 1e-4, 1.5), Sector.driven(), (-3.0, 3.0),
+)
 # the README compare window: driven, 18 levels, a Juddian level on pole n = 1
 README_WINDOW = (
     ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.6, 0.3), Sector.driven(), (-1.5, 8.0),
@@ -218,11 +226,12 @@ class TestComputeSpectrum:
         assert found == pytest.approx(oracle_vals, abs=1e-7)
 
     def test_few_count_calls(self, two_photon_ref):
-        # a multisection step settles four bits of every level: 11 count calls
-        # on this window, where bisection took 39
+        # two multisection steps, then secant steps on det T that square the
+        # bracket: 7 count calls on this window, where multisection alone
+        # took 11 and bisection 39
         model, sector, window, _ = two_photon_ref
         result = compute_spectrum(model, sector, window)
-        assert result.count_calls <= 11
+        assert result.count_calls <= 7
         assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots + result.flagged)
 
     def test_counters_tally_level_count(self, two_photon_ref, monkeypatch):
@@ -233,7 +242,9 @@ class TestComputeSpectrum:
             tally["calls"] += 1
             tally["lanes"] += len(energies)
             tally["rows"] += rows
-            return level_count(model, sector, energies, rows)
+            counts, log_dets = level_count(model, sector, energies, rows)
+            assert counts.shape == log_dets.shape == (len(energies),)
+            return counts, log_dets
 
         monkeypatch.setattr(spectral, "level_count", counted)
         result = compute_spectrum(model, sector, window)
@@ -243,22 +254,26 @@ class TestComputeSpectrum:
     @pytest.mark.parametrize("model, sector, window", COLLAPSE_WINDOWS, ids=COLLAPSE_IDS)
     def test_collapse_window_renarrows_from_last_bracket(self, model, sector, window):
         # near collapse the levels move a little under each doubling; cutting
-        # out from their last bracket takes 27 count calls on each window,
-        # where narrowing from the neighbours' brackets took 40 and 31
+        # out from their last bracket took 27 count calls on each window,
+        # where narrowing from the neighbours' brackets took 40 and 31, and
+        # the secant steps take 18 and 17
         result = compute_spectrum(model, sector, window)
         oracle_vals, _ = oracle_spectrum(model, sector, window)
         found = sorted(result.energies + [r.energy for r in result.flagged])
         assert found == pytest.approx(oracle_vals, abs=1e-7)
         assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots + result.flagged)
-        assert result.count_calls <= 27
+        assert result.count_calls <= 18
 
     @pytest.mark.parametrize("case, work", zip(
-        [README_WINDOW, *COLLAPSE_WINDOWS], [(11, 768, 2413), (27, 4160, 1718), (27, 4160, 1277)],
-    ), ids=["readme"] + COLLAPSE_IDS)
+        [README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099, NEAR_DEGENERATE],
+        [(10, 704, 724), (18, 2816, 496), (17, 2688, 371), (46, 52736, 2585), (10, 704, 833)],
+    ), ids=["readme"] + COLLAPSE_IDS + ["two-photon-0.99", "near-degenerate"])
     def test_count_work_pinned(self, case, work):
         # the count's work counters, (count_calls, count_row_steps,
-        # grid_points), at most their values when the count first took each
-        # point once: a change that adds count work fails here, with no timing
+        # grid_points), at most their values since the secant steps on det T:
+        # a change that adds count work fails here, with no timing.  The
+        # near-degenerate window takes no fewer calls than multisection alone
+        # (its levels come in pairs 1e-4 apart), but no more either
         result = compute_spectrum(*case)
         assert result.count_calls <= work[0]
         assert result.count_row_steps <= work[1]
@@ -277,7 +292,8 @@ class TestComputeSpectrum:
         model, sector, _, _ = two_photon_ref
 
         def count(model, sector, energies, rows):
-            return np.searchsorted(levels[min(rows, 128)], energies)
+            counts = np.searchsorted(levels[min(rows, 128)], energies)
+            return counts, np.full(len(energies), np.nan)
 
         monkeypatch.setattr(spectral, "level_count", count)
         result = compute_spectrum(model, sector, (0.5, 1.5))
@@ -321,7 +337,43 @@ class TestComputeSpectrum:
         forward = reference.guarded_pivots(a, b, 1.0)
         assert forward[-1, 4] == -1e-30  # the singular lane's last pivot was 0
         want = np.count_nonzero(forward < 0.0, axis=0)
-        np.testing.assert_array_equal(level_count(model, sector, energies, rows), want)
+        np.testing.assert_array_equal(level_count(model, sector, energies, rows)[0], want)
+
+    def test_nan_log_dets_narrow_by_sections_alone(self, monkeypatch):
+        # without a finite log|det T| no bracket takes secant points: the
+        # README window takes the count work of multisection alone
+        def count(model, sector, energies, rows):
+            return level_count(model, sector, energies, rows)[0], np.full(len(energies), np.nan)
+
+        monkeypatch.setattr(spectral, "level_count", count)
+        result = compute_spectrum(*README_WINDOW)
+        assert (result.count_calls, result.count_row_steps, result.grid_points) == (11, 768, 2413)
+        assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots)
+
+    @pytest.mark.parametrize("wrong", ["random", "negated"])
+    def test_wrong_log_dets_still_find_every_level(self, two_photon_ref, monkeypatch, wrong):
+        # secant points from a wrong log|det T| cost count calls, never a
+        # level: the count alone decides each bracket
+        model, sector, window, eigs = two_photon_ref
+        rng = np.random.default_rng(3)
+
+        def count(model, sector, energies, rows):
+            counts, log_dets = level_count(model, sector, energies, rows)
+            if wrong == "random":
+                return counts, rng.normal(0.0, 30.0, log_dets.shape)
+            return counts, -log_dets
+
+        monkeypatch.setattr(spectral, "level_count", count)
+        result = compute_spectrum(model, sector, window)
+        assert result.energies == pytest.approx(eigs, abs=1e-7) and not result.flagged
+        assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots)
+        readme = compute_spectrum(*README_WINDOW)
+        oracle_vals, _ = oracle_spectrum(*README_WINDOW)
+        found = sorted(readme.energies + [r.energy for r in readme.flagged])
+        assert found == pytest.approx(oracle_vals, abs=1e-7)
+        assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in readme.roots)
+        (on_pole,) = readme.flagged
+        assert on_pole.bracket_width <= 2.0 * README_WINDOW[0].eps_pole
 
     def test_residual_tables_equal_one_table(self, two_photon_ref, monkeypatch):
         # residuals read one level per table equal those read in one table
@@ -337,11 +389,13 @@ class TestComputeSpectrum:
         model, sector, window, _ = two_photon_ref
         energies = np.linspace(*window, 201)
         energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
-        one_table = level_count(model, sector, energies, 100)
+        counts, log_dets = level_count(model, sector, energies, 100)
         np.testing.assert_array_equal(
-            one_table, reference.forward_count(model, sector, energies, 100))
+            counts, reference.forward_count(model, sector, energies, 100))
         monkeypatch.setattr(spectral, "_COUNT_CHUNK_ROWS", chunk)
-        np.testing.assert_array_equal(level_count(model, sector, energies, 100), one_table)
+        chunked = level_count(model, sector, energies, 100)
+        np.testing.assert_array_equal(chunked[0], counts)
+        np.testing.assert_allclose(chunked[1], log_dets, rtol=1e-13)
 
     def test_window_validation(self, two_photon_ref):
         model, sector, _, _ = two_photon_ref
@@ -431,15 +485,57 @@ class TestTwoEndedCount:
             energies = energy + rng.uniform(-2.0, 2.0, 6)
             energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
             np.testing.assert_array_equal(
-                level_count(model, sector, energies, rows),
+                level_count(model, sector, energies, rows)[0],
                 reference.forward_count(model, sector, energies, rows),
             )
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 64, 127, 1024, 2049])
+    def test_log_det_equals_slogdet(self, rows):
+        # log|det T(E)| from the pivots of both halves and the twist equals
+        # LAPACK's from an LU of the dense truncation, and (-1)^(N(E) - poles
+        # below E) is its sign; 2,049 rows take two chunks of each half
+        rng = np.random.default_rng(rows)
+        lanes = 6 if rows < 1000 else 1
+        for model, sector, energy in _random_cases(4, seed=rows):
+            energies = energy + rng.uniform(-2.0, 2.0, lanes)
+            energies = energies[distance_to_pole_set(model, sector, energies) > 1e-3]
+            counts, log_dets = level_count(model, sector, energies, rows)
+            first, spacing = pole_lattice(model, sector)
+            poles = np.clip(np.ceil((energies - first) / spacing), 0, rows)
+            a, b = coefficient_block(model, sector, energies, 0, rows - 1)
+            for lane, energy in enumerate(energies):
+                t = np.diag(-math.copysign(1.0, model.g) * a[:, lane])
+                t += np.diag(np.sqrt(b[1:, 0]), 1) + np.diag(np.sqrt(b[1:, 0]), -1)
+                sign, want = np.linalg.slogdet(t)
+                assert abs(log_dets[lane] - want) <= 1e-12 * max(1.0, abs(want)), (model, energy)
+                assert sign == (-1.0) ** (counts[lane] - poles[lane]), (model, energy)
+
+    def test_log_det_through_a_zero_pivot(self, two_photon_ref, monkeypatch):
+        # a pivot of exactly 0 is a tiny negative one (Kahan's guard), and the
+        # next pivot, b(n+1)/tiny, makes up for it: log|det T| still equals
+        # LAPACK's.  Lane 0 has its zero in the forward half, lane 1 in the
+        # backward half, lane 2 none
+        model, sector, _, _ = two_photon_ref
+        rows = 200
+        rng = np.random.default_rng(8)
+        a, b = rng.uniform(-2.0, 2.0, (rows, 3)), 2.0 ** rng.integers(-1, 2, (rows, 1))
+        plant_zero(a, b, 1.0, 40, 0)
+        plant_zero(a, b, 1.0, 150, 1, backward=True)
+        monkeypatch.setattr(
+            spectral, "coefficient_block",
+            lambda model, sector, energies, n_lo, n_hi: (a[n_lo:n_hi + 1], b[n_lo:n_hi + 1]),
+        )
+        energies = np.linspace(-3.0, -2.0, 3)  # below the first pole: no pole term
+        counts, log_dets = level_count(model, sector, energies, rows)
+        for lane in range(3):
+            off = np.sqrt(b[1:, 0])
+            t = np.diag(-a[:, lane]) + np.diag(off, 1) + np.diag(off, -1)
+            sign, want = np.linalg.slogdet(t)
+            assert abs(log_dets[lane] - want) <= 1e-12 * max(1.0, abs(want)), lane
+            assert sign == (-1.0) ** counts[lane], lane
+
     @pytest.mark.parametrize("model, sector, window", [
-        README_WINDOW,
-        *COLLAPSE_WINDOWS,
-        collapse_window(
-            ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.495), Sector.two_photon(0.25)),
+        README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099,
     ], ids=["readme"] + COLLAPSE_IDS + ["two-photon-0.99"])
     def test_each_point_counted_once_as_forward(self, monkeypatch, model, sector, window):
         # every point compute_spectrum counts reaches level_count once per
@@ -447,9 +543,9 @@ class TestTwoEndedCount:
         calls = []
 
         def spy(model, sector, energies, rows):
-            counts = level_count(model, sector, energies, rows)
+            counts, log_dets = level_count(model, sector, energies, rows)
             calls.append((rows, np.array(energies, dtype=float), counts))
-            return counts
+            return counts, log_dets
 
         monkeypatch.setattr(spectral, "level_count", spy)
         compute_spectrum(model, sector, window)
