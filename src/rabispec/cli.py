@@ -194,6 +194,7 @@ def _emit(cfg: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> N
 def cmd_spectrum(cfg: RunConfig) -> int:
     result = compute_spectrum(cfg.model, cfg.sector, cfg.window)
     meta = _meta(cfg)
+    meta["count_start"] = result.count_start
     meta["count_rows"] = result.count_rows
     meta["count_calls"] = result.count_calls
     meta["count_row_steps"] = result.count_row_steps
@@ -299,6 +300,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     meta = _meta(cfg)
     meta["oracle_n_used"] = n_used
     meta["match_tol"] = cfg.opts["match_tol"]
+    meta["count_start"] = result.count_start
     meta["count_calls"] = result.count_calls
     meta["count_row_steps"] = result.count_row_steps
     out_rows = [["" if v is None else v for v in row] for row in rows]

@@ -18,7 +18,8 @@ down from the row that ``backward_tail`` gives (for ``spectral.f_values``).
 two groups of lanes of one table, and reads the Sturm count off the twisted
 factorisation where they meet.
 ``backward_tail`` reads from the characteristic roots of the recurrence where
-the backward passes start.
+the backward passes start; their damping per row (``log_damping``) also gives
+``spectral.compute_spectrum`` the tail past the rows where its levels live.
 
 Batched tables are built ``CHUNK_CELLS`` rows x lanes at a time, so their
 memory grows neither with the lanes nor with the depth.
@@ -154,18 +155,30 @@ def twisted_residual(a: np.ndarray, b: np.ndarray, ratios: np.ndarray, sign: flo
     return np.abs(gamma) / norm
 
 
+def log_damping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log r(k) of each row k and lane: the damping of ``backward_tail``.
+
+    r(k) = 4b / (|a| + sqrt(a^2 - 4b))^2, the modulus ratio of the roots of
+    lambda^2 + a(k) lambda + b(k) = 0, is 1 where a^2 <= 4b (a = 0 included)
+    and 0 where a^2 overflows.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        root = np.sqrt(np.maximum(a * a - 4.0 * b, 0.0))
+        return np.log(np.minimum(4.0 * b / (np.abs(a) + root) ** 2, 1.0))
+
+
 def backward_tail(block, lanes: np.ndarray, n: int, eps: float) -> int:
     """Rows past row ``n`` where a backward recursion must start for every lane.
 
     ``block`` is as for ``batch_minimal_ratio``.  Row k has the characteristic
     equation lambda^2 + a(k) lambda + b(k) = 0, whose roots' modulus ratio is
     r(k) = (|a| - sqrt(a^2 - 4b)) / (|a| + sqrt(a^2 - 4b)) = 4b / (|a| + sqrt(a^2 - 4b))^2,
-    and 1 where a^2 <= 4b.  A backward recursion seeded at row n + tail damps
-    its seed error by about r(n + 1) * ... * r(n + tail) by the time it
-    reaches row n (Miller's algorithm; Gautschi, SIAM Rev. 9, 24 (1967)).  The
-    result is the least tail whose product falls below ``eps`` in every lane,
-    capped at ``DEFAULT_MAX_DEPTH``.  The rows are read in chunks, the first
-    of 128 rows (fewer for more than 32 lanes), then twice as many per chunk,
+    and 1 where a^2 <= 4b (``log_damping``).  A backward recursion seeded at
+    row n + tail damps its seed error by about r(n + 1) * ... * r(n + tail) by
+    the time it reaches row n (Miller's algorithm; Gautschi, SIAM Rev. 9, 24
+    (1967)).  The result is the least tail whose product falls below ``eps``
+    in every lane, capped at ``DEFAULT_MAX_DEPTH``.  The rows are read in
+    chunks, the first of 128 rows (fewer for more than 32 lanes), then twice as many per chunk,
     each at most ``CHUNK_CELLS`` rows x lanes (at least one row), and only for
     lanes whose product is still above ``eps``.
     """
@@ -179,10 +192,7 @@ def backward_tail(block, lanes: np.ndarray, n: int, eps: float) -> int:
     while done < DEFAULT_MAX_DEPTH:
         rows = min(size, DEFAULT_MAX_DEPTH - done, max(1, CHUNK_CELLS // lanes.size))
         a, b = block(lanes, n + done + 1, n + done + rows)
-        with np.errstate(divide="ignore", over="ignore"):  # a = 0 or a^2 = inf: ratio 1 or 0
-            root = np.sqrt(np.maximum(a * a - 4.0 * b, 0.0))
-            ratio = np.minimum(4.0 * b / (np.abs(a) + root) ** 2, 1.0)
-            log_products = log_product + np.cumsum(np.log(ratio), axis=0)
+        log_products = log_product + np.cumsum(log_damping(a, b), axis=0)
         below = log_products < log_eps
         hit = below.any(axis=0)
         if hit.all():  # the lanes that settle last, in this chunk, set the tail

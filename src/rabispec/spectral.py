@@ -27,7 +27,10 @@ N(E) (many points per bracket in one count call, each point counted once per
 truncation): by multisection, and once a bracket holds one level and no pole,
 by two points around the secant zero of det T(E), safeguarded as in Brent's
 zeroin (the value of the determinant beside its sign, as Williams and Kennedy
-use it).  It checks each level's position under a doubling of the truncation.
+use it).  The first truncation is read off the coefficient rows at the window
+edges: the last row whose Gershgorin disc of T(E) holds 0 in the window, plus
+the Miller tail past it.  It checks each level's position under a doubling of
+the truncation.
 The count decides every bracket and is the certificate that no level is lost.
 Each level's residual (only reported, ``contfrac.twisted_residual``) is the
 twist element sigma_k* - sign(g) R_k* = -sign(g) W_k* of the count's pivots
@@ -52,6 +55,7 @@ from .contfrac import (
     batch_minimal_ratio,
     batch_pivots,
     batch_ratios,
+    log_damping,
     twisted_residual,
 )
 from .errors import SignLostWarning
@@ -73,6 +77,10 @@ DEFAULT_ROOT_ABS_TOL = 1e-10   # width below which a level's bracket is settled
 # Recurrence rows of the first level count, at least; doubled while levels
 # move, up to contfrac's DEFAULT_MAX_DEPTH.
 _FIRST_COUNT_ROWS = 64
+# The rows _count_start reads first at the window edges, doubled while the
+# reach or its tail runs past them, and the seed-error damping of that tail.
+_START_BLOCK_ROWS = 128
+_START_TAIL_EPS = 1e-8
 # Each multisection step cuts every unsettled bracket into this many sections.
 _SECTIONS = 16
 # Rows pivoted at a time by level_count, half from each end, and at most
@@ -108,8 +116,9 @@ class SpectrumResult:
     number of ``level_count`` calls, ``grid_points`` the lanes passed to
     them (each point once per truncation) and ``count_row_steps`` the sum of
     their rows N (the pivot loop runs N // 2 iterations of a call, one row
-    from each end), and ``count_rows`` is the truncation N at which the
-    levels were last narrowed.  A level's ``residual`` is its twisted residual.
+    from each end), ``count_start`` is the truncation N of the first call
+    and ``count_rows`` the one at which the levels were last narrowed.  A
+    level's ``residual`` is its twisted residual.
     """
 
     roots: list[RootRecord]
@@ -122,6 +131,7 @@ class SpectrumResult:
     brackets_found: int
     brackets_rejected: int
     count_rows: int
+    count_start: int
     model: ModelParams
     sector: Sector
 
@@ -260,6 +270,81 @@ def level_count(
             gamma = gamma - b_lo[k + 1 - i, 0] / tau[1]
         log_det += np.log(np.abs(gamma))
     return count + (gamma <= 0.0), log_det
+
+
+def _power_of_two(n: int) -> int:
+    """The least power of two >= n (1 for n <= 1)."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
+def _count_start(model: ModelParams, sector: Sector, edges, top: int, cap: int) -> int:
+    """The first truncation of the level count: the reach of T(E) plus its Miller tail.
+
+    Row n's Gershgorin disc of T(E), centre -sign(g) a(n, E) and radius
+    sqrt(b(n)) + sqrt(b(n + 1)), holds 0 for some E in the window if it does
+    at an edge or a(n, E) changes sign between the edges: between poles
+    a(n, E) rises with E.  Outside such rows T(E)'s eigenvectors decay (Combes
+    and Thomas, Commun. Math. Phys. 34, 251 (1973)), so the levels of the
+    window live up to the last of them, the reach.  The tail is the rows past
+    the reach where a backward recursion's seed error damps below
+    ``_START_TAIL_EPS`` in both edge lanes (``contfrac.backward_tail``'s
+    product of ``log_damping``).  The start is
+    max(64, P(top + 1), min(P(reach + tail), P(2 reach))), at most ``cap``,
+    with P(n) the power of two at or above n and ``top`` the last pole index
+    below the window: the pole term counts only the poles of the rows it has.
+    Near collapse the tail runs to thousands of rows past what settles the
+    levels, so 2 reach bounds it (a measured bound, not a derived one).
+
+    The rows are read at both edges, the first ``_START_BLOCK_ROWS`` of them,
+    then as many again, up to ``cap``, while the reach is the last row read,
+    while the tail runs past it short of P(2 reach), or while the discs'
+    margin m(n) = |a(n, E)| / radius, the least over the edges, may yet fall
+    below 1 past the rows read: m falls over the last doubling of the rows,
+    and were each doubling's fall to shrink as the last one did, what is
+    left of it would exceed m - 1 at the last row.  The squeezed models'
+    margin runs as L + C / n, whose fall halves with each doubling (and
+    L > 1 below collapse), and the driven model's, about
+    (n + c) / (4 |g| sqrt(n)) with c near (2g/omega)^2 at the bottom of the
+    spectrum, shrinks by sqrt(2) well below n = c and dips below 1 near it.
+    Each row is read once, in blocks of at most ``CHUNK_CELLS`` / 2 rows.
+    """
+    log_eps, step = math.log(_START_TAIL_EPS), max(1, CHUNK_CELLS // 2)
+    size, done = min(_START_BLOCK_ROWS, cap), 0  # rows to read, rows read
+    reach, log_tail, tail, marks = 0, np.zeros(2), None, {}  # marks: m(n) at rows size / 4 - 1, ...
+    while True:
+        for lo in range(done, size, step):
+            hi = min(lo + step, size)
+            a, b = coefficient_block(model, sector, edges, lo, hi)  # b(hi) closes row hi - 1
+            radius, a, b = np.sqrt(b[:-1, 0]) + np.sqrt(b[1:, 0]), a[:-1], b[:-1]
+            margin = np.abs(a).min(axis=1) / radius
+            margin[(a[:, 0] < 0.0) != (a[:, 1] < 0.0)] = 0.0
+            holds, first = np.flatnonzero(margin <= 1.0), 0  # first: the first row past the reach
+            if holds.size:
+                first = int(holds[-1]) + 1
+                reach, log_tail, tail = lo + first - 1, np.zeros(2), None
+            if tail is None:
+                sums = log_tail + np.cumsum(log_damping(a[first:], b[first:]), axis=0)
+                settled = np.flatnonzero(sums.max(axis=1, initial=-math.inf) < log_eps)
+                if settled.size:  # the product falls monotonically: every lane is below from here
+                    tail = lo + first + int(settled[0]) - reach
+                elif len(sums):
+                    log_tail = sums[-1]
+            marks.update((n, margin[n - lo]) for n in (size // 4 - 1, size // 2 - 1, size - 1)
+                         if lo <= n < hi)
+        done, bound = size, _power_of_two(2 * reach)
+        quarter, half, end = marks[size // 4 - 1], marks[size // 2 - 1], marks[size - 1]
+        fall, last_fall = half - end, quarter - half
+        # what is left of the fall, were each doubling's fall to shrink as the last one did
+        if 0.0 < fall < last_fall:
+            left = fall * fall / (last_fall - fall)
+        else:
+            left = math.inf if fall > 0.0 else 0.0
+        falling = end - 1.0 < left
+        if size >= cap or not (reach == size - 1 or (tail is None and size < bound) or falling):
+            break
+        size = min(2 * size, cap)
+    settled = bound if tail is None else min(_power_of_two(reach + tail), bound)
+    return min(max(_FIRST_COUNT_ROWS, _power_of_two(top + 1), settled), cap)
 
 
 def _points_inside(model: ModelParams, sector: Sector, lo, hi, tol: float, x) -> np.ndarray:
@@ -401,11 +486,15 @@ def compute_spectrum(
     bracket still holds its step at 2N is confirmed; the others are narrowed
     again at 2N, from the tightest brackets those counts give, and checked at
     4N, and so on up to ``DEFAULT_MAX_DEPTH`` rows, the cap of
-    ``contfrac.backward_tail``.  The first N is 64, or the power of two above
-    the index of the last pole below the window's upper edge if that is
-    larger: the pole term counts only the poles of the first N rows, so fewer
-    rows would put N(e_min) = N(e_max) on a high window.  A window whose last
-    pole index is not below the cap raises ValueError.
+    ``contfrac.backward_tail``.  The first N (``count_start``) is read off
+    the coefficient rows at the window edges before the first count
+    (``_count_start``): the last row whose Gershgorin disc of T(E) holds 0 in
+    the window, plus the Miller tail past it, and at least 64 and the power
+    of two above the index of the last pole below the window's upper edge:
+    the pole term counts only the poles of the first N rows, so fewer rows
+    would put N(e_min) = N(e_max) on a high window.  Every level is then
+    checked under doubling as before, so a start too high costs only rows.
+    A window whose last pole index is not below the cap raises ValueError.
     A level moves little under a doubling, so the first step at 2N does not
     cut its new bracket evenly: it counts at plo - tol * 16^k and
     phi + tol * 16^k (k >= 1) out from the level's bracket [plo, phi] at N,
@@ -419,9 +508,12 @@ def compute_spectrum(
     Levels within the exceptional tolerance of a pole energy are reported in
     ``flagged`` (exceptional-spectrum candidates; the truncation constraints
     are not checked), the others in ``roots``.  Each level's residual,
-    ``contfrac.twisted_residual`` from one backward pass over the rows that
-    confirmed it (inf on a pole), is reported, never used to reject a level.
+    ``contfrac.twisted_residual`` from one backward pass over the
+    ``count_rows`` rows that settled it (inf on a pole), in tables of
+    ``CHUNK_CELLS // count_rows`` levels, is reported, never used to reject
+    a level.  ZeroCoupling is raised at g = 0, before any row is read.
     """
+    check_coupling(model)
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
         raise ValueError(f"window edges must be finite, got {window}")
@@ -442,7 +534,7 @@ def compute_spectrum(
     top = max(math.floor((edges[1] - first) / spacing), 0)  # the last pole below, or pole 0
     if top >= cap:
         raise ValueError(f"pole index {top} below the window's upper edge reaches the {cap}-row cap")
-    rows = max(_FIRST_COUNT_ROWS, 1 << top.bit_length())  # the power of two above top
+    rows = start = _count_start(model, sector, edges, top, cap)
     # the first count takes the window's sections, every level's first step, with its edges
     x = _section_points(model, sector, edges[:1], edges[1:], tol)
     new, window_step = np.concatenate([edges, x[~np.isnan(x)]]), not np.isnan(x).all()
@@ -505,10 +597,10 @@ def compute_spectrum(
     pole = nearest_pole(model, sector, mid)
     energy = np.where((lo < pole) & (pole < hi), pole, mid)
     residual, dist = np.full(energy.shape, np.inf), distance_to_pole_set(model, sector, energy)
-    usable, step = np.flatnonzero(dist >= eps), max(1, CHUNK_CELLS // rows)
+    usable, step = np.flatnonzero(dist >= eps), max(1, CHUNK_CELLS // settled_rows)
     t2, sign = asymptotic_roots(model).t2, math.copysign(1.0, model.g)
     for table in (usable[i:i + step] for i in range(0, usable.size, step)):
-        a, b = coefficient_block(model, sector, energy[table], 0, rows - 1)  # confirming rows
+        a, b = coefficient_block(model, sector, energy[table], 0, settled_rows - 1)
         residual[table] = twisted_residual(a, b, batch_ratios(a, b, t2), sign)
     near_pole = dist < eps_exceptional(model)
 
@@ -531,6 +623,7 @@ def compute_spectrum(
         brackets_found=levels.size,
         brackets_rejected=int(unconfirmed.sum()),
         count_rows=settled_rows,
+        count_start=start,
         model=model,
         sector=sector,
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rabispec import ModelKind, ModelParams, Sector
+from rabispec import ModelKind, ModelParams, Sector, spectral
 
 # TwoPhoton omega=1, delta=0.5, g=0.2, q=1/4, window [-0.5, 8]:
 # oracle eigenvalues, truncation N=128, stable to 1e-9.
@@ -40,6 +40,25 @@ class ConstCoeffs:
 
     def b(self, n):
         return self._b
+
+
+@pytest.fixture(scope="session", autouse=True)
+def count_start_checked():
+    """Every spectrum the suite computes starts its count at a power of two in [64, count_rows].
+
+    ``compute_spectrum`` builds its result through ``spectral.SpectrumResult``,
+    which this wraps for the whole session.
+    """
+    made = spectral.SpectrumResult
+
+    def checked(**fields):
+        start, rows = fields["count_start"], fields["count_rows"]
+        assert 64 <= start <= rows and not start & (start - 1), (start, rows)
+        return made(**fields)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "SpectrumResult", checked)
+        yield
 
 
 @pytest.fixture

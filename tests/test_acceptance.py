@@ -44,6 +44,7 @@ from rabispec.models import (
     coefficient_block,
     distance_to_pole_set,
     pole_energy,
+    pole_lattice,
     root_factor,
 )
 from rabispec.oracle import eigen_in_range
@@ -176,20 +177,21 @@ def test_deep_collapse_levels_found(model, sector, levels):
     assert len(result.roots) + len(result.flagged) == levels
 
 
-@pytest.mark.xfail(strict=True, reason="the counts at 64 and 128 rows agree on half the levels")
-@pytest.mark.parametrize("g,window", [(7.0, (-49.5, -45.5)), (8.0, (-65.5, -60.5))])
+@pytest.mark.parametrize("g,window", [
+    (7.0, (-49.5, -45.5)), (8.0, (-65.5, -60.5)), (16.0, (-256.5, -252.5)),
+])
 def test_strong_drive_levels_found(g, window):
     # driven delta = 0.5, drive = 0.3 far below zero: the level counts at 64
-    # and 128 rows agree on 4 of the 8 levels, so compute_spectrum settles at
-    # 64 rows and returns 4; 256 rows count 8 (g = 7) and 6 (g = 8)
+    # and 128 rows agree on 4 of the 8 levels, and 256 rows count 8 (g = 7)
+    # and 6 (g = 8).  The Gershgorin discs of T(E) hold 0 up to rows 257 and
+    # 326, so the count starts at 512 rows.  At g = 16 they hold 0 from
+    # row 896 to 1,160 only, and the count starts at 2,048
     model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, g, 0.3)
     assert_every_level_found(model, Sector.driven(), window)
 
 
 _DRIVEN_HIGH = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.5, 0.3)
-
-
-@pytest.mark.parametrize("model,sector,window,levels", [
+_HIGH_WINDOWS = [
     (_DRIVEN_HIGH, Sector.driven(), (150.0, 154.0), 8),
     (_DRIVEN_HIGH, Sector.driven(), (500.0, 504.0), 8),
     (_DRIVEN_HIGH, Sector.driven(), (1000.0, 1004.0), 8),
@@ -197,8 +199,12 @@ _DRIVEN_HIGH = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.5, 0.3)
     (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45), Sector.two_photon(0.75), (300.0, 304.0), 10),
     (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45), Sector.two_photon(0.75), (400.0, 404.0), 10),
     (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45), Sector.two_photon(0.75), (600.0, 604.0), 8),
-], ids=["driven-150", "driven-500", "driven-1000", "two-mode-1000", "two-photon-300",
-        "two-photon-400", "two-photon-600"])
+]
+_HIGH_IDS = ["driven-150", "driven-500", "driven-1000", "two-mode-1000", "two-photon-300",
+             "two-photon-400", "two-photon-600"]
+
+
+@pytest.mark.parametrize("model,sector,window,levels", _HIGH_WINDOWS, ids=_HIGH_IDS)
 def test_high_window_levels_found(model, sector, window, levels):
     # windows whose poles lie past the 64 rows of the first count: a count
     # of 64 rows puts as many poles below e_min as below e_max, and took
@@ -208,9 +214,19 @@ def test_high_window_levels_found(model, sector, window, levels):
     assert len(result.roots) + len(result.flagged) == levels
 
 
+@pytest.mark.parametrize("model,sector,window,levels", _HIGH_WINDOWS, ids=_HIGH_IDS)
+def test_high_window_start_past_last_pole(model, sector, window, levels):
+    # the count starts past the last pole below e_max, whatever the reach of
+    # T(E) reads: its pole term counts only the poles of the rows it has
+    first, spacing = pole_lattice(model, sector)
+    top = math.floor((window[1] - first) / spacing)
+    start = spectral._count_start(model, sector, np.array(window), top, spectral.DEFAULT_MAX_DEPTH)
+    assert start > top
+
+
 @st.composite
 def _drawn_windows(draw):
-    """(model, sector, width-6 window), |g| up to 0.92 of the coupling bound."""
+    """(model, sector, width-6 window): |g| up to 0.92 of the coupling bound, or driven |g| <= 9."""
     kind = draw(st.sampled_from(list(ModelKind)))
     delta = draw(st.floats(0.0, 1.0))
     sign = draw(st.sampled_from([1.0, -1.0]))
@@ -222,8 +238,8 @@ def _drawn_windows(draw):
         g = draw(st.floats(0.02, 0.92))
         sector = Sector.two_mode(draw(st.sampled_from([0.5, 1.0, 1.5])))
     else:
-        g = draw(st.floats(0.05, 2.5))
-        drive = draw(st.floats(-0.5, 0.5))
+        g = draw(st.floats(0.05, 9.0))
+        drive = draw(st.floats(-2.0, 2.0))
         sector = Sector.driven()
     model = ModelParams(kind, 1.0, delta, sign * g, drive)
     e_min = default_window_min(model, sector) + draw(st.floats(0.0, 4.0))

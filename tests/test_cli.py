@@ -70,6 +70,7 @@ class TestSpectrumCommand:
         assert header == ["index", "energy", "residual", "flagged"]
         assert meta["model"] == "two-photon"
         assert "poles" in meta and "count_rows" in meta
+        assert 64 <= int(meta["count_start"]) <= int(meta["count_rows"])
         assert int(meta["count_calls"]) > 0
         assert int(meta["count_row_steps"]) >= 64 * int(meta["count_calls"])
         energies = [float(r[1]) for r in rows if r[3] == "false"]
@@ -548,6 +549,7 @@ class TestCompareCommand:
         )
         assert code == 0
         meta, header, rows = parse_csv(out)
+        assert int(meta["count_start"]) == 64
         assert int(meta["count_calls"]) > 0
         assert int(meta["count_row_steps"]) >= 64 * int(meta["count_calls"])
         assert header == ["root", "oracle", "diff", "status"]

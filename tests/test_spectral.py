@@ -57,9 +57,24 @@ COLLAPSE_WINDOWS = [
     collapse_window(ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.92), Sector.two_mode(1.5)),
 ]
 COLLAPSE_IDS = ["two-photon", "two-mode"]
-# 2g/omega = 0.99, where the count settles at 4,096 rows
+# 2g/omega = 0.99 and 0.996, and g/omega = 0.99, where the count settles at
+# 4,096, 16,384 and 4,096 rows
 COLLAPSE_099 = collapse_window(
     ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.495), Sector.two_photon(0.25))
+COLLAPSE_0996 = collapse_window(
+    ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.498), Sector.two_photon(0.25))
+TWO_MODE_099 = collapse_window(ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.99), Sector.two_mode(1.0))
+# a high window, whose poles and levels lie some 8,000 rows deep
+TWO_PHOTON_400 = (
+    ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45), Sector.two_photon(0.75), (400.0, 404.0),
+)
+# driven delta = 0.5, drive = 0.3: levels whose rows lie past the first 128
+STRONG_DRIVE = [
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, g, 0.3), Sector.driven(), window)
+    for g, window in [(7.0, (-49.5, -45.5)), (8.0, (-65.5, -60.5)), (16.0, (-256.5, -252.5))]
+]
+# a high driven window, whose Gershgorin discs hold 0 past its last pole index
+DRIVEN_HIGH = (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.5, 0.3), Sector.driven(), (500.0, 504.0))
 # driven, delta = 1e-4 and no drive: the levels come in pairs about 1e-4
 # apart, half of them within the exceptional tolerance of a pole
 NEAR_DEGENERATE = (
@@ -265,19 +280,106 @@ class TestComputeSpectrum:
         assert result.count_calls <= 18
 
     @pytest.mark.parametrize("case, work", zip(
-        [README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099, NEAR_DEGENERATE],
-        [(10, 704, 724), (18, 2816, 496), (17, 2688, 371), (46, 52736, 2585), (10, 704, 833)],
-    ), ids=["readme"] + COLLAPSE_IDS + ["two-photon-0.99", "near-degenerate"])
+        [README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099, NEAR_DEGENERATE, COLLAPSE_0996,
+         TWO_MODE_099, TWO_PHOTON_400, DRIVEN_HIGH],
+        [(10, 704, 724, 64, 64), (11, 2304, 344, 128, 256), (7, 2048, 154, 256, 256),
+         (7, 32768, 537, 4096, 4096), (10, 704, 833, 64, 64), (8, 147456, 878, 16384, 16384),
+         (7, 32768, 613, 4096, 4096), (8, 147456, 441, 16384, 16384), (6, 7168, 307, 1024, 1024)],
+    ), ids=["readme"] + COLLAPSE_IDS + ["two-photon-0.99", "near-degenerate", "two-photon-0.996",
+                                        "two-mode-0.99", "two-photon-400", "driven-500"])
     def test_count_work_pinned(self, case, work):
         # the count's work counters, (count_calls, count_row_steps,
-        # grid_points), at most their values since the secant steps on det T:
-        # a change that adds count work fails here, with no timing.  The
-        # near-degenerate window takes no fewer calls than multisection alone
-        # (its levels come in pairs 1e-4 apart), but no more either
+        # grid_points), at most their values since the count starts at the
+        # reach of T(E) plus its tail: a change that adds count work fails
+        # here, with no timing.  Starting at 64 rows took (18, 2816, 496) and
+        # (17, 2688, 371) near collapse, 46 calls and 52,736 row steps at
+        # 2g/omega = 0.99, 60 and 219,648 at 0.996, 47 and 56,832 at
+        # g/omega = 0.99, 41 and 257,024 on (400, 404], and 13 and 11,264 on
+        # driven (500, 504], which started at its last pole index.  Then
+        # (count_start, count_rows): the three windows of
+        # test_deep_collapse_levels_found start at the truncation that
+        # settles them.  The near-degenerate window takes no fewer calls than
+        # multisection alone (its levels come in pairs 1e-4 apart), but no
+        # more either
         result = compute_spectrum(*case)
         assert result.count_calls <= work[0]
         assert result.count_row_steps <= work[1]
         assert result.grid_points <= work[2]
+        assert (result.count_start, result.count_rows) == work[3:]
+
+    @pytest.mark.parametrize("case", [README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099, COLLAPSE_0996,
+                                      TWO_MODE_099, TWO_PHOTON_400, *STRONG_DRIVE, DRIVEN_HIGH])
+    def test_count_start_follows_the_rule(self, case):
+        # the start, read off blocks of rows from 128 up, equals the rule read
+        # off 32,768 rows at once with backward_tail's own tail:
+        # max(64, P(top + 1), min(P(reach + tail), P(2 reach))), P(n) the
+        # power of two at or above n and the reach the last row whose
+        # Gershgorin disc holds 0 at an edge or whose a(n, E) changes sign
+        # between the edges
+        model, sector, window = case
+        edges = np.array(window)
+        a, b = coefficient_block(model, sector, edges, 0, 2**15)
+        radius = np.sqrt(b[:-1]) + np.sqrt(b[1:])
+        a = a[:-1]
+        holds = (np.abs(a) <= radius).any(axis=1) | (np.sign(a[:, 0]) != np.sign(a[:, 1]))
+        reach = int(np.flatnonzero(holds)[-1])
+        assert reach < 2**14
+        tail = backward_tail(partial(coefficient_block, model, sector), edges, reach, 1e-8)
+        first, spacing = pole_lattice(model, sector)
+        top = max(math.floor((window[1] - first) / spacing), 0)
+
+        def power(n):
+            return 1 << (n - 1).bit_length()
+
+        want = max(64, power(top + 1), min(power(reach + tail), power(2 * reach)))
+        assert spectral._count_start(model, sector, edges, top, spectral.DEFAULT_MAX_DEPTH) == want
+        if case in STRONG_DRIVE:  # the levels past the first 128 rows
+            assert (reach, want) == {7.0: (257, 512), 8.0: (326, 512), 16.0: (1160, 2048)}[model.g]
+
+    @pytest.mark.parametrize("cells", [6, 256])
+    @pytest.mark.parametrize("case", [README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099, *STRONG_DRIVE])
+    def test_count_start_in_row_blocks(self, monkeypatch, case, cells):
+        # the rows read in blocks of 3 or 128 rows, the reach and the tail
+        # carried across them, give the start that blocks of 32,768 rows give
+        model, sector, window = case
+        first, spacing = pole_lattice(model, sector)
+        top = max(math.floor((window[1] - first) / spacing), 0)
+        args = model, sector, np.array(window), top, spectral.DEFAULT_MAX_DEPTH
+        want = spectral._count_start(*args)
+        monkeypatch.setattr(spectral, "CHUNK_CELLS", cells)
+        assert spectral._count_start(*args) == want
+
+    @pytest.mark.parametrize("case, reads", [
+        (README_WINDOW, [(0, 128)]),
+        (COLLAPSE_WINDOWS[1], [(0, 128), (128, 256)]),
+        (STRONG_DRIVE[0], [(0, 128), (128, 256), (256, 512)]),
+    ], ids=["readme", "two-mode-0.92", "strong-drive"])
+    def test_count_start_reads(self, monkeypatch, case, reads):
+        # the rows (n_lo, n_hi) read at the edges: one block of 128 rows where
+        # the reach and its tail end inside it; the next 128 where the tail
+        # runs past them short of P(2 reach) (the reach is 77 at
+        # g/omega = 0.92); on strong drive the next 128 where the discs'
+        # margin still falls at row 127, then 256 more where the reach runs
+        # to row 255
+        model, sector, window = case
+        read = []
+
+        def recorded(model, sector, energies, n_lo, n_hi):
+            read.append((n_lo, n_hi))
+            return coefficient_block(model, sector, energies, n_lo, n_hi)
+
+        monkeypatch.setattr(spectral, "coefficient_block", recorded)
+        spectral._count_start(model, sector, np.array(window), 0, spectral.DEFAULT_MAX_DEPTH)
+        assert read == reads
+
+    def test_capped_start(self, monkeypatch):
+        # at a 64-row cap the count starts at 64 even where the reach of T(E)
+        # runs to 1,417 rows, and the levels it narrows there are unconfirmed
+        monkeypatch.setattr(spectral, "DEFAULT_MAX_DEPTH", 64)
+        with pytest.warns(SignLostWarning):
+            result = compute_spectrum(*COLLAPSE_099)
+        assert result.count_start == result.count_rows == 64
+        assert result.count_row_steps == 64 * result.count_calls
 
     @pytest.mark.parametrize("levels", [
         # level 0 moves between the old brackets of levels 1 and 2, where no
@@ -426,7 +528,7 @@ class TestComputeSpectrum:
         assert len(record) == 1
         assert len(result.roots) == len(eigs) == 9
         assert all(rec.sign_lost for rec in result.roots)
-        assert result.brackets_rejected == 9 and result.count_rows == 64
+        assert result.brackets_rejected == 9 and result.count_start == result.count_rows == 64
 
     def test_default_window_min_below_ground(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
