@@ -18,14 +18,20 @@ the matrix's sparsity pattern, and neither route shares anything with the
 continued-fraction route.
 
 The truncation is doubled until the window's levels are settled.  The first
-one tried is read off the same bands: the reach, the largest boson number
-whose Gershgorin disc reaches down to the window's upper edge, found on bands
-of 32, 64, ... states until the disc edges past it can only grow.  Past it
-H - E is diagonally dominant for every E in the window, so the eigenvectors
-decay there (Combes and Thomas, Commun. Math. Phys. 34, 251 (1973)) and
-their bulk lies within the reach.  A truncation below the reach can miss the
-window's levels at n and 2n alike and stop on an empty list, so the reach is
-a lower bound on the truncation; the doubling finds the rest.
+one tried is read off the same bands.  The reach, the largest boson number
+whose Gershgorin disc reaches down to the window's upper edge, is found on
+bands of 32, 64, ... states until the disc edges past it can only grow.
+Past it H - E is diagonally dominant for every E in the window, so the
+eigenvectors decay there (Combes and Thomas, Commun. Math. Phys. 34, 251
+(1973)) and their bulk lies within the reach.  A truncation below the reach
+can miss the window's levels at n and 2n alike and stop on an empty list, so
+the reach is a lower bound on the truncation.  The driven band starts at the
+power of two at or above it.  A Jacobi chain starts at its reach plus its
+eigenvectors' decay tail: past the reach each row damps an eigenvector by
+the smaller characteristic root of the row's recurrence (Miller's estimate:
+Gautschi, SIAM Rev. 9, 24 (1967)), and the tail ends where the Ritz radius
+below falls under the tolerance.  That start settles the chain's levels at
+once, without a truncation tried in vain; the doubling is left for the rest.
 
 A Jacobi-chain block stops at one truncation n on a Ritz residual bound
 (Weinstein's bound: Kato, J. Phys. Soc. Jpn. 4, 334 (1949); Parlett, The
@@ -60,6 +66,7 @@ N_MAX_DEFAULT = 2**13  # the truncation ceiling, a power of two, read at call ti
 _STAB_TOL_FACTOR = 1e-9  # bounds a chain level's Ritz radius, a driven level's move per doubling
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
 _RITZ_BLOCK = 16  # eigenvectors whose own residual _ritz_bounds holds at a time
+_START_FLOOR = 16  # the least first truncation of a chain block
 
 
 @dataclass(frozen=True)
@@ -349,8 +356,10 @@ def _reach(bands: np.ndarray, ns: np.ndarray, e_max: float) -> int:
 
 
 def _initial_truncation(model: ModelParams, osector: OracleSector, e_max: float) -> int:
-    """The first truncation diagonalized: the smallest power of two from 32
-    at or above the block's reach at ``N_MAX_DEFAULT``.
+    """The smallest power of two from 32 at or above the block's reach at
+    ``N_MAX_DEFAULT``: the driven band's first truncation, and half the
+    truncation whose bands a chain block's start (``_chain_start``) is read
+    from.
 
     The reach is read from the bands at truncations 32, 64, ... up to
     ``N_MAX_DEFAULT``.  Along either spin the disc edge is the boson energy,
@@ -381,6 +390,50 @@ def _initial_truncation(model: ModelParams, osector: OracleSector, e_max: float)
     return max(32, 1 << (_reach(bands, ns, e_max) - 1).bit_length())  # 2^k >= the reach
 
 
+def _chain_start(
+    chains: list[tuple[np.ndarray, np.ndarray]], ns: np.ndarray, e_max: float, tol: float
+) -> int | None:
+    """The boson number at which the chains' levels up to ``e_max`` settle:
+    each chain's reach plus its eigenvectors' decay tail, the larger over
+    the chains, 0 if no row reaches ``e_max``; None if a tail runs past the
+    rows given.
+
+    Row j of each chain holds boson number ns[j].  A chain's reach r is its
+    last row whose Gershgorin disc reaches down to ``e_max``.  Past it each
+    row is diagonally dominant for every E up to ``e_max``, and an
+    eigenvector there decays by the smaller characteristic root of the
+    row's recurrence at ``e_max``, where it decays slowest (Miller's
+    estimate: Gautschi, SIAM Rev. 9, 24 (1967)):
+
+        rho_j = 2 |e[j-1]| / (d_j - e_max + sqrt((d_j - e_max)^2 - 4 |e[j] e[j-1]|)).
+
+    With |z_r| <= 1, the Ritz radius |e[t] z[t]| of the chain cut after
+    row t (``_ritz_bounds``) is about |e[t]| rho_{r+1} ... rho_t; the tail
+    ends at the first row t where that falls below ``tol``.  The last row
+    given lacks its upper coupling, so it is never t.
+    """
+    log_tol, start = math.log(tol), 0
+    for d, e in chains:
+        e = np.abs(e)  # e < 0 when g < 0
+        edge = d.copy()
+        edge[1:] -= e
+        edge[:-1] -= e
+        reaching = np.flatnonzero(edge <= e_max)
+        if not reaching.size:
+            continue
+        r = int(reaching[-1])
+        gap = d[r + 1:-1] - e_max  # rows r + 1 to the last but one
+        with np.errstate(divide="ignore"):  # a zero coupling ends the tail at once
+            log_rho = np.log(2.0 * e[r:-1]) - np.log(
+                gap + np.sqrt(np.maximum(0.0, gap * gap - 4.0 * e[r + 1:] * e[r:-1])))
+            radius = np.log(e[r:]) + np.concatenate(([0.0], np.cumsum(log_rho)))
+        settled = np.flatnonzero(radius < log_tol)
+        if not settled.size:
+            return None
+        start = max(start, int(ns[r + settled[0]]))
+    return start
+
+
 def oracle_spectrum(
     model: ModelParams,
     sector: Sector,
@@ -388,14 +441,20 @@ def oracle_spectrum(
 ) -> tuple[list[float], int]:
     """Truncation-settled eigenvalues in ``window`` plus the cutoff used.
 
-    Starts at the block's reach (``_initial_truncation``) and doubles the
-    boson cutoff n until the window's levels are settled; raises
-    TruncationCeiling if they are not by ``N_MAX_DEFAULT`` (read at call
-    time).  Both window edges must be finite, as for ``compute_spectrum``:
-    an infinite upper edge takes in new levels at every truncation.
+    The driven band starts at the power of two at or above the block's
+    reach (``_initial_truncation``).  A block with Jacobi chains starts at
+    the reach plus the decay tail of its eigenvectors (``_chain_start``, at
+    least ``_START_FLOOR``), read off the bands at twice that power of two,
+    or at twice as many rows again while a tail runs past them.  The boson
+    cutoff n then doubles, n <- min(2n, ``N_MAX_DEFAULT``), until the
+    window's levels are settled; TruncationCeiling is raised if they are
+    not at ``N_MAX_DEFAULT`` (read at call time) itself.  Both window edges
+    must be finite, as for ``compute_spectrum``: an infinite upper edge
+    takes in new levels at every truncation.
 
     Each truncation is read from the block's bands alone (``_bands``), built
-    once, at 2n.  A block with Jacobi chains is settled at n by
+    once, at 2n, or cut from the bands already built when they are longer.
+    A block with Jacobi chains is settled at n by
     ``_bounded``: each level returned lies within ``_STAB_TOL_FACTOR *
     omega`` of its own level of the untruncated chain.  At the ceiling its
     count runs on chains of twice the rows, which dstebz counts in O(n)
@@ -410,14 +469,28 @@ def oracle_spectrum(
         raise ValueError("window must satisfy E_min < E_max")
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, osector, e_max)
+    n = min(_initial_truncation(model, osector, e_max), N_MAX_DEFAULT)
+    built = 2 * n  # the truncation the bands were last built at
+    bands, ns = _bands(model, osector, built)
+    chains = _jacobi_chains(bands)
+    if chains is not None:
+        start = _chain_start(chains, ns, e_max, tol)
+        while start is None and built < 2 * N_MAX_DEFAULT:  # the tail runs past the rows
+            built *= 2
+            bands, ns = _bands(model, osector, built)
+            chains = _jacobi_chains(bands)
+            start = _chain_start(chains, ns, e_max, tol)
+        n = N_MAX_DEFAULT if start is None else min(max(_START_FLOOR, start), N_MAX_DEFAULT)
     prev: np.ndarray | None = None  # the driven band's levels at the truncation before
-    while n <= N_MAX_DEFAULT:
-        bands, ns = _bands(model, osector, 2 * n)
+    while True:
+        if built < 2 * n:
+            built = 2 * n
+            bands, ns = _bands(model, osector, built)
+            chains = _jacobi_chains(bands)
         k = int(np.count_nonzero(ns <= n))  # boson numbers up to n: a chain's rows at n
-        chains = _jacobi_chains(bands)
         if chains is not None:
-            vals = _bounded(chains, k, e_min, e_max, tol)
+            m = int(np.count_nonzero(ns <= 2 * n))
+            vals = _bounded([(d[:m], e[:m - 1]) for d, e in chains], k, e_min, e_max, tol)
             if vals is not None:
                 return vals, n
         else:
@@ -425,5 +498,6 @@ def oracle_spectrum(
             if prev is not None and levels.size == prev.size and (abs(levels - prev) < tol).all():
                 return levels.tolist(), n
             prev = levels
-        n *= 2
-    raise TruncationCeiling(f"eigenvalues not settled below truncation {N_MAX_DEFAULT}")
+        if n >= N_MAX_DEFAULT:
+            raise TruncationCeiling(f"eigenvalues not settled below truncation {N_MAX_DEFAULT}")
+        n = min(2 * n, N_MAX_DEFAULT)

@@ -652,14 +652,14 @@ STABILITY_WINDOWS = [
 # (kind, g, sector, E_max, truncation used, level count): the chain windows
 # of the benchmark's oracle workload, from default_window_min at delta = 0.5
 CHAIN_WIDE_WINDOWS = [
-    (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), 50.0, 256, 64),
-    (ModelKind.TWO_PHOTON, 0.44, Sector.two_photon(0.75), 30.0, 512, 64),
-    (ModelKind.TWO_PHOTON, 0.47, Sector.two_photon(0.25), 25.0, 1024, 76),
-    (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), 20.0, 2048, 104),
-    (ModelKind.TWO_MODE, 0.8, Sector.two_mode(0.5), 40.0, 256, 68),
-    (ModelKind.TWO_MODE, 0.9, Sector.two_mode(1.0), 40.0, 512, 94),
-    (ModelKind.TWO_MODE, 0.93, Sector.two_mode(1.5), 25.0, 512, 68),
-    (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), 30.0, 512, 100),
+    (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), 50.0, 216, 64),
+    (ModelKind.TWO_PHOTON, 0.44, Sector.two_photon(0.75), 30.0, 455, 64),
+    (ModelKind.TWO_PHOTON, 0.47, Sector.two_photon(0.25), 25.0, 734, 76),
+    (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), 20.0, 1638, 104),
+    (ModelKind.TWO_MODE, 0.8, Sector.two_mode(0.5), 40.0, 178, 68),
+    (ModelKind.TWO_MODE, 0.9, Sector.two_mode(1.0), 40.0, 329, 94),
+    (ModelKind.TWO_MODE, 0.93, Sector.two_mode(1.5), 25.0, 324, 68),
+    (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), 30.0, 495, 100),
 ]
 
 # (model, E_max): the driven windows of the benchmark's oracle workload (seed
@@ -768,8 +768,9 @@ class TestPhysics:
 
     @pytest.mark.parametrize("model,sector,lo,width", STABILITY_WINDOWS)
     def test_truncation_stability_reported(self, monkeypatch, model, sector, lo, width):
-        # the first truncation diagonalized lies at or above the reach, and the
-        # levels returned are those of the block at twice the truncation used
+        # the power of two the start is read from lies at or above the reach,
+        # and the levels returned are those of the block at twice the
+        # truncation used
         built = []
         monkeypatch.setattr("rabispec.oracle._initial_truncation",
                             lambda *a: built.append(_initial_truncation(*a)) or built[-1])
@@ -811,7 +812,8 @@ class TestPhysics:
     @pytest.mark.parametrize("kind,g,sector,e_max,n_used,count", CHAIN_WIDE_WINDOWS)
     def test_chain_wide_window_pinned(self, monkeypatch, kind, g, sector, e_max, n_used, count):
         # the chain windows of the benchmark's oracle workload, at delta =
-        # 0.5: the chains at twice the truncation used are counted, never
+        # 0.5: each settles at its first truncation, so dsterf runs once per
+        # chain, and the chains at twice the truncation are counted, never
         # solved whole
         solved = []
         monkeypatch.setattr("rabispec.oracle._sterf", lambda d, e: solved.append(d.size)
@@ -820,19 +822,24 @@ class TestPhysics:
         window = (default_window_min(model, sector), e_max)
         vals, n = oracle_spectrum(model, sector, window)
         assert (n, len(vals)) == (n_used, count)
-        assert max(solved) == _bands(model, map_sector(sector), n)[0].shape[1] // 2
+        assert solved == [_bands(model, map_sector(sector), n)[0].shape[1] // 2] * 2
 
     @pytest.mark.parametrize("kind,g,sector,window,n_used,count", [
-        (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), (15.0, 20.0), 2048, 26),
-        (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), (25.0, 30.0), 512, 16),
-        (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), (45.0, 50.0), 256, 6),
+        (ModelKind.TWO_PHOTON, 0.49, Sector.two_photon(0.25), (15.0, 20.0), 1638, 26),
+        (ModelKind.TWO_MODE, 0.95, Sector.two_mode(0.5), (25.0, 30.0), 495, 16),
+        (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), (45.0, 50.0), 216, 6),
     ])
-    def test_deep_chain_window_pinned(self, kind, g, sector, window, n_used, count):
+    def test_deep_chain_window_pinned(self, monkeypatch, kind, g, sector, window, n_used, count):
         # deep, narrow chain windows at delta = 0.5, where a whole spectrum
         # pays for many levels the window throws away: a change of chain
-        # solver moves neither the truncation nor the level count
+        # solver moves neither the truncation nor the level count, and each
+        # settles at its first truncation, with one dsterf per chain
+        solved = []
+        monkeypatch.setattr("rabispec.oracle._sterf", lambda d, e: solved.append(d.size)
+                            or _sterf(d, e))
         vals, n = oracle_spectrum(ModelParams(kind, 1.0, 0.5, g), sector, window)
         assert (n, len(vals)) == (n_used, count)
+        assert len(solved) == 2
 
     def test_no_false_stop_far_below_zero(self):
         # the window's levels live near boson number g^2 = 49, where the
@@ -896,12 +903,87 @@ def test_matches_whole_window_doubling(model, sector, window):
     assert np.all(np.abs(vals - same_n) <= 1e-14 * np.maximum(1.0, np.abs(same_n)))
 
 
+def _chain_windows(count, seed):
+    """(model, sector, window): ``count`` drawn chain windows.
+
+    The draws span both squeezed models up to 2g/omega = 0.98 and g/omega =
+    0.97, from windows of width 1 at the ground state, where the tail past
+    a reach of a few states sets the start, to width 40 shifted by up to 20.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        kind, delta = rng.choice([ModelKind.TWO_PHOTON, ModelKind.TWO_MODE]), rng.uniform(0.0, 1.0)
+        if kind is ModelKind.TWO_PHOTON:
+            model = ModelParams(kind, 1.0, delta, rng.uniform(-0.49, 0.49))
+            sector = Sector.two_photon(rng.choice([0.25, 0.75]))
+        else:
+            model = ModelParams(kind, 1.0, delta, rng.uniform(-0.97, 0.97))
+            sector = Sector.two_mode(rng.choice([0.5, 1.0, 1.5, 2.0]))
+        e_min = default_window_min(model, sector) + rng.uniform(0.0, 20.0)
+        out.append((model, sector, (e_min, e_min + rng.uniform(1.0, 40.0))))
+    return out
+
+
+def test_chain_start_settles_at_its_first_truncation(monkeypatch):
+    # the start read off the reach and its decay tail lies at or above the
+    # reach, settles the window at once with the levels of the doubling
+    # reference, and stops no later.  Where it passes 2 _initial_truncation
+    # it overshoots what settles by less than a third: the chains at 3/4 of
+    # it, above the reach, do not settle, so a cap there would cost a try
+    tried = []
+    monkeypatch.setattr("rabispec.oracle._bounded", lambda *a: tried.append(a[1]) or _bounded(*a))
+    for model, sector, window in _chain_windows(100, 20261020):
+        osec, tol = map_sector(sector), _STAB_TOL_FACTOR * model.omega
+        tried.clear()
+        vals, n = oracle_spectrum(model, sector, window)
+        assert len(tried) == 1, (model, sector, window)
+        assert n >= _reach(*_bands(model, osec, N_MAX_DEFAULT), window[1])
+        cap = 2 * _initial_truncation(model, osec, window[1])
+        if n > cap:
+            short = 3 * n // 4
+            bands, ns = _bands(model, osec, 2 * short)
+            assert _bounded(_jacobi_chains(bands), int(np.count_nonzero(ns <= short)),
+                            *window, tol) is None, (model, sector, window)
+        ref, n_ref = doubling_oracle_spectrum(model, sector, window)
+        assert len(vals) == len(ref) and n <= n_ref, (model, sector, window)
+        assert np.all(np.abs(np.array(vals) - ref) < tol)
+
+
+@pytest.mark.parametrize("refused", [1, None])
+def test_doubling_tries_the_ceiling_itself(monkeypatch, refused):
+    # with a ceiling the start does not divide, the truncation after the
+    # start is the ceiling itself, not the start doubled past it; refused
+    # there too, the oracle reports the ceiling
+    model, sector, window = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2), \
+        Sector.two_photon(0.25), (-0.5, 8.0)
+    vals, start = oracle_spectrum(model, sector, window)
+    ceiling = start + start // 2 + 1
+    rows = []
+
+    def refuse(chains, k, *args):
+        rows.append(k)
+        return None if refused is None or len(rows) <= refused else _bounded(chains, k, *args)
+
+    monkeypatch.setattr("rabispec.oracle._bounded", refuse)
+    monkeypatch.setattr("rabispec.oracle.N_MAX_DEFAULT", ceiling)
+    # parity 0: each chain holds the states of boson numbers 0, 2, ..., n
+    if refused is None:
+        with pytest.raises(TruncationCeiling, match=f"truncation {ceiling}"):
+            oracle_spectrum(model, sector, window)
+    else:
+        again, n = oracle_spectrum(model, sector, window)
+        assert n == ceiling
+        assert again == pytest.approx(vals, rel=0.0, abs=1e-9)
+    assert rows == [start // 2 + 1, ceiling // 2 + 1]
+
+
 @pytest.mark.parametrize("kind,g,sector,e_max,n_used,count",
-                         [w for w in CHAIN_WIDE_WINDOWS if w[4] >= 1024])
+                         [w for w in CHAIN_WIDE_WINDOWS if w[1] in (0.47, 0.49)])
 def test_deep_levels_match_bisection(kind, g, sector, e_max, n_used, count):
-    # the levels of the two deepest chain windows, at a truncation of 1,024
-    # or 2,048, come from dsterf: they agree with bisection of the same
-    # chains to 1e-14 max(1, |E|)
+    # the levels of the two deepest chain windows, two-photon g = 0.47 and
+    # 0.49 at a truncation of 734 or 1,638, come from dsterf: they agree
+    # with bisection of the same chains to 1e-14 max(1, |E|)
     model = ModelParams(kind, 1.0, 0.5, g)
     window = (default_window_min(model, sector), e_max)
     vals, n = oracle_spectrum(model, sector, window)
