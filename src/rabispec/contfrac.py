@@ -167,7 +167,7 @@ def log_damping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.log(np.minimum(4.0 * b / (np.abs(a) + root) ** 2, 1.0))
 
 
-def backward_tail(block, lanes: np.ndarray, n: int, eps: float) -> int:
+def backward_tail(block, lanes: np.ndarray, n: int, eps: float, read=None) -> int:
     """Rows past row ``n`` where a backward recursion must start for every lane.
 
     ``block`` is as for ``batch_minimal_ratio``.  Row k has the characteristic
@@ -180,18 +180,21 @@ def backward_tail(block, lanes: np.ndarray, n: int, eps: float) -> int:
     in every lane, capped at ``DEFAULT_MAX_DEPTH``.  The rows are read in
     chunks, the first of 128 rows (fewer for more than 32 lanes), then twice as many per chunk,
     each at most ``CHUNK_CELLS`` rows x lanes (at least one row), and only for
-    lanes whose product is still above ``eps``.
+    lanes whose product is still above ``eps``.  A list ``read`` receives
+    the chunks (a, b) read for every lane, up to ``CHUNK_CELLS`` cells in all.
     """
     lanes = np.asarray(lanes)
     if not lanes.size:
         return 0
-    log_eps = math.log(eps)
+    log_eps, width = math.log(eps), lanes.size
     log_product = np.zeros(lanes.size)
     done = 0  # rows past n read so far
     size = max(1, min(_FIRST_TAIL_ROWS, _FIRST_TAIL_CELLS // lanes.size))
     while done < DEFAULT_MAX_DEPTH:
         rows = min(size, DEFAULT_MAX_DEPTH - done, max(1, CHUNK_CELLS // lanes.size))
         a, b = block(lanes, n + done + 1, n + done + rows)
+        if read is not None and lanes.size == width and done + rows <= CHUNK_CELLS // width:
+            read.append((a, b))
         log_products = log_product + np.cumsum(log_damping(a, b), axis=0)
         below = log_products < log_eps
         hit = below.any(axis=0)
@@ -210,29 +213,32 @@ def batch_minimal_ratio(block, lanes: np.ndarray, scale: float) -> np.ndarray:
     as ``models.coefficient_block`` does.  The pass starts at the tail N =
     ``backward_tail(block, lanes, 0, DEFAULT_REL_TOL)``, where every lane's
     seed error has damped below ``DEFAULT_REL_TOL`` (read at call time)
-    relative to R_0, and recurses tau_{n-1} = a(n-1) - b(n) / tau_n
-    down from tau_N = a(N) + ``scale`` / N, where tau_n = a(n) + R_n: the
-    pivots of ``batch_pivots`` with sign -1 over the reversed rows, in chunks
-    of at most ``CHUNK_CELLS`` cells (at least two rows per block), each
-    passed the last pivot row of the one above it.  Then R_0 = -b(1) / tau_1.
-    Where the tail reaches ``DEFAULT_MAX_DEPTH`` every lane is nan and no pass
-    runs.  A tau_n that is exactly 0 is taken as a tiny negative number, as
-    every pivot of ``batch_pivots`` is.
+    relative to R_0, and recurses tau_{n-1} = a(n-1) - b(n) / tau_n down to
+    tau_1 from tau_N = a(N) + ``scale`` / N, where tau_n = a(n) + R_n: the
+    pivots of ``batch_pivots`` with sign -1 over the reversed rows, in
+    blocks of at most ``CHUNK_CELLS`` cells (at least two rows, all but the
+    top one pivoted), each passed the last pivot row of the one above it
+    and taken from the rows the tail estimate read where those hold it.
+    Then R_0 = -b(1) / tau_1.  Where the tail reaches ``DEFAULT_MAX_DEPTH``
+    every lane is nan and no pass runs.  A tau_n that is exactly 0 is taken
+    as a tiny negative number, as every pivot of ``batch_pivots`` is.
     """
-    lanes = np.asarray(lanes)
-    tail = backward_tail(block, lanes, 0, DEFAULT_REL_TOL)
+    lanes, read = np.asarray(lanes), []
+    tail = backward_tail(block, lanes, 0, DEFAULT_REL_TOL, read)
     if not lanes.size or tail >= DEFAULT_MAX_DEPTH:
         return np.full(lanes.shape, np.nan)
-    rows = max(2, CHUNK_CELLS // lanes.size)  # rows per block; a chunk pivots all but the top one
+    read_a, read_b = map(np.vstack, zip(*read)) if read else ((), ())  # rows 1, 2, ...
+    rows = max(2, CHUNK_CELLS // lanes.size)  # rows per block
     hi, last = tail, None
-    while hi >= 0:
-        lo = max(0, hi - rows + 2)
-        a, b = block(lanes, lo, hi + 1)
-        a, b = a[-2::-1], b[:0:-1]  # rows hi, ..., lo with b(n + 1) beside a(n)
+    while hi >= 1:
+        lo = max(1, hi - rows + 2)
+        if hi < len(read_a):  # rows lo, ..., hi + 1 were read
+            a, b = read_a[lo - 1:hi + 1], read_b[lo - 1:hi + 1]
+        else:
+            a, b = block(lanes, lo, hi + 1)
+        seed = a[-2::-1]  # rows hi, ..., lo, with b(n + 1) beside a(n)
         if last is None:
-            a[0] += scale / tail
-        pivots = batch_pivots(a, b, -1.0, last)
-        tau_1 = pivots[-2] if len(pivots) > 1 else last  # a one-row chunk holds tau_0 alone
-        last, hi = pivots[-1], lo - 1
+            seed[0] += scale / tail
+        last, hi = batch_pivots(seed, b[:0:-1], -1.0, last)[-1], lo - 1
     with np.errstate(divide="ignore", over="ignore"):
-        return -b[-1] / tau_1
+        return -b[0] / last

@@ -35,19 +35,18 @@ once, without a truncation tried in vain; the doubling is left for the rest.
 
 A Jacobi-chain block stops at one truncation n on a Ritz residual bound
 (Weinstein's bound: Kato, J. Phys. Soc. Jpn. 4, 334 (1949); Parlett, The
-Symmetric Eigenvalue Problem, ch. 4), with nothing carried from the
-truncation before.  The basis is ordered by boson number, so a chain at n
-is the leading k rows of the chain at 2n.  A level lambda of the leading
-rows with unit eigenvector z (dstein) leaves the residual |beta z[k-1]|,
-beta the first coupling dropped, plus its own, about ulp times the norm:
-the untruncated chain has a level within that radius.  The truncation is
-accepted when in every chain each radius lies below 1e-9 omega, the
-neighbouring radii lie apart, so each holds a level of its own, and Sturm
-counts (Barth, Martin and Wilkinson, Numer. Math. 9, 386 (1967)) find as
-many levels in the window at 2n as at n, which catches a level that enters
-on doubling.  The driven band, which has no chain and no cheap
-eigenvector, is solved whole at each truncation and compared pairwise with
-the one before.
+Symmetric Eigenvalue Problem, ch. 4), read from eigenvalues and entries
+alone, with nothing carried from the truncation before.  A chain at n is
+the leading k rows of the chain at 2n, and a level of the leading rows with
+unit eigenvector z leaves the residual |beta z[k-1]|, beta the first
+coupling dropped; the bottom-up pivots of the leading rows less the
+window's top bound |z[k-1]| for all window levels at once.  The truncation
+is accepted when in every chain that radius lies below 1e-9 omega and under
+half the spacing of the chain's window levels, so each holds a level of its
+own, and Sturm counts (Barth, Martin and Wilkinson, Numer. Math. 9, 386
+(1967)) find as many levels in the window at 2n as at n, which catches a
+level that enters on doubling.  The driven band is solved whole at each
+truncation and compared pairwise with the one before.
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ from .errors import TruncationCeiling
 from .models import ModelKind, ModelParams, Sector
 
 N_MAX_DEFAULT = 2**13  # the truncation ceiling, a power of two, read at call time
-_STAB_TOL_FACTOR = 1e-9  # bounds a chain level's Ritz radius, a driven level's move per doubling
+_STAB_TOL_FACTOR = 1e-9  # bounds a chain's radius (_chain_radius), a driven level's move per doubling
 _BANDWIDTH = 3  # superdiagonals in the canonical ordering
-_RITZ_BLOCK = 16  # eigenvectors whose own residual _ritz_bounds holds at a time
 _START_FLOOR = 16  # the least first truncation of a chain block
 
 
@@ -213,7 +211,7 @@ def _jacobi_chains(bands: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | N
 
 
 def _offdiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The chain's off-diagonal as the f2py wrappers of dstebz, dsterf and dstein take it.
+    """The chain's off-diagonal as the f2py wrappers of dstebz and dsterf take it.
 
     They want max(1, n - 1) entries, so a 1-row chain gets one zero.
     """
@@ -242,32 +240,31 @@ def _stebz(d: np.ndarray, e: np.ndarray, vl: float, vu: float, tol: float) -> np
     return w[:m]
 
 
-def _ritz_bounds(d: np.ndarray, e: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
-    """For each eigenvalue in ``w`` of the chain's leading k rows, a radius
-    about it that holds an eigenvalue of the whole chain (d, e).
+def _chain_radius(d: np.ndarray, e: np.ndarray, k: int, top: float) -> float:
+    """A radius about each dsterf level up to ``top`` of the chain's leading
+    k rows that holds a level of the whole chain (d, e), which has more rows.
 
-    With z the unit eigenvector on the leading rows (LAPACK's dstein,
-    called directly; LinAlgError on a nonzero info), (z, 0, ...) leaves the
-    residual |e[k-1] z[k-1]| in row k plus its own on the leading rows,
-    about ulp times their norm, computed here ``_RITZ_BLOCK`` vectors at a
-    time, so that it holds no second array of z's size.  By Weinstein's
-    bound a level lies within that of w, on any chain that extends the
-    leading rows.
+    An exact level lambda <= top of the leading rows, with unit eigenvector
+    z, leaves the residual |e[k-1] z[k-1]| on the whole chain (Weinstein).
+    With t_{k-1} = 0, row j gives |z_j| <= t_{j-1} |z_{j-1}|, where
+    t_{j-1} = |e[j-1]| / (d_j - top - |e[j]| t_j), while these bottom-up
+    pivots of the leading rows less top stay positive; with |z| <= 1 where
+    the product stops, before a t_j >= 1, |z[k-1]| <= prod t_j.  dsterf's
+    own error, at most 4 eps ||T_k|| (LAPACK Users' Guide, 3rd ed., section
+    4.7, which takes 1 for the 4) with ||T_k|| <= max |d| + 2 max |e|, is
+    added to the radius and to ``top``.
     """
-    dk, ek = d[:k], e[:k - 1]
-    block, split = np.ones(k, dtype=np.int32), np.full(k, k, dtype=np.int32)
-    z, info = lapack.dstein(dk, _offdiagonal(dk, ek), w, block, split)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstein failed with info={info}")
-    own = np.empty(w.size)
-    for i in range(0, w.size, _RITZ_BLOCK):
-        cols = slice(i, i + _RITZ_BLOCK)
-        zi = z[:, cols]
-        res = (dk[:, None] - w[cols]) * zi
-        res[1:] += ek[:, None] * zi[:-1]
-        res[:-1] += ek[:, None] * zi[1:]
-        own[cols] = np.linalg.norm(res, axis=0)
-    return np.abs(e[k - 1] * z[-1]) + own
+    dk, ak = d[:k], np.abs(e[:k])
+    err = 4.0 * np.finfo(float).eps * (np.abs(dk).max() + 2.0 * ak[:-1].max(initial=0.0))
+    top, rd, ra = top + err, dk[::-1].tolist(), ak[::-1].tolist()
+    radius, t = ra[0], 0.0
+    for dj, below, above in zip(rd, ra, ra[1:]):  # rows k - 1, ..., 1
+        pivot = dj - top - below * t
+        if pivot <= above:  # not positive, or t_{j-1} >= 1
+            break
+        t = above / pivot
+        radius *= t
+    return radius + err
 
 
 def _in_window(vals: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -288,11 +285,6 @@ def _spectra(bands: np.ndarray) -> list[np.ndarray]:
     return [_sterf(d, e) for d, e in chains]
 
 
-def _merged(levels: list[np.ndarray]) -> list[float]:
-    """The levels of all parts as one ascending list."""
-    return np.sort(np.concatenate(levels)).tolist()
-
-
 def _bounded(
     chains: list[tuple[np.ndarray, np.ndarray]], k: int, lo: float, hi: float, tol: float
 ) -> list[float] | None:
@@ -300,12 +292,12 @@ def _bounded(
     ascending, if those rows settle them; else None.
 
     A chain passes when Sturm counts find as many levels in (lo, hi] on the
-    whole chain as on its leading rows, and the leading rows' levels (from
-    dsterf) have radii (``_ritz_bounds``) below ``tol`` and lie further
-    apart than the sum of their neighbours' radii, so each radius holds a
-    level of its own.  Levels of different chains may coincide, so the
-    spacing is tested within a chain.  The two counts pivot alike on the
-    leading rows: a level within rounding of an edge, which dsterf and a
+    whole chain as on its leading rows, and its window levels (dsterf on the
+    leading rows) share a radius (``_chain_radius``) below ``tol`` and under
+    half their spacing, so each holds a level of its own; a chain with no
+    window level needs none.  Levels of different chains may coincide, so
+    the spacing is tested within a chain.  The two counts pivot alike on
+    the leading rows: a level within rounding of an edge, which dsterf and a
     count may put on opposite sides, cannot fail every truncation.
     """
     out = []
@@ -315,11 +307,11 @@ def _bounded(
         if _stebz(dk, ek, lo, hi, hi - lo).size != _stebz(d, e, lo, hi, hi - lo).size:
             return None
         w = _in_window(_sterf(dk, ek), lo, hi)
-        r = _ritz_bounds(d, e, k, w)
-        if not ((r < tol).all() and (np.diff(w) > r[1:] + r[:-1]).all()):
+        r = _chain_radius(d, e, k, hi) if w.size else 0.0
+        if not (r < tol and (np.diff(w) > 2.0 * r).all()):
             return None
         out.append(w)
-    return _merged(out)
+    return np.sort(np.concatenate(out)).tolist()
 
 
 def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]:
@@ -331,7 +323,7 @@ def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]
     """
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
-    return _merged([_in_window(w, lo, hi) for w in _spectra(h.bands)])
+    return np.sort(np.concatenate([_in_window(w, lo, hi) for w in _spectra(h.bands)])).tolist()
 
 
 def _disc_edges(bands: np.ndarray) -> np.ndarray:
@@ -355,39 +347,42 @@ def _reach(bands: np.ndarray, ns: np.ndarray, e_max: float) -> int:
     return int(ns[reaching[-1] // 2]) if reaching.size else 0
 
 
-def _initial_truncation(model: ModelParams, osector: OracleSector, e_max: float) -> int:
-    """The smallest power of two from 32 at or above the block's reach at
-    ``N_MAX_DEFAULT``: the driven band's first truncation, and half the
-    truncation whose bands a chain block's start (``_chain_start``) is read
-    from.
+def _initial_truncation(
+    model: ModelParams, osector: OracleSector, e_max: float
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, bands, ns): n the smallest power of two from 32 at or above the
+    block's reach at ``N_MAX_DEFAULT``, at most that ceiling, and the bands
+    at 2n (``_bands``): the driven band's first truncation, and the bands a
+    chain block's start (``_chain_start``) is read from.
 
-    The reach is read from the bands at truncations 32, 64, ... up to
-    ``N_MAX_DEFAULT``.  Along either spin the disc edge is the boson energy,
-    affine in the boson number, less the two hops, each concave in it (|g|
-    times the square root of affine factors), less a constant: it is convex,
-    so once it grows from one state to the next it grows on.  The last boson
-    number of a truncation lacks its upper hop, and its edge reads too high.
-    So the doubling stops once, along both spins, the edges of the two states
-    below it grow and lie above ``e_max``: no state past them reaches
-    ``e_max`` at any truncation, and the reach, which lies below them, is
-    that of the bands at the ceiling.  A ceiling of at most 32 is itself the
-    start, and no reach is read.
+    The reach is read at truncations 32, 64, ... up to ``N_MAX_DEFAULT``,
+    each cut from the bands at twice it, which hold those at 2n at the end.
+    Along either spin the disc edge is the boson energy, affine in the boson
+    number, less the two hops, each concave in it (|g| times the square root
+    of affine factors), less a constant: it is convex, so once it grows from
+    one state to the next it grows on.  The last boson number of a
+    truncation lacks its upper hop, and its edge reads too high.  So the
+    doubling stops once, along both spins, the edges of the two states below
+    it grow and lie above ``e_max``: no state past them reaches ``e_max`` at
+    any truncation, and the reach, which lies below them, is that of the
+    bands at the ceiling.
 
     The reach is a lower bound: below it the window's eigenvectors have not
     decayed, and a truncation there may hold none of the window's levels at
     n and 2n alike, which the stopping rule would take as settled.
     """
-    n_max = N_MAX_DEFAULT
-    if n_max <= 32:
-        return n_max
-    n = 32
+    n_max, read = N_MAX_DEFAULT, 32
     while True:
-        bands, ns = _bands(model, osector, n)
-        below = _disc_edges(bands)[-6:-2].reshape(2, 2)  # (state, spin)
-        if n >= n_max or ((below[1] >= below[0]) & (below[1] > e_max)).all():
+        bands, ns = _bands(model, osector, 2 * read)
+        pairs = int(np.count_nonzero(ns <= read))
+        below = _disc_edges(bands[:, :2 * pairs])[-6:-2].reshape(2, 2)  # (state, spin)
+        if read >= n_max or ((below[1] >= below[0]) & (below[1] > e_max)).all():
             break
-        n *= 2
-    return max(32, 1 << (_reach(bands, ns, e_max) - 1).bit_length())  # 2^k >= the reach
+        read *= 2
+    reach = _reach(bands[:, :2 * pairs], ns[:pairs], e_max)
+    n = min(max(32, 1 << (reach - 1).bit_length()), n_max)  # 2^k >= the reach
+    pairs = int(np.count_nonzero(ns <= 2 * n))
+    return n, bands[:, :2 * pairs], ns[:pairs]
 
 
 def _chain_start(
@@ -408,7 +403,7 @@ def _chain_start(
         rho_j = 2 |e[j-1]| / (d_j - e_max + sqrt((d_j - e_max)^2 - 4 |e[j] e[j-1]|)).
 
     With |z_r| <= 1, the Ritz radius |e[t] z[t]| of the chain cut after
-    row t (``_ritz_bounds``) is about |e[t]| rho_{r+1} ... rho_t; the tail
+    row t (``_chain_radius``) is about |e[t]| rho_{r+1} ... rho_t; the tail
     ends at the first row t where that falls below ``tol``.  The last row
     given lacks its upper coupling, so it is never t.
     """
@@ -453,14 +448,13 @@ def oracle_spectrum(
     takes in new levels at every truncation.
 
     Each truncation is read from the block's bands alone (``_bands``), built
-    once, at 2n, or cut from the bands already built when they are longer.
-    A block with Jacobi chains is settled at n by
-    ``_bounded``: each level returned lies within ``_STAB_TOL_FACTOR *
-    omega`` of its own level of the untruncated chain.  At the ceiling its
-    count runs on chains of twice the rows, which dstebz counts in O(n)
-    without building a matrix.  The driven band takes its whole spectrum
-    at n (``_spectra``) and is settled when the window holds as many levels
-    as at the truncation before, each sorted pair closer than the tolerance.
+    once, at 2n, or cut from longer ones.  A block with Jacobi chains is
+    settled at n by ``_bounded``: each level returned lies within
+    ``_STAB_TOL_FACTOR * omega`` of its own level of the untruncated chain;
+    at the ceiling its count runs on chains of twice the rows, which dstebz
+    counts in O(n) with no matrix built.  The driven band takes its whole
+    spectrum at n (``_spectra``) and is settled when the window holds as
+    many levels as at the truncation before, sorted pairs within the tolerance.
     """
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
@@ -469,9 +463,8 @@ def oracle_spectrum(
         raise ValueError("window must satisfy E_min < E_max")
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n = min(_initial_truncation(model, osector, e_max), N_MAX_DEFAULT)
+    n, bands, ns = _initial_truncation(model, osector, e_max)
     built = 2 * n  # the truncation the bands were last built at
-    bands, ns = _bands(model, osector, built)
     chains = _jacobi_chains(bands)
     if chains is not None:
         start = _chain_start(chains, ns, e_max, tol)

@@ -343,7 +343,7 @@ def doubling_oracle_spectrum(
     the caller.
     """
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, map_sector(sector), window[1])
+    n = _initial_truncation(model, map_sector(sector), window[1])[0]
     prev = None
     while n <= N_MAX_DEFAULT:
         vals = bisected_levels(model, sector, window, n)

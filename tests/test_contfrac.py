@@ -300,11 +300,18 @@ class TestBatchMinimalRatio:
 
     def test_one_pass_from_the_tail(self, monkeypatch):
         # the README curve window: the tails from row 0 at 1e-12 are 17 to 28
-        # rows, so one pass pivots the rows 28, ..., 0 in one table of 400
-        # lanes, and no pivot row lies past 28
+        # rows, so one pass pivots the rows 28, ..., 1 in one table of 400
+        # lanes, and no pivot row lies past 28.  The tail estimate read rows
+        # 1-10 and 11-30 of every lane, and the pass takes its rows from
+        # them: no row is built twice
         model, sector = ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4), Sector.two_mode(1.0)
         energies = np.linspace(-1.0, 4.0, 400)
-        block = partial(coefficient_block, model, sector)
+        built = []
+
+        def block(lanes, n_lo, n_hi):
+            built.append((lanes.size, n_lo, n_hi))
+            return coefficient_block(model, sector, lanes, n_lo, n_hi)
+
         assert backward_tail(block, energies, 0, 1e-12) == 28
         tables, pivots = [], contfrac.batch_pivots
 
@@ -313,15 +320,18 @@ class TestBatchMinimalRatio:
             return pivots(a, b, sign, prev)
 
         monkeypatch.setattr(contfrac, "batch_pivots", recording)
+        built.clear()
         r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2)
-        assert tables == [(29, 400)] and np.isfinite(r).all()
+        assert tables == [(28, 400)] and np.isfinite(r).all()
+        assert built == [(400, 1, 10), (400, 11, 30)]
 
     @pytest.mark.parametrize("rows", [2, 3, 5, 6])
     def test_chunked_pass_equals_one_table(self, monkeypatch, rows):
-        # the tail of these lanes is 35, so the pass pivots the 36 rows
-        # n = 35, ..., 0: blocks of 2 or 6 rows (chunks of 1 or 5 pivot rows)
-        # leave row 0 alone in the last chunk, and tau_1 comes from the chunk
-        # above; blocks of 3 or 5 rows do not
+        # the tail of these lanes is 35, so the pass pivots the 35 rows
+        # n = 35, ..., 1: blocks of 2 or 6 rows (chunks of 1 or 5 pivot rows)
+        # fill the last chunk, blocks of 3 or 5 rows do not.  The tail
+        # estimate reads chunks of at most that many rows too, so the last
+        # block is taken from the rows it read
         model, sector, energies = two_mode_lanes()
         block, t2 = partial(coefficient_block, model, sector), asymptotic_roots(model).t2
         assert backward_tail(block, energies, 0, 1e-12) == 35
@@ -352,8 +362,8 @@ class TestBatchMinimalRatio:
         fine = batch_minimal_ratio(block, energies, t2)
         tails, tail = [], contfrac.backward_tail
 
-        def recording(block, lanes, n, eps):
-            tails.append((eps, tail(block, lanes, n, eps)))
+        def recording(block, lanes, n, eps, read=None):
+            tails.append((eps, tail(block, lanes, n, eps, read)))
             return tails[-1][1]
 
         monkeypatch.setattr(contfrac, "backward_tail", recording)

@@ -1,11 +1,15 @@
 """Truncated Fock-space diagonalization and its independence cross-checks."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabispec import (
     ModelKind,
@@ -23,11 +27,12 @@ from rabispec.oracle import (
     TruncatedHamiltonian,
     _bands,
     _bounded,
+    _chain_radius,
+    _chain_start,
     _in_window,
     _initial_truncation,
     _jacobi_chains,
     _reach,
-    _ritz_bounds,
     _spectra,
     _stebz,
     _sterf,
@@ -275,17 +280,26 @@ def _reach_windows(count, seed):
     return out
 
 
-def test_start_is_the_power_of_two_above_the_reach_at_n_max():
+def test_start_is_the_power_of_two_above_the_reach_at_n_max(monkeypatch):
     # the reach read from bands of 32, 64, ... states, stopped where the disc
     # edges can only grow, is the reach of the bands at N_MAX_DEFAULT: the
-    # start is the smallest power of two, from 32, at or above it
+    # start n is the smallest power of two, from 32, at or above it.  The
+    # bands at 2n come with it, cut from the last bands built, which are
+    # those of twice the last truncation read: one build per truncation read
+    built = []
+    monkeypatch.setattr("rabispec.oracle._bands", lambda *a: built.append(a[2]) or _bands(*a))
     for model, sector, e_max in _reach_windows(300, 20261019):
         osec = map_sector(sector)
         reach = _reach(*_bands(model, osec, N_MAX_DEFAULT), e_max)
         want = 32
         while want < reach:
             want *= 2
-        assert _initial_truncation(model, osec, e_max) == want, (model, sector, e_max)
+        built.clear()
+        n, bands, ns = _initial_truncation(model, osec, e_max)
+        assert n == want, (model, sector, e_max)
+        assert built == [64 << i for i in range(len(built))] and built[-1] >= 2 * n
+        ref_bands, ref_ns = _bands(model, osec, 2 * n)
+        assert np.array_equal(bands, ref_bands) and np.array_equal(ns, ref_ns)
 
 
 def _banded_in_range(h, lo, hi):
@@ -526,10 +540,16 @@ class TestWholeChainSpectrum:
         self._assert_matches_bisection(bands, -1.0, 1.5)
 
 
+def _tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
 class TestRitzBound:
     """The stopping rule of a chain block, on hand-built chains whose leading
     two rows [[0.5, b], [b, 0.5]] have the unit eigenvectors (1, -+1)/sqrt(2)
-    at 0.5 -+ b; beta couples them to the rows past them."""
+    at 0.5 -+ b; beta couples them to the rows past them.  The window's top,
+    1.5, lies above both leading rows, so no row damps the eigenvectors and
+    the radius is |beta| plus dsterf's error, 4 eps ||T_2||."""
 
     tol = _STAB_TOL_FACTOR
     lo, hi = -1.0, 1.5
@@ -543,35 +563,84 @@ class TestRitzBound:
         return _bounded([(d, e)], 2, self.lo, self.hi, self.tol)
 
     @pytest.mark.parametrize("beta", [1e-10, -3e-12, 0.25])
-    def test_radius_is_beta_times_last_component(self, beta):
-        d, e = self._chain(0.2, beta)
-        w = _sterf(d[:2], e[:1])
-        r = _ritz_bounds(d, e, 2, w)
-        # the last component is 1/sqrt(2) in size, and the pair's own
-        # residual on the leading rows is rounding
-        assert r == pytest.approx([abs(beta) / math.sqrt(2.0)] * 2, rel=0.0, abs=4e-16)
-        # Weinstein: the whole chain has a level within r of each
-        whole = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        assert all(np.min(np.abs(whole - x)) <= rx for x, rx in zip(w, r))
+    def test_radius_is_beta_times_the_decay(self, beta):
+        # leading rows [[0.5, 0.3], [0.3, 3.0]] under the top 1.5: row 1 damps
+        # every eigenvector up to the top by t_0 = 0.3 / (3.0 - 1.5) = 0.2
+        d, e = np.array([0.5, 3.0, 100.0]), np.array([0.3, beta])
+        err = 4.0 * np.finfo(float).eps * (3.0 + 2.0 * 0.3)
+        r = _chain_radius(d, e, 2, self.hi)
+        assert r == pytest.approx(0.2 * abs(beta) + err, rel=1e-12, abs=0.0)
+        lam, z = np.linalg.eigh(_tridiagonal(d[:2], e[:1]))
+        assert abs(z[-1, 0]) <= 0.2 and lam[1] > self.hi
 
-    def test_radius_takes_in_the_pairs_own_residual(self):
-        # a level 1e-6 off the leading rows' eigenvalue: its vector is still
-        # the eigenvector, which leaves a residual of 1e-6 on those rows
+    def test_radius_without_decay_is_beta(self):
+        # the top lies above both leading rows: the radius is |beta| + err
         d, e = self._chain(0.2, 1e-10)
-        r = _ritz_bounds(d, e, 2, _sterf(d[:2], e[:1]) + 1e-6)
-        assert r == pytest.approx([1e-6 + 1e-10 / math.sqrt(2.0)] * 2, rel=1e-9)
+        err = 4.0 * np.finfo(float).eps * (0.5 + 2.0 * 0.2)
+        r = _chain_radius(d, e, 2, self.hi)
+        assert r == pytest.approx(1e-10 + err, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("size", [1, 3, 16])
-    def test_radii_independent_of_block_size(self, monkeypatch, size):
-        # the own residuals are taken a block of eigenvectors at a time; 40
-        # levels in blocks of 1, 3 or 16 give the radii of one whole block
-        rng = np.random.default_rng(3)
-        d, e = rng.uniform(-1.0, 1.0, 60), rng.uniform(0.1, 0.5, 59)
-        w = _sterf(d[:40], e[:39])
-        monkeypatch.setattr("rabispec.oracle._RITZ_BLOCK", w.size)
-        whole = _ritz_bounds(d, e, 40, w)
-        monkeypatch.setattr("rabispec.oracle._RITZ_BLOCK", size)
-        np.testing.assert_array_equal(_ritz_bounds(d, e, 40, w), whole)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1),
+        slope=st.floats(0.05, 2.0),
+        squeeze=st.floats(0.0, 0.98),
+        top=st.floats(-3.0, 100.0),
+        zero=st.one_of(st.none(), st.integers(0, 198)),
+    )
+    def test_radius_bounds_every_window_eigenvector(self, k, seed, slope, squeeze, top, zero):
+        # a chain like the Fock chains, its diagonal rising by ``slope`` per
+        # row and its couplings, of both signs, by up to ``squeeze`` / 2 of
+        # that, with perhaps one zero among the leading rows: for every
+        # eigenvector of a dense solve of the leading rows with its level up
+        # to the top, the radius is at least its Weinstein radius |e[k-1] z[k-1]|
+        rng = np.random.default_rng(seed)
+        d = slope * np.arange(k + 1) + rng.uniform(-1.0, 1.0, k + 1)
+        size = (0.5 + squeeze * slope * np.arange(1, k + 1) / 2.0) * rng.uniform(0.5, 1.0, k)
+        e = size * rng.choice([-1.0, 1.0], k)
+        if zero is not None:
+            e[min(zero, k - 2)] = 0.0
+        r = _chain_radius(d, e, k, top)
+        lam, z = np.linalg.eigh(_tridiagonal(d[:k], e[:k - 1]))
+        assert np.all(np.abs(e[k - 1] * z[-1, lam <= top]) <= r)
+
+    @pytest.mark.parametrize("kind,g,sector,e_max,n", [
+        (ModelKind.TWO_PHOTON, 0.3, Sector.two_photon(0.25), 50.0, 216),
+        (ModelKind.TWO_MODE, 0.8, Sector.two_mode(0.5), 40.0, 178),
+    ])
+    def test_weinstein_against_four_times_the_chain(self, kind, g, sector, e_max, n):
+        # the pinned chain windows at the truncation n they settle at: each
+        # window level of the leading rows lies within the chain's radius of
+        # a level of the chain at 4n, solved dense, which holds as many
+        model = ModelParams(kind, 1.0, 0.5, g)
+        lo = default_window_min(model, sector)
+        osec = map_sector(sector)
+        k = int(np.count_nonzero(_bands(model, osec, n)[1] <= n))
+        for d, e in _jacobi_chains(_bands(model, osec, 4 * n)[0]):
+            w = _in_window(_sterf(d[:k], e[:k - 1]), lo, e_max)
+            r = _chain_radius(d, e, k, e_max)
+            assert w.size and r < self.tol
+            long = _in_window(np.linalg.eigvalsh(_tridiagonal(d, e)), lo, e_max)
+            assert long.size == w.size
+            assert np.all(np.abs(long - w) <= r)
+
+    def test_radius_above_tol_refused_below_the_start(self):
+        # two-photon g = 0.3 on (E_min, 50] starts at its reach, 126, plus
+        # its tail, at 216.  At 200 the counts at n and 2n agree, but no
+        # eigenvector has decayed enough: the radius is about 8.5e-8
+        model, sector = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.3), Sector.two_photon(0.25)
+        window, osec = (default_window_min(model, sector), 50.0), map_sector(sector)
+        bands, ns = _bands(model, osec, 2 * 256)
+        assert _reach(bands, ns, window[1]) == 126
+        assert _chain_start(_jacobi_chains(bands), ns, window[1], self.tol) == 216
+        bands, ns = _bands(model, osec, 2 * 200)
+        k = int(np.count_nonzero(ns <= 200))
+        for d, e in _jacobi_chains(bands):
+            counts = {_stebz(x, y, *window, window[1] - window[0]).size
+                      for x, y in ((d[:k], e[:k - 1]), (d, e))}
+            assert len(counts) == 1 and 1e-8 < _chain_radius(d, e, k, window[1]) < 1e-6
+        assert _bounded(_jacobi_chains(bands), k, *window, self.tol) is None
 
     def test_settled_levels_returned(self):
         d, e = self._chain(0.2, 1e-10)
@@ -581,13 +650,13 @@ class TestRitzBound:
         assert got == pytest.approx([0.3, 0.3, 0.7, 0.7], rel=0.0, abs=1e-15)
 
     def test_radius_above_tol_refused(self):
-        # r = beta / sqrt(2) against tol = 1e-9
-        assert self._settled(*self._chain(0.2, 1.4e-9)) is not None
-        assert self._settled(*self._chain(0.2, 1.5e-9)) is None
+        # r = beta, and rounding, against tol = 1e-9
+        assert self._settled(*self._chain(0.2, 0.9e-9)) is not None
+        assert self._settled(*self._chain(0.2, 1.1e-9)) is None
 
     def test_overlapping_neighbours_refused(self):
-        # r = 7.1e-11 each: levels 1e-10 apart may share one true level,
-        # levels 2e-9 apart may not
+        # r = 1e-10: levels 1e-10 apart may share one true level, levels
+        # 2e-9 apart may not
         assert self._settled(*self._chain(0.5e-10, 1e-10)) is None
         assert self._settled(*self._chain(1e-9, 1e-10)) is not None
 
@@ -743,9 +812,9 @@ class TestPhysics:
 
     def test_truncation_ceiling(self, monkeypatch):
         # the block's Gershgorin reach is boson number 88 here, so the oracle
-        # would start at 128; with a ceiling of 16 it starts at 16, builds
-        # the bands there once, at 32, and reports the ceiling (it reads no
-        # reach: 2 * 16 > the ceiling)
+        # would start at 128; with a ceiling of 16 it reads the reach at 32
+        # off the bands at 64, the only bands it builds, starts at the
+        # ceiling and reports it
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45)
         osec = map_sector(Sector.two_photon(0.25))
         assert _reach(*_bands(model, osec, N_MAX_DEFAULT), 8.0) == 88
@@ -755,7 +824,7 @@ class TestPhysics:
         monkeypatch.setattr("rabispec.oracle.N_MAX_DEFAULT", 16)
         with pytest.raises(TruncationCeiling, match="truncation 16"):
             oracle_spectrum(model, Sector.two_photon(0.25), (-0.5, 8.0))
-        assert built == [32]
+        assert built == [64]
 
     @pytest.mark.parametrize("drive", [0.0, 0.3])
     def test_doubling_reads_only_the_bands(self, monkeypatch, drive):
@@ -779,7 +848,7 @@ class TestPhysics:
         window = (e_min, e_min + width)
         vals, n_used = oracle_spectrum(model, sector, window)
         assert vals
-        assert built[0] >= _reach(*_bands(model, osec, N_MAX_DEFAULT), window[1])
+        assert built[0][0] >= _reach(*_bands(model, osec, N_MAX_DEFAULT), window[1])
         again = eigen_in_range(build_hamiltonian(model, osec, 2 * n_used), *window)
         assert vals == pytest.approx(again, abs=1e-9)
 
@@ -939,7 +1008,7 @@ def test_chain_start_settles_at_its_first_truncation(monkeypatch):
         vals, n = oracle_spectrum(model, sector, window)
         assert len(tried) == 1, (model, sector, window)
         assert n >= _reach(*_bands(model, osec, N_MAX_DEFAULT), window[1])
-        cap = 2 * _initial_truncation(model, osec, window[1])
+        cap = 2 * _initial_truncation(model, osec, window[1])[0]
         if n > cap:
             short = 3 * n // 4
             bands, ns = _bands(model, osec, 2 * short)
@@ -1034,3 +1103,23 @@ def test_oracle_reads_no_solver_formula():
     imported = rabispec_imports(rabispec.oracle)
     allowed = {("models", name) for name in ("ModelKind", "ModelParams", "Sector")}
     assert all(module == "errors" or (module, name) in allowed for module, name in imported)
+
+
+def test_oracle_names_no_eigenvector_routine():
+    # the chains are certified from their eigenvalues and entries alone
+    # (_chain_radius), and the driven band from whole spectra: the oracle
+    # names no routine that returns eigenvectors, in a call or an import
+    import rabispec.oracle
+
+    tree = ast.parse(Path(rabispec.oracle.__file__).read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name.split(".")[-1] for alias in node.names}
+    assert "dsterf" in named and "eig_banded" in named
+    vector_routines = {"dstein", "dstemr", "dstevr", "dsbevx", "eigh", "eigh_tridiagonal"}
+    assert not named & vector_routines
