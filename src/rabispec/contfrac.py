@@ -177,11 +177,14 @@ def backward_tail(block, lanes: np.ndarray, n: int, eps: float, read=None) -> in
     row n + tail damps its seed error by about r(n + 1) * ... * r(n + tail) by
     the time it reaches row n (Miller's algorithm; Gautschi, SIAM Rev. 9, 24
     (1967)).  The result is the least tail whose product falls below ``eps``
-    in every lane, capped at ``DEFAULT_MAX_DEPTH``.  The rows are read in
-    chunks, the first of 128 rows (fewer for more than 32 lanes), then twice as many per chunk,
-    each at most ``CHUNK_CELLS`` rows x lanes (at least one row), and only for
-    lanes whose product is still above ``eps``.  A list ``read`` receives
-    the chunks (a, b) read for every lane, up to ``CHUNK_CELLS`` cells in all.
+    in every lane, capped at ``DEFAULT_MAX_DEPTH``.  The rows past n are
+    read in chunks, the first of 128 rows (fewer for more than 32 lanes),
+    then twice as many per chunk, each at most ``CHUNK_CELLS`` rows x lanes
+    (at least one row past n), and only for lanes whose product is still
+    above ``eps``.  A list ``read`` receives the chunks (a, b) read for
+    every lane: the first always, with row n read ahead of it and counted
+    in its cells, the rest while the rows past n fit ``CHUNK_CELLS`` cells
+    in all.
     """
     lanes = np.asarray(lanes)
     if not lanes.size:
@@ -191,11 +194,13 @@ def backward_tail(block, lanes: np.ndarray, n: int, eps: float, read=None) -> in
     done = 0  # rows past n read so far
     size = max(1, min(_FIRST_TAIL_ROWS, _FIRST_TAIL_CELLS // lanes.size))
     while done < DEFAULT_MAX_DEPTH:
-        rows = min(size, DEFAULT_MAX_DEPTH - done, max(1, CHUNK_CELLS // lanes.size))
-        a, b = block(lanes, n + done + 1, n + done + rows)
-        if read is not None and lanes.size == width and done + rows <= CHUNK_CELLS // width:
+        first = int(read is not None and not done)  # row n, read but not damped
+        rows = min(size, DEFAULT_MAX_DEPTH - done, max(1, CHUNK_CELLS // lanes.size - first))
+        a, b = block(lanes, n + done + 1 - first, n + done + rows)
+        if read is not None and lanes.size == width and (
+                first or done + rows <= CHUNK_CELLS // width):
             read.append((a, b))
-        log_products = log_product + np.cumsum(log_damping(a, b), axis=0)
+        log_products = log_product + np.cumsum(log_damping(a[first:], b[first:]), axis=0)
         below = log_products < log_eps
         hit = below.any(axis=0)
         if hit.all():  # the lanes that settle last, in this chunk, set the tail
@@ -221,19 +226,21 @@ def batch_minimal_ratio(block, lanes: np.ndarray, scale: float) -> np.ndarray:
     and taken from the rows the tail estimate read where those hold it.
     Then R_0 = -b(1) / tau_1.  Where the tail reaches ``DEFAULT_MAX_DEPTH``
     every lane is nan and no pass runs.  A tau_n that is exactly 0 is taken
-    as a tiny negative number, as every pivot of ``batch_pivots`` is.
+    as a tiny negative number, as every pivot of ``batch_pivots`` is.  The
+    tail estimate's first ``block`` call is for rows 0, 1, ...: a caller's
+    ``block`` may keep a(0) from it.
     """
     lanes, read = np.asarray(lanes), []
     tail = backward_tail(block, lanes, 0, DEFAULT_REL_TOL, read)
     if not lanes.size or tail >= DEFAULT_MAX_DEPTH:
         return np.full(lanes.shape, np.nan)
-    read_a, read_b = map(np.vstack, zip(*read)) if read else ((), ())  # rows 1, 2, ...
+    read_a, read_b = map(np.vstack, zip(*read))  # rows 0, 1, ...
     rows = max(2, CHUNK_CELLS // lanes.size)  # rows per block
     hi, last = tail, None
     while hi >= 1:
         lo = max(1, hi - rows + 2)
-        if hi < len(read_a):  # rows lo, ..., hi + 1 were read
-            a, b = read_a[lo - 1:hi + 1], read_b[lo - 1:hi + 1]
+        if hi + 1 < len(read_a):  # rows lo, ..., hi + 1 were read
+            a, b = read_a[lo:hi + 2], read_b[lo:hi + 2]
         else:
             a, b = block(lanes, lo, hi + 1)
         seed = a[-2::-1]  # rows hi, ..., lo, with b(n + 1) beside a(n)

@@ -169,11 +169,12 @@ def f_values(model: ModelParams, sector: Sector, energies) -> np.ndarray:
 
     R_0 comes from one batched backward pass (``batch_minimal_ratio``) that
     starts where the seed error of every lane has damped below
-    ``contfrac.DEFAULT_REL_TOL`` relative to R_0 (``contfrac.backward_tail``),
-    so F is off by about ``DEFAULT_REL_TOL`` * |R_0|.  Lanes within eps_pole
-    of the pole set and lanes whose value is not finite are nan, and so is
-    every lane when the tail reaches ``DEFAULT_MAX_DEPTH`` rows, which
-    happens only near the coupling bound.
+    ``contfrac.DEFAULT_REL_TOL`` relative to R_0 (``contfrac.backward_tail``,
+    whose first chunk also gives a(0)), so F is off by about
+    ``DEFAULT_REL_TOL`` * |R_0|.  Lanes within eps_pole of the pole set and
+    lanes whose value is not finite are nan, and so is every lane when the
+    tail reaches ``DEFAULT_MAX_DEPTH`` rows, which happens only near the
+    coupling bound.
     """
     check_coupling(model)
     sector.check_matches(model)
@@ -182,12 +183,17 @@ def f_values(model: ModelParams, sector: Sector, energies) -> np.ndarray:
     usable = distance_to_pole_set(model, sector, energies) >= model.eps_pole
     if not usable.any():
         return out
-    e = energies[usable]
-    block = partial(coefficient_block, model, sector)
+    e, a0 = energies[usable], []
+
+    def block(lanes, n_lo, n_hi):
+        a, b = coefficient_block(model, sector, lanes, n_lo, n_hi)
+        if n_lo == 0:  # the tail estimate's first chunk, over every lane
+            a0.append(a[0])
+        return a, b
+
     ratio = batch_minimal_ratio(block, e, asymptotic_roots(model).t2)
-    a, _ = coefficient_block(model, sector, e, 0, 0)
     with np.errstate(invalid="ignore", over="ignore"):
-        f = ratio + a[0]
+        f = ratio + a0[0]
     f[~np.isfinite(f)] = np.nan
     out[usable] = f
     return out

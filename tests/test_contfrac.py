@@ -15,7 +15,7 @@ from rabispec import (
     Sector,
     asymptotic_roots,
 )
-from rabispec import contfrac
+from rabispec import contfrac, spectral
 from rabispec.contfrac import (
     DEFAULT_MAX_DEPTH,
     backward_tail,
@@ -301,9 +301,10 @@ class TestBatchMinimalRatio:
     def test_one_pass_from_the_tail(self, monkeypatch):
         # the README curve window: the tails from row 0 at 1e-12 are 17 to 28
         # rows, so one pass pivots the rows 28, ..., 1 in one table of 400
-        # lanes, and no pivot row lies past 28.  The tail estimate read rows
-        # 1-10 and 11-30 of every lane, and the pass takes its rows from
-        # them: no row is built twice
+        # lanes, and no pivot row lies past 28.  The tail estimate reads rows
+        # 1-10 and 11-30 of every lane, and row 0 ahead of them when the
+        # pass asks for the rows it read; the pass takes its rows from them,
+        # and F its row 0: no row is built twice
         model, sector = ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4), Sector.two_mode(1.0)
         energies = np.linspace(-1.0, 4.0, 400)
         built = []
@@ -313,6 +314,7 @@ class TestBatchMinimalRatio:
             return coefficient_block(model, sector, lanes, n_lo, n_hi)
 
         assert backward_tail(block, energies, 0, 1e-12) == 28
+        assert built == [(400, 1, 10), (400, 11, 30)]
         tables, pivots = [], contfrac.batch_pivots
 
         def recording(a, b, sign, prev=None):
@@ -323,7 +325,13 @@ class TestBatchMinimalRatio:
         built.clear()
         r = batch_minimal_ratio(block, energies, asymptotic_roots(model).t2)
         assert tables == [(28, 400)] and np.isfinite(r).all()
-        assert built == [(400, 1, 10), (400, 11, 30)]
+        assert built == [(400, 0, 10), (400, 11, 30)]
+        # f_values reads a(0) from the same first chunk: no call for row 0 alone
+        built.clear()
+        monkeypatch.setattr(spectral, "coefficient_block",
+                            lambda model, sector, lanes, n_lo, n_hi: block(lanes, n_lo, n_hi))
+        spectral.f_values(model, sector, energies)
+        assert built == [(400, 0, 10), (400, 11, 30)]
 
     @pytest.mark.parametrize("rows", [2, 3, 5, 6])
     def test_chunked_pass_equals_one_table(self, monkeypatch, rows):

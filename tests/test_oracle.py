@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rabispec import (
@@ -22,17 +22,25 @@ from rabispec import (
     oracle_spectrum,
 )
 from rabispec.oracle import (
+    _SOLVER_ERR,
     _STAB_TOL_FACTOR,
     N_MAX_DEFAULT,
     TruncatedHamiltonian,
     _bands,
+    _block_counts,
+    _block_proxies,
     _bounded,
     _chain_radius,
     _chain_start,
+    _counts,
     _in_window,
     _initial_truncation,
     _jacobi_chains,
+    _leading,
+    _norm,
+    _parts,
     _reach,
+    _sbevd,
     _spectra,
     _stebz,
     _sterf,
@@ -544,6 +552,12 @@ def _tridiagonal(d, e):
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
+def _radius(d, e, k, top):
+    """``_chain_radius`` of the chain (d, e) cut after k rows, with dsterf's
+    error on those rows, as ``_bounded`` takes it."""
+    return _chain_radius(d, e, k, top, _SOLVER_ERR * _norm(_leading((d, e, None), k)))
+
+
 class TestRitzBound:
     """The stopping rule of a chain block, on hand-built chains whose leading
     two rows [[0.5, b], [b, 0.5]] have the unit eigenvectors (1, -+1)/sqrt(2)
@@ -560,7 +574,7 @@ class TestRitzBound:
         return np.array([0.5, 0.5, far, far + 1.0]), np.array([b, beta, 0.3])
 
     def _settled(self, d, e):
-        return _bounded([(d, e)], 2, self.lo, self.hi, self.tol)
+        return _bounded([(d, e, None)], 2, self.lo, self.hi, self.tol)
 
     @pytest.mark.parametrize("beta", [1e-10, -3e-12, 0.25])
     def test_radius_is_beta_times_the_decay(self, beta):
@@ -568,7 +582,7 @@ class TestRitzBound:
         # every eigenvector up to the top by t_0 = 0.3 / (3.0 - 1.5) = 0.2
         d, e = np.array([0.5, 3.0, 100.0]), np.array([0.3, beta])
         err = 4.0 * np.finfo(float).eps * (3.0 + 2.0 * 0.3)
-        r = _chain_radius(d, e, 2, self.hi)
+        r = _radius(d, e, 2, self.hi)
         assert r == pytest.approx(0.2 * abs(beta) + err, rel=1e-12, abs=0.0)
         lam, z = np.linalg.eigh(_tridiagonal(d[:2], e[:1]))
         assert abs(z[-1, 0]) <= 0.2 and lam[1] > self.hi
@@ -577,7 +591,7 @@ class TestRitzBound:
         # the top lies above both leading rows: the radius is |beta| + err
         d, e = self._chain(0.2, 1e-10)
         err = 4.0 * np.finfo(float).eps * (0.5 + 2.0 * 0.2)
-        r = _chain_radius(d, e, 2, self.hi)
+        r = _radius(d, e, 2, self.hi)
         assert r == pytest.approx(1e-10 + err, rel=1e-15, abs=0.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -601,7 +615,7 @@ class TestRitzBound:
         e = size * rng.choice([-1.0, 1.0], k)
         if zero is not None:
             e[min(zero, k - 2)] = 0.0
-        r = _chain_radius(d, e, k, top)
+        r = _radius(d, e, k, top)
         lam, z = np.linalg.eigh(_tridiagonal(d[:k], e[:k - 1]))
         assert np.all(np.abs(e[k - 1] * z[-1, lam <= top]) <= r)
 
@@ -619,7 +633,7 @@ class TestRitzBound:
         k = int(np.count_nonzero(_bands(model, osec, n)[1] <= n))
         for d, e in _jacobi_chains(_bands(model, osec, 4 * n)[0]):
             w = _in_window(_sterf(d[:k], e[:k - 1]), lo, e_max)
-            r = _chain_radius(d, e, k, e_max)
+            r = _radius(d, e, k, e_max)
             assert w.size and r < self.tol
             long = _in_window(np.linalg.eigvalsh(_tridiagonal(d, e)), lo, e_max)
             assert long.size == w.size
@@ -633,20 +647,20 @@ class TestRitzBound:
         window, osec = (default_window_min(model, sector), 50.0), map_sector(sector)
         bands, ns = _bands(model, osec, 2 * 256)
         assert _reach(bands, ns, window[1]) == 126
-        assert _chain_start(_jacobi_chains(bands), ns, window[1], self.tol) == 216
+        assert _chain_start(_parts(bands), ns, window[1], self.tol) == 216
         bands, ns = _bands(model, osec, 2 * 200)
         k = int(np.count_nonzero(ns <= 200))
         for d, e in _jacobi_chains(bands):
             counts = {_stebz(x, y, *window, window[1] - window[0]).size
                       for x, y in ((d[:k], e[:k - 1]), (d, e))}
-            assert len(counts) == 1 and 1e-8 < _chain_radius(d, e, k, window[1]) < 1e-6
-        assert _bounded(_jacobi_chains(bands), k, *window, self.tol) is None
+            assert len(counts) == 1 and 1e-8 < _radius(d, e, k, window[1]) < 1e-6
+        assert _bounded(_parts(bands), k, *window, self.tol) is None
 
     def test_settled_levels_returned(self):
         d, e = self._chain(0.2, 1e-10)
         assert self._settled(d, e) == pytest.approx([0.3, 0.7], rel=0.0, abs=1e-15)
-        # levels of different chains may coincide: spacing is tested per chain
-        got = _bounded([(d, e), (d, e)], 2, self.lo, self.hi, self.tol)
+        # levels of different chains may coincide: runs are taken per chain
+        got = _bounded([(d, e, None)] * 2, 2, self.lo, self.hi, self.tol)
         assert got == pytest.approx([0.3, 0.3, 0.7, 0.7], rel=0.0, abs=1e-15)
 
     def test_radius_above_tol_refused(self):
@@ -654,11 +668,38 @@ class TestRitzBound:
         assert self._settled(*self._chain(0.2, 0.9e-9)) is not None
         assert self._settled(*self._chain(0.2, 1.1e-9)) is None
 
-    def test_overlapping_neighbours_refused(self):
-        # r = 1e-10: levels 1e-10 apart may share one true level, levels
-        # 2e-9 apart may not
-        assert self._settled(*self._chain(0.5e-10, 1e-10)) is None
-        assert self._settled(*self._chain(1e-9, 1e-10)) is not None
+    def test_overlapping_neighbours_refused(self, monkeypatch):
+        # r = 1e-10: levels 1e-10 apart may share one true level, so the
+        # whole chain must hold two about them, as it does; a count that
+        # finds one there refuses them.  Levels 2e-9 apart hold one each and
+        # need no count
+        close, apart = self._chain(0.5e-10, 1e-10), self._chain(1e-9, 1e-10)
+        assert self._settled(*close) == pytest.approx([0.5 - 0.5e-10, 0.5 + 0.5e-10],
+                                                      rel=0.0, abs=1e-15)
+        spans = []
+
+        def one_level_about_runs(part, k, lo, hi):
+            got = _counts(part, k, lo, hi)
+            if (lo, hi) == (self.lo, self.hi):
+                return got
+            spans.append(hi - lo)
+            return got[0], 1
+
+        monkeypatch.setattr("rabispec.oracle._counts", one_level_about_runs)
+        assert self._settled(*close) is None
+        # the run's span, 1e-10, widened on each side by r and the rounding
+        assert spans == [pytest.approx(3e-10, rel=1e-3)]
+        spans.clear()
+        assert self._settled(*apart) is not None and spans == []
+
+    def test_run_needs_root_size_times_radius_below_tol(self):
+        # levels 1e-10 apart form a run of two: r bounds each one's distance
+        # to some level, and sqrt(2) r each one's distance to its own, so
+        # r = 0.8e-9 passes alone but not in the run; r = 0.6e-9 passes both
+        assert self._settled(*self._chain(1e-9, 0.8e-9)) is not None
+        assert self._settled(*self._chain(0.5e-10, 0.8e-9)) is None
+        assert self._settled(*self._chain(0.5e-10, 0.6e-9)) == pytest.approx(
+            [0.5 - 0.5e-10, 0.5 + 0.5e-10], rel=0.0, abs=1e-15)
 
     def test_count_that_differs_refused(self):
         # a third row at 1.0, inside the window, is a level the leading two
@@ -672,11 +713,11 @@ class TestRitzBound:
     def test_window_is_half_open(self):
         # the leading levels 0.3 and 0.7, with 0.3 on lo and 0.7 on hi
         d, e = np.array([0.3, 0.7, 100.0]), np.array([0.0, 1e-10])
-        assert _bounded([(d, e)], 2, 0.3, 0.7, self.tol) == [0.7]
+        assert _bounded([(d, e, None)], 2, 0.3, 0.7, self.tol) == [0.7]
 
     def test_empty_window_settled(self):
         d, e = self._chain(0.2, 0.3)
-        assert _bounded([(d, e)], 2, 5.0, 6.0, self.tol) == []
+        assert _bounded([(d, e, None)], 2, 5.0, 6.0, self.tol) == []
 
     def test_oracle_doubles_while_refused(self, monkeypatch):
         model, sector, window = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2), \
@@ -697,6 +738,154 @@ class TestRitzBound:
         # parity 0: each chain holds the states of boson numbers 0, 2, ..., n
         assert (n_again, rows[-2:]) == (2 * n, [n // 2 + 1, n + 1])
         assert again == pytest.approx(vals, rel=0.0, abs=1e-12)
+
+
+def _driven_band(g, delta, drive, truncation):
+    model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, delta, g, drive)
+    return _bands(model, map_sector(Sector.driven()), truncation)[0]
+
+
+# driven couplings, splittings and drives of both signs, with g = 0,
+# delta = 0 and drive = 0 drawn as often as any other value
+_G = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+_DELTA = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+_DRIVE = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+class TestBlockCount:
+    """The band's level count, the inertia of its 2x2-block LDL^T, against
+    dsbevd's levels of the same band."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(g=_G, delta=_DELTA, drive=_DRIVE, truncation=st.integers(4, 80),
+           lead=st.floats(0.0, 1.0), where=st.floats(-0.1, 1.1))
+    def test_count_equals_levels_below(self, g, delta, drive, truncation, lead, where):
+        # E anywhere from below the spectrum to above the leading blocks'
+        # top, kept off rounding of a level of either band
+        bands = _driven_band(g, delta, drive, truncation)
+        k = 1 + int(lead * truncation)  # of truncation + 1 blocks
+        levels, leading = _sbevd(bands), _sbevd(bands[:, :2 * k])
+        lo, hi = leading[0] - 1.0, leading[-1] + 1.0
+        energy = lo + where * (hi - lo)
+        near = 1e-9 * max(1.0, abs(energy))
+        assume(np.abs(np.concatenate([levels, leading]) - energy).min() > near)
+        got = _block_counts(bands, k, [energy])
+        assert got == [(int(np.sum(leading < energy)), int(np.sum(levels < energy)))]
+        # the leading blocks' count is a prefix of the pass: the same as
+        # the count of the leading blocks built alone
+        assert _block_counts(bands[:, :2 * k], k, [energy]) == [(got[0][0],) * 2]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(g=_G, drive=_DRIVE, truncation=st.integers(4, 40), block=st.integers(0, 40),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_count_at_a_block_eigenvalue_is_guarded(self, g, drive, truncation, block, sign):
+        # at delta = 0 the block of boson number m has the eigenvalues
+        # m +- drive; at E on one of them its pivot at m = 0, or at every m
+        # when g = 0, is singular.  The count is a finite count between the
+        # levels below E and those up to it
+        bands = _driven_band(g, 0.0, drive, truncation)
+        energy = min(block, truncation) + sign * drive
+        levels = _sbevd(bands)
+        (lead, whole), = _block_counts(bands, truncation + 1, [energy])
+        assert lead == whole
+        near = 1e-9 * max(1.0, abs(energy))
+        assert np.sum(levels < energy - near) <= whole <= np.sum(levels <= energy + near)
+
+    def test_pivot_zero_at_its_block_eigenvalue(self):
+        # delta = 0, drive = 0.5, g = 1: the levels are n - 1 +- 1/2, one
+        # from each sigma_x chain, and E = -0.5 zeroes the first pivot of
+        # the chain with the level n = 1 exactly, where the pass without the
+        # guard divides by zero.  The guard counts that level as below E,
+        # as dstebz counts a level on its upper edge, and carries the other
+        # chain on: below E lie -1.5 and that level.  Where no pivot is
+        # zero, the degenerate pair at 0.5 is not counted below 0.5
+        bands = _driven_band(1.0, 0.0, 0.5, 20)
+        levels = _sbevd(bands)
+        assert levels[:5] == pytest.approx([-1.5, -0.5, -0.5, 0.5, 0.5], abs=1e-13)
+        assert _block_counts(bands, 21, [-0.5, 0.5]) == [(2, 2), (3, 3)]
+
+    def test_counts_of_a_window(self):
+        # (lo, hi] on the leading blocks and the whole band, from one pass
+        # at each edge
+        bands = _driven_band(2.0, 0.5, 0.5, 60)
+        part = _parts(bands)[0]
+        levels, leading = _sbevd(bands), _sbevd(bands[:, :2 * 31])
+        lo, hi = -5.0, 20.0
+        assert _counts(part, 31, lo, hi) == (_in_window(leading, lo, hi).size,
+                                             _in_window(levels, lo, hi).size)
+
+
+class TestBandRadius:
+    """The driven band's radius: the chains' bound read over its 2x2 blocks,
+    the blocks' least eigenvalues for the diagonal and their couplings'
+    2-norms for the off-diagonal."""
+
+    def test_block_proxies(self):
+        delta, g, drive = 0.4, 1.5, -0.3
+        bands = _driven_band(g, delta, drive, 10)
+        mu, beta = _block_proxies(bands)
+        m = np.arange(11)
+        assert mu == pytest.approx(m - math.hypot(delta, drive), rel=0.0, abs=1e-14)
+        # the exact 2-norm, g sqrt(m + 1), not the Frobenius norm sqrt(2) times it
+        assert beta == pytest.approx(g * np.sqrt(m[:-1] + 1.0), rel=1e-15, abs=0.0)
+        dense = build_hamiltonian(ModelParams(ModelKind.DRIVEN_RABI, 1.0, delta, g, drive),
+                                  map_sector(Sector.driven()), 10).to_dense()
+        for j in range(10):
+            assert mu[j] == pytest.approx(
+                np.linalg.eigvalsh(dense[2 * j:2 * j + 2, 2 * j:2 * j + 2])[0], abs=1e-14)
+            assert beta[j] == pytest.approx(
+                np.linalg.norm(dense[2 * j:2 * j + 2, 2 * j + 2:2 * j + 4], 2), rel=1e-14)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(g=_G, delta=_DELTA, drive=_DRIVE, k=st.integers(5, 80),
+           top=st.floats(-20.0, 80.0))
+    def test_radius_bounds_every_window_eigenvector(self, g, delta, drive, k, top):
+        # for every eigenvector z of a dense solve of the leading k blocks
+        # with its level up to the top, the residual of (z, 0) on the band,
+        # B_{k-1}^T applied to z's last block, is at most the radius, whose
+        # error term is the leading band's largest row sum times 4 eps
+        bands = _driven_band(g, delta, drive, k)  # k + 1 blocks
+        part = _parts(bands)[0]
+        lead = _leading(part, k)
+        r = _chain_radius(part[0], part[1], k, top, _SOLVER_ERR * _norm(lead))
+        dense = TruncatedHamiltonian(2 * k + 2, bands, [], k, None, None).to_dense()
+        lam, z = np.linalg.eigh(dense[:2 * k, :2 * k])
+        coupling = dense[2 * k - 2:2 * k, 2 * k:]
+        residual = np.linalg.norm(coupling.T @ z[2 * k - 2:, lam <= top], axis=0)
+        assert np.all(residual <= r)
+
+    def test_error_term_from_the_band(self):
+        # the error term is 4 eps times the band's largest absolute row sum,
+        # not read from the proxies
+        bands = _driven_band(2.0, 0.5, 0.7, 9)
+        dense = TruncatedHamiltonian(20, bands, [], 9, None, None).to_dense()
+        assert _norm(_parts(bands)[0]) == pytest.approx(np.abs(dense).sum(axis=1).max(),
+                                                        rel=1e-15)
+
+
+# driven windows with degenerate levels, each settled and compared with the
+# doubling reference: delta = 0, drive 0.5, g = 1, whose levels n - 1 +- 1/2
+# pair up exactly; g = 0, delta = 0.4, drive 0.3, whose levels m + 1/2 and
+# (m + 1) - 1/2 coincide; and the tunnelling doublets of delta = 0.5, g = 7,
+# drive 1.0, 5e-14 apart.  The plain spacing test of the radius refused
+# each of them at every truncation
+DEGENERATE_WINDOWS = [
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.0, 1.0, 0.5), (-3.0, 8.0)),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.0, 0.3), (-1.0, 8.0)),
+    (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 7.0, 1.0), (-50.5, -46.5)),
+]
+
+
+@pytest.mark.parametrize("model,window", DEGENERATE_WINDOWS)
+def test_degenerate_driven_window_settled(model, window):
+    # levels closer than twice the radius are settled by the count about
+    # them, with no TruncationCeiling, at a truncation no larger than the
+    # doubling reference's, whose levels they match
+    vals, n = oracle_spectrum(model, Sector.driven(), window)
+    ref, n_ref = doubling_oracle_spectrum(model, Sector.driven(), window)
+    assert np.diff(vals).min() < 1e-9
+    assert len(vals) == len(ref) and n <= n_ref
+    assert np.all(np.abs(np.array(vals) - ref) <= _STAB_TOL_FACTOR * model.omega)
 
 
 # (model, sector, window start above default_window_min, width): the three
@@ -854,20 +1043,30 @@ class TestPhysics:
 
     # the four driven windows of the benchmark's oracle workload (seed 1)
     # and the driven sweep window at g = 2.5: each solved at 1,024 or 512
-    # under the old 5 (E_max + delta + |drive| + |g| sqrt(n)) start
+    # under the old 5 (E_max + delta + |drive| + |g| sqrt(n)) start, at 256
+    # and 128 by the pairwise test of two truncations from the power of two
+    # above the reach, and now at the block reach plus the decay tail
     @pytest.mark.parametrize("model,e_max,n_used", [
-        (model, e_max, 256) for model, e_max in DRIVEN_ORACLE_WINDOWS
-    ] + [(ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.6, 2.5, 0.2), None, 128)])
-    def test_driven_truncation_used(self, model, e_max, n_used):
+        (model, e_max, n_used) for (model, e_max), n_used
+        in zip(DRIVEN_ORACLE_WINDOWS, (103, 121, 124, 126))
+    ] + [(ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.6, 2.5, 0.2), None, 64)])
+    def test_driven_truncation_used(self, monkeypatch, model, e_max, n_used):
+        # each settles at its first truncation: dsbevd runs once, on the
+        # leading n_used + 1 blocks, and the band at twice it is counted,
+        # never solved
+        solved = []
+        monkeypatch.setattr("rabispec.oracle._sbevd", lambda b: solved.append(b.shape[1])
+                            or _sbevd(b))
         e_min = default_window_min(model, Sector.driven())
         window = (e_min, e_min + 10.0 if e_max is None else e_max)
         assert oracle_spectrum(model, Sector.driven(), window)[1] == n_used
+        assert solved == [2 * (n_used + 1)]
 
     @pytest.mark.parametrize("g,drive,e_max,n_used,count", [
-        (1.0, 0.8, 60.0, 256, 123),
-        (2.0, 0.5, 50.0, 256, 109),
-        (2.5, 1.0, 40.0, 256, 94),
-        (3.0, 0.3, 30.0, 256, 79),
+        (1.0, 0.8, 60.0, 103, 123),
+        (2.0, 0.5, 50.0, 121, 109),
+        (2.5, 1.0, 40.0, 124, 94),
+        (3.0, 0.3, 30.0, 126, 79),
     ])
     def test_driven_wide_window_pinned(self, g, drive, e_max, n_used, count):
         # wide windows like those of the benchmark's oracle workload, at
@@ -1012,7 +1211,7 @@ def test_chain_start_settles_at_its_first_truncation(monkeypatch):
         if n > cap:
             short = 3 * n // 4
             bands, ns = _bands(model, osec, 2 * short)
-            assert _bounded(_jacobi_chains(bands), int(np.count_nonzero(ns <= short)),
+            assert _bounded(_parts(bands), int(np.count_nonzero(ns <= short)),
                             *window, tol) is None, (model, sector, window)
         ref, n_ref = doubling_oracle_spectrum(model, sector, window)
         assert len(vals) == len(ref) and n <= n_ref, (model, sector, window)
@@ -1106,9 +1305,9 @@ def test_oracle_reads_no_solver_formula():
 
 
 def test_oracle_names_no_eigenvector_routine():
-    # the chains are certified from their eigenvalues and entries alone
-    # (_chain_radius), and the driven band from whole spectra: the oracle
-    # names no routine that returns eigenvectors, in a call or an import
+    # the chains and the driven band are certified from their eigenvalues
+    # and entries alone (_chain_radius): the oracle names no routine that
+    # returns eigenvectors, in a call or an import
     import rabispec.oracle
 
     tree = ast.parse(Path(rabispec.oracle.__file__).read_text())
