@@ -18,19 +18,18 @@ the matrix's sparsity pattern, and neither route shares anything with the
 continued-fraction route.
 
 The truncation is doubled until the window's levels are settled.  The first
-one tried is read off the same bands.  The reach, the largest boson number
-whose Gershgorin disc reaches down to the window's upper edge, is found on
-bands of 32, 64, ... states until the disc edges past it can only grow.
-Past it H - E is diagonally dominant for every E in the window, so the
+one tried is read off the same bands.  Each part of the block, a Jacobi
+chain or the driven band read over its 2x2 blocks of boson number, starts
+at its reach plus its eigenvectors' decay tail.  The reach is the last row
+whose Gershgorin disc reaches down to the window's upper edge.  Past it
+H - E is diagonally dominant for every E in the window, so the
 eigenvectors decay there (Combes and Thomas, Commun. Math. Phys. 34, 251
-(1973)) and their bulk lies within the reach.  A truncation below the reach
-can miss the window's levels at n and 2n alike and stop on an empty list, so
-the reach is a lower bound on the truncation.  Each part of the block, a
-Jacobi chain or the driven band read over its 2x2 blocks of boson number,
-starts at its reach plus its eigenvectors' decay tail: past the reach each
-row damps an eigenvector by the smaller characteristic root of the row's
-recurrence (Miller's estimate: Gautschi, SIAM Rev. 9, 24 (1967)), and the
-tail ends where the Ritz radius below falls under the tolerance.  That start
+(1973)), each row by the smaller characteristic root of its recurrence
+(Miller's estimate: Gautschi, SIAM Rev. 9, 24 (1967)), and the tail ends
+where the Ritz radius below falls under the tolerance.  The start is read
+off the bands at truncations 64, 128, ..., the first whose last full rows
+lie above the window and grow, so that no later row reaches it (the disc
+edges are convex in the boson number), and whose rows hold the tail.  That start
 settles the levels at once, without a truncation tried in vain; the
 doubling is left for the rest.
 
@@ -509,67 +508,38 @@ def _disc_edges(bands: np.ndarray) -> np.ndarray:
     return edge
 
 
-def _reach(bands: np.ndarray, ns: np.ndarray, e_max: float) -> int:
-    """The largest boson number whose Gershgorin disc reaches down to ``e_max``.
-
-    0 if no disc reaches ``e_max``.
-    """
-    reaching = np.flatnonzero(_disc_edges(bands) <= e_max)
-    return int(ns[reaching[-1] // 2]) if reaching.size else 0
-
-
-def _initial_truncation(
-    model: ModelParams, osector: OracleSector, e_max: float
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, bands, ns): n the smallest power of two from 32 at or above the
-    block's reach at ``N_MAX_DEFAULT``, at most that ceiling, and the bands
-    at 2n (``_bands``), which the block's start (``_chain_start``) is read
-    from.
-
-    The reach is read at truncations 32, 64, ... up to ``N_MAX_DEFAULT``,
-    each cut from the bands at twice it, which hold those at 2n at the end.
-    Along either spin the disc edge is the boson energy, affine in the boson
-    number, less the two hops, each concave in it (|g| times the square root
-    of affine factors), less a constant: it is convex, so once it grows from
-    one state to the next it grows on.  The last boson number of a
-    truncation lacks its upper hop, and its edge reads too high.  So the
-    doubling stops once, along both spins, the edges of the two states below
-    it grow and lie above ``e_max``: no state past them reaches ``e_max`` at
-    any truncation, and the reach, which lies below them, is that of the
-    bands at the ceiling.
-
-    The reach is a lower bound: below it the window's eigenvectors have not
-    decayed, and a truncation there may hold none of the window's levels at
-    n and 2n alike, which the stopping rule would take as settled.
-    """
-    n_max, read = N_MAX_DEFAULT, 32
-    while True:
-        bands, ns = _bands(model, osector, 2 * read)
-        pairs = int(np.count_nonzero(ns <= read))
-        below = _disc_edges(bands[:, :2 * pairs])[-6:-2].reshape(2, 2)  # (state, spin)
-        if read >= n_max or ((below[1] >= below[0]) & (below[1] > e_max)).all():
-            break
-        read *= 2
-    reach = _reach(bands[:, :2 * pairs], ns[:pairs], e_max)
-    n = min(max(32, 1 << (reach - 1).bit_length()), n_max)  # 2^k >= the reach
-    pairs = int(np.count_nonzero(ns <= 2 * n))
-    return n, bands[:, :2 * pairs], ns[:pairs]
-
-
 def _chain_start(parts: list[_Part], ns: np.ndarray, e_max: float, tol: float) -> int | None:
     """The boson number at which the parts' levels up to ``e_max`` settle:
     each part's reach plus its eigenvectors' decay tail, the larger over
-    the parts, 0 if no row reaches ``e_max``; None if a tail runs past the
-    rows given.
+    the parts, 0 if no row reaches ``e_max``; None if the rows given may
+    not hold a part's reach or its tail.
 
     Row j of each part holds boson number ns[j]; on the band a row is a 2x2
     block, read through its proxies (d, |e|) = (mu, beta) of
     ``_block_proxies``, and its disc the block Gershgorin disc.  A part's
     reach r is its last row whose Gershgorin disc reaches down to
-    ``e_max``.  Past it each row is diagonally dominant for every E up to
-    ``e_max``, and an eigenvector there decays by the smaller
-    characteristic root of the row's recurrence at ``e_max``, where it
-    decays slowest (Miller's estimate: Gautschi, SIAM Rev. 9, 24 (1967)):
+    ``e_max``.  The reach is a lower bound on the truncation: below it the
+    window's eigenvectors have not decayed, and a truncation there may hold
+    none of the window's levels at n and 2n alike, which the stopping rule
+    would take as settled.
+
+    The rows given hold the reach of the untruncated part once its last two
+    full rows lie above ``e_max`` and no lower than the rows two before
+    them; the last row lacks its upper coupling, and its edge reads too
+    high.  Along either spin the disc edge is the boson energy, affine in
+    the boson number, less the two couplings, each concave in it (|g|
+    times the square root of affine factors), less a constant: it is
+    convex, so once it grows from one row to the next of the same spin it
+    grows on, and no later row reaches ``e_max``.  On a chain the rows
+    alternate in spin, so the rule compares rows two apart.  The band's
+    block edges, m omega - sqrt(Delta^2 + epsilon^2) - |g| (sqrt(m + 1) +
+    sqrt(m)), are convex in m alike.
+
+    Past the reach each row is diagonally dominant for every E up to
+    ``e_max``, so the eigenvectors decay there (Combes and Thomas, Commun.
+    Math. Phys. 34, 251 (1973)), by the smaller characteristic root of the
+    row's recurrence at ``e_max``, where they decay slowest (Miller's
+    estimate: Gautschi, SIAM Rev. 9, 24 (1967)):
 
         rho_j = 2 |e[j-1]| / (d_j - e_max + sqrt((d_j - e_max)^2 - 4 |e[j] e[j-1]|)).
 
@@ -584,6 +554,9 @@ def _chain_start(parts: list[_Part], ns: np.ndarray, e_max: float, tol: float) -
         edge = d.copy()
         edge[1:] -= e
         edge[:-1] -= e
+        full = edge[-3:-1]
+        if not ((full >= edge[-5:-3]) & (full > e_max)).all():
+            return None
         reaching = np.flatnonzero(edge <= e_max)
         if not reaching.size:
             continue
@@ -608,42 +581,42 @@ def oracle_spectrum(
     """Truncation-settled eigenvalues in ``window`` plus the cutoff used.
 
     Each block starts at its reach plus the decay tail of its
-    eigenvectors (``_chain_start``, at least ``_START_FLOOR``), read off
-    the bands at twice the power of two at or above the reach
-    (``_initial_truncation``), or at twice as many rows again while a tail
-    runs past them: on the chains of a parity-symmetric block, or over the
-    2x2 blocks of the driven band.  The boson cutoff n then doubles,
-    n <- min(2n, ``N_MAX_DEFAULT``), until the window's levels are settled;
-    TruncationCeiling is raised if they are not at ``N_MAX_DEFAULT`` (read
-    at call time) itself.  Both window edges must be finite, as for
-    ``compute_spectrum``: an infinite upper edge takes in new levels at
-    every truncation.
+    eigenvectors (``_chain_start``, at least ``_START_FLOOR``): on the
+    chains of a parity-symmetric block, or over the 2x2 blocks of the
+    driven band.  The start is read off the bands at truncations 64, 128,
+    ..., up to twice ``N_MAX_DEFAULT``, the first that hold it.  The boson
+    cutoff n then doubles, n <- min(2n, ``N_MAX_DEFAULT``), until the
+    window's levels are settled; TruncationCeiling is raised if they are
+    not at ``N_MAX_DEFAULT`` (read at call time) itself.  Both window edges
+    must be finite, as for ``compute_spectrum``: an infinite upper edge
+    takes in new levels at every truncation.  ValueError is raised if the
+    sector is not one of the model's.
 
     Each truncation is read from the block's bands alone (``_bands``),
     built once, at 2n, or cut from longer ones, and settled at n by
     ``_bounded``, with nothing carried from the truncation before: each
     level returned lies within ``_STAB_TOL_FACTOR * omega`` of a level of
     its own of the untruncated block, and the counts at 2n find no level
-    more.  At the
-    ceiling the counts run on parts of twice the rows, in O(n) (dstebz on a
-    chain, the block LDL^T on the band) with no spectrum taken there.
+    more.  At the ceiling the counts run on parts of twice the rows, in
+    O(n) (dstebz on a chain, the block LDL^T on the band) with no spectrum
+    taken there.
     """
     e_min, e_max = window
     if not (math.isfinite(e_min) and math.isfinite(e_max)):
         raise ValueError(f"window edges must be finite, got {window}")
     if not e_min < e_max:
         raise ValueError("window must satisfy E_min < E_max")
+    sector.check_matches(model)
     osector = map_sector(sector)
     tol = _STAB_TOL_FACTOR * model.omega
-    n, bands, ns = _initial_truncation(model, osector, e_max)
-    built = 2 * n  # the truncation the bands were last built at
-    parts = _parts(bands)
-    start = _chain_start(parts, ns, e_max, tol)
-    while start is None and built < 2 * N_MAX_DEFAULT:  # the tail runs past the rows
-        built *= 2
+    built = 64  # the truncation the bands were last built at
+    while True:
         bands, ns = _bands(model, osector, built)
         parts = _parts(bands)
         start = _chain_start(parts, ns, e_max, tol)
+        if start is not None or built >= 2 * N_MAX_DEFAULT:
+            break
+        built *= 2
     n = N_MAX_DEFAULT if start is None else min(max(_START_FLOOR, start), N_MAX_DEFAULT)
     while True:
         if built < 2 * n:

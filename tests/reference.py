@@ -19,10 +19,13 @@ sequences; ``BlockCoeffs`` is that object for a model, read from
 - ``bisected_levels``: the oracle's levels in a window at one truncation,
   each Jacobi chain bisected over the window (scipy's
   ``eigvalsh_tridiagonal``), not taken from its whole spectrum;
+- ``gershgorin_reach``: the largest boson number whose Gershgorin disc,
+  read off the dense matrix, reaches down to E_max, the lower bound on a
+  truncation that ``oracle._chain_start`` reads off its parts;
 - ``doubling_oracle_spectrum``: ``oracle.oracle_spectrum`` solving the whole
-  window at every truncation and stopping on the pairwise test of two
-  truncations, before a chain block was settled at one truncation by a
-  Ritz residual bound.
+  window at every truncation from the power of two at or above that reach
+  and stopping on the pairwise test of two truncations, before a chain
+  block was settled at one truncation by a Ritz residual bound.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from rabispec.models import (
 from rabispec.oracle import (
     _STAB_TOL_FACTOR,
     N_MAX_DEFAULT,
-    _initial_truncation,
     _jacobi_chains,
     build_hamiltonian,
     eigen_in_range,
@@ -329,6 +331,37 @@ def bisected_levels(
         d, e, select="v", select_range=window, tol=BISECT_TOL))
 
 
+def gershgorin_reach(model: ModelParams, sector: Sector, e_max: float) -> int:
+    """The largest boson number whose Gershgorin disc, read off the dense
+    matrix (``TruncatedHamiltonian.to_dense``), reaches down to ``e_max``;
+    0 if none does.
+
+    The matrix is built at truncations 64, 128, ... until, along both
+    spins, the discs of the two boson numbers below the last lie above
+    ``e_max`` and the upper one no lower: along a spin the disc edge is
+    convex in the boson number, so no later disc reaches ``e_max``.  The
+    last boson number lacks its upper hop, and its edge reads too high.
+    """
+    truncation = 64
+    while True:
+        h = build_hamiltonian(model, map_sector(sector), truncation)
+        dense = h.to_dense()
+        diag = np.diag(dense)
+        edge = diag + np.abs(diag) - np.abs(dense).sum(axis=1)
+        below = edge[-6:-2].reshape(2, 2)  # (boson number, spin)
+        if ((below[1] >= below[0]) & (below[1] > e_max)).all():
+            return max((n for (n, _), x in zip(h.labels, edge) if x <= e_max), default=0)
+        truncation *= 2
+
+
+def first_truncation(reach: int) -> int:
+    """The power of two, from 32, at or above ``reach``."""
+    n = 32
+    while n < reach:
+        n *= 2
+    return n
+
+
 def doubling_oracle_spectrum(
     model: ModelParams,
     sector: Sector,
@@ -336,14 +369,15 @@ def doubling_oracle_spectrum(
 ) -> tuple[list[float], int]:
     """``oracle.oracle_spectrum`` as a whole-window solve at every truncation.
 
-    From the same first truncation the cutoff doubles, up to
+    From the power of two at or above the block's reach
+    (``first_truncation`` of ``gershgorin_reach``) the cutoff doubles, up to
     ``N_MAX_DEFAULT``, until the window holds as many levels
     (``bisected_levels``) as at the one before and each sorted pair lies
     closer than ``_STAB_TOL_FACTOR * omega``.  Window checks are left to
     the caller.
     """
     tol = _STAB_TOL_FACTOR * model.omega
-    n = _initial_truncation(model, map_sector(sector), window[1])[0]
+    n = first_truncation(gershgorin_reach(model, sector, window[1]))
     prev = None
     while n <= N_MAX_DEFAULT:
         vals = bisected_levels(model, sector, window, n)

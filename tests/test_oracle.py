@@ -34,12 +34,10 @@ from rabispec.oracle import (
     _chain_start,
     _counts,
     _in_window,
-    _initial_truncation,
     _jacobi_chains,
     _leading,
     _norm,
     _parts,
-    _reach,
     _sbevd,
     _spectra,
     _stebz,
@@ -49,7 +47,13 @@ from rabispec.oracle import (
 from rabispec.spectral import default_window_min
 
 from conftest import rabispec_imports
-from reference import BISECT_TOL, bisected_levels, doubling_oracle_spectrum
+from reference import (
+    BISECT_TOL,
+    bisected_levels,
+    doubling_oracle_spectrum,
+    first_truncation,
+    gershgorin_reach,
+)
 
 
 def inertia_below(a, x):
@@ -241,6 +245,20 @@ def test_bands_equal_loop_assembly(model, sector, truncation):
     assert h.labels == labels
 
 
+def _disc_reach(h, e_max, size):
+    """The largest boson number of ``h`` whose Gershgorin disc over diagonal
+    blocks of ``size`` states, read off the dense matrix, reaches down to
+    ``e_max``; 0 if none does.  A block's disc is centred on its least
+    eigenvalue, with the 2-norms of the other blocks of its rows summed for
+    radius (Feingold and Varga, Pacific J. Math. 12, 1241 (1962))."""
+    m = h.dimension // size
+    blocks = h.to_dense().reshape(m, size, m, size).swapaxes(1, 2)
+    norms = np.linalg.norm(blocks, 2, axis=(2, 3))
+    least = np.linalg.eigvalsh(blocks[np.arange(m), np.arange(m)])[:, 0]
+    edge = least - (norms.sum(axis=1) - norms.diagonal())
+    return max((h.labels[size * i][0] for i in np.flatnonzero(edge <= e_max)), default=0)
+
+
 @pytest.mark.parametrize("e_max", [-40.0, -10.0, 0.5, 3.0, 6.0])
 @pytest.mark.parametrize(
     "model,sector",
@@ -250,15 +268,30 @@ def test_bands_equal_loop_assembly(model, sector, truncation):
         (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 4.0, -0.3), Sector.driven()),
     ],
 )
-def test_reach_is_the_last_disc_below_e_max(model, sector, e_max):
-    # the reach read off the bands equals the Gershgorin discs of the dense
-    # matrix, row by row
-    h = build_hamiltonian(model, map_sector(sector), 120)
-    dense = h.to_dense()
-    lower = np.diag(dense) - (np.abs(dense).sum(axis=1) - np.abs(np.diag(dense)))
-    reaching = [h.labels[i][0] for i in range(h.dimension) if lower[i] <= e_max]
-    bands, ns = _bands(model, map_sector(sector), 120)
-    assert _reach(bands, ns, e_max) == max(reaching, default=0)
+def test_start_without_a_tail_is_the_disc_reach(model, sector, e_max):
+    # with no tail to wait for (tol = inf) the start is the parts' reach:
+    # that of the states' Gershgorin discs of the dense matrix on a chain
+    # block, which splits into the chains' rows, and that of the 2x2 block
+    # discs of boson number on the driven band
+    osec = map_sector(sector)
+    size = 2 if model.kind is ModelKind.DRIVEN_RABI else 1
+    reach = _disc_reach(build_hamiltonian(model, osec, 120), e_max, size)
+    bands, ns = _bands(model, osec, 120)
+    assert _chain_start(_parts(bands), ns, e_max, math.inf) == reach
+    if size == 1:
+        assert gershgorin_reach(model, sector, e_max) == reach
+
+
+def test_no_start_before_the_disc_edges_grow():
+    # driven delta = 0.5, g = 7, drive 0.3: the block disc edges fall to
+    # about -50.08 at boson number 49.  At truncation 32 no row reaches
+    # E_max = -49 yet, but later rows do, so no start is read there; the
+    # window's one level settles at 140
+    model = ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 7.0, 0.3)
+    bands, ns = _bands(model, map_sector(Sector.driven()), 32)
+    assert _chain_start(_parts(bands), ns, -49.0, 1e-9) is None
+    vals, n = oracle_spectrum(model, Sector.driven(), (-53.0, -49.0))
+    assert n == 140 and vals == pytest.approx([-49.30127813], rel=0.0, abs=1e-8)
 
 
 def _reach_windows(count, seed):
@@ -288,26 +321,35 @@ def _reach_windows(count, seed):
     return out
 
 
-def test_start_is_the_power_of_two_above_the_reach_at_n_max(monkeypatch):
-    # the reach read from bands of 32, 64, ... states, stopped where the disc
-    # edges can only grow, is the reach of the bands at N_MAX_DEFAULT: the
-    # start n is the smallest power of two, from 32, at or above it.  The
-    # bands at 2n come with it, cut from the last bands built, which are
-    # those of twice the last truncation read: one build per truncation read
-    built = []
+class _Started(Exception):
+    """Raised to stop ``oracle_spectrum`` once it has its start."""
+
+
+def test_start_is_read_off_the_first_bands_that_hold_it(monkeypatch):
+    # the bands are built at truncations 64, 128, ... until _chain_start
+    # reads a start off them, and that start is the one it reads off the
+    # bands at twice the ceiling: the rows past the convexity stop reach
+    # no window, and the tail ends within the rows it was read on
+    built, starts = [], []
+
+    def start(*a):
+        starts.append(_chain_start(*a))
+        if starts[-1] is not None:
+            raise _Started
+        return None
+
     monkeypatch.setattr("rabispec.oracle._bands", lambda *a: built.append(a[2]) or _bands(*a))
+    monkeypatch.setattr("rabispec.oracle._chain_start", start)
     for model, sector, e_max in _reach_windows(300, 20261019):
-        osec = map_sector(sector)
-        reach = _reach(*_bands(model, osec, N_MAX_DEFAULT), e_max)
-        want = 32
-        while want < reach:
-            want *= 2
+        bands, ns = _bands(model, map_sector(sector), 2 * N_MAX_DEFAULT)
+        want = _chain_start(_parts(bands), ns, e_max, _STAB_TOL_FACTOR * model.omega)
+        assert want is not None
         built.clear()
-        n, bands, ns = _initial_truncation(model, osec, e_max)
-        assert n == want, (model, sector, e_max)
-        assert built == [64 << i for i in range(len(built))] and built[-1] >= 2 * n
-        ref_bands, ref_ns = _bands(model, osec, 2 * n)
-        assert np.array_equal(bands, ref_bands) and np.array_equal(ns, ref_ns)
+        starts.clear()
+        with pytest.raises(_Started):
+            oracle_spectrum(model, sector, (e_max - 4.0, e_max))
+        assert starts[-1] == want, (model, sector, e_max)
+        assert built == [64 << i for i in range(len(starts))]
 
 
 def _banded_in_range(h, lo, hi):
@@ -645,8 +687,8 @@ class TestRitzBound:
         # eigenvector has decayed enough: the radius is about 8.5e-8
         model, sector = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.3), Sector.two_photon(0.25)
         window, osec = (default_window_min(model, sector), 50.0), map_sector(sector)
+        assert gershgorin_reach(model, sector, window[1]) == 126
         bands, ns = _bands(model, osec, 2 * 256)
-        assert _reach(bands, ns, window[1]) == 126
         assert _chain_start(_parts(bands), ns, window[1], self.tol) == 216
         bands, ns = _bands(model, osec, 2 * 200)
         k = int(np.count_nonzero(ns <= 200))
@@ -999,14 +1041,24 @@ class TestPhysics:
         with pytest.raises(ValueError, match="window edges must be finite"):
             oracle_spectrum(model, Sector.two_photon(0.25), window)
 
+    @pytest.mark.parametrize("model,sector", [
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, 0.7, 0.3), Sector.two_photon(0.25)),
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2), Sector.driven()),
+        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.4), Sector.two_photon(0.75)),
+    ])
+    def test_sector_of_another_model_rejected(self, model, sector):
+        # as by compute_spectrum: the driven model read with a two-photon
+        # sector once returned its own levels as if the sector were its own
+        with pytest.raises(ValueError, match="does not match model kind"):
+            oracle_spectrum(model, sector, (-2.0, 3.0))
+
     def test_truncation_ceiling(self, monkeypatch):
-        # the block's Gershgorin reach is boson number 88 here, so the oracle
-        # would start at 128; with a ceiling of 16 it reads the reach at 32
-        # off the bands at 64, the only bands it builds, starts at the
-        # ceiling and reports it
+        # the block's Gershgorin reach is boson number 88 here, so the bands
+        # at 64 hold no start; with a ceiling of 16 they are the only bands
+        # built, as twice the ceiling is below them, and the oracle tries
+        # the ceiling and reports it
         model = ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.45)
-        osec = map_sector(Sector.two_photon(0.25))
-        assert _reach(*_bands(model, osec, N_MAX_DEFAULT), 8.0) == 88
+        assert gershgorin_reach(model, Sector.two_photon(0.25), 8.0) == 88
         built = []
         monkeypatch.setattr("rabispec.oracle._bands",
                             lambda *a: built.append(a[2]) or _bands(*a))
@@ -1025,19 +1077,15 @@ class TestPhysics:
         assert oracle_spectrum(model, Sector.driven(), (-1.0, 5.0))[0]
 
     @pytest.mark.parametrize("model,sector,lo,width", STABILITY_WINDOWS)
-    def test_truncation_stability_reported(self, monkeypatch, model, sector, lo, width):
-        # the power of two the start is read from lies at or above the reach,
-        # and the levels returned are those of the block at twice the
-        # truncation used
-        built = []
-        monkeypatch.setattr("rabispec.oracle._initial_truncation",
-                            lambda *a: built.append(_initial_truncation(*a)) or built[-1])
+    def test_truncation_stability_reported(self, model, sector, lo, width):
+        # the truncation used lies at or above the block's Gershgorin reach,
+        # and the levels returned are those of the block at twice it
         osec = map_sector(sector)
         e_min = default_window_min(model, sector) + lo
         window = (e_min, e_min + width)
         vals, n_used = oracle_spectrum(model, sector, window)
         assert vals
-        assert built[0][0] >= _reach(*_bands(model, osec, N_MAX_DEFAULT), window[1])
+        assert n_used >= gershgorin_reach(model, sector, window[1])
         again = eigen_in_range(build_hamiltonian(model, osec, 2 * n_used), *window)
         assert vals == pytest.approx(again, abs=1e-9)
 
@@ -1196,8 +1244,9 @@ def _chain_windows(count, seed):
 def test_chain_start_settles_at_its_first_truncation(monkeypatch):
     # the start read off the reach and its decay tail lies at or above the
     # reach, settles the window at once with the levels of the doubling
-    # reference, and stops no later.  Where it passes 2 _initial_truncation
-    # it overshoots what settles by less than a third: the chains at 3/4 of
+    # reference, and stops no later.  Where it passes twice the reference's
+    # first truncation, the power of two at or above the reach, it
+    # overshoots what settles by less than a third: the chains at 3/4 of
     # it, above the reach, do not settle, so a cap there would cost a try
     tried = []
     monkeypatch.setattr("rabispec.oracle._bounded", lambda *a: tried.append(a[1]) or _bounded(*a))
@@ -1206,9 +1255,9 @@ def test_chain_start_settles_at_its_first_truncation(monkeypatch):
         tried.clear()
         vals, n = oracle_spectrum(model, sector, window)
         assert len(tried) == 1, (model, sector, window)
-        assert n >= _reach(*_bands(model, osec, N_MAX_DEFAULT), window[1])
-        cap = 2 * _initial_truncation(model, osec, window[1])[0]
-        if n > cap:
+        reach = gershgorin_reach(model, sector, window[1])
+        assert n >= reach
+        if n > 2 * first_truncation(reach):
             short = 3 * n // 4
             bands, ns = _bands(model, osec, 2 * short)
             assert _bounded(_parts(bands), int(np.count_nonzero(ns <= short)),
