@@ -180,32 +180,34 @@ def backward_tail(block, lanes: np.ndarray, n: int, eps: float, read=None) -> in
     in every lane, capped at ``DEFAULT_MAX_DEPTH``.  The rows past n are
     read in chunks, the first of 128 rows (fewer for more than 32 lanes),
     then twice as many per chunk, each at most ``CHUNK_CELLS`` rows x lanes
-    (at least one row past n), and only for lanes whose product is still
-    above ``eps``.  A list ``read`` receives the chunks (a, b) read for
-    every lane: the first always, with row n read ahead of it and counted
-    in its cells, the rest while the rows past n fit ``CHUNK_CELLS`` cells
-    in all.
+    whose product is still above ``eps`` (at least one row past n), and
+    read for those lanes only.  With a list ``read``, a chunk is read for
+    every lane, settled or not, while the rows past n fit ``CHUNK_CELLS``
+    cells in all, and ``read`` receives it: the first always, with row n
+    read ahead of it and counted in its cells.  The damping is taken on the
+    lanes still above ``eps`` either way.
     """
-    lanes = np.asarray(lanes)
-    if not lanes.size:
+    every = np.asarray(lanes)
+    if not every.size:
         return 0
-    log_eps, width = math.log(eps), lanes.size
-    log_product = np.zeros(lanes.size)
+    log_eps, width = math.log(eps), every.size
+    live, log_product = np.arange(width), np.zeros(width)  # the lanes not yet settled
     done = 0  # rows past n read so far
-    size = max(1, min(_FIRST_TAIL_ROWS, _FIRST_TAIL_CELLS // lanes.size))
+    size = max(1, min(_FIRST_TAIL_ROWS, _FIRST_TAIL_CELLS // width))
     while done < DEFAULT_MAX_DEPTH:
         first = int(read is not None and not done)  # row n, read but not damped
-        rows = min(size, DEFAULT_MAX_DEPTH - done, max(1, CHUNK_CELLS // lanes.size - first))
-        a, b = block(lanes, n + done + 1 - first, n + done + rows)
-        if read is not None and lanes.size == width and (
-                first or done + rows <= CHUNK_CELLS // width):
+        rows = min(size, DEFAULT_MAX_DEPTH - done, max(1, CHUNK_CELLS // live.size - first))
+        whole = read is not None and (first or done + rows <= CHUNK_CELLS // width)
+        a, b = block(every if whole else every[live], n + done + 1 - first, n + done + rows)
+        if whole:
             read.append((a, b))
+            a = a[:, live]
         log_products = log_product + np.cumsum(log_damping(a[first:], b[first:]), axis=0)
         below = log_products < log_eps
         hit = below.any(axis=0)
         if hit.all():  # the lanes that settle last, in this chunk, set the tail
             return done + 1 + int(np.argmax(below, axis=0).max())
-        lanes, log_product = lanes[~hit], log_products[-1, ~hit]
+        live, log_product = live[~hit], log_products[-1, ~hit]
         done, size = done + rows, 2 * rows
     return DEFAULT_MAX_DEPTH
 
@@ -221,31 +223,35 @@ def batch_minimal_ratio(block, lanes: np.ndarray, scale: float) -> np.ndarray:
     relative to R_0, and recurses tau_{n-1} = a(n-1) - b(n) / tau_n down to
     tau_1 from tau_N = a(N) + ``scale`` / N, where tau_n = a(n) + R_n: the
     pivots of ``batch_pivots`` with sign -1 over the reversed rows, in
-    blocks of at most ``CHUNK_CELLS`` cells (at least two rows, all but the
-    top one pivoted), each passed the last pivot row of the one above it
-    and taken from the rows the tail estimate read where those hold it.
-    Then R_0 = -b(1) / tau_1.  Where the tail reaches ``DEFAULT_MAX_DEPTH``
-    every lane is nan and no pass runs.  A tau_n that is exactly 0 is taken
-    as a tiny negative number, as every pivot of ``batch_pivots`` is.  The
-    tail estimate's first ``block`` call is for rows 0, 1, ...: a caller's
-    ``block`` may keep a(0) from it.
+    blocks of at most ``CHUNK_CELLS`` cells (at least one row), each passed
+    the last pivot row and the lowest b(n) of the one above it.  The blocks
+    below the last row the tail estimate handed back are taken from its
+    rows, and the blocks above are built down to them, so the pass builds
+    no row it was handed.  Then R_0 = -b(1) / tau_1.  Where the tail
+    reaches ``DEFAULT_MAX_DEPTH`` every lane is nan and no pass runs.  A
+    tau_n that is exactly 0 is taken as a tiny negative number, as every
+    pivot of ``batch_pivots`` is.  The tail estimate's first ``block`` call
+    is for rows 0, 1, ...: a caller's ``block`` may keep a(0) from it.
     """
     lanes, read = np.asarray(lanes), []
     tail = backward_tail(block, lanes, 0, DEFAULT_REL_TOL, read)
     if not lanes.size or tail >= DEFAULT_MAX_DEPTH:
         return np.full(lanes.shape, np.nan)
-    read_a, read_b = map(np.vstack, zip(*read))  # rows 0, 1, ...
-    rows = max(2, CHUNK_CELLS // lanes.size)  # rows per block
-    hi, last = tail, None
+    read_a, read_b = map(np.vstack, zip(*read))  # rows 0, 1, ... of every lane
+    rows = max(1, CHUNK_CELLS // lanes.size)  # rows per block
+    # b(hi + 1), which the first block, pivoted from no row above, does not read
+    hi, last, b_above = tail, None, read_b[:1]
     while hi >= 1:
-        lo = max(1, hi - rows + 2)
-        if hi + 1 < len(read_a):  # rows lo, ..., hi + 1 were read
-            a, b = read_a[lo:hi + 2], read_b[lo:hi + 2]
-        else:
-            a, b = block(lanes, lo, hi + 1)
-        seed = a[-2::-1]  # rows hi, ..., lo, with b(n + 1) beside a(n)
+        lo = max(1, hi - rows + 1)
+        if hi < len(read_a):
+            a, b = read_a[lo:hi + 1], read_b[lo:hi + 1]
+        else:  # built down to the rows read
+            lo = max(lo, len(read_a))
+            a, b = block(lanes, lo, hi)
+        seed = a[::-1]  # rows hi, ..., lo, with b(n + 1) beside a(n)
         if last is None:
             seed[0] += scale / tail
-        last, hi = batch_pivots(seed, b[:0:-1], -1.0, last)[-1], lo - 1
+        last = batch_pivots(seed, np.vstack([b_above, b[:0:-1]]), -1.0, last)[-1]
+        hi, b_above = lo - 1, b[:1]
     with np.errstate(divide="ignore", over="ignore"):
-        return -b[0] / last
+        return -b_above[0] / last

@@ -24,11 +24,13 @@ bottom run at once as two groups of lanes, so its row loop is half the
 truncation long, and log|det T(E)| from the same pivots.  ``compute_spectrum``
 takes the levels of a window as j in [N(e_min), N(e_max)) and narrows each on
 N(E) (many points per bracket in one count call, each point counted once per
-truncation): by multisection, and once a bracket holds one level and no pole,
-by two points around the secant zero of det T(E), safeguarded as in Brent's
-zeroin (the value of the determinant beside its sign, as Williams and Kennedy
-use it).  The first truncation is read off the coefficient rows at the window
-edges: the last row whose Gershgorin disc of T(E) holds 0 in the window, plus
+truncation, every point kept): by multisection, and once a bracket holds one
+level and no pole, by two points around the root of the cubic through the
+four counted points nearest it, fitted to det T(E) (E - E_p) from the count's
+own log|det T| and sign, with the quartic through a fifth point as its error
+estimate (the value of the determinant beside its sign, as Williams and
+Kennedy use it).  The first truncation is read off the coefficient rows at
+the window edges: the last row whose Gershgorin disc of T(E) holds 0 in the window, plus
 the Miller tail past it.  It checks each level's position under a doubling of
 the truncation.
 The count decides every bracket and is the certificate that no level is lost.
@@ -83,6 +85,21 @@ _START_BLOCK_ROWS = 128
 _START_TAIL_EPS = 1e-8
 # Each multisection step cuts every unsettled bracket into this many sections.
 _SECTIONS = 16
+# A cubic step counts x* -+ this many times the cubic's error estimate (the
+# gap to the quartic's root).  On the 16 seed-1 sweep and collapse windows of
+# the benchmark the pair held its level 374 times of 375 at 10 (the miss: the
+# estimate read 0.03 of the error), 354 of 355 at 4 and 338 of 343 at 2, and
+# their count calls were 113 from 4 to 16 (112 at 3).
+_CUBIC_SAFETY = 10.0
+# Newton steps on each cubic, from the secant zero: one more changed no count
+# call on those windows, one fewer added two.
+_NEWTON_STEPS = 2
+# Offsets from k of a bracket's ends, lo = points[k - 1] and hi = points[k],
+# then of its three neighbours below and above; gaps that sort the ends
+# first; and the missing points past either end of the points counted.
+_NEIGHBOURS = np.array([-1, 0, -2, -3, -4, 1, 2, 3])[:, None]
+_FIRST = np.array([[-2.0], [-1.0]])
+_PAD = np.full(3, np.nan)
 # Rows pivoted at a time by level_count, half from each end, and at most
 # CHUNK_CELLS rows x lanes, so its memory grows neither with the rows nor the lanes.
 _COUNT_CHUNK_ROWS = 1024
@@ -92,8 +109,12 @@ _COUNT_CHUNK_ROWS = 1024
 class RootRecord:
     """One level: its energy, twisted residual, final bracket width and narrowing steps.
 
-    ``iterations`` counts the count calls that narrowed the level, by
-    multisection or by secant points, at every truncation.  ``sign_lost``
+    ``section_steps`` counts the count calls that narrowed the level at
+    points fixed by its bracket: the window's sections, its own sections,
+    and after a doubling the probes out from its last bracket.
+    ``cubic_steps`` counts those that took the two points around the root
+    of the cubic through the counted points nearest it (``_step_points``).
+    Both run over every truncation, and ``iterations`` is their sum.  ``sign_lost``
     marks a level whose position was not confirmed under a doubling of the
     count rows because the rows reached ``DEFAULT_MAX_DEPTH``.
     """
@@ -101,8 +122,13 @@ class RootRecord:
     energy: float
     residual: float
     bracket_width: float
-    iterations: int
+    section_steps: int
+    cubic_steps: int
     sign_lost: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return self.section_steps + self.cubic_steps
 
 
 @dataclass(frozen=True)
@@ -365,7 +391,8 @@ def _points_inside(model: ModelParams, sector: Sector, lo, hi, tol: float, x) ->
     lo, hi = lo[:, None], hi[:, None]
     pole = nearest_pole(model, sector, x)
     near = np.abs(x - pole) < eps
-    x = np.where(near, np.where(pole - eps > lo, pole - eps, pole + eps), x)
+    if near.any():
+        x = np.where(near, np.where(pole - eps > lo, pole - eps, pole + eps), x)
     return np.where((hi - lo > tol) & (lo < x) & (x < hi), x, np.nan)
 
 
@@ -383,53 +410,111 @@ def _section_points(model: ModelParams, sector: Sector, lo, hi, tol: float) -> n
     return _points_inside(model, sector, lo, hi, tol, _sections(lo, hi))
 
 
-def _step_points(
-    model: ModelParams, sector: Sector, lo, hi, logs, single, tol: float, last
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """A step's points: two around the secant zero of det T where a bracket holds one level.
+def _stencils(points, k, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Each bracket's five nearest counted points, one column per bracket: indices and energies.
 
-    ``logs`` (2, levels) holds log|det T(E)| at lo and hi, and ``single``
-    marks the brackets whose ends count j and j + 1.  On such a bracket with
-    no pole in it, T'(E) is a negative-definite diagonal, so every eigenvalue
-    of T(E) falls with E and f(E) = det T(E) (E - E_p), E_p the pole nearest
-    the bracket, has one simple zero there; the count gives the signs of f
-    at the ends, which differ.  The secant through the ends puts the zero at
-    x* = lo + w / (1 + |f(hi)| / |f(lo)|), w = hi - lo, off by about
-    K (x* - lo)(hi - x*).  The points are x* -+ delta,
-    delta = max(tol / 4, 4 K (x* - lo)(hi - x*)), with K the error constant
-    the level's last secant point showed, |x*_last - x*| over its
-    (x*_last - lo)(hi - x*_last), and before its first one
-    K = max(2, 1 / the distance to the neighbouring levels' bracket
-    midpoints).  A bracket takes them where 4 K w^2 <= w / _SECTIONS, so
-    that they leave less than a section would; the others take their
-    sections.  Since delta < w / 2, one of them lies inside the bracket, and
-    none is moved by ``_points_inside``: every point counted keeps eps_pole
-    from the poles, so no point between two of them that hold no pole lies
-    nearer.  ``last`` holds each level's last secant point and its
-    (x* - lo)(hi - x*) (nan where none); the result returns it updated.
+    ``points`` are every point counted at this truncation, sorted, and
+    bracket i is [lo_i, hi_i] = [points[k_i - 1], points[k_i]], so no point
+    lies inside it and the three nearest outside are among its three
+    neighbours on either side.  A column holds lo, hi and those three,
+    nearest first; a neighbour past either end of ``points`` is nan, and
+    sorts last.
     """
-    last_x, last_span = last
-    w, x = hi - lo, _sections(lo, hi)
-    # the first steps at each truncation: no bracket is narrow enough yet (K >= 2 at first)
-    if not (single & (w > tol) & ((8.0 * _SECTIONS * w <= 1.0) | ~np.isnan(last_x))).any():
-        return _points_inside(model, sector, lo, hi, tol, x), last
-    mid = 0.5 * (lo + hi)
-    pole = nearest_pole(model, sector, mid)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_f = logs + np.log(np.abs(np.stack([lo, hi]) - pole))
-        guess = lo + w / (1.0 + np.exp(log_f[1] - log_f[0]))
-        span = (guess - lo) * (hi - guess)
-        gap = np.full(mid.size + 1, np.inf)
-        gap[1:-1] = np.diff(mid)
-        first_k = np.maximum(2.0, 1.0 / np.minimum(gap[:-1], gap[1:]))
-        k = np.where(np.isnan(last_x), first_k, np.abs(last_x - guess) / last_span)
-        delta = np.maximum(tol / 4.0, 4.0 * k * span)
-        narrow = 4.0 * _SECTIONS * k * w <= 1.0
-        use = single & ~((lo < pole) & (pole < hi)) & np.isfinite(guess) & narrow
-    x[use] = np.nan
-    x[use, 0], x[use, 1] = guess[use] - delta[use], guess[use] + delta[use]
-    last = np.where(use, guess, last_x), np.where(use, span, last_span)
-    return _points_inside(model, sector, lo, hi, tol, x), last
+    near = k + _NEIGHBOURS  # lo, hi, then three neighbours on either side
+    energies = np.concatenate([_PAD, points, _PAD])[near + 3]
+    gap = np.abs(energies - 0.5 * (lo + hi))  # less half the width: the distance to the bracket
+    gap[:2] = _FIRST
+    pick = np.argsort(gap, axis=0)[:5] * k.size + np.arange(k.size)
+    return near.ravel()[pick], energies.ravel()[pick]
+
+
+def _cubic_root(t, v) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic's root in each bracket and its distance to the quartic's, one column per bracket.
+
+    The cubic interpolates the values ``v`` at the first four of the points
+    ``t`` (columns of five; t_0 = 0 and t_1 = w are the bracket's ends, where
+    v changes sign), the quartic at all five, both in Newton form from the
+    divided differences.  ``_NEWTON_STEPS`` Newton steps on the cubic from
+    the secant zero give its root x*.  The error estimate is one Newton step
+    on the quartic from x*, |q(x*) / q'(x*)|: the gap between the two roots
+    where it is small, and large too where the steps on the cubic did not
+    settle.
+    """
+    d = v.copy()
+    for j in range(1, 5):
+        d[j:] = (d[j:] - d[j - 1:-1]) / (t[j:] - t[:-j])
+    d0, d1, d2, d3, d4 = d
+    _, w, t2, t3, _ = t
+    # the cubic d0 + d1 x + d2 x (x - w) + d3 x (x - w)(x - t2) in powers of x
+    c1, c2 = d1 - w * (d2 - t2 * d3), d2 - (w + t2) * d3
+    b2, b3 = 2.0 * c2, 3.0 * d3
+    x = w * d0 / (d0 - v[1])  # the secant zero
+    for _ in range(_NEWTON_STEPS):
+        x = x - (((d3 * x + c2) * x + c1) * x + d0) / ((b3 * x + b2) * x + c1)
+    p, dp = ((d3 * x + c2) * x + c1) * x + d0, (b3 * x + b2) * x + c1
+    # the quartic adds d4 times the node product a b
+    a, b = x * (x - w), (x - t2) * (x - t3)
+    return x, np.abs((p + d4 * a * b) / (dp + d4 * ((2.0 * x - w) * b + a * (2.0 * x - t2 - t3))))
+
+
+def _step_points(
+    model: ModelParams, sector: Sector, points, counts, logs, k, single, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two points around a cubic's root where a bracket holds one level, else its sections.
+
+    ``points``, ``counts`` and ``logs`` are every point counted at this
+    truncation, sorted, with N(E) and log|det T(E)|; bracket i is
+    [lo, hi] = [points[k_i - 1], points[k_i]], and ``single`` marks the
+    brackets whose ends count j and j + 1.  Between poles T'(E) is a
+    negative-definite diagonal, so every eigenvalue of T(E) falls with E and
+    f(E) = det T(E) (E - E_p), E_p the pole nearest the bracket, has one
+    simple zero in a single bracket.  Where the five counted points nearest
+    the bracket (``_stencils``) hold no pole between them, f is smooth over
+    them: its size is |det T| |E - E_p| from the counted log|det T|, and its
+    sign (-1)^(N(E) - poles below E) sign(E - E_p) is (-1)^N(E) times one
+    factor, the same at each.  The cubic through the four nearest puts the
+    zero at x*, off by about e, the gap to the root of the quartic through
+    the fifth (``_cubic_root``).  The points are x* -+ delta,
+    delta = max(tol / 4, ``_CUBIC_SAFETY`` e).  A bracket takes them where
+    x* lies in it and 2 delta is at most w / _SECTIONS, w = hi - lo, so that
+    they leave less than a section would, or at most tol, so that they
+    settle the level centred in its bracket where the sections would leave
+    it anywhere in one far narrower.  It takes its sections otherwise, as
+    it does where a stencil point is missing, the stencil holds a pole or a
+    log|det T| is not finite.  Since delta < w / 2, one of the two lies
+    inside the bracket, and one outside it is dropped; neither lies within
+    eps_pole of a pole, since the bracket holds none and its ends keep
+    eps_pole from them, as every point counted does.  The second result
+    marks the brackets that took the pair.
+    """
+    lo, hi = points[k - 1], points[k]
+    w, x = hi - lo, np.full((k.size, _SECTIONS - 1), np.nan)
+    open_, cubic = w > tol, np.zeros(k.size, dtype=bool)
+    rows = np.flatnonzero(single & open_)
+    nodes, stencil = _stencils(points, k[rows], lo[rows], hi[rows])
+    first, spacing = pole_lattice(model, sector)
+    below = np.maximum(np.ceil((stencil - first) / spacing), 0.0)  # the poles below each point
+    free = below.min(axis=0) == below.max(axis=0)  # False where a point is missing (nan)
+    if not free.all():
+        rows, nodes, stencil = rows[free], nodes[:, free], stencil[:, free]
+    if rows.size:
+        pole = nearest_pole(model, sector, 0.5 * (lo[rows] + hi[rows]))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_f = logs[nodes] + np.log(np.abs(stencil - pole))
+            v = (1 - 2 * (counts[nodes] & 1)) * np.exp(log_f - log_f.max(axis=0))
+            root, error = _cubic_root(stencil - lo[rows], v)
+            delta = np.maximum(tol / 4.0, _CUBIC_SAFETY * error)
+            # False where delta or the root is nan
+            narrow = 2.0 * delta <= np.maximum(w[rows] / _SECTIONS, tol)
+            take = narrow & (0.0 <= root) & (root <= w[rows])
+        rows, centre, delta = rows[take], lo[rows[take]] + root[take], delta[take]
+        cubic[rows] = True
+        pair = np.stack([centre - delta, centre + delta], axis=1)
+        x[rows, :2] = np.where((lo[rows, None] < pair) & (pair < hi[rows, None]), pair, np.nan)
+    rows = np.flatnonzero(open_ & ~cubic)
+    if rows.size:
+        x[rows] = _section_points(model, sector, lo[rows], hi[rows], tol)
+    return x, cubic
 
 
 def _probe_points(
@@ -464,23 +549,28 @@ def _probe_points(
 def compute_spectrum(
     model: ModelParams, sector: Sector, window: tuple[float, float]
 ) -> SpectrumResult:
-    """Every level in the window, each narrowed on the level count by multisection and secant.
+    """Every level in the window, each narrowed on the level count by multisection and cubic steps.
 
     The levels in the window are j in [N(e_min), N(e_max)) (``level_count``;
     an edge within eps_pole of a pole moves off it, keeping the pole's side).
     Each level's bracket starts as the window.  Every step counts N(E) at
     new points of each bracket wider than ``DEFAULT_ROOT_ABS_TOL`` (read at
     call time) in one ``level_count`` call; level j lies between the last
-    point counted <= j and the next one.  A bracket takes the points that
-    cut it into ``_SECTIONS`` sections, or, once its ends count j and j + 1,
-    it holds no pole and it is narrow enough for the secant's error estimate
-    to be a sixteenth of it, the two points x* -+ delta around the secant zero
-    x* of det T(E) (E - E_p) (``_step_points``).  If the level lies between
-    them the bracket shrinks to 2 delta, about the square of its width; if
-    not, it still loses the side beyond x*.  The edges and bracket ends
-    counted at these rows are kept with their counts and log|det T|, so a
-    step counts only its new points, each once per truncation, and the first
-    count takes the window's sections with its edges.
+    point counted <= j and the next one.  Every point counted at these rows
+    is kept with its count and log|det T|, so a step counts only its new
+    points, each once per truncation, and the first count takes the
+    window's sections with its edges.  A bracket takes the points that cut
+    it into ``_SECTIONS`` sections, or, once its ends count j and j + 1, it
+    holds no pole and the five counted points nearest it hold none either,
+    the two points x* -+ delta around the root x* of the cubic through the
+    four nearest, fitted to det T(E) (E - E_p), where delta, at least
+    tol / 4, is ten times the gap to the root of the quartic through the
+    fifth, and 2 delta leaves less than a section or settles the bracket
+    (``_step_points``).  If the level lies between them the
+    bracket shrinks to 2 delta; if not, it still loses the side beyond x*.
+    An isolated level so settles after its own round of sections and two
+    cubic steps, the second through the first one's pair and the bracket
+    ends around it.
     Points avoid the poles by eps_pole, so a level at a pole E_n (an
     exceptional level) ends in (E_n - eps_pole, E_n + eps_pole), put at E_n.
 
@@ -544,8 +634,8 @@ def compute_spectrum(
     # the first count takes the window's sections, every level's first step, with its edges
     x = _section_points(model, sector, edges[:1], edges[1:], tol)
     new, window_step = np.concatenate([edges, x[~np.isnan(x)]]), not np.isnan(x).all()
-    settled_rows, todo, last, secant = 0, None, None, None
-    # the points counted at these rows, sorted (the edges first and last), their
+    settled_rows, todo, last = 0, None, None
+    # every point counted at these rows, sorted (the edges first and last), their
     # counts and their log|det T|
     taken, taken_counts, taken_logs = np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
     calls = lanes = row_steps = 0
@@ -564,23 +654,23 @@ def compute_spectrum(
         lo, hi = points[k - 1], points[k]
         if window_step is not None:  # the first count: every level took the window's step
             todo = np.full(levels.size, window_step)
-            steps, window_step = dict.fromkeys(levels.tolist(), int(window_step)), None
+            # each level's section steps and cubic steps
+            steps = {j: [int(window_step), 0] for j in levels.tolist()}
+            window_step = None
         if last is not None:  # the check after a doubling
             x = _section_points(model, sector, lo, hi, tol)
             x, last = _probe_points(model, sector, levels, lo, hi, tol, x, last), None
+            cubic = np.zeros(levels.size, dtype=bool)
         else:
-            if secant is None:  # each level's last secant point and (x* - lo)(hi - x*): none yet
-                secant = np.full((2, levels.size), np.nan)
             single = (counts[k - 1] == levels) & (counts[k] == levels + 1)
-            x, secant = _step_points(model, sector, lo, hi, logs[[k - 1, k]], single, tol, secant)
+            x, cubic = _step_points(model, sector, points, counts, logs, k, single, tol)
         live = ~np.isnan(x).all(axis=1)
         # todo: the levels narrowed at these rows
         todo = live if todo is None else todo | live
         if live.any():
-            for j in levels[live].tolist():
-                steps[j] = steps.get(j, 0) + 1
-            ends = np.unique(np.concatenate([[0, points.size - 1], k - 1, k]))
-            taken, taken_counts, taken_logs = points[ends], counts[ends], logs[ends]
+            for j, kind in zip(levels[live].tolist(), cubic[live].tolist()):
+                steps.setdefault(j, [0, 0])[kind] += 1  # kind: 0 sections, 1 cubic
+            taken, taken_counts, taken_logs = points, counts, logs
             new = x[~np.isnan(x)]
             continue
         if settled_rows and not todo.any():
@@ -590,7 +680,7 @@ def compute_spectrum(
             break
         new, rows, todo = np.concatenate([edges, lo, hi]), min(2 * rows, cap), None
         taken, taken_counts, taken_logs = taken[:0], taken_counts[:0], taken_logs[:0]
-        last, secant = (levels, lo, hi), None
+        last = levels, lo, hi
     unconfirmed = todo  # empty unless levels were narrowed at the cap
     if unconfirmed.any():
         warnings.warn(
@@ -614,7 +704,7 @@ def compute_spectrum(
     flagged: list[RootRecord] = []
     for i, j in enumerate(levels.tolist()):
         rec = RootRecord(
-            float(energy[i]), float(residual[i]), float(hi[i] - lo[i]), steps.get(j, 0),
+            float(energy[i]), float(residual[i]), float(hi[i] - lo[i]), *steps.get(j, (0, 0)),
             bool(unconfirmed[i]),
         )
         (flagged if near_pole[i] else roots).append(rec)

@@ -333,6 +333,44 @@ class TestBatchMinimalRatio:
         spectral.f_values(model, sector, energies)
         assert built == [(400, 0, 10), (400, 11, 30)]
 
+    @pytest.mark.parametrize("model, sector, window, deep", [
+        (ModelParams(ModelKind.TWO_MODE, 1.0, 0.7, 0.4), Sector.two_mode(1.0), (-1.0, 40.0), False),
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.2), Sector.two_photon(0.25), 10.0, False),
+        (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.7, 0.3), Sector.driven(), 10.0, False),
+        (ModelParams(ModelKind.TWO_PHOTON, 1.0, 0.5, 0.46), Sector.two_photon(0.25), 6.0, True),
+    ], ids=["two-mode", "two-photon", "driven", "two-photon-0.46"])
+    def test_pass_builds_no_row_twice(self, monkeypatch, model, sector, window, deep):
+        # f_values on 400 curve lanes, from the default lower bound where the
+        # window gives its width.  The tail estimate keeps the rows it reads
+        # for every lane while they fit one block, 163 rows of 400 lanes
+        # (rows 0-150 here), and the pass takes its rows from those and builds
+        # the rows above them: a row kept is built once.  Where the first
+        # lanes settled in rows 11-30 the pass built rows 1 to 37-59 of every
+        # lane again, and at 2g/omega = 0.92 its bottom block, rows 1-162.
+        # Where the tail runs past the rows kept (at 0.92, to row 566), the
+        # pass builds again what the estimate read beyond them
+        if not isinstance(window, tuple):
+            lo = spectral.default_window_min(model, sector)
+            window = (lo, lo + window)
+        energies = np.linspace(*window, 400)
+        usable = energies[distance_to_pole_set(model, sector, energies) >= model.eps_pole]
+        built = []
+
+        def recorded(model, sector, lanes, n_lo, n_hi):
+            built.append((np.searchsorted(usable, lanes), n_lo, n_hi))
+            return coefficient_block(model, sector, lanes, n_lo, n_hi)
+
+        monkeypatch.setattr(spectral, "coefficient_block", recorded)
+        assert np.isfinite(spectral.f_values(model, sector, energies)).sum() >= 390
+        times = np.zeros((usable.size, max(n_hi for _, _, n_hi in built) + 1), dtype=int)
+        for lanes, n_lo, n_hi in built:
+            times[lanes, n_lo:n_hi + 1] += 1
+        kept = times[:, :151] if deep else times
+        assert kept.max() == 1 and kept.min() == 1
+        if window == (-1.0, 40.0):
+            assert [(lanes.size, n_lo, n_hi) for lanes, n_lo, n_hi in built] == [
+                (400, 0, 10), (400, 11, 30), (400, 31, 70)]
+
     @pytest.mark.parametrize("rows", [2, 3, 5, 6])
     def test_chunked_pass_equals_one_table(self, monkeypatch, rows):
         # the tail of these lanes is 35, so the pass pivots the 35 rows

@@ -241,13 +241,57 @@ class TestComputeSpectrum:
         assert found == pytest.approx(oracle_vals, abs=1e-7)
 
     def test_few_count_calls(self, two_photon_ref):
-        # two multisection steps, then secant steps on det T that square the
-        # bracket: 7 count calls on this window, where multisection alone
-        # took 11 and bisection 39
+        # one round of sections per level, then cubic steps on det T: 6 count
+        # calls on this window, where secant steps took 7, multisection
+        # alone 11 and bisection 39
         model, sector, window, _ = two_photon_ref
         result = compute_spectrum(model, sector, window)
-        assert result.count_calls <= 7
+        assert result.count_calls <= 6
         assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots + result.flagged)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stencil_holding_a_pole_takes_sections(self, two_photon_ref, monkeypatch, n):
+        # on the window of test_pole_on_lowest_section_point (n = 2, 3) a
+        # bracket holds one level and no pole, but the five counted points
+        # nearest it hold pole n: it takes sections, not the cubic's pair,
+        # and every level still matches the oracle
+        model, sector, _, _ = two_photon_ref
+        pole = pole_energy(model, sector, n)
+        window = (pole - 0.1, pole + 1.5)
+        first, spacing = pole_lattice(model, sector)
+        seen, step_points = [], spectral._step_points
+
+        def checked(model, sector, points, counts, logs, k, single, tol):
+            x, cubic = step_points(model, sector, points, counts, logs, k, single, tol)
+            lo, hi = points[k - 1], points[k]
+            for i in np.flatnonzero(single & (hi - lo > tol)):
+                gap = np.maximum(lo[i] - points, points - hi[i])  # 0 or less at lo and hi
+                stencil = points[np.argsort(gap, kind="stable")[:5]]
+                poles = np.ceil((stencil - first) / spacing).clip(0)
+                if points.size >= 5 and poles.min() != poles.max():
+                    seen.append(i)
+                    assert not cubic[i] and not np.isnan(x[i]).all()
+            return x, cubic
+
+        monkeypatch.setattr(spectral, "_step_points", checked)
+        result = compute_spectrum(model, sector, window)
+        assert seen
+        oracle_vals, _ = oracle_spectrum(model, sector, window)
+        found = sorted(result.energies + [r.energy for r in result.flagged])
+        assert found == pytest.approx(oracle_vals, abs=1e-7)
+
+    def test_steps_by_kind_on_the_readme_window(self):
+        # each level's section steps and cubic steps: the window's sections
+        # and one round of its own, then two cubic steps, a third step for the
+        # levels whose bracket or stencil held a pole and for the lowest; the
+        # level on pole n = 1 takes sections only.  iterations is their sum
+        result = compute_spectrum(*README_WINDOW)
+        steps = [(r.section_steps, r.cubic_steps) for r in result.roots]
+        assert steps == [(2, 3), (2, 2), (2, 2), (2, 2)] + [(3, 2), (2, 2)] * 6 + [(3, 2)]
+        (on_pole,) = result.flagged
+        assert (on_pole.section_steps, on_pole.cubic_steps) == (9, 0)
+        assert all(r.iterations == r.section_steps + r.cubic_steps
+                   for r in result.roots + result.flagged)
 
     def test_counters_tally_level_count(self, two_photon_ref, monkeypatch):
         model, sector, window, _ = two_photon_ref
@@ -270,21 +314,22 @@ class TestComputeSpectrum:
     def test_collapse_window_renarrows_from_last_bracket(self, model, sector, window):
         # near collapse the levels move a little under each doubling; cutting
         # out from their last bracket took 27 count calls on each window,
-        # where narrowing from the neighbours' brackets took 40 and 31, and
-        # the secant steps take 18 and 17
+        # where narrowing from the neighbours' brackets took 40 and 31, the
+        # secant steps 18 and 17 and, from the reach's start, 11 and 7; the
+        # cubic steps take 10 and 6
         result = compute_spectrum(model, sector, window)
         oracle_vals, _ = oracle_spectrum(model, sector, window)
         found = sorted(result.energies + [r.energy for r in result.flagged])
         assert found == pytest.approx(oracle_vals, abs=1e-7)
         assert all(r.bracket_width <= DEFAULT_ROOT_ABS_TOL for r in result.roots + result.flagged)
-        assert result.count_calls <= 18
+        assert result.count_calls <= 10
 
     @pytest.mark.parametrize("case, work", zip(
         [README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099, NEAR_DEGENERATE, COLLAPSE_0996,
          TWO_MODE_099, TWO_PHOTON_400, DRIVEN_HIGH],
-        [(10, 704, 724, 64, 64), (11, 2304, 344, 128, 256), (7, 2048, 154, 256, 256),
-         (7, 32768, 537, 4096, 4096), (10, 704, 833, 64, 64), (8, 147456, 878, 16384, 16384),
-         (7, 32768, 613, 4096, 4096), (8, 147456, 441, 16384, 16384), (6, 7168, 307, 1024, 1024)],
+        [(10, 704, 548, 64, 64), (10, 2176, 250, 128, 256), (6, 1792, 116, 256, 256),
+         (6, 28672, 306, 4096, 4096), (8, 576, 637, 64, 64), (6, 114688, 566, 16384, 16384),
+         (6, 28672, 421, 4096, 4096), (6, 114688, 283, 16384, 16384), (6, 7168, 299, 1024, 1024)],
     ), ids=["readme"] + COLLAPSE_IDS + ["two-photon-0.99", "near-degenerate", "two-photon-0.996",
                                         "two-mode-0.99", "two-photon-400", "driven-500"])
     def test_count_work_pinned(self, case, work):
@@ -295,12 +340,15 @@ class TestComputeSpectrum:
         # (17, 2688, 371) near collapse, 46 calls and 52,736 row steps at
         # 2g/omega = 0.99, 60 and 219,648 at 0.996, 47 and 56,832 at
         # g/omega = 0.99, 41 and 257,024 on (400, 404], and 13 and 11,264 on
-        # driven (500, 504], which started at its last pole index.  Then
+        # driven (500, 504], which started at its last pole index; the secant
+        # steps took (10, 704, 724) on the README window, (11, 2304, 344) and
+        # (7, 2048, 154) near collapse, and 7, 10, 8, 7, 8 and 6 calls on the
+        # windows after them.  Then
         # (count_start, count_rows): the three windows of
         # test_deep_collapse_levels_found start at the truncation that
-        # settles them.  The near-degenerate window takes no fewer calls than
-        # multisection alone (its levels come in pairs 1e-4 apart), but no
-        # more either
+        # settles them.  The near-degenerate window, whose levels come in
+        # pairs 1e-4 apart, took as many calls as multisection alone with the
+        # secant steps; the cubic steps take 8
         result = compute_spectrum(*case)
         assert result.count_calls <= work[0]
         assert result.count_row_steps <= work[1]
@@ -442,7 +490,7 @@ class TestComputeSpectrum:
         np.testing.assert_array_equal(level_count(model, sector, energies, rows)[0], want)
 
     def test_nan_log_dets_narrow_by_sections_alone(self, monkeypatch):
-        # without a finite log|det T| no bracket takes secant points: the
+        # without a finite log|det T| no bracket takes cubic points: the
         # README window takes the count work of multisection alone
         def count(model, sector, energies, rows):
             return level_count(model, sector, energies, rows)[0], np.full(len(energies), np.nan)
@@ -454,7 +502,7 @@ class TestComputeSpectrum:
 
     @pytest.mark.parametrize("wrong", ["random", "negated"])
     def test_wrong_log_dets_still_find_every_level(self, two_photon_ref, monkeypatch, wrong):
-        # secant points from a wrong log|det T| cost count calls, never a
+        # cubic points from a wrong log|det T| cost count calls, never a
         # level: the count alone decides each bracket
         model, sector, window, eigs = two_photon_ref
         rng = np.random.default_rng(3)
@@ -478,11 +526,22 @@ class TestComputeSpectrum:
         assert on_pole.bracket_width <= 2.0 * README_WINDOW[0].eps_pole
 
     def test_residual_tables_equal_one_table(self, two_photon_ref, monkeypatch):
-        # residuals read one level per table equal those read in one table
+        # residuals read one level per table equal those read in one table.
+        # The count keeps its own chunks: log|det T| summed over other chunks
+        # differs in its last bits, which the cubic steps carry into the levels
         model, sector, window, _ = two_photon_ref
-        one_table = [r.residual for r in compute_spectrum(model, sector, window).roots]
+        one_table = [(r.energy, r.residual) for r in compute_spectrum(model, sector, window).roots]
+        cells = spectral.CHUNK_CELLS
+
+        def counted(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "CHUNK_CELLS", cells)
+                return level_count(*args)
+
+        monkeypatch.setattr(spectral, "level_count", counted)
         monkeypatch.setattr(spectral, "CHUNK_CELLS", 1)
-        assert [r.residual for r in compute_spectrum(model, sector, window).roots] == one_table
+        result = compute_spectrum(model, sector, window)
+        assert [(r.energy, r.residual) for r in result.roots] == one_table
 
     @pytest.mark.parametrize("chunk", [1, 7, 32])
     def test_chunked_count_equals_one_table(self, two_photon_ref, monkeypatch, chunk):
@@ -637,11 +696,14 @@ class TestTwoEndedCount:
             assert sign == (-1.0) ** counts[lane], lane
 
     @pytest.mark.parametrize("model, sector, window", [
-        README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099,
-    ], ids=["readme"] + COLLAPSE_IDS + ["two-photon-0.99"])
+        README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099, NEAR_DEGENERATE,
+    ], ids=["readme"] + COLLAPSE_IDS + ["two-photon-0.99", "near-degenerate"])
     def test_each_point_counted_once_as_forward(self, monkeypatch, model, sector, window):
         # every point compute_spectrum counts reaches level_count once per
-        # truncation, and its count equals the forward Sturm count
+        # truncation, and its count equals the forward Sturm count, though
+        # every point counted at a truncation is kept for the cubic steps;
+        # the result's counters are the calls, lanes and rows passed.  The
+        # two-photon collapse window narrows at 128 rows and again at 256
         calls = []
 
         def spy(model, sector, energies, rows):
@@ -650,7 +712,9 @@ class TestTwoEndedCount:
             return counts, log_dets
 
         monkeypatch.setattr(spectral, "level_count", spy)
-        compute_spectrum(model, sector, window)
+        result = compute_spectrum(model, sector, window)
+        assert (result.count_calls, result.grid_points, result.count_row_steps) == (
+            len(calls), sum(e.size for _, e, _ in calls), sum(rows for rows, _, _ in calls))
         for rows in sorted({rows for rows, _, _ in calls}):
             energies = np.concatenate([e for r, e, _ in calls if r == rows])
             counts = np.concatenate([c for r, _, c in calls if r == rows])
