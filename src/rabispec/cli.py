@@ -301,6 +301,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     meta["oracle_n_used"] = n_used
     meta["match_tol"] = cfg.opts["match_tol"]
     meta["count_start"] = result.count_start
+    meta["count_rows"] = result.count_rows
     meta["count_calls"] = result.count_calls
     meta["count_row_steps"] = result.count_row_steps
     out_rows = [["" if v is None else v for v in row] for row in rows]

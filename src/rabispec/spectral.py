@@ -34,7 +34,8 @@ the window edges: the last row whose Gershgorin disc of T(E) holds 0 in the wind
 the Miller tail past it.  It checks each level's position under a doubling of
 the truncation.
 The count decides every bracket and is the certificate that no level is lost.
-Each level's residual (only reported, ``contfrac.twisted_residual``) is the
+Each level's residual (only reported, ``contfrac.twisted_residual``, and
+computed for every level at once on the first read of one) is the
 twist element sigma_k* - sign(g) R_k* = -sign(g) W_k* of the count's pivots
 and the backward ratios at the matching index k*, over the eigenvector's norm
 (Parlett and Dhillon; Cooley).
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -105,10 +106,60 @@ _PAD = np.full(3, np.nan)
 _COUNT_CHUNK_ROWS = 1024
 
 
+class _ResidualPass:
+    """The twisted residuals of one spectrum's levels, all computed on the first read of one.
+
+    ``compute_spectrum`` keeps the levels' energies, which of them lie off
+    the pole set, the ``count_rows`` rows that settled them and the table
+    width ``CHUNK_CELLS // count_rows``, all read at its call.  The first
+    read of ``values`` runs ``twisted_residual`` on the backward ratios of
+    rows 0..count_rows - 1, one table of that many levels at a time, over
+    every level off the pole set, and keeps them (inf on a pole).
+    """
+
+    def __init__(self, model: ModelParams, sector: Sector, energy, usable, rows: int):
+        self._args = model, sector, energy, np.flatnonzero(usable), rows
+        self._width = max(1, CHUNK_CELLS // rows)
+
+    @cached_property
+    def values(self) -> list[float]:
+        model, sector, energy, usable, rows = self._args
+        residual, step = np.full(energy.shape, np.inf), self._width
+        t2, sign = asymptotic_roots(model).t2, math.copysign(1.0, model.g)
+        for table in (usable[i:i + step] for i in range(0, usable.size, step)):
+            a, b = coefficient_block(model, sector, energy[table], 0, rows - 1)
+            residual[table] = twisted_residual(a, b, batch_ratios(a, b, t2), sign)
+        return residual.tolist()
+
+
+class _Residual:
+    """One level's residual: entry ``index`` of its spectrum's ``_ResidualPass``.
+
+    Two compare equal where their values do, as the floats they stand for would.
+    """
+
+    __slots__ = ("_pass", "_index")
+
+    def __init__(self, residuals: _ResidualPass, index: int):
+        self._pass, self._index = residuals, index
+
+    def __float__(self) -> float:
+        return self._pass.values[self._index]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Residual) and float(self) == float(other)
+
+    def __hash__(self) -> int:
+        return hash(float(self))
+
+
 @dataclass(frozen=True)
 class RootRecord:
     """One level: its energy, twisted residual, final bracket width and narrowing steps.
 
+    ``residual`` is computed on its first read, in one pass over every
+    level of the spectrum (``_ResidualPass``), and kept; so a caller that
+    reads no residual, as ``rabispec compare`` does, runs no pass.
     ``section_steps`` counts the count calls that narrowed the level at
     points fixed by its bracket: the window's sections, its own sections,
     and after a doubling the probes out from its last bracket.
@@ -120,11 +171,15 @@ class RootRecord:
     """
 
     energy: float
-    residual: float
+    _residual: _Residual = field(repr=False)
     bracket_width: float
     section_steps: int
     cubic_steps: int
     sign_lost: bool = False
+
+    @property
+    def residual(self) -> float:
+        return float(self._residual)
 
     @property
     def iterations(self) -> int:
@@ -144,7 +199,10 @@ class SpectrumResult:
     their rows N (the pivot loop runs N // 2 iterations of a call, one row
     from each end), ``count_start`` is the truncation N of the first call
     and ``count_rows`` the one at which the levels were last narrowed.  A
-    level's ``residual`` is its twisted residual.
+    level's ``residual`` is its twisted residual, over those ``count_rows``
+    rows in tables of ``CHUNK_CELLS // count_rows`` levels, both fixed when
+    the spectrum was computed; the first read of any level's runs the one
+    pass for all of them, and ``rabispec compare`` reads none.
     """
 
     roots: list[RootRecord]
@@ -606,8 +664,11 @@ def compute_spectrum(
     are not checked), the others in ``roots``.  Each level's residual,
     ``contfrac.twisted_residual`` from one backward pass over the
     ``count_rows`` rows that settled it (inf on a pole), in tables of
-    ``CHUNK_CELLS // count_rows`` levels, is reported, never used to reject
-    a level.  ZeroCoupling is raised at g = 0, before any row is read.
+    ``CHUNK_CELLS // count_rows`` levels (the width read at this call), is
+    reported, never used to reject a level.  It is not computed here: the
+    first read of any ``RootRecord.residual`` runs the pass for every level
+    of the window, once, so ``rabispec compare``, which reads none, never
+    runs it.  ZeroCoupling is raised at g = 0, before any row is read.
     """
     check_coupling(model)
     e_min, e_max = window
@@ -692,19 +753,15 @@ def compute_spectrum(
     mid = 0.5 * (lo + hi)
     pole = nearest_pole(model, sector, mid)
     energy = np.where((lo < pole) & (pole < hi), pole, mid)
-    residual, dist = np.full(energy.shape, np.inf), distance_to_pole_set(model, sector, energy)
-    usable, step = np.flatnonzero(dist >= eps), max(1, CHUNK_CELLS // settled_rows)
-    t2, sign = asymptotic_roots(model).t2, math.copysign(1.0, model.g)
-    for table in (usable[i:i + step] for i in range(0, usable.size, step)):
-        a, b = coefficient_block(model, sector, energy[table], 0, settled_rows - 1)
-        residual[table] = twisted_residual(a, b, batch_ratios(a, b, t2), sign)
+    dist = distance_to_pole_set(model, sector, energy)
+    residuals = _ResidualPass(model, sector, energy, dist >= eps, settled_rows)
     near_pole = dist < eps_exceptional(model)
 
     roots: list[RootRecord] = []
     flagged: list[RootRecord] = []
     for i, j in enumerate(levels.tolist()):
         rec = RootRecord(
-            float(energy[i]), float(residual[i]), float(hi[i] - lo[i]), *steps.get(j, (0, 0)),
+            float(energy[i]), _Residual(residuals, i), float(hi[i] - lo[i]), *steps.get(j, (0, 0)),
             bool(unconfirmed[i]),
         )
         (flagged if near_pole[i] else roots).append(rec)

@@ -556,6 +556,18 @@ class TestCompareCommand:
         assert [r[3] for r in rows] == ["matched"] * 3
         assert all(float(r[2]) < 1e-6 for r in rows)
 
+    def test_count_metadata_equals_spectrum(self, capsys):
+        # compare reports the count's truncations and work as spectrum does
+        window = ["--model", "driven", "--delta", "0.4", "--g", "0.6", "--drive", "0.3",
+                  "--emin", "-1.5", "--emax", "8", "--format", "json"]
+        keys = ["count_start", "count_rows", "count_calls", "count_row_steps"]
+        _, out, _ = run_cli(capsys, ["compare", *window])
+        compared = load_json(out)["meta"]
+        _, out, _ = run_cli(capsys, ["spectrum", *window])
+        spectrum = load_json(out)["meta"]
+        assert [compared[k] for k in keys] == [spectrum[k] for k in keys]
+        assert compared["count_rows"] >= compared["count_start"] >= 64
+
     def test_unmatched_rows_exit_2(self, capsys, monkeypatch):
         # negative control: an oracle whose levels sit 1e-6 off, ten times the
         # matching tolerance, however close the roots come to the true levels

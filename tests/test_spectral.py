@@ -1,8 +1,10 @@
 """Transcendental eigenvalue functions and pole-aware root finding."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import json
 import math
 import pkgutil
 import warnings
@@ -24,8 +26,14 @@ from rabispec import (
     compute_spectrum,
     oracle_spectrum,
 )
-from rabispec import spectral
-from rabispec.contfrac import DEFAULT_REL_TOL, backward_tail, batch_minimal_ratio, batch_ratios
+from rabispec import cli, spectral
+from rabispec.contfrac import (
+    DEFAULT_REL_TOL,
+    backward_tail,
+    batch_minimal_ratio,
+    batch_ratios,
+    twisted_residual,
+)
 from rabispec.errors import SignLostWarning
 from rabispec.models import coefficient_block, distance_to_pole_set, pole_energy, pole_lattice
 from rabispec.spectral import (
@@ -84,6 +92,8 @@ NEAR_DEGENERATE = (
 README_WINDOW = (
     ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.6, 0.3), Sector.driven(), (-1.5, 8.0),
 )
+README_ARGS = ["--model", "driven", "--delta", "0.4", "--g", "0.6", "--drive", "0.3",
+               "--emin", "-1.5", "--emax", "8"]
 
 
 class TestSpectralFunction:
@@ -526,9 +536,12 @@ class TestComputeSpectrum:
         assert on_pole.bracket_width <= 2.0 * README_WINDOW[0].eps_pole
 
     def test_residual_tables_equal_one_table(self, two_photon_ref, monkeypatch):
-        # residuals read one level per table equal those read in one table.
-        # The count keeps its own chunks: log|det T| summed over other chunks
-        # differs in its last bits, which the cubic steps carry into the levels
+        # residuals read one level per table equal those read in one table,
+        # and each is twisted_residual over rows 0..count_rows - 1 at its
+        # energy alone.  The tables are fixed by the call: the residuals are
+        # read after the patch is undone.  The count keeps its own chunks:
+        # log|det T| summed over other chunks differs in its last bits, which
+        # the cubic steps carry into the levels
         model, sector, window, _ = two_photon_ref
         one_table = [(r.energy, r.residual) for r in compute_spectrum(model, sector, window).roots]
         cells = spectral.CHUNK_CELLS
@@ -538,10 +551,15 @@ class TestComputeSpectrum:
                 patch.setattr(spectral, "CHUNK_CELLS", cells)
                 return level_count(*args)
 
-        monkeypatch.setattr(spectral, "level_count", counted)
-        monkeypatch.setattr(spectral, "CHUNK_CELLS", 1)
-        result = compute_spectrum(model, sector, window)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "level_count", counted)
+            patch.setattr(spectral, "CHUNK_CELLS", 1)
+            result = compute_spectrum(model, sector, window)
         assert [(r.energy, r.residual) for r in result.roots] == one_table
+        t2, sign = asymptotic_roots(model).t2, math.copysign(1.0, model.g)
+        for r in result.roots:
+            a, b = coefficient_block(model, sector, np.array([r.energy]), 0, result.count_rows - 1)
+            assert r.residual == twisted_residual(a, b, batch_ratios(a, b, t2), sign)[0]
 
     @pytest.mark.parametrize("chunk", [1, 7, 32])
     def test_chunked_count_equals_one_table(self, two_photon_ref, monkeypatch, chunk):
@@ -592,6 +610,65 @@ class TestComputeSpectrum:
     def test_default_window_min_below_ground(self, two_photon_ref):
         model, sector, _, eigs = two_photon_ref
         assert default_window_min(model, sector) < eigs[0]
+
+
+class TestResidualPass:
+    """The residual pass runs on the first read of a residual, once for every level."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        # the lanes of each table the residual pass reads
+        lanes = []
+
+        def counted(a, b, ratios, sign):
+            lanes.append(a.shape[1])
+            return twisted_residual(a, b, ratios, sign)
+
+        monkeypatch.setattr(spectral, "twisted_residual", counted)
+        return lanes
+
+    def test_compare_runs_no_pass(self, capsys, tables):
+        assert cli.main(["compare", *README_ARGS]) == 0
+        assert tables == []
+
+    def test_spectrum_runs_one_pass_per_table(self, capsys, tables):
+        # 23 levels at 16,384 rows: six tables of 2^16 / 16,384 = 4 levels or fewer
+        args = ["--model", "two-photon", "--delta", "0.5", "--g", "0.498", "--q", "1/4",
+                "--emax", "1.5", "--format", "json"]
+        assert cli.main(["spectrum", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        levels = sum(row["residual"] is not None for row in payload["rows"])
+        width = spectral.CHUNK_CELLS // payload["meta"]["count_rows"]
+        assert (levels, width) == (23, 4)
+        assert tables == [4, 4, 4, 4, 4, 3]
+
+    def test_residuals_read_twice_run_one_pass(self, two_photon_ref, tables):
+        model, sector, window, _ = two_photon_ref
+        result = compute_spectrum(model, sector, window)
+        assert tables == []
+        first = [r.residual for r in result.roots]
+        assert tables == [len(result.roots)]
+        assert [r.residual for r in result.roots] == first and tables == [len(result.roots)]
+
+    def test_records_compare_by_residual_value(self):
+        # two results of one window hold two passes, and compare equal, the
+        # level on the pole (inf) too; a record with another residual does not
+        first, second = compute_spectrum(*README_WINDOW), compute_spectrum(*README_WINDOW)
+        assert first == second and len(first.flagged) == 1
+        assert [hash(r) for r in first.roots] == [hash(r) for r in second.roots]
+        one, other = first.roots[:2]
+        assert dataclasses.replace(one, _residual=other._residual) != one
+
+    def test_table_width_read_at_call_time(self, two_photon_ref, tables, monkeypatch):
+        model, sector, window, _ = two_photon_ref
+        rows = compute_spectrum(model, sector, window).count_rows
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "CHUNK_CELLS", 2 * rows)
+            result = compute_spectrum(model, sector, window)
+        assert result.count_rows == rows and len(result.roots) == 9
+        assert tables == []
+        result.roots[-1].residual  # one read runs the pass for every level
+        assert tables == [2, 2, 2, 2, 1]
 
 
 def _brute_poles_in_window(model, sector, e_min, e_max):
