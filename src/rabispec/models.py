@@ -143,6 +143,37 @@ def root_factor(model: ModelParams) -> float:
     return math.sqrt(1.0 - c * c * g * g / (w * w))
 
 
+def slope_row(model: ModelParams, sector: Sector) -> int:
+    """n*: from row n* on, the scaled disc radius R(n) rises by at most S a row.
+
+    Row n's disc test |a(n, E)| <= sqrt(b(n)) + sqrt(b(n + 1)), times 2|g| / b(n),
+    reads |N(n, E)| <= R(n) = 2|g| (1 / sqrt(b(n)) + sqrt(b(n + 1)) / b(n)), N = 2 g a / b.
+    Past the last pole below E, N falls by at least S a row: S = omega on the
+    driven model, 2 omega (1 + x^2) with x = c|g| / omega on the squeezed ones.
+
+    - Driven: R(j + 1) - R(j) < 2|g| / sqrt(j + 1), so n* = max(ceil(4 g^2 / omega^2) - 1, 0).
+    - Squeezed: S = 2 c|g| (2 + eps), eps = (1 - x)^2 / x.  With m = j + s + 1/2
+      and d = s - 1/2, (R(j + 1) - R(j)) / (2 c|g|) - 2 is below 0 if d^2 < 1
+      (two-photon, kappa <= 1: n* = 0), else below B(m) = (d^2 - 1 + 3/m) / (m^2 - d^2),
+      falling with m to eps past m_1 = max(sqrt(d^2 + (d^2 - 1) / eps), (3 / eps)^(1/3)),
+      so by m* = sqrt(d^2 + (d^2 - 1 + 3 / m_1) / eps): n* = max(ceil(m* - s - 1/2), 0).
+
+    Far out the steps' expansions in 1/m give both bounds (B with
+    (d^4/4 + 11d^2/2 + 7)/m^4 to spare); nearer in they were checked to 50
+    digits over rows up to 10^10, s up to 200.  n* is at most 2 past the least such row.
+    """
+    c = SQUEEZE_FACTOR.get(model.kind)
+    w, g = model.omega, model.g
+    if c is None:
+        return max(math.ceil(4.0 * g * g / (w * w)) - 1, 0)
+    s, x = sector.value, c * abs(g) / w
+    d2, eps = (s - 0.5) ** 2, (1.0 - x) ** 2 / x
+    if d2 < 1.0:
+        return 0
+    m_1 = max(math.sqrt(d2 + (d2 - 1.0) / eps), (3.0 / eps) ** (1.0 / 3.0))
+    return max(math.ceil(math.sqrt(d2 + (d2 - 1.0 + 3.0 / m_1) / eps) - s - 0.5), 0)
+
+
 @dataclass(frozen=True)
 class AsymptoticRoots:
     """The minimal-solution scale of the three-term recurrence.

@@ -414,8 +414,11 @@ def _norm(part: _Part) -> float:
     d, e, band = part
     if band is None:
         return np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0)
-    diag = band[_BANDWIDTH]
-    return float((np.abs(diag) + diag - _disc_edges(band)).max())
+    entries = np.abs(band)
+    sums = entries.sum(axis=0)  # column j: row j's diagonal and, by symmetry, its left entries
+    for k in range(1, _BANDWIDTH + 1):
+        sums[:-k] += entries[_BANDWIDTH - k, k:]  # row j's entry k right of the diagonal
+    return float(sums.max())
 
 
 def _spectra(bands: np.ndarray) -> list[np.ndarray]:
@@ -494,18 +497,6 @@ def eigen_in_range(h: TruncatedHamiltonian, lo: float, hi: float) -> list[float]
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got ({lo}, {hi})")
     return np.sort(np.concatenate([_in_window(w, lo, hi) for w in _spectra(h.bands)])).tolist()
-
-
-def _disc_edges(bands: np.ndarray) -> np.ndarray:
-    """The lower edge of each state's Gershgorin disc: its diagonal entry less
-    its row's absolute off-diagonal sum."""
-    u = _BANDWIDTH
-    edge = bands[u].copy()
-    for k in range(1, u + 1):
-        off = np.abs(bands[u - k, k:])
-        edge[k:] -= off
-        edge[:-k] -= off
-    return edge
 
 
 def _chain_start(parts: list[_Part], ns: np.ndarray, e_max: float, tol: float) -> int | None:

@@ -30,9 +30,9 @@ four counted points nearest it, fitted to det T(E) (E - E_p) from the count's
 own log|det T| and sign, with the quartic through a fifth point as its error
 estimate (the value of the determinant beside its sign, as Williams and
 Kennedy use it).  The first truncation is read off the coefficient rows at
-the window edges: the last row whose Gershgorin disc of T(E) holds 0 in the window, plus
-the Miller tail past it.  It checks each level's position under a doubling of
-the truncation.
+the window edges: the last row whose Gershgorin disc of T(E) holds 0 in the
+window, which a later row proves (``models.slope_row``), plus the Miller tail
+past it.  It checks each level's position under a doubling of the truncation.
 The count decides every bracket and is the certificate that no level is lost.
 Each level's residual (only reported, ``contfrac.twisted_residual``, and
 computed for every level at once on the first read of one) is the
@@ -71,6 +71,7 @@ from .models import (
     distance_to_pole_set,
     nearest_pole,
     pole_lattice,
+    slope_row,
 )
 
 # Pole-handling constants (in units of omega where dimensionful).
@@ -80,8 +81,7 @@ DEFAULT_ROOT_ABS_TOL = 1e-10   # width below which a level's bracket is settled
 # Recurrence rows of the first level count, at least; doubled while levels
 # move, up to contfrac's DEFAULT_MAX_DEPTH.
 _FIRST_COUNT_ROWS = 64
-# The rows _count_start reads first at the window edges, doubled while the
-# reach or its tail runs past them, and the seed-error damping of that tail.
+# The rows _count_start reads first at the window edges, and the seed-error damping of its tail.
 _START_BLOCK_ROWS = 128
 _START_TAIL_EPS = 1e-8
 # Each multisection step cuts every unsettled bracket into this many sections.
@@ -375,40 +375,31 @@ def _count_start(model: ModelParams, sector: Sector, edges, top: int, cap: int) 
     at an edge or a(n, E) changes sign between the edges: between poles
     a(n, E) rises with E.  Outside such rows T(E)'s eigenvectors decay (Combes
     and Thomas, Commun. Math. Phys. 34, 251 (1973)), so the levels of the
-    window live up to the last of them, the reach.  The tail is the rows past
-    the reach where a backward recursion's seed error damps below
-    ``_START_TAIL_EPS`` in both edge lanes (``contfrac.backward_tail``'s
-    product of ``log_damping``).  The start is
-    max(64, P(top + 1), min(P(reach + tail), P(2 reach))), at most ``cap``,
-    with P(n) the power of two at or above n and ``top`` the last pole index
-    below the window: the pole term counts only the poles of the rows it has.
-    Near collapse the tail runs to thousands of rows past what settles the
-    levels, so 2 reach bounds it (a measured bound, not a derived one).
-
-    The rows are read at both edges, the first ``_START_BLOCK_ROWS`` of them,
-    then as many again, up to ``cap``, while the reach is the last row read,
-    while the tail runs past it short of P(2 reach), or while the discs'
-    margin m(n) = |a(n, E)| / radius, the least over the edges, may yet fall
-    below 1 past the rows read: m falls over the last doubling of the rows,
-    and were each doubling's fall to shrink as the last one did, what is
-    left of it would exceed m - 1 at the last row.  The squeezed models'
-    margin runs as L + C / n, whose fall halves with each doubling (and
-    L > 1 below collapse), and the driven model's, about
-    (n + c) / (4 |g| sqrt(n)) with c near (2g/omega)^2 at the bottom of the
-    spectrum, shrinks by sqrt(2) well below n = c and dips below 1 near it.
-    Each row is read once, in blocks of at most ``CHUNK_CELLS`` / 2 rows.
+    window live up to the last of them, the reach.  The rows are read at both
+    edges, in blocks of at most ``CHUNK_CELLS`` / 2, ``_START_BLOCK_ROWS`` and
+    then as many again, up to ``cap``, until the last row read, n, proves the
+    reach: n > reach, a(n, e_max) g < 0 and n >= max(top + 1, n*), with ``top``
+    the last pole index below the window and n* = ``models.slope_row``, leave
+    no later disc holding 0.  The tail, the rows past the reach where a
+    backward recursion's seed error damps below ``_START_TAIL_EPS`` in both
+    edge lanes (the product of ``log_damping``), ends in the rows read too, or
+    they reach P(2 reach).  The start is max(64, P(top + 1), min(P(reach + tail),
+    P(2 reach))), at most ``cap``, with P(n) the power of two at or above n:
+    the pole term counts only the poles of the rows it has.  2 reach bounds the
+    tail, which near collapse runs far past what settles the levels (a
+    measured bound, not a derived one).
     """
     log_eps, step = math.log(_START_TAIL_EPS), max(1, CHUNK_CELLS // 2)
     size, done = min(_START_BLOCK_ROWS, cap), 0  # rows to read, rows read
-    reach, log_tail, tail, marks = 0, np.zeros(2), None, {}  # marks: m(n) at rows size / 4 - 1, ...
+    reach, log_tail, tail = 0, np.zeros(2), None
+    least = max(slope_row(model, sector), top + 1)  # the first row that may prove the reach
     while True:
         for lo in range(done, size, step):
             hi = min(lo + step, size)
             a, b = coefficient_block(model, sector, edges, lo, hi)  # b(hi) closes row hi - 1
             radius, a, b = np.sqrt(b[:-1, 0]) + np.sqrt(b[1:, 0]), a[:-1], b[:-1]
-            margin = np.abs(a).min(axis=1) / radius
-            margin[(a[:, 0] < 0.0) != (a[:, 1] < 0.0)] = 0.0
-            holds, first = np.flatnonzero(margin <= 1.0), 0  # first: the first row past the reach
+            holds = (np.abs(a).min(axis=1) <= radius) | ((a[:, 0] < 0.0) != (a[:, 1] < 0.0))
+            holds, first = np.flatnonzero(holds), 0  # first: the first row past the reach
             if holds.size:
                 first = int(holds[-1]) + 1
                 reach, log_tail, tail = lo + first - 1, np.zeros(2), None
@@ -419,18 +410,9 @@ def _count_start(model: ModelParams, sector: Sector, edges, top: int, cap: int) 
                     tail = lo + first + int(settled[0]) - reach
                 elif len(sums):
                     log_tail = sums[-1]
-            marks.update((n, margin[n - lo]) for n in (size // 4 - 1, size // 2 - 1, size - 1)
-                         if lo <= n < hi)
         done, bound = size, _power_of_two(2 * reach)
-        quarter, half, end = marks[size // 4 - 1], marks[size // 2 - 1], marks[size - 1]
-        fall, last_fall = half - end, quarter - half
-        # what is left of the fall, were each doubling's fall to shrink as the last one did
-        if 0.0 < fall < last_fall:
-            left = fall * fall / (last_fall - fall)
-        else:
-            left = math.inf if fall > 0.0 else 0.0
-        falling = end - 1.0 < left
-        if size >= cap or not (reach == size - 1 or (tail is None and size < bound) or falling):
+        proven = max(least, reach + 1) < size and a[-1, 1] * model.g < 0.0  # by row size - 1
+        if size >= cap or (proven and (tail is not None or size >= bound)):
             break
         size = min(2 * size, cap)
     settled = bound if tail is None else min(_power_of_two(reach + tail), bound)
@@ -641,14 +623,9 @@ def compute_spectrum(
     again at 2N, from the tightest brackets those counts give, and checked at
     4N, and so on up to ``DEFAULT_MAX_DEPTH`` rows, the cap of
     ``contfrac.backward_tail``.  The first N (``count_start``) is read off
-    the coefficient rows at the window edges before the first count
-    (``_count_start``): the last row whose Gershgorin disc of T(E) holds 0 in
-    the window, plus the Miller tail past it, and at least 64 and the power
-    of two above the index of the last pole below the window's upper edge:
-    the pole term counts only the poles of the first N rows, so fewer rows
-    would put N(e_min) = N(e_max) on a high window.  Every level is then
-    checked under doubling as before, so a start too high costs only rows.
-    A window whose last pole index is not below the cap raises ValueError.
+    the coefficient rows at the window edges (``_count_start``); a start too
+    high costs only rows.  A window whose last pole index is not below the
+    cap raises ValueError.
     A level moves little under a doubling, so the first step at 2N does not
     cut its new bracket evenly: it counts at plo - tol * 16^k and
     phi + tol * 16^k (k >= 1) out from the level's bracket [plo, phi] at N,

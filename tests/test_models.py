@@ -24,7 +24,9 @@ from rabispec.models import (
     pole_energy,
     pole_lattice,
     root_factor,
+    slope_row,
 )
+from rabispec.spectral import default_window_min
 
 
 def tp(omega=1.0, delta=0.0, g=0.2):
@@ -310,3 +312,78 @@ class TestCoefficientBlock:
         energies = [-2.0, -0.5, 0.1, 0.77, 3.3]
         batch = distance_to_pole_set(model, sector, np.array(energies))
         assert batch.tolist() == [distance_to_pole_set(model, sector, e) for e in energies]
+
+
+def scaled_radius(model, sector, rows):
+    """R(n) = 2|g| (1/sqrt(b(n)) + sqrt(b(n + 1))/b(n)), n < rows: disc radius n times 2|g|/b(n)."""
+    below = np.array([default_window_min(model, sector)])  # no pole at or below it
+    _, b = coefficient_block(model, sector, below, 0, rows)
+    b = b[:, 0]
+    return 2.0 * abs(model.g) * (1.0 / np.sqrt(b[:-1]) + np.sqrt(b[1:]) / b[:-1])
+
+
+def least_fall(model):
+    """S: N(n, E) = 2 g a(n, E)/b(n) falls by at least this a row past the last pole below E."""
+    c = {ModelKind.TWO_PHOTON: 2.0, ModelKind.TWO_MODE: 1.0}.get(model.kind)
+    if c is None:
+        return model.omega
+    return 2.0 * model.omega * (1.0 + (c * model.g / model.omega) ** 2)
+
+
+@st.composite
+def _drawn_windows(draw):
+    """(model, sector, window): c|g|/omega up to 0.998 with kappa up to 10, or driven |g| <= 24."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    sign, drive = draw(st.sampled_from([1.0, -1.0])), 0.0
+    if kind is ModelKind.TWO_PHOTON:
+        g = draw(st.floats(0.005, 0.499))
+        sector = Sector.two_photon(draw(st.sampled_from([0.25, 0.75])))
+    elif kind is ModelKind.TWO_MODE:
+        g = draw(st.floats(0.01, 0.998))
+        sector = Sector.two_mode(draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0])))
+    else:
+        g = draw(st.floats(0.05, 24.0))
+        drive = draw(st.floats(-2.0, 2.0))
+        sector = Sector.driven()
+    model = ModelParams(kind, 1.0, draw(st.floats(0.0, 2.0)), sign * g, drive)
+    e_min = default_window_min(model, sector) + draw(st.floats(0.0, 30.0))
+    return model, sector, (e_min, e_min + draw(st.floats(2.0, 8.0)))
+
+
+class TestSlopeRow:
+    @pytest.mark.parametrize("model, sector, want", [
+        (tp(g=0.499), Sector.two_photon(0.25), 0),
+        (tp(g=0.499), Sector.two_photon(0.75), 0),
+        (tm(g=0.998), Sector.two_mode(0.5), 0),
+        (tm(g=0.998), Sector.two_mode(1.0), 0),
+        (tm(delta=0.5, g=0.99), Sector.two_mode(3.0), 225),
+        (tm(delta=0.5, g=0.99), Sector.two_mode(10.0), 930),
+        (dr(delta=0.5, g=7.0, drive=0.3), Sector.driven(), 195),
+        (dr(delta=0.5, g=16.0, drive=0.3), Sector.driven(), 1023),
+    ], ids=["q=1/4", "q=3/4", "kappa=1/2", "kappa=1", "kappa=3", "kappa=10", "g=7", "g=16"])
+    def test_one_past_the_last_steep_step(self, model, sector, want):
+        # the closed form equals a scan of 10^6 rows: one past the last j
+        # with R(j + 1) - R(j) > S
+        steep = np.flatnonzero(np.diff(scaled_radius(model, sector, 10**6 + 1)) > least_fall(model))
+        assert slope_row(model, sector) == (int(steep[-1]) + 1 if steep.size else 0) == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=_drawn_windows())
+    def test_no_disc_past_the_certificate_row_holds_0(self, case):
+        # the first row n >= max(n*, top + 1) whose disc misses 0 at e_max
+        # with a(n, e_max) g < 0 certifies the reach: none of the 4,096 rows
+        # past it holds 0 at an edge or changes sign between the edges
+        model, sector, window = case
+        first, spacing = pole_lattice(model, sector)
+        n = max(slope_row(model, sector), math.floor((window[1] - first) / spacing) + 1, 0)
+        edges, step = np.array(window), 2**16
+        while True:
+            a, b = coefficient_block(model, sector, edges, n, n + step + 4096)
+            a, radius = a[:-1], np.sqrt(b[:-1, 0]) + np.sqrt(b[1:, 0])
+            misses = (np.abs(a).min(axis=1) > radius) & ((a[:, 0] < 0.0) == (a[:, 1] < 0.0))
+            edge, r = a[:step, 1], radius[:step]
+            proven = np.flatnonzero((edge * model.g < 0.0) & (np.abs(edge) > r))
+            if proven.size:
+                break
+            n += step
+        assert misses[proven[0] + 1:proven[0] + 4097].all()

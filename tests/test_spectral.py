@@ -81,6 +81,13 @@ STRONG_DRIVE = [
     (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.5, g, 0.3), Sector.driven(), window)
     for g, window in [(7.0, (-49.5, -45.5)), (8.0, (-65.5, -60.5)), (16.0, (-256.5, -252.5))]
 ]
+# two-mode g/omega = 0.99 at kappa = 3 and 10, up to E = 4: the first squeezed
+# windows whose slope row (models.slope_row, 225 and 930) is not 0
+HIGH_KAPPA = [
+    (model, sector, (default_window_min(model, sector), 4.0))
+    for model in [ModelParams(ModelKind.TWO_MODE, 1.0, 0.5, 0.99)]
+    for sector in (Sector.two_mode(3.0), Sector.two_mode(10.0))
+]
 # a high driven window, whose Gershgorin discs hold 0 past its last pole index
 DRIVEN_HIGH = (ModelParams(ModelKind.DRIVEN_RABI, 1.0, 0.4, 0.5, 0.3), Sector.driven(), (500.0, 504.0))
 # driven, delta = 1e-4 and no drive: the levels come in pairs about 1e-4
@@ -366,7 +373,8 @@ class TestComputeSpectrum:
         assert (result.count_start, result.count_rows) == work[3:]
 
     @pytest.mark.parametrize("case", [README_WINDOW, *COLLAPSE_WINDOWS, COLLAPSE_099, COLLAPSE_0996,
-                                      TWO_MODE_099, TWO_PHOTON_400, *STRONG_DRIVE, DRIVEN_HIGH])
+                                      TWO_MODE_099, TWO_PHOTON_400, *STRONG_DRIVE, DRIVEN_HIGH,
+                                      *HIGH_KAPPA])
     def test_count_start_follows_the_rule(self, case):
         # the start, read off blocks of rows from 128 up, equals the rule read
         # off 32,768 rows at once with backward_tail's own tail:
@@ -416,8 +424,8 @@ class TestComputeSpectrum:
         # the rows (n_lo, n_hi) read at the edges: one block of 128 rows where
         # the reach and its tail end inside it; the next 128 where the tail
         # runs past them short of P(2 reach) (the reach is 77 at
-        # g/omega = 0.92); on strong drive the next 128 where the discs'
-        # margin still falls at row 127, then 256 more where the reach runs
+        # g/omega = 0.92); on strong drive the next 128 where row 127 lies
+        # short of the slope row (195), then 256 more where the reach runs
         # to row 255
         model, sector, window = case
         read = []
